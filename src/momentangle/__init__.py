@@ -51,6 +51,7 @@ from .submanifold_numerics import (
     TangentFrame,
     chart_N,
     coarea_orbit_volume_check,
+    first_variation_integral,
     hamiltonian_field,
     hminimality_residual,
     lagrangian_residual,

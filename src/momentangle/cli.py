@@ -20,6 +20,7 @@ from .config_io import (
     config_from_quadrics,
     double_from_config,
     parse_config,
+    parse_number,
     polytope_from_config,
     quadrics_from_config,
     render_config,
@@ -55,9 +56,7 @@ COMMANDS = (
 
 _TOL_FIELDS = {
     "membership": "tol_membership",
-    "frame": "tol_frame",
     "curvature": "tol_curvature",
-    "variation": "tol_variation",
     "step": "step",
     "step_chart": "step_chart",
     "step_divergence": "step_divergence",
@@ -66,7 +65,7 @@ _TOL_FIELDS = {
 }
 
 
-def _spec_from(cfg: ConfigFile, flag_tols: list[tuple[str, float]]) -> MetricSpec:
+def _spec_from(cfg: ConfigFile, flag_tols: list[tuple[str, str]]) -> MetricSpec:
     spec = MetricSpec()
     merged = dict(cfg.tols)
     for name, value in _env_tols():
@@ -74,10 +73,9 @@ def _spec_from(cfg: ConfigFile, flag_tols: list[tuple[str, float]]) -> MetricSpe
     for name, value in flag_tols:
         merged[name] = value
     for name, value in merged.items():
-        field_name = _TOL_FIELDS.get(name, name)
-        if not hasattr(spec, field_name):
+        if name not in _TOL_FIELDS:
             raise ConfigError(f"unknown tolerance name {name!r}")
-        setattr(spec, field_name, float(value))
+        setattr(spec, _TOL_FIELDS[name], parse_number(value, f"tolerance {name}", float))
     return spec
 
 
@@ -85,25 +83,33 @@ def _env_tols():
     out = []
     for key, value in os.environ.items():
         if key.startswith("MOMENTANGLE_TOL_"):
-            out.append((key[len("MOMENTANGLE_TOL_"):].lower(), float(value)))
+            out.append((key[len("MOMENTANGLE_TOL_"):].lower(), value))
     return out
 
 
 def _resolve_seed(cfg: ConfigFile, flag_seed: int | None) -> int:
-    if flag_seed is not None:
-        return flag_seed
     env = os.environ.get("MOMENTANGLE_SEED")
-    if env is not None:
-        return int(env)
-    return cfg.seed
+    if flag_seed is not None:
+        seed = flag_seed
+    elif env is not None:
+        seed = parse_number(env, "MOMENTANGLE_SEED")
+    else:
+        seed = cfg.seed
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _resolve_samples(cfg: ConfigFile, flag_samples: int | None, default: int = 100) -> int:
     if flag_samples is not None:
-        return flag_samples
-    if cfg.samples is not None:
-        return cfg.samples
-    return default
+        samples = flag_samples
+    elif cfg.samples is not None:
+        samples = cfg.samples
+    else:
+        samples = default
+    if samples < 1:
+        raise ConfigError(f"samples must be positive, got {samples}")
+    return samples
 
 
 def run_command(
@@ -263,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
                 cfg = parse_config(fh.read())
         seed = _resolve_seed(cfg, args.seed)
         samples = _resolve_samples(cfg, args.samples)
-        spec = _spec_from(cfg, [(n, float(v)) for n, v in args.tol])
+        spec = _spec_from(cfg, args.tol)
         rep = run_command(args.command, cfg, seed, samples, spec, l_param=args.l)
         sys.stdout.write(rep.render_human())
         if args.report_file:

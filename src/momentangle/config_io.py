@@ -41,11 +41,12 @@ class ConfigFile:
     tols: dict[str, float] = field(default_factory=dict)
 
 
-def _parse_fraction(tok: str) -> Fraction:
+def parse_number(text, where: str, kind=int):
+    """``kind(text)``, with a malformed value reported as a configuration error."""
     try:
-        return Fraction(tok)
+        return kind(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad rational {tok!r}") from exc
+        raise ConfigError(f"bad value {text!r} in {where}") from exc
 
 
 def parse_config(text: str) -> ConfigFile:
@@ -84,17 +85,15 @@ def parse_config(text: str) -> ConfigFile:
                     raise ConfigError(f"non-integer entry in matrix {key}") from exc
             setattr(cfg, key, IntegerMatrix(rows, cols=ncols))
         elif key in ("b", "c", "d"):
-            setattr(cfg, key, tuple(_parse_fraction(t) for t in toks[1:]))
-        elif key == "l":
-            cfg.l = int(toks[1])
-        elif key == "seed":
-            cfg.seed = int(toks[1])
-        elif key == "samples":
-            cfg.samples = int(toks[1])
+            setattr(cfg, key, tuple(parse_number(t, f"'{lines[i]}'", Fraction) for t in toks[1:]))
+        elif key in ("l", "seed", "samples"):
+            if len(toks) != 2:
+                raise ConfigError(f"'{lines[i]}' needs exactly one value")
+            setattr(cfg, key, parse_number(toks[1], f"'{lines[i]}'"))
         elif key == "tol":
             if len(toks) != 3:
                 raise ConfigError(f"tol line '{lines[i]}' needs a name and a value")
-            cfg.tols[toks[1]] = float(toks[2])
+            cfg.tols[toks[1]] = parse_number(toks[2], f"'{lines[i]}'", float)
         else:
             raise ConfigError(f"unknown directive {key!r}")
         i += 1

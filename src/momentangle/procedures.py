@@ -13,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import fd
 from .charts import FunctionChart, TorusSpreadChart, c2r
 from .polytope import PolytopePresentation, embed_point, is_delzant, is_simple
 from .quadric_config import (
@@ -34,18 +33,17 @@ from .report import VerificationReport
 from .submanifold_numerics import (
     DEFAULT_SPEC,
     stationarity_ratio,
-    support_leak_check,
     ChartPatch,
     MetricSpec,
     chart_point,
     coarea_orbit_volume_check,
+    first_variation_integral,
     frame_symplectic_residual,
     hamiltonian_field_batch,
     hminimality_residual,
     lagrangian_residual,
     minimality_residual_in_Z,
     noether_drift,
-    patch_volume,
     patch_volume_derivative,
     sample_chart_points,
     tangent_frame_Z,
@@ -275,8 +273,8 @@ def circle_variation_values(spec: MetricSpec = DEFAULT_SPEC) -> tuple[float, flo
     Q = QuadricConfiguration.from_rows([(1,)], [1])
     chart = TorusSpreadChart(Q, [1.0], newton_tol=spec.newton_tol)
     patch = ChartPatch(chart=chart, lo=[0.0], hi=[1.0], nodes=32)
-    dv, comp = patch_volume_derivative(patch, lambda z: z / np.abs(z), spec=spec)
-    return dv, comp
+    radial = lambda z: z / np.abs(z)
+    return patch_volume_derivative(patch, radial, spec), first_variation_integral(patch, radial, spec)
 
 
 def _random_matrix_field(m: int, rng: np.random.Generator) -> Callable:
@@ -313,11 +311,14 @@ def first_variation_report(
     chart = one_quadric_torus_chart(Q)
     lo = [0.3, 0.05]
     hi = [5.9, 0.95]
-    patch = ChartPatch(chart=chart, lo=lo, hi=hi, nodes=24, bump_axes=(0, 1))
+    # the bump-weighted integrands need 48 nodes per axis: at 24 the
+    # quadrature error alone reached 1.6e-2 of |dv| + |comp| on some seeds
+    patch = ChartPatch(chart=chart, lo=lo, hi=hi, nodes=48, bump_axes=(0, 1))
     rng = _rng(seed)
     for i in range(n_fields):
         X = _random_matrix_field(Q.ambient_dim, rng)
-        dv, comp = patch_volume_derivative(patch, X, spec=spec)
+        dv = patch_volume_derivative(patch, X, spec)
+        comp = first_variation_integral(patch, X, spec)
         rel = abs(dv - comp) / (abs(dv) + abs(comp) + 1e-9)
         rep.add(f"first-variation-field-{i}", rel, TOL_VARIATION_REL)
     return rep
@@ -336,17 +337,14 @@ def _poly_scalar(m: int, rng: np.random.Generator) -> Callable:
     return f
 
 
-def _normal_baseline_field(chart, rng: np.random.Generator, scale: float, spec: MetricSpec) -> Callable:
+def _normal_baseline_field(chart, rng: np.random.Generator, spec: MetricSpec) -> Callable:
     """Pointwise-normal field built from the chart frame (Lagrangian: i * tangent)."""
     d = chart.dim
     coefs = rng.standard_normal(d) + 0.3 * rng.standard_normal(d)
 
     def Y(Sb):
         J = chart.jacobian(np.atleast_2d(Sb), spec.step_chart, spec.fd_order)
-        a = np.broadcast_to(coefs, (J.shape[0], d))
-        field = 1j * np.einsum("nmd,nd->nm", J, a)
-        norms = np.abs(field).max()
-        return field * (scale / max(norms, 1e-12))
+        return 1j * np.einsum("nmd,d->nm", J, coefs)
 
     return Y
 
@@ -373,7 +371,7 @@ def hamiltonian_stationarity_report(
     if Q.ambient_dim == 2:
         chart = one_quadric_torus_chart(Q)
         patch = ChartPatch(chart=chart, lo=[0.0, 0.0], hi=list(chart.periods), nodes=24)
-        patch_base = patch
+        bump_axes = ()
         localize = None
     else:
         base = sample_chart_points(Q, 1, rng, spec)[0].base
@@ -382,7 +380,7 @@ def hamiltonian_stationarity_report(
         hi = [0.65, 0.65, 0.15]
         # the ambient cutoff is narrow in the phase direction: resolve it harder
         patch = ChartPatch(chart=chart, lo=lo, hi=hi, nodes=[20, 20, 36])
-        patch_base = ChartPatch(chart=chart, lo=lo, hi=hi, nodes=[20, 20, 36], bump_axes=(0, 1, 2))
+        bump_axes = (0, 1, 2)
         z0 = chart.value(np.zeros((1, 3)))[0]
         rho = 0.4
 
@@ -400,12 +398,8 @@ def hamiltonian_stationarity_report(
         poly = _poly_scalar(Q.ambient_dim, rng)
         f = localize(poly) if localize is not None else poly
         Xf = lambda z: hamiltonian_field_batch(f, z, spec)
-        if localize is not None:
-            support_leak_check(patch, Xf(chart.value(patch.S)))
-        Xvals = Xf(chart.value(patch.S))
-        xmax = float(np.abs(Xvals).max())
-        Y = _normal_baseline_field(chart, rng, xmax, spec)
-        ratio = stationarity_ratio(patch, patch_base, chart, Xf, Y, spec)
+        Y = _normal_baseline_field(chart, rng, spec)
+        ratio = stationarity_ratio(patch, Xf, Y, spec, bump_axes)
         rep.add(f"hamiltonian-stationarity-{i}", ratio, TOL_STATIONARITY)
     return rep
 

@@ -11,7 +11,7 @@ computed here is invariant under that scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,11 +41,8 @@ class MetricSpec:
     """Symplectic/metric conventions, steps and the tolerance bundle."""
 
     omega_scale: float = -1.0 / np.pi
-    conformal_dim: int | None = None  # base dimension in the conformal factor Vo^(2/n)
     tol_membership: float = 1e-10
-    tol_frame: float = 1e-10
     tol_curvature: float = 1e-6
-    tol_variation: float = 1e-3
     step: float = 1e-4  # t-derivatives of deformed volumes
     step_chart: float = 1e-3  # chart jacobians / hessians
     step_divergence: float = 3e-3  # outer derivative in the codifferential
@@ -53,11 +50,6 @@ class MetricSpec:
     fd_order: int = 4
     newton_tol: float = 1e-10
     newton_max_iter: int = 60
-
-    def conformal_factor(self, vo: float) -> float:
-        if not self.conformal_dim:
-            raise ValueError("conformal_dim is not set")
-        return float(vo) ** (2.0 / self.conformal_dim)
 
 
 DEFAULT_SPEC = MetricSpec()
@@ -407,98 +399,107 @@ def patch_volume(patch: ChartPatch, spec: MetricSpec = DEFAULT_SPEC) -> float:
 def patch_volume_derivative(
     patch: ChartPatch,
     X: Callable[[np.ndarray], np.ndarray],
-    t_step: float | None = None,
     spec: MetricSpec = DEFAULT_SPEC,
     field_on_params: bool = False,
-) -> tuple[float, float | None]:
+) -> float:
     """d/dt at t=0 of the patch volume under z -> z + t * bump * X(z).
-
-    Returns the central-difference derivative together with the companion
-    quadrature of -<H, X> * bump over the patch (the first-variation
-    integrand); the companion is None for metric (non-flat) ambients where
-    the mean curvature is out of scope.
 
     With ``field_on_params`` the field is sampled as X(chart parameters)
     instead of X(ambient point); that admits variation fields built from the
     chart frame (e.g. pointwise-normal baselines).
 
-    The variation is free: deformed points are not re-projected onto the
-    quadric set.
+    The deformation is affine in t, so one stencil of the stacked map
+    (chart point, bump * field) gives the deformed jacobians J_P + t * J_Y
+    for every t; the t-derivative is the central difference of the volume
+    at t = +-step. On a metric ambient the metric is taken at the deformed
+    nodes P0 + t * Y0. The variation is free: deformed points are not
+    re-projected onto the quadric set.
     """
-    h = spec.step if t_step is None else t_step
     chart = patch.chart
 
-    def field_at(Sb, P):
-        return np.asarray(X(Sb) if field_on_params else X(P))
+    def stacked(Sb):
+        P = chart.value(Sb)
+        field = np.asarray(X(Sb) if field_on_params else X(P))
+        bump = patch.bump_at(Sb).reshape(-1, *([1] * (P.ndim - 1)))
+        return np.concatenate([_ambient_real(chart, P), _ambient_real(chart, bump * field)], axis=1)
 
-    def deformed(t):
-        def fn(Sb):
-            P = chart.value(Sb)
-            bump = patch.bump_at(Sb)
-            shape = bump.reshape(-1, *([1] * (P.ndim - 1)))
-            return _ambient_real(chart, P + t * shape * field_at(Sb, P))
-
-        return fn
+    J = fd.jacobian(stacked, patch.S, spec.step_chart, spec.fd_order)
+    D = J.shape[1] // 2
+    JP, JY = J[:, :D], J[:, D:]
+    if patch.ambient_metric is not None:
+        PY0 = stacked(patch.S)
+        P0, Y0 = PY0[:, :D], PY0[:, D:]
 
     def vol(t):
-        f = deformed(t)
-        J = fd.jacobian(f, patch.S, spec.step_chart, spec.fd_order)
+        Jt = JP + t * JY
         if patch.ambient_metric is None:
-            g = np.einsum("nia,nib->nab", J, J)
+            g = np.einsum("nia,nib->nab", Jt, Jt)
         else:
-            G = patch.ambient_metric(f(patch.S))
-            g = np.einsum("nia,nij,njb->nab", J, G, J)
+            G = patch.ambient_metric(P0 + t * Y0)
+            g = np.einsum("nia,nij,njb->nab", Jt, G, Jt)
         return float(np.sum(patch.w * np.sqrt(np.linalg.det(g))))
 
-    dvol = (vol(h) - vol(-h)) / (2.0 * h)
-
-    companion = None
-    if patch.ambient_metric is None:
-        Hr, Jr, g = _curvature_batch(chart, patch.S, spec)
-        P0 = chart.value(patch.S)
-        Xr = _ambient_real(chart, field_at(patch.S, P0))
-        elem = np.sqrt(np.linalg.det(g))
-        companion = -float(
-            np.sum(patch.w * patch.bump_at(patch.S) * np.einsum("ni,ni->n", Hr, Xr) * elem)
-        )
-    return dvol, companion
+    h = spec.step
+    return (vol(h) - vol(-h)) / (2.0 * h)
 
 
-def support_leak_check(patch: ChartPatch, Xvals: np.ndarray, margin: float = 0.08) -> None:
-    """A localized field must vanish on the outermost shell of the patch box."""
-    span = patch.hi - patch.lo
-    near = np.zeros(patch.S.shape[0], dtype=bool)
-    for a in range(patch.S.shape[1]):
-        near |= patch.S[:, a] < patch.lo[a] + margin * span[a]
-        near |= patch.S[:, a] > patch.hi[a] - margin * span[a]
-    xmax = float(np.abs(Xvals).max())
-    leak = float(np.abs(Xvals[near]).max()) if near.any() else 0.0
-    if leak > 1e-8 * max(xmax, 1e-12):
-        raise RuntimeError("localized field leaks outside the chart patch")
+def first_variation_integral(
+    patch: ChartPatch,
+    X: Callable[[np.ndarray], np.ndarray],
+    spec: MetricSpec = DEFAULT_SPEC,
+    field_on_params: bool = False,
+) -> float:
+    """The curvature quadrature -integral <H, X> * bump dA over a flat-ambient patch.
+
+    By the first variation formula this equals ``patch_volume_derivative``
+    for the same field, from independent (second-derivative) chart data.
+    """
+    if patch.ambient_metric is not None:
+        raise ValueError("the curvature quadrature needs a flat ambient")
+    chart = patch.chart
+    Hr, _, g = _curvature_batch(chart, patch.S, spec)
+    Xvals = X(patch.S) if field_on_params else X(chart.value(patch.S))
+    Xr = _ambient_real(chart, Xvals)
+    elem = np.sqrt(np.linalg.det(g))
+    return -float(np.sum(patch.w * patch.bump_at(patch.S) * np.einsum("ni,ni->n", Hr, Xr) * elem))
 
 
 def stationarity_ratio(
     patch: ChartPatch,
-    patch_bumped: ChartPatch,
-    chart,
     Xf: Callable,
     Y: Callable,
     spec: MetricSpec,
+    bump_axes: tuple[int, ...] = (),
 ) -> float:
     """|dVol/dt| of a candidate field, normalized to a volume-changing scale.
 
-    The denominator is the larger of the same derivative under a
-    pointwise-normal comparator field of equal magnitude and the
+    ``Xf`` maps ambient points to the candidate field; ``Y`` maps chart
+    parameters to a pointwise-normal comparator direction. With
+    ``bump_axes`` the candidate must be localized inside the patch (checked
+    on its outermost shell) and the comparator is cut off by a bump along
+    those axes.
+
+    The denominator is the larger of the same derivative under the
+    comparator, scaled to the candidate's magnitude on the nodes, and the
     dimensional scale max|X| * vol(patch) (a unit-curvature submanifold
     would change volume at that rate). The second term keeps the ratio
     meaningful where the submanifold happens to be minimal, so every
     variation, including the comparator, is stationary.
     """
-    Xvals = np.asarray(Xf(chart.value(patch.S)))
+    Xvals = np.asarray(Xf(patch.chart.value(patch.S)))
     xmax = float(np.abs(Xvals).max())
+    if bump_axes:
+        # a localized field must vanish on the outermost shell of the patch box
+        margin = 0.08 * (patch.hi - patch.lo)
+        near = np.any((patch.S < patch.lo + margin) | (patch.S > patch.hi - margin), axis=1)
+        leak = float(np.abs(Xvals[near]).max()) if near.any() else 0.0
+        if leak > 1e-8 * max(xmax, 1e-12):
+            raise RuntimeError("localized field leaks outside the chart patch")
+    scale = xmax / max(float(np.abs(Y(patch.S)).max()), 1e-12)
+    comparator = replace(patch, bump_axes=bump_axes)
     vol0 = patch_volume(patch, spec)
-    dv_h, _ = patch_volume_derivative(patch, Xf, spec=spec)
-    dv_b, _ = patch_volume_derivative(patch_bumped, Y, spec=spec, field_on_params=True)
+    dv_h = patch_volume_derivative(patch, Xf, spec)
+    dv_b = patch_volume_derivative(comparator, lambda Sb: scale * Y(Sb), spec, field_on_params=True)
     denom = max(abs(dv_b), xmax * vol0)
     return abs(dv_h) / denom
 

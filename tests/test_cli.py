@@ -140,6 +140,36 @@ def test_gale_round_trip_whole_catalog(capsys):
         assert expected in out, name
 
 
+def test_directive_without_value_exits_2(tmp_path, capsys):
+    for line in ("seed", "samples", "l"):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"mode quadrics\ngamma 1 2\n1 1\nc 1\n{line}\n")
+        assert main(["verify-lagrangian", str(bad)]) == 2, line
+
+
+def test_malformed_numbers_exit_2(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("mode quadrics\ngamma 1 2\n1 1\nc 1\nsamples x\n")
+    assert main(["verify-lagrangian", str(bad)]) == 2
+    assert main(["verify-lagrangian", "catalog:one-quadric:2", "--samples", "0"]) == 2
+    assert main(["verify-lagrangian", "catalog:one-quadric:2", "--seed", "-1"]) == 2
+    assert main(["verify-lagrangian", "catalog:one-quadric:2", "--tol", "membership", "x"]) == 2
+    monkeypatch.setenv("MOMENTANGLE_TOL_MEMBERSHIP", "tiny")
+    assert main(["verify-lagrangian", "catalog:one-quadric:2", "--samples", "5"]) == 2
+
+
+def test_unknown_tolerance_names_exit_2(tmp_path, monkeypatch, capsys):
+    # internal MetricSpec fields and retired names are not tolerance names
+    for name in ("omega_scale", "fd_order", "newton_max_iter", "tol_membership", "frame", "variation"):
+        assert main(["verify-lagrangian", "catalog:one-quadric:2", "--samples", "5",
+                     "--tol", name, "0"]) == 2, name
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("mode quadrics\ngamma 1 2\n1 1\nc 1\ntol frame 1e-3\n")
+    assert main(["verify-lagrangian", str(cfg), "--samples", "5"]) == 2
+    monkeypatch.setenv("MOMENTANGLE_TOL_VARIATION", "1e-3")
+    assert main(["verify-lagrangian", "catalog:one-quadric:2", "--samples", "5"]) == 2
+
+
 def test_env_tolerance_override(monkeypatch):
     monkeypatch.setenv("MOMENTANGLE_TOL_MEMBERSHIP", "1e-30")
     rc = main(["verify-lagrangian", "catalog:one-quadric:2", "--samples", "5"])

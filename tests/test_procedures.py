@@ -34,6 +34,14 @@ def test_first_variation_report_unsupported():
         proc.hamiltonian_stationarity_report(catalog_quadrics("one-quadric:4"))
 
 
+def test_first_variation_small_derivative_seed():
+    # a random field with a small first variation (|dv| ~ 0.03): the
+    # curvature quadrature must still match to the relative tolerance
+    rep = proc.first_variation_report(catalog_quadrics("one-quadric:2"), seed=1819340549)
+    assert [r.name for r in rep.records] == [f"first-variation-field-{i}" for i in range(5)]
+    assert rep.overall, rep.render_human()
+
+
 def test_point_residual_report_shapes():
     rep = proc.point_residual_report(catalog_quadrics("one-quadric:2"), samples=10, seed=3)
     assert rep.overall

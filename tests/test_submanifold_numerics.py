@@ -14,9 +14,11 @@ from momentangle.submanifold_numerics import (
     DEFAULT_SPEC,
     ChartPatch,
     InvarianceError,
+    _curvature_batch,
     chart_N,
     chart_point,
     coarea_orbit_volume_check,
+    first_variation_integral,
     frame_symplectic_residual,
     hamiltonian_field,
     hamiltonian_pairing_residual,
@@ -29,10 +31,13 @@ from momentangle.submanifold_numerics import (
     patch_volume_derivative,
     project_to_quadrics,
     sample_chart_points,
+    stationarity_ratio,
     tangent_frame_N,
     tangent_frame_Z,
 )
-from momentangle.procedures import ellipse_control, unequal_torus_control
+from momentangle import fd
+from momentangle.procedures import _random_matrix_field, ellipse_control, unequal_torus_control
+from momentangle.reduction_catalog import one_quadric_torus_chart
 
 spec = DEFAULT_SPEC
 TWO_PI = 2.0 * np.pi
@@ -219,19 +224,86 @@ def test_circle_first_variation():
     Q1 = QuadricConfiguration.from_rows([(1,)], [1])
     chart = TorusSpreadChart(Q1, [1.0], newton_tol=spec.newton_tol)
     patch = ChartPatch(chart=chart, lo=[0.0], hi=[1.0], nodes=32)
-    dv, comp = patch_volume_derivative(patch, lambda z: z / np.abs(z), spec=spec)
-    assert abs(dv - TWO_PI) < 1e-4
-    assert abs(comp - TWO_PI) < 1e-4
+    radial = lambda z: z / np.abs(z)
+    assert abs(patch_volume_derivative(patch, radial, spec) - TWO_PI) < 1e-4
+    assert abs(first_variation_integral(patch, radial, spec) - TWO_PI) < 1e-4
 
 
 def test_tangential_field_preserves_volume():
     Q2 = QuadricConfiguration.from_rows([(1, 1)], [1])
-    from momentangle.reduction_catalog import one_quadric_torus_chart
-
     chart = one_quadric_torus_chart(Q2)
     patch = ChartPatch(chart=chart, lo=[0.0, 0.0], hi=list(chart.periods), nodes=24)
-    dv, _ = patch_volume_derivative(patch, lambda z: 1j * z, spec=spec)  # orbit direction
+    dv = patch_volume_derivative(patch, lambda z: 1j * z, spec)  # orbit direction
     assert abs(dv) < 1e-6
+
+
+def _two_volume_derivative(patch, X, field_on_params=False):
+    """Reference dVol/dt: two full deformed-volume evaluations at t = +-step."""
+    chart = patch.chart
+
+    def ambient_real(vals):
+        return c2r(vals) if chart.ambient == "complex" else np.asarray(vals, dtype=float)
+
+    def deformed(t):
+        def fn(Sb):
+            P = chart.value(Sb)
+            field = np.asarray(X(Sb) if field_on_params else X(P))
+            bump = patch.bump_at(Sb).reshape(-1, *([1] * (P.ndim - 1)))
+            return ambient_real(P + t * bump * field)
+
+        return fn
+
+    def vol(t):
+        f = deformed(t)
+        J = fd.jacobian(f, patch.S, spec.step_chart, spec.fd_order)
+        if patch.ambient_metric is None:
+            g = np.einsum("nia,nib->nab", J, J)
+        else:
+            g = np.einsum("nia,nij,njb->nab", J, patch.ambient_metric(f(patch.S)), J)
+        return float(np.sum(patch.w * np.sqrt(np.linalg.det(g))))
+
+    return (vol(spec.step) - vol(-spec.step)) / (2.0 * spec.step)
+
+
+def test_volume_derivative_matches_two_volume_reference():
+    # flat ambient: the C^2 torus patch under a bump and a random matrix field
+    chart = one_quadric_torus_chart(catalog_quadrics("one-quadric:2"))
+    patch = ChartPatch(chart=chart, lo=[0.3, 0.05], hi=[5.9, 0.95], nodes=24, bump_axes=(0, 1))
+    X = _random_matrix_field(2, np.random.default_rng(3))
+    ref = _two_volume_derivative(patch, X)
+    assert abs(patch_volume_derivative(patch, X, spec) - ref) < 1e-9 * abs(ref)
+
+    # metric ambient: rp2's affine chart with the reduced metric. RP^2 is
+    # totally geodesic, so only an unbumped patch (boundary flux) has a
+    # volume derivative that a relative comparison can see
+    from momentangle.reduction_catalog import CpChart, catalog_double, cp_reduced_tensors
+    from momentangle.submanifold_numerics import real_base_point
+
+    D = catalog_double("rp2")
+    lift = TorusSpreadChart(D.stacked, real_base_point(D.stacked),
+                            phase_rows=D.delta_cfg.gamma_float(), newton_tol=spec.newton_tol)
+    cp = CpChart(lift, 0)
+    metric = lambda W: cp_reduced_tensors(D.gamma_cfg, W, 0, spec)[0]
+    mpatch = ChartPatch(chart=cp, lo=[-0.5, -0.5], hi=[0.5, 0.5], nodes=40, ambient_metric=metric)
+    A = np.random.default_rng(4).standard_normal((cp.ambient_dim, cp.ambient_dim))
+    Xm = lambda W: W @ A.T + 0.3
+    ref = _two_volume_derivative(mpatch, Xm)
+    assert abs(patch_volume_derivative(mpatch, Xm, spec) - ref) < 1e-9 * abs(ref)
+    # a chart-frame field sampled on the parameters takes the same path
+    Yp = lambda Sb: cp.jacobian(Sb, spec.step_chart, spec.fd_order) @ np.array([0.7, -0.4])
+    ref = _two_volume_derivative(mpatch, Yp, field_on_params=True)
+    got = patch_volume_derivative(mpatch, Yp, spec, field_on_params=True)
+    assert abs(got - ref) < 1e-9 * abs(ref)
+
+
+def test_stationarity_ratio_rejects_leaking_field():
+    chart = one_quadric_torus_chart(catalog_quadrics("one-quadric:2"))
+    patch = ChartPatch(chart=chart, lo=[0.3, 0.05], hi=[5.9, 0.95], nodes=12)
+    Y = lambda Sb: 1j * chart.jacobian(Sb)[..., 0]
+    with pytest.raises(RuntimeError):
+        stationarity_ratio(patch, lambda z: 1j * z, Y, spec, bump_axes=(0, 1))
+    # without bump axes the same field is a global variation: a volume-preserving rotation
+    assert stationarity_ratio(patch, lambda z: 1j * z, Y, spec) < 1e-6
 
 
 def test_equivariant_curvature_direction_consistency():
@@ -239,16 +311,12 @@ def test_equivariant_curvature_direction_consistency():
     # for the balanced torus both the derivative and the squared-norm
     # quadrature vanish
     Q2 = QuadricConfiguration.from_rows([(1, 1)], [1])
-    from momentangle.reduction_catalog import one_quadric_torus_chart
-
     chart = one_quadric_torus_chart(Q2)
     patch = ChartPatch(
         chart=chart, lo=[0.5, 0.1], hi=[5.5, 0.9], nodes=20, bump_axes=(0, 1)
     )
 
     def in_Z_curvature_field(Sb):
-        from momentangle.submanifold_numerics import _curvature_batch
-
         Hr, Jr, _ = _curvature_batch(chart, Sb, spec)
         P = chart.value(np.atleast_2d(Sb))
         out = np.empty((Hr.shape[0], 2), complex)
@@ -260,7 +328,8 @@ def test_equivariant_curvature_direction_consistency():
             out[i] = h[:2] + 1j * h[2:]
         return out
 
-    dv, comp = patch_volume_derivative(patch, in_Z_curvature_field, spec=spec, field_on_params=True)
+    dv = patch_volume_derivative(patch, in_Z_curvature_field, spec, field_on_params=True)
+    comp = first_variation_integral(patch, in_Z_curvature_field, spec, field_on_params=True)
     assert abs(dv) < 1e-3
     assert abs(comp) < 1e-3
 
@@ -312,15 +381,6 @@ def test_patch_volume_double_cover():
     patch = ChartPatch(chart=chart, lo=[0.0, 0.0], hi=list(chart.periods), nodes=24)
     # the (theta, phi) box covers the spread torus twice: 2 * 2 pi^2
     assert abs(patch_volume(patch, spec) - 4 * np.pi**2) < 1e-8
-
-
-def test_conformal_factor():
-    from momentangle.submanifold_numerics import MetricSpec
-
-    ms = MetricSpec(conformal_dim=2)
-    assert ms.conformal_factor(4.0) == 4.0
-    with pytest.raises(ValueError):
-        DEFAULT_SPEC.conformal_factor(1.0)
 
 
 def test_frame_spans_expected_directions():
