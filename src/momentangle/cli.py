@@ -1,7 +1,7 @@
 """Command-line driver: configuration ingestion, dispatch, report emission.
 
 Exit status: 0 all checks pass, 1 some check fails, 2 configuration or
-usage error, 3 precondition violation, 4 numeric non-convergence.
+usage error, 3 precondition violation, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+from numpy.linalg import LinAlgError
 
 from . import procedures as proc
 from .charts import NonConvergenceError
@@ -291,12 +293,12 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return 3
+    except (NonConvergenceError, LinAlgError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return 3
-    except NonConvergenceError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -126,20 +126,6 @@ def feasible_point(A: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...] |
 # geometry-flavoured wrappers
 
 
-def cone_combination(
-    vectors: Sequence[Sequence], target: Sequence
-) -> tuple[Fraction, ...] | None:
-    """Nonnegative lambdas with ``sum lambda_k v_k = target``, or ``None``.
-
-    ``vectors`` may be empty, in which case the answer exists iff target = 0.
-    """
-    dim = len(target)
-    if not vectors:
-        return () if all(Fraction(t) == 0 for t in target) else None
-    A = [[Fraction(v[i]) for v in vectors] for i in range(dim)]
-    return feasible_point(A, [Fraction(t) for t in target])
-
-
 def positive_combination(
     vectors: Sequence[Sequence], target: Sequence
 ) -> tuple[Fraction, ...] | None:

@@ -64,7 +64,6 @@ class PolytopePresentation:
         if self._feasible_point() is None:
             raise EmptyPolytopeError("inequality system has no solution")
         self._bounded: bool | None = None
-        self._vertex_cache: VertexSet | None = None
 
     @property
     def num_facets(self) -> int:
@@ -195,10 +194,10 @@ def is_simple(P: PolytopePresentation) -> Verdict:
 
 def is_delzant(P: PolytopePresentation) -> Verdict:
     """At every vertex the active primitive normals must have determinant +-1."""
-    simple = is_simple(P)
-    if not simple:
-        raise ValueError(f"is_delzant requires a simple polytope; witness {simple.witness}")
     vs = enumerate_vertices(P)
+    nonsimple = [(vertex, tuple(sorted(active))) for vertex, active in vs if len(active) != P.dim]
+    if nonsimple:
+        raise ValueError(f"is_delzant requires a simple polytope; witness {nonsimple[0]}")
     for vertex, active in vs:
         idx = sorted(active)
         M = RationalMatrix([[Fraction(x) for x in P.normals[i]] for i in idx], cols=P.dim)

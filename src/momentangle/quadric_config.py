@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import lp
-from .exact_linalg import IntegerMatrix, rational_nullspace, snf_diagonal
+from .exact_linalg import IntegerMatrix, RationalMatrix, rational_nullspace, snf_diagonal, solve_square
 from .polytope import PolytopePresentation
 
 
@@ -172,31 +172,48 @@ def boundedness_check(Q: QuadricConfiguration) -> bool:
     return lp.strictly_positive_functional(Q.gamma.columns()) is not None
 
 
+def feasible_bases(Q: QuadricConfiguration) -> list[tuple[tuple[int, ...], tuple[Fraction, ...]]]:
+    """The basic feasible solutions of ``{x >= 0 : gamma x = c}``, as pairs (S, lam).
+
+    S runs over the ``num_quadrics``-subsets of columns in lexicographic
+    order and is kept when gamma_S is invertible and lam = gamma_S^-1 c is
+    nonnegative. By Gale duality these are the vertices of the polytope the
+    configuration comes from.
+    """
+    k = Q.num_quadrics
+    out = []
+    for S in combinations(range(Q.ambient_dim), k):
+        gamma_S = RationalMatrix([[row[i] for i in S] for row in Q.gamma.entries], cols=k)
+        lam = solve_square(gamma_S, Q.c)
+        if lam is not None and all(x >= 0 for x in lam):
+            out.append((S, lam))
+    return out
+
+
+def degenerate_support(bases) -> tuple[int, ...] | None:
+    """Smallest support {i in S : lam_i > 0}, by (len, tuple), of a basis with a zero lam_i.
+
+    That is the smallest subset of fewer than k columns whose cone holds c.
+    """
+    supports = [tuple(i for i, x in zip(S, lam) if x) for S, lam in bases if 0 in lam]
+    return min(supports, key=lambda s: (len(s), s), default=None)
+
+
 def nondegeneracy_check(Q: QuadricConfiguration) -> NondegeneracyReport:
     """The three regularity conditions for an intersection of quadrics.
 
     (a) the right-hand side lies in the nonnegative span of the columns,
     (b) it does not lie in the span of fewer than ``num_quadrics`` columns,
     (c) the columns generate a full-rank lattice.
-    All three are decided exactly; (b) by exhaustive subset enumeration.
+    All three are decided exactly. The rows have full rank, so by
+    Caratheodory (a) holds iff some basis is feasible, and (b) fails iff
+    some feasible basis has a zero coordinate (``degenerate_support``).
     """
-    cols = Q.gamma.columns()
     k = Q.num_quadrics
-    cond_a = lp.cone_combination(cols, Q.c) is not None
-    cond_b, witness_b = True, None
-    for size in range(k):
-        for subset in combinations(range(Q.ambient_dim), size):
-            if lp.cone_combination([cols[i] for i in subset], Q.c) is not None:
-                cond_b, witness_b = False, subset
-                break
-        if not cond_b:
-            break
-    if k:
-        lattice_rank = sum(1 for d in snf_diagonal(IntegerMatrix(cols, cols=k)) if d)
-    else:
-        lattice_rank = 0
-    cond_c = lattice_rank == k
-    return NondegeneracyReport(cond_a, cond_b, cond_c, witness_b, lattice_rank)
+    bases = feasible_bases(Q)
+    witness_b = degenerate_support(bases)
+    lattice_rank = sum(1 for d in snf_diagonal(IntegerMatrix(Q.gamma.columns(), cols=k)) if d)
+    return NondegeneracyReport(bool(bases), witness_b is None, lattice_rank == k, witness_b, lattice_rank)
 
 
 @dataclass(frozen=True)

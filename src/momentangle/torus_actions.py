@@ -11,21 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
+from math import prod
 from typing import Sequence
 
 import numpy as np
 
-from . import lp
 from .exact_linalg import (
     IntegerMatrix,
     RationalMatrix,
     det,
+    det_int,
     hermite_row_form,
     inverse,
-    sublattice_equals_lattice,
+    snf_diagonal,
 )
-from .quadric_config import QuadricConfiguration
+from .quadric_config import QuadricConfiguration, degenerate_support, feasible_bases
 from .verdict import Verdict
 
 TWO_PI = 2.0 * np.pi
@@ -82,31 +83,25 @@ def torus_point(Q: QuadricConfiguration, phi: Sequence[float]) -> np.ndarray:
 def freeness_check(Q: QuadricConfiguration) -> Verdict:
     """Does the torus act freely on the (complex) quadric intersection?
 
-    Enumerates every column-support realizable by a point of the zero set
-    (exact LP with strictly positive weights) and demands that the columns
-    in the support generate the full column lattice. The witness of a
-    failure is the first bad support.
+    Every support realized by a point of the zero set contains the support
+    of a feasible basis, and columns that generate the column lattice still
+    do with more columns added. So the action is free iff no feasible basis
+    has a zero coordinate and every feasible basis S has |det gamma_S| equal
+    to the lattice index, the product of the Smith diagonal. The witness is
+    the first non-generating support by (size, lex): the
+    ``nondegeneracy_check`` (b) witness if there is one, () when c = 0 puts
+    the origin, fixed by the whole torus, on the zero set; else the first
+    bad S.
     """
-    k = Q.num_quadrics
-    m = Q.ambient_dim
-    if k == 0:
-        return Verdict(True)
-    cols = Q.gamma.columns()
-    full = IntegerMatrix(cols, cols=k)
-    basis = hermite_row_form(full)
-    if basis.rows != k:
-        raise ValueError("freeness check needs a full-rank column lattice")
-    for size in range(1, m + 1):
-        for subset in combinations(range(m), size):
-            if lp.positive_combination([cols[i] for i in subset], Q.c) is None:
-                continue
-            sub = IntegerMatrix([cols[i] for i in subset], cols=k)
-            if not sublattice_equals_lattice(sub, full):
-                return Verdict(
-                    False,
-                    witness=subset,
-                    detail="support columns generate a proper sublattice",
-                )
+    bases = feasible_bases(Q)
+    witness = degenerate_support(bases)
+    if witness is not None:
+        return Verdict(False, witness=witness, detail="fewer than k columns carry c")
+    index = prod(snf_diagonal(IntegerMatrix(Q.gamma.columns(), cols=Q.num_quadrics)))
+    for S, _ in bases:
+        gamma_S = IntegerMatrix([[row[i] for i in S] for row in Q.gamma.entries], cols=len(S))
+        if abs(det_int(gamma_S)) != index:
+            return Verdict(False, witness=S, detail="support columns generate a proper sublattice")
     return Verdict(True)
 
 

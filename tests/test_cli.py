@@ -174,3 +174,16 @@ def test_env_tolerance_override(monkeypatch):
     monkeypatch.setenv("MOMENTANGLE_TOL_MEMBERSHIP", "1e-30")
     rc = main(["verify-lagrangian", "catalog:one-quadric:2", "--samples", "5"])
     assert rc == 3  # impossible membership tolerance rejects every chart point
+
+
+def test_singular_matrix_exits_4(monkeypatch, capsys):
+    import numpy as np
+
+    from momentangle import procedures
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(procedures, "noether_report", singular)
+    assert main(["verify-noether", "catalog:one-quadric:3"]) == 4
+    assert "numeric failure" in capsys.readouterr().err

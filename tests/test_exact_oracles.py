@@ -1,0 +1,133 @@
+"""Property tests of the exact layer against independent computations.
+
+The feasible-basis nondegeneracy and freeness checks are compared with the
+subset-LP algorithm they replaced, kept here as the reference; the exact LP
+is compared with scipy's HiGHS solver and the Smith normal form with sympy's.
+"""
+
+from itertools import combinations
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from momentangle.exact_linalg import IntegerMatrix, snf_diagonal, sublattice_equals_lattice
+from momentangle.lp import feasible_point, positive_combination, strictly_positive_functional
+from momentangle.quadric_config import QuadricConfiguration, nondegeneracy_check
+from momentangle.torus_actions import freeness_check
+
+entries = st.integers(-3, 3)
+
+
+@st.composite
+def configurations(draw):
+    """Quadric systems with k <= 3 independent rows, m <= 6 columns and c != 0."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(k, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=k, max_size=k))
+    c = draw(st.lists(entries, min_size=k, max_size=k).filter(any))
+    try:
+        return QuadricConfiguration(IntegerMatrix(rows, cols=m), c)
+    except ValueError:  # dependent rows
+        assume(False)
+
+
+def _cone_holds(vectors, c) -> bool:
+    if not vectors:
+        return all(x == 0 for x in c)
+    return feasible_point([[v[j] for v in vectors] for j in range(len(c))], c) is not None
+
+
+def _reference_nondegeneracy(Q):
+    """Condition (a) by one LP; (b) and its witness by an LP per subset of < k columns."""
+    cols = Q.gamma.columns()
+    cond_a = _cone_holds(cols, Q.c)
+    for size in range(Q.num_quadrics):
+        for subset in combinations(range(Q.ambient_dim), size):
+            if _cone_holds([cols[i] for i in subset], Q.c):
+                return cond_a, False, subset
+    return cond_a, True, None
+
+
+def _reference_freeness(Q):
+    """The first support, by (size, lex), realizable with positive weights whose
+    columns generate a proper sublattice; ``None`` if there is none."""
+    cols = Q.gamma.columns()
+    full = IntegerMatrix(cols, cols=Q.num_quadrics)
+    for size in range(1, Q.ambient_dim + 1):
+        for subset in combinations(range(Q.ambient_dim), size):
+            if positive_combination([cols[i] for i in subset], Q.c) is None:
+                continue
+            if not sublattice_equals_lattice(IntegerMatrix([cols[i] for i in subset]), full):
+                return subset
+    return None
+
+
+@settings(max_examples=60)
+@given(configurations())
+def test_feasible_bases_match_subset_lps(Q):
+    nd = nondegeneracy_check(Q)
+    assert (nd.cond_a, nd.cond_b, nd.witness_b) == _reference_nondegeneracy(Q)
+    free = freeness_check(Q)
+    bad = _reference_freeness(Q)
+    assert bool(free) == (bad is None)
+    assert free.witness == bad
+
+
+vector_lists = st.integers(1, 3).flatmap(
+    lambda dim: st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=1, max_size=5)
+)
+
+
+@given(vector_lists, st.data())
+def test_positive_combination_matches_linprog(vectors, data):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    dim, nv = len(vectors[0]), len(vectors)
+    target = data.draw(st.lists(entries, min_size=dim, max_size=dim))
+    t = positive_combination(vectors, target)
+    # maximize delta subject to V t = target, t_k >= delta, delta <= 1
+    res = linprog(
+        [0] * nv + [-1],
+        A_ub=[[-int(j == i) for j in range(nv)] + [1] for i in range(nv)],
+        b_ub=[0] * nv,
+        A_eq=[[v[i] for v in vectors] + [0] for i in range(dim)],
+        b_eq=target,
+        bounds=[(None, None)] * nv + [(None, 1)],
+        method="highs",
+    )
+    assert (t is not None) == (res.status == 0 and -res.fun > 1e-9)
+    if t is not None:
+        assert all(x > 0 for x in t)
+        assert [sum(tk * v[i] for tk, v in zip(t, vectors)) for i in range(dim)] == target
+
+
+@given(vector_lists)
+def test_strictly_positive_functional_matches_linprog(vectors):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    dim = len(vectors[0])
+    h = strictly_positive_functional(vectors)
+    # <h, v_k> >= 1 for every k, h free
+    res = linprog(
+        [0] * dim,
+        A_ub=[[-x for x in v] for v in vectors],
+        b_ub=[-1] * len(vectors),
+        bounds=[(None, None)] * dim,
+        method="highs",
+    )
+    assert (h is not None) == (res.status == 0)
+    if h is not None:
+        assert all(sum(a * b for a, b in zip(h, v)) > 0 for v in vectors)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols), min_size=1, max_size=4)
+))
+def test_snf_diagonal_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    D = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+    expected = [abs(int(D[i, i])) for i in range(min(D.shape))]
+    assert [abs(d) for d in snf_diagonal(IntegerMatrix(rows))] == expected

@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 from momentangle.lp import (
-    cone_combination,
     positive_combination,
     solve_lp,
     strictly_positive_functional,
@@ -25,14 +24,6 @@ def test_solve_lp_infeasible_unbounded():
 def test_zero_variable_systems():
     assert solve_lp([[]], [0], []).status == "optimal"
     assert solve_lp([[]], [1], []).status == "infeasible"
-    assert cone_combination([], (0, 0)) == ()
-    assert cone_combination([], (1,)) is None
-
-
-def test_cone_combination():
-    lam = cone_combination([(1,), (1,), (1,)], (1,))
-    assert lam is not None and sum(lam) == 1 and all(x >= 0 for x in lam)
-    assert cone_combination([(1, 1), (-1, 1)], (2, 0)) is None
 
 
 def test_positive_combination():

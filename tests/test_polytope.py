@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -72,7 +73,8 @@ def test_delzant_requires_simple():
         [(0, 0, 1), (-1, 0, -1), (1, 0, -1), (0, -1, -1), (0, 1, -1)],
         [0, 1, 1, 1, 1],
     )
-    with pytest.raises(ValueError):
+    witness = is_simple(P).witness
+    with pytest.raises(ValueError, match=re.escape(f"is_delzant requires a simple polytope; witness {witness}")):
         is_delzant(P)
 
 

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from momentangle.exact_linalg import IntegerMatrix
+from momentangle.polytope import enumerate_vertices
 from momentangle.quadric_config import (
     CanonicalFormError,
     QuadricConfiguration,
     boundedness_check,
+    feasible_bases,
     gale_dual,
     membership_residual,
     moment_map,
@@ -77,6 +79,17 @@ def test_nondegeneracy_examples():
     scaled = QuadricConfiguration(IntegerMatrix([[2, 2, 2]], cols=3), [1])
     nd = nondegeneracy_check(scaled)
     assert nd.cond_a and nd.cond_c and nd.lattice_rank == 1
+
+
+def test_feasible_bases_are_vertex_complements():
+    assert feasible_bases(catalog_quadrics("one-quadric:3")) == [((0,), (1,)), ((1,), (1,)), ((2,), (1,))]
+    # Gale duality: the facets active at a vertex are the complement of a feasible basis
+    for name in ("triangle", "square", "bad-triangle", "simplex:3", "cube:3", "product:2,3"):
+        P = catalog_polytope(name)
+        bases = feasible_bases(gale_dual(P))
+        complements = {frozenset(range(P.num_facets)) - set(S) for S, _ in bases}
+        assert complements == set(enumerate_vertices(P).incidence), name
+        assert all(all(x > 0 for x in lam) for _, lam in bases), name
 
 
 def test_nondegeneracy_on_catalog_duals():

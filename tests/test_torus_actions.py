@@ -40,6 +40,13 @@ def test_freeness_examples():
     assert freeness_check(stacked)
 
 
+def test_freeness_at_zero_level():
+    # c = 0 puts the origin, fixed by the whole torus, on the zero set
+    bad = freeness_check(QuadricConfiguration.from_rows([(1, -1)], [0]))
+    assert not bad
+    assert bad.witness == ()
+
+
 def test_freeness_matches_delzant_on_catalog():
     for name in ("triangle", "square", "bad-triangle", "simplex:3", "simplex:4",
                  "cube:2", "cube:3", "product:2,2", "product:2,3", "product:3,3"):
