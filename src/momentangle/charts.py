@@ -166,8 +166,6 @@ class TorusSpreadChart(Chart):
         u0,
         phase_rows: np.ndarray | None = None,
         newton_tol: float = 1e-10,
-        fd_step: float = 1e-3,
-        fd_order: int = 4,
     ):
         self.project_cfg = project_cfg
         u0 = np.asarray(u0, dtype=float)
@@ -184,8 +182,6 @@ class TorusSpreadChart(Chart):
         self.dim = self.nv + self.nphi
         self.ambient_dim = project_cfg.ambient_dim
         self.newton_tol = newton_tol
-        self.fd_step = fd_step
-        self.fd_order = fd_order
 
     # real part of the chart
     def u_map(self, V: np.ndarray) -> np.ndarray:
@@ -206,10 +202,8 @@ class TorusSpreadChart(Chart):
         V, Phi = self._split(S)
         return self._phases(Phi) * self.u_map(V)
 
-    def jacobian(self, S: np.ndarray, step: float | None = None, order: int | None = None) -> np.ndarray:
+    def jacobian(self, S: np.ndarray, step: float = 1e-3, order: int = 4) -> np.ndarray:
         S = np.atleast_2d(np.asarray(S, dtype=float))
-        step = self.fd_step if step is None else step
-        order = self.fd_order if order is None else order
         V, Phi = S[:, : self.nv], S[:, self.nv :]
         phases = self._phases(Phi)  # (N, m)
         z = phases * self.u_map(V)
@@ -222,10 +216,8 @@ class TorusSpreadChart(Chart):
             J[:, :, self.nv + j] = 1j * TWO_PI * self.phase_rows[j][None, :] * z
         return J
 
-    def hessian(self, S: np.ndarray, step: float | None = None, order: int | None = None) -> np.ndarray:
+    def hessian(self, S: np.ndarray, step: float = 1e-3, order: int = 4) -> np.ndarray:
         S = np.atleast_2d(np.asarray(S, dtype=float))
-        step = self.fd_step if step is None else step
-        order = self.fd_order if order is None else order
         V, Phi = S[:, : self.nv], S[:, self.nv :]
         phases = self._phases(Phi)
         z = phases * self.u_map(V)

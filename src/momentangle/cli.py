@@ -167,10 +167,10 @@ def run_command(
     Q = quadrics_from_config(cfg)
 
     if command == "check-free":
-        rep.extend(proc.quadrics_core_report(Q))
+        rep.extend(proc.freeness_report(Q))
         return rep
     if command == "check-nondeg":
-        rep.extend(proc.quadrics_core_report(Q))
+        rep.extend(proc.nondegeneracy_report(Q))
         return rep
     if command == "classify":
         l_value = l_param if l_param is not None else cfg.l

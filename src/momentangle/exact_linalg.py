@@ -422,8 +422,9 @@ def hermite_row_form(M: IntegerMatrix) -> IntegerMatrix:
             pivot = [-x for x in pivot]
         h.append(pivot)
         work = rest
-    # reduce entries above each pivot
-    for i in reversed(range(len(h))):
+    # reduce entries above each pivot, top down: row i is zero left of its
+    # pivot, so it leaves the columns of the earlier pivots as they are
+    for i in range(len(h)):
         c = next(j for j in range(ncols) if h[i][j] != 0)
         for k in range(i):
             q = h[k][c] // h[i][c]

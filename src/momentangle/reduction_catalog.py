@@ -198,12 +198,7 @@ def ntilde_chart(
     second system's torus supplies phases.
     """
     chart = TorusSpreadChart(
-        D.stacked,
-        base,
-        phase_rows=D.delta_cfg.gamma_float(),
-        newton_tol=spec.newton_tol,
-        fd_step=spec.step_chart,
-        fd_order=spec.fd_order,
+        D.stacked, base, phase_rows=D.delta_cfg.gamma_float(), newton_tol=spec.newton_tol
     )
     params = np.concatenate([np.asarray(v, dtype=float), np.asarray(phi_delta, dtype=float)])
     return chart_point(chart, params, Q=D.stacked, spec=spec)
@@ -491,7 +486,10 @@ def cp_chart_verify(
 
     Checks the reduced-form Lagrangian residual of the reduced submanifold
     and its volume stationarity under reduced-form Hamiltonian fields, with
-    the quotient metric and form computed from horizontal lifts.
+    the quotient metric and form computed from horizontal lifts. The torus
+    instance uses one random quadratic Hamiltonian on its global chart; the
+    others cut it off around a chart point, and ``stationarity_ratio``
+    checks that the field vanishes near the patch boundary.
     """
     rep = VerificationReport(seed=seed)
     rng = np.random.default_rng(seed)
@@ -529,7 +527,6 @@ def cp_chart_verify(
     metric = lambda W: cp_reduced_tensors(D.gamma_cfg, W, j, spec)[0]
     nodes = 40 if localized else 18
     patch = ChartPatch(chart=chart, lo=box[0], hi=box[1], nodes=nodes, ambient_metric=metric)
-    bump_axes = tuple(range(lift.nv)) if localized else ()
     W0 = chart.value(np.zeros((1, chart.dim)) if localized else sample_S[:1])[0]
     D_real = chart.ambient_dim
     lin = rng.standard_normal(D_real)
@@ -553,16 +550,6 @@ def cp_chart_verify(
         grad = fd.gradient(f_w, W, spec.step_gradient, spec.fd_order)
         return np.linalg.solve(-Om, grad[..., None])[..., 0]
 
-    coefs = rng.standard_normal(chart.dim)
-
-    def Y(Sb):
-        Sb = np.atleast_2d(Sb)
-        J = chart.jacobian(Sb, spec.step_chart, spec.fd_order)
-        W = chart.value(Sb)
-        G, Om = cp_reduced_tensors(D.gamma_cfg, W, j, spec)
-        t = np.einsum("nad,d->na", J, coefs)
-        return np.linalg.solve(G, np.einsum("nab,nb->na", Om, t)[..., None])[..., 0]
-
-    ratio = stationarity_ratio(patch, Xf, Y, spec, bump_axes)
+    ratio = stationarity_ratio(patch, Xf, spec, localized)
     rep.add("cp-hamiltonian-stationarity", ratio, CP_TOL_STATIONARITY)
     return rep

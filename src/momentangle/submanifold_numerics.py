@@ -11,7 +11,7 @@ computed here is invariant under that scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -124,9 +124,7 @@ def chart_N(
     spec: MetricSpec = DEFAULT_SPEC,
 ) -> ChartPoint:
     """Point of the torus-spread Lagrangian over base u0 at parameters (v, phi)."""
-    chart = TorusSpreadChart(
-        Q, u0, newton_tol=spec.newton_tol, fd_step=spec.step_chart, fd_order=spec.fd_order
-    )
+    chart = TorusSpreadChart(Q, u0, newton_tol=spec.newton_tol)
     params = np.concatenate([np.asarray(v, dtype=float), np.asarray(phi, dtype=float)])
     return chart_point(chart, params, Q=Q, spec=spec)
 
@@ -400,13 +398,8 @@ def patch_volume_derivative(
     patch: ChartPatch,
     X: Callable[[np.ndarray], np.ndarray],
     spec: MetricSpec = DEFAULT_SPEC,
-    field_on_params: bool = False,
 ) -> float:
     """d/dt at t=0 of the patch volume under z -> z + t * bump * X(z).
-
-    With ``field_on_params`` the field is sampled as X(chart parameters)
-    instead of X(ambient point); that admits variation fields built from the
-    chart frame (e.g. pointwise-normal baselines).
 
     The deformation is affine in t, so one stencil of the stacked map
     (chart point, bump * field) gives the deformed jacobians J_P + t * J_Y
@@ -419,7 +412,7 @@ def patch_volume_derivative(
 
     def stacked(Sb):
         P = chart.value(Sb)
-        field = np.asarray(X(Sb) if field_on_params else X(P))
+        field = np.asarray(X(P))
         bump = patch.bump_at(Sb).reshape(-1, *([1] * (P.ndim - 1)))
         return np.concatenate([_ambient_real(chart, P), _ambient_real(chart, bump * field)], axis=1)
 
@@ -447,7 +440,6 @@ def first_variation_integral(
     patch: ChartPatch,
     X: Callable[[np.ndarray], np.ndarray],
     spec: MetricSpec = DEFAULT_SPEC,
-    field_on_params: bool = False,
 ) -> float:
     """The curvature quadrature -integral <H, X> * bump dA over a flat-ambient patch.
 
@@ -458,8 +450,7 @@ def first_variation_integral(
         raise ValueError("the curvature quadrature needs a flat ambient")
     chart = patch.chart
     Hr, _, g = _curvature_batch(chart, patch.S, spec)
-    Xvals = X(patch.S) if field_on_params else X(chart.value(patch.S))
-    Xr = _ambient_real(chart, Xvals)
+    Xr = _ambient_real(chart, X(chart.value(patch.S)))
     elem = np.sqrt(np.linalg.det(g))
     return -float(np.sum(patch.w * patch.bump_at(patch.S) * np.einsum("ni,ni->n", Hr, Xr) * elem))
 
@@ -467,41 +458,27 @@ def first_variation_integral(
 def stationarity_ratio(
     patch: ChartPatch,
     Xf: Callable,
-    Y: Callable,
     spec: MetricSpec,
-    bump_axes: tuple[int, ...] = (),
+    localized: bool = False,
 ) -> float:
-    """|dVol/dt| of a candidate field, normalized to a volume-changing scale.
+    """|dVol/dt| of a candidate field over the scale max|Xf| * vol(patch).
 
-    ``Xf`` maps ambient points to the candidate field; ``Y`` maps chart
-    parameters to a pointwise-normal comparator direction. With
-    ``bump_axes`` the candidate must be localized inside the patch (checked
-    on its outermost shell) and the comparator is cut off by a bump along
-    those axes.
-
-    The denominator is the larger of the same derivative under the
-    comparator, scaled to the candidate's magnitude on the nodes, and the
-    dimensional scale max|X| * vol(patch) (a unit-curvature submanifold
-    would change volume at that rate). The second term keeps the ratio
-    meaningful where the submanifold happens to be minimal, so every
-    variation, including the comparator, is stationary.
+    ``Xf`` maps ambient points to the candidate field; max|Xf| is the largest
+    modulus of a field component on the quadrature nodes. A submanifold of
+    unit mean curvature changes volume at about the rate max|Xf| * vol(patch),
+    so a stationary variation reads near 0 and a volume-changing one reads
+    of the order of |H|. With ``localized`` the candidate must vanish on the
+    outermost shell of the patch box; a field that leaks raises.
     """
     Xvals = np.asarray(Xf(patch.chart.value(patch.S)))
     xmax = float(np.abs(Xvals).max())
-    if bump_axes:
-        # a localized field must vanish on the outermost shell of the patch box
+    if localized:
         margin = 0.08 * (patch.hi - patch.lo)
         near = np.any((patch.S < patch.lo + margin) | (patch.S > patch.hi - margin), axis=1)
         leak = float(np.abs(Xvals[near]).max()) if near.any() else 0.0
         if leak > 1e-8 * max(xmax, 1e-12):
             raise RuntimeError("localized field leaks outside the chart patch")
-    scale = xmax / max(float(np.abs(Y(patch.S)).max()), 1e-12)
-    comparator = replace(patch, bump_axes=bump_axes)
-    vol0 = patch_volume(patch, spec)
-    dv_h = patch_volume_derivative(patch, Xf, spec)
-    dv_b = patch_volume_derivative(comparator, lambda Sb: scale * Y(Sb), spec, field_on_params=True)
-    denom = max(abs(dv_b), xmax * vol0)
-    return abs(dv_h) / denom
+    return abs(patch_volume_derivative(patch, Xf, spec)) / (xmax * patch_volume(patch, spec))
 
 
 def hminimality_residual(
@@ -558,14 +535,7 @@ def coarea_orbit_volume_check(
     dual = np.array(
         [[float(x) for x in row] for row in T.dual_basis.entries], dtype=float
     ).reshape(T.dim, T.dim)
-    chart = TorusSpreadChart(
-        Q,
-        base,
-        phase_rows=dual @ Q.gamma_float(),
-        newton_tol=spec.newton_tol,
-        fd_step=spec.step_chart,
-        fd_order=spec.fd_order,
-    )
+    chart = TorusSpreadChart(Q, base, phase_rows=dual @ Q.gamma_float(), newton_tol=spec.newton_tol)
     k = Q.num_quadrics
     v_lo = np.atleast_1d(np.asarray(v_lo, dtype=float))
     v_hi = np.atleast_1d(np.asarray(v_hi, dtype=float))
@@ -622,9 +592,7 @@ def sample_chart_points(
     bases = sample_real_points(Q, count, rng, spec)
     out = []
     for i in range(count):
-        chart = TorusSpreadChart(
-            Q, bases[i], newton_tol=spec.newton_tol, fd_step=spec.step_chart, fd_order=spec.fd_order
-        )
+        chart = TorusSpreadChart(Q, bases[i], newton_tol=spec.newton_tol)
         v = v_radius * rng.uniform(-1.0, 1.0, chart.nv)
         phi = rng.uniform(0.0, 1.0, chart.nphi)
         out.append(chart_point(chart, np.concatenate([v, phi]), Q=Q, spec=spec))

@@ -187,3 +187,33 @@ def test_singular_matrix_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(procedures, "noether_report", singular)
     assert main(["verify-noether", "catalog:one-quadric:3"]) == 4
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_check_nondeg_and_check_free_report_their_own_checks(capsys):
+    # bad-triangle is nondegenerate, but its torus does not act freely
+    assert main(["check-nondeg", "catalog:bad-triangle"]) == 0
+    out = capsys.readouterr().out
+    for name in ("bounded", "nondegenerate-a", "nondegenerate-b", "nondegenerate-c"):
+        assert name in out
+    assert "torus-free" not in out
+    assert main(["check-free", "catalog:bad-triangle"]) == 1
+    out = capsys.readouterr().out
+    assert "torus-free" in out and "FAIL" in out and "(1,)" in out
+    assert "nondegenerate" not in out and "bounded" not in out
+    assert main(["check-nondeg", "catalog:one-quadric:2"]) == 0
+    assert main(["check-free", "catalog:one-quadric:2"]) == 0
+
+
+def test_readme_tolerance_names_match_the_cli():
+    import dataclasses
+    import re
+    from pathlib import Path
+
+    from momentangle.cli import _TOL_FIELDS
+    from momentangle.submanifold_numerics import MetricSpec
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"Tolerance names:(.*?)\.\s", readme, re.S).group(1)
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(_TOL_FIELDS)
+    fields = {f.name for f in dataclasses.fields(MetricSpec)}
+    assert set(_TOL_FIELDS.values()) <= fields

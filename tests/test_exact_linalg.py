@@ -129,6 +129,13 @@ def test_hermite_form_canonical():
     assert hermite_row_form(A) == hermite_row_form(B)
 
 
+def test_hermite_form_reduces_every_pivot_column():
+    # reducing row 0 by row 1 moves the entry above the last pivot to -1;
+    # the reduction by row 2 must come after it
+    H = hermite_row_form(IntegerMatrix([[0, 0, 0, 2], [0, 0, 1, 1], [0, 1, 1, 0]]))
+    assert H.entries == ((0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 2))
+
+
 def test_rational_det_inverse():
     M = RationalMatrix([[1, 2], [3, 5]])
     assert det(M) == Fraction(-1)

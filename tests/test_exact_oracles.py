@@ -1,10 +1,13 @@
 """Property tests of the exact layer against independent computations.
 
 The feasible-basis nondegeneracy and freeness checks are compared with the
-subset-LP algorithm they replaced, kept here as the reference; the exact LP
-is compared with scipy's HiGHS solver and the Smith normal form with sympy's.
+subset-LP algorithm they replaced, kept here as the reference, and freeness
+with the Delzant condition on random simple lattice polytopes; the exact LP
+is compared with scipy's HiGHS solver, and the Smith normal form, the
+Hermite form and the rational nullspace with sympy's.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -13,9 +16,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from momentangle.exact_linalg import IntegerMatrix, snf_diagonal, sublattice_equals_lattice
+from momentangle.exact_linalg import (
+    IntegerMatrix,
+    RationalMatrix,
+    hermite_row_form,
+    rational_nullspace,
+    snf_diagonal,
+    sublattice_equals_lattice,
+)
 from momentangle.lp import feasible_point, positive_combination, strictly_positive_functional
-from momentangle.quadric_config import QuadricConfiguration, nondegeneracy_check
+from momentangle.polytope import PolytopePresentation, enumerate_vertices, is_delzant, is_simple
+from momentangle.quadric_config import QuadricConfiguration, gale_dual, nondegeneracy_check
 from momentangle.torus_actions import freeness_check
 
 entries = st.integers(-3, 3)
@@ -131,3 +142,73 @@ def test_snf_diagonal_matches_sympy(rows):
     D = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
     expected = [abs(int(D[i, i])) for i in range(min(D.shape))]
     assert [abs(d) for d in snf_diagonal(IntegerMatrix(rows))] == expected
+
+
+@st.composite
+def cut_boxes(draw):
+    """A lattice box in dimension 2 or 3 cut by one or two half-spaces with integer normals."""
+    n = draw(st.integers(2, 3))
+    sides = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    normals, offsets = [], []
+    for i, side in enumerate(sides):
+        normals += [tuple(int(j == i) for j in range(n)), tuple(-int(j == i) for j in range(n))]
+        offsets += [0, side]
+    for _ in range(draw(st.integers(1, 2))):
+        a = tuple(draw(st.lists(entries, min_size=n, max_size=n).filter(any)))
+        # the cut <a, x> + b >= 0 passes between the box corners and, with
+        # b in Z + 1/2, through no lattice point
+        lo = -sum(max(x, 0) * s for x, s in zip(a, sides))
+        hi = -1 - sum(min(x, 0) * s for x, s in zip(a, sides))
+        normals.append(a)
+        offsets.append(Fraction(2 * draw(st.integers(lo, hi)) + 1, 2))
+    try:
+        P = PolytopePresentation(normals, offsets)
+    except ValueError:  # the two cuts leave nothing
+        assume(False)
+    # drop the facets that no vertex lies on: the cuts made them redundant
+    keep = sorted(set().union(*enumerate_vertices(P).incidence))
+    return PolytopePresentation([normals[i] for i in keep], [offsets[i] for i in keep])
+
+
+@given(cut_boxes())
+def test_delzant_iff_free_on_random_simple_polytopes(P):
+    assume(is_simple(P))
+    assert bool(is_delzant(P)) == bool(freeness_check(gale_dual(P)))
+
+
+int_matrices = st.integers(1, 4).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-6, 6), min_size=cols, max_size=cols), min_size=1, max_size=4)
+)
+
+
+@given(int_matrices)
+def test_hermite_row_form_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    H = hermite_row_form(IntegerMatrix(rows)).entries
+    # the defining shape: nonzero rows, pivots moving right, positive, with
+    # the entries above each pivot reduced into [0, pivot)
+    assert len(H) == sympy.Matrix(rows).rank()
+    pivots = [next(j for j, x in enumerate(r) if x) for r in H]
+    assert pivots == sorted(set(pivots))
+    for i, (r, c) in enumerate(zip(H, pivots)):
+        assert r[c] > 0 and all(0 <= H[k][c] < r[c] for k in range(i))
+    # the same lattice: sympy's column-style form is canonical, so compare
+    # the forms of the two generating sets, taken as columns
+    if H:
+        assert hermite_normal_form(sympy.Matrix(H).T) == hermite_normal_form(sympy.Matrix(rows).T)
+
+
+@given(int_matrices, st.sampled_from(["right", "left"]))
+def test_rational_nullspace_matches_sympy(rows, side):
+    sympy = pytest.importorskip("sympy")
+    M = sympy.Matrix(rows)
+    N = rational_nullspace(RationalMatrix(rows), side=side)
+    expected = M.nullspace() if side == "right" else M.T.nullspace()
+    assert N.rows == len(expected)
+    if expected:
+        ours = sympy.Matrix(N.entries)
+        theirs = sympy.Matrix.hstack(*expected).T
+        # equal spans: stacking one basis on the other adds no rank
+        assert sympy.Matrix.vstack(ours, theirs).rank() == ours.rank() == theirs.rank()

@@ -36,6 +36,7 @@ from momentangle.submanifold_numerics import (
     tangent_frame_Z,
 )
 from momentangle import fd
+from momentangle.quadrature import bump_poly
 from momentangle.procedures import _random_matrix_field, ellipse_control, unequal_torus_control
 from momentangle.reduction_catalog import one_quadric_torus_chart
 
@@ -237,7 +238,7 @@ def test_tangential_field_preserves_volume():
     assert abs(dv) < 1e-6
 
 
-def _two_volume_derivative(patch, X, field_on_params=False):
+def _two_volume_derivative(patch, X):
     """Reference dVol/dt: two full deformed-volume evaluations at t = +-step."""
     chart = patch.chart
 
@@ -247,7 +248,7 @@ def _two_volume_derivative(patch, X, field_on_params=False):
     def deformed(t):
         def fn(Sb):
             P = chart.value(Sb)
-            field = np.asarray(X(Sb) if field_on_params else X(P))
+            field = np.asarray(X(P))
             bump = patch.bump_at(Sb).reshape(-1, *([1] * (P.ndim - 1)))
             return ambient_real(P + t * bump * field)
 
@@ -289,21 +290,39 @@ def test_volume_derivative_matches_two_volume_reference():
     Xm = lambda W: W @ A.T + 0.3
     ref = _two_volume_derivative(mpatch, Xm)
     assert abs(patch_volume_derivative(mpatch, Xm, spec) - ref) < 1e-9 * abs(ref)
-    # a chart-frame field sampled on the parameters takes the same path
-    Yp = lambda Sb: cp.jacobian(Sb, spec.step_chart, spec.fd_order) @ np.array([0.7, -0.4])
-    ref = _two_volume_derivative(mpatch, Yp, field_on_params=True)
-    got = patch_volume_derivative(mpatch, Yp, spec, field_on_params=True)
-    assert abs(got - ref) < 1e-9 * abs(ref)
 
 
 def test_stationarity_ratio_rejects_leaking_field():
     chart = one_quadric_torus_chart(catalog_quadrics("one-quadric:2"))
     patch = ChartPatch(chart=chart, lo=[0.3, 0.05], hi=[5.9, 0.95], nodes=12)
-    Y = lambda Sb: 1j * chart.jacobian(Sb)[..., 0]
     with pytest.raises(RuntimeError):
-        stationarity_ratio(patch, lambda z: 1j * z, Y, spec, bump_axes=(0, 1))
-    # without bump axes the same field is a global variation: a volume-preserving rotation
-    assert stationarity_ratio(patch, lambda z: 1j * z, Y, spec) < 1e-6
+        stationarity_ratio(patch, lambda z: 1j * z, spec, localized=True)
+    # unlocalized, the same field is a global variation: a volume-preserving rotation
+    assert stationarity_ratio(patch, lambda z: 1j * z, spec) < 1e-6
+
+
+def test_stationarity_ratio_negative_controls():
+    # the radial field z -> z scales the spread torus e^{2 pi i phi} (cos t, sin t),
+    # so dVol/dt = 2 vol; its largest component modulus is 1, at cos t = +-1
+    # (the Gauss-Legendre nodes come within 2.3e-4 of that)
+    chart = one_quadric_torus_chart(catalog_quadrics("one-quadric:2"))
+    patch = ChartPatch(chart=chart, lo=[0.0, 0.0], hi=list(chart.periods), nodes=24)
+    assert abs(stationarity_ratio(patch, lambda z: z, spec) - 2.0) < 1e-3
+
+    # a bump-localized radial field on the patch of the C^3 stationarity
+    # report, under a wider and flatter cutoff than the report's Hamiltonians
+    Q3 = catalog_quadrics("one-quadric:3")
+    base = sample_chart_points(Q3, 1, np.random.default_rng(0), spec)[0].base
+    chart3 = TorusSpreadChart(Q3, base, newton_tol=spec.newton_tol)
+    patch3 = ChartPatch(chart=chart3, lo=[-0.65, -0.65, -0.15], hi=[0.65, 0.65, 0.15],
+                        nodes=[20, 20, 36])
+    z0 = chart3.value(np.zeros((1, 3)))[0]
+
+    def radial(z):
+        r = np.sqrt(np.sum(np.abs(z - z0) ** 2, axis=-1)) / 0.5
+        return bump_poly(r, 2)[:, None] * z
+
+    assert stationarity_ratio(patch3, radial, spec, localized=True) > 0.1
 
 
 def test_equivariant_curvature_direction_consistency():
@@ -316,20 +335,25 @@ def test_equivariant_curvature_direction_consistency():
         chart=chart, lo=[0.5, 0.1], hi=[5.5, 0.9], nodes=20, bump_axes=(0, 1)
     )
 
-    def in_Z_curvature_field(Sb):
+    def in_Z_curvature_field(Z):
+        # the chart parameters of ambient points; the sign of exp(2 pi i phi)
+        # is the chart's deck transformation, so either root is the same point
+        phi = np.angle(Z[:, 0] ** 2 + Z[:, 1] ** 2) / (4 * np.pi)
+        turn = np.exp(-2j * np.pi * phi)
+        theta = np.arctan2((Z[:, 1] * turn).real, (Z[:, 0] * turn).real)
+        Sb = np.stack([theta, phi], axis=-1)
         Hr, Jr, _ = _curvature_batch(chart, Sb, spec)
-        P = chart.value(np.atleast_2d(Sb))
         out = np.empty((Hr.shape[0], 2), complex)
         for i in range(Hr.shape[0]):
-            grads = c2r(2.0 * Q2.gamma_float() * P[i][None, :])
+            grads = c2r(2.0 * Q2.gamma_float() * Z[i][None, :])
             stacked = np.concatenate([Jr[i], grads.T], axis=1)
             Qm, _ = np.linalg.qr(stacked)
             h = Hr[i] - Qm @ (Qm.T @ Hr[i])
             out[i] = h[:2] + 1j * h[2:]
         return out
 
-    dv = patch_volume_derivative(patch, in_Z_curvature_field, spec, field_on_params=True)
-    comp = first_variation_integral(patch, in_Z_curvature_field, spec, field_on_params=True)
+    dv = patch_volume_derivative(patch, in_Z_curvature_field, spec)
+    comp = first_variation_integral(patch, in_Z_curvature_field, spec)
     assert abs(dv) < 1e-3
     assert abs(comp) < 1e-3
 
