@@ -45,10 +45,17 @@ def _newton(values, jac_gram, apply_step, U, c, tol, max_iter):
         if res <= 1e-14 * scale:
             return U
         JJt = jac_gram(U)
-        try:
-            lam = np.linalg.solve(JJt, F[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergenceError(f"singular constraint jacobian: {exc}") from exc
+        if JJt.shape[-1] == 1:
+            # one quadric: the Gram system is a division
+            gram = JJt[..., 0]
+            if not np.all(gram):
+                raise NonConvergenceError("singular constraint jacobian: zero Gram entry")
+            lam = F / gram
+        else:
+            try:
+                lam = np.linalg.solve(JJt, F[..., None])[..., 0]
+            except np.linalg.LinAlgError as exc:
+                raise NonConvergenceError(f"singular constraint jacobian: {exc}") from exc
         U = apply_step(U, lam)
     F = values(U)
     res = float(np.max(np.abs(F))) if F.size else 0.0

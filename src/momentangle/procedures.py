@@ -13,8 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from .charts import FunctionChart, TorusSpreadChart, c2r
+from .charts import FunctionChart, TorusSpreadChart, c2r, r2c
 from .polytope import PolytopePresentation, embed_point, is_delzant, is_simple
+from .quadrature import bump_poly, bump_poly_dsq
 from .quadric_config import (
     QuadricConfiguration,
     boundedness_check,
@@ -336,8 +337,11 @@ def first_variation_report(
     return rep
 
 
-def _poly_scalar(m: int, rng: np.random.Generator) -> Callable:
-    """Random real polynomial of degree <= 2 in the real coordinates (batched)."""
+def _poly_scalar(m: int, rng: np.random.Generator) -> tuple[Callable, Callable]:
+    """Random real polynomial of degree <= 2 in the real coordinates and its gradient.
+
+    Both are batched; the gradient lin + 2 quad x is packed as d/dx + i d/dy.
+    """
     lin = rng.standard_normal(2 * m)
     quad = rng.standard_normal((2 * m, 2 * m))
     quad = 0.5 * (quad + quad.T)
@@ -346,7 +350,36 @@ def _poly_scalar(m: int, rng: np.random.Generator) -> Callable:
         xr = c2r(np.atleast_2d(np.asarray(z, dtype=complex)))
         return xr @ lin + np.einsum("ni,ij,nj->n", xr, quad, xr)
 
-    return f
+    def grad(z):
+        xr = c2r(np.atleast_2d(np.asarray(z, dtype=complex)))
+        return r2c(lin + 2.0 * xr @ quad)
+
+    return f, grad
+
+
+def _radial_cutoff(
+    poly: tuple[Callable, Callable], z0: np.ndarray, rho: float
+) -> tuple[Callable, Callable]:
+    """poly localized by bump_poly(|z - z0| / rho), with its product-rule gradient.
+
+    The cutoff is (1 - s)^4 in s = |z - z0|^2 / rho^2, so its gradient is
+    bump_poly_dsq * 2 (z - z0) / rho^2 inside the support and 0 outside.
+    """
+    poly_f, poly_grad = poly
+
+    def dist(z):
+        d = np.atleast_2d(np.asarray(z, dtype=complex)) - z0
+        return d, np.sqrt(np.sum(np.abs(d) ** 2, axis=-1)) / rho
+
+    def f(z):
+        return bump_poly(dist(z)[1]) * poly_f(z)
+
+    def grad(z):
+        d, r = dist(z)
+        cut_grad = (2.0 / rho**2) * bump_poly_dsq(r)[:, None] * d
+        return bump_poly(r)[:, None] * poly_grad(z) + poly_f(z)[:, None] * cut_grad
+
+    return f, grad
 
 
 def hamiltonian_stationarity_report(
@@ -360,7 +393,8 @@ def hamiltonian_stationarity_report(
     For the closed surface (one quadric in C^2) global polynomial
     Hamiltonians act on a full covering chart; in C^3, where the real locus
     has no global chart, the Hamiltonians are localized by an ambient cutoff
-    so the variation vanishes outside one chart patch. Each record is
+    so the variation vanishes outside one chart patch. Each field comes from
+    the Hamiltonian's closed-form gradient. Each record is
     ``stationarity_ratio``: |dVol/dt| over max|X_f| * vol(patch), the rate
     at which a unit-curvature submanifold would change volume.
     """
@@ -368,10 +402,10 @@ def hamiltonian_stationarity_report(
     rng = _rng(seed)
     if Q.num_quadrics != 1 or Q.ambient_dim not in (2, 3):
         raise ValueError("stationarity report implemented for one quadric in C^2 or C^3")
-    if Q.ambient_dim == 2:
+    localized = Q.ambient_dim == 3
+    if not localized:
         chart = one_quadric_torus_chart(Q)
         patch = ChartPatch(chart=chart, lo=[0.0, 0.0], hi=list(chart.periods), nodes=24)
-        localize = None
     else:
         base = sample_chart_points(Q, 1, rng, spec)[0].base
         chart = TorusSpreadChart(Q, base, newton_tol=spec.newton_tol)
@@ -382,21 +416,11 @@ def hamiltonian_stationarity_report(
         z0 = chart.value(np.zeros((1, 3)))[0]
         rho = 0.4
 
-        def localize(poly):
-            def f(z):
-                z = np.atleast_2d(np.asarray(z, dtype=complex))
-                dist2 = np.sum(np.abs(z - z0) ** 2, axis=-1) / rho**2
-                from .quadrature import bump_poly
-
-                return bump_poly(np.sqrt(dist2)) * poly(z)
-
-            return f
-
     for i in range(n_fields):
         poly = _poly_scalar(Q.ambient_dim, rng)
-        f = localize(poly) if localize is not None else poly
-        Xf = lambda z: hamiltonian_field_batch(f, z, spec)
-        ratio = stationarity_ratio(patch, Xf, spec, localized=localize is not None)
+        _, grad = _radial_cutoff(poly, z0, rho) if localized else poly
+        Xf = lambda z: hamiltonian_field_batch(grad, z, spec)
+        ratio = stationarity_ratio(patch, Xf, spec, localized=localized)
         rep.add(f"hamiltonian-stationarity-{i}", ratio, TOL_STATIONARITY)
     return rep
 

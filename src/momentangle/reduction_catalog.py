@@ -18,6 +18,7 @@ import numpy as np
 from .charts import FunctionChart, TorusSpreadChart, c2r, r2c
 from .exact_linalg import IntegerMatrix
 from .polytope import PolytopePresentation
+from .quadrature import bump_poly, bump_poly_dsq
 from .quadric_config import (
     NondegeneracyReport,
     QuadricConfiguration,
@@ -37,7 +38,6 @@ from .submanifold_numerics import (
 )
 from .torus_actions import freeness_check, orbit_generators
 from .verdict import Verdict
-from . import fd
 
 TWO_PI = 2.0 * np.pi
 
@@ -476,6 +476,42 @@ CP_TOL_LAGRANGIAN = 1e-8
 CP_TOL_STATIONARITY = 1e-3
 
 
+def _cp_hamiltonian(lin: np.ndarray, quad: np.ndarray, W0: np.ndarray | None):
+    """The chart Hamiltonian lin.W + W.quad.W and its gradient (batched, real W).
+
+    With a centre ``W0`` it is cut off by the tensor product of
+    bump_poly((W_r - W0_r) / 0.42), aligned with the quadrature axes; the
+    gradient is then the product rule over the factors.
+    """
+    radius = 0.42
+
+    def poly(W):
+        return W @ lin + np.einsum("ni,ij,nj->n", W, quad, W)
+
+    def f(W):
+        W = np.atleast_2d(W)
+        if W0 is None:
+            return poly(W)
+        return poly(W) * np.prod(bump_poly((W - W0) / radius), axis=1)
+
+    def grad(W):
+        W = np.atleast_2d(W)
+        g = lin + 2.0 * W @ quad
+        if W0 is None:
+            return g
+        t = (W - W0) / radius
+        b = bump_poly(t)
+        db = bump_poly_dsq(t) * 2.0 * t / radius
+        cut = np.prod(b, axis=1)
+        cut_grad = np.stack(
+            [db[:, r] * np.prod(np.delete(b, r, axis=1), axis=1) for r in range(W.shape[1])],
+            axis=1,
+        )
+        return cut[:, None] * g + poly(W)[:, None] * cut_grad
+
+    return f, grad
+
+
 def cp_chart_verify(
     D: DoubleConfiguration,
     samples: int = 50,
@@ -533,22 +569,12 @@ def cp_chart_verify(
     quad = rng.standard_normal((D_real, D_real))
     quad = 0.5 * (quad + quad.T)
 
-    def f_w(W):
-        W = np.atleast_2d(W)
-        vals = W @ lin + np.einsum("ni,ij,nj->n", W, quad, W)
-        if localized:
-            from .quadrature import bump_poly
-
-            # tensor cutoff aligned with the quadrature axes
-            for r in range(W.shape[1]):
-                vals = vals * bump_poly((W[:, r] - W0[r]) / 0.42)
-        return vals
+    _, grad_w = _cp_hamiltonian(lin, quad, W0 if localized else None)
 
     def Xf(W):
         W = np.atleast_2d(W)
         G, Om = cp_reduced_tensors(D.gamma_cfg, W, j, spec)
-        grad = fd.gradient(f_w, W, spec.step_gradient, spec.fd_order)
-        return np.linalg.solve(-Om, grad[..., None])[..., 0]
+        return np.linalg.solve(-Om, grad_w(W)[..., None])[..., 0]
 
     ratio = stationarity_ratio(patch, Xf, spec, localized)
     rep.add("cp-hamiltonian-stationarity", ratio, CP_TOL_STATIONARITY)

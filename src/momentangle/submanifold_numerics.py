@@ -241,6 +241,14 @@ def minimality_residual_in_Z(
 # Hamiltonian fields
 
 
+def _field_from_gradient(grad_vals: np.ndarray, spec: MetricSpec) -> np.ndarray:
+    """The X with i_X omega = df, from df packed as d/dx + i d/dy.
+
+    On flat C^m, -omega inverts in closed form: X = -i grad f / omega_scale.
+    """
+    return -1j * np.asarray(grad_vals, dtype=complex) / spec.omega_scale
+
+
 def hamiltonian_field(
     f: Callable[[np.ndarray], np.ndarray],
     z,
@@ -252,20 +260,22 @@ def hamiltonian_field(
 
     ``f`` maps a batch (N, m) of complex points to real values. ``grad``,
     if given, must return the real gradient packaged as a complex vector
-    (d/dx + i d/dy). The solution is spot-checked against a direct
-    directional derivative of f unless ``check`` is disabled.
+    (d/dx + i d/dy); otherwise the gradient is a finite difference of f.
+    The solution is spot-checked against a direct directional derivative
+    of f unless ``check`` is disabled.
     """
     z = np.asarray(z, dtype=complex)
     m = z.shape[-1]
     if grad is not None:
-        df = c2r(np.asarray(grad(z), dtype=complex))
+        df = np.asarray(grad(z), dtype=complex)
     else:
-        df = fd.gradient(lambda xr: np.asarray(f(r2c(xr))), c2r(z), spec.step_gradient, spec.fd_order)
-    Om = omega_matrix(m, spec)
-    X = r2c(np.linalg.solve(-Om, df))
+        df = r2c(
+            fd.gradient(lambda xr: np.asarray(f(r2c(xr))), c2r(z), spec.step_gradient, spec.fd_order)
+        )
+    X = _field_from_gradient(df, spec)
     if check:
         rng = np.random.default_rng(1729)
-        scale = float(np.abs(df).max()) + 1e-12
+        scale = float(np.abs(c2r(df)).max()) + 1e-12
         for _ in range(3):
             v = r2c(rng.standard_normal(2 * m))
             v = v / np.linalg.norm(c2r(v))
@@ -279,14 +289,15 @@ def hamiltonian_field(
 
 
 def hamiltonian_field_batch(
-    f: Callable[[np.ndarray], np.ndarray], Z, spec: MetricSpec = DEFAULT_SPEC
+    grad: Callable[[np.ndarray], np.ndarray], Z, spec: MetricSpec = DEFAULT_SPEC
 ) -> np.ndarray:
-    """Vectorized ``hamiltonian_field`` over a batch of points (no spot-check)."""
+    """Hamiltonian field over a batch (N, m) of points from a closed-form gradient.
+
+    ``grad`` maps the batch to the real gradients packed as complex vectors
+    (d/dx + i d/dy), as for ``hamiltonian_field``; no spot-check.
+    """
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-    m = Z.shape[-1]
-    df = fd.gradient(lambda xr: np.asarray(f(r2c(xr))), c2r(Z), spec.step_gradient, spec.fd_order)
-    Om = omega_matrix(m, spec)
-    return r2c(np.linalg.solve(-Om, df.T).T)
+    return _field_from_gradient(grad(Z), spec)
 
 
 def hamiltonian_pairing_residual(
@@ -408,6 +419,13 @@ def patch_volume_derivative(
     nodes P0 + t * Y0. The variation is free: deformed points are not
     re-projected onto the quadric set.
     """
+    return _volume_and_derivative(patch, X, spec)[1]
+
+
+def _volume_and_derivative(
+    patch: ChartPatch, X: Callable[[np.ndarray], np.ndarray], spec: MetricSpec
+) -> tuple[float, float]:
+    """(vol(patch), dVol/dt) from the one stencil of ``patch_volume_derivative``."""
     chart = patch.chart
 
     def stacked(Sb):
@@ -433,7 +451,7 @@ def patch_volume_derivative(
         return float(np.sum(patch.w * np.sqrt(np.linalg.det(g))))
 
     h = spec.step
-    return (vol(h) - vol(-h)) / (2.0 * h)
+    return vol(0.0), (vol(h) - vol(-h)) / (2.0 * h)
 
 
 def first_variation_integral(
@@ -478,7 +496,8 @@ def stationarity_ratio(
         leak = float(np.abs(Xvals[near]).max()) if near.any() else 0.0
         if leak > 1e-8 * max(xmax, 1e-12):
             raise RuntimeError("localized field leaks outside the chart patch")
-    return abs(patch_volume_derivative(patch, Xf, spec)) / (xmax * patch_volume(patch, spec))
+    vol, dvol = _volume_and_derivative(patch, Xf, spec)
+    return abs(dvol) / (xmax * vol)
 
 
 def hminimality_residual(

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import momentangle
 from momentangle.cli import main, _catalog_config
 from momentangle.config_io import (
     ConfigError,
@@ -119,10 +122,16 @@ def test_report_determinism(tmp_path):
 
 
 def test_console_script_installed():
+    # the subprocess must import the package under test, which pytest's
+    # `pythonpath` setting puts on sys.path but not in the environment
+    src = str(Path(momentangle.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "momentangle.cli", "emit-catalog", "square"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "mode polytope" in proc.stdout

@@ -73,3 +73,18 @@ def test_renderings_contain_identical_numbers():
     for r in rep.records:
         assert repr(r.residual) in human and repr(r.residual) in machine
         assert repr(r.tolerance) in human and repr(r.tolerance) in machine
+
+
+def test_stationarity_checks_take_no_fd_gradient(monkeypatch):
+    # every stationarity Hamiltonian carries a closed-form gradient
+    from momentangle import fd
+    from momentangle.reduction_catalog import catalog_double
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("finite-difference gradient in a stationarity check")
+
+    monkeypatch.setattr(fd, "gradient", refuse)
+    for name in ("one-quadric:2", "one-quadric:3"):
+        assert proc.hamiltonian_stationarity_report(catalog_quadrics(name), n_fields=1).overall
+    for name in ("cp2-torus", "rp2"):
+        assert proc.cp_chart_report(catalog_double(name), samples=5).overall

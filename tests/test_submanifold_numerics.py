@@ -7,6 +7,7 @@ from momentangle.charts import (
     c2r,
     project_complex,
     project_real,
+    r2c,
 )
 from momentangle.quadric_config import QuadricConfiguration, membership_residual
 from momentangle.reduction_catalog import catalog_quadrics
@@ -14,6 +15,7 @@ from momentangle.submanifold_numerics import (
     DEFAULT_SPEC,
     ChartPatch,
     InvarianceError,
+    MetricSpec,
     _curvature_batch,
     chart_N,
     chart_point,
@@ -21,12 +23,14 @@ from momentangle.submanifold_numerics import (
     first_variation_integral,
     frame_symplectic_residual,
     hamiltonian_field,
+    hamiltonian_field_batch,
     hamiltonian_pairing_residual,
     hminimality_residual,
     lagrangian_residual,
     mean_curvature_ambient,
     minimality_residual_in_Z,
     noether_drift,
+    omega_matrix,
     patch_volume,
     patch_volume_derivative,
     project_to_quadrics,
@@ -37,8 +41,14 @@ from momentangle.submanifold_numerics import (
 )
 from momentangle import fd
 from momentangle.quadrature import bump_poly
-from momentangle.procedures import _random_matrix_field, ellipse_control, unequal_torus_control
-from momentangle.reduction_catalog import one_quadric_torus_chart
+from momentangle.procedures import (
+    _poly_scalar,
+    _radial_cutoff,
+    _random_matrix_field,
+    ellipse_control,
+    unequal_torus_control,
+)
+from momentangle.reduction_catalog import _cp_hamiltonian, one_quadric_torus_chart
 
 spec = DEFAULT_SPEC
 TWO_PI = 2.0 * np.pi
@@ -66,9 +76,12 @@ def test_projection_stacked_two_quadrics():
 
 
 def test_projection_nonconvergence():
-    Q = catalog_quadrics("one-quadric:2")
-    with pytest.raises(NonConvergenceError):
-        project_real(Q, np.zeros(2), max_iter=5)  # gradient vanishes at the origin
+    # the constraint gradients vanish at the origin: a zero Gram entry for one
+    # quadric (the scalar Newton step), a singular Gram matrix for two
+    for name in ("one-quadric:2", "two-quadrics:2,2"):
+        Q = catalog_quadrics(name)
+        with pytest.raises(NonConvergenceError):
+            project_real(Q, np.zeros(Q.ambient_dim), max_iter=5)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +216,63 @@ def test_hamiltonian_field_constant_and_moment():
     assert np.abs(Xc).max() < 1e-9
     Xm = hamiltonian_field(lambda zz: np.abs(zz[..., 0]) ** 2, z, spec)
     assert np.allclose(Xm, [2j * np.pi * z[0], 0], atol=1e-9)  # first rotation circle
+
+
+def _assert_gradient_matches_fd(f, grad, X):
+    # the cutoffs are only C^3 at their edge, where the truncation error of a
+    # wider stencil alone exceeds 1e-6 of the gradient's scale
+    ref = fd.gradient(f, X, 1e-4, 4)
+    assert np.abs(grad(X) - ref).max() <= 1e-6 * np.abs(ref).max()
+
+
+def test_closed_form_hamiltonian_gradients():
+    rng = np.random.default_rng(11)
+
+    def real(pair):
+        f, grad = pair
+        return (lambda xr: f(r2c(xr))), (lambda xr: c2r(grad(r2c(xr))))
+
+    # the global polynomial of the C^2 check
+    _assert_gradient_matches_fd(*real(_poly_scalar(2, rng)), 2.0 * rng.standard_normal((50, 4)))
+
+    # the radial cutoff of the C^3 check, inside, across the edge of and outside its ball
+    poly = _poly_scalar(3, rng)
+    x0, rho = rng.standard_normal(6), 0.4
+    dirs = rng.standard_normal((300, 6))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = np.concatenate(
+        [rng.uniform(0.0, 0.95, 100), rng.uniform(0.99, 1.01, 100), rng.uniform(1.05, 2.0, 100)]
+    )
+    X = x0 + rho * radii[:, None] * dirs
+    f, grad = real(_radial_cutoff(poly, r2c(x0), rho))
+    _assert_gradient_matches_fd(f, grad, X)
+    assert not grad(X[200:]).any()
+
+    # the tensor cutoff of the projective check, the same three ways along one axis
+    lin = rng.standard_normal(4)
+    quad = rng.standard_normal((4, 4))
+    W0 = rng.standard_normal(4)
+    t = rng.uniform(-0.95, 0.95, (300, 4))
+    rows, axes = np.arange(100, 300), rng.integers(0, 4, 200)
+    edge = np.concatenate([rng.uniform(0.99, 1.01, 100), rng.uniform(1.05, 2.0, 100)])
+    t[rows, axes] = rng.choice([-1.0, 1.0], 200) * edge
+    W = W0 + 0.42 * t
+    f, grad = _cp_hamiltonian(lin, 0.5 * (quad + quad.T), W0)
+    _assert_gradient_matches_fd(f, grad, W)
+    assert not grad(W[200:]).any()
+
+
+def test_hamiltonian_field_from_gradient_inverts_omega():
+    # X = -i grad f / omega_scale is the solution of -Omega X = df
+    rng = np.random.default_rng(12)
+    for s in (spec, MetricSpec(omega_scale=2.5)):
+        for m in (1, 3):
+            G = rng.standard_normal((7, m)) + 1j * rng.standard_normal((7, m))
+            ref = r2c(np.linalg.solve(-omega_matrix(m, s), c2r(G).T).T)
+            Z = rng.standard_normal((7, m)) + 0j
+            assert np.allclose(hamiltonian_field_batch(lambda _: G, Z, s), ref, rtol=1e-14, atol=0)
+            X = hamiltonian_field(None, Z[0], s, grad=lambda _: G[0], check=False)
+            assert np.allclose(X, ref[0], rtol=1e-14, atol=0)
 
 
 def test_noether_drift():
