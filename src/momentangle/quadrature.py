@@ -63,15 +63,15 @@ def bump_poly(t: np.ndarray, power: int = 4) -> np.ndarray:
     return np.where(np.abs(t) < 1.0, (1.0 - np.minimum(t * t, 1.0)) ** power, 0.0)
 
 
-def bump_poly_dsq(t: np.ndarray, power: int = 4) -> np.ndarray:
-    """Derivative of ``bump_poly`` with respect to t^2: -power (1 - t^2)^(power-1).
+def bump_poly_dsq(t: np.ndarray) -> np.ndarray:
+    """Derivative of ``bump_poly(t)`` (power 4) with respect to t^2: -4 (1 - t^2)^3.
 
     Zero outside (-1, 1). By the chain rule d/dt bump_poly = 2 t * this, and a
     radial cutoff bump_poly(|x - x0| / rho) has gradient
     2 (x - x0) / rho^2 * this, with no division by |x - x0|.
     """
     t = np.asarray(t, dtype=float)
-    return np.where(np.abs(t) < 1.0, -power * (1.0 - np.minimum(t * t, 1.0)) ** (power - 1), 0.0)
+    return np.where(np.abs(t) < 1.0, -4.0 * (1.0 - np.minimum(t * t, 1.0)) ** 3, 0.0)
 
 
 def box_bump(S: np.ndarray, lo, hi, axes=None) -> np.ndarray:

@@ -419,13 +419,19 @@ def patch_volume_derivative(
     nodes P0 + t * Y0. The variation is free: deformed points are not
     re-projected onto the quadric set.
     """
-    return _volume_and_derivative(patch, X, spec)[1]
+    return patch_volume_and_derivative(patch, X, spec)[1]
 
 
-def _volume_and_derivative(
-    patch: ChartPatch, X: Callable[[np.ndarray], np.ndarray], spec: MetricSpec
+def patch_volume_and_derivative(
+    patch: ChartPatch,
+    X: Callable[[np.ndarray], np.ndarray],
+    spec: MetricSpec = DEFAULT_SPEC,
 ) -> tuple[float, float]:
-    """(vol(patch), dVol/dt) from the one stencil of ``patch_volume_derivative``."""
+    """(vol(patch), dVol/dt) from the one stencil of ``patch_volume_derivative``.
+
+    vol(patch) is the stencil's volume at t = 0, so a caller that needs both
+    differentiates the chart once.
+    """
     chart = patch.chart
 
     def stacked(Sb):
@@ -496,7 +502,7 @@ def stationarity_ratio(
         leak = float(np.abs(Xvals[near]).max()) if near.any() else 0.0
         if leak > 1e-8 * max(xmax, 1e-12):
             raise RuntimeError("localized field leaks outside the chart patch")
-    vol, dvol = _volume_and_derivative(patch, Xf, spec)
+    vol, dvol = patch_volume_and_derivative(patch, Xf, spec)
     return abs(dvol) / (xmax * vol)
 
 
