@@ -31,11 +31,9 @@ from .quadric_config import (
 )
 from .torus_actions import (
     NonFreePointError,
-    OrbitData,
     TorusSubgroup,
     conjugate,
     freeness_check,
-    orbit_data,
     orbit_generators,
     orbit_volume,
     torus_point,
@@ -46,6 +44,7 @@ from .charts import NonConvergenceError
 from .submanifold_numerics import (
     ChartPatch,
     ChartPoint,
+    ChartSample,
     InvarianceError,
     MetricSpec,
     TangentFrame,
@@ -60,6 +59,7 @@ from .submanifold_numerics import (
     noether_drift,
     patch_volume_derivative,
     project_to_quadrics,
+    sample_chart_points,
     tangent_frame_N,
 )
 from .reduction_catalog import (

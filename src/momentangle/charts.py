@@ -1,8 +1,9 @@
 """Local parametrizations of quadric-built submanifolds and Newton retraction.
 
 A chart maps parameter vectors to ambient points; derivatives come either
-from closed forms (the phase directions of torus-spread charts are exact) or
-from central finite differences of the chart map itself.
+from closed forms (``PolytopeChart`` is exact throughout, and the phase
+directions of torus-spread charts are exact) or from central finite
+differences of the chart map itself.
 """
 
 from __future__ import annotations
@@ -156,6 +157,14 @@ class FunctionChart(Chart):
         return self.fn(np.atleast_2d(np.asarray(S, dtype=float)))
 
 
+def _split_params(S: np.ndarray, nv: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(v, phi) blocks of a batch of parameters of a spread chart."""
+    S = np.atleast_2d(np.asarray(S, dtype=float))
+    if S.shape[-1] != dim:
+        raise ValueError(f"chart expects {dim} parameters, got {S.shape[-1]}")
+    return S[:, :nv], S[:, nv:]
+
+
 class TorusSpreadChart(Chart):
     """Chart (v, phi) -> phases(phi) * u(v) for a torus-spread real locus.
 
@@ -164,7 +173,8 @@ class TorusSpreadChart(Chart):
     through exp(2 pi i <row_j, phi>) over ``phase_rows`` (which may be a
     subset of the projection rows, as for the lifted submanifolds of a
     double configuration). Phase derivatives are exact; only the v-part is
-    differentiated numerically.
+    differentiated numerically. Unlike ``PolytopeChart`` it accepts any base
+    on the real locus, including points on the boundary of the orthant.
     """
 
     def __init__(
@@ -200,10 +210,7 @@ class TorusSpreadChart(Chart):
         return np.exp(1j * TWO_PI * (Phi @ self.phase_rows))
 
     def _split(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        S = np.atleast_2d(np.asarray(S, dtype=float))
-        if S.shape[-1] != self.dim:
-            raise ValueError(f"chart expects {self.dim} parameters, got {S.shape[-1]}")
-        return S[:, : self.nv], S[:, self.nv :]
+        return _split_params(S, self.nv, self.dim)
 
     def value(self, S: np.ndarray) -> np.ndarray:
         V, Phi = self._split(S)
@@ -246,3 +253,64 @@ class TorusSpreadChart(Chart):
                     (1j * TWO_PI) ** 2 * self.phase_rows[j] * self.phase_rows[l] * z
                 )
         return H
+
+
+class PolytopeChart(Chart):
+    """Chart (v, phi) -> phases(phi) * sqrt(x0 + B v) over the open orthant.
+
+    The real quadric locus is the branched cover of the polytope
+    {x >= 0 : Gamma x = c} by x = u^2, so on the open orthant it is the graph
+    u = sqrt(x) over the polytope's interior. ``x0`` is an interior point
+    (Gamma x0 = c, x0 > 0) and the columns of ``B`` an orthonormal basis of
+    ker Gamma. The jacobian B / (2u), the hessian -B_a B_b / (4u^3) and the
+    phase terms are exact, so ``step`` and ``order`` are not read. Parameters
+    must keep x0 + B v in the open orthant; ``value`` raises otherwise.
+    """
+
+    def __init__(self, Q: QuadricConfiguration, x0, phase_rows: np.ndarray | None = None):
+        x0 = np.asarray(x0, dtype=float)
+        G = Q.gamma_float()
+        if np.any(x0 <= 0.0):
+            raise ValueError("polytope chart needs a point of the open orthant")
+        if Q.num_quadrics and np.max(np.abs(G @ x0 - Q.c_float())) > 1e-8:
+            raise ValueError("base point is not on the polytope")
+        self.x0 = x0
+        self.u0 = np.sqrt(x0)
+        m, k = Q.ambient_dim, Q.num_quadrics
+        # the last m - k columns of a complete QR of Gamma^T span ker Gamma
+        self.B = np.linalg.qr(G.T, mode="complete")[0][:, k:] if k else np.eye(m)
+        self.phase_rows = G if phase_rows is None else np.asarray(phase_rows, dtype=float)
+        self.nv = m - k
+        self.nphi = self.phase_rows.shape[0]
+        self.dim = self.nv + self.nphi
+        self.ambient_dim = m
+
+    def _parts(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(phases, u, z) at the rows of S."""
+        V, Phi = _split_params(S, self.nv, self.dim)
+        x = self.x0 + V @ self.B.T
+        if np.any(x <= 0.0):
+            raise ValueError("chart parameters leave the open orthant")
+        u = np.sqrt(x)
+        phases = np.exp(1j * TWO_PI * (Phi @ self.phase_rows))
+        return phases, u, phases * u
+
+    def value(self, S: np.ndarray) -> np.ndarray:
+        return self._parts(S)[2]
+
+    def jacobian(self, S: np.ndarray, step: float = 1e-3, order: int = 4) -> np.ndarray:
+        phases, u, z = self._parts(S)
+        Jv = (phases / (2.0 * u))[:, :, None] * self.B  # (N, m, nv)
+        Jphi = 1j * TWO_PI * z[:, :, None] * self.phase_rows.T  # (N, m, nphi)
+        return np.concatenate([Jv, Jphi], axis=2)
+
+    def hessian(self, S: np.ndarray, step: float = 1e-3, order: int = 4) -> np.ndarray:
+        phases, u, z = self._parts(S)
+        B, R = self.B, self.phase_rows.T  # (m, nv), (m, nphi)
+        Jv = (phases / (2.0 * u))[:, :, None] * B
+        Hvv = -(phases / (4.0 * u**3))[:, :, None, None] * (B[:, :, None] * B[:, None, :])
+        Hvphi = 1j * TWO_PI * Jv[:, :, :, None] * R[:, None, :]
+        Hphiphi = (1j * TWO_PI) ** 2 * z[:, :, None, None] * (R[:, :, None] * R[:, None, :])
+        top = np.concatenate([Hvv, Hvphi], axis=3)
+        bottom = np.concatenate([np.swapaxes(Hvphi, 2, 3), Hphiphi], axis=3)
+        return np.concatenate([top, bottom], axis=2)

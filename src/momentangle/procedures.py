@@ -25,7 +25,6 @@ from .quadric_config import (
 from .reduction_catalog import (
     DoubleConfiguration,
     cp_chart_verify,
-    ntilde_chart,
     ntilde_lagrangian_residual,
     one_quadric_torus_chart,
     stacked_tangent_horizontal_residual,
@@ -46,7 +45,6 @@ from .submanifold_numerics import (
     minimality_residual_in_Z,
     noether_drift,
     patch_volume_derivative,
-    real_base_point,
     sample_chart_points,
     tangent_frame_Z,
     InvarianceError,
@@ -156,14 +154,14 @@ def point_residual_report(
     rep = VerificationReport(seed=seed)
     rng = _rng(seed)
     pts = sample_chart_points(Q, samples, rng, spec)
-    lag = max(lagrangian_residual(Q, p, spec) for p in pts)
+    lag = float(lagrangian_residual(Q, pts, spec).max())
     rep.add("lagrangian-residual", lag, TOL_LAGRANGIAN, samples=samples)
     ctrl = max(
         frame_symplectic_residual(tangent_frame_Z(Q, p.point, spec), spec) for p in pts[:5]
     )
     rep.add_lower_bound("lagrangian-negative-control", ctrl, CONTROL_BOUND)
     if with_minimal:
-        mini = max(minimality_residual_in_Z(Q, p, spec) for p in pts)
+        mini = float(minimality_residual_in_Z(Q, pts, spec).max())
         rep.add("minimality-in-Z-residual", mini, TOL_MINIMAL, samples=samples)
     return rep
 
@@ -195,7 +193,7 @@ def hminimality_report(
     rep = VerificationReport(seed=seed)
     rng = _rng(seed)
     pts = sample_chart_points(Q, points, rng, spec)
-    worst = max(hminimality_residual(Q, p, spec) for p in pts)
+    worst = float(hminimality_residual(Q, pts, spec).max())
     rep.add("hminimality-residual", worst, TOL_HMINIMAL, samples=points)
     return rep
 
@@ -256,8 +254,7 @@ def vo_symmetry_report(
     """Orbit volume is invariant under coordinatewise conjugation."""
     rep = VerificationReport(seed=seed)
     rng = _rng(seed)
-    pts = sample_chart_points(Q, samples, rng, spec)
-    Z = np.stack([p.point for p in pts])
+    Z = sample_chart_points(Q, samples, rng, spec).points
     diff = np.abs(np.asarray(orbit_volume(Q, Z)) - np.asarray(orbit_volume(Q, np.conj(Z))))
     rep.add("orbit-volume-conjugation", float(diff.max()), TOL_VO_SYMMETRY, samples=samples)
     return rep
@@ -363,7 +360,8 @@ def _radial_cutoff(
     """poly localized by bump_poly(|z - z0| / rho), with its product-rule gradient.
 
     The cutoff is (1 - s)^4 in s = |z - z0|^2 / rho^2, so its gradient is
-    bump_poly_dsq * 2 (z - z0) / rho^2 inside the support and 0 outside.
+    bump_poly_dsq * 2 (z - z0) / rho^2 inside the support and 0 outside;
+    the polynomial is evaluated only at the points inside.
     """
     poly_f, poly_grad = poly
 
@@ -375,9 +373,14 @@ def _radial_cutoff(
         return bump_poly(dist(z)[1]) * poly_f(z)
 
     def grad(z):
+        z = np.atleast_2d(np.asarray(z, dtype=complex))
         d, r = dist(z)
+        out = np.zeros_like(d)
+        inside = r < 1.0
+        d, r, z = d[inside], r[inside], z[inside]
         cut_grad = (2.0 / rho**2) * bump_poly_dsq(r)[:, None] * d
-        return bump_poly(r)[:, None] * poly_grad(z) + poly_f(z)[:, None] * cut_grad
+        out[inside] = bump_poly(r)[:, None] * poly_grad(z) + poly_f(z)[:, None] * cut_grad
+        return out
 
     return f, grad
 
@@ -432,20 +435,19 @@ def hamiltonian_stationarity_report(
 def ntilde_report(
     D: DoubleConfiguration, samples: int = 100, seed: int = 0, spec: MetricSpec = DEFAULT_SPEC
 ) -> VerificationReport:
-    """Lagrangian residual of the reduced submanifold, tested through the lift."""
+    """Lagrangian residual of the reduced submanifold, tested through the lift.
+
+    The lift runs through the polytope chart of the stacked system with the
+    second system's phases only.
+    """
     rep = VerificationReport(seed=seed)
     rng = _rng(seed)
-    base = real_base_point(D.stacked)
-    nv = D.ambient_dim - D.stacked.num_quadrics
-    k_delta = D.delta_cfg.num_quadrics
-    worst = 0.0
-    for _ in range(samples):
-        v = 0.35 * rng.uniform(-1.0, 1.0, nv)
-        ph = rng.uniform(0.0, 1.0, k_delta)
-        p = ntilde_chart(D, base, v, ph, spec)
-        worst = max(worst, ntilde_lagrangian_residual(D, p, spec))
+    pts = sample_chart_points(D.stacked, samples, rng, spec, phase_rows=D.delta_cfg.gamma_float())
+    worst = float(ntilde_lagrangian_residual(D, pts, spec).max())
     rep.add("ntilde-lagrangian-residual", worst, TOL_LAGRANGIAN, samples=samples)
-    p0 = ntilde_chart(D, base, np.zeros(nv), 0.17 * np.ones(k_delta), spec)
+    chart = pts.chart
+    p0 = chart_point(chart, np.concatenate([np.zeros(chart.nv), 0.17 * np.ones(chart.nphi)]),
+                     Q=D.stacked, spec=spec)
     ctrl = stacked_tangent_horizontal_residual(D, p0.point, spec)
     rep.add_lower_bound("ntilde-negative-control", ctrl, CONTROL_BOUND)
     return rep

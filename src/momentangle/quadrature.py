@@ -1,4 +1,4 @@
-"""Tensor Gauss-Legendre grids on boxes, smooth bump weights, MC fallback."""
+"""Tensor Gauss-Legendre grids on boxes and smooth bump weights."""
 
 from __future__ import annotations
 
@@ -29,15 +29,6 @@ def tensor_grid(lo, hi, nodes) -> tuple[np.ndarray, np.ndarray]:
     for wg in wgrids:
         W = W * wg.reshape(-1)
     return S, W
-
-
-def monte_carlo_grid(lo, hi, n_points: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded uniform sampling fallback for boxes of dimension > 4."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    S = rng.uniform(lo, hi, size=(n_points, lo.size))
-    vol = float(np.prod(hi - lo))
-    return S, np.full(n_points, vol / n_points)
 
 
 def bump_profile(t: np.ndarray) -> np.ndarray:

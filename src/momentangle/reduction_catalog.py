@@ -32,7 +32,10 @@ from .submanifold_numerics import (
     stationarity_ratio,
     ChartPatch,
     ChartPoint,
+    ChartSample,
     MetricSpec,
+    _batch,
+    _per_point,
     chart_point,
     frame_symplectic_residual,
 )
@@ -205,31 +208,37 @@ def ntilde_chart(
 
 
 def _horizontal_residual(D: DoubleConfiguration, z: np.ndarray, columns: np.ndarray,
-                         spec: MetricSpec) -> float:
-    """Symplectic residual of the first-torus-horizontal part of given tangent columns."""
-    orb = orbit_generators(D.gamma_cfg, z)  # (k_gamma, m)
-    orb_r = c2r(orb).T  # (2m, k)
+                         spec: MetricSpec) -> np.ndarray:
+    """Symplectic residual of the first-torus-horizontal part of given tangent columns.
+
+    Batched: points ``z`` (N, m) and columns (N, m, d) give N residuals.
+    """
+    orb = orbit_generators(D.gamma_cfg, z)  # (N, k_gamma, m)
+    orb_r = np.swapaxes(c2r(orb), -2, -1)  # (N, 2m, k)
     Qo, _ = np.linalg.qr(orb_r)
-    cols_r = np.concatenate([columns.real, columns.imag], axis=0)  # (2m, d)
-    horiz = cols_r - Qo @ (Qo.T @ cols_r)
+    cols_r = np.concatenate([columns.real, columns.imag], axis=-2)  # (N, 2m, d)
+    horiz = cols_r - Qo @ (np.swapaxes(Qo, -2, -1) @ cols_r)
     Qh, R = np.linalg.qr(horiz)
-    diag = np.abs(np.diag(R))
-    keep = diag > 1e-9 * max(1.0, diag.max())
-    frame = r2c(Qh[:, keep].T)
+    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    # columns of a rank-deficient horizontal part are dropped: zero vectors pair to 0
+    keep = diag > 1e-9 * np.maximum(1.0, diag.max(axis=-1, keepdims=True))
+    frame = r2c(np.swapaxes(Qh * keep[:, None, :], -2, -1))
     return frame_symplectic_residual(frame, spec)
 
 
 def ntilde_lagrangian_residual(
-    D: DoubleConfiguration, p: ChartPoint, spec: MetricSpec = DEFAULT_SPEC
-) -> float:
+    D: DoubleConfiguration, p: ChartPoint | ChartSample, spec: MetricSpec = DEFAULT_SPEC
+) -> float | np.ndarray:
     """Symplectic pairing residual of the reduced Lagrangian, tested upstairs.
 
     The horizontal complement of the first torus orbit inside the lifted
     tangent space pairs to zero exactly when the reduced submanifold is
-    Lagrangian for the reduced form.
+    Lagrangian for the reduced form. A ``ChartSample`` gives one value per
+    point.
     """
-    J = p.chart.jacobian(p.params[None, :], spec.step_chart, spec.fd_order)[0]  # (m, d)
-    return _horizontal_residual(D, p.point, J, spec)
+    S, Z = _batch(p)
+    J = p.chart.jacobian(S, spec.step_chart, spec.fd_order)  # (N, m, d)
+    return _per_point(p, _horizontal_residual(D, Z, J, spec))
 
 
 def stacked_tangent_horizontal_residual(
@@ -243,7 +252,7 @@ def stacked_tangent_horizontal_residual(
     from .submanifold_numerics import tangent_frame_Z
 
     frame = tangent_frame_Z(D.stacked, z, spec)  # (dim, m) complex
-    return _horizontal_residual(D, np.asarray(z, complex), frame.T, spec)
+    return float(_horizontal_residual(D, np.asarray(z, complex)[None, :], frame.T[None], spec)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,19 @@ from . import fd, lp, quadrature
 from .charts import (
     Chart,
     NonConvergenceError,
+    PolytopeChart,
     TorusSpreadChart,
     c2r,
     project_complex,
     project_real,
     r2c,
 )
-from .quadric_config import QuadricConfiguration, membership_residual, moment_map
+from .quadric_config import (
+    QuadricConfiguration,
+    membership_residual,
+    membership_residuals,
+    moment_map,
+)
 from .torus_actions import orbit_volume, torus_point
 
 TWO_PI = 2.0 * np.pi
@@ -66,6 +72,45 @@ class ChartPoint:
 
 
 @dataclass
+class ChartSample:
+    """Points of one chart drawn together: ``params`` (N, d), ``points`` (N, m).
+
+    ``bases`` (N, m) holds the point of the real locus under each sample.
+    Indexing gives a ``ChartPoint`` (a slice gives a ``ChartSample``), so a
+    sample also reads as a sequence of points. The pointwise residual
+    functions take a whole sample and return one value per point.
+    """
+
+    chart: Chart
+    params: np.ndarray
+    points: np.ndarray
+    bases: np.ndarray
+
+    def __len__(self) -> int:
+        return self.params.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ChartSample(self.chart, self.params[i], self.points[i], self.bases[i])
+        return ChartPoint(self.chart, self.params[i], self.points[i], self.bases[i])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def _batch(p: ChartPoint | ChartSample) -> tuple[np.ndarray, np.ndarray]:
+    """(params (N, d), points (N, m)) of a sample, or of one point as N = 1."""
+    if isinstance(p, ChartSample):
+        return p.params, p.points
+    return p.params[None, :], p.point[None, :]
+
+
+def _per_point(p: ChartPoint | ChartSample, values: np.ndarray) -> float | np.ndarray:
+    """The values of a sample, or the float of one point."""
+    return values if isinstance(p, ChartSample) else float(values[0])
+
+
+@dataclass
 class TangentFrame:
     vectors: np.ndarray  # (dim, m) complex, orthonormal as real 2m-vectors
     jacobian: np.ndarray  # (m, dim) complex chart jacobian
@@ -90,11 +135,17 @@ def omega_pair(u, v, spec: MetricSpec = DEFAULT_SPEC) -> float | np.ndarray:
     return spec.omega_scale * np.imag(np.sum(np.conj(u) * v, axis=-1))
 
 
-def frame_symplectic_residual(vectors: np.ndarray, spec: MetricSpec = DEFAULT_SPEC) -> float:
-    """max |omega(e_i, e_j)| over all pairs from a set of complex vectors."""
+def frame_symplectic_residual(
+    vectors: np.ndarray, spec: MetricSpec = DEFAULT_SPEC
+) -> float | np.ndarray:
+    """max |omega(e_i, e_j)| over all pairs from a set of complex vectors.
+
+    Batched over leading axes: a stack (N, d, m) of sets gives N values.
+    """
     V = np.asarray(vectors, dtype=complex)
-    gram = V.conj() @ V.T
-    return float(np.abs(spec.omega_scale * np.imag(gram)).max())
+    gram = V.conj() @ np.swapaxes(V, -2, -1)
+    worst = np.abs(spec.omega_scale * np.imag(gram)).max(axis=(-2, -1))
+    return float(worst) if worst.ndim == 0 else worst
 
 
 # ---------------------------------------------------------------------------
@@ -136,24 +187,36 @@ def _real_jacobian(chart: Chart, S: np.ndarray, spec: MetricSpec) -> np.ndarray:
     return np.asarray(J, dtype=float)
 
 
+def _tangent_frames(
+    Q: QuadricConfiguration | None, chart: Chart, S: np.ndarray, Z: np.ndarray, spec: MetricSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal frames (N, d, m) of the chart at the rows of S, and its jacobians (N, m, d).
+
+    Raises if any jacobian is rank deficient or, given ``Q``, if any frame
+    fails to annihilate the quadric differentials at the points ``Z``.
+    """
+    J = chart.jacobian(S, spec.step_chart, spec.fd_order)  # (N, m, d)
+    Jr = np.concatenate([J.real, J.imag], axis=-2)  # (N, 2m, d)
+    Qm, R = np.linalg.qr(Jr)
+    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    if np.any(diag.min(axis=-1) < 1e-8 * np.maximum(1.0, diag.max(axis=-1))):
+        raise NonConvergenceError("chart jacobian is rank deficient; chart degenerate here")
+    vectors = r2c(np.swapaxes(Qm, -2, -1))
+    if Q is not None:
+        # frame vectors must annihilate the quadric differentials
+        grads = 2.0 * Q.gamma_float() * Z[:, None, :]  # complex rows <-> real gradients
+        pair = np.real(vectors @ np.conj(np.swapaxes(grads, -2, -1)))
+        if np.abs(pair).max() > 1e-6:
+            raise NonConvergenceError("frame fails to annihilate the constraint differentials")
+    return vectors, J
+
+
 def tangent_frame_N(
     Q: QuadricConfiguration | None, p: ChartPoint, spec: MetricSpec = DEFAULT_SPEC
 ) -> TangentFrame:
     """Orthonormal tangent frame spanning the chart jacobian's column space."""
-    J = p.chart.jacobian(p.params[None, :], spec.step_chart, spec.fd_order)[0]  # (m, d)
-    Jr = np.concatenate([J.real, J.imag], axis=0)  # (2m, d)
-    Qm, R = np.linalg.qr(Jr)
-    diag = np.abs(np.diag(R))
-    if diag.min() < 1e-8 * max(1.0, diag.max()):
-        raise NonConvergenceError("chart jacobian is rank deficient; chart degenerate here")
-    vectors = r2c(Qm.T)
-    if Q is not None:
-        # frame vectors must annihilate the quadric differentials
-        grads = 2.0 * Q.gamma_float() * p.point[None, :]  # complex rows <-> real gradients
-        pair = np.real(vectors @ np.conj(grads).T)
-        if np.abs(pair).max() > 1e-6:
-            raise NonConvergenceError("frame fails to annihilate the constraint differentials")
-    return TangentFrame(vectors=vectors, jacobian=J)
+    vectors, J = _tangent_frames(Q, p.chart, p.params[None, :], p.point[None, :], spec)
+    return TangentFrame(vectors=vectors[0], jacobian=J[0])
 
 
 def tangent_frame_Z(
@@ -168,11 +231,15 @@ def tangent_frame_Z(
 
 
 def lagrangian_residual(
-    Q: QuadricConfiguration | None, p: ChartPoint, spec: MetricSpec = DEFAULT_SPEC
-) -> float:
-    """max |omega(e_i, e_j)| over an orthonormal tangent frame at the point."""
-    frame = tangent_frame_N(Q, p, spec)
-    return frame_symplectic_residual(frame.vectors, spec)
+    Q: QuadricConfiguration | None, p: ChartPoint | ChartSample, spec: MetricSpec = DEFAULT_SPEC
+) -> float | np.ndarray:
+    """max |omega(e_i, e_j)| over an orthonormal tangent frame at the point.
+
+    A ``ChartSample`` gives one value per point, from one batched QR.
+    """
+    S, Z = _batch(p)
+    vectors, _ = _tangent_frames(Q, p.chart, S, Z, spec)
+    return _per_point(p, frame_symplectic_residual(vectors, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +287,22 @@ def mean_curvature_ambient(
 
 
 def minimality_residual_in_Z(
-    Q: QuadricConfiguration, p: ChartPoint, spec: MetricSpec = DEFAULT_SPEC
-) -> float:
+    Q: QuadricConfiguration, p: ChartPoint | ChartSample, spec: MetricSpec = DEFAULT_SPEC
+) -> float | np.ndarray:
     """Norm of the mean curvature component tangent to the quadric set.
 
     The second fundamental form of the submanifold inside the quadric
     intersection is the intersection-tangential part of the flat one, so
-    this is |H| of the embedding into the quadric set.
+    this is |H| of the embedding into the quadric set. A ``ChartSample``
+    gives one value per point.
     """
-    H, Jr, _ = _curvature_batch(p.chart, p.params[None, :], spec)
-    h = H[0]
-    z = p.point
-    grads = c2r(2.0 * Q.gamma_float() * z[None, :])  # (k, 2m), span of the normals to Z
-    stacked = np.concatenate([Jr[0], grads.T], axis=1)
+    S, Z = _batch(p)
+    H, Jr, _ = _curvature_batch(p.chart, S, spec)
+    grads = c2r(2.0 * Q.gamma_float() * Z[:, None, :])  # (N, k, 2m), the normals to Z
+    stacked = np.concatenate([Jr, np.swapaxes(grads, -2, -1)], axis=-1)
     Qm, _ = np.linalg.qr(stacked)
-    return float(np.linalg.norm(h - Qm @ (Qm.T @ h)))
+    tang = np.einsum("nia,na->ni", Qm, np.einsum("nia,ni->na", Qm, H))
+    return _per_point(p, np.linalg.norm(H - tang, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +426,8 @@ class ChartPatch:
     ``bump_axes`` lists the parameter axes along which the deformation must
     vanish at the boundary (periodic/full axes carry no bump). For real
     ambient charts an ``ambient_metric`` callable gives the metric matrix
-    field; the flat metric is used otherwise. Boxes of dimension > 4 fall
-    back to seeded Monte Carlo.
+    field; the flat metric is used otherwise. The tensor Gauss-Legendre
+    rule is kept to boxes of dimension at most 4; a larger box raises.
     """
 
     chart: Chart
@@ -368,10 +436,9 @@ class ChartPatch:
     nodes: int | Sequence[int] = 16
     bump_axes: tuple[int, ...] = ()
     ambient_metric: Callable[[np.ndarray], np.ndarray] | None = None
-    mc_points: int = 20000
-    mc_seed: int = 0
     S: np.ndarray = field(init=False)
     w: np.ndarray = field(init=False)
+    _curvature: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
@@ -379,16 +446,25 @@ class ChartPatch:
         if self.lo.size != self.chart.dim:
             raise ValueError("box dimension disagrees with the chart")
         if self.chart.dim > 4:
-            self.S, self.w = quadrature.monte_carlo_grid(
-                self.lo, self.hi, self.mc_points, np.random.default_rng(self.mc_seed)
-            )
-        else:
-            self.S, self.w = quadrature.tensor_grid(self.lo, self.hi, self.nodes)
+            raise ValueError(f"patch boxes have dimension at most 4, got {self.chart.dim}")
+        self.S, self.w = quadrature.tensor_grid(self.lo, self.hi, self.nodes)
 
     def bump_at(self, S: np.ndarray) -> np.ndarray:
         if not self.bump_axes:
             return np.ones(np.atleast_2d(S).shape[0])
         return quadrature.box_bump(S, self.lo, self.hi, self.bump_axes)
+
+    def curvature_on_nodes(self, spec: MetricSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(points, real mean curvature, area element) on the nodes.
+
+        Computed once per chart step and stencil order: the chart and the
+        nodes are fixed, so every field integrated over the patch reuses them.
+        """
+        key = (spec.step_chart, spec.fd_order)
+        if key not in self._curvature:
+            Hr, _, g = _curvature_batch(self.chart, self.S, spec)
+            self._curvature[key] = (self.chart.value(self.S), Hr, np.sqrt(np.linalg.det(g)))
+        return self._curvature[key]
 
 
 def _ambient_real(chart: Chart, vals: np.ndarray) -> np.ndarray:
@@ -472,10 +548,8 @@ def first_variation_integral(
     """
     if patch.ambient_metric is not None:
         raise ValueError("the curvature quadrature needs a flat ambient")
-    chart = patch.chart
-    Hr, _, g = _curvature_batch(chart, patch.S, spec)
-    Xr = _ambient_real(chart, X(chart.value(patch.S)))
-    elem = np.sqrt(np.linalg.det(g))
+    P, Hr, elem = patch.curvature_on_nodes(spec)
+    Xr = _ambient_real(patch.chart, X(P))
     return -float(np.sum(patch.w * patch.bump_at(patch.S) * np.einsum("ni,ni->n", Hr, Xr) * elem))
 
 
@@ -507,14 +581,15 @@ def stationarity_ratio(
 
 
 def hminimality_residual(
-    Q: QuadricConfiguration | None, p: ChartPoint, spec: MetricSpec = DEFAULT_SPEC
-) -> float:
+    Q: QuadricConfiguration | None, p: ChartPoint | ChartSample, spec: MetricSpec = DEFAULT_SPEC
+) -> float | np.ndarray:
     """|delta(i_H omega)| at the point, computed in chart coordinates.
 
     The 1-form alpha = i_H omega is restricted to the submanifold, sharped
     with the induced metric, and its codifferential is the negative
     divergence -(1/sqrt g) d_a (sqrt g W^a), evaluated by central
-    differences of the chart quantities.
+    differences of the chart quantities. A ``ChartSample`` gives one value
+    per point, from one stencil over all of them.
     """
     chart = p.chart
     m = chart.ambient_dim
@@ -526,11 +601,11 @@ def hminimality_residual(
         W = np.linalg.solve(g, alpha[..., None])[..., 0]
         return np.sqrt(np.linalg.det(g))[:, None] * W
 
-    Jout = fd.jacobian(sqrtg_W, p.params[None, :], spec.step_divergence, spec.fd_order)[0]
-    div = float(np.trace(Jout))
-    _, _, g0 = _curvature_batch(chart, p.params[None, :], spec)
-    sqrtg0 = float(np.sqrt(np.linalg.det(g0[0])))
-    return abs(div / sqrtg0)
+    S, _ = _batch(p)
+    Jout = fd.jacobian(sqrtg_W, S, spec.step_divergence, spec.fd_order)  # (N, d, d)
+    div = np.trace(Jout, axis1=-2, axis2=-1)
+    _, _, g0 = _curvature_batch(chart, S, spec)
+    return _per_point(p, np.abs(div / np.sqrt(np.linalg.det(g0))))
 
 
 # ---------------------------------------------------------------------------
@@ -591,19 +666,12 @@ def real_base_point(Q: QuadricConfiguration) -> np.ndarray:
     return np.sqrt(np.array([float(x) for x in t]))
 
 
-def sample_real_points(
-    Q: QuadricConfiguration,
-    count: int,
-    rng: np.random.Generator,
-    spec: MetricSpec = DEFAULT_SPEC,
-    walk_steps: int = 3,
-    walk_size: float = 0.3,
-) -> np.ndarray:
-    """Seeded random walk with Newton retraction over the real quadric locus."""
-    u = np.tile(real_base_point(Q), (count, 1))
-    for _ in range(walk_steps):
-        u = project_real(Q, u + walk_size * rng.standard_normal(u.shape), tol=spec.newton_tol)
-    return u
+# Samples stop at this fraction of the way from x0 to the first face of the
+# polytope, so every sample keeps x >= (1 - SAMPLE_REACH) * x0 coordinatewise
+# (x >= 0.1 on every catalog instance). The divergence stencil moves x by at
+# most 2 * step_divergence = 6e-3, so it stays in the open orthant, where
+# u = sqrt(x) is smooth.
+SAMPLE_REACH = 0.5
 
 
 def sample_chart_points(
@@ -611,17 +679,32 @@ def sample_chart_points(
     count: int,
     rng: np.random.Generator,
     spec: MetricSpec = DEFAULT_SPEC,
-    v_radius: float = 0.15,
-) -> list[ChartPoint]:
-    """Random chart points: random base on the real locus, random (v, phi)."""
-    bases = sample_real_points(Q, count, rng, spec)
-    out = []
-    for i in range(count):
-        chart = TorusSpreadChart(Q, bases[i], newton_tol=spec.newton_tol)
-        v = v_radius * rng.uniform(-1.0, 1.0, chart.nv)
-        phi = rng.uniform(0.0, 1.0, chart.nphi)
-        out.append(chart_point(chart, np.concatenate([v, phi]), Q=Q, spec=spec))
-    return out
+    phase_rows: np.ndarray | None = None,
+) -> ChartSample:
+    """Random points of one ``PolytopeChart`` at x0 = real_base_point(Q)**2.
+
+    Each sample moves x from x0 along a uniformly random unit direction of
+    ker Gamma, by a uniform fraction of ``SAMPLE_REACH`` times the distance
+    to the first face, capped at |x0| (a direction may meet no face), and
+    takes uniform phases over ``phase_rows`` (default: the rows of Gamma).
+    Every point is checked against the quadrics at ``spec.tol_membership``.
+    """
+    chart = PolytopeChart(Q, real_base_point(Q) ** 2, phase_rows=phase_rows)
+    W = rng.standard_normal((count, chart.nv))
+    W /= np.linalg.norm(W, axis=1, keepdims=True)
+    dx = W @ chart.B.T
+    with np.errstate(divide="ignore"):
+        to_face = np.where(dx < 0.0, chart.x0 / -dx, np.inf).min(axis=1)
+    reach = SAMPLE_REACH * np.minimum(to_face, np.linalg.norm(chart.x0))
+    V = (reach * rng.uniform(0.0, 1.0, count))[:, None] * W
+    Phi = rng.uniform(0.0, 1.0, (count, chart.nphi))
+    S = np.concatenate([V, Phi], axis=1)
+    Z = chart.value(S)
+    res = float(membership_residuals(Q, Z).max())
+    if res > spec.tol_membership:
+        raise ValueError(f"chart point violates the quadric system: residual {res:.3e}")
+    bases = chart.value(np.concatenate([V, np.zeros_like(Phi)], axis=1)).real
+    return ChartSample(chart, S, Z, bases)
 
 
 def project_to_quadrics(

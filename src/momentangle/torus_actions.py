@@ -105,13 +105,6 @@ def freeness_check(Q: QuadricConfiguration) -> Verdict:
     return Verdict(True)
 
 
-@dataclass
-class OrbitData:
-    point: np.ndarray  # base point in C^m
-    generators: np.ndarray  # (dim, m) complex tangent fields of the action
-    gram: np.ndarray  # (dim, dim) flat-metric Gram matrix of the generators
-
-
 def orbit_generators(Q: QuadricConfiguration, z) -> np.ndarray:
     """Derivatives at phi = 0 of the torus action, one per phi-coordinate."""
     if Q.mode != "complex":
@@ -127,11 +120,6 @@ def orbit_gram(Q: QuadricConfiguration, z) -> np.ndarray:
     sq = np.abs(z) ** 2
     G = Q.gamma_float()
     return TWO_PI**2 * np.einsum("jk,lk,...k->...jl", G, G, sq)
-
-
-def orbit_data(Q: QuadricConfiguration, z) -> OrbitData:
-    z = np.asarray(z, dtype=complex)
-    return OrbitData(z, orbit_generators(Q, z), orbit_gram(Q, z))
 
 
 def orbit_volume(Q: QuadricConfiguration, z) -> float | np.ndarray:

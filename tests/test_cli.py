@@ -137,6 +137,20 @@ def test_console_script_installed():
     assert "mode polytope" in proc.stdout
 
 
+def test_report_all_whole_catalog(tmp_path, capsys):
+    # every catalog instance passes report-all at seed 0, except bad-triangle,
+    # which fails exactly its lattice-vertex (Delzant) and freeness records
+    out = tmp_path / "report.tsv"
+    for name in catalog_names():
+        rc = main(["report-all", f"catalog:{name}", "--seed", "0", "--report-file", str(out)])
+        lines = out.read_text().splitlines()
+        failing = [line.split("\t")[0] for line in lines if line.endswith("\tfail")]
+        if name == "bad-triangle":
+            assert (rc, failing) == (1, ["delzant", "torus-free"])
+        else:
+            assert (rc, failing) == (0, []), name
+
+
 def test_gale_round_trip_whole_catalog(capsys):
     from momentangle.config_io import config_from_quadrics
     from momentangle.quadric_config import gale_dual

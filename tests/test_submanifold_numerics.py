@@ -2,18 +2,32 @@ import numpy as np
 import pytest
 
 from momentangle.charts import (
+    FunctionChart,
     NonConvergenceError,
+    PolytopeChart,
     TorusSpreadChart,
     c2r,
     project_complex,
     project_real,
     r2c,
 )
-from momentangle.quadric_config import QuadricConfiguration, membership_residual
-from momentangle.reduction_catalog import catalog_quadrics
+from momentangle.quadric_config import (
+    QuadricConfiguration,
+    gale_dual,
+    membership_residual,
+    membership_residuals,
+)
+from momentangle.reduction_catalog import (
+    catalog_double,
+    catalog_polytope,
+    catalog_quadrics,
+    ntilde_lagrangian_residual,
+)
 from momentangle.submanifold_numerics import (
     DEFAULT_SPEC,
+    SAMPLE_REACH,
     ChartPatch,
+    ChartSample,
     InvarianceError,
     MetricSpec,
     _curvature_batch,
@@ -34,6 +48,7 @@ from momentangle.submanifold_numerics import (
     patch_volume,
     patch_volume_derivative,
     project_to_quadrics,
+    real_base_point,
     sample_chart_points,
     stationarity_ratio,
     tangent_frame_N,
@@ -98,6 +113,152 @@ def test_chart_phase_examples():
     Q3 = catalog_quadrics("one-quadric:3")
     p = chart_N(Q3, [1, 0, 0], [0.0, 0.0], [0.5])
     assert np.allclose(p.point, [-1, 0, 0], atol=1e-12)
+
+
+def _chart_configurations():
+    """(Q, phase rows) for a one-, two- and three-quadric system and a stacked lift."""
+    D = catalog_double("cp2-torus")
+    return [
+        (catalog_quadrics("one-quadric:3"), None),
+        (catalog_quadrics("two-quadrics:2,2"), None),
+        (gale_dual(catalog_polytope("cube:3")), None),
+        (D.stacked, D.delta_cfg.gamma_float()),
+    ]
+
+
+def test_polytope_chart_derivatives_match_stencils():
+    # the closed-form jacobian and hessian against 4th-order stencils of the
+    # chart's own value, at sampled points
+    rng = np.random.default_rng(21)
+    for Q, rows in _chart_configurations():
+        pts = sample_chart_points(Q, 10, rng, spec, phase_rows=rows)
+        chart, S = pts.chart, pts.params
+        assert isinstance(chart, PolytopeChart)
+        J = chart.jacobian(S)
+        H = chart.hessian(S)
+        assert J.shape == (10, Q.ambient_dim, chart.dim)
+        assert H.shape == (10, Q.ambient_dim, chart.dim, chart.dim)
+        assert np.abs(J - fd.jacobian(chart.value, S, 1e-3, 4)).max() < 1e-8 * np.abs(J).max()
+        assert np.abs(H - fd.hessian(chart.value, S, 1e-3, 4)).max() < 1e-7 * np.abs(H).max()
+        assert np.array_equal(chart.jacobian(S, step=0.5, order=2), J)  # no step is read
+
+
+def test_sampled_points_lie_on_the_quadrics_inside_the_margin():
+    rng = np.random.default_rng(22)
+    for Q, rows in _chart_configurations():
+        pts = sample_chart_points(Q, 200, rng, spec, phase_rows=rows)
+        assert len(pts) == 200
+        assert membership_residuals(Q, pts.points).max() <= spec.tol_membership
+        x = np.abs(pts.points) ** 2
+        assert np.all(x >= (1.0 - SAMPLE_REACH) * pts.chart.x0 - 1e-14)
+        # the divergence stencil (offsets up to 2 step_divergence in x) stays inside
+        assert x.min() > 2.0 * spec.step_divergence
+        assert np.allclose(pts.bases**2, x, rtol=1e-13, atol=0)
+        p = pts[7]
+        assert np.array_equal(p.point, pts.points[7]) and np.array_equal(p.base, pts.bases[7])
+        assert len(pts[:5]) == 5
+    # leaving the open orthant raises instead of returning a NaN
+    chart = PolytopeChart(catalog_quadrics("one-quadric:2"), [0.5, 0.5])
+    with pytest.raises(ValueError, match="open orthant"):
+        chart.value(np.array([[1.0, 0.0]]))
+
+
+# one-point-at-a-time residual formulas, the reference for the batched
+# functions
+
+
+def _pointwise_lagrangian(Q, p):
+    J = p.chart.jacobian(p.params[None, :], spec.step_chart, spec.fd_order)[0]
+    Qm, _ = np.linalg.qr(np.concatenate([J.real, J.imag], axis=0))
+    return frame_symplectic_residual(r2c(Qm.T), spec)
+
+
+def _pointwise_minimality(Q, p):
+    H, Jr, _ = _curvature_batch(p.chart, p.params[None, :], spec)
+    h = H[0]
+    grads = c2r(2.0 * Q.gamma_float() * p.point[None, :])
+    Qm, _ = np.linalg.qr(np.concatenate([Jr[0], grads.T], axis=1))
+    return float(np.linalg.norm(h - Qm @ (Qm.T @ h)))
+
+
+def _pointwise_hminimality(p):
+    Om = omega_matrix(p.chart.ambient_dim, spec)
+
+    def sqrtg_W(Sb):
+        Hr, Jr, g = _curvature_batch(p.chart, Sb, spec)
+        alpha = np.einsum("ni,ij,nja->na", Hr, Om, Jr)
+        W = np.linalg.solve(g, alpha[..., None])[..., 0]
+        return np.sqrt(np.linalg.det(g))[:, None] * W
+
+    Jout = fd.jacobian(sqrtg_W, p.params[None, :], spec.step_divergence, spec.fd_order)[0]
+    _, _, g0 = _curvature_batch(p.chart, p.params[None, :], spec)
+    return abs(float(np.trace(Jout)) / float(np.sqrt(np.linalg.det(g0[0]))))
+
+
+def _pointwise_ntilde(D, p):
+    from momentangle.torus_actions import orbit_generators
+
+    J = p.chart.jacobian(p.params[None, :], spec.step_chart, spec.fd_order)[0]
+    Qo, _ = np.linalg.qr(c2r(orbit_generators(D.gamma_cfg, p.point)).T)
+    cols = np.concatenate([J.real, J.imag], axis=0)
+    Qh, R = np.linalg.qr(cols - Qo @ (Qo.T @ cols))
+    diag = np.abs(np.diag(R))
+    keep = diag > 1e-9 * max(1.0, diag.max())
+    return frame_symplectic_residual(r2c(Qh[:, keep].T), spec)
+
+
+def _spread_params(chart, rng, n=12):
+    return np.concatenate(
+        [0.15 * rng.uniform(-1, 1, (n, chart.nv)), rng.uniform(0, 1, (n, chart.nphi))], axis=1
+    )
+
+
+def _sample_at(chart, S):
+    Z = chart.value(S)
+    return ChartSample(chart, S, Z, np.abs(Z))
+
+
+def _assert_matches(batched, reference):
+    assert batched.shape == (len(reference),)
+    assert np.all(np.abs(batched - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
+
+
+def test_batched_residuals_match_per_point_formulas():
+    rng = np.random.default_rng(23)
+    Q3 = catalog_quadrics("one-quadric:3")
+    spread = TorusSpreadChart(Q3, [0.8, 0.36, 0.48])
+    S = _spread_params(spread, rng)
+
+    # a non-Lagrangian, non-minimal surface, so the residuals are O(1); its map
+    # is elementwise, so each point's value is the same in any batch (the
+    # Newton retraction of a spread chart stops on the worst point of its batch)
+    def skewed(Sb):
+        a, b, ph = Sb[:, 0], Sb[:, 1], np.exp(2j * np.pi * Sb[:, 2])
+        u = np.stack([np.cos(a), np.sin(a) * np.cos(b), np.sin(a) * np.sin(b)], axis=1)
+        z = ph[:, None] * u
+        return z + 0.3 * np.conj(z[:, [1, 2, 0]])
+
+    skew = FunctionChart(skewed, 3, 3)
+    for chart, Q_frame, params in ((spread, Q3, S), (skew, None, S + [0.7, 0.9, 0.0])):
+        sample = _sample_at(chart, params)
+        pts = list(sample)
+        _assert_matches(lagrangian_residual(Q_frame, sample, spec),
+                        np.array([_pointwise_lagrangian(Q_frame, p) for p in pts]))
+        _assert_matches(minimality_residual_in_Z(Q3, sample, spec),
+                        np.array([_pointwise_minimality(Q3, p) for p in pts]))
+        _assert_matches(hminimality_residual(Q3, sample, spec),
+                        np.array([_pointwise_hminimality(p) for p in pts]))
+        if chart is skew:
+            assert lagrangian_residual(None, sample, spec).min() > 1e-2
+
+    D = catalog_double("cp2-torus")
+    lift = TorusSpreadChart(D.stacked, real_base_point(D.stacked),
+                            phase_rows=D.delta_cfg.gamma_float())
+    sample = _sample_at(lift, _spread_params(lift, rng))
+    _assert_matches(ntilde_lagrangian_residual(D, sample, spec),
+                    np.array([_pointwise_ntilde(D, p) for p in sample]))
+    # one point gives the float of the sample's first entry
+    assert lagrangian_residual(Q3, sample_chart_points(Q3, 3, rng, spec)[0], spec) >= 0.0
 
 
 def test_frame_orthonormal_and_annihilating():
@@ -506,13 +667,11 @@ def test_project_to_quadrics_real_mode():
     assert abs((u * u).sum() - 1.0) < 1e-12
 
 
-def test_monte_carlo_patch_fallback():
-    # boxes of dimension > 4 switch to seeded Monte Carlo nodes
-    from momentangle.charts import FunctionChart
-
+def test_chart_patch_rejects_dimension_above_four():
+    # the tensor Gauss-Legendre rule is the only quadrature; no check builds
+    # a patch of dimension above 4
     chart = FunctionChart(lambda S: S[:, :3].astype(complex), dim=5, ambient_dim=3)
-    patch = ChartPatch(chart=chart, lo=[0.0] * 5, hi=[1.0] * 5, nodes=4, mc_points=500)
-    assert patch.S.shape == (500, 5)
-    assert abs(patch.w.sum() - 1.0) < 1e-12
-    patch2 = ChartPatch(chart=chart, lo=[0.0] * 5, hi=[1.0] * 5, nodes=4, mc_points=500)
-    assert np.array_equal(patch.S, patch2.S)  # seeded, reproducible
+    with pytest.raises(ValueError, match="dimension at most 4"):
+        ChartPatch(chart=chart, lo=[0.0] * 5, hi=[1.0] * 5, nodes=4)
+    four = FunctionChart(lambda S: S[:, :3].astype(complex), dim=4, ambient_dim=3)
+    assert ChartPatch(chart=four, lo=[0.0] * 4, hi=[1.0] * 4, nodes=3).S.shape == (81, 4)
