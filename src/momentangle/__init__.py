@@ -48,10 +48,12 @@ from .submanifold_numerics import (
     InvarianceError,
     MetricSpec,
     TangentFrame,
+    VectorField,
     chart_N,
     coarea_orbit_volume_check,
     first_variation_integral,
     hamiltonian_field,
+    hamiltonian_vector_field,
     hminimality_residual,
     lagrangian_residual,
     mean_curvature_ambient,

@@ -39,11 +39,14 @@ def r2c(x: np.ndarray) -> np.ndarray:
 
 
 def _newton(values, jac_gram, apply_step, U, c, tol, max_iter):
+    """Newton steps on the batch U until every point's own residual is at most
+    1e-14 * scale. A converged point takes zero steps from then on, which
+    leave it bit-identical, so its result does not depend on its batch."""
     scale = 1.0 + float(np.max(np.abs(c))) if c.size else 1.0
     for _ in range(max_iter):
         F = values(U)
-        res = float(np.max(np.abs(F))) if F.size else 0.0
-        if res <= 1e-14 * scale:
+        moving = np.abs(F).max(axis=-1) > 1e-14 * scale
+        if not np.any(moving):
             return U
         JJt = jac_gram(U)
         if JJt.shape[-1] == 1:
@@ -57,7 +60,7 @@ def _newton(values, jac_gram, apply_step, U, c, tol, max_iter):
                 lam = np.linalg.solve(JJt, F[..., None])[..., 0]
             except np.linalg.LinAlgError as exc:
                 raise NonConvergenceError(f"singular constraint jacobian: {exc}") from exc
-        U = apply_step(U, lam)
+        U = apply_step(U, np.where(moving[..., None], lam, 0.0))
     F = values(U)
     res = float(np.max(np.abs(F))) if F.size else 0.0
     if res > tol:
@@ -73,8 +76,9 @@ def project_real(Q: QuadricConfiguration, U, tol: float = 1e-10, max_iter: int =
     G = Q.gamma_float()
     c = Q.c_float()
 
+    # einsum, not matmul: its sums do not depend on the batch, so neither does a point's retraction
     def values(u):
-        return (u * u) @ G.T - c
+        return np.einsum("jk,...k->...j", G, u * u) - c
 
     def jac_gram(u):
         return 4.0 * np.einsum("jk,lk,...k->...jl", G, G, u * u)
@@ -94,7 +98,7 @@ def project_complex(Q: QuadricConfiguration, Z, tol: float = 1e-10, max_iter: in
     c = Q.c_float()
 
     def values(z):
-        return (np.abs(z) ** 2) @ G.T - c
+        return np.einsum("jk,...k->...j", G, np.abs(z) ** 2) - c
 
     def jac_gram(z):
         return 4.0 * np.einsum("jk,lk,...k->...jl", G, G, np.abs(z) ** 2)
@@ -203,8 +207,14 @@ class TorusSpreadChart(Chart):
     # real part of the chart
     def u_map(self, V: np.ndarray) -> np.ndarray:
         V = np.atleast_2d(np.asarray(V, dtype=float))
-        return project_real(self.project_cfg, self.u0[None, :] + V @ self.tangent,
-                            tol=self.newton_tol)
+        # a tensor grid over (v, phi), and each of its stencils, repeats every v
+        # over consecutive rows: retract each run of equal rows once
+        first = np.ones(V.shape[0], dtype=bool)
+        first[1:] = np.any(V[1:] != V[:-1], axis=1)
+        distinct = V if first.all() else V[first]
+        U = project_real(self.project_cfg, self.u0[None, :] + distinct @ self.tangent,
+                         tol=self.newton_tol)
+        return U if distinct is V else U[np.cumsum(first) - 1]
 
     def _phases(self, Phi: np.ndarray) -> np.ndarray:
         return np.exp(1j * TWO_PI * (Phi @ self.phase_rows))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .charts import FunctionChart, TorusSpreadChart, c2r, r2c
 from .polytope import PolytopePresentation, embed_point, is_delzant, is_simple
-from .quadrature import bump_poly, bump_poly_dsq
+from .quadrature import bump_poly, bump_poly_dsq, bump_poly_dsq2
 from .quadric_config import (
     QuadricConfiguration,
     boundedness_check,
@@ -39,7 +39,7 @@ from .submanifold_numerics import (
     coarea_orbit_volume_check,
     first_variation_integral,
     frame_symplectic_residual,
-    hamiltonian_field_batch,
+    hamiltonian_vector_field,
     hminimality_residual,
     lagrangian_residual,
     minimality_residual_in_Z,
@@ -48,6 +48,7 @@ from .submanifold_numerics import (
     sample_chart_points,
     tangent_frame_Z,
     InvarianceError,
+    VectorField,
 )
 from .torus_actions import freeness_check, orbit_volume
 
@@ -283,19 +284,25 @@ def circle_variation_values(spec: MetricSpec = DEFAULT_SPEC) -> tuple[float, flo
     Q = QuadricConfiguration.from_rows([(1,)], [1])
     chart = TorusSpreadChart(Q, [1.0], newton_tol=spec.newton_tol)
     patch = ChartPatch(chart=chart, lo=[0.0], hi=[1.0], nodes=32)
-    radial = lambda z: z / np.abs(z)
+
+    def radial_derivative(z, V):
+        # the part of V orthogonal to z, over |z|
+        z = z[:, None, :]
+        return (V - z * np.real(np.conj(z) * V) / np.abs(z) ** 2) / np.abs(z)
+
+    radial = VectorField(lambda z: z / np.abs(z), radial_derivative)
     return patch_volume_derivative(patch, radial, spec), first_variation_integral(patch, radial, spec)
 
 
-def _random_matrix_field(m: int, rng: np.random.Generator) -> Callable:
+def _random_matrix_field(m: int, rng: np.random.Generator) -> VectorField:
+    """The affine field z -> A z + B conj(z) + c0 with random complex A, B, c0."""
     A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     B = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     c0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-
-    def X(z):
-        return z @ A.T + np.conj(z) @ B.T + c0
-
-    return X
+    return VectorField(
+        lambda z: z @ A.T + np.conj(z) @ B.T + c0,
+        lambda z, V: V @ A.T + np.conj(V) @ B.T,
+    )
 
 
 def first_variation_report(
@@ -334,10 +341,12 @@ def first_variation_report(
     return rep
 
 
-def _poly_scalar(m: int, rng: np.random.Generator) -> tuple[Callable, Callable]:
-    """Random real polynomial of degree <= 2 in the real coordinates and its gradient.
+def _poly_scalar(m: int, rng: np.random.Generator) -> tuple[Callable, Callable, Callable]:
+    """Random real polynomial of degree <= 2 in the real coordinates, its gradient and Hessian.
 
-    Both are batched; the gradient lin + 2 quad x is packed as d/dx + i d/dy.
+    All are batched; the gradient lin + 2 quad x is packed as d/dx + i d/dy,
+    and ``hess(z, V)`` applies the Hessian 2 quad to ambient vectors V
+    (N, d, m), packed the same way.
     """
     lin = rng.standard_normal(2 * m)
     quad = rng.standard_normal((2 * m, 2 * m))
@@ -351,19 +360,29 @@ def _poly_scalar(m: int, rng: np.random.Generator) -> tuple[Callable, Callable]:
         xr = c2r(np.atleast_2d(np.asarray(z, dtype=complex)))
         return r2c(lin + 2.0 * xr @ quad)
 
-    return f, grad
+    def hess(z, V):
+        return r2c(2.0 * c2r(V) @ quad)
+
+    return f, grad, hess
+
+
+def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The real inner product of packed complex vectors along the last axis."""
+    return np.real(np.sum(np.conj(a) * b, axis=-1))
 
 
 def _radial_cutoff(
-    poly: tuple[Callable, Callable], z0: np.ndarray, rho: float
-) -> tuple[Callable, Callable]:
-    """poly localized by bump_poly(|z - z0| / rho), with its product-rule gradient.
+    poly: tuple[Callable, Callable, Callable], z0: np.ndarray, rho: float
+) -> tuple[Callable, Callable, Callable]:
+    """poly localized by bump_poly(|z - z0| / rho), with its gradient and Hessian.
 
-    The cutoff is (1 - s)^4 in s = |z - z0|^2 / rho^2, so its gradient is
-    bump_poly_dsq * 2 (z - z0) / rho^2 inside the support and 0 outside;
-    the polynomial is evaluated only at the points inside.
+    The cutoff is b(s) = (1 - s)^4 in s = |z - z0|^2 / rho^2, with b' =
+    ``bump_poly_dsq`` and b'' = ``bump_poly_dsq2``, and grad s = 2 (z - z0) /
+    rho^2, so no division by |z - z0|. Gradient and Hessian are the product
+    rule inside the support and 0 outside; the polynomial is evaluated only
+    at the points inside.
     """
-    poly_f, poly_grad = poly
+    poly_f, poly_grad, poly_hess = poly
 
     def dist(z):
         d = np.atleast_2d(np.asarray(z, dtype=complex)) - z0
@@ -382,7 +401,21 @@ def _radial_cutoff(
         out[inside] = bump_poly(r)[:, None] * poly_grad(z) + poly_f(z)[:, None] * cut_grad
         return out
 
-    return f, grad
+    def hess(z, V):
+        z = np.atleast_2d(np.asarray(z, dtype=complex))
+        d, r = dist(z)
+        out = np.zeros(V.shape, dtype=complex)
+        inside = r < 1.0
+        d, r, z, V = d[inside], r[inside], z[inside], V[inside]
+        b, b1, b2 = (fn(r)[:, None, None] for fn in (bump_poly, bump_poly_dsq, bump_poly_dsq2))
+        p, gp = poly_f(z)[:, None, None], poly_grad(z)[:, None, :]
+        gs = (2.0 / rho**2) * d[:, None, :]  # grad s
+        gp_v, gs_v = _real_dot(gp, V)[..., None], _real_dot(gs, V)[..., None]
+        out[inside] = (b * poly_hess(z, V) + b1 * (gs * gp_v + gp * gs_v)
+                       + p * (b2 * gs * gs_v + (2.0 / rho**2) * b1 * V))
+        return out
+
+    return f, grad, hess
 
 
 def hamiltonian_stationarity_report(
@@ -397,7 +430,8 @@ def hamiltonian_stationarity_report(
     Hamiltonians act on a full covering chart; in C^3, where the real locus
     has no global chart, the Hamiltonians are localized by an ambient cutoff
     so the variation vanishes outside one chart patch. Each field comes from
-    the Hamiltonian's closed-form gradient. Each record is
+    the Hamiltonian's closed-form gradient, and its derivative from the
+    closed-form Hessian. Each record is
     ``stationarity_ratio``: |dVol/dt| over max|X_f| * vol(patch), the rate
     at which a unit-curvature submanifold would change volume.
     """
@@ -421,8 +455,8 @@ def hamiltonian_stationarity_report(
 
     for i in range(n_fields):
         poly = _poly_scalar(Q.ambient_dim, rng)
-        _, grad = _radial_cutoff(poly, z0, rho) if localized else poly
-        Xf = lambda z: hamiltonian_field_batch(grad, z, spec)
+        _, grad, hess = _radial_cutoff(poly, z0, rho) if localized else poly
+        Xf = hamiltonian_vector_field(grad, hess, spec)
         ratio = stationarity_ratio(patch, Xf, spec, localized=localized)
         rep.add(f"hamiltonian-stationarity-{i}", ratio, TOL_STATIONARITY)
     return rep

@@ -43,6 +43,16 @@ def bump_profile(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def bump_profile_derivative(t: np.ndarray) -> np.ndarray:
+    """d/dt of ``bump_profile``: -2 t / (1 - t^2)^2 times the profile, 0 outside."""
+    t = np.asarray(t, dtype=float)
+    inside = np.abs(t) < 1.0
+    out = np.zeros_like(t)
+    tt = t[inside]
+    out[inside] = bump_profile(tt) * (-2.0 * tt / (1.0 - tt * tt) ** 2)
+    return out
+
+
 def bump_poly(t: np.ndarray, power: int = 4) -> np.ndarray:
     """Polynomial cutoff (1 - t^2)^power on (-1, 1), 0 outside.
 
@@ -65,15 +75,42 @@ def bump_poly_dsq(t: np.ndarray) -> np.ndarray:
     return np.where(np.abs(t) < 1.0, -4.0 * (1.0 - np.minimum(t * t, 1.0)) ** 3, 0.0)
 
 
-def box_bump(S: np.ndarray, lo, hi, axes=None) -> np.ndarray:
-    """Product bump in the selected axes, constant 1 in the others."""
+def bump_poly_dsq2(t: np.ndarray) -> np.ndarray:
+    """Second derivative of ``bump_poly(t)`` (power 4) with respect to t^2: 12 (1 - t^2)^2.
+
+    Zero outside (-1, 1); the Hessian of a radial cutoff takes it with
+    ``bump_poly_dsq`` through the chain rule in s = |x - x0|^2 / rho^2.
+    """
+    t = np.asarray(t, dtype=float)
+    return np.where(np.abs(t) < 1.0, 12.0 * (1.0 - np.minimum(t * t, 1.0)) ** 2, 0.0)
+
+
+def _box_coordinates(S, lo, hi, axes) -> tuple[np.ndarray, dict[int, np.ndarray], np.ndarray]:
+    """S as (N, d), {axis: its coordinate rescaled from [lo, hi] to [-1, 1]}, and the box widths."""
     S = np.atleast_2d(np.asarray(S, dtype=float))
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    if axes is None:
-        axes = range(lo.size)
+    axes = range(lo.size) if axes is None else axes
+    return S, {a: 2.0 * (S[:, a] - lo[a]) / (hi[a] - lo[a]) - 1.0 for a in axes}, hi - lo
+
+
+def box_bump(S: np.ndarray, lo, hi, axes=None) -> np.ndarray:
+    """Product bump in the selected axes, constant 1 in the others."""
+    S, t, _ = _box_coordinates(S, lo, hi, axes)
     out = np.ones(S.shape[0])
-    for a in axes:
-        t = 2.0 * (S[:, a] - lo[a]) / (hi[a] - lo[a]) - 1.0
-        out = out * bump_profile(t)
+    for ta in t.values():
+        out = out * bump_profile(ta)
+    return out
+
+
+def box_bump_gradient(S: np.ndarray, lo, hi, axes=None) -> np.ndarray:
+    """Gradient (N, d) of ``box_bump`` in S: the product rule over its factors."""
+    S, t, width = _box_coordinates(S, lo, hi, axes)
+    out = np.zeros_like(S)
+    for a, ta in t.items():
+        factor = (2.0 / width[a]) * bump_profile_derivative(ta)
+        for b, tb in t.items():
+            if b != a:
+                factor = factor * bump_profile(tb)
+        out[:, a] = factor
     return out

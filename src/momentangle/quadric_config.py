@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
@@ -69,6 +70,14 @@ class QuadricConfiguration:
         if cols is None:
             raise ValueError("from_rows needs at least one row; use the constructor for empty systems")
         return cls(IntegerMatrix(int_rows, cols=cols), c_out, mode)
+
+    @cached_property
+    def positive_solution(self) -> tuple[Fraction, ...] | None:
+        """A strictly positive x with gamma x = c from one exact LP, or None.
+
+        Cached: a configuration does not change after construction.
+        """
+        return lp.positive_combination(self.gamma.columns(), self.c)
 
     @property
     def ambient_dim(self) -> int:

@@ -12,11 +12,11 @@ computed here is invariant under that scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import fd, lp, quadrature
+from . import fd, quadrature
 from .charts import (
     Chart,
     NonConvergenceError,
@@ -49,7 +49,7 @@ class MetricSpec:
     omega_scale: float = -1.0 / np.pi
     tol_membership: float = 1e-10
     tol_curvature: float = 1e-6
-    step: float = 1e-4  # t-derivatives of deformed volumes
+    step: float = 1e-4  # t-derivative of the metric-ambient (projective) volume
     step_chart: float = 1e-3  # chart jacobians / hessians
     step_divergence: float = 3e-3  # outer derivative in the codifferential
     step_gradient: float = 3e-3  # gradients of ambient scalar functions
@@ -309,6 +309,22 @@ def minimality_residual_in_Z(
 # Hamiltonian fields
 
 
+class VectorField(NamedTuple):
+    """An ambient vector field with its real derivative.
+
+    ``value`` maps points (N, m) to field values (N, m). ``derivative(P, V)``
+    maps the points and d ambient vectors at each, (N, d, m), to DX(P)[V]
+    (N, d, m). The derivative is real-linear in V, so fields with conj(z)
+    terms are covered. Calling the field gives its value.
+    """
+
+    value: Callable[[np.ndarray], np.ndarray]
+    derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def __call__(self, P: np.ndarray) -> np.ndarray:
+        return self.value(P)
+
+
 def _field_from_gradient(grad_vals: np.ndarray, spec: MetricSpec) -> np.ndarray:
     """The X with i_X omega = df, from df packed as d/dx + i d/dy.
 
@@ -366,6 +382,23 @@ def hamiltonian_field_batch(
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     return _field_from_gradient(grad(Z), spec)
+
+
+def hamiltonian_vector_field(
+    grad: Callable[[np.ndarray], np.ndarray],
+    hess: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    spec: MetricSpec = DEFAULT_SPEC,
+) -> VectorField:
+    """The Hamiltonian field of f with its derivative, both in closed form.
+
+    X = -i grad f / omega_scale is linear in grad f, so DX[V] = -i Hess f[V] /
+    omega_scale. ``hess(Z, V)`` applies the Hessian of f at the points Z
+    (N, m) to ambient vectors V (N, d, m), packed like ``grad``.
+    """
+    return VectorField(
+        lambda Z: hamiltonian_field_batch(grad, Z, spec),
+        lambda Z, V: _field_from_gradient(hess(Z, V), spec),
+    )
 
 
 def hamiltonian_pairing_residual(
@@ -438,7 +471,7 @@ class ChartPatch:
     ambient_metric: Callable[[np.ndarray], np.ndarray] | None = None
     S: np.ndarray = field(init=False)
     w: np.ndarray = field(init=False)
-    _curvature: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
@@ -454,17 +487,45 @@ class ChartPatch:
             return np.ones(np.atleast_2d(S).shape[0])
         return quadrature.box_bump(S, self.lo, self.hi, self.bump_axes)
 
+    def bump_gradient_at(self, S: np.ndarray) -> np.ndarray:
+        """Gradient (N, d) of the bump in the chart parameters (0 with no bump axes)."""
+        return quadrature.box_bump_gradient(S, self.lo, self.hi, self.bump_axes)
+
+    @property
+    def points(self) -> np.ndarray:
+        """The chart's values on the nodes, computed once."""
+        if "points" not in self._cache:
+            self._cache["points"] = self.chart.value(self.S)
+        return self._cache["points"]
+
+    def chart_on_nodes(self, spec: MetricSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(real jacobian (N, D, d), induced metric g (N, d, d), area element) on the nodes.
+
+        g comes from ``ambient_metric`` when the patch has one. Computed once
+        per chart step and stencil order, like ``curvature_on_nodes``: every
+        volume and volume derivative of the patch reads it.
+        """
+        key = ("chart", spec.step_chart, spec.fd_order)
+        if key not in self._cache:
+            Jr = _real_jacobian(self.chart, self.S, spec)
+            if self.ambient_metric is None:
+                g = np.swapaxes(Jr, 1, 2) @ Jr
+            else:
+                g = np.einsum("nia,nij,njb->nab", Jr, self.ambient_metric(self.points), Jr)
+            self._cache[key] = (Jr, g, np.sqrt(np.linalg.det(g)))
+        return self._cache[key]
+
     def curvature_on_nodes(self, spec: MetricSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(points, real mean curvature, area element) on the nodes.
 
         Computed once per chart step and stencil order: the chart and the
         nodes are fixed, so every field integrated over the patch reuses them.
         """
-        key = (spec.step_chart, spec.fd_order)
-        if key not in self._curvature:
+        key = ("curvature", spec.step_chart, spec.fd_order)
+        if key not in self._cache:
             Hr, _, g = _curvature_batch(self.chart, self.S, spec)
-            self._curvature[key] = (self.chart.value(self.S), Hr, np.sqrt(np.linalg.det(g)))
-        return self._curvature[key]
+            self._cache[key] = (self.points, Hr, np.sqrt(np.linalg.det(g)))
+        return self._cache[key]
 
 
 def _ambient_real(chart: Chart, vals: np.ndarray) -> np.ndarray:
@@ -472,27 +533,24 @@ def _ambient_real(chart: Chart, vals: np.ndarray) -> np.ndarray:
 
 
 def patch_volume(patch: ChartPatch, spec: MetricSpec = DEFAULT_SPEC) -> float:
-    Jr = _real_jacobian(patch.chart, patch.S, spec)
-    if patch.ambient_metric is None:
-        g = np.einsum("nia,nib->nab", Jr, Jr)
-    else:
-        G = patch.ambient_metric(patch.chart.value(patch.S))
-        g = np.einsum("nia,nij,njb->nab", Jr, G, Jr)
-    return float(np.sum(patch.w * np.sqrt(np.linalg.det(g))))
+    return float(np.sum(patch.w * patch.chart_on_nodes(spec)[2]))
 
 
 def patch_volume_derivative(
     patch: ChartPatch,
-    X: Callable[[np.ndarray], np.ndarray],
+    X: VectorField | Callable[[np.ndarray], np.ndarray],
     spec: MetricSpec = DEFAULT_SPEC,
 ) -> float:
     """d/dt at t=0 of the patch volume under z -> z + t * bump * X(z).
 
-    The deformation is affine in t, so one stencil of the stacked map
-    (chart point, bump * field) gives the deformed jacobians J_P + t * J_Y
-    for every t; the t-derivative is the central difference of the volume
-    at t = +-step. On a metric ambient the metric is taken at the deformed
-    nodes P0 + t * Y0. The variation is free: deformed points are not
+    On a flat ambient this is Jacobi's formula, with no difference in t:
+    dVol/dt = sum w * sqrt(det g) * tr(g^-1 J_P^T J_Y), from the patch's
+    chart data and J_Y = bump * DX(P)[J_P] + X(P) (x) grad bump, so ``X``
+    must be a ``VectorField``. On a metric ambient, where ``X`` may be any
+    callable, it is the central difference at t = +-``spec.step`` of the
+    volume under the metric at the deformed nodes P0 + t * Y0, with
+    J_P + t * J_Y from one stencil of the stacked map (chart point,
+    bump * field). The variation is free: deformed points are not
     re-projected onto the quadric set.
     """
     return patch_volume_and_derivative(patch, X, spec)[1]
@@ -500,14 +558,33 @@ def patch_volume_derivative(
 
 def patch_volume_and_derivative(
     patch: ChartPatch,
-    X: Callable[[np.ndarray], np.ndarray],
+    X: VectorField | Callable[[np.ndarray], np.ndarray],
     spec: MetricSpec = DEFAULT_SPEC,
 ) -> tuple[float, float]:
-    """(vol(patch), dVol/dt) from the one stencil of ``patch_volume_derivative``.
+    """(vol(patch), dVol/dt) as in ``patch_volume_derivative``, from one chart jacobian."""
+    if patch.ambient_metric is not None:
+        return _metric_volume_and_derivative(patch, X, spec)
+    if not isinstance(X, VectorField):
+        raise TypeError("a flat-ambient volume derivative needs a VectorField with its derivative")
+    chart, P = patch.chart, patch.points
+    Jr, g, elem = patch.chart_on_nodes(spec)
+    JP = np.swapaxes(Jr, 1, 2)  # (N, d, D): the chart's columns as ambient vectors
+    JY = X.derivative(P, r2c(JP) if chart.ambient == "complex" else JP)
+    if patch.bump_axes:
+        JY = (patch.bump_at(patch.S)[:, None, None] * JY
+              + patch.bump_gradient_at(patch.S)[:, :, None] * np.asarray(X(P))[:, None, :])
+    JY = _ambient_real(chart, JY)
+    # only the nodes the deformation moves contribute; a localized field moves few
+    moved = np.flatnonzero(np.any(JY, axis=(1, 2)))
+    JPtJY = JP[moved] @ np.swapaxes(JY[moved], 1, 2)
+    rate = np.trace(np.linalg.solve(g[moved], JPtJY), axis1=1, axis2=2)
+    return float(np.sum(patch.w * elem)), float(np.sum((patch.w * elem)[moved] * rate))
 
-    vol(patch) is the stencil's volume at t = 0, so a caller that needs both
-    differentiates the chart once.
-    """
+
+def _metric_volume_and_derivative(
+    patch: ChartPatch, X: Callable[[np.ndarray], np.ndarray], spec: MetricSpec
+) -> tuple[float, float]:
+    """The metric-ambient branch of ``patch_volume_and_derivative``: one stencil, a t-difference."""
     chart = patch.chart
 
     def stacked(Sb):
@@ -519,17 +596,12 @@ def patch_volume_and_derivative(
     J = fd.jacobian(stacked, patch.S, spec.step_chart, spec.fd_order)
     D = J.shape[1] // 2
     JP, JY = J[:, :D], J[:, D:]
-    if patch.ambient_metric is not None:
-        PY0 = stacked(patch.S)
-        P0, Y0 = PY0[:, :D], PY0[:, D:]
+    PY0 = stacked(patch.S)
+    P0, Y0 = PY0[:, :D], PY0[:, D:]
 
     def vol(t):
         Jt = JP + t * JY
-        if patch.ambient_metric is None:
-            g = np.einsum("nia,nib->nab", Jt, Jt)
-        else:
-            G = patch.ambient_metric(P0 + t * Y0)
-            g = np.einsum("nia,nij,njb->nab", Jt, G, Jt)
+        g = np.einsum("nia,nij,njb->nab", Jt, patch.ambient_metric(P0 + t * Y0), Jt)
         return float(np.sum(patch.w * np.sqrt(np.linalg.det(g))))
 
     h = spec.step
@@ -561,14 +633,14 @@ def stationarity_ratio(
 ) -> float:
     """|dVol/dt| of a candidate field over the scale max|Xf| * vol(patch).
 
-    ``Xf`` maps ambient points to the candidate field; max|Xf| is the largest
-    modulus of a field component on the quadrature nodes. A submanifold of
-    unit mean curvature changes volume at about the rate max|Xf| * vol(patch),
-    so a stationary variation reads near 0 and a volume-changing one reads
-    of the order of |H|. With ``localized`` the candidate must vanish on the
+    ``Xf`` is the candidate field (a ``VectorField`` on a flat ambient);
+    max|Xf| is the largest modulus of a field component on the quadrature
+    nodes. A submanifold of unit mean curvature changes volume at about the
+    rate max|Xf| * vol(patch), so a stationary variation reads near 0 and a
+    volume-changing one reads of the order of |H|. With ``localized`` the candidate must vanish on the
     outermost shell of the patch box; a field that leaks raises.
     """
-    Xvals = np.asarray(Xf(patch.chart.value(patch.S)))
+    Xvals = np.asarray(Xf(patch.points))
     xmax = float(np.abs(Xvals).max())
     if localized:
         margin = 0.08 * (patch.hi - patch.lo)
@@ -660,7 +732,7 @@ def coarea_orbit_volume_check(
 
 def real_base_point(Q: QuadricConfiguration) -> np.ndarray:
     """A strictly positive point of the real quadric locus, from an exact LP."""
-    t = lp.positive_combination(Q.gamma.columns(), Q.c)
+    t = Q.positive_solution
     if t is None:
         raise ValueError("no strictly positive solution; configuration has empty interior")
     return np.sqrt(np.array([float(x) for x in t]))

@@ -30,6 +30,7 @@ from momentangle.submanifold_numerics import (
     ChartSample,
     InvarianceError,
     MetricSpec,
+    VectorField,
     _curvature_batch,
     chart_N,
     chart_point,
@@ -55,7 +56,7 @@ from momentangle.submanifold_numerics import (
     tangent_frame_Z,
 )
 from momentangle import fd
-from momentangle.quadrature import bump_poly
+from momentangle.quadrature import bump_poly, box_bump, box_bump_gradient
 from momentangle.procedures import (
     _poly_scalar,
     _radial_cutoff,
@@ -97,6 +98,23 @@ def test_projection_nonconvergence():
         Q = catalog_quadrics(name)
         with pytest.raises(NonConvergenceError):
             project_real(Q, np.zeros(Q.ambient_dim), max_iter=5)
+
+
+def test_projection_of_a_point_does_not_depend_on_its_batch():
+    # each point stops stepping once its own residual converges, so its
+    # retraction is bit-identical alone and beside far-off points
+    rng = np.random.default_rng(5)
+    for name in ("one-quadric:3", "two-quadrics:2,2"):
+        Q = catalog_quadrics(name)
+        m = Q.ambient_dim
+        u = real_base_point(Q) + 0.05 * rng.standard_normal(m)
+        far = 3.0 + 3.0 * rng.uniform(size=(7, m))
+        alone = project_real(Q, u)
+        assert np.array_equal(project_real(Q, np.vstack([far[:3], u, far[3:]]))[3], alone)
+        z = u * np.exp(1j * rng.uniform(0.0, TWO_PI, m))
+        zfar = far * np.exp(1j * rng.uniform(0.0, TWO_PI, far.shape))
+        assert np.array_equal(project_complex(Q, np.vstack([zfar[:3], z, zfar[3:]]))[3],
+                              project_complex(Q, z))
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +159,20 @@ def test_polytope_chart_derivatives_match_stencils():
         assert np.abs(J - fd.jacobian(chart.value, S, 1e-3, 4)).max() < 1e-8 * np.abs(J).max()
         assert np.abs(H - fd.hessian(chart.value, S, 1e-3, 4)).max() < 1e-7 * np.abs(H).max()
         assert np.array_equal(chart.jacobian(S, step=0.5, order=2), J)  # no step is read
+
+
+def test_base_point_lp_runs_once_per_configuration(monkeypatch):
+    from momentangle import lp
+
+    calls = []
+    solve = lp.positive_combination
+    monkeypatch.setattr(lp, "positive_combination", lambda *args: calls.append(args) or solve(*args))
+    Q = QuadricConfiguration.from_rows([(1, 1, 2)], [3])
+    first = sample_chart_points(Q, 5, np.random.default_rng(0), spec)
+    again = sample_chart_points(Q, 5, np.random.default_rng(0), spec)
+    assert len(calls) == 1
+    assert np.array_equal(first.points, again.points)
+    assert np.array_equal(real_base_point(Q), np.sqrt([float(x) for x in solve(*calls[0])]))
 
 
 def test_sampled_points_lie_on_the_quadrics_inside_the_margin():
@@ -386,11 +418,21 @@ def _assert_gradient_matches_fd(f, grad, X):
     assert np.abs(grad(X) - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
+def _ball_probes(rng, x0, rho):
+    """100 points each inside, across the edge of and outside the ball B(x0, rho)."""
+    dirs = rng.standard_normal((300, x0.size))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = np.concatenate(
+        [rng.uniform(0.0, 0.95, 100), rng.uniform(0.99, 1.01, 100), rng.uniform(1.05, 2.0, 100)]
+    )
+    return x0 + rho * radii[:, None] * dirs
+
+
 def test_closed_form_hamiltonian_gradients():
     rng = np.random.default_rng(11)
 
-    def real(pair):
-        f, grad = pair
+    def real(triple):
+        f, grad, _ = triple
         return (lambda xr: f(r2c(xr))), (lambda xr: c2r(grad(r2c(xr))))
 
     # the global polynomial of the C^2 check
@@ -399,12 +441,7 @@ def test_closed_form_hamiltonian_gradients():
     # the radial cutoff of the C^3 check, inside, across the edge of and outside its ball
     poly = _poly_scalar(3, rng)
     x0, rho = rng.standard_normal(6), 0.4
-    dirs = rng.standard_normal((300, 6))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    radii = np.concatenate(
-        [rng.uniform(0.0, 0.95, 100), rng.uniform(0.99, 1.01, 100), rng.uniform(1.05, 2.0, 100)]
-    )
-    X = x0 + rho * radii[:, None] * dirs
+    X = _ball_probes(rng, x0, rho)
     f, grad = real(_radial_cutoff(poly, r2c(x0), rho))
     _assert_gradient_matches_fd(f, grad, X)
     assert not grad(X[200:]).any()
@@ -421,6 +458,61 @@ def test_closed_form_hamiltonian_gradients():
     f, grad = _cp_hamiltonian(lin, 0.5 * (quad + quad.T), W0)
     _assert_gradient_matches_fd(f, grad, W)
     assert not grad(W[200:]).any()
+
+
+def _assert_hessian_matches_fd(grad, hess, X, rel):
+    # Hess f applied to each real basis vector, against an order-4 stencil of
+    # the closed-form gradient at step 1e-4
+    n, D = X.shape
+    ref = fd.jacobian(lambda xr: c2r(grad(r2c(xr))), X, 1e-4, 4)  # (n, D, D)
+    basis = np.broadcast_to(r2c(np.eye(D)), (n, D, D // 2))
+    got = np.swapaxes(c2r(hess(r2c(X), basis)), 1, 2)  # column b is Hess f e_b
+    assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
+
+
+def test_closed_form_hamiltonian_hessians():
+    rng = np.random.default_rng(13)
+    # the polynomial: its Hessian 2 quad is constant, so the stencil of its
+    # gradient is exact up to rounding
+    _, grad, hess = _poly_scalar(2, rng)
+    _assert_hessian_matches_fd(grad, hess, 2.0 * rng.standard_normal((50, 4)), 1e-9)
+
+    # the radial cutoff, inside, across the edge of and outside its ball; the
+    # cutoff is C^3 at the edge, so its Hessian is C^1 there
+    x0, rho = rng.standard_normal(6), 0.4
+    X = _ball_probes(rng, x0, rho)
+    _, grad, hess = _radial_cutoff(_poly_scalar(3, rng), r2c(x0), rho)
+    _assert_hessian_matches_fd(grad, hess, X, 1e-6)
+    V = r2c(rng.standard_normal((300, 2, 6)))
+    assert not hess(r2c(X[200:]), V[200:]).any()
+    # real-linear in the direction, including the conj(V) part
+    V2 = r2c(rng.standard_normal((300, 2, 6)))
+    Z = r2c(X)
+    lhs, rhs = hess(Z, V - 2.0 * V2), hess(Z, V) - 2.0 * hess(Z, V2)
+    assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
+
+
+def test_random_matrix_field_derivative_matches_fd():
+    # z -> A z + B conj(z) + c0 is real-affine: its derivative along V is exact
+    # for a central difference of the value
+    rng = np.random.default_rng(15)
+    X = _random_matrix_field(3, rng)
+    Z = r2c(rng.standard_normal((20, 6)))
+    V = r2c(rng.standard_normal((20, 2, 6)))
+    ref = (X(Z[:, None, :] + 1e-3 * V) - X(Z[:, None, :] - 1e-3 * V)) / 2e-3
+    assert np.abs(X.derivative(Z, V) - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_box_bump_gradient_matches_fd():
+    # inside the box, near its faces and outside it, with two and three bumped axes
+    rng = np.random.default_rng(14)
+    lo, hi = np.array([0.3, 0.05, -1.0]), np.array([5.9, 0.95, 1.0])
+    S = lo + (hi - lo) * rng.uniform(-0.1, 1.1, (400, 3))
+    for axes in ((0, 1), (0, 1, 2)):
+        ref = fd.jacobian(lambda Sb: box_bump(Sb, lo, hi, axes), S, 1e-5, 4)
+        got = box_bump_gradient(S, lo, hi, axes)
+        assert np.abs(got - ref).max() <= 1e-7 * np.abs(ref).max()
+        assert not got[:, [a for a in range(3) if a not in axes]].any()
 
 
 def test_hamiltonian_field_from_gradient_inverts_omega():
@@ -456,21 +548,37 @@ def test_circle_first_variation():
     Q1 = QuadricConfiguration.from_rows([(1,)], [1])
     chart = TorusSpreadChart(Q1, [1.0], newton_tol=spec.newton_tol)
     patch = ChartPatch(chart=chart, lo=[0.0], hi=[1.0], nodes=32)
-    radial = lambda z: z / np.abs(z)
-    assert abs(patch_volume_derivative(patch, radial, spec) - TWO_PI) < 1e-4
+    radial = VectorField(
+        lambda z: z / np.abs(z),
+        lambda z, V: V - z[:, None, :] * np.real(np.conj(z[:, None, :]) * V),  # on |z| = 1
+    )
+    # the phase chart is exact and Jacobi's integrand is the constant 2 pi:
+    # measured error 0
+    assert abs(patch_volume_derivative(patch, radial, spec) - TWO_PI) < 1e-12
     assert abs(first_variation_integral(patch, radial, spec) - TWO_PI) < 1e-4
+
+
+ORBIT = VectorField(lambda z: 1j * z, lambda z, V: 1j * V)
 
 
 def test_tangential_field_preserves_volume():
     Q2 = QuadricConfiguration.from_rows([(1, 1)], [1])
     chart = one_quadric_torus_chart(Q2)
     patch = ChartPatch(chart=chart, lo=[0.0, 0.0], hi=list(chart.periods), nodes=24)
-    dv = patch_volume_derivative(patch, lambda z: 1j * z, spec)  # orbit direction
-    assert abs(dv) < 1e-6
+    dv = patch_volume_derivative(patch, ORBIT, spec)  # orbit direction
+    assert abs(dv) < 1e-12
+    # a flat-ambient volume derivative reads the field's derivative
+    with pytest.raises(TypeError, match="VectorField"):
+        patch_volume_derivative(patch, ORBIT.value, spec)
 
 
-def _two_volume_derivative(patch, X):
-    """Reference dVol/dt: two full deformed-volume evaluations at t = +-step."""
+def _two_volume_derivative(patch, X, t_step=spec.step, s_step=spec.step_chart, richardson=False):
+    """Reference dVol/dt from full deformed volumes at t = +-t_step.
+
+    Each deformed volume differentiates the deformed chart by its own stencil
+    at ``s_step``. With ``richardson`` the central difference in t is
+    extrapolated from t_step and t_step / 2, which removes its t^2 error.
+    """
     chart = patch.chart
 
     def ambient_real(vals):
@@ -487,22 +595,31 @@ def _two_volume_derivative(patch, X):
 
     def vol(t):
         f = deformed(t)
-        J = fd.jacobian(f, patch.S, spec.step_chart, spec.fd_order)
+        J = fd.jacobian(f, patch.S, s_step, spec.fd_order)
         if patch.ambient_metric is None:
             g = np.einsum("nia,nib->nab", J, J)
         else:
             g = np.einsum("nia,nij,njb->nab", J, patch.ambient_metric(f(patch.S)), J)
         return float(np.sum(patch.w * np.sqrt(np.linalg.det(g))))
 
-    return (vol(spec.step) - vol(-spec.step)) / (2.0 * spec.step)
+    def central(h):
+        return (vol(h) - vol(-h)) / (2.0 * h)
+
+    if richardson:
+        return (4.0 * central(t_step / 2.0) - central(t_step)) / 3.0
+    return central(t_step)
 
 
 def test_volume_derivative_matches_two_volume_reference():
-    # flat ambient: the C^2 torus patch under a bump and a random matrix field
+    # flat ambient: the C^2 torus patch under a bump and a random matrix field,
+    # by Jacobi's formula. The reference extrapolates in t from 1e-3 and
+    # differentiates each deformed chart at 2.5e-4. Its own error: it moves
+    # by 4.4e-10 relative when that step halves from 5e-4, and its 4th-order
+    # stencil leaves about a fifteenth of that. Measured agreement: 4.6e-11
     chart = one_quadric_torus_chart(catalog_quadrics("one-quadric:2"))
     patch = ChartPatch(chart=chart, lo=[0.3, 0.05], hi=[5.9, 0.95], nodes=24, bump_axes=(0, 1))
     X = _random_matrix_field(2, np.random.default_rng(3))
-    ref = _two_volume_derivative(patch, X)
+    ref = _two_volume_derivative(patch, X, t_step=1e-3, s_step=2.5e-4, richardson=True)
     assert abs(patch_volume_derivative(patch, X, spec) - ref) < 1e-9 * abs(ref)
 
     # metric ambient: rp2's affine chart with the reduced metric. RP^2 is
@@ -527,18 +644,22 @@ def test_stationarity_ratio_rejects_leaking_field():
     chart = one_quadric_torus_chart(catalog_quadrics("one-quadric:2"))
     patch = ChartPatch(chart=chart, lo=[0.3, 0.05], hi=[5.9, 0.95], nodes=12)
     with pytest.raises(RuntimeError):
-        stationarity_ratio(patch, lambda z: 1j * z, spec, localized=True)
+        stationarity_ratio(patch, ORBIT, spec, localized=True)
     # unlocalized, the same field is a global variation: a volume-preserving rotation
-    assert stationarity_ratio(patch, lambda z: 1j * z, spec) < 1e-6
+    assert stationarity_ratio(patch, ORBIT, spec) < 1e-12
 
 
 def test_stationarity_ratio_negative_controls():
     # the radial field z -> z scales the spread torus e^{2 pi i phi} (cos t, sin t),
-    # so dVol/dt = 2 vol; its largest component modulus is 1, at cos t = +-1
-    # (the Gauss-Legendre nodes come within 2.3e-4 of that)
+    # so dVol/dt = 2 vol, which Jacobi's formula gives to rounding (measured
+    # 0); the ratio divides by the largest component modulus on the nodes,
+    # which comes within 2.3e-4 of its maximum 1 at cos t = +-1
     chart = one_quadric_torus_chart(catalog_quadrics("one-quadric:2"))
     patch = ChartPatch(chart=chart, lo=[0.0, 0.0], hi=list(chart.periods), nodes=24)
-    assert abs(stationarity_ratio(patch, lambda z: z, spec) - 2.0) < 1e-3
+    radial = VectorField(lambda z: z, lambda z, V: V)
+    ratio = stationarity_ratio(patch, radial, spec)
+    assert abs(ratio - 2.0) < 1e-3
+    assert abs(ratio * np.abs(patch.points).max() - 2.0) < 1e-12
 
     # a bump-localized radial field on the patch of the C^3 stationarity
     # report, under a wider and flatter cutoff than the report's Hamiltonians
@@ -548,12 +669,21 @@ def test_stationarity_ratio_negative_controls():
     patch3 = ChartPatch(chart=chart3, lo=[-0.65, -0.65, -0.15], hi=[0.65, 0.65, 0.15],
                         nodes=[20, 20, 36])
     z0 = chart3.value(np.zeros((1, 3)))[0]
+    rho = 0.5
 
-    def radial(z):
-        r = np.sqrt(np.sum(np.abs(z - z0) ** 2, axis=-1)) / 0.5
+    def radial_value(z):
+        r = np.sqrt(np.sum(np.abs(z - z0) ** 2, axis=-1)) / rho
         return bump_poly(r, 2)[:, None] * z
 
-    assert stationarity_ratio(patch3, radial, spec, localized=True) > 0.1
+    def radial_derivative(z, V):
+        # bump_poly(r, 2) = (1 - s)^2 in s = r^2, with d/ds = -2 (1 - s)
+        s = np.minimum(np.sum(np.abs(z - z0) ** 2, axis=-1) / rho**2, 1.0)
+        ds = (2.0 / rho**2) * np.real(np.sum(np.conj(z - z0)[:, None, :] * V, axis=-1))
+        return ((1.0 - s) ** 2)[:, None, None] * V - (2.0 * (1.0 - s)[:, None] * ds)[..., None] * z[:, None, :]
+
+    ratio3 = stationarity_ratio(patch3, VectorField(radial_value, radial_derivative), spec,
+                                localized=True)
+    assert ratio3 > 0.1, ratio3
 
 
 def test_equivariant_curvature_direction_consistency():
@@ -583,8 +713,20 @@ def test_equivariant_curvature_direction_consistency():
             out[i] = h[:2] + 1j * h[2:]
         return out
 
-    dv = patch_volume_derivative(patch, in_Z_curvature_field, spec)
-    comp = first_variation_integral(patch, in_Z_curvature_field, spec)
+    def derivative(Z, V):
+        # the field has no closed form here: a 4th-order central difference
+        # along each direction, at the outer stencil step of the checks
+        h = spec.step_divergence
+        n, d, m = V.shape
+        out = np.zeros(V.shape, complex)
+        for o, w in zip(*fd._D1[4]):
+            shifted = (Z[:, None, :] + o * h * V).reshape(n * d, m)
+            out += w * in_Z_curvature_field(shifted).reshape(n, d, m) / h
+        return out
+
+    X = VectorField(in_Z_curvature_field, derivative)
+    dv = patch_volume_derivative(patch, X, spec)
+    comp = first_variation_integral(patch, X, spec)
     assert abs(dv) < 1e-3
     assert abs(comp) < 1e-3
 
