@@ -164,7 +164,10 @@ def run_command(
             rep.extend(proc.cp_chart_report(D, samples=min(samples, 50), seed=seed, spec=spec))
         return rep
 
-    Q = quadrics_from_config(cfg)
+    # one presentation per command: its Gale dual, vertices and feasible
+    # bases are computed on first use and kept on P and Q
+    P = polytope_from_config(cfg) if cfg.mode == "polytope" else None
+    Q = quadrics_from_config(cfg) if P is None else gale_dual(P)
 
     if command == "check-free":
         rep.extend(proc.freeness_report(Q))
@@ -198,8 +201,7 @@ def run_command(
         rep.extend(proc.first_variation_report(Q, seed=seed, spec=spec))
         return rep
     if command == "report-all":
-        if cfg.mode == "polytope":
-            P = polytope_from_config(cfg)
+        if P is not None:
             rep.extend(proc.gale_report(P, seed=seed))
             rep.extend(proc.polytope_report(P))
             rep.extend(proc.delzant_freeness_report(P))

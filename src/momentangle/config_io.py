@@ -171,10 +171,11 @@ def polytope_from_config(cfg: ConfigFile) -> PolytopePresentation:
 
 
 def quadrics_from_config(cfg: ConfigFile) -> QuadricConfiguration:
-    if cfg.mode == "polytope":
-        from .quadric_config import gale_dual
+    """The first quadric system of a quadrics or double configuration.
 
-        return gale_dual(polytope_from_config(cfg))
+    A polytope configuration has none: its configuration is the Gale dual
+    of its presentation, ``gale_dual(polytope_from_config(cfg))``.
+    """
     if cfg.gamma is None:
         raise ConfigError("configuration has no quadric block")
     return QuadricConfiguration(cfg.gamma, cfg.c, mode="complex")

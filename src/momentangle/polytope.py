@@ -1,9 +1,12 @@
 """Convex polytopes presented by facet inequalities, with exact predicates.
 
 A presentation is the system <a_i, x> + b_i >= 0 with integer facet normals
-a_i and rational offsets b_i. Vertex enumeration solves every n-subset of
-facet equalities exactly; this is quadratic-ish in C(m, n) and entirely
-adequate at desk scale (m <= 14).
+a_i and rational offsets b_i. Boundedness is one exact LP. Vertex
+enumeration solves every n-subset of facet equalities exactly, C(m, n)
+rational solves, which is adequate at desk scale (m <= 14). A presentation
+does not change after construction, so its boundedness, its vertex set and
+its Gale dual (``quadric_config.gale_dual``) are computed on first use and
+kept on it; construction computes none of them.
 """
 
 from __future__ import annotations
@@ -63,7 +66,10 @@ class PolytopePresentation:
             raise ValueError("facet normals do not span the ambient space")
         if self._feasible_point() is None:
             raise EmptyPolytopeError("inequality system has no solution")
+        # computed on first use: is_bounded, enumerate_vertices, gale_dual
         self._bounded: bool | None = None
+        self._vertices: VertexSet | None = None
+        self._gale_dual = None
 
     @property
     def num_facets(self) -> int:
@@ -102,30 +108,15 @@ class PolytopePresentation:
         return tuple(pt[i] - pt[n + i] for i in range(n))
 
     def is_bounded(self) -> bool:
-        """Recession-cone triviality: no x != 0 satisfies <a_i, x> >= 0 for all i."""
-        if self._bounded is None:
-            self._bounded = self._recession_direction() is None
-        return self._bounded
+        """No x != 0 has <a_i, x> >= 0 for all i, decided by one exact LP.
 
-    def _recession_direction(self) -> tuple[Fraction, ...] | None:
-        n, m = self.dim, self.num_facets
-        for j in range(n):
-            for sigma in (1, -1):
-                A = []
-                for i, a in enumerate(self.normals):
-                    row = [Fraction(x) for x in a]
-                    row += [-Fraction(x) for x in a]
-                    row += [Fraction(-int(t == i)) for t in range(m)]
-                    A.append(row)
-                pin = [Fraction(0)] * (2 * n + m)
-                pin[j] = Fraction(sigma)
-                pin[n + j] = Fraction(-sigma)
-                A.append(pin)
-                b = [Fraction(0)] * m + [Fraction(1)]
-                pt = lp.feasible_point(A, b)
-                if pt is not None:
-                    return tuple(pt[i] - pt[n + i] for i in range(n))
-        return None
+        The normals span R^n, so <a_i, x> = 0 for all i forces x = 0, and by
+        Stiemke's lemma the recession cone is {0} iff some t > 0 has
+        sum t_i a_i = 0.
+        """
+        if self._bounded is None:
+            self._bounded = lp.positive_combination(self.normals, [0] * self.dim) is not None
+        return self._bounded
 
 
 class VertexSet:
@@ -157,8 +148,15 @@ def enumerate_vertices(P: PolytopePresentation) -> VertexSet:
     """Solve every nonsingular n-subset of facet equalities and keep the feasible ones.
 
     Incidence records *all* facets active at a vertex, not just the defining
-    subset, so simplicity can be read off directly.
+    subset, so simplicity can be read off directly. Computed once per
+    presentation and kept on it.
     """
+    if P._vertices is None:
+        P._vertices = _solve_vertices(P)
+    return P._vertices
+
+
+def _solve_vertices(P: PolytopePresentation) -> VertexSet:
     if not P.is_bounded():
         raise UnboundedPolytopeError("vertex enumeration needs a bounded polytope")
     n, m = P.dim, P.num_facets

@@ -135,8 +135,15 @@ def quadrics_core_report(Q: QuadricConfiguration) -> VerificationReport:
 
 
 def delzant_freeness_report(P: PolytopePresentation) -> VerificationReport:
+    """P is Delzant iff the torus of its Gale dual acts freely.
+
+    A Delzant polytope is simple, so a non-simple P must give a non-free
+    action. The two sides are decided independently: the polytope side from
+    the vertices, the quadric side from the feasible bases.
+    """
     rep = VerificationReport()
-    rep.add_bool("delzant-equals-freeness", bool(is_delzant(P)) == bool(freeness_check(gale_dual(P))))
+    delzant = bool(is_simple(P)) and bool(is_delzant(P))
+    rep.add_bool("delzant-equals-freeness", delzant == bool(freeness_check(gale_dual(P))))
     return rep
 
 

@@ -48,6 +48,7 @@ class QuadricConfiguration:
                 raise ValueError("quadric coefficient rows are linearly dependent")
         self._gamma_float = np.array(gamma.entries, dtype=float).reshape(gamma.rows, gamma.cols)
         self._c_float = np.array([float(x) for x in self.c])
+        self._feasible_bases = None  # computed on first use by feasible_bases
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], c: Iterable, mode: str = "complex"):
@@ -131,7 +132,16 @@ def gale_dual(P: PolytopePresentation) -> QuadricConfiguration:
 
     The rows are the canonical nullspace basis of the transposed normal
     matrix, and the right-hand side is that basis applied to the offsets.
+    Computed once per presentation and kept on it, so every caller gets the
+    same configuration object, and with it that object's cached feasible
+    bases.
     """
+    if P._gale_dual is None:
+        P._gale_dual = _solve_gale_dual(P)
+    return P._gale_dual
+
+
+def _solve_gale_dual(P: PolytopePresentation) -> QuadricConfiguration:
     At = P.normal_matrix().transpose()  # m x n
     gamma = rational_nullspace(At, side="left").to_integer()
     c = [
@@ -181,14 +191,21 @@ def boundedness_check(Q: QuadricConfiguration) -> bool:
     return lp.strictly_positive_functional(Q.gamma.columns()) is not None
 
 
-def feasible_bases(Q: QuadricConfiguration) -> list[tuple[tuple[int, ...], tuple[Fraction, ...]]]:
+def feasible_bases(Q: QuadricConfiguration) -> tuple[tuple[tuple[int, ...], tuple[Fraction, ...]], ...]:
     """The basic feasible solutions of ``{x >= 0 : gamma x = c}``, as pairs (S, lam).
 
     S runs over the ``num_quadrics``-subsets of columns in lexicographic
     order and is kept when gamma_S is invertible and lam = gamma_S^-1 c is
     nonnegative. By Gale duality these are the vertices of the polytope the
-    configuration comes from.
+    configuration comes from. Computed once per configuration and kept on
+    it, as a tuple.
     """
+    if Q._feasible_bases is None:
+        Q._feasible_bases = _solve_feasible_bases(Q)
+    return Q._feasible_bases
+
+
+def _solve_feasible_bases(Q: QuadricConfiguration):
     k = Q.num_quadrics
     out = []
     for S in combinations(range(Q.ambient_dim), k):
@@ -196,7 +213,7 @@ def feasible_bases(Q: QuadricConfiguration) -> list[tuple[tuple[int, ...], tuple
         lam = solve_square(gamma_S, Q.c)
         if lam is not None and all(x >= 0 for x in lam):
             out.append((S, lam))
-    return out
+    return tuple(out)
 
 
 def degenerate_support(bases) -> tuple[int, ...] | None:

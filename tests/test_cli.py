@@ -1,12 +1,14 @@
+import io
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import momentangle
-from momentangle.cli import main, _catalog_config
+from momentangle.cli import main, run_command, _catalog_config
 from momentangle.config_io import (
     ConfigError,
     parse_config,
@@ -253,3 +255,86 @@ def test_readme_tolerance_names_match_the_cli():
     assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(_TOL_FIELDS)
     fields = {f.name for f in dataclasses.fields(MetricSpec)}
     assert set(_TOL_FIELDS.values()) <= fields
+
+
+# the square pyramid of test_polytope.py: its apex lies on four facets
+SQUARE_PYRAMID = "mode polytope\nA 3 5\n0 -1 1 0 0\n0 0 0 -1 1\n1 -1 -1 -1 -1\nb 0 1 1 1 1\n"
+
+
+def test_report_all_on_a_non_simple_polytope(tmp_path, capsys):
+    # not simple, so not Delzant, and its torus does not act freely: the
+    # identity holds, and the checks that fail say why
+    cfg = tmp_path / "pyramid.cfg"
+    cfg.write_text(SQUARE_PYRAMID)
+    out = tmp_path / "report.tsv"
+    assert main(["report-all", str(cfg), "--report-file", str(out)]) == 1
+    status = dict(line.split("\t")[0::3] for line in out.read_text().splitlines())
+    assert [name for name, s in status.items() if s == "fail"] == ["simple", "nondegenerate-b", "torus-free"]
+    assert status["delzant-equals-freeness"] == "pass"
+    assert "delzant" not in status
+    # the Delzant check alone still refuses a non-simple polytope
+    assert main(["check-delzant", str(cfg)]) == 3
+
+
+def _report_all(cfg):
+    from momentangle.submanifold_numerics import MetricSpec
+
+    return run_command("report-all", cfg, cfg.seed, 100, MetricSpec(), out=io.StringIO())
+
+
+def test_report_all_computes_each_exact_object_once(monkeypatch):
+    from momentangle import lp, polytope, quadric_config
+
+    cfg = _catalog_config("cube:3")
+    counts = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, **kw: counts.update([name]) or real(*args, **kw))
+
+    count(polytope, "_solve_vertices")
+    count(quadric_config, "_solve_gale_dual")
+    count(quadric_config, "_solve_feasible_bases")
+    count(lp, "solve_lp")
+    init = polytope.PolytopePresentation.__init__
+    monkeypatch.setattr(
+        polytope.PolytopePresentation, "__init__", lambda self, *args: counts.update(["presentation"]) or init(self, *args)
+    )
+    assert _report_all(cfg).overall
+    # the four LPs: P is nonempty, P is bounded, the quadric set is bounded,
+    # and the base point of the sampling chart
+    assert counts == {
+        "presentation": 1,
+        "_solve_gale_dual": 1,
+        "_solve_vertices": 1,
+        "_solve_feasible_bases": 1,
+        "solve_lp": 4,
+    }
+
+
+def test_report_all_cold_and_warm_caches_agree(monkeypatch):
+    # a second report over the same presentation (or configuration) reads
+    # every exact object from the caches the first one filled, computes
+    # none of them again, and renders the same bytes
+    from momentangle import cli, polytope, quadric_config
+
+    def refuse(*args):
+        raise AssertionError("exact object computed again on a warm run")
+
+    for name in ("square", "bad-triangle", "cube:3", "two-quadrics:2,2"):
+        cfg = _catalog_config(name)
+        with monkeypatch.context() as m:
+            if cfg.mode == "polytope":
+                P = polytope_from_config(cfg)
+                m.setattr(cli, "polytope_from_config", lambda cfg: P)
+            else:
+                Q = cli.quadrics_from_config(cfg)
+                m.setattr(cli, "quadrics_from_config", lambda cfg: Q)
+            cold = _report_all(cfg).render_machine()
+            for module, solver in (
+                (polytope, "_solve_vertices"),
+                (quadric_config, "_solve_gale_dual"),
+                (quadric_config, "_solve_feasible_bases"),
+            ):
+                m.setattr(module, solver, refuse)
+            assert _report_all(cfg).render_machine() == cold, name

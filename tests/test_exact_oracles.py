@@ -2,9 +2,11 @@
 
 The feasible-basis nondegeneracy and freeness checks are compared with the
 subset-LP algorithm they replaced, kept here as the reference, and freeness
-with the Delzant condition on random simple lattice polytopes; the exact LP
-is compared with scipy's HiGHS solver, and the Smith normal form, the
-Hermite form and the rational nullspace with sympy's.
+with the Delzant condition on random simple lattice polytopes; the one-LP
+boundedness test of a presentation is compared with the 2n-LP recession
+search it replaced and with scipy; the exact LP is compared with scipy's
+HiGHS solver, and the Smith normal form, the Hermite form and the rational
+nullspace with sympy's.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from itertools import combinations
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from momentangle.exact_linalg import (
@@ -25,7 +27,13 @@ from momentangle.exact_linalg import (
     sublattice_equals_lattice,
 )
 from momentangle.lp import feasible_point, positive_combination, strictly_positive_functional
-from momentangle.polytope import PolytopePresentation, enumerate_vertices, is_delzant, is_simple
+from momentangle.polytope import (
+    PolytopePresentation,
+    UnboundedPolytopeError,
+    enumerate_vertices,
+    is_delzant,
+    is_simple,
+)
 from momentangle.quadric_config import QuadricConfiguration, gale_dual, nondegeneracy_check
 from momentangle.torus_actions import freeness_check
 
@@ -142,6 +150,77 @@ def test_snf_diagonal_matches_sympy(rows):
     D = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
     expected = [abs(int(D[i, i])) for i in range(min(D.shape))]
     assert [abs(d) for d in snf_diagonal(IntegerMatrix(rows))] == expected
+
+
+def _reference_recession_direction(P):
+    """Some x != 0 with <a_i, x> >= 0 for all i, or ``None``: one LP per
+    coordinate j and sign, pinning x_j = +-1 on the recession cone."""
+    n, m = P.dim, P.num_facets
+    # variables x+, x- and the slacks of <a_i, x+ - x-> >= 0
+    cone = [
+        [Fraction(x) for x in a] + [-Fraction(x) for x in a] + [Fraction(-int(t == i)) for t in range(m)]
+        for i, a in enumerate(P.normals)
+    ]
+    for j in range(n):
+        for sigma in (1, -1):
+            pin = [Fraction(0)] * (2 * n + m)
+            pin[j], pin[n + j] = Fraction(sigma), Fraction(-sigma)
+            pt = feasible_point(cone + [pin], [Fraction(0)] * m + [Fraction(1)])
+            if pt is not None:
+                return tuple(pt[i] - pt[n + i] for i in range(n))
+    return None
+
+
+@st.composite
+def presentations(draw):
+    """Presentations in dimension <= 3 with up to n + 4 facets, bounded or not.
+
+    The offsets are nonnegative, so the origin lies in P and no draw is lost
+    to an empty system (most of which would be bounded).
+    """
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n, n + 4))
+    normals = draw(st.lists(st.lists(entries, min_size=n, max_size=n).filter(any), min_size=m, max_size=m))
+    offsets = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    try:
+        return PolytopePresentation(normals, offsets)
+    except ValueError:  # normals that do not span
+        assume(False)
+
+
+# a half-plane's normals do not span R^2, so it is refused at construction;
+# the unbounded examples are the quadrant, a half-plane cut by one more
+# facet, a half-line, a half-strip and a pointed simplicial cone in R^3, the
+# bounded ones a triangle and a tetrahedron
+@example(PolytopePresentation([(1, 0), (0, 1)], [0, 0]))
+@example(PolytopePresentation([(0, 1), (1, 1)], [0, 5]))
+@example(PolytopePresentation([(1,)], [0]))
+@example(PolytopePresentation([(0, 1), (0, -1), (1, 0)], [0, 1, 0]))
+@example(PolytopePresentation([(1, 2, 0), (0, 1, -1), (-1, 0, 1)], [0, 0, 0]))
+@example(PolytopePresentation([(1, 0), (0, 1), (-1, -1)], [0, 0, 1]))
+@example(PolytopePresentation([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], [0, 0, 0, 1]))
+@given(presentations())
+def test_is_bounded_matches_recession_search_and_linprog(P):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    bounded = P.is_bounded()
+    assert bounded == (_reference_recession_direction(P) is None)
+    # P is bounded iff every coordinate is bounded above and below on it
+    statuses = {
+        linprog(
+            [sigma * int(i == j) for i in range(P.dim)],
+            A_ub=[[-x for x in a] for a in P.normals],
+            b_ub=[float(b) for b in P.offsets],
+            bounds=[(None, None)] * P.dim,
+            method="highs",
+        ).status
+        for j in range(P.dim)
+        for sigma in (1, -1)
+    }
+    assert statuses <= {0, 3}  # optimal or unbounded: P is not empty
+    assert bounded == (statuses == {0})
+    if not bounded:
+        with pytest.raises(UnboundedPolytopeError):
+            enumerate_vertices(P)
 
 
 @st.composite

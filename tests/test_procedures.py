@@ -88,3 +88,37 @@ def test_stationarity_checks_take_no_fd_gradient(monkeypatch):
         assert proc.hamiltonian_stationarity_report(catalog_quadrics(name), n_fields=1).overall
     for name in ("cp2-torus", "rp2"):
         assert proc.cp_chart_report(catalog_double(name), samples=5).overall
+
+
+def test_delzant_and_freeness_are_decided_independently(monkeypatch):
+    # the identity compares two independent computations: the polytope side
+    # may not enumerate the feasible bases, nor the quadric side the vertices,
+    # even when the other side's cache is already filled
+    from momentangle import polytope, quadric_config, torus_actions
+    from momentangle.polytope import PolytopePresentation
+    from momentangle.quadric_config import gale_dual
+
+    def guarded(check, forbidden):
+        def run(*args):
+            def refuse(*_):
+                raise AssertionError(f"{check.__name__} reached the other side of the identity")
+
+            with monkeypatch.context() as m:
+                for module, name in forbidden:
+                    m.setattr(module, name, refuse)
+                return check(*args)
+
+        return run
+
+    bases = [(quadric_config, "feasible_bases"), (torus_actions, "feasible_bases")]
+    vertices = [(polytope, "enumerate_vertices")]
+    monkeypatch.setattr(proc, "is_simple", guarded(proc.is_simple, bases))
+    monkeypatch.setattr(proc, "is_delzant", guarded(proc.is_delzant, bases))
+    monkeypatch.setattr(proc, "freeness_check", guarded(proc.freeness_check, vertices))
+    # the square pyramid is not simple, so neither Delzant nor free
+    pyramid = ([(0, 0, 1), (-1, 0, -1), (1, 0, -1), (0, -1, -1), (0, 1, -1)], [0, 1, 1, 1, 1])
+    for name in ("cube:3", "bad-triangle", "square-pyramid"):
+        for warm_first in (proc.polytope_report, lambda P: proc.freeness_report(gale_dual(P))):
+            P = PolytopePresentation(*pyramid) if name == "square-pyramid" else catalog_polytope(name)
+            warm_first(P)
+            assert proc.delzant_freeness_report(P).overall, name

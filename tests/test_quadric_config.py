@@ -82,7 +82,7 @@ def test_nondegeneracy_examples():
 
 
 def test_feasible_bases_are_vertex_complements():
-    assert feasible_bases(catalog_quadrics("one-quadric:3")) == [((0,), (1,)), ((1,), (1,)), ((2,), (1,))]
+    assert feasible_bases(catalog_quadrics("one-quadric:3")) == (((0,), (1,)), ((1,), (1,)), ((2,), (1,)))
     # Gale duality: the facets active at a vertex are the complement of a feasible basis
     for name in ("triangle", "square", "bad-triangle", "simplex:3", "cube:3", "product:2,3"):
         P = catalog_polytope(name)
