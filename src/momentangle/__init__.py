@@ -46,6 +46,7 @@ from .submanifold_numerics import (
     ChartPoint,
     ChartSample,
     InvarianceError,
+    MetricField,
     MetricSpec,
     TangentFrame,
     VectorField,

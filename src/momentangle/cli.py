@@ -59,7 +59,6 @@ COMMANDS = (
 _TOL_FIELDS = {
     "membership": "tol_membership",
     "curvature": "tol_curvature",
-    "step": "step",
     "step_chart": "step_chart",
     "step_divergence": "step_divergence",
     "step_gradient": "step_gradient",

@@ -177,10 +177,9 @@ def identity_int(n: int) -> list[list[int]]:
 # rational elimination
 
 
-def rref(M: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
-    """Reduced row echelon form together with the pivot columns."""
-    a = [list(row) for row in M.entries]
-    nrows, ncols = M.rows, M.cols
+def _rref_rows(a: list[list[Fraction]], ncols: int) -> list[int]:
+    """Row-reduce the rows ``a`` (lists of Fractions) in place; return the pivot columns."""
+    nrows = len(a)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -198,23 +197,34 @@ def rref(M: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
-    return RationalMatrix(a, cols=ncols), tuple(pivots)
+    return pivots
+
+
+def rref(M: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
+    """Reduced row echelon form together with the pivot columns."""
+    a = [list(row) for row in M.entries]
+    pivots = _rref_rows(a, M.cols)
+    return RationalMatrix(a, cols=M.cols), tuple(pivots)
 
 
 def rank(M: RationalMatrix) -> int:
     return len(rref(M)[1])
 
 
-def solve_square(A: RationalMatrix, b: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-    """Solve ``A x = b`` for square ``A``; ``None`` if A is singular."""
-    if A.rows != A.cols or A.rows != len(b):
+def solve_square(A: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...] | None:
+    """Solve ``A x = b`` for the square matrix with rows ``A``; ``None`` if A is singular.
+
+    The rows hold integers or Fractions. The elimination runs on plain rows,
+    each entry converted to ``Fraction`` once.
+    """
+    n = len(A)
+    if any(len(row) != n for row in A) or n != len(b):
         raise ValueError("shape mismatch")
-    n = A.rows
-    aug = [list(row) + [Fraction(b[i])] for i, row in enumerate(A.entries)]
-    R, pivots = rref(RationalMatrix(aug, cols=n + 1))
+    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]
+    pivots = _rref_rows(aug, n + 1)
     if len(pivots) != n or n in pivots:
         return None
-    return tuple(R.entries[i][n] for i in range(n))
+    return tuple(aug[i][n] for i in range(n))
 
 
 def det(M: RationalMatrix) -> Fraction:
@@ -244,10 +254,9 @@ def inverse(M: RationalMatrix) -> RationalMatrix:
         raise ValueError("inverse of non-square matrix")
     n = M.rows
     aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M.entries)]
-    R, pivots = rref(RationalMatrix(aug, cols=2 * n))
-    if tuple(pivots) != tuple(range(n)):
+    if _rref_rows(aug, 2 * n) != list(range(n)):
         raise ValueError("singular matrix")
-    return RationalMatrix([row[n:] for row in R.entries], cols=n)
+    return RationalMatrix([row[n:] for row in aug], cols=n)
 
 
 # ---------------------------------------------------------------------------

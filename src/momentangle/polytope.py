@@ -162,9 +162,7 @@ def _solve_vertices(P: PolytopePresentation) -> VertexSet:
     n, m = P.dim, P.num_facets
     seen: dict[tuple[Fraction, ...], frozenset[int]] = {}
     for subset in combinations(range(m), n):
-        A = RationalMatrix([[Fraction(x) for x in P.normals[i]] for i in subset], cols=n)
-        rhs = [-P.offsets[i] for i in subset]
-        x = solve_square(A, rhs)
+        x = solve_square([P.normals[i] for i in subset], [-P.offsets[i] for i in subset])
         if x is None:
             continue
         values = embed_point(P, x)

@@ -306,10 +306,13 @@ def _random_matrix_field(m: int, rng: np.random.Generator) -> VectorField:
     A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     B = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     c0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return VectorField(
-        lambda z: z @ A.T + np.conj(z) @ B.T + c0,
-        lambda z, V: V @ A.T + np.conj(V) @ B.T,
-    )
+
+    def derivative(z, V):
+        # one (N d, m) matmul: a stacked (N, d, m) matmul runs N small products
+        flat = V.reshape(-1, m)
+        return (flat @ A.T + np.conj(flat) @ B.T).reshape(V.shape)
+
+    return VectorField(lambda z: z @ A.T + np.conj(z) @ B.T + c0, derivative)
 
 
 def first_variation_report(

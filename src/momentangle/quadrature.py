@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
-def gauss_legendre_1d(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=64)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], computed once, read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre_1d(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _legendre_rule(int(n))
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 

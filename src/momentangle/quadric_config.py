@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import lp
-from .exact_linalg import IntegerMatrix, RationalMatrix, rational_nullspace, snf_diagonal, solve_square
+from .exact_linalg import IntegerMatrix, rational_nullspace, snf_diagonal, solve_square
 from .polytope import PolytopePresentation
 
 
@@ -209,8 +209,7 @@ def _solve_feasible_bases(Q: QuadricConfiguration):
     k = Q.num_quadrics
     out = []
     for S in combinations(range(Q.ambient_dim), k):
-        gamma_S = RationalMatrix([[row[i] for i in S] for row in Q.gamma.entries], cols=k)
-        lam = solve_square(gamma_S, Q.c)
+        lam = solve_square([[row[i] for i in S] for row in Q.gamma.entries], Q.c)
         if lam is not None and all(x >= 0 for x in lam):
             out.append((S, lam))
     return tuple(out)

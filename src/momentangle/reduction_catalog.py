@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .charts import FunctionChart, TorusSpreadChart, c2r, r2c
 from .exact_linalg import IntegerMatrix
 from .polytope import PolytopePresentation
-from .quadrature import bump_poly, bump_poly_dsq
+from .quadrature import bump_poly, bump_poly_dsq, bump_poly_dsq2
 from .quadric_config import (
     NondegeneracyReport,
     QuadricConfiguration,
@@ -33,7 +33,9 @@ from .submanifold_numerics import (
     ChartPatch,
     ChartPoint,
     ChartSample,
+    MetricField,
     MetricSpec,
+    VectorField,
     _batch,
     _per_point,
     chart_point,
@@ -272,46 +274,109 @@ def cp_affine_coords(z: np.ndarray, j: int) -> np.ndarray:
     return w / z[..., j : j + 1]
 
 
+def _sphere_radius_sq(Q_gamma: QuadricConfiguration) -> float:
+    """a = c / gamma, the squared radius of the sphere level set of a single equal-coefficient quadric."""
+    row = Q_gamma.gamma.entries[0] if Q_gamma.num_quadrics == 1 else None
+    if row is None or len(set(row)) != 1:
+        raise ValueError("projective chart needs a single quadric with equal coefficients")
+    return float(Q_gamma.c[0] / row[0])
+
+
+def _complex_coords(W: np.ndarray) -> np.ndarray:
+    """Affine coordinates w = W[:n] + i W[n:] from real chart coordinates (..., 2n)."""
+    n = W.shape[-1] // 2
+    return W[..., :n] + 1j * W[..., n:]
+
+
+def _real_chart_blocks(H: np.ndarray, omega_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Re, omega_scale * Im) of the Hermitian form u* H v in the real chart basis.
+
+    The basis is e_1..e_n, i e_1..i e_n, so with H = A + iB the metric is
+    [[A, -B], [B, A]] and the form is omega_scale * [[B, A], [-A, B]].
+    """
+    A, B = H.real, H.imag
+    G = np.concatenate([np.concatenate([A, -B], axis=-1), np.concatenate([B, A], axis=-1)], axis=-2)
+    Om = np.concatenate([np.concatenate([B, A], axis=-1), np.concatenate([-A, B], axis=-1)], axis=-2)
+    return G, omega_scale * Om
+
+
 def cp_reduced_tensors(
-    Q_gamma: QuadricConfiguration, W: np.ndarray, j: int, spec: MetricSpec = DEFAULT_SPEC
+    Q_gamma: QuadricConfiguration, W: np.ndarray, spec: MetricSpec = DEFAULT_SPEC
 ) -> tuple[np.ndarray, np.ndarray]:
     """Metric and symplectic form of the reduced space in an affine chart.
 
-    Computed from horizontal lifts through the sphere-to-projective-space
-    submersion: a real chart direction is lifted to the normalized section,
-    the orbit (phase) component removed, and the flat metric/symplectic
-    form evaluated on the lifts. W holds real chart coordinates; returns
-    (G, Omega) with shape (N, D, D), D = 2(m-1).
+    The quotient of the sphere |z|^2 = a by the diagonal circle is CP^{m-1}
+    with a times the Fubini-Study form. In affine coordinates w, with
+    rho = 1 + |w|^2, its Hermitian matrix is H(w) = a (I / rho - w w* / rho^2);
+    the metric is Re and the symplectic form omega_scale * Im of u* H v. It
+    is the same in every affine chart. W holds real chart coordinates (N, D);
+    returns (G, Omega) with shape (N, D, D), D = 2(m-1).
     """
-    row = Q_gamma.gamma.entries[0]
-    if Q_gamma.num_quadrics != 1 or len(set(row)) != 1:
-        raise ValueError("projective chart needs a single quadric with equal coefficients")
-    a = float(Q_gamma.c[0] / row[0])  # squared radius of the sphere level set
+    a = _sphere_radius_sq(Q_gamma)
+    w = _complex_coords(np.atleast_2d(np.asarray(W, dtype=float)))
+    rho = 1.0 + np.sum(np.abs(w) ** 2, axis=-1)[:, None, None]
+    H = a * (np.eye(w.shape[-1]) / rho - w[:, :, None] * np.conj(w[:, None, :]) / rho**2)
+    return _real_chart_blocks(H, spec.omega_scale)
+
+
+def cp_reduced_tensor_derivatives(
+    Q_gamma: QuadricConfiguration, W: np.ndarray, V: np.ndarray, spec: MetricSpec = DEFAULT_SPEC
+) -> tuple[np.ndarray, np.ndarray]:
+    """(DG[V], DOmega[V]) of ``cp_reduced_tensors`` at the points W (N, D) along V (N, ..., D).
+
+    Any number of directions per point; the result has shape (N, ..., D, D).
+    DH[V] = a (-I drho / rho^2 - (v w* + w v*) / rho^2 + 2 w w* drho / rho^3),
+    with v the direction as a complex vector and drho = 2 Re(w* v).
+    """
+    a = _sphere_radius_sq(Q_gamma)
     W = np.atleast_2d(np.asarray(W, dtype=float))
-    N, D = W.shape
-    mm = D // 2 + 1
-    w = W[:, : mm - 1] + 1j * W[:, mm - 1 :]
-    zhat = np.insert(w, j, 1.0 + 0j, axis=1)  # (N, m)
-    nrm = np.linalg.norm(zhat, axis=1, keepdims=True)
-    z = np.sqrt(a) * zhat / nrm
+    V = np.asarray(V, dtype=float)
+    lead = (slice(None),) + (None,) * (V.ndim - 2)
+    w = _complex_coords(W)[lead]  # broadcast against the directions
+    v = _complex_coords(V)
+    rho = (1.0 + np.sum(np.abs(w) ** 2, axis=-1))[..., None, None]
+    drho = (2.0 * np.real(np.sum(np.conj(w) * v, axis=-1)))[..., None, None]
+    ww = w[..., :, None] * np.conj(w[..., None, :])
+    vw = v[..., :, None] * np.conj(w[..., None, :])
+    DH = a * (-np.eye(w.shape[-1]) * drho / rho**2
+              - (vw + np.conj(np.swapaxes(vw, -2, -1))) / rho**2
+              + 2.0 * ww * drho / rho**3)
+    return _real_chart_blocks(DH, spec.omega_scale)
 
-    # lifts of the real chart directions through the normalized section
-    lifts = np.zeros((N, D, mm), dtype=complex)
-    for r in range(D):
-        k = r % (mm - 1)
-        unit = 1.0 if r < mm - 1 else 1.0j
-        dzhat = np.zeros((N, mm), dtype=complex)
-        col = k if k < j else k + 1
-        dzhat[:, col] = unit
-        inner = np.real(np.sum(np.conj(zhat) * dzhat, axis=1, keepdims=True))
-        dz = np.sqrt(a) * (dzhat / nrm - zhat * inner / nrm**3)
-        vert = 1j * z
-        coef = np.real(np.sum(np.conj(vert) * dz, axis=1, keepdims=True)) / a
-        lifts[:, r, :] = dz - coef * vert
 
-    G = np.real(np.einsum("nri,nsi->nrs", np.conj(lifts), lifts))
-    Om = spec.omega_scale * np.imag(np.einsum("nri,nsi->nrs", np.conj(lifts), lifts))
-    return G, Om
+def cp_reduced_metric(Q_gamma: QuadricConfiguration, spec: MetricSpec = DEFAULT_SPEC) -> MetricField:
+    """The reduced metric of ``cp_reduced_tensors`` with its closed-form derivative."""
+    return MetricField(
+        lambda W: cp_reduced_tensors(Q_gamma, W, spec)[0],
+        lambda W, V: cp_reduced_tensor_derivatives(Q_gamma, W, V, spec)[0],
+    )
+
+
+def cp_hamiltonian_field(
+    Q_gamma: QuadricConfiguration,
+    grad: Callable[[np.ndarray], np.ndarray],
+    hess: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    spec: MetricSpec = DEFAULT_SPEC,
+) -> VectorField:
+    """The Hamiltonian field X = -Omega^-1 grad f of the reduced form, with its derivative.
+
+    ``grad(W)`` (N, D) and ``hess(W, V)`` (N, d, D) are the chart gradient
+    and Hessian of f. Differentiating Omega X = -grad f gives
+    DX[V] = -Omega^-1 (Hess f V + DOmega[V] X).
+    """
+
+    def value(W):
+        _, Om = cp_reduced_tensors(Q_gamma, W, spec)
+        return np.linalg.solve(-Om, grad(W)[..., None])[..., 0]
+
+    def derivative(W, V):
+        _, Om = cp_reduced_tensors(Q_gamma, W, spec)
+        X = np.linalg.solve(-Om, grad(W)[..., None])  # (N, D, 1)
+        _, DOm = cp_reduced_tensor_derivatives(Q_gamma, W, V, spec)  # (N, d, D, D)
+        rhs = hess(W, V) + (DOm @ X[:, None])[..., 0]  # (N, d, D)
+        return np.swapaxes(np.linalg.solve(-Om, np.swapaxes(rhs, 1, 2)), 1, 2)
+
+    return VectorField(value, derivative)
 
 
 class CpChart(FunctionChart):
@@ -335,15 +400,10 @@ def cp_lagrangian_residual(
     """max |omega_red(f_i, f_j)| over a reduced-metric-orthonormal chart frame."""
     params = np.atleast_2d(np.asarray(params, dtype=float))
     J = chart.jacobian(params, spec.step_chart, spec.fd_order)  # (N, D, d)
-    Wp = chart.value(params)
-    G, Om = cp_reduced_tensors(D.gamma_cfg, Wp, chart.j, spec)
-    worst = 0.0
-    for i in range(params.shape[0]):
-        gram = J[i].T @ G[i] @ J[i]
-        L = np.linalg.cholesky(gram)
-        F = J[i] @ np.linalg.inv(L).T
-        worst = max(worst, float(np.abs(F.T @ Om[i] @ F).max()))
-    return worst
+    G, Om = cp_reduced_tensors(D.gamma_cfg, chart.value(params), spec)
+    L = np.linalg.cholesky(np.swapaxes(J, 1, 2) @ G @ J)
+    F = J @ np.swapaxes(np.linalg.inv(L), 1, 2)
+    return float(np.abs(np.swapaxes(F, 1, 2) @ Om @ F).max())
 
 
 # ---------------------------------------------------------------------------
@@ -486,16 +546,30 @@ CP_TOL_STATIONARITY = 1e-3
 
 
 def _cp_hamiltonian(lin: np.ndarray, quad: np.ndarray, W0: np.ndarray | None):
-    """The chart Hamiltonian lin.W + W.quad.W and its gradient (batched, real W).
+    """The chart Hamiltonian lin.W + W.quad.W with its gradient and Hessian (batched, real W).
 
     With a centre ``W0`` it is cut off by the tensor product of
-    bump_poly((W_r - W0_r) / 0.42), aligned with the quadrature axes; the
-    gradient is then the product rule over the factors.
+    b(t_r) = bump_poly(t_r), t_r = (W_r - W0_r) / 0.42, aligned with the
+    quadrature axes; the gradient and Hessian are then the product rule over
+    the factors, with b' = 2 t bump_poly_dsq and
+    b'' = 2 bump_poly_dsq + 4 t^2 bump_poly_dsq2. ``hess(W, V)`` applies the
+    Hessian to directions V (N, k, D).
     """
     radius = 0.42
 
     def poly(W):
         return W @ lin + np.einsum("ni,ij,nj->n", W, quad, W)
+
+    def factors(W):
+        t = (W - W0) / radius
+        dsq = bump_poly_dsq(t)
+        return bump_poly(t), dsq * 2.0 * t / radius, (2.0 * dsq + 4.0 * t * t * bump_poly_dsq2(t)) / radius**2
+
+    def others(b, *skip):
+        return np.prod(np.delete(b, list(skip), axis=1), axis=1)
+
+    def cut_gradient(b, db):
+        return np.stack([db[:, r] * others(b, r) for r in range(b.shape[1])], axis=1)
 
     def f(W):
         W = np.atleast_2d(W)
@@ -508,40 +582,52 @@ def _cp_hamiltonian(lin: np.ndarray, quad: np.ndarray, W0: np.ndarray | None):
         g = lin + 2.0 * W @ quad
         if W0 is None:
             return g
-        t = (W - W0) / radius
-        b = bump_poly(t)
-        db = bump_poly_dsq(t) * 2.0 * t / radius
-        cut = np.prod(b, axis=1)
-        cut_grad = np.stack(
-            [db[:, r] * np.prod(np.delete(b, r, axis=1), axis=1) for r in range(W.shape[1])],
-            axis=1,
-        )
-        return cut[:, None] * g + poly(W)[:, None] * cut_grad
+        b, db, _ = factors(W)
+        return np.prod(b, axis=1)[:, None] * g + poly(W)[:, None] * cut_gradient(b, db)
 
-    return f, grad
+    def hess(W, V):
+        W = np.atleast_2d(W)
+        H = np.broadcast_to(2.0 * quad, (W.shape[0],) + quad.shape)
+        if W0 is not None:
+            b, db, d2b = factors(W)
+            n, dim = W.shape
+            cut_hess = np.empty((n, dim, dim))
+            for r in range(dim):
+                cut_hess[:, r, r] = d2b[:, r] * others(b, r)
+                for s in range(r + 1, dim):
+                    cut_hess[:, r, s] = cut_hess[:, s, r] = db[:, r] * db[:, s] * others(b, r, s)
+            outer = (lin + 2.0 * W @ quad)[:, :, None] * cut_gradient(b, db)[:, None, :]
+            H = (np.prod(b, axis=1)[:, None, None] * H + outer + np.swapaxes(outer, 1, 2)
+                 + poly(W)[:, None, None] * cut_hess)
+        return V @ np.swapaxes(H, 1, 2)
+
+    return f, grad, hess
 
 
-def cp_chart_verify(
-    D: DoubleConfiguration,
-    samples: int = 50,
-    seed: int = 0,
-    spec: MetricSpec = DEFAULT_SPEC,
-) -> VerificationReport:
-    """Affine-chart verification in the reduced projective space.
+class CpSetup(NamedTuple):
+    """What ``cp_chart_verify`` measures on: the affine chart, the Lagrangian
+    residual's sample parameters, the stationarity patch, and the random
+    chart Hamiltonian's gradient and Hessian (``_cp_hamiltonian``)."""
 
-    Checks the reduced-form Lagrangian residual of the reduced submanifold
-    and its volume stationarity under reduced-form Hamiltonian fields, with
-    the quotient metric and form computed from horizontal lifts. The torus
-    instance uses one random quadratic Hamiltonian on its global chart; the
-    others cut it off around a chart point, and ``stationarity_ratio``
-    checks that the field vanishes near the patch boundary.
+    chart: CpChart
+    sample_S: np.ndarray
+    patch: ChartPatch
+    grad: Callable[[np.ndarray], np.ndarray]
+    hess: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    localized: bool
+
+
+def cp_chart_setup(
+    D: DoubleConfiguration, samples: int = 50, seed: int = 0, spec: MetricSpec = DEFAULT_SPEC
+) -> CpSetup:
+    """The chart, samples, patch and Hamiltonian of ``cp_chart_verify`` at ``seed``.
+
+    The torus instance uses its global chart and one random quadratic
+    Hamiltonian; the others a chart box around the real base point and the
+    Hamiltonian cut off around the box centre.
     """
-    rep = VerificationReport(seed=seed)
+    _sphere_radius_sq(D.gamma_cfg)  # raises unless the first system is one equal-coefficient quadric
     rng = np.random.default_rng(seed)
-    row = D.gamma_cfg.gamma.entries[0] if D.gamma_cfg.num_quadrics == 1 else None
-    if row is None or len(set(row)) != 1:
-        raise ValueError("projective chart verification needs a single equal-coefficient quadric")
-
     is_torus = D.delta_cfg.num_quadrics == 1 and D.ambient_dim == 3
     if is_torus and D.delta_cfg.gamma.entries[0] == (1, 1, 2) and D.gamma_cfg.c == (Fraction(2),):
         lift = cp2_torus_lift_chart(D)
@@ -564,27 +650,38 @@ def cp_chart_verify(
         box = ([-0.5] * nv + [0.0] * lift.nphi, [0.5] * nv + [1.0] * lift.nphi)
         localized = True
 
-    j = cp_affine_index(lift.value(sample_S[:1])[0])
-    chart = CpChart(lift, j)
-    lag = cp_lagrangian_residual(D, chart, sample_S, spec)
-    rep.add("cp-lagrangian-residual", lag, CP_TOL_LAGRANGIAN, samples=samples)
-
-    metric = lambda W: cp_reduced_tensors(D.gamma_cfg, W, j, spec)[0]
+    chart = CpChart(lift, cp_affine_index(lift.value(sample_S[:1])[0]))
     nodes = 40 if localized else 18
-    patch = ChartPatch(chart=chart, lo=box[0], hi=box[1], nodes=nodes, ambient_metric=metric)
+    patch = ChartPatch(chart=chart, lo=box[0], hi=box[1], nodes=nodes,
+                       ambient_metric=cp_reduced_metric(D.gamma_cfg, spec))
     W0 = chart.value(np.zeros((1, chart.dim)) if localized else sample_S[:1])[0]
     D_real = chart.ambient_dim
     lin = rng.standard_normal(D_real)
     quad = rng.standard_normal((D_real, D_real))
     quad = 0.5 * (quad + quad.T)
+    _, grad, hess = _cp_hamiltonian(lin, quad, W0 if localized else None)
+    return CpSetup(chart, sample_S, patch, grad, hess, localized)
 
-    _, grad_w = _cp_hamiltonian(lin, quad, W0 if localized else None)
 
-    def Xf(W):
-        W = np.atleast_2d(W)
-        G, Om = cp_reduced_tensors(D.gamma_cfg, W, j, spec)
-        return np.linalg.solve(-Om, grad_w(W)[..., None])[..., 0]
+def cp_chart_verify(
+    D: DoubleConfiguration,
+    samples: int = 50,
+    seed: int = 0,
+    spec: MetricSpec = DEFAULT_SPEC,
+) -> VerificationReport:
+    """Affine-chart verification in the reduced projective space.
 
-    ratio = stationarity_ratio(patch, Xf, spec, localized)
+    Checks the reduced-form Lagrangian residual of the reduced submanifold
+    and its volume stationarity under a reduced-form Hamiltonian field, with
+    the quotient metric and form in closed form (``cp_reduced_tensors``).
+    On the localized instances ``stationarity_ratio`` checks that the field
+    vanishes near the patch boundary.
+    """
+    rep = VerificationReport(seed=seed)
+    setup = cp_chart_setup(D, samples, seed, spec)
+    lag = cp_lagrangian_residual(D, setup.chart, setup.sample_S, spec)
+    rep.add("cp-lagrangian-residual", lag, CP_TOL_LAGRANGIAN, samples=samples)
+    X = cp_hamiltonian_field(D.gamma_cfg, setup.grad, setup.hess, spec)
+    ratio = stationarity_ratio(setup.patch, X, spec, setup.localized)
     rep.add("cp-hamiltonian-stationarity", ratio, CP_TOL_STATIONARITY)
     return rep

@@ -49,7 +49,6 @@ class MetricSpec:
     omega_scale: float = -1.0 / np.pi
     tol_membership: float = 1e-10
     tol_curvature: float = 1e-6
-    step: float = 1e-4  # t-derivative of the metric-ambient (projective) volume
     step_chart: float = 1e-3  # chart jacobians / hessians
     step_divergence: float = 3e-3  # outer derivative in the codifferential
     step_gradient: float = 3e-3  # gradients of ambient scalar functions
@@ -325,6 +324,21 @@ class VectorField(NamedTuple):
         return self.value(P)
 
 
+class MetricField(NamedTuple):
+    """A metric tensor field on a real ambient with its derivative.
+
+    ``value`` maps points (N, D) to symmetric matrices (N, D, D).
+    ``derivative(P, V)`` maps the points and one direction at each, (N, D),
+    to DG(P)[V] (N, D, D). Calling the field gives its value.
+    """
+
+    value: Callable[[np.ndarray], np.ndarray]
+    derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def __call__(self, P: np.ndarray) -> np.ndarray:
+        return self.value(P)
+
+
 def _field_from_gradient(grad_vals: np.ndarray, spec: MetricSpec) -> np.ndarray:
     """The X with i_X omega = df, from df packed as d/dx + i d/dy.
 
@@ -458,9 +472,10 @@ class ChartPatch:
 
     ``bump_axes`` lists the parameter axes along which the deformation must
     vanish at the boundary (periodic/full axes carry no bump). For real
-    ambient charts an ``ambient_metric`` callable gives the metric matrix
-    field; the flat metric is used otherwise. The tensor Gauss-Legendre
-    rule is kept to boxes of dimension at most 4; a larger box raises.
+    ambient charts an ``ambient_metric`` (a ``MetricField``) gives the
+    metric and its derivative; the flat metric is used otherwise. The
+    tensor Gauss-Legendre rule is kept to boxes of dimension at most 4; a
+    larger box raises.
     """
 
     chart: Chart
@@ -468,7 +483,7 @@ class ChartPatch:
     hi: np.ndarray
     nodes: int | Sequence[int] = 16
     bump_axes: tuple[int, ...] = ()
-    ambient_metric: Callable[[np.ndarray], np.ndarray] | None = None
+    ambient_metric: MetricField | None = None
     S: np.ndarray = field(init=False)
     w: np.ndarray = field(init=False)
     _cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
@@ -498,6 +513,15 @@ class ChartPatch:
             self._cache["points"] = self.chart.value(self.S)
         return self._cache["points"]
 
+    @property
+    def metric(self) -> np.ndarray | None:
+        """The ambient metric on the nodes, computed once (None on a flat ambient)."""
+        if self.ambient_metric is None:
+            return None
+        if "metric" not in self._cache:
+            self._cache["metric"] = self.ambient_metric(self.points)
+        return self._cache["metric"]
+
     def chart_on_nodes(self, spec: MetricSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(real jacobian (N, D, d), induced metric g (N, d, d), area element) on the nodes.
 
@@ -508,10 +532,8 @@ class ChartPatch:
         key = ("chart", spec.step_chart, spec.fd_order)
         if key not in self._cache:
             Jr = _real_jacobian(self.chart, self.S, spec)
-            if self.ambient_metric is None:
-                g = np.swapaxes(Jr, 1, 2) @ Jr
-            else:
-                g = np.einsum("nia,nij,njb->nab", Jr, self.ambient_metric(self.points), Jr)
+            JPt = np.swapaxes(Jr, 1, 2)
+            g = JPt @ Jr if self.metric is None else JPt @ self.metric @ Jr
             self._cache[key] = (Jr, g, np.sqrt(np.linalg.det(g)))
         return self._cache[key]
 
@@ -537,75 +559,53 @@ def patch_volume(patch: ChartPatch, spec: MetricSpec = DEFAULT_SPEC) -> float:
 
 
 def patch_volume_derivative(
-    patch: ChartPatch,
-    X: VectorField | Callable[[np.ndarray], np.ndarray],
-    spec: MetricSpec = DEFAULT_SPEC,
+    patch: ChartPatch, X: VectorField, spec: MetricSpec = DEFAULT_SPEC
 ) -> float:
     """d/dt at t=0 of the patch volume under z -> z + t * bump * X(z).
 
-    On a flat ambient this is Jacobi's formula, with no difference in t:
-    dVol/dt = sum w * sqrt(det g) * tr(g^-1 J_P^T J_Y), from the patch's
-    chart data and J_Y = bump * DX(P)[J_P] + X(P) (x) grad bump, so ``X``
-    must be a ``VectorField``. On a metric ambient, where ``X`` may be any
-    callable, it is the central difference at t = +-``spec.step`` of the
-    volume under the metric at the deformed nodes P0 + t * Y0, with
-    J_P + t * J_Y from one stencil of the stacked map (chart point,
-    bump * field). The variation is free: deformed points are not
-    re-projected onto the quadric set.
+    Jacobi's formula, with no difference in t: with Y = bump * X(P) and
+    J_Y = bump * DX(P)[J_P] + X(P) (x) grad bump, the deformed metric
+    g(t) = (J_P + t J_Y)^T G(P + t Y) (J_P + t J_Y) has
+    dg/dt = J_Y^T G J_P + J_P^T G J_Y + J_P^T DG[Y] J_P, and
+    dVol/dt = sum w * sqrt(det g) * 1/2 tr(g^-1 dg/dt), from the patch's
+    chart data and the field's closed-form derivative (``X`` is a
+    ``VectorField``). On a flat ambient G = I and DG = 0. The variation is
+    free: deformed points are not re-projected onto the quadric set.
     """
     return patch_volume_and_derivative(patch, X, spec)[1]
 
 
 def patch_volume_and_derivative(
-    patch: ChartPatch,
-    X: VectorField | Callable[[np.ndarray], np.ndarray],
-    spec: MetricSpec = DEFAULT_SPEC,
+    patch: ChartPatch, X: VectorField, spec: MetricSpec = DEFAULT_SPEC
 ) -> tuple[float, float]:
     """(vol(patch), dVol/dt) as in ``patch_volume_derivative``, from one chart jacobian."""
-    if patch.ambient_metric is not None:
-        return _metric_volume_and_derivative(patch, X, spec)
     if not isinstance(X, VectorField):
-        raise TypeError("a flat-ambient volume derivative needs a VectorField with its derivative")
+        raise TypeError("a volume derivative needs a VectorField with its derivative")
     chart, P = patch.chart, patch.points
     Jr, g, elem = patch.chart_on_nodes(spec)
     JP = np.swapaxes(Jr, 1, 2)  # (N, d, D): the chart's columns as ambient vectors
     JY = X.derivative(P, r2c(JP) if chart.ambient == "complex" else JP)
+    metric = patch.metric
+    if patch.bump_axes or metric is not None:
+        Xv, bump = np.asarray(X(P)), patch.bump_at(patch.S)
     if patch.bump_axes:
-        JY = (patch.bump_at(patch.S)[:, None, None] * JY
-              + patch.bump_gradient_at(patch.S)[:, :, None] * np.asarray(X(P))[:, None, :])
+        JY = bump[:, None, None] * JY + patch.bump_gradient_at(patch.S)[:, :, None] * Xv[:, None, :]
     JY = _ambient_real(chart, JY)
     # only the nodes the deformation moves contribute; a localized field moves few
-    moved = np.flatnonzero(np.any(JY, axis=(1, 2)))
-    JPtJY = JP[moved] @ np.swapaxes(JY[moved], 1, 2)
-    rate = np.trace(np.linalg.solve(g[moved], JPtJY), axis1=1, axis2=2)
+    moving = np.any(JY, axis=(1, 2))
+    if metric is not None:
+        Y = _ambient_real(chart, bump[:, None] * Xv)
+        moving |= np.any(Y, axis=1)
+    moved = np.flatnonzero(moving)
+    JPm = JP[moved]
+    if metric is None:
+        half_dg = JPm @ np.swapaxes(JY[moved], 1, 2)
+    else:
+        DG = patch.ambient_metric.derivative(P[moved], Y[moved])
+        half_dg = (JPm @ metric[moved] @ np.swapaxes(JY[moved], 1, 2)
+                   + 0.5 * (JPm @ DG @ np.swapaxes(JPm, 1, 2)))
+    rate = np.trace(np.linalg.solve(g[moved], half_dg), axis1=1, axis2=2)
     return float(np.sum(patch.w * elem)), float(np.sum((patch.w * elem)[moved] * rate))
-
-
-def _metric_volume_and_derivative(
-    patch: ChartPatch, X: Callable[[np.ndarray], np.ndarray], spec: MetricSpec
-) -> tuple[float, float]:
-    """The metric-ambient branch of ``patch_volume_and_derivative``: one stencil, a t-difference."""
-    chart = patch.chart
-
-    def stacked(Sb):
-        P = chart.value(Sb)
-        field = np.asarray(X(P))
-        bump = patch.bump_at(Sb).reshape(-1, *([1] * (P.ndim - 1)))
-        return np.concatenate([_ambient_real(chart, P), _ambient_real(chart, bump * field)], axis=1)
-
-    J = fd.jacobian(stacked, patch.S, spec.step_chart, spec.fd_order)
-    D = J.shape[1] // 2
-    JP, JY = J[:, :D], J[:, D:]
-    PY0 = stacked(patch.S)
-    P0, Y0 = PY0[:, :D], PY0[:, D:]
-
-    def vol(t):
-        Jt = JP + t * JY
-        g = np.einsum("nia,nij,njb->nab", Jt, patch.ambient_metric(P0 + t * Y0), Jt)
-        return float(np.sum(patch.w * np.sqrt(np.linalg.det(g))))
-
-    h = spec.step
-    return vol(0.0), (vol(h) - vol(-h)) / (2.0 * h)
 
 
 def first_variation_integral(
@@ -627,15 +627,14 @@ def first_variation_integral(
 
 def stationarity_ratio(
     patch: ChartPatch,
-    Xf: Callable,
+    Xf: VectorField,
     spec: MetricSpec,
     localized: bool = False,
 ) -> float:
     """|dVol/dt| of a candidate field over the scale max|Xf| * vol(patch).
 
-    ``Xf`` is the candidate field (a ``VectorField`` on a flat ambient);
-    max|Xf| is the largest modulus of a field component on the quadrature
-    nodes. A submanifold of unit mean curvature changes volume at about the
+    ``Xf`` is the candidate field; max|Xf| is the largest modulus of a field
+    component on the quadrature nodes. A submanifold of unit mean curvature changes volume at about the
     rate max|Xf| * vol(patch), so a stationary variation reads near 0 and a
     volume-changing one reads of the order of |H|. With ``localized`` the candidate must vanish on the
     outermost shell of the patch box; a field that leaks raises.

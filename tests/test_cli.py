@@ -208,6 +208,18 @@ def test_unknown_tolerance_names_exit_2(tmp_path, monkeypatch, capsys):
     assert main(["verify-lagrangian", "catalog:one-quadric:2", "--samples", "5"]) == 2
 
 
+def test_retired_variation_step_exits_2(tmp_path, monkeypatch, capsys):
+    # every volume derivative is exact in t, so no check reads a variation step
+    args = ["verify-ntilde", "catalog:rp2", "--samples", "5"]
+    assert main(args + ["--tol", "step", "1e-4"]) == 2
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("mode quadrics\ngamma 1 2\n1 1\nc 1\ntol step 1e-4\n")
+    assert main(["verify-lagrangian", str(cfg), "--samples", "5"]) == 2
+    monkeypatch.setenv("MOMENTANGLE_TOL_STEP", "1e-4")
+    assert main(args) == 2
+    assert "unknown tolerance name 'step'" in capsys.readouterr().err
+
+
 def test_env_tolerance_override(monkeypatch):
     monkeypatch.setenv("MOMENTANGLE_TOL_MEMBERSHIP", "1e-30")
     rc = main(["verify-lagrangian", "catalog:one-quadric:2", "--samples", "5"])

@@ -15,6 +15,7 @@ from momentangle.exact_linalg import (
     rational_nullspace,
     smith_normal_form,
     snf_diagonal,
+    solve_square,
     sublattice_equals_lattice,
 )
 
@@ -143,3 +144,22 @@ def test_rational_det_inverse():
     assert M.matmul(Minv).entries == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     diag = snf_diagonal(IntegerMatrix([[6, 4], [4, 8]]))
     assert diag == (2, 16)  # det 32, gcd 2
+
+
+def test_solve_square_against_inverse():
+    # rows of integers or Fractions; the solution is exact, and a singular
+    # matrix gives None
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        b = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+        x = solve_square(A, b)
+        if det(RationalMatrix(A)) == 0:
+            assert x is None
+        else:
+            assert RationalMatrix(A).matmul(RationalMatrix([[t] for t in x])).entries == tuple((t,) for t in b)
+    assert solve_square([[1, 2], [2, 4]], [1, 2]) is None
+    assert solve_square([[Fraction(1, 2)]], [1]) == (Fraction(2),)
+    with pytest.raises(ValueError):
+        solve_square([[1, 2]], [1])

@@ -63,7 +63,7 @@ def test_cp_reduced_tensors_requires_equal_coefficients():
 
     Q = QuadricConfiguration.from_rows([(1, 1, 2)], [3])
     with pytest.raises(ValueError):
-        cp_reduced_tensors(Q, np.zeros((1, 4)), 0)
+        cp_reduced_tensors(Q, np.zeros((1, 4)))
 
 
 def test_renderings_contain_identical_numbers():

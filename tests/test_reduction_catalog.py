@@ -10,7 +10,9 @@ from momentangle.quadric_config import (
     membership_residual,
     nondegeneracy_check,
 )
+from momentangle import fd
 from momentangle.reduction_catalog import (
+    CP_TOL_STATIONARITY,
     CpChart,
     StackValidationError,
     catalog_double,
@@ -18,7 +20,10 @@ from momentangle.reduction_catalog import (
     catalog_quadrics,
     classify_N,
     cp_affine_index,
+    cp_chart_setup,
+    cp_hamiltonian_field,
     cp_lagrangian_residual,
+    cp_reduced_tensor_derivatives,
     cp_reduced_tensors,
     cp2_torus_lift_chart,
     ntilde_chart,
@@ -26,7 +31,7 @@ from momentangle.reduction_catalog import (
     stack_double,
     stacked_tangent_horizontal_residual,
 )
-from momentangle.submanifold_numerics import DEFAULT_SPEC, chart_point
+from momentangle.submanifold_numerics import DEFAULT_SPEC, VectorField, chart_point, stationarity_ratio
 from momentangle.torus_actions import freeness_check, torus_point
 
 spec = DEFAULT_SPEC
@@ -199,9 +204,124 @@ def test_cp_reduced_metric_against_orbit_distance_oracle():
         z1 = section(W + eps * delta)[0]
         S = np.sum(z1 * np.conj(z0))
         dist = np.sqrt(max(2 * a - 2 * abs(S), 0.0))
-        G, _ = cp_reduced_tensors(Qg, W, 0, spec)
+        G, _ = cp_reduced_tensors(Qg, W, spec)
         pred = eps * np.sqrt(delta @ G[0] @ delta)
         assert abs(dist - pred) / dist < 1e-4
+
+
+def _horizontal_lift_tensors(Q_gamma, W, j, spec):
+    """(G, Omega) of the reduced space from horizontal lifts, an oracle for the closed form.
+
+    A real chart direction is lifted to the normalized section
+    z = sqrt(a) zhat / |zhat|, zhat = w with 1 inserted at index j, its
+    orbit (phase) component removed, and the flat metric and symplectic
+    form evaluated on the lifts.
+    """
+    row = Q_gamma.gamma.entries[0]
+    a = float(Q_gamma.c[0] / row[0])
+    N, D = W.shape
+    mm = D // 2 + 1
+    w = W[:, : mm - 1] + 1j * W[:, mm - 1 :]
+    zhat = np.insert(w, j, 1.0 + 0j, axis=1)
+    nrm = np.linalg.norm(zhat, axis=1, keepdims=True)
+    z = np.sqrt(a) * zhat / nrm
+    lifts = np.zeros((N, D, mm), dtype=complex)
+    for r in range(D):
+        k = r % (mm - 1)
+        dzhat = np.zeros((N, mm), dtype=complex)
+        dzhat[:, k if k < j else k + 1] = 1.0 if r < mm - 1 else 1.0j
+        inner = np.real(np.sum(np.conj(zhat) * dzhat, axis=1, keepdims=True))
+        dz = np.sqrt(a) * (dzhat / nrm - zhat * inner / nrm**3)
+        vert = 1j * z
+        coef = np.real(np.sum(np.conj(vert) * dz, axis=1, keepdims=True)) / a
+        lifts[:, r, :] = dz - coef * vert
+    gram = np.einsum("nri,nsi->nrs", np.conj(lifts), lifts)
+    return np.real(gram), spec.omega_scale * np.imag(gram)
+
+
+def _cp_nodes(name):
+    """The stationarity patch's chart values (W) for a catalog double at seed 0."""
+    setup = cp_chart_setup(catalog_double(name), 50, 0, spec)
+    return setup, setup.patch.points
+
+
+@pytest.mark.parametrize("name", ["rp2", "cp2-torus"])
+def test_cp_reduced_tensors_match_horizontal_lifts(name):
+    # the Fubini-Study closed form is the same in every affine chart; the
+    # lifts through the section of each chart must reproduce it
+    setup, W = _cp_nodes(name)
+    Qg = catalog_double(name).gamma_cfg
+    G, Om = cp_reduced_tensors(Qg, W, spec)
+    for j in range(3):
+        G_ref, Om_ref = _horizontal_lift_tensors(Qg, W, j, spec)
+        assert np.abs(G - G_ref).max() <= 1e-14
+        assert np.abs(Om - Om_ref).max() <= 1e-14
+
+
+def _along(F, W, V, step=1e-4):
+    """Order-4 central difference of F at the points W along the directions V (one per point)."""
+    offs, wts = fd._D1[4]
+    return sum(w * np.asarray(F(W + o * step * V)) for o, w in zip(offs, wts)) / step
+
+
+@pytest.mark.parametrize("name", ["rp2", "cp2-torus"])
+def test_cp_reduced_tensor_derivatives_match_fd(name):
+    # DG[V] and DOmega[V] against an order-4 stencil of the closed forms along
+    # V at step 1e-4 (measured 1.3e-12), with one and with two directions per point
+    _, W = _cp_nodes(name)
+    Qg = catalog_double(name).gamma_cfg
+    rng = np.random.default_rng(21)
+    V = rng.standard_normal((W.shape[0], 2, W.shape[1]))
+    DG, DOm = cp_reduced_tensor_derivatives(Qg, W, V, spec)
+    for k in range(2):
+        ref = _along(lambda P: np.stack(cp_reduced_tensors(Qg, P, spec), axis=1), W, V[:, k])
+        got = np.stack([DG[:, k], DOm[:, k]], axis=1)
+        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+        one = np.stack(cp_reduced_tensor_derivatives(Qg, W, V[:, k], spec), axis=1)
+        assert np.array_equal(one, got)
+
+
+def test_cp_hamiltonian_field_derivative_matches_fd():
+    # DX[V] = -Omega^-1 (Hess f V + DOmega[V] X) against an order-4 stencil of
+    # X along V at step 1e-4, on rp2's patch nodes inside and outside the
+    # tensor cutoff (the Hessian test covers its edge). Measured 7.6e-12;
+    # without the DOmega[V] X term it reads 0.32
+    setup, W = _cp_nodes("rp2")
+    Qg = catalog_double("rp2").gamma_cfg
+    X = cp_hamiltonian_field(Qg, setup.grad, setup.hess, spec)
+    V = np.random.default_rng(22).standard_normal((W.shape[0], 2, W.shape[1]))
+    got = X.derivative(W, V)
+    for k in range(2):
+        ref = _along(X, W, V[:, k])
+        assert np.abs(got[:, k] - ref).max() <= 1e-9 * np.abs(ref).max()
+    assert not got[~X(W).any(axis=1) & ~setup.grad(W).any(axis=1)].any()
+
+
+def test_cp_gradient_field_negative_control():
+    # the gradient field G^-1 grad f of the same Hamiltonian is not a
+    # symplectic variation, and the CP^2 torus is not stationary for it:
+    # it reads 0.087, 0.128 and 0.097 at seeds 0-2, where the Hamiltonian
+    # field reads the rounding floor (1e-15)
+    D = catalog_double("cp2-torus")
+    Qg = D.gamma_cfg
+    for seed in range(3):
+        setup = cp_chart_setup(D, 50, seed, spec)
+
+        def value(W):
+            G, _ = cp_reduced_tensors(Qg, W, spec)
+            return np.linalg.solve(G, setup.grad(W)[..., None])[..., 0]
+
+        def derivative(W, V):
+            # G X = grad f, so DX[V] = G^-1 (Hess f V - DG[V] X)
+            G, _ = cp_reduced_tensors(Qg, W, spec)
+            DG, _ = cp_reduced_tensor_derivatives(Qg, W, V, spec)
+            rhs = setup.hess(W, V) - (DG @ value(W)[:, None, :, None])[..., 0]
+            return np.swapaxes(np.linalg.solve(G, np.swapaxes(rhs, 1, 2)), 1, 2)
+
+        gradient = stationarity_ratio(setup.patch, VectorField(value, derivative), spec)
+        assert gradient > 50 * CP_TOL_STATIONARITY, (seed, gradient)
+        hamiltonian = cp_hamiltonian_field(Qg, setup.grad, setup.hess, spec)
+        assert stationarity_ratio(setup.patch, hamiltonian, spec) < 1e-12
 
 
 def test_cp_lagrangian_residuals():

@@ -428,6 +428,16 @@ def _ball_probes(rng, x0, rho):
     return x0 + rho * radii[:, None] * dirs
 
 
+def _tensor_cutoff_probes(rng, W0):
+    """100 points each inside, across the edge of and outside the projective
+    check's tensor cutoff around W0, each of the last two along one axis."""
+    t = rng.uniform(-0.95, 0.95, (300, W0.size))
+    rows, axes = np.arange(100, 300), rng.integers(0, W0.size, 200)
+    edge = np.concatenate([rng.uniform(0.99, 1.01, 100), rng.uniform(1.05, 2.0, 100)])
+    t[rows, axes] = rng.choice([-1.0, 1.0], 200) * edge
+    return W0 + 0.42 * t
+
+
 def test_closed_form_hamiltonian_gradients():
     rng = np.random.default_rng(11)
 
@@ -450,12 +460,8 @@ def test_closed_form_hamiltonian_gradients():
     lin = rng.standard_normal(4)
     quad = rng.standard_normal((4, 4))
     W0 = rng.standard_normal(4)
-    t = rng.uniform(-0.95, 0.95, (300, 4))
-    rows, axes = np.arange(100, 300), rng.integers(0, 4, 200)
-    edge = np.concatenate([rng.uniform(0.99, 1.01, 100), rng.uniform(1.05, 2.0, 100)])
-    t[rows, axes] = rng.choice([-1.0, 1.0], 200) * edge
-    W = W0 + 0.42 * t
-    f, grad = _cp_hamiltonian(lin, 0.5 * (quad + quad.T), W0)
+    W = _tensor_cutoff_probes(rng, W0)
+    f, grad, _ = _cp_hamiltonian(lin, 0.5 * (quad + quad.T), W0)
     _assert_gradient_matches_fd(f, grad, W)
     assert not grad(W[200:]).any()
 
@@ -490,6 +496,18 @@ def test_closed_form_hamiltonian_hessians():
     Z = r2c(X)
     lhs, rhs = hess(Z, V - 2.0 * V2), hess(Z, V) - 2.0 * hess(Z, V2)
     assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
+
+    # the tensor cutoff of the projective check (real chart coordinates),
+    # inside, across the edge of and outside its box; b'' = 2 bump_poly_dsq
+    # + 4 t^2 bump_poly_dsq2 is C^1 at the edge like the radial cutoff's
+    quad = rng.standard_normal((4, 4))
+    W0 = rng.standard_normal(4)
+    _, grad, hess = _cp_hamiltonian(rng.standard_normal(4), 0.5 * (quad + quad.T), W0)
+    W = _tensor_cutoff_probes(rng, W0)
+    ref = fd.jacobian(grad, W, 1e-4, 4)  # (n, D, D): column b is Hess f e_b
+    got = np.swapaxes(hess(W, np.broadcast_to(np.eye(4), (300, 4, 4))), 1, 2)
+    assert np.abs(got - ref).max() <= 1e-6 * np.abs(ref).max()
+    assert not hess(W[200:], rng.standard_normal((100, 2, 4))).any()
 
 
 def test_random_matrix_field_derivative_matches_fd():
@@ -572,7 +590,7 @@ def test_tangential_field_preserves_volume():
         patch_volume_derivative(patch, ORBIT.value, spec)
 
 
-def _two_volume_derivative(patch, X, t_step=spec.step, s_step=spec.step_chart, richardson=False):
+def _two_volume_derivative(patch, X, t_step, s_step=spec.step_chart, richardson=False):
     """Reference dVol/dt from full deformed volumes at t = +-t_step.
 
     Each deformed volume differentiates the deformed chart by its own stencil
@@ -622,21 +640,26 @@ def test_volume_derivative_matches_two_volume_reference():
     ref = _two_volume_derivative(patch, X, t_step=1e-3, s_step=2.5e-4, richardson=True)
     assert abs(patch_volume_derivative(patch, X, spec) - ref) < 1e-9 * abs(ref)
 
-    # metric ambient: rp2's affine chart with the reduced metric. RP^2 is
-    # totally geodesic, so only an unbumped patch (boundary flux) has a
-    # volume derivative that a relative comparison can see
-    from momentangle.reduction_catalog import CpChart, catalog_double, cp_reduced_tensors
-    from momentangle.submanifold_numerics import real_base_point
+    # metric ambient: rp2's affine chart with the reduced metric, where
+    # Jacobi's formula also reads DG[Y]. RP^2 is totally geodesic, so only an
+    # unbumped patch (boundary flux) has a volume derivative that a relative
+    # comparison can see. The box stops short of the chart's pole at
+    # v = (0.5, 0.5), where z_0 = 0. The reference extrapolates in t from
+    # 1e-3 and differentiates each deformed chart at 5e-4. Its own error: it
+    # moves by 6.3e-12 relative when that step halves and by 5.9e-12 when t
+    # halves. Measured agreement: 9.2e-11, the chart jacobian's error at its
+    # step 1e-3 (dVol/dt moves by 9.1e-11 at 5e-4)
+    from momentangle.reduction_catalog import CpChart, cp_reduced_metric
 
     D = catalog_double("rp2")
     lift = TorusSpreadChart(D.stacked, real_base_point(D.stacked),
                             phase_rows=D.delta_cfg.gamma_float(), newton_tol=spec.newton_tol)
     cp = CpChart(lift, 0)
-    metric = lambda W: cp_reduced_tensors(D.gamma_cfg, W, 0, spec)[0]
-    mpatch = ChartPatch(chart=cp, lo=[-0.5, -0.5], hi=[0.5, 0.5], nodes=40, ambient_metric=metric)
+    mpatch = ChartPatch(chart=cp, lo=[-0.4, -0.4], hi=[0.4, 0.4], nodes=40,
+                        ambient_metric=cp_reduced_metric(D.gamma_cfg, spec))
     A = np.random.default_rng(4).standard_normal((cp.ambient_dim, cp.ambient_dim))
-    Xm = lambda W: W @ A.T + 0.3
-    ref = _two_volume_derivative(mpatch, Xm)
+    Xm = VectorField(lambda W: W @ A.T + 0.3, lambda W, V: V @ A.T)
+    ref = _two_volume_derivative(mpatch, Xm, t_step=1e-3, s_step=5e-4, richardson=True)
     assert abs(patch_volume_derivative(mpatch, Xm, spec) - ref) < 1e-9 * abs(ref)
 
 
