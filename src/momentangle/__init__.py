@@ -38,7 +38,6 @@ from .torus_actions import (
     orbit_volume,
     torus_point,
     torus_subgroup,
-    two_torsion_elements,
 )
 from .charts import NonConvergenceError
 from .submanifold_numerics import (
@@ -53,15 +52,12 @@ from .submanifold_numerics import (
     chart_N,
     coarea_orbit_volume_check,
     first_variation_integral,
-    hamiltonian_field,
     hamiltonian_vector_field,
     hminimality_residual,
     lagrangian_residual,
-    mean_curvature_ambient,
     minimality_residual_in_Z,
     noether_drift,
     patch_volume_derivative,
-    project_to_quadrics,
     sample_chart_points,
     tangent_frame_N,
 )

@@ -89,26 +89,6 @@ def project_real(Q: QuadricConfiguration, U, tol: float = 1e-10, max_iter: int =
     return _newton(values, jac_gram, apply_step, U, c, tol, max_iter)
 
 
-def project_complex(Q: QuadricConfiguration, Z, tol: float = 1e-10, max_iter: int = 60) -> np.ndarray:
-    """Least-norm Newton retraction of complex points onto the quadric set."""
-    Z = np.array(Z, dtype=complex, copy=True)
-    if Q.num_quadrics == 0:
-        return Z
-    G = Q.gamma_float()
-    c = Q.c_float()
-
-    def values(z):
-        return np.einsum("jk,...k->...j", G, np.abs(z) ** 2) - c
-
-    def jac_gram(z):
-        return 4.0 * np.einsum("jk,lk,...k->...jl", G, G, np.abs(z) ** 2)
-
-    def apply_step(z, lam):
-        return z - 2.0 * np.einsum("jk,...j->...k", G, lam) * z
-
-    return _newton(values, jac_gram, apply_step, Z, c, tol, max_iter)
-
-
 def real_tangent_basis(Q: QuadricConfiguration, u0: np.ndarray) -> np.ndarray:
     """Orthonormal basis (rows) of the tangent space of the real quadric set at u0."""
     m = Q.ambient_dim
@@ -132,7 +112,7 @@ class Chart:
 
     ``ambient`` is "complex" (values in C^m) or "real" (values in R^D).
     Subclasses may override ``jacobian``/``hessian`` with exact formulas;
-    the defaults differentiate ``value`` by central stencils.
+    the defaults differentiate ``value`` by 4th-order central stencils.
     """
 
     dim: int
@@ -142,11 +122,11 @@ class Chart:
     def value(self, S: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def jacobian(self, S: np.ndarray, step: float = 1e-3, order: int = 4) -> np.ndarray:
-        return fd.jacobian(self.value, S, step, order)
+    def jacobian(self, S: np.ndarray, step: float = 1e-3) -> np.ndarray:
+        return fd.jacobian(self.value, S, step)
 
-    def hessian(self, S: np.ndarray, step: float = 1e-3, order: int = 4) -> np.ndarray:
-        return fd.hessian(self.value, S, step, order)
+    def hessian(self, S: np.ndarray, step: float = 1e-3) -> np.ndarray:
+        return fd.hessian(self.value, S, step)
 
 
 class FunctionChart(Chart):
@@ -226,7 +206,7 @@ class TorusSpreadChart(Chart):
         V, Phi = self._split(S)
         return self._phases(Phi) * self.u_map(V)
 
-    def jacobian(self, S: np.ndarray, step: float = 1e-3, order: int = 4) -> np.ndarray:
+    def jacobian(self, S: np.ndarray, step: float = 1e-3) -> np.ndarray:
         S = np.atleast_2d(np.asarray(S, dtype=float))
         V, Phi = S[:, : self.nv], S[:, self.nv :]
         phases = self._phases(Phi)  # (N, m)
@@ -234,13 +214,13 @@ class TorusSpreadChart(Chart):
         N, m = z.shape
         J = np.zeros((N, m, self.dim), dtype=complex)
         if self.nv:
-            Ju = fd.jacobian(self.u_map, V, step, order)  # (N, m, nv)
+            Ju = fd.jacobian(self.u_map, V, step)  # (N, m, nv)
             J[:, :, : self.nv] = phases[:, :, None] * Ju
         for j in range(self.nphi):
             J[:, :, self.nv + j] = 1j * TWO_PI * self.phase_rows[j][None, :] * z
         return J
 
-    def hessian(self, S: np.ndarray, step: float = 1e-3, order: int = 4) -> np.ndarray:
+    def hessian(self, S: np.ndarray, step: float = 1e-3) -> np.ndarray:
         S = np.atleast_2d(np.asarray(S, dtype=float))
         V, Phi = S[:, : self.nv], S[:, self.nv :]
         phases = self._phases(Phi)
@@ -249,9 +229,9 @@ class TorusSpreadChart(Chart):
         d = self.dim
         H = np.zeros((N, m, d, d), dtype=complex)
         if self.nv:
-            Hu = fd.hessian(self.u_map, V, step, order)  # (N, m, nv, nv)
+            Hu = fd.hessian(self.u_map, V, step)  # (N, m, nv, nv)
             H[:, :, : self.nv, : self.nv] = phases[:, :, None, None] * Hu
-            Ju = fd.jacobian(self.u_map, V, step, order)
+            Ju = fd.jacobian(self.u_map, V, step)
             Jzv = phases[:, :, None] * Ju  # (N, m, nv)
             for j in range(self.nphi):
                 cross = 1j * TWO_PI * self.phase_rows[j][None, :, None] * Jzv
@@ -273,7 +253,7 @@ class PolytopeChart(Chart):
     u = sqrt(x) over the polytope's interior. ``x0`` is an interior point
     (Gamma x0 = c, x0 > 0) and the columns of ``B`` an orthonormal basis of
     ker Gamma. The jacobian B / (2u), the hessian -B_a B_b / (4u^3) and the
-    phase terms are exact, so ``step`` and ``order`` are not read. Parameters
+    phase terms are exact, so ``step`` is not read. Parameters
     must keep x0 + B v in the open orthant; ``value`` raises otherwise.
     """
 
@@ -308,13 +288,13 @@ class PolytopeChart(Chart):
     def value(self, S: np.ndarray) -> np.ndarray:
         return self._parts(S)[2]
 
-    def jacobian(self, S: np.ndarray, step: float = 1e-3, order: int = 4) -> np.ndarray:
+    def jacobian(self, S: np.ndarray, step: float = 1e-3) -> np.ndarray:
         phases, u, z = self._parts(S)
         Jv = (phases / (2.0 * u))[:, :, None] * self.B  # (N, m, nv)
         Jphi = 1j * TWO_PI * z[:, :, None] * self.phase_rows.T  # (N, m, nphi)
         return np.concatenate([Jv, Jphi], axis=2)
 
-    def hessian(self, S: np.ndarray, step: float = 1e-3, order: int = 4) -> np.ndarray:
+    def hessian(self, S: np.ndarray, step: float = 1e-3) -> np.ndarray:
         phases, u, z = self._parts(S)
         B, R = self.B, self.phase_rows.T  # (m, nv), (m, nphi)
         Jv = (phases / (2.0 * u))[:, :, None] * B

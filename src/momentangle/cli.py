@@ -7,6 +7,7 @@ usage error, 3 precondition violation, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -58,10 +59,8 @@ COMMANDS = (
 
 _TOL_FIELDS = {
     "membership": "tol_membership",
-    "curvature": "tol_curvature",
     "step_chart": "step_chart",
     "step_divergence": "step_divergence",
-    "step_gradient": "step_gradient",
     "newton": "newton_tol",
 }
 
@@ -76,7 +75,10 @@ def _spec_from(cfg: ConfigFile, flag_tols: list[tuple[str, str]]) -> MetricSpec:
     for name, value in merged.items():
         if name not in _TOL_FIELDS:
             raise ConfigError(f"unknown tolerance name {name!r}")
-        setattr(spec, _TOL_FIELDS[name], parse_number(value, f"tolerance {name}", float))
+        number = parse_number(value, f"tolerance {name}", float)
+        if not (math.isfinite(number) and number > 0.0):
+            raise ConfigError(f"tolerance {name} must be finite and positive, got {value!r}")
+        setattr(spec, _TOL_FIELDS[name], number)
     return spec
 
 

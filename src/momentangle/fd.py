@@ -1,4 +1,4 @@
-"""Batched central finite-difference stencils.
+"""Batched 4th-order central finite-difference stencils.
 
 All functions accept maps f : (N, d) -> (N, *out) so that the caller's
 vectorization (e.g. Newton projections) is exploited: every stencil point of
@@ -9,24 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 
-_D1 = {
-    2: ((-1, 1), (-0.5, 0.5)),
-    4: ((-2, -1, 1, 2), (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)),
-}
-_D2 = {
-    2: ((-1, 0, 1), (1.0, -2.0, 1.0)),
-    4: ((-2, -1, 0, 1, 2), (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0)),
-}
+# (offsets in steps, weights) of the first and second derivative
+_D1 = ((-2, -1, 1, 2), (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0))
+_D2 = ((-2, -1, 0, 1, 2), (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0))
 
 
-def jacobian(f, S, step: float, order: int = 4) -> np.ndarray:
+def jacobian(f, S, step: float) -> np.ndarray:
     """First derivatives of f at the rows of S; result shape (N, *out, d)."""
     S = np.asarray(S, dtype=float)
     single = S.ndim == 1
     if single:
         S = S[None, :]
     N, d = S.shape
-    offs, wts = _D1[order]
+    offs, wts = _D1
     pts = []
     for a in range(d):
         for o in offs:
@@ -42,15 +37,15 @@ def jacobian(f, S, step: float, order: int = 4) -> np.ndarray:
     return J[0] if single else J
 
 
-def hessian(f, S, step: float, order: int = 4) -> np.ndarray:
+def hessian(f, S, step: float) -> np.ndarray:
     """Second derivatives of f at the rows of S; result shape (N, *out, d, d)."""
     S = np.asarray(S, dtype=float)
     single = S.ndim == 1
     if single:
         S = S[None, :]
     N, d = S.shape
-    offs2, wts2 = _D2[order]
-    offs1, wts1 = _D1[order]
+    offs2, wts2 = _D2
+    offs1, wts1 = _D1
 
     pts = []
     layout = []  # (kind, a, b, n_points)
@@ -86,7 +81,3 @@ def hessian(f, S, step: float, order: int = 4) -> np.ndarray:
             H[..., b, a] = val
     return H[0] if single else H
 
-
-def gradient(f, x, step: float, order: int = 4) -> np.ndarray:
-    """Gradient of a scalar function of a real vector; batched like jacobian."""
-    return jacobian(f, x, step, order)

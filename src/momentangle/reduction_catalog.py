@@ -239,7 +239,7 @@ def ntilde_lagrangian_residual(
     point.
     """
     S, Z = _batch(p)
-    J = p.chart.jacobian(S, spec.step_chart, spec.fd_order)  # (N, m, d)
+    J = p.chart.jacobian(S, spec.step_chart)  # (N, m, d)
     return _per_point(p, _horizontal_residual(D, Z, J, spec))
 
 
@@ -399,7 +399,7 @@ def cp_lagrangian_residual(
 ) -> float:
     """max |omega_red(f_i, f_j)| over a reduced-metric-orthonormal chart frame."""
     params = np.atleast_2d(np.asarray(params, dtype=float))
-    J = chart.jacobian(params, spec.step_chart, spec.fd_order)  # (N, D, d)
+    J = chart.jacobian(params, spec.step_chart)  # (N, D, d)
     G, Om = cp_reduced_tensors(D.gamma_cfg, chart.value(params), spec)
     L = np.linalg.cholesky(np.swapaxes(J, 1, 2) @ G @ J)
     F = J @ np.swapaxes(np.linalg.inv(L), 1, 2)

@@ -23,17 +23,14 @@ from .charts import (
     PolytopeChart,
     TorusSpreadChart,
     c2r,
-    project_complex,
-    project_real,
     r2c,
 )
 from .quadric_config import (
     QuadricConfiguration,
     membership_residual,
     membership_residuals,
-    moment_map,
 )
-from .torus_actions import orbit_volume, torus_point
+from .torus_actions import orbit_volume, torus_point, torus_subgroup
 
 TWO_PI = 2.0 * np.pi
 
@@ -44,17 +41,17 @@ class InvarianceError(ValueError):
 
 @dataclass
 class MetricSpec:
-    """Symplectic/metric conventions, steps and the tolerance bundle."""
+    """The symplectic scale, and the knobs behind the ``--tol`` names.
+
+    Every field but ``omega_scale`` is set by exactly one tolerance name
+    (``cli._TOL_FIELDS``) and read by some check.
+    """
 
     omega_scale: float = -1.0 / np.pi
     tol_membership: float = 1e-10
-    tol_curvature: float = 1e-6
-    step_chart: float = 1e-3  # chart jacobians / hessians
+    step_chart: float = 1e-3  # stencil chart jacobians / hessians
     step_divergence: float = 3e-3  # outer derivative in the codifferential
-    step_gradient: float = 3e-3  # gradients of ambient scalar functions
-    fd_order: int = 4
     newton_tol: float = 1e-10
-    newton_max_iter: int = 60
 
 
 DEFAULT_SPEC = MetricSpec()
@@ -180,7 +177,7 @@ def chart_N(
 
 
 def _real_jacobian(chart: Chart, S: np.ndarray, spec: MetricSpec) -> np.ndarray:
-    J = chart.jacobian(np.atleast_2d(S), spec.step_chart, spec.fd_order)
+    J = chart.jacobian(np.atleast_2d(S), spec.step_chart)
     if chart.ambient == "complex":
         return np.concatenate([J.real, J.imag], axis=-2)
     return np.asarray(J, dtype=float)
@@ -194,7 +191,7 @@ def _tangent_frames(
     Raises if any jacobian is rank deficient or, given ``Q``, if any frame
     fails to annihilate the quadric differentials at the points ``Z``.
     """
-    J = chart.jacobian(S, spec.step_chart, spec.fd_order)  # (N, m, d)
+    J = chart.jacobian(S, spec.step_chart)  # (N, m, d)
     Jr = np.concatenate([J.real, J.imag], axis=-2)  # (N, 2m, d)
     Qm, R = np.linalg.qr(Jr)
     diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
@@ -253,8 +250,8 @@ def _curvature_batch(chart: Chart, S: np.ndarray, spec: MetricSpec):
     second derivatives, the unnormalized mean curvature vector.
     """
     S = np.atleast_2d(S)
-    J = chart.jacobian(S, spec.step_chart, spec.fd_order)
-    Hess = chart.hessian(S, spec.step_chart, spec.fd_order)
+    J = chart.jacobian(S, spec.step_chart)
+    Hess = chart.hessian(S, spec.step_chart)
     if chart.ambient == "complex":
         Jr = np.concatenate([J.real, J.imag], axis=-2)
         Hr = np.concatenate([Hess.real, Hess.imag], axis=-3)
@@ -267,22 +264,6 @@ def _curvature_batch(chart: Chart, S: np.ndarray, spec: MetricSpec):
     Qm, _ = np.linalg.qr(Jr)
     tang = np.einsum("nia,na->ni", Qm, np.einsum("nia,ni->na", Qm, tr))
     return tr - tang, Jr, g
-
-
-def mean_curvature_ambient(
-    Q: QuadricConfiguration | None, p: ChartPoint, spec: MetricSpec = DEFAULT_SPEC
-) -> np.ndarray:
-    """Unnormalized mean curvature vector of the chart's submanifold in flat space."""
-    H, Jr, _ = _curvature_batch(p.chart, p.params[None, :], spec)
-    h = H[0]
-    norm = np.linalg.norm(h)
-    if norm > 0:
-        resid = np.abs(Jr[0].T @ h).max()
-        if resid > spec.tol_curvature * max(1.0, norm):
-            raise NonConvergenceError(
-                f"mean curvature not numerically normal to the submanifold ({resid:.3e})"
-            )
-    return r2c(h)
 
 
 def minimality_residual_in_Z(
@@ -347,52 +328,13 @@ def _field_from_gradient(grad_vals: np.ndarray, spec: MetricSpec) -> np.ndarray:
     return -1j * np.asarray(grad_vals, dtype=complex) / spec.omega_scale
 
 
-def hamiltonian_field(
-    f: Callable[[np.ndarray], np.ndarray],
-    z,
-    spec: MetricSpec = DEFAULT_SPEC,
-    grad: Callable | None = None,
-    check: bool = True,
-) -> np.ndarray:
-    """The vector field X with i_X omega = df at z (flat ambient space).
-
-    ``f`` maps a batch (N, m) of complex points to real values. ``grad``,
-    if given, must return the real gradient packaged as a complex vector
-    (d/dx + i d/dy); otherwise the gradient is a finite difference of f.
-    The solution is spot-checked against a direct directional derivative
-    of f unless ``check`` is disabled.
-    """
-    z = np.asarray(z, dtype=complex)
-    m = z.shape[-1]
-    if grad is not None:
-        df = np.asarray(grad(z), dtype=complex)
-    else:
-        df = r2c(
-            fd.gradient(lambda xr: np.asarray(f(r2c(xr))), c2r(z), spec.step_gradient, spec.fd_order)
-        )
-    X = _field_from_gradient(df, spec)
-    if check:
-        rng = np.random.default_rng(1729)
-        scale = float(np.abs(c2r(df)).max()) + 1e-12
-        for _ in range(3):
-            v = r2c(rng.standard_normal(2 * m))
-            v = v / np.linalg.norm(c2r(v))
-            step = spec.step_gradient
-            line = lambda t: np.asarray(f(z[None, :] + np.reshape(t, (-1, 1)) * v))
-            offs, wts = fd._D1[spec.fd_order]
-            dfi = sum(w * line(o * step) for o, w in zip(offs, wts))[0] / step
-            if abs(omega_pair(X, v, spec) - dfi) > 1e-6 * max(1.0, scale):
-                raise NonConvergenceError("hamiltonian field failed the pairing spot-check")
-    return X
-
-
 def hamiltonian_field_batch(
     grad: Callable[[np.ndarray], np.ndarray], Z, spec: MetricSpec = DEFAULT_SPEC
 ) -> np.ndarray:
     """Hamiltonian field over a batch (N, m) of points from a closed-form gradient.
 
     ``grad`` maps the batch to the real gradients packed as complex vectors
-    (d/dx + i d/dy), as for ``hamiltonian_field``; no spot-check.
+    (d/dx + i d/dy).
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     return _field_from_gradient(grad(Z), spec)
@@ -415,37 +357,22 @@ def hamiltonian_vector_field(
     )
 
 
-def hamiltonian_pairing_residual(
-    f, z, X, spec: MetricSpec = DEFAULT_SPEC, probes: int = 8, seed: int = 99
-) -> float:
-    """max over random directions |omega(X, v) - direction derivative of f|."""
-    z = np.asarray(z, dtype=complex)
-    m = z.shape[-1]
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    offs, wts = fd._D1[spec.fd_order]
-    for _ in range(probes):
-        v = r2c(rng.standard_normal(2 * m))
-        v = v / np.linalg.norm(c2r(v))
-        line = lambda t: np.asarray(f(z[None, :] + np.reshape(t, (-1, 1)) * v))
-        dfi = sum(w * line(o * spec.step_gradient) for o, w in zip(offs, wts))[0] / spec.step_gradient
-        worst = max(worst, abs(float(omega_pair(X, v, spec)) - float(dfi)))
-    return worst
-
-
 def noether_drift(
     Q: QuadricConfiguration,
     f: Callable[[np.ndarray], np.ndarray],
+    grad: Callable[[np.ndarray], np.ndarray],
     p: ChartPoint | np.ndarray,
     spec: MetricSpec = DEFAULT_SPEC,
     rng: np.random.Generator | None = None,
-    grad: Callable | None = None,
 ) -> float:
-    """Drift of the quadric moment values along the Hamiltonian field of f.
+    """max |dmu/dt| of the quadric moment values along the Hamiltonian field of f.
 
-    ``f`` must be invariant under the configuration's torus; invariance is
-    spot-checked at random torus elements and an ``InvarianceError`` is
-    raised on violation.
+    ``grad`` is f's closed-form gradient, packed as for
+    ``hamiltonian_field_batch``. The rate is exact: d|z_k|^2/dt =
+    2 Re(conj(z_k) X_k), so dmu/dt = Gamma 2 Re(conj(z) X). ``f`` must be
+    invariant under the configuration's torus; invariance is spot-checked
+    at random torus elements and an ``InvarianceError`` is raised on
+    violation.
     """
     z = np.asarray(p.point if isinstance(p, ChartPoint) else p, dtype=complex)
     rng = np.random.default_rng(7) if rng is None else rng
@@ -455,11 +382,9 @@ def noether_drift(
         fv = float(np.asarray(f((phases * z)[None, :]))[0])
         if abs(fv - f0) > 1e-8 * (1.0 + abs(f0)):
             raise InvarianceError("function is not invariant under the configuration torus")
-    X = hamiltonian_field(f, z, spec, grad=grad, check=False)
-    h = 1e-3
-    mu_plus = moment_map(Q, z + h * X)
-    mu_minus = moment_map(Q, z - h * X)
-    return float(np.abs((mu_plus - mu_minus) / (2.0 * h)).max())
+    X = hamiltonian_field_batch(grad, z, spec)[0]
+    rate = Q.gamma_float() @ (2.0 * np.real(np.conj(z) * X))
+    return float(np.abs(rate).max())
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +451,10 @@ class ChartPatch:
         """(real jacobian (N, D, d), induced metric g (N, d, d), area element) on the nodes.
 
         g comes from ``ambient_metric`` when the patch has one. Computed once
-        per chart step and stencil order, like ``curvature_on_nodes``: every
-        volume and volume derivative of the patch reads it.
+        per chart step, like ``curvature_on_nodes``: every volume and volume
+        derivative of the patch reads it.
         """
-        key = ("chart", spec.step_chart, spec.fd_order)
+        key = ("chart", spec.step_chart)
         if key not in self._cache:
             Jr = _real_jacobian(self.chart, self.S, spec)
             JPt = np.swapaxes(Jr, 1, 2)
@@ -540,10 +465,10 @@ class ChartPatch:
     def curvature_on_nodes(self, spec: MetricSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(points, real mean curvature, area element) on the nodes.
 
-        Computed once per chart step and stencil order: the chart and the
-        nodes are fixed, so every field integrated over the patch reuses them.
+        Computed once per chart step: the chart and the nodes are fixed, so
+        every field integrated over the patch reuses them.
         """
-        key = ("curvature", spec.step_chart, spec.fd_order)
+        key = ("curvature", spec.step_chart)
         if key not in self._cache:
             Hr, _, g = _curvature_batch(self.chart, self.S, spec)
             self._cache[key] = (self.points, Hr, np.sqrt(np.linalg.det(g)))
@@ -673,7 +598,7 @@ def hminimality_residual(
         return np.sqrt(np.linalg.det(g))[:, None] * W
 
     S, _ = _batch(p)
-    Jout = fd.jacobian(sqrtg_W, S, spec.step_divergence, spec.fd_order)  # (N, d, d)
+    Jout = fd.jacobian(sqrtg_W, S, spec.step_divergence)  # (N, d, d)
     div = np.trace(Jout, axis1=-2, axis2=-1)
     _, _, g0 = _curvature_batch(chart, S, spec)
     return _per_point(p, np.abs(div / np.sqrt(np.linalg.det(g0))))
@@ -683,46 +608,39 @@ def hminimality_residual(
 # co-area
 
 def coarea_orbit_volume_check(
-    Q: QuadricConfiguration,
-    base,
-    v_lo,
-    v_hi,
-    nodes: int = 20,
-    spec: MetricSpec = DEFAULT_SPEC,
+    Q: QuadricConfiguration, nodes: int = 20, spec: MetricSpec = DEFAULT_SPEC
 ) -> tuple[float, float]:
     """Volume of a chart patch of the spread submanifold vs the fiber integral.
 
+    Both sides run over one ``PolytopeChart`` at x0 = real_base_point(Q)**2
+    and over the v-box [-a, a]^(m-k) whose half-width a is half that of the
+    largest cube about x0 in the orthant, so x0 + B v >= x0 / 2 on it.
     Upstairs: Riemannian volume of the chart box (v-box) x (one fundamental
     domain of the phase torus, reached by running the unit phi-box through a
     dual-lattice basis so each orbit is covered exactly once).
     Downstairs: integral of the orbit-volume function over the same v-box of
-    the real locus. Both sides run over the same covering chart in v, so the
-    deck-group multiplicity there cancels and the two numbers agree on the
-    nose.
+    the real locus, with the base metric from the exact jacobian B / (2u).
+    The chart's metric has no v-phi block, so sqrt det g is the base area
+    element times the orbit volume at every node, and the two numbers agree
+    to rounding.
     """
-    from .torus_actions import torus_subgroup
-
     T = torus_subgroup(Q)
     dual = np.array(
         [[float(x) for x in row] for row in T.dual_basis.entries], dtype=float
     ).reshape(T.dim, T.dim)
-    chart = TorusSpreadChart(Q, base, phase_rows=dual @ Q.gamma_float(), newton_tol=spec.newton_tol)
-    k = Q.num_quadrics
-    v_lo = np.atleast_1d(np.asarray(v_lo, dtype=float))
-    v_hi = np.atleast_1d(np.asarray(v_hi, dtype=float))
-    lo = np.concatenate([v_lo, np.zeros(k)])
-    hi = np.concatenate([v_hi, np.ones(k)])
-    patch = ChartPatch(chart=chart, lo=lo, hi=hi, nodes=nodes)
-    upstairs = patch_volume(patch, spec)
+    chart = PolytopeChart(Q, real_base_point(Q) ** 2, phase_rows=dual @ Q.gamma_float())
+    with np.errstate(divide="ignore"):
+        half = np.full(chart.nv, 0.5 * np.min(chart.x0 / np.abs(chart.B).sum(axis=1)))
+    lo = np.concatenate([-half, np.zeros(chart.nphi)])
+    hi = np.concatenate([half, np.ones(chart.nphi)])
+    upstairs = patch_volume(ChartPatch(chart=chart, lo=lo, hi=hi, nodes=nodes), spec)
 
-    Sv, wv = quadrature.tensor_grid(v_lo, v_hi, nodes)
-    U = chart.u_map(Sv)
-    Ju = fd.jacobian(chart.u_map, Sv, spec.step_chart, spec.fd_order)
-    gbase = np.einsum("nia,nib->nab", Ju, Ju)
-    elem = np.sqrt(np.linalg.det(gbase))
-    vo = orbit_volume(Q, U.astype(complex))
-    fiber_integral = float(np.sum(wv * np.asarray(vo) * elem))
-    return upstairs, fiber_integral
+    Sv, wv = quadrature.tensor_grid(-half, half, nodes)
+    base = np.concatenate([Sv, np.zeros((len(Sv), chart.nphi))], axis=1)
+    Ju = chart.jacobian(base)[:, :, : chart.nv].real  # B / (2u) at phi = 0
+    elem = np.sqrt(np.linalg.det(np.swapaxes(Ju, 1, 2) @ Ju))
+    vo = orbit_volume(Q, chart.value(base))
+    return upstairs, float(np.sum(wv * np.asarray(vo) * elem))
 
 
 # ---------------------------------------------------------------------------
@@ -776,15 +694,3 @@ def sample_chart_points(
         raise ValueError(f"chart point violates the quadric system: residual {res:.3e}")
     bases = chart.value(np.concatenate([V, np.zeros_like(Phi)], axis=1)).real
     return ChartSample(chart, S, Z, bases)
-
-
-def project_to_quadrics(
-    Q: QuadricConfiguration, point, mode: str | None = None, spec: MetricSpec = DEFAULT_SPEC
-) -> np.ndarray:
-    """Newton retraction of an ambient point onto the quadric set (either mode)."""
-    mode = Q.mode if mode is None else mode
-    if mode == "real":
-        return project_real(Q, np.asarray(point, dtype=float), tol=spec.tol_membership,
-                            max_iter=spec.newton_max_iter)
-    return project_complex(Q, np.asarray(point, dtype=complex), tol=spec.tol_membership,
-                           max_iter=spec.newton_max_iter)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import prod
 from typing import Sequence
 
@@ -58,19 +57,6 @@ def torus_subgroup(Q: QuadricConfiguration) -> TorusSubgroup:
         raise ValueError("coefficient columns do not span a full-rank lattice")
     dual = inverse(basis.to_rational().transpose())
     return TorusSubgroup(basis, dual, k)
-
-
-def two_torsion_elements(T: TorusSubgroup) -> list[tuple[Fraction, ...]]:
-    """Representatives of the half-dual modulo the dual lattice, 2^dim of them."""
-    out = []
-    for eps in product((0, 1), repeat=T.dim):
-        vec = [Fraction(0)] * T.dim
-        for i, e in enumerate(eps):
-            if e:
-                for j in range(T.dim):
-                    vec[j] += T.dual_basis.entries[i][j] / 2
-        out.append(tuple(vec))
-    return out
 
 
 def torus_point(Q: QuadricConfiguration, phi: Sequence[float]) -> np.ndarray:

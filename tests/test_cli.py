@@ -198,7 +198,8 @@ def test_malformed_numbers_exit_2(tmp_path, monkeypatch, capsys):
 
 def test_unknown_tolerance_names_exit_2(tmp_path, monkeypatch, capsys):
     # internal MetricSpec fields and retired names are not tolerance names
-    for name in ("omega_scale", "fd_order", "newton_max_iter", "tol_membership", "frame", "variation"):
+    for name in ("omega_scale", "fd_order", "newton_max_iter", "tol_membership", "frame", "variation",
+                 "curvature", "step_gradient"):
         assert main(["verify-lagrangian", "catalog:one-quadric:2", "--samples", "5",
                      "--tol", name, "0"]) == 2, name
     cfg = tmp_path / "tol.cfg"
@@ -209,15 +210,34 @@ def test_unknown_tolerance_names_exit_2(tmp_path, monkeypatch, capsys):
 
 
 def test_retired_variation_step_exits_2(tmp_path, monkeypatch, capsys):
-    # every volume derivative is exact in t, so no check reads a variation step
+    # every volume derivative is exact in t, so no check reads a variation
+    # step; no check reads the curvature normality tolerance, and every
+    # Hamiltonian gradient is closed-form, so neither is a name either
     args = ["verify-ntilde", "catalog:rp2", "--samples", "5"]
-    assert main(args + ["--tol", "step", "1e-4"]) == 2
-    cfg = tmp_path / "tol.cfg"
-    cfg.write_text("mode quadrics\ngamma 1 2\n1 1\nc 1\ntol step 1e-4\n")
-    assert main(["verify-lagrangian", str(cfg), "--samples", "5"]) == 2
-    monkeypatch.setenv("MOMENTANGLE_TOL_STEP", "1e-4")
-    assert main(args) == 2
-    assert "unknown tolerance name 'step'" in capsys.readouterr().err
+    for name in ("step", "curvature", "step_gradient"):
+        assert main(args + ["--tol", name, "1e-4"]) == 2
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text(f"mode quadrics\ngamma 1 2\n1 1\nc 1\ntol {name} 1e-4\n")
+        assert main(["verify-lagrangian", str(cfg), "--samples", "5"]) == 2
+        with monkeypatch.context() as m:
+            m.setenv(f"MOMENTANGLE_TOL_{name.upper()}", "1e-4")
+            assert main(args) == 2
+        assert f"unknown tolerance name {name!r}" in capsys.readouterr().err
+
+
+def test_tolerance_values_must_be_finite_and_positive(tmp_path, monkeypatch, capsys):
+    # a zero step gave nan residuals and exit 1, a negative one ran and passed
+    args = ["verify-lagrangian", "catalog:one-quadric:2", "--samples", "5"]
+    for value in ("0", "-0.001", "nan", "inf"):
+        assert main(args + ["--tol", "step_chart", value]) == 2, value
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text(f"mode quadrics\ngamma 1 2\n1 1\nc 1\ntol membership {value}\n")
+        assert main(["verify-lagrangian", str(cfg), "--samples", "5"]) == 2, value
+        with monkeypatch.context() as m:
+            m.setenv("MOMENTANGLE_TOL_NEWTON", value)
+            assert main(args) == 2, value
+        assert capsys.readouterr().err.count("must be finite and positive") == 3, value
+    assert main(args + ["--tol", "step_chart", "2e-3"]) == 0
 
 
 def test_env_tolerance_override(monkeypatch):
@@ -265,8 +285,26 @@ def test_readme_tolerance_names_match_the_cli():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = re.search(r"Tolerance names:(.*?)\.\s", readme, re.S).group(1)
     assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(_TOL_FIELDS)
+    # every MetricSpec field but the symplectic scale is set by exactly one name
     fields = {f.name for f in dataclasses.fields(MetricSpec)}
-    assert set(_TOL_FIELDS.values()) <= fields
+    assert Counter(_TOL_FIELDS.values()) == Counter(fields - {"omega_scale"})
+
+
+def test_every_tolerance_name_is_read_by_report_all():
+    from momentangle.cli import _TOL_FIELDS
+    from momentangle.submanifold_numerics import MetricSpec
+
+    reads = set()
+
+    class RecordingSpec(MetricSpec):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    for name in catalog_names():
+        cfg = _catalog_config(name)
+        run_command("report-all", cfg, cfg.seed, 10, RecordingSpec(), out=io.StringIO())
+    assert set(_TOL_FIELDS.values()) <= reads, set(_TOL_FIELDS.values()) - reads
 
 
 # the square pyramid of test_polytope.py: its apex lies on four facets

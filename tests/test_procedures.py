@@ -76,18 +76,27 @@ def test_renderings_contain_identical_numbers():
 
 
 def test_stationarity_checks_take_no_fd_gradient(monkeypatch):
-    # every stationarity Hamiltonian carries a closed-form gradient
+    # every Hamiltonian carries a closed-form gradient: fd has no gradient
+    # stencil, and the stationarity checks run without one
     from momentangle import fd
     from momentangle.reduction_catalog import catalog_double
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("finite-difference gradient in a stationarity check")
-
-    monkeypatch.setattr(fd, "gradient", refuse)
+    assert not hasattr(fd, "gradient")
     for name in ("one-quadric:2", "one-quadric:3"):
         assert proc.hamiltonian_stationarity_report(catalog_quadrics(name), n_fields=1).overall
     for name in ("cp2-torus", "rp2"):
         assert proc.cp_chart_report(catalog_double(name), samples=5).overall
+
+    # the Noether drift and the co-area check take no finite difference at all
+    def refuse(*args, **kwargs):
+        raise AssertionError("finite difference in an exact check")
+
+    monkeypatch.setattr(fd, "jacobian", refuse)
+    monkeypatch.setattr(fd, "hessian", refuse)
+    for name in ("one-quadric:2", "one-quadric:3"):
+        Q = catalog_quadrics(name)
+        assert proc.noether_report(Q).overall
+        assert proc.coarea_report(Q).overall
 
 
 def test_delzant_and_freeness_are_decided_independently(monkeypatch):

@@ -260,7 +260,7 @@ def test_cp_reduced_tensors_match_horizontal_lifts(name):
 
 def _along(F, W, V, step=1e-4):
     """Order-4 central difference of F at the points W along the directions V (one per point)."""
-    offs, wts = fd._D1[4]
+    offs, wts = fd._D1
     return sum(w * np.asarray(F(W + o * step * V)) for o, w in zip(offs, wts)) / step
 
 
