@@ -1,8 +1,8 @@
 """Local parametrizations of quadric-built submanifolds and Newton retraction.
 
 A chart maps parameter vectors to ambient points; derivatives come either
-from closed forms (``PolytopeChart`` is exact throughout, and the phase
-directions of torus-spread charts are exact) or from central finite
+from closed forms (``PolytopeChart`` is exact through third order, and the
+phase directions of torus-spread charts are exact) or from central finite
 differences of the chart map itself.
 """
 
@@ -111,8 +111,9 @@ class Chart:
     """Parameter space -> ambient map with derivative hooks.
 
     ``ambient`` is "complex" (values in C^m) or "real" (values in R^D).
-    Subclasses may override ``jacobian``/``hessian`` with exact formulas;
-    the defaults differentiate ``value`` by 4th-order central stencils.
+    Subclasses may override ``jacobian``/``hessian``/``third`` with exact
+    formulas; the defaults differentiate ``value`` by 4th-order central
+    stencils, and ``third`` differentiates ``hessian`` the same way.
     """
 
     dim: int
@@ -127,6 +128,10 @@ class Chart:
 
     def hessian(self, S: np.ndarray, step: float = 1e-3) -> np.ndarray:
         return fd.hessian(self.value, S, step)
+
+    def third(self, S: np.ndarray, step: float = 1e-3) -> np.ndarray:
+        """Third derivatives (N, m, d, d, d); the last axis differentiates the hessian."""
+        return fd.jacobian(lambda Sb: self.hessian(Sb, step), S, step)
 
 
 class FunctionChart(Chart):
@@ -252,9 +257,10 @@ class PolytopeChart(Chart):
     {x >= 0 : Gamma x = c} by x = u^2, so on the open orthant it is the graph
     u = sqrt(x) over the polytope's interior. ``x0`` is an interior point
     (Gamma x0 = c, x0 > 0) and the columns of ``B`` an orthonormal basis of
-    ker Gamma. The jacobian B / (2u), the hessian -B_a B_b / (4u^3) and the
-    phase terms are exact, so ``step`` is not read. Parameters
-    must keep x0 + B v in the open orthant; ``value`` raises otherwise.
+    ker Gamma. The jacobian B / (2u), the hessian -B_a B_b / (4u^3), the
+    third derivative 3 B_a B_b B_c / (8u^5) and the phase terms are exact,
+    so ``step`` is not read. Parameters must keep x0 + B v in the open
+    orthant; ``value`` raises otherwise.
     """
 
     def __init__(self, Q: QuadricConfiguration, x0, phase_rows: np.ndarray | None = None):
@@ -304,3 +310,22 @@ class PolytopeChart(Chart):
         top = np.concatenate([Hvv, Hvphi], axis=3)
         bottom = np.concatenate([np.swapaxes(Hvphi, 2, 3), Hphiphi], axis=3)
         return np.concatenate([top, bottom], axis=2)
+
+    def third(self, S: np.ndarray, step: float = 1e-3) -> np.ndarray:
+        """d_a d_b d_c z = phases * (3/8 BBB / u^5 - 1/4 sym EBB / u^3
+        + 1/2 sym EEB / u + EEE u), by the product rule on phases * u with
+        the u-derivatives B / (2u), -BB / (4u^3) and 3 BBB / (8u^5)."""
+        phases, u, _ = self._parts(S)
+        # per-direction factors: d u / u on v, d phases / phases on phi
+        Bx = np.concatenate([self.B, np.zeros((self.ambient_dim, self.nphi))], axis=1)
+        Ex = np.concatenate([np.zeros_like(self.B), 1j * TWO_PI * self.phase_rows.T], axis=1)
+
+        def outer(a, b, c):
+            return a[:, :, None, None] * b[:, None, :, None] * c[:, None, None, :]
+
+        def sym(a, b):  # a a b summed over the three places of b
+            return outer(a, a, b) + outer(a, b, a) + outer(b, a, a)
+
+        terms = np.stack([outer(Bx, Bx, Bx), sym(Bx, Ex), sym(Ex, Bx), outer(Ex, Ex, Ex)])
+        coeff = np.stack([0.375 / u**5, -0.25 / u**3, 0.5 / u, u], axis=-1)  # (N, m, 4)
+        return phases[:, :, None, None, None] * np.einsum("njk,kjabc->njabc", coeff, terms)

@@ -60,7 +60,6 @@ COMMANDS = (
 _TOL_FIELDS = {
     "membership": "tol_membership",
     "step_chart": "step_chart",
-    "step_divergence": "step_divergence",
     "newton": "newton_tol",
 }
 

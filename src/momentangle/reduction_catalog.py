@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .charts import FunctionChart, TorusSpreadChart, c2r, r2c
+from .charts import Chart, FunctionChart, TorusSpreadChart, c2r, r2c
 from .exact_linalg import IntegerMatrix
 from .polytope import PolytopePresentation
 from .quadrature import bump_poly, bump_poly_dsq, bump_poly_dsq2
@@ -499,26 +499,51 @@ def catalog_names() -> tuple[str, ...]:
 # explicit full-cover charts for the closed low-dimensional cases
 
 
-def one_quadric_torus_chart(Q: QuadricConfiguration) -> FunctionChart:
+class OneQuadricTorusChart(Chart):
     """Global (theta, phi) chart of the spread of the circle (ambient dim 2).
 
-    Covers the closed surface (as a 2:1 deck cover); both axes are periodic
-    with periods 2*pi and 1/gamma.
+    z = sqrt(c / gamma) exp(2 pi i gamma phi) (cos theta, sin theta). Covers
+    the closed surface (as a 2:1 deck cover); both axes are periodic with
+    periods 2*pi and 1/gamma. The jacobian and hessian are cos/sin times the
+    phase, exact, so ``step`` is not read.
     """
-    if Q.num_quadrics != 1 or Q.ambient_dim != 2:
-        raise ValueError("global chart implemented for one quadric in C^2")
-    gam = Q.gamma.entries[0][0]
-    a = float(Q.c[0]) / gam
-    root = np.sqrt(a)
 
-    def fn(S):
+    dim = 2
+    ambient_dim = 2
+
+    def __init__(self, Q: QuadricConfiguration):
+        if Q.num_quadrics != 1 or Q.ambient_dim != 2:
+            raise ValueError("global chart implemented for one quadric in C^2")
+        gamma = Q.gamma.entries[0][0]
+        self.root = np.sqrt(float(Q.c[0]) / gamma)
+        self.rate = 1j * TWO_PI * gamma  # d/dphi of the phase, over the phase
+        self.periods = (TWO_PI, 1.0 / gamma)
+
+    def _parts(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(z, dz/dtheta) at the rows of S."""
+        S = np.atleast_2d(np.asarray(S, dtype=float))
         th, ph = S[:, 0], S[:, 1]
-        u = root * np.stack([np.cos(th), np.sin(th)], axis=-1)
-        return np.exp(1j * TWO_PI * gam * ph)[:, None] * u
+        phase = np.exp(self.rate * ph)[:, None]
+        cos, sin = self.root * np.cos(th), self.root * np.sin(th)
+        return phase * np.stack([cos, sin], axis=-1), phase * np.stack([-sin, cos], axis=-1)
 
-    chart = FunctionChart(fn, dim=2, ambient_dim=2)
-    chart.periods = (TWO_PI, 1.0 / gam)
-    return chart
+    def value(self, S: np.ndarray) -> np.ndarray:
+        return self._parts(S)[0]
+
+    def jacobian(self, S: np.ndarray, step: float = 1e-3) -> np.ndarray:
+        z, z_th = self._parts(S)
+        return np.stack([z_th, self.rate * z], axis=-1)
+
+    def hessian(self, S: np.ndarray, step: float = 1e-3) -> np.ndarray:
+        z, z_th = self._parts(S)
+        e = self.rate
+        return np.stack([np.stack([-z, e * z_th], axis=-1),
+                         np.stack([e * z_th, e * e * z], axis=-1)], axis=-2)
+
+
+def one_quadric_torus_chart(Q: QuadricConfiguration) -> OneQuadricTorusChart:
+    """The global (theta, phi) chart of the spread torus of one quadric in C^2."""
+    return OneQuadricTorusChart(Q)
 
 
 def cp2_torus_lift_chart(D: DoubleConfiguration) -> FunctionChart:

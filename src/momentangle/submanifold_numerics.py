@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import fd, quadrature
+from . import quadrature
 from .charts import (
     Chart,
     NonConvergenceError,
@@ -49,8 +49,7 @@ class MetricSpec:
 
     omega_scale: float = -1.0 / np.pi
     tol_membership: float = 1e-10
-    step_chart: float = 1e-3  # stencil chart jacobians / hessians
-    step_divergence: float = 3e-3  # outer derivative in the codifferential
+    step_chart: float = 1e-3  # stencil chart jacobians / hessians / third derivatives
     newton_tol: float = 1e-10
 
 
@@ -581,27 +580,42 @@ def hminimality_residual(
 ) -> float | np.ndarray:
     """|delta(i_H omega)| at the point, computed in chart coordinates.
 
-    The 1-form alpha = i_H omega is restricted to the submanifold, sharped
-    with the induced metric, and its codifferential is the negative
-    divergence -(1/sqrt g) d_a (sqrt g W^a), evaluated by central
-    differences of the chart quantities. A ``ChartSample`` gives one value
-    per point, from one stencil over all of them.
+    The 1-form alpha_a = omega(H, J_a) (H the normal part of g^bc Hess_bc)
+    is sharped with the induced metric, W = g^-1 alpha, and its
+    codifferential is the negative divergence
+    -(d_c W^c + 1/2 tr(g^-1 d_c g) W^c). Every d_c is the product rule on
+    the chart's jacobian J, hessian and third derivative, so a chart with
+    closed-form derivatives takes no stencil. A ``ChartSample`` gives one
+    value per point.
     """
-    chart = p.chart
-    m = chart.ambient_dim
-    Om = omega_matrix(m, spec)
-
-    def sqrtg_W(Sb):
-        Hr, Jr, g = _curvature_batch(chart, Sb, spec)
-        alpha = np.einsum("ni,ij,nja->na", Hr, Om, Jr)
-        W = np.linalg.solve(g, alpha[..., None])[..., 0]
-        return np.sqrt(np.linalg.det(g))[:, None] * W
-
     S, _ = _batch(p)
-    Jout = fd.jacobian(sqrtg_W, S, spec.step_divergence)  # (N, d, d)
-    div = np.trace(Jout, axis1=-2, axis2=-1)
-    _, _, g0 = _curvature_batch(chart, S, spec)
-    return _per_point(p, np.abs(div / np.sqrt(np.linalg.det(g0))))
+    chart = p.chart
+    J, Hess, T = (chart.jacobian(S, spec.step_chart), chart.hessian(S, spec.step_chart),
+                  chart.third(S, spec.step_chart))
+    if chart.ambient == "complex":
+        J, Hess, T = (np.concatenate([X.real, X.imag], axis=1) for X in (J, Hess, T))
+    Om = omega_matrix(chart.ambient_dim, spec)
+    g = np.einsum("nia,nib->nab", J, J)
+    gi = np.linalg.inv(g)
+    dg = np.einsum("niac,nib->ncab", Hess, J)
+    dg = dg + np.swapaxes(dg, 2, 3)  # d_c g_ab
+    dgi = -gi[:, None] @ dg @ gi[:, None]  # d_c g^ab
+    # H = tr - J y, tr = g^ab Hess_ab, y = g^-1 J^T tr
+    tr = np.einsum("nab,niab->ni", gi, Hess)
+    dtr = np.einsum("ncab,niab->nic", dgi, Hess) + np.einsum("nab,niabc->nic", gi, T)
+    Jtr = np.einsum("nia,ni->na", J, tr)
+    dJtr = np.einsum("niac,ni->nac", Hess, tr) + np.einsum("nia,nic->nac", J, dtr)
+    y = np.einsum("nab,nb->na", gi, Jtr)
+    dy = np.einsum("ncab,nb->nac", dgi, Jtr) + np.einsum("nab,nbc->nac", gi, dJtr)
+    H = tr - np.einsum("nia,na->ni", J, y)
+    dH = dtr - np.einsum("niac,na->nic", Hess, y) - np.einsum("nia,nac->nic", J, dy)
+    OmJ = np.einsum("ij,nja->nia", Om, J)
+    alpha = np.einsum("ni,nia->na", H, OmJ)
+    dalpha = np.einsum("nic,nia->nac", dH, OmJ) + np.einsum("ni,ij,njac->nac", H, Om, Hess)
+    W = np.einsum("nab,nb->na", gi, alpha)
+    div = np.einsum("naab,nb->n", dgi, alpha) + np.einsum("nab,nba->n", gi, dalpha)
+    log_sqrtg = 0.5 * np.einsum("nab,ncba->nc", gi, dg)  # d_c log sqrt(det g)
+    return _per_point(p, np.abs(div + np.einsum("nc,nc->n", log_sqrtg, W)))
 
 
 # ---------------------------------------------------------------------------
@@ -657,9 +671,8 @@ def real_base_point(Q: QuadricConfiguration) -> np.ndarray:
 
 # Samples stop at this fraction of the way from x0 to the first face of the
 # polytope, so every sample keeps x >= (1 - SAMPLE_REACH) * x0 coordinatewise
-# (x >= 0.1 on every catalog instance). The divergence stencil moves x by at
-# most 2 * step_divergence = 6e-3, so it stays in the open orthant, where
-# u = sqrt(x) is smooth.
+# (x >= 0.1 on every catalog instance): the chart's derivatives grow like
+# powers of 1 / u, and stay bounded away from the faces.
 SAMPLE_REACH = 0.5
 
 

@@ -211,10 +211,11 @@ def test_unknown_tolerance_names_exit_2(tmp_path, monkeypatch, capsys):
 
 def test_retired_variation_step_exits_2(tmp_path, monkeypatch, capsys):
     # every volume derivative is exact in t, so no check reads a variation
-    # step; no check reads the curvature normality tolerance, and every
-    # Hamiltonian gradient is closed-form, so neither is a name either
+    # step; no check reads the curvature normality tolerance, every
+    # Hamiltonian gradient is closed-form, and the codifferential is the
+    # product rule on the chart's derivatives, so none of these is a name
     args = ["verify-ntilde", "catalog:rp2", "--samples", "5"]
-    for name in ("step", "curvature", "step_gradient"):
+    for name in ("step", "curvature", "step_gradient", "step_divergence"):
         assert main(args + ["--tol", name, "1e-4"]) == 2
         cfg = tmp_path / "tol.cfg"
         cfg.write_text(f"mode quadrics\ngamma 1 2\n1 1\nc 1\ntol {name} 1e-4\n")

@@ -10,7 +10,22 @@ def test_gale_report_exact():
     rep = proc.gale_report(catalog_polytope("product:2,3"), seed=1)
     assert rep.overall
     names = [r.name for r in rep.records]
-    assert "gale-orthogonality-exact" in names and "gale-image-level-exact" in names
+    assert names == ["gale-orthogonality-exact", "gale-image-level-exact"]
+
+
+def test_gale_level_negative_control(monkeypatch):
+    # a dual whose level is off by one keeps its rows, so orthogonality
+    # still holds and only the level record fails
+    gale_dual = proc.gale_dual
+
+    def shifted(P):
+        Q = gale_dual(P)
+        return QuadricConfiguration(Q.gamma, [c + 1 for c in Q.c])
+
+    monkeypatch.setattr(proc, "gale_dual", shifted)
+    for name in ("triangle", "product:2,3"):
+        passed = {r.name: r.passed for r in proc.gale_report(catalog_polytope(name)).records}
+        assert passed == {"gale-orthogonality-exact": True, "gale-image-level-exact": False}, name
 
 
 def test_polytope_and_freeness_reports():
@@ -97,6 +112,34 @@ def test_stationarity_checks_take_no_fd_gradient(monkeypatch):
         Q = catalog_quadrics(name)
         assert proc.noether_report(Q).overall
         assert proc.coarea_report(Q).overall
+
+
+# the non-double instances whose report-all has no C^3 stationarity patch
+# (the Newton-retracted chart's stencils): the benchmark's fast catalog
+# without cp2-torus and rp2
+STENCIL_FREE = ("square", "simplex:3", "simplex:4", "cube:2", "cube:3", "product:2,2",
+                "product:2,3", "product:3,3", "one-quadric:2", "one-quadric:4",
+                "two-quadrics:2,2")
+
+
+def test_report_all_takes_no_stencil(monkeypatch):
+    # the sampled charts are exact through third order (the codifferential)
+    # and the C^2 torus chart is exact (first variation, stationarity)
+    import io
+
+    from momentangle import fd
+    from momentangle.cli import _catalog_config, run_command
+    from momentangle.submanifold_numerics import MetricSpec
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("finite difference in report-all")
+
+    monkeypatch.setattr(fd, "jacobian", refuse)
+    monkeypatch.setattr(fd, "hessian", refuse)
+    for name in STENCIL_FREE:
+        cfg = _catalog_config(name)
+        rep = run_command("report-all", cfg, 0, 20, MetricSpec(), out=io.StringIO())
+        assert rep.overall, name
 
 
 def test_delzant_and_freeness_are_decided_independently(monkeypatch):
