@@ -59,7 +59,6 @@ COMMANDS = (
 
 _TOL_FIELDS = {
     "membership": "tol_membership",
-    "step_chart": "step_chart",
     "newton": "newton_tol",
 }
 
@@ -213,7 +212,7 @@ def run_command(
         if Q.num_quadrics == 1 and Q.ambient_dim in (1, 2):
             rep.extend(proc.first_variation_report(Q, seed=seed, spec=spec))
         if Q.num_quadrics == 1 and Q.ambient_dim in (2, 3):
-            rep.extend(proc.coarea_report(Q, seed=seed, spec=spec))
+            rep.extend(proc.coarea_report(Q, seed=seed))
             rep.extend(proc.hamiltonian_stationarity_report(Q, seed=seed, spec=spec, n_fields=3))
         return rep
 

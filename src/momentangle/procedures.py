@@ -12,10 +12,9 @@ from typing import Callable
 
 import numpy as np
 
-from .charts import FunctionChart, TorusSpreadChart, c2r, r2c
+from .charts import FunctionChart, TorusSpreadChart
 from .exact_linalg import RationalMatrix
-from .polytope import PolytopePresentation, is_delzant, is_simple
-from .quadrature import bump_poly, bump_poly_dsq, bump_poly_dsq2
+from .polytope import PolytopePresentation, embed_point, enumerate_vertices, is_delzant, is_simple
 from .quadric_config import (
     QuadricConfiguration,
     boundedness_check,
@@ -49,6 +48,8 @@ from .submanifold_numerics import (
     tangent_frame_Z,
     InvarianceError,
     VectorField,
+    _poly_scalar,
+    _radial_cutoff,
 )
 from .torus_actions import freeness_check, orbit_volume
 
@@ -78,17 +79,19 @@ def _rng(seed: int) -> np.random.Generator:
 def gale_report(P: PolytopePresentation, seed: int = 0) -> VerificationReport:
     """Exact orthogonality of the dual and its level.
 
-    Once Gamma A = 0 (the first record), every point's image under the
-    facet map x -> A^T x + b is Gamma b, so the level record is the one
-    exact product Gamma b == c. The report draws nothing, so ``seed`` only
-    labels it.
+    The level is Gamma applied to the image of the first vertex of P under
+    the facet map x -> A^T x + b (``embed_point``). It reaches c through a
+    point of P, not through the product Gamma b that sets c, so a dual
+    whose level or rows are off fails it. The report draws nothing, so
+    ``seed`` only labels it.
     """
     rep = VerificationReport(seed=seed)
     Q = gale_dual(P)
     gamma = Q.gamma.to_rational()
     prod = gamma.matmul(P.normal_matrix().transpose())
     rep.add_bool("gale-orthogonality-exact", prod.is_zero())
-    level = gamma.matmul(RationalMatrix([[b] for b in P.offsets], cols=1))
+    image = embed_point(P, enumerate_vertices(P).vertices[0])
+    level = gamma.matmul(RationalMatrix([[x] for x in image], cols=1))
     rep.add_bool("gale-image-level-exact", tuple(row[0] for row in level.entries) == Q.c)
     return rep
 
@@ -161,7 +164,7 @@ def point_residual_report(
     )
     rep.add_lower_bound("lagrangian-negative-control", ctrl, CONTROL_BOUND)
     if with_minimal:
-        mini = float(minimality_residual_in_Z(Q, pts, spec).max())
+        mini = float(minimality_residual_in_Z(Q, pts).max())
         rep.add("minimality-in-Z-residual", mini, TOL_MINIMAL, samples=samples)
     return rep
 
@@ -181,7 +184,7 @@ def unequal_torus_control(spec: MetricSpec = DEFAULT_SPEC) -> float:
 
     chart = FunctionChart(fn, dim=2, ambient_dim=2)
     p = chart_point(chart, np.array([0.4, 1.1]), Q=Q, spec=spec)
-    return minimality_residual_in_Z(Q, p, spec)
+    return minimality_residual_in_Z(Q, p)
 
 
 def hminimality_report(
@@ -270,15 +273,13 @@ def vo_symmetry_report(
     return rep
 
 
-def coarea_report(
-    Q: QuadricConfiguration, seed: int = 0, spec: MetricSpec = DEFAULT_SPEC, nodes: int = 20
-) -> VerificationReport:
+def coarea_report(Q: QuadricConfiguration, seed: int = 0, nodes: int = 20) -> VerificationReport:
     """Patch volume upstairs vs integral of the orbit volume over the base patch.
 
     The check is exact and draws nothing, so ``seed`` only labels the report.
     """
     rep = VerificationReport(seed=seed)
-    up, fib = coarea_orbit_volume_check(Q, nodes=nodes, spec=spec)
+    up, fib = coarea_orbit_volume_check(Q, nodes=nodes)
     rel = abs(up - fib) / max(abs(up), abs(fib), 1e-12)
     rep.add("coarea-relative-mismatch", rel, TOL_COAREA_REL)
     return rep
@@ -300,7 +301,7 @@ def circle_variation_values(spec: MetricSpec = DEFAULT_SPEC) -> tuple[float, flo
         return (V - z * np.real(np.conj(z) * V) / np.abs(z) ** 2) / np.abs(z)
 
     radial = VectorField(lambda z: z / np.abs(z), radial_derivative)
-    return patch_volume_derivative(patch, radial, spec), first_variation_integral(patch, radial, spec)
+    return patch_volume_derivative(patch, radial), first_variation_integral(patch, radial)
 
 
 def _random_matrix_field(m: int, rng: np.random.Generator) -> VectorField:
@@ -346,88 +347,11 @@ def first_variation_report(
     rng = _rng(seed)
     for i in range(n_fields):
         X = _random_matrix_field(Q.ambient_dim, rng)
-        dv = patch_volume_derivative(patch, X, spec)
-        comp = first_variation_integral(patch, X, spec)
+        dv = patch_volume_derivative(patch, X)
+        comp = first_variation_integral(patch, X)
         rel = abs(dv - comp) / (abs(dv) + abs(comp) + 1e-9)
         rep.add(f"first-variation-field-{i}", rel, TOL_VARIATION_REL)
     return rep
-
-
-def _poly_scalar(m: int, rng: np.random.Generator) -> tuple[Callable, Callable, Callable]:
-    """Random real polynomial of degree <= 2 in the real coordinates, its gradient and Hessian.
-
-    All are batched; the gradient lin + 2 quad x is packed as d/dx + i d/dy,
-    and ``hess(z, V)`` applies the Hessian 2 quad to ambient vectors V
-    (N, d, m), packed the same way.
-    """
-    lin = rng.standard_normal(2 * m)
-    quad = rng.standard_normal((2 * m, 2 * m))
-    quad = 0.5 * (quad + quad.T)
-
-    def f(z):
-        xr = c2r(np.atleast_2d(np.asarray(z, dtype=complex)))
-        return xr @ lin + np.einsum("ni,ij,nj->n", xr, quad, xr)
-
-    def grad(z):
-        xr = c2r(np.atleast_2d(np.asarray(z, dtype=complex)))
-        return r2c(lin + 2.0 * xr @ quad)
-
-    def hess(z, V):
-        return r2c(2.0 * c2r(V) @ quad)
-
-    return f, grad, hess
-
-
-def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The real inner product of packed complex vectors along the last axis."""
-    return np.real(np.sum(np.conj(a) * b, axis=-1))
-
-
-def _radial_cutoff(
-    poly: tuple[Callable, Callable, Callable], z0: np.ndarray, rho: float
-) -> tuple[Callable, Callable, Callable]:
-    """poly localized by bump_poly(|z - z0| / rho), with its gradient and Hessian.
-
-    The cutoff is b(s) = (1 - s)^4 in s = |z - z0|^2 / rho^2, with b' =
-    ``bump_poly_dsq`` and b'' = ``bump_poly_dsq2``, and grad s = 2 (z - z0) /
-    rho^2, so no division by |z - z0|. Gradient and Hessian are the product
-    rule inside the support and 0 outside; the polynomial is evaluated only
-    at the points inside.
-    """
-    poly_f, poly_grad, poly_hess = poly
-
-    def dist(z):
-        d = np.atleast_2d(np.asarray(z, dtype=complex)) - z0
-        return d, np.sqrt(np.sum(np.abs(d) ** 2, axis=-1)) / rho
-
-    def f(z):
-        return bump_poly(dist(z)[1]) * poly_f(z)
-
-    def grad(z):
-        z = np.atleast_2d(np.asarray(z, dtype=complex))
-        d, r = dist(z)
-        out = np.zeros_like(d)
-        inside = r < 1.0
-        d, r, z = d[inside], r[inside], z[inside]
-        cut_grad = (2.0 / rho**2) * bump_poly_dsq(r)[:, None] * d
-        out[inside] = bump_poly(r)[:, None] * poly_grad(z) + poly_f(z)[:, None] * cut_grad
-        return out
-
-    def hess(z, V):
-        z = np.atleast_2d(np.asarray(z, dtype=complex))
-        d, r = dist(z)
-        out = np.zeros(V.shape, dtype=complex)
-        inside = r < 1.0
-        d, r, z, V = d[inside], r[inside], z[inside], V[inside]
-        b, b1, b2 = (fn(r)[:, None, None] for fn in (bump_poly, bump_poly_dsq, bump_poly_dsq2))
-        p, gp = poly_f(z)[:, None, None], poly_grad(z)[:, None, :]
-        gs = (2.0 / rho**2) * d[:, None, :]  # grad s
-        gp_v, gs_v = _real_dot(gp, V)[..., None], _real_dot(gs, V)[..., None]
-        out[inside] = (b * poly_hess(z, V) + b1 * (gs * gp_v + gp * gs_v)
-                       + p * (b2 * gs * gs_v + (2.0 / rho**2) * b1 * V))
-        return out
-
-    return f, grad, hess
 
 
 def hamiltonian_stationarity_report(
@@ -469,7 +393,7 @@ def hamiltonian_stationarity_report(
         poly = _poly_scalar(Q.ambient_dim, rng)
         _, grad, hess = _radial_cutoff(poly, z0, rho) if localized else poly
         Xf = hamiltonian_vector_field(grad, hess, spec)
-        ratio = stationarity_ratio(patch, Xf, spec, localized=localized)
+        ratio = stationarity_ratio(patch, Xf, localized=localized)
         rep.add(f"hamiltonian-stationarity-{i}", ratio, TOL_STATIONARITY)
     return rep
 

@@ -15,10 +15,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .charts import Chart, FunctionChart, TorusSpreadChart, c2r, r2c
+from .charts import Chart, CircleSpreadChart, TorusSpreadChart, c2r, r2c
 from .exact_linalg import IntegerMatrix
 from .polytope import PolytopePresentation
-from .quadrature import bump_poly, bump_poly_dsq, bump_poly_dsq2
 from .quadric_config import (
     NondegeneracyReport,
     QuadricConfiguration,
@@ -38,6 +37,8 @@ from .submanifold_numerics import (
     VectorField,
     _batch,
     _per_point,
+    _poly_scalar,
+    _radial_cutoff,
     chart_point,
     frame_symplectic_residual,
 )
@@ -239,7 +240,7 @@ def ntilde_lagrangian_residual(
     point.
     """
     S, Z = _batch(p)
-    J = p.chart.jacobian(S, spec.step_chart)  # (N, m, d)
+    J = p.chart.jacobian(S)  # (N, m, d)
     return _per_point(p, _horizontal_residual(D, Z, J, spec))
 
 
@@ -379,19 +380,31 @@ def cp_hamiltonian_field(
     return VectorField(value, derivative)
 
 
-class CpChart(FunctionChart):
-    """Composition of a lift chart with the affine projective chart (real ambient)."""
+class CpChart(Chart):
+    """The affine projective chart w = z_rest / z_j of a lift chart, in real coordinates.
 
-    def __init__(self, lift_chart, j: int):
+    Its jacobian is the chain rule dw = (dz_rest - w dz_j) / z_j on the
+    lift's jacobian.
+    """
+
+    ambient = "real"
+
+    def __init__(self, lift_chart: Chart, j: int):
         self.lift_chart = lift_chart
         self.j = j
+        self.dim = lift_chart.dim
+        self.ambient_dim = 2 * (lift_chart.ambient_dim - 1)
 
-        def fn(S):
-            z = lift_chart.value(S)
-            return c2r(cp_affine_coords(z, j))
+    def value(self, S: np.ndarray) -> np.ndarray:
+        return c2r(cp_affine_coords(self.lift_chart.value(S), self.j))
 
-        super().__init__(fn, dim=lift_chart.dim, ambient_dim=2 * (lift_chart.ambient_dim - 1),
-                         ambient="real")
+    def jacobian(self, S: np.ndarray) -> np.ndarray:
+        j = self.j
+        z = self.lift_chart.value(S)
+        w = cp_affine_coords(z, j)
+        J = self.lift_chart.jacobian(S)  # (N, m, d)
+        dw = (np.delete(J, j, axis=1) - w[:, :, None] * J[:, j : j + 1]) / z[:, j, None, None]
+        return np.concatenate([dw.real, dw.imag], axis=1)
 
 
 def cp_lagrangian_residual(
@@ -399,7 +412,7 @@ def cp_lagrangian_residual(
 ) -> float:
     """max |omega_red(f_i, f_j)| over a reduced-metric-orthonormal chart frame."""
     params = np.atleast_2d(np.asarray(params, dtype=float))
-    J = chart.jacobian(params, spec.step_chart)  # (N, D, d)
+    J = chart.jacobian(params)  # (N, D, d)
     G, Om = cp_reduced_tensors(D.gamma_cfg, chart.value(params), spec)
     L = np.linalg.cholesky(np.swapaxes(J, 1, 2) @ G @ J)
     F = J @ np.swapaxes(np.linalg.inv(L), 1, 2)
@@ -499,68 +512,25 @@ def catalog_names() -> tuple[str, ...]:
 # explicit full-cover charts for the closed low-dimensional cases
 
 
-class OneQuadricTorusChart(Chart):
+def one_quadric_torus_chart(Q: QuadricConfiguration) -> CircleSpreadChart:
     """Global (theta, phi) chart of the spread of the circle (ambient dim 2).
 
     z = sqrt(c / gamma) exp(2 pi i gamma phi) (cos theta, sin theta). Covers
     the closed surface (as a 2:1 deck cover); both axes are periodic with
-    periods 2*pi and 1/gamma. The jacobian and hessian are cos/sin times the
-    phase, exact, so ``step`` is not read.
+    periods 2*pi and 1/gamma.
     """
-
-    dim = 2
-    ambient_dim = 2
-
-    def __init__(self, Q: QuadricConfiguration):
-        if Q.num_quadrics != 1 or Q.ambient_dim != 2:
-            raise ValueError("global chart implemented for one quadric in C^2")
-        gamma = Q.gamma.entries[0][0]
-        self.root = np.sqrt(float(Q.c[0]) / gamma)
-        self.rate = 1j * TWO_PI * gamma  # d/dphi of the phase, over the phase
-        self.periods = (TWO_PI, 1.0 / gamma)
-
-    def _parts(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(z, dz/dtheta) at the rows of S."""
-        S = np.atleast_2d(np.asarray(S, dtype=float))
-        th, ph = S[:, 0], S[:, 1]
-        phase = np.exp(self.rate * ph)[:, None]
-        cos, sin = self.root * np.cos(th), self.root * np.sin(th)
-        return phase * np.stack([cos, sin], axis=-1), phase * np.stack([-sin, cos], axis=-1)
-
-    def value(self, S: np.ndarray) -> np.ndarray:
-        return self._parts(S)[0]
-
-    def jacobian(self, S: np.ndarray, step: float = 1e-3) -> np.ndarray:
-        z, z_th = self._parts(S)
-        return np.stack([z_th, self.rate * z], axis=-1)
-
-    def hessian(self, S: np.ndarray, step: float = 1e-3) -> np.ndarray:
-        z, z_th = self._parts(S)
-        e = self.rate
-        return np.stack([np.stack([-z, e * z_th], axis=-1),
-                         np.stack([e * z_th, e * e * z], axis=-1)], axis=-2)
+    if Q.num_quadrics != 1 or Q.ambient_dim != 2:
+        raise ValueError("global chart implemented for one quadric in C^2")
+    gamma = Q.gamma.entries[0][0]
+    root = np.sqrt(float(Q.c[0]) / gamma)
+    return CircleSpreadChart([root, 0.0], [0.0, root], [0.0, 0.0], [gamma, gamma],
+                             (TWO_PI, 1.0 / gamma))
 
 
-def one_quadric_torus_chart(Q: QuadricConfiguration) -> OneQuadricTorusChart:
-    """The global (theta, phi) chart of the spread torus of one quadric in C^2."""
-    return OneQuadricTorusChart(Q)
-
-
-def cp2_torus_lift_chart(D: DoubleConfiguration) -> FunctionChart:
-    """Global (angle, phi_delta) chart of the lifted torus of the cp2 instance."""
-
-    def fn(S):
-        aarg, ph = S[:, 0], S[:, 1]
-        z = np.empty((S.shape[0], 3), dtype=complex)
-        phase = np.exp(1j * TWO_PI * ph)
-        z[:, 0] = phase * np.cos(aarg)
-        z[:, 1] = phase * np.sin(aarg)
-        z[:, 2] = np.exp(2j * TWO_PI * ph)
-        return z
-
-    chart = FunctionChart(fn, dim=2, ambient_dim=3)
-    chart.periods = (TWO_PI, 1.0)
-    return chart
+def cp2_torus_lift_chart(D: DoubleConfiguration) -> CircleSpreadChart:
+    """Global (angle, phi_delta) chart of the lifted torus of the cp2 instance:
+    exp(2 pi i phi (1, 1, 2)) (cos angle, sin angle, 1)."""
+    return CircleSpreadChart(np.eye(3)[0], np.eye(3)[1], np.eye(3)[2], [1, 1, 2], (TWO_PI, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -568,71 +538,13 @@ def cp2_torus_lift_chart(D: DoubleConfiguration) -> FunctionChart:
 
 CP_TOL_LAGRANGIAN = 1e-8
 CP_TOL_STATIONARITY = 1e-3
-
-
-def _cp_hamiltonian(lin: np.ndarray, quad: np.ndarray, W0: np.ndarray | None):
-    """The chart Hamiltonian lin.W + W.quad.W with its gradient and Hessian (batched, real W).
-
-    With a centre ``W0`` it is cut off by the tensor product of
-    b(t_r) = bump_poly(t_r), t_r = (W_r - W0_r) / 0.42, aligned with the
-    quadrature axes; the gradient and Hessian are then the product rule over
-    the factors, with b' = 2 t bump_poly_dsq and
-    b'' = 2 bump_poly_dsq + 4 t^2 bump_poly_dsq2. ``hess(W, V)`` applies the
-    Hessian to directions V (N, k, D).
-    """
-    radius = 0.42
-
-    def poly(W):
-        return W @ lin + np.einsum("ni,ij,nj->n", W, quad, W)
-
-    def factors(W):
-        t = (W - W0) / radius
-        dsq = bump_poly_dsq(t)
-        return bump_poly(t), dsq * 2.0 * t / radius, (2.0 * dsq + 4.0 * t * t * bump_poly_dsq2(t)) / radius**2
-
-    def others(b, *skip):
-        return np.prod(np.delete(b, list(skip), axis=1), axis=1)
-
-    def cut_gradient(b, db):
-        return np.stack([db[:, r] * others(b, r) for r in range(b.shape[1])], axis=1)
-
-    def f(W):
-        W = np.atleast_2d(W)
-        if W0 is None:
-            return poly(W)
-        return poly(W) * np.prod(bump_poly((W - W0) / radius), axis=1)
-
-    def grad(W):
-        W = np.atleast_2d(W)
-        g = lin + 2.0 * W @ quad
-        if W0 is None:
-            return g
-        b, db, _ = factors(W)
-        return np.prod(b, axis=1)[:, None] * g + poly(W)[:, None] * cut_gradient(b, db)
-
-    def hess(W, V):
-        W = np.atleast_2d(W)
-        H = np.broadcast_to(2.0 * quad, (W.shape[0],) + quad.shape)
-        if W0 is not None:
-            b, db, d2b = factors(W)
-            n, dim = W.shape
-            cut_hess = np.empty((n, dim, dim))
-            for r in range(dim):
-                cut_hess[:, r, r] = d2b[:, r] * others(b, r)
-                for s in range(r + 1, dim):
-                    cut_hess[:, r, s] = cut_hess[:, s, r] = db[:, r] * db[:, s] * others(b, r, s)
-            outer = (lin + 2.0 * W @ quad)[:, :, None] * cut_gradient(b, db)[:, None, :]
-            H = (np.prod(b, axis=1)[:, None, None] * H + outer + np.swapaxes(outer, 1, 2)
-                 + poly(W)[:, None, None] * cut_hess)
-        return V @ np.swapaxes(H, 1, 2)
-
-    return f, grad, hess
+CP_CUTOFF_RADIUS = 0.42  # the ball cutoff of the localized Hamiltonians, in chart coordinates
 
 
 class CpSetup(NamedTuple):
     """What ``cp_chart_verify`` measures on: the affine chart, the Lagrangian
     residual's sample parameters, the stationarity patch, and the random
-    chart Hamiltonian's gradient and Hessian (``_cp_hamiltonian``)."""
+    chart Hamiltonian's gradient and Hessian in real chart coordinates."""
 
     chart: CpChart
     sample_S: np.ndarray
@@ -649,7 +561,7 @@ def cp_chart_setup(
 
     The torus instance uses its global chart and one random quadratic
     Hamiltonian; the others a chart box around the real base point and the
-    Hamiltonian cut off around the box centre.
+    Hamiltonian cut off by a ball around the box centre.
     """
     _sphere_radius_sq(D.gamma_cfg)  # raises unless the first system is one equal-coefficient quadric
     rng = np.random.default_rng(seed)
@@ -680,12 +592,11 @@ def cp_chart_setup(
     patch = ChartPatch(chart=chart, lo=box[0], hi=box[1], nodes=nodes,
                        ambient_metric=cp_reduced_metric(D.gamma_cfg, spec))
     W0 = chart.value(np.zeros((1, chart.dim)) if localized else sample_S[:1])[0]
-    D_real = chart.ambient_dim
-    lin = rng.standard_normal(D_real)
-    quad = rng.standard_normal((D_real, D_real))
-    quad = 0.5 * (quad + quad.T)
-    _, grad, hess = _cp_hamiltonian(lin, quad, W0 if localized else None)
-    return CpSetup(chart, sample_S, patch, grad, hess, localized)
+    # the Hamiltonians of the C^m check, on the chart coordinates read as C^(D/2)
+    poly = _poly_scalar(chart.ambient_dim // 2, rng)
+    _, grad, hess = _radial_cutoff(poly, r2c(W0), CP_CUTOFF_RADIUS) if localized else poly
+    return CpSetup(chart, sample_S, patch, lambda W: c2r(grad(r2c(W))),
+                   lambda W, V: c2r(hess(r2c(W), r2c(V))), localized)
 
 
 def cp_chart_verify(
@@ -707,6 +618,6 @@ def cp_chart_verify(
     lag = cp_lagrangian_residual(D, setup.chart, setup.sample_S, spec)
     rep.add("cp-lagrangian-residual", lag, CP_TOL_LAGRANGIAN, samples=samples)
     X = cp_hamiltonian_field(D.gamma_cfg, setup.grad, setup.hess, spec)
-    ratio = stationarity_ratio(setup.patch, X, spec, setup.localized)
+    ratio = stationarity_ratio(setup.patch, X, setup.localized)
     rep.add("cp-hamiltonian-stationarity", ratio, CP_TOL_STATIONARITY)
     return rep

@@ -25,6 +25,7 @@ from .charts import (
     c2r,
     r2c,
 )
+from .quadrature import bump_poly, bump_poly_dsq, bump_poly_dsq2
 from .quadric_config import (
     QuadricConfiguration,
     membership_residual,
@@ -49,7 +50,6 @@ class MetricSpec:
 
     omega_scale: float = -1.0 / np.pi
     tol_membership: float = 1e-10
-    step_chart: float = 1e-3  # stencil chart jacobians / hessians / third derivatives
     newton_tol: float = 1e-10
 
 
@@ -175,22 +175,22 @@ def chart_N(
     return chart_point(chart, params, Q=Q, spec=spec)
 
 
-def _real_jacobian(chart: Chart, S: np.ndarray, spec: MetricSpec) -> np.ndarray:
-    J = chart.jacobian(np.atleast_2d(S), spec.step_chart)
+def _real_jacobian(chart: Chart, S: np.ndarray) -> np.ndarray:
+    J = chart.jacobian(np.atleast_2d(S))
     if chart.ambient == "complex":
         return np.concatenate([J.real, J.imag], axis=-2)
     return np.asarray(J, dtype=float)
 
 
 def _tangent_frames(
-    Q: QuadricConfiguration | None, chart: Chart, S: np.ndarray, Z: np.ndarray, spec: MetricSpec
+    Q: QuadricConfiguration | None, chart: Chart, S: np.ndarray, Z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal frames (N, d, m) of the chart at the rows of S, and its jacobians (N, m, d).
 
     Raises if any jacobian is rank deficient or, given ``Q``, if any frame
     fails to annihilate the quadric differentials at the points ``Z``.
     """
-    J = chart.jacobian(S, spec.step_chart)  # (N, m, d)
+    J = chart.jacobian(S)  # (N, m, d)
     Jr = np.concatenate([J.real, J.imag], axis=-2)  # (N, 2m, d)
     Qm, R = np.linalg.qr(Jr)
     diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
@@ -206,11 +206,9 @@ def _tangent_frames(
     return vectors, J
 
 
-def tangent_frame_N(
-    Q: QuadricConfiguration | None, p: ChartPoint, spec: MetricSpec = DEFAULT_SPEC
-) -> TangentFrame:
+def tangent_frame_N(Q: QuadricConfiguration | None, p: ChartPoint) -> TangentFrame:
     """Orthonormal tangent frame spanning the chart jacobian's column space."""
-    vectors, J = _tangent_frames(Q, p.chart, p.params[None, :], p.point[None, :], spec)
+    vectors, J = _tangent_frames(Q, p.chart, p.params[None, :], p.point[None, :])
     return TangentFrame(vectors=vectors[0], jacobian=J[0])
 
 
@@ -233,7 +231,7 @@ def lagrangian_residual(
     A ``ChartSample`` gives one value per point, from one batched QR.
     """
     S, Z = _batch(p)
-    vectors, _ = _tangent_frames(Q, p.chart, S, Z, spec)
+    vectors, _ = _tangent_frames(Q, p.chart, S, Z)
     return _per_point(p, frame_symplectic_residual(vectors, spec))
 
 
@@ -241,7 +239,7 @@ def lagrangian_residual(
 # curvature
 
 
-def _curvature_batch(chart: Chart, S: np.ndarray, spec: MetricSpec):
+def _curvature_batch(chart: Chart, S: np.ndarray):
     """Mean curvature trace data for a batch of chart parameters.
 
     Returns (H_real (N, D), Jr (N, D, d), g (N, d, d)) with D the real
@@ -249,8 +247,8 @@ def _curvature_batch(chart: Chart, S: np.ndarray, spec: MetricSpec):
     second derivatives, the unnormalized mean curvature vector.
     """
     S = np.atleast_2d(S)
-    J = chart.jacobian(S, spec.step_chart)
-    Hess = chart.hessian(S, spec.step_chart)
+    J = chart.jacobian(S)
+    Hess = chart.hessian(S)
     if chart.ambient == "complex":
         Jr = np.concatenate([J.real, J.imag], axis=-2)
         Hr = np.concatenate([Hess.real, Hess.imag], axis=-3)
@@ -265,9 +263,7 @@ def _curvature_batch(chart: Chart, S: np.ndarray, spec: MetricSpec):
     return tr - tang, Jr, g
 
 
-def minimality_residual_in_Z(
-    Q: QuadricConfiguration, p: ChartPoint | ChartSample, spec: MetricSpec = DEFAULT_SPEC
-) -> float | np.ndarray:
+def minimality_residual_in_Z(Q: QuadricConfiguration, p: ChartPoint | ChartSample) -> float | np.ndarray:
     """Norm of the mean curvature component tangent to the quadric set.
 
     The second fundamental form of the submanifold inside the quadric
@@ -276,7 +272,7 @@ def minimality_residual_in_Z(
     gives one value per point.
     """
     S, Z = _batch(p)
-    H, Jr, _ = _curvature_batch(p.chart, S, spec)
+    H, Jr, _ = _curvature_batch(p.chart, S)
     grads = c2r(2.0 * Q.gamma_float() * Z[:, None, :])  # (N, k, 2m), the normals to Z
     stacked = np.concatenate([Jr, np.swapaxes(grads, -2, -1)], axis=-1)
     Qm, _ = np.linalg.qr(stacked)
@@ -354,6 +350,83 @@ def hamiltonian_vector_field(
         lambda Z: hamiltonian_field_batch(grad, Z, spec),
         lambda Z, V: _field_from_gradient(hess(Z, V), spec),
     )
+
+
+def _poly_scalar(m: int, rng: np.random.Generator) -> tuple[Callable, Callable, Callable]:
+    """Random real polynomial of degree <= 2 in the real coordinates, its gradient and Hessian.
+
+    All are batched; the gradient lin + 2 quad x is packed as d/dx + i d/dy,
+    and ``hess(z, V)`` applies the Hessian 2 quad to ambient vectors V
+    (N, d, m), packed the same way.
+    """
+    lin = rng.standard_normal(2 * m)
+    quad = rng.standard_normal((2 * m, 2 * m))
+    quad = 0.5 * (quad + quad.T)
+
+    def f(z):
+        xr = c2r(np.atleast_2d(np.asarray(z, dtype=complex)))
+        return xr @ lin + np.einsum("ni,ij,nj->n", xr, quad, xr)
+
+    def grad(z):
+        xr = c2r(np.atleast_2d(np.asarray(z, dtype=complex)))
+        return r2c(lin + 2.0 * xr @ quad)
+
+    def hess(z, V):
+        return r2c(2.0 * c2r(V) @ quad)
+
+    return f, grad, hess
+
+
+def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The real inner product of packed complex vectors along the last axis."""
+    return np.real(np.sum(np.conj(a) * b, axis=-1))
+
+
+def _radial_cutoff(
+    poly: tuple[Callable, Callable, Callable], z0: np.ndarray, rho: float
+) -> tuple[Callable, Callable, Callable]:
+    """poly localized by bump_poly(|z - z0| / rho), with its gradient and Hessian.
+
+    The cutoff is b(s) = (1 - s)^4 in s = |z - z0|^2 / rho^2, with b' =
+    ``bump_poly_dsq`` and b'' = ``bump_poly_dsq2``, and grad s = 2 (z - z0) /
+    rho^2, so no division by |z - z0|. Gradient and Hessian are the product
+    rule inside the support and 0 outside; the polynomial is evaluated only
+    at the points inside.
+    """
+    poly_f, poly_grad, poly_hess = poly
+
+    def dist(z):
+        d = np.atleast_2d(np.asarray(z, dtype=complex)) - z0
+        return d, np.sqrt(np.sum(np.abs(d) ** 2, axis=-1)) / rho
+
+    def f(z):
+        return bump_poly(dist(z)[1]) * poly_f(z)
+
+    def grad(z):
+        z = np.atleast_2d(np.asarray(z, dtype=complex))
+        d, r = dist(z)
+        out = np.zeros_like(d)
+        inside = r < 1.0
+        d, r, z = d[inside], r[inside], z[inside]
+        cut_grad = (2.0 / rho**2) * bump_poly_dsq(r)[:, None] * d
+        out[inside] = bump_poly(r)[:, None] * poly_grad(z) + poly_f(z)[:, None] * cut_grad
+        return out
+
+    def hess(z, V):
+        z = np.atleast_2d(np.asarray(z, dtype=complex))
+        d, r = dist(z)
+        out = np.zeros(V.shape, dtype=complex)
+        inside = r < 1.0
+        d, r, z, V = d[inside], r[inside], z[inside], V[inside]
+        b, b1, b2 = (fn(r)[:, None, None] for fn in (bump_poly, bump_poly_dsq, bump_poly_dsq2))
+        p, gp = poly_f(z)[:, None, None], poly_grad(z)[:, None, :]
+        gs = (2.0 / rho**2) * d[:, None, :]  # grad s
+        gp_v, gs_v = _real_dot(gp, V)[..., None], _real_dot(gs, V)[..., None]
+        out[inside] = (b * poly_hess(z, V) + b1 * (gs * gp_v + gp * gs_v)
+                       + p * (b2 * gs * gs_v + (2.0 / rho**2) * b1 * V))
+        return out
+
+    return f, grad, hess
 
 
 def noether_drift(
@@ -446,45 +519,41 @@ class ChartPatch:
             self._cache["metric"] = self.ambient_metric(self.points)
         return self._cache["metric"]
 
-    def chart_on_nodes(self, spec: MetricSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def chart_on_nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(real jacobian (N, D, d), induced metric g (N, d, d), area element) on the nodes.
 
-        g comes from ``ambient_metric`` when the patch has one. Computed once
-        per chart step, like ``curvature_on_nodes``: every volume and volume
+        g comes from ``ambient_metric`` when the patch has one. Computed
+        once, like ``curvature_on_nodes``: every volume and volume
         derivative of the patch reads it.
         """
-        key = ("chart", spec.step_chart)
-        if key not in self._cache:
-            Jr = _real_jacobian(self.chart, self.S, spec)
+        if "chart" not in self._cache:
+            Jr = _real_jacobian(self.chart, self.S)
             JPt = np.swapaxes(Jr, 1, 2)
             g = JPt @ Jr if self.metric is None else JPt @ self.metric @ Jr
-            self._cache[key] = (Jr, g, np.sqrt(np.linalg.det(g)))
-        return self._cache[key]
+            self._cache["chart"] = (Jr, g, np.sqrt(np.linalg.det(g)))
+        return self._cache["chart"]
 
-    def curvature_on_nodes(self, spec: MetricSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def curvature_on_nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(points, real mean curvature, area element) on the nodes.
 
-        Computed once per chart step: the chart and the nodes are fixed, so
-        every field integrated over the patch reuses them.
+        Computed once: the chart and the nodes are fixed, so every field
+        integrated over the patch reuses them.
         """
-        key = ("curvature", spec.step_chart)
-        if key not in self._cache:
-            Hr, _, g = _curvature_batch(self.chart, self.S, spec)
-            self._cache[key] = (self.points, Hr, np.sqrt(np.linalg.det(g)))
-        return self._cache[key]
+        if "curvature" not in self._cache:
+            Hr, _, g = _curvature_batch(self.chart, self.S)
+            self._cache["curvature"] = (self.points, Hr, np.sqrt(np.linalg.det(g)))
+        return self._cache["curvature"]
 
 
 def _ambient_real(chart: Chart, vals: np.ndarray) -> np.ndarray:
     return c2r(vals) if chart.ambient == "complex" else np.asarray(vals, dtype=float)
 
 
-def patch_volume(patch: ChartPatch, spec: MetricSpec = DEFAULT_SPEC) -> float:
-    return float(np.sum(patch.w * patch.chart_on_nodes(spec)[2]))
+def patch_volume(patch: ChartPatch) -> float:
+    return float(np.sum(patch.w * patch.chart_on_nodes()[2]))
 
 
-def patch_volume_derivative(
-    patch: ChartPatch, X: VectorField, spec: MetricSpec = DEFAULT_SPEC
-) -> float:
+def patch_volume_derivative(patch: ChartPatch, X: VectorField) -> float:
     """d/dt at t=0 of the patch volume under z -> z + t * bump * X(z).
 
     Jacobi's formula, with no difference in t: with Y = bump * X(P) and
@@ -496,17 +565,15 @@ def patch_volume_derivative(
     ``VectorField``). On a flat ambient G = I and DG = 0. The variation is
     free: deformed points are not re-projected onto the quadric set.
     """
-    return patch_volume_and_derivative(patch, X, spec)[1]
+    return patch_volume_and_derivative(patch, X)[1]
 
 
-def patch_volume_and_derivative(
-    patch: ChartPatch, X: VectorField, spec: MetricSpec = DEFAULT_SPEC
-) -> tuple[float, float]:
+def patch_volume_and_derivative(patch: ChartPatch, X: VectorField) -> tuple[float, float]:
     """(vol(patch), dVol/dt) as in ``patch_volume_derivative``, from one chart jacobian."""
     if not isinstance(X, VectorField):
         raise TypeError("a volume derivative needs a VectorField with its derivative")
     chart, P = patch.chart, patch.points
-    Jr, g, elem = patch.chart_on_nodes(spec)
+    Jr, g, elem = patch.chart_on_nodes()
     JP = np.swapaxes(Jr, 1, 2)  # (N, d, D): the chart's columns as ambient vectors
     JY = X.derivative(P, r2c(JP) if chart.ambient == "complex" else JP)
     metric = patch.metric
@@ -532,11 +599,7 @@ def patch_volume_and_derivative(
     return float(np.sum(patch.w * elem)), float(np.sum((patch.w * elem)[moved] * rate))
 
 
-def first_variation_integral(
-    patch: ChartPatch,
-    X: Callable[[np.ndarray], np.ndarray],
-    spec: MetricSpec = DEFAULT_SPEC,
-) -> float:
+def first_variation_integral(patch: ChartPatch, X: Callable[[np.ndarray], np.ndarray]) -> float:
     """The curvature quadrature -integral <H, X> * bump dA over a flat-ambient patch.
 
     By the first variation formula this equals ``patch_volume_derivative``
@@ -544,17 +607,12 @@ def first_variation_integral(
     """
     if patch.ambient_metric is not None:
         raise ValueError("the curvature quadrature needs a flat ambient")
-    P, Hr, elem = patch.curvature_on_nodes(spec)
+    P, Hr, elem = patch.curvature_on_nodes()
     Xr = _ambient_real(patch.chart, X(P))
     return -float(np.sum(patch.w * patch.bump_at(patch.S) * np.einsum("ni,ni->n", Hr, Xr) * elem))
 
 
-def stationarity_ratio(
-    patch: ChartPatch,
-    Xf: VectorField,
-    spec: MetricSpec,
-    localized: bool = False,
-) -> float:
+def stationarity_ratio(patch: ChartPatch, Xf: VectorField, localized: bool = False) -> float:
     """|dVol/dt| of a candidate field over the scale max|Xf| * vol(patch).
 
     ``Xf`` is the candidate field; max|Xf| is the largest modulus of a field
@@ -571,7 +629,7 @@ def stationarity_ratio(
         leak = float(np.abs(Xvals[near]).max()) if near.any() else 0.0
         if leak > 1e-8 * max(xmax, 1e-12):
             raise RuntimeError("localized field leaks outside the chart patch")
-    vol, dvol = patch_volume_and_derivative(patch, Xf, spec)
+    vol, dvol = patch_volume_and_derivative(patch, Xf)
     return abs(dvol) / (xmax * vol)
 
 
@@ -590,8 +648,7 @@ def hminimality_residual(
     """
     S, _ = _batch(p)
     chart = p.chart
-    J, Hess, T = (chart.jacobian(S, spec.step_chart), chart.hessian(S, spec.step_chart),
-                  chart.third(S, spec.step_chart))
+    J, Hess, T = chart.jacobian(S), chart.hessian(S), chart.third(S)
     if chart.ambient == "complex":
         J, Hess, T = (np.concatenate([X.real, X.imag], axis=1) for X in (J, Hess, T))
     Om = omega_matrix(chart.ambient_dim, spec)
@@ -621,9 +678,7 @@ def hminimality_residual(
 # ---------------------------------------------------------------------------
 # co-area
 
-def coarea_orbit_volume_check(
-    Q: QuadricConfiguration, nodes: int = 20, spec: MetricSpec = DEFAULT_SPEC
-) -> tuple[float, float]:
+def coarea_orbit_volume_check(Q: QuadricConfiguration, nodes: int = 20) -> tuple[float, float]:
     """Volume of a chart patch of the spread submanifold vs the fiber integral.
 
     Both sides run over one ``PolytopeChart`` at x0 = real_base_point(Q)**2
@@ -647,7 +702,7 @@ def coarea_orbit_volume_check(
         half = np.full(chart.nv, 0.5 * np.min(chart.x0 / np.abs(chart.B).sum(axis=1)))
     lo = np.concatenate([-half, np.zeros(chart.nphi)])
     hi = np.concatenate([half, np.ones(chart.nphi)])
-    upstairs = patch_volume(ChartPatch(chart=chart, lo=lo, hi=hi, nodes=nodes), spec)
+    upstairs = patch_volume(ChartPatch(chart=chart, lo=lo, hi=hi, nodes=nodes))
 
     Sv, wv = quadrature.tensor_grid(-half, half, nodes)
     base = np.concatenate([Sv, np.zeros((len(Sv), chart.nphi))], axis=1)

@@ -122,7 +122,7 @@ def test_criterion_04_lagrangian(sampled_points):
 def test_criterion_05_minimal_in_Z(sampled_points):
     results = {}
     for cname, (Q, pts) in sampled_points.items():
-        worst = max(minimality_residual_in_Z(Q, p, spec) for p in pts)
+        worst = max(minimality_residual_in_Z(Q, p) for p in pts)
         results[f"{cname}-residual"] = worst < 1e-4
     results["unequal-torus-control"] = proc.unequal_torus_control(spec) > 0.1
     _finish(5, "minimality inside the quadric set", results)
@@ -173,7 +173,7 @@ def test_criterion_09_orbit_volume(sampled_points):
     )
     results["conjugation-symmetry"] = worst < 1e-12
     for cname in ("one-quadric:2", "one-quadric:3"):
-        rep = proc.coarea_report(catalog_quadrics(cname), seed=SEED, spec=spec)
+        rep = proc.coarea_report(catalog_quadrics(cname), seed=SEED)
         results[f"{cname}-coarea"] = rep.records[0].residual < 1e-3
     _finish(9, "orbit volume symmetry and co-area", results)
 

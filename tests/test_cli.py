@@ -212,10 +212,11 @@ def test_unknown_tolerance_names_exit_2(tmp_path, monkeypatch, capsys):
 def test_retired_variation_step_exits_2(tmp_path, monkeypatch, capsys):
     # every volume derivative is exact in t, so no check reads a variation
     # step; no check reads the curvature normality tolerance, every
-    # Hamiltonian gradient is closed-form, and the codifferential is the
-    # product rule on the chart's derivatives, so none of these is a name
+    # Hamiltonian gradient is closed-form, the codifferential is the
+    # product rule on the chart's derivatives, and every chart report-all
+    # differentiates is exact, so none of these is a name
     args = ["verify-ntilde", "catalog:rp2", "--samples", "5"]
-    for name in ("step", "curvature", "step_gradient", "step_divergence"):
+    for name in ("step", "curvature", "step_gradient", "step_divergence", "step_chart"):
         assert main(args + ["--tol", name, "1e-4"]) == 2
         cfg = tmp_path / "tol.cfg"
         cfg.write_text(f"mode quadrics\ngamma 1 2\n1 1\nc 1\ntol {name} 1e-4\n")
@@ -227,10 +228,11 @@ def test_retired_variation_step_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def test_tolerance_values_must_be_finite_and_positive(tmp_path, monkeypatch, capsys):
-    # a zero step gave nan residuals and exit 1, a negative one ran and passed
+    # a zero stencil step gave nan residuals and exit 1, a negative one ran
+    # and passed; every tolerance rejects such values
     args = ["verify-lagrangian", "catalog:one-quadric:2", "--samples", "5"]
     for value in ("0", "-0.001", "nan", "inf"):
-        assert main(args + ["--tol", "step_chart", value]) == 2, value
+        assert main(args + ["--tol", "newton", value]) == 2, value
         cfg = tmp_path / "tol.cfg"
         cfg.write_text(f"mode quadrics\ngamma 1 2\n1 1\nc 1\ntol membership {value}\n")
         assert main(["verify-lagrangian", str(cfg), "--samples", "5"]) == 2, value
@@ -238,7 +240,7 @@ def test_tolerance_values_must_be_finite_and_positive(tmp_path, monkeypatch, cap
             m.setenv("MOMENTANGLE_TOL_NEWTON", value)
             assert main(args) == 2, value
         assert capsys.readouterr().err.count("must be finite and positive") == 3, value
-    assert main(args + ["--tol", "step_chart", "2e-3"]) == 0
+    assert main(args + ["--tol", "newton", "2e-3"]) == 0
 
 
 def test_env_tolerance_override(monkeypatch):

@@ -114,21 +114,17 @@ def test_stationarity_checks_take_no_fd_gradient(monkeypatch):
         assert proc.coarea_report(Q).overall
 
 
-# the non-double instances whose report-all has no C^3 stationarity patch
-# (the Newton-retracted chart's stencils): the benchmark's fast catalog
-# without cp2-torus and rp2
-STENCIL_FREE = ("square", "simplex:3", "simplex:4", "cube:2", "cube:3", "product:2,2",
-                "product:2,3", "product:3,3", "one-quadric:2", "one-quadric:4",
-                "two-quadrics:2,2")
-
-
 def test_report_all_takes_no_stencil(monkeypatch):
-    # the sampled charts are exact through third order (the codifferential)
-    # and the C^2 torus chart is exact (first variation, stationarity)
+    # every chart report-all differentiates is exact: the sampled charts
+    # through third order (the codifferential), the circle-spread charts of
+    # the C^2 torus and the cp2 lift, the nearest-point spread chart of the
+    # C^3 stationarity patch and the rp2 lift, and the chain-rule affine
+    # chart of the projective check
     import io
 
     from momentangle import fd
     from momentangle.cli import _catalog_config, run_command
+    from momentangle.reduction_catalog import catalog_names
     from momentangle.submanifold_numerics import MetricSpec
 
     def refuse(*args, **kwargs):
@@ -136,10 +132,28 @@ def test_report_all_takes_no_stencil(monkeypatch):
 
     monkeypatch.setattr(fd, "jacobian", refuse)
     monkeypatch.setattr(fd, "hessian", refuse)
-    for name in STENCIL_FREE:
+    for name in catalog_names():
         cfg = _catalog_config(name)
         rep = run_command("report-all", cfg, 0, 20, MetricSpec(), out=io.StringIO())
-        assert rep.overall, name
+        failed = [r.name for r in rep.records if not r.passed]
+        assert failed == (["delzant", "torus-free"] if name == "bad-triangle" else []), name
+
+
+def test_only_the_chart_layer_imports_fd():
+    # the stencils serve only the defaults of charts.Chart (the controls'
+    # FunctionChart) and the tests
+    import ast
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src" / "momentangle"
+    importers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                if any(n.split(".")[-1] == "fd" for n in names):
+                    importers.add(path.name)
+    assert importers == {"charts.py"}
 
 
 def test_delzant_and_freeness_are_decided_independently(monkeypatch):
