@@ -45,7 +45,6 @@ from .submanifold_numerics import (
     ChartPoint,
     ChartSample,
     InvarianceError,
-    MetricField,
     MetricSpec,
     TangentFrame,
     VectorField,

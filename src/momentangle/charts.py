@@ -42,9 +42,8 @@ def r2c(x: np.ndarray) -> np.ndarray:
 
 
 class Chart:
-    """Parameter space -> ambient map with derivative hooks.
+    """Parameter space -> C^m map with derivative hooks.
 
-    ``ambient`` is "complex" (values in C^m) or "real" (values in R^D).
     Subclasses may override ``jacobian``/``hessian``/``third`` with exact
     formulas; the defaults differentiate ``value`` by 4th-order central
     stencils at ``STEP``, and ``third`` differentiates ``hessian`` the same
@@ -53,7 +52,6 @@ class Chart:
 
     dim: int
     ambient_dim: int
-    ambient: str = "complex"
 
     def value(self, S: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -70,12 +68,10 @@ class Chart:
 
 
 class FunctionChart(Chart):
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], dim: int, ambient_dim: int,
-                 ambient: str = "complex"):
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], dim: int, ambient_dim: int):
         self.fn = fn
         self.dim = dim
         self.ambient_dim = ambient_dim
-        self.ambient = ambient
 
     def value(self, S: np.ndarray) -> np.ndarray:
         return self.fn(np.atleast_2d(np.asarray(S, dtype=float)))
@@ -256,20 +252,20 @@ class TorusSpreadChart(Chart):
 
 
 class CircleSpreadChart(Chart):
-    """Chart (a, phi) -> exp(2 pi i phi row) * (A cos a + B sin a + C).
+    """Chart (a, phi) -> exp(2 pi i <phi, rows>) * (A cos a + B sin a + C).
 
-    A circle of the real locus spread by a one-parameter phase subgroup,
-    with ``periods`` the periods of (a, phi). Its derivatives are cos and
-    sin times the phase, exact.
+    A circle of the real locus spread by the phase subgroup of ``rows`` (one
+    row, or several), with ``periods`` the periods of (a, phi_1, ...). Its
+    derivatives are cos and sin times the phase, exact.
     """
 
-    dim = 2
-
-    def __init__(self, A, B, C, row, periods: tuple[float, float]):
+    def __init__(self, A, B, C, rows, periods: tuple[float, ...]):
         self.ABC = np.array([A, B, C], dtype=float)  # (3, m)
-        self.phase_rows = np.asarray(row, dtype=float)[None, :]
-        # one exponential per distinct entry of the row, not per coordinate
-        self._rates, self._of_rate = np.unique(self.phase_rows[0], return_inverse=True)
+        self.phase_rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        # one exponential per distinct column of the rows, not per coordinate
+        self._rates, self._of_rate = np.unique(self.phase_rows, axis=1, return_inverse=True)
+        self._of_rate = self._of_rate.ravel()
+        self.dim = 1 + self.phase_rows.shape[0]
         self.ambient_dim = self.ABC.shape[1]
         self.periods = periods
 
@@ -279,11 +275,11 @@ class CircleSpreadChart(Chart):
         Each is a trigonometric row (cos, sin, 1), (-sin, cos, 0) or
         (-cos, -sin, 0) times (A, B, C), one small matmul.
         """
-        a, Phi = _split_params(S, 1, 2)
+        a, Phi = _split_params(S, 1, self.dim)
         cos, sin = np.cos(a), np.sin(a)
         one, zero = np.ones_like(a), np.zeros_like(a)
         trig = ([cos, sin, one], [-sin, cos, zero], [-cos, -sin, zero])[: order + 1]
-        phases = np.exp(1j * TWO_PI * (Phi * self._rates))[:, self._of_rate]
+        phases = np.exp(1j * TWO_PI * (Phi @ self._rates))[:, self._of_rate]
         return (phases,) + tuple(np.concatenate(t, axis=1) @ self.ABC for t in trig)
 
     def value(self, S: np.ndarray) -> np.ndarray:

@@ -31,12 +31,14 @@ from .config_io import (
 from .polytope import EmptyPolytopeError, UnboundedPolytopeError, is_delzant, is_simple
 from .quadric_config import CanonicalFormError, gale_dual
 from .reduction_catalog import (
+    DOUBLE_NAMES,
     StackValidationError,
     catalog_double,
     catalog_names,
     catalog_polytope,
     catalog_quadrics,
     classify_N,
+    is_projective,
 )
 from .report import VerificationReport
 from .submanifold_numerics import InvarianceError, MetricSpec
@@ -142,24 +144,18 @@ def run_command(
             rep.add_bool("delzant", bool(v), detail=str(v.witness) if not v else "")
         return rep
 
-    if command == "verify-ntilde":
+    if command == "verify-ntilde" or (cfg.mode == "double" and command == "report-all"):
         D = double_from_config(cfg)
+        if command == "report-all":
+            for name, check in D.checks.items():
+                ok = check.all_ok if hasattr(check, "all_ok") else bool(check)
+                required = not name.endswith("_delta") or name.startswith("nondeg")
+                if required:
+                    rep.add_bool(name, ok)
+                else:
+                    rep.add_bool(name, True, detail=f"informational: {ok}")
         rep.extend(proc.ntilde_report(D, samples=samples, seed=seed, spec=spec))
-        if D.gamma_cfg.num_quadrics == 1 and len(set(D.gamma_cfg.gamma.entries[0])) == 1:
-            rep.extend(proc.cp_chart_report(D, samples=min(samples, 50), seed=seed, spec=spec))
-        return rep
-
-    if cfg.mode == "double" and command == "report-all":
-        D = double_from_config(cfg)
-        for name, check in D.checks.items():
-            ok = check.all_ok if hasattr(check, "all_ok") else bool(check)
-            required = not name.endswith("_delta") or name.startswith("nondeg")
-            if required:
-                rep.add_bool(name, ok)
-            else:
-                rep.add_bool(name, True, detail=f"informational: {ok}")
-        rep.extend(proc.ntilde_report(D, samples=samples, seed=seed, spec=spec))
-        if D.gamma_cfg.num_quadrics == 1 and len(set(D.gamma_cfg.gamma.entries[0])) == 1:
+        if is_projective(D.gamma_cfg):
             rep.extend(proc.cp_chart_report(D, samples=min(samples, 50), seed=seed, spec=spec))
         return rep
 
@@ -221,7 +217,7 @@ def run_command(
 
 def _catalog_config(name: str) -> ConfigFile:
     try:
-        if name in ("cp2-torus", "rp2"):
+        if name in DOUBLE_NAMES:
             return config_from_double(catalog_double(name))
         if name.startswith(("one-quadric:", "two-quadrics:")):
             return config_from_quadrics(catalog_quadrics(name))

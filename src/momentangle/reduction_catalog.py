@@ -1,5 +1,5 @@
 """Worked families, topology descriptors, stacked double configurations and
-the projective-chart verification path.
+the projective verification, run on the circle-invariant lift in C^m.
 
 The catalog names the desk-scale instances every verification command can
 address: polytopes ("triangle", "square", "simplex:n", "cube:n",
@@ -10,12 +10,11 @@ address: polytopes ("triangle", "square", "simplex:n", "cube:n",
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .charts import Chart, CircleSpreadChart, TorusSpreadChart, c2r, r2c
+from .charts import CircleSpreadChart, TorusSpreadChart, c2r, r2c
 from .exact_linalg import IntegerMatrix
 from .polytope import PolytopePresentation
 from .quadric_config import (
@@ -28,19 +27,20 @@ from .quadric_config import (
 from .report import VerificationReport
 from .submanifold_numerics import (
     DEFAULT_SPEC,
-    stationarity_ratio,
     ChartPatch,
     ChartPoint,
     ChartSample,
-    MetricField,
     MetricSpec,
-    VectorField,
     _batch,
     _per_point,
     _poly_scalar,
     _radial_cutoff,
     chart_point,
     frame_symplectic_residual,
+    hamiltonian_vector_field,
+    lagrangian_residual,
+    real_base_point,
+    stationarity_ratio,
 )
 from .torus_actions import freeness_check, orbit_generators
 from .verdict import Verdict
@@ -259,168 +259,79 @@ def stacked_tangent_horizontal_residual(
 
 
 # ---------------------------------------------------------------------------
-# projective chart pipeline (single-quadric first system)
+# projective reduction, checked upstairs
 
 
-def cp_affine_index(z: np.ndarray) -> int:
-    """Chart choice: the largest-modulus coordinate, lowest index on ties."""
-    return int(np.argmax(np.abs(np.asarray(z))))
+def is_projective(Q_gamma: QuadricConfiguration) -> bool:
+    """Whether a first system reduces C^m to CP^(m-1): one quadric, equal coefficients.
 
-
-def cp_affine_coords(z: np.ndarray, j: int) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    if np.min(np.abs(z[..., j])) < 1e-12:
-        raise ValueError("chosen affine chart degenerates: dividing coordinate vanishes")
-    w = np.delete(z, j, axis=-1)
-    return w / z[..., j : j + 1]
-
-
-def _sphere_radius_sq(Q_gamma: QuadricConfiguration) -> float:
-    """a = c / gamma, the squared radius of the sphere level set of a single equal-coefficient quadric."""
-    row = Q_gamma.gamma.entries[0] if Q_gamma.num_quadrics == 1 else None
-    if row is None or len(set(row)) != 1:
-        raise ValueError("projective chart needs a single quadric with equal coefficients")
-    return float(Q_gamma.c[0] / row[0])
-
-
-def _complex_coords(W: np.ndarray) -> np.ndarray:
-    """Affine coordinates w = W[:n] + i W[n:] from real chart coordinates (..., 2n)."""
-    n = W.shape[-1] // 2
-    return W[..., :n] + 1j * W[..., n:]
-
-
-def _real_chart_blocks(H: np.ndarray, omega_scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """(Re, omega_scale * Im) of the Hermitian form u* H v in the real chart basis.
-
-    The basis is e_1..e_n, i e_1..i e_n, so with H = A + iB the metric is
-    [[A, -B], [B, A]] and the form is omega_scale * [[B, A], [-A, B]].
+    Its level set is then the round sphere |z|^2 = c / gamma, T_gamma is the
+    diagonal circle, and every orbit on the sphere has the same length.
     """
-    A, B = H.real, H.imag
-    G = np.concatenate([np.concatenate([A, -B], axis=-1), np.concatenate([B, A], axis=-1)], axis=-2)
-    Om = np.concatenate([np.concatenate([B, A], axis=-1), np.concatenate([-A, B], axis=-1)], axis=-2)
-    return G, omega_scale * Om
+    return Q_gamma.num_quadrics == 1 and len(set(Q_gamma.gamma.entries[0])) == 1
 
 
-def cp_reduced_tensors(
-    Q_gamma: QuadricConfiguration, W: np.ndarray, spec: MetricSpec = DEFAULT_SPEC
-) -> tuple[np.ndarray, np.ndarray]:
-    """Metric and symplectic form of the reduced space in an affine chart.
+def circle_invariants(z: np.ndarray) -> np.ndarray:
+    """q(z) = (conj(z_k) z_l)_{k<=l}, the invariants of the diagonal circle, batched."""
+    z = np.atleast_2d(np.asarray(z, dtype=complex))
+    K, L = np.triu_indices(z.shape[-1])
+    return np.conj(z[:, K]) * z[:, L]
 
-    The quotient of the sphere |z|^2 = a by the diagonal circle is CP^{m-1}
-    with a times the Fubini-Study form. In affine coordinates w, with
-    rho = 1 + |w|^2, its Hermitian matrix is H(w) = a (I / rho - w w* / rho^2);
-    the metric is Re and the symplectic form omega_scale * Im of u* H v. It
-    is the same in every affine chart. W holds real chart coordinates (N, D);
-    returns (G, Omega) with shape (N, D, D), D = 2(m-1).
+
+def circle_invariant_hamiltonian(
+    F: tuple[Callable, Callable, Callable], m: int
+) -> tuple[Callable, Callable, Callable]:
+    """f = F o q on C^m, with its gradient and Hessian by the chain rule.
+
+    ``F`` is a function of q with its gradient and Hessian, batched and
+    packed as ``_poly_scalar``'s. With M the upper triangle holding F's
+    gradient at q(z), the packed gradient of f is A z, A = conj(M) + M^T
+    (Hermitian). Its derivative along V is A V + A' z, with A' built the
+    same way from F's Hessian applied to dq = conj(V_k) z_l + conj(z_k) V_l.
     """
-    a = _sphere_radius_sq(Q_gamma)
-    w = _complex_coords(np.atleast_2d(np.asarray(W, dtype=float)))
-    rho = 1.0 + np.sum(np.abs(w) ** 2, axis=-1)[:, None, None]
-    H = a * (np.eye(w.shape[-1]) / rho - w[:, :, None] * np.conj(w[:, None, :]) / rho**2)
-    return _real_chart_blocks(H, spec.omega_scale)
+    F_f, F_grad, F_hess = F
+    K, L = np.triu_indices(m)
 
+    def hermitian(G):  # A = conj(M) + M^T, M the upper triangle holding G
+        A = np.zeros(G.shape[:-1] + (m, m), dtype=complex)
+        A[..., K, L] = np.conj(G)
+        A[..., L, K] += G
+        return A
 
-def cp_reduced_tensor_derivatives(
-    Q_gamma: QuadricConfiguration, W: np.ndarray, V: np.ndarray, spec: MetricSpec = DEFAULT_SPEC
-) -> tuple[np.ndarray, np.ndarray]:
-    """(DG[V], DOmega[V]) of ``cp_reduced_tensors`` at the points W (N, D) along V (N, ..., D).
+    def f(z):
+        return F_f(circle_invariants(z))
 
-    Any number of directions per point; the result has shape (N, ..., D, D).
-    DH[V] = a (-I drho / rho^2 - (v w* + w v*) / rho^2 + 2 w w* drho / rho^3),
-    with v the direction as a complex vector and drho = 2 Re(w* v).
-    """
-    a = _sphere_radius_sq(Q_gamma)
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    V = np.asarray(V, dtype=float)
-    lead = (slice(None),) + (None,) * (V.ndim - 2)
-    w = _complex_coords(W)[lead]  # broadcast against the directions
-    v = _complex_coords(V)
-    rho = (1.0 + np.sum(np.abs(w) ** 2, axis=-1))[..., None, None]
-    drho = (2.0 * np.real(np.sum(np.conj(w) * v, axis=-1)))[..., None, None]
-    ww = w[..., :, None] * np.conj(w[..., None, :])
-    vw = v[..., :, None] * np.conj(w[..., None, :])
-    DH = a * (-np.eye(w.shape[-1]) * drho / rho**2
-              - (vw + np.conj(np.swapaxes(vw, -2, -1))) / rho**2
-              + 2.0 * ww * drho / rho**3)
-    return _real_chart_blocks(DH, spec.omega_scale)
+    def grad(z):
+        z = np.atleast_2d(np.asarray(z, dtype=complex))
+        return np.einsum("nkl,nl->nk", hermitian(F_grad(circle_invariants(z))), z)
 
+    def hess(z, V):
+        z = np.atleast_2d(np.asarray(z, dtype=complex))
+        q = circle_invariants(z)
+        dq = np.conj(V[..., K]) * z[:, None, L] + np.conj(z[:, None, K]) * V[..., L]
+        return (np.einsum("nkl,ndl->ndk", hermitian(F_grad(q)), V)
+                + np.einsum("ndkl,nl->ndk", hermitian(F_hess(q, dq)), z))
 
-def cp_reduced_metric(Q_gamma: QuadricConfiguration, spec: MetricSpec = DEFAULT_SPEC) -> MetricField:
-    """The reduced metric of ``cp_reduced_tensors`` with its closed-form derivative."""
-    return MetricField(
-        lambda W: cp_reduced_tensors(Q_gamma, W, spec)[0],
-        lambda W, V: cp_reduced_tensor_derivatives(Q_gamma, W, V, spec)[0],
-    )
-
-
-def cp_hamiltonian_field(
-    Q_gamma: QuadricConfiguration,
-    grad: Callable[[np.ndarray], np.ndarray],
-    hess: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    spec: MetricSpec = DEFAULT_SPEC,
-) -> VectorField:
-    """The Hamiltonian field X = -Omega^-1 grad f of the reduced form, with its derivative.
-
-    ``grad(W)`` (N, D) and ``hess(W, V)`` (N, d, D) are the chart gradient
-    and Hessian of f. Differentiating Omega X = -grad f gives
-    DX[V] = -Omega^-1 (Hess f V + DOmega[V] X).
-    """
-
-    def value(W):
-        _, Om = cp_reduced_tensors(Q_gamma, W, spec)
-        return np.linalg.solve(-Om, grad(W)[..., None])[..., 0]
-
-    def derivative(W, V):
-        _, Om = cp_reduced_tensors(Q_gamma, W, spec)
-        X = np.linalg.solve(-Om, grad(W)[..., None])  # (N, D, 1)
-        _, DOm = cp_reduced_tensor_derivatives(Q_gamma, W, V, spec)  # (N, d, D, D)
-        rhs = hess(W, V) + (DOm @ X[:, None])[..., 0]  # (N, d, D)
-        return np.swapaxes(np.linalg.solve(-Om, np.swapaxes(rhs, 1, 2)), 1, 2)
-
-    return VectorField(value, derivative)
-
-
-class CpChart(Chart):
-    """The affine projective chart w = z_rest / z_j of a lift chart, in real coordinates.
-
-    Its jacobian is the chain rule dw = (dz_rest - w dz_j) / z_j on the
-    lift's jacobian.
-    """
-
-    ambient = "real"
-
-    def __init__(self, lift_chart: Chart, j: int):
-        self.lift_chart = lift_chart
-        self.j = j
-        self.dim = lift_chart.dim
-        self.ambient_dim = 2 * (lift_chart.ambient_dim - 1)
-
-    def value(self, S: np.ndarray) -> np.ndarray:
-        return c2r(cp_affine_coords(self.lift_chart.value(S), self.j))
-
-    def jacobian(self, S: np.ndarray) -> np.ndarray:
-        j = self.j
-        z = self.lift_chart.value(S)
-        w = cp_affine_coords(z, j)
-        J = self.lift_chart.jacobian(S)  # (N, m, d)
-        dw = (np.delete(J, j, axis=1) - w[:, :, None] * J[:, j : j + 1]) / z[:, j, None, None]
-        return np.concatenate([dw.real, dw.imag], axis=1)
-
-
-def cp_lagrangian_residual(
-    D: DoubleConfiguration, chart: CpChart, params: np.ndarray, spec: MetricSpec = DEFAULT_SPEC
-) -> float:
-    """max |omega_red(f_i, f_j)| over a reduced-metric-orthonormal chart frame."""
-    params = np.atleast_2d(np.asarray(params, dtype=float))
-    J = chart.jacobian(params)  # (N, D, d)
-    G, Om = cp_reduced_tensors(D.gamma_cfg, chart.value(params), spec)
-    L = np.linalg.cholesky(np.swapaxes(J, 1, 2) @ G @ J)
-    F = J @ np.swapaxes(np.linalg.inv(L), 1, 2)
-    return float(np.abs(np.swapaxes(F, 1, 2) @ Om @ F).max())
+    return f, grad, hess
 
 
 # ---------------------------------------------------------------------------
 # the named catalog
+
+
+def _catalog_ints(name: str, count: int, least: int) -> tuple[int, ...]:
+    """The ``count`` comma-separated parameters after the colon of a catalog name.
+
+    Raises ``KeyError`` when one is missing or not a plain decimal integer,
+    or when one is below ``least``, the smallest value that builds.
+    """
+    params = name.split(":", 1)[1].split(",")
+    if len(params) != count or not all(p.isascii() and p.isdigit() for p in params):
+        raise KeyError(f"catalog instance {name!r} takes {count} integer parameter(s)")
+    values = tuple(int(p) for p in params)
+    if min(values) < least:
+        raise KeyError(f"catalog instance {name!r} needs parameters of at least {least}")
+    return values
 
 
 def catalog_polytope(name: str) -> PolytopePresentation:
@@ -431,11 +342,11 @@ def catalog_polytope(name: str) -> PolytopePresentation:
     if name == "square":
         return PolytopePresentation([(1, 0), (0, 1), (-1, 0), (0, -1)], [0, 0, 1, 1])
     if name.startswith("simplex:"):
-        n = int(name.split(":", 1)[1])
+        (n,) = _catalog_ints(name, 1, 1)
         normals = [tuple(int(i == k) for i in range(n)) for k in range(n)] + [(-1,) * n]
         return PolytopePresentation(normals, [0] * n + [1])
     if name.startswith("cube:"):
-        n = int(name.split(":", 1)[1])
+        (n,) = _catalog_ints(name, 1, 1)
         normals, offsets = [], []
         for k in range(n):
             normals.append(tuple(int(i == k) for i in range(n)))
@@ -444,7 +355,7 @@ def catalog_polytope(name: str) -> PolytopePresentation:
             offsets.append(1)
         return PolytopePresentation(normals, offsets)
     if name.startswith("product:"):
-        p, q = (int(t) for t in name.split(":", 1)[1].split(","))
+        p, q = _catalog_ints(name, 2, 2)
         n1, n2 = p - 1, q - 1
         n = n1 + n2
         normals, offsets = [], []
@@ -464,10 +375,10 @@ def catalog_polytope(name: str) -> PolytopePresentation:
 
 def catalog_quadrics(name: str) -> QuadricConfiguration:
     if name.startswith("one-quadric:"):
-        m = int(name.split(":", 1)[1])
+        (m,) = _catalog_ints(name, 1, 1)
         return QuadricConfiguration.from_rows([(1,) * m], [1])
     if name.startswith("two-quadrics:"):
-        p, q = (int(t) for t in name.split(":", 1)[1].split(","))
+        p, q = _catalog_ints(name, 2, 1)
         m = p + q
         return QuadricConfiguration.from_rows(
             [(1,) * m, (1,) * p + (-1,) * q], [2, 0]
@@ -528,75 +439,92 @@ def one_quadric_torus_chart(Q: QuadricConfiguration) -> CircleSpreadChart:
 
 
 def cp2_torus_lift_chart(D: DoubleConfiguration) -> CircleSpreadChart:
-    """Global (angle, phi_delta) chart of the lifted torus of the cp2 instance:
-    exp(2 pi i phi (1, 1, 2)) (cos angle, sin angle, 1)."""
-    return CircleSpreadChart(np.eye(3)[0], np.eye(3)[1], np.eye(3)[2], [1, 1, 2], (TWO_PI, 1.0))
+    """Global (angle, phi_gamma, phi_delta) chart of the lifted torus of the cp2 instance:
+    exp(2 pi i (phi_gamma (1, 1, 1) + phi_delta (1, 1, 2))) (cos angle, sin angle, 1)."""
+    return CircleSpreadChart(np.eye(3)[0], np.eye(3)[1], np.eye(3)[2], D.stacked.gamma_float(),
+                             (TWO_PI, 1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
-# projective chart verification
+# projective verification
 
 CP_TOL_LAGRANGIAN = 1e-8
 CP_TOL_STATIONARITY = 1e-3
-CP_CUTOFF_RADIUS = 0.42  # the ball cutoff of the localized Hamiltonians, in chart coordinates
+CP_CUTOFF_RADIUS = 0.42  # the ball cutoff of the localized Hamiltonians, in q-space
 
 
 class CpSetup(NamedTuple):
-    """What ``cp_chart_verify`` measures on: the affine chart, the Lagrangian
-    residual's sample parameters, the stationarity patch, and the random
-    chart Hamiltonian's gradient and Hessian in real chart coordinates."""
+    """What ``cp_chart_verify`` measures on: a sample of the lift chart for
+    the Lagrangian residual, the stationarity patch, and the circle-invariant
+    Hamiltonian's gradient and Hessian on C^m."""
 
-    chart: CpChart
-    sample_S: np.ndarray
+    sample: ChartSample
     patch: ChartPatch
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray, np.ndarray], np.ndarray]
     localized: bool
 
 
+def _phase_half_width(u0: np.ndarray, row: np.ndarray, rho: float) -> float:
+    """Twice the reach of the q-ball of radius rho about q(u0) along the phases of ``row``.
+
+    The reach is the first phi of a grid on (0, 1/2] at which
+    exp(2 pi i phi row) u0 leaves the ball; the factor 2 covers the ball's
+    wider reach away from the axis.
+    """
+    phi = np.linspace(0.0, 0.5, 501)[1:]
+    dist = np.linalg.norm(circle_invariants(np.exp(1j * TWO_PI * phi[:, None] * row) * u0)
+                          - circle_invariants(u0), axis=1)
+    out = np.flatnonzero(dist >= rho)
+    return 2.0 * float(phi[out[0]] if out.size else phi[-1])
+
+
 def cp_chart_setup(
     D: DoubleConfiguration, samples: int = 50, seed: int = 0, spec: MetricSpec = DEFAULT_SPEC
 ) -> CpSetup:
-    """The chart, samples, patch and Hamiltonian of ``cp_chart_verify`` at ``seed``.
+    """The lift sample, patch and Hamiltonian of ``cp_chart_verify`` at ``seed``.
 
-    The torus instance uses its global chart and one random quadratic
-    Hamiltonian; the others a chart box around the real base point and the
-    Hamiltonian cut off by a ball around the box centre.
+    The lift is the spread chart of the stacked system with its default
+    phase rows, the first torus's first. The patch takes one node along that
+    phase: every integrand is constant along the circle. The cp2 torus uses
+    its global chart and one random Hamiltonian quadratic in q; the others a
+    box centred on the real base point, with the Hamiltonian cut off by a
+    ball in q-space around q(base) and each second-torus phase half-width
+    from the ball's reach along that phase.
     """
-    _sphere_radius_sq(D.gamma_cfg)  # raises unless the first system is one equal-coefficient quadric
+    if not is_projective(D.gamma_cfg):
+        raise ValueError("projective verification needs a first system of one quadric "
+                         "with equal coefficients")
     rng = np.random.default_rng(seed)
-    is_torus = D.delta_cfg.num_quadrics == 1 and D.ambient_dim == 3
-    if is_torus and D.delta_cfg.gamma.entries[0] == (1, 1, 2) and D.gamma_cfg.c == (Fraction(2),):
-        lift = cp2_torus_lift_chart(D)
-        sample_S = np.stack(
-            [rng.uniform(0, TWO_PI, samples), rng.uniform(0, 1, samples)], axis=-1
-        )
-        box = ([0.0, 0.0], list(lift.periods))
-        localized = False
+    m = D.ambient_dim
+    localized = not (D.stacked.gamma.entries == ((1, 1, 1), (1, 1, 2)) and D.stacked.c == (2, 3))
+    # the samples sit at the circle's phase 0: every residual is constant along it
+    if not localized:
+        chart = cp2_torus_lift_chart(D)
+        S = np.stack([rng.uniform(0, TWO_PI, samples), np.zeros(samples),
+                      rng.uniform(0, 1, samples)], axis=-1)
+        lo, hi, nodes = np.zeros(3), np.array(chart.periods), [18, 1, 18]
     else:
-        from .submanifold_numerics import real_base_point
         base = real_base_point(D.stacked)
-        lift = TorusSpreadChart(
-            D.stacked, base, phase_rows=D.delta_cfg.gamma_float(), newton_tol=spec.newton_tol
-        )
-        nv = lift.nv
-        sample_S = np.concatenate(
-            [0.3 * rng.uniform(-1, 1, (samples, nv)), rng.uniform(0, 1, (samples, lift.nphi))],
-            axis=-1,
-        )
-        box = ([-0.5] * nv + [0.0] * lift.nphi, [0.5] * nv + [1.0] * lift.nphi)
-        localized = True
-
-    chart = CpChart(lift, cp_affine_index(lift.value(sample_S[:1])[0]))
-    nodes = 40 if localized else 18
-    patch = ChartPatch(chart=chart, lo=box[0], hi=box[1], nodes=nodes,
-                       ambient_metric=cp_reduced_metric(D.gamma_cfg, spec))
-    W0 = chart.value(np.zeros((1, chart.dim)) if localized else sample_S[:1])[0]
-    # the Hamiltonians of the C^m check, on the chart coordinates read as C^(D/2)
-    poly = _poly_scalar(chart.ambient_dim // 2, rng)
-    _, grad, hess = _radial_cutoff(poly, r2c(W0), CP_CUTOFF_RADIUS) if localized else poly
-    return CpSetup(chart, sample_S, patch, lambda W: c2r(grad(r2c(W))),
-                   lambda W, V: c2r(hess(r2c(W), r2c(V))), localized)
+        chart = TorusSpreadChart(D.stacked, base, newton_tol=spec.newton_tol)
+        nv, ndelta = chart.nv, chart.nphi - 1
+        S = np.concatenate([0.3 * rng.uniform(-1, 1, (samples, nv)), np.zeros((samples, 1)),
+                            rng.uniform(0, 1, (samples, ndelta))], axis=-1)
+        # v in [-0.5, 0.5], one period of the circle, and each second-torus
+        # phase out to twice the cutoff's reach along it
+        hi = np.array([0.5] * nv + [0.5 / abs(D.gamma_cfg.gamma.entries[0][0])]
+                      + [_phase_half_width(base, row, CP_CUTOFF_RADIUS)
+                         for row in D.delta_cfg.gamma_float()])
+        lo, nodes = -hi, [40] * nv + [1] + [40] * ndelta
+    phases = np.arange(chart.dim) >= chart.dim - len(chart.phase_rows)
+    sample = ChartSample(chart, S, chart.value(S), chart.value(np.where(phases, 0.0, S)).real)
+    patch = ChartPatch(chart=chart, lo=lo, hi=hi, nodes=nodes)
+    # the Hamiltonians of the C^m check, as functions of the circle invariants
+    poly = _poly_scalar(m * (m + 1) // 2, rng)
+    if localized:
+        poly = _radial_cutoff(poly, circle_invariants(base)[0], CP_CUTOFF_RADIUS)
+    _, grad, hess = circle_invariant_hamiltonian(poly, m)
+    return CpSetup(sample, patch, grad, hess, localized)
 
 
 def cp_chart_verify(
@@ -605,19 +533,23 @@ def cp_chart_verify(
     seed: int = 0,
     spec: MetricSpec = DEFAULT_SPEC,
 ) -> VerificationReport:
-    """Affine-chart verification in the reduced projective space.
+    """Verification of the reduced Lagrangian in CP^(m-1), on its lift in flat C^m.
 
-    Checks the reduced-form Lagrangian residual of the reduced submanifold
-    and its volume stationarity under a reduced-form Hamiltonian field, with
-    the quotient metric and form in closed form (``cp_reduced_tensors``).
-    On the localized instances ``stationarity_ratio`` checks that the field
-    vanishes near the patch boundary.
+    The lift is invariant under the diagonal circle T_gamma, whose orbits on
+    the level set all have the same length V_orb, so vol(reduced) =
+    vol(lift) / V_orb. The reduced submanifold is Lagrangian exactly when
+    the lift is, and a circle-invariant Hamiltonian's flow descends to the
+    reduced flow, so the lift's Lagrangian residual and its volume
+    stationarity under such Hamiltonians (functions of ``circle_invariants``)
+    check the reduced claims. On the localized instances
+    ``stationarity_ratio`` checks that the field vanishes near the patch
+    boundary.
     """
     rep = VerificationReport(seed=seed)
     setup = cp_chart_setup(D, samples, seed, spec)
-    lag = cp_lagrangian_residual(D, setup.chart, setup.sample_S, spec)
+    lag = float(lagrangian_residual(D.stacked, setup.sample, spec).max())
     rep.add("cp-lagrangian-residual", lag, CP_TOL_LAGRANGIAN, samples=samples)
-    X = cp_hamiltonian_field(D.gamma_cfg, setup.grad, setup.hess, spec)
+    X = hamiltonian_vector_field(setup.grad, setup.hess, spec)
     ratio = stationarity_ratio(setup.patch, X, setup.localized)
     rep.add("cp-hamiltonian-stationarity", ratio, CP_TOL_STATIONARITY)
     return rep

@@ -155,7 +155,7 @@ def chart_point(
 ) -> ChartPoint:
     params = np.asarray(params, dtype=float)
     z = chart.value(params[None, :])[0]
-    if Q is not None and chart.ambient == "complex":
+    if Q is not None:
         res = membership_residual(Q, z)
         if res > spec.tol_membership:
             raise ValueError(f"chart point violates the quadric system: residual {res:.3e}")
@@ -173,13 +173,6 @@ def chart_N(
     chart = TorusSpreadChart(Q, u0, newton_tol=spec.newton_tol)
     params = np.concatenate([np.asarray(v, dtype=float), np.asarray(phi, dtype=float)])
     return chart_point(chart, params, Q=Q, spec=spec)
-
-
-def _real_jacobian(chart: Chart, S: np.ndarray) -> np.ndarray:
-    J = chart.jacobian(np.atleast_2d(S))
-    if chart.ambient == "complex":
-        return np.concatenate([J.real, J.imag], axis=-2)
-    return np.asarray(J, dtype=float)
 
 
 def _tangent_frames(
@@ -242,19 +235,15 @@ def lagrangian_residual(
 def _curvature_batch(chart: Chart, S: np.ndarray):
     """Mean curvature trace data for a batch of chart parameters.
 
-    Returns (H_real (N, D), Jr (N, D, d), g (N, d, d)) with D the real
-    ambient dimension. H = trace_g of the normal projection of the chart's
-    second derivatives, the unnormalized mean curvature vector.
+    Returns (H_real (N, 2m), Jr (N, 2m, d), g (N, d, d)). H = trace_g of
+    the normal projection of the chart's second derivatives, the
+    unnormalized mean curvature vector.
     """
     S = np.atleast_2d(S)
     J = chart.jacobian(S)
     Hess = chart.hessian(S)
-    if chart.ambient == "complex":
-        Jr = np.concatenate([J.real, J.imag], axis=-2)
-        Hr = np.concatenate([Hess.real, Hess.imag], axis=-3)
-    else:
-        Jr = np.asarray(J, dtype=float)
-        Hr = np.asarray(Hess, dtype=float)
+    Jr = np.concatenate([J.real, J.imag], axis=-2)
+    Hr = np.concatenate([Hess.real, Hess.imag], axis=-3)
     g = np.einsum("nia,nib->nab", Jr, Jr)
     ginv = np.linalg.inv(g)
     tr = np.einsum("nab,niab->ni", ginv, Hr)
@@ -291,21 +280,6 @@ class VectorField(NamedTuple):
     maps the points and d ambient vectors at each, (N, d, m), to DX(P)[V]
     (N, d, m). The derivative is real-linear in V, so fields with conj(z)
     terms are covered. Calling the field gives its value.
-    """
-
-    value: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def __call__(self, P: np.ndarray) -> np.ndarray:
-        return self.value(P)
-
-
-class MetricField(NamedTuple):
-    """A metric tensor field on a real ambient with its derivative.
-
-    ``value`` maps points (N, D) to symmetric matrices (N, D, D).
-    ``derivative(P, V)`` maps the points and one direction at each, (N, D),
-    to DG(P)[V] (N, D, D). Calling the field gives its value.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -468,11 +442,9 @@ class ChartPatch:
     """Quadrature grid on a chart box, with optional compact bump weights.
 
     ``bump_axes`` lists the parameter axes along which the deformation must
-    vanish at the boundary (periodic/full axes carry no bump). For real
-    ambient charts an ``ambient_metric`` (a ``MetricField``) gives the
-    metric and its derivative; the flat metric is used otherwise. The
-    tensor Gauss-Legendre rule is kept to boxes of dimension at most 4; a
-    larger box raises.
+    vanish at the boundary (periodic/full axes carry no bump). The ambient
+    is flat C^m. The tensor Gauss-Legendre rule is kept to boxes of
+    dimension at most 4; a larger box raises.
     """
 
     chart: Chart
@@ -480,7 +452,6 @@ class ChartPatch:
     hi: np.ndarray
     nodes: int | Sequence[int] = 16
     bump_axes: tuple[int, ...] = ()
-    ambient_metric: MetricField | None = None
     S: np.ndarray = field(init=False)
     w: np.ndarray = field(init=False)
     _cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
@@ -510,26 +481,16 @@ class ChartPatch:
             self._cache["points"] = self.chart.value(self.S)
         return self._cache["points"]
 
-    @property
-    def metric(self) -> np.ndarray | None:
-        """The ambient metric on the nodes, computed once (None on a flat ambient)."""
-        if self.ambient_metric is None:
-            return None
-        if "metric" not in self._cache:
-            self._cache["metric"] = self.ambient_metric(self.points)
-        return self._cache["metric"]
-
     def chart_on_nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(real jacobian (N, D, d), induced metric g (N, d, d), area element) on the nodes.
+        """(real jacobian (N, 2m, d), induced metric g (N, d, d), area element) on the nodes.
 
-        g comes from ``ambient_metric`` when the patch has one. Computed
-        once, like ``curvature_on_nodes``: every volume and volume
+        Computed once, like ``curvature_on_nodes``: every volume and volume
         derivative of the patch reads it.
         """
         if "chart" not in self._cache:
-            Jr = _real_jacobian(self.chart, self.S)
-            JPt = np.swapaxes(Jr, 1, 2)
-            g = JPt @ Jr if self.metric is None else JPt @ self.metric @ Jr
+            J = self.chart.jacobian(self.S)
+            Jr = np.concatenate([J.real, J.imag], axis=1)
+            g = np.swapaxes(Jr, 1, 2) @ Jr
             self._cache["chart"] = (Jr, g, np.sqrt(np.linalg.det(g)))
         return self._cache["chart"]
 
@@ -545,10 +506,6 @@ class ChartPatch:
         return self._cache["curvature"]
 
 
-def _ambient_real(chart: Chart, vals: np.ndarray) -> np.ndarray:
-    return c2r(vals) if chart.ambient == "complex" else np.asarray(vals, dtype=float)
-
-
 def patch_volume(patch: ChartPatch) -> float:
     return float(np.sum(patch.w * patch.chart_on_nodes()[2]))
 
@@ -556,14 +513,13 @@ def patch_volume(patch: ChartPatch) -> float:
 def patch_volume_derivative(patch: ChartPatch, X: VectorField) -> float:
     """d/dt at t=0 of the patch volume under z -> z + t * bump * X(z).
 
-    Jacobi's formula, with no difference in t: with Y = bump * X(P) and
+    Jacobi's formula, with no difference in t: with
     J_Y = bump * DX(P)[J_P] + X(P) (x) grad bump, the deformed metric
-    g(t) = (J_P + t J_Y)^T G(P + t Y) (J_P + t J_Y) has
-    dg/dt = J_Y^T G J_P + J_P^T G J_Y + J_P^T DG[Y] J_P, and
-    dVol/dt = sum w * sqrt(det g) * 1/2 tr(g^-1 dg/dt), from the patch's
-    chart data and the field's closed-form derivative (``X`` is a
-    ``VectorField``). On a flat ambient G = I and DG = 0. The variation is
-    free: deformed points are not re-projected onto the quadric set.
+    g(t) = (J_P + t J_Y)^T (J_P + t J_Y) has dg/dt = J_Y^T J_P + J_P^T J_Y,
+    and dVol/dt = sum w * sqrt(det g) * 1/2 tr(g^-1 dg/dt), from the
+    patch's chart data and the field's closed-form derivative (``X`` is a
+    ``VectorField``). The variation is free: deformed points are not
+    re-projected onto the quadric set.
     """
     return patch_volume_and_derivative(patch, X)[1]
 
@@ -572,43 +528,29 @@ def patch_volume_and_derivative(patch: ChartPatch, X: VectorField) -> tuple[floa
     """(vol(patch), dVol/dt) as in ``patch_volume_derivative``, from one chart jacobian."""
     if not isinstance(X, VectorField):
         raise TypeError("a volume derivative needs a VectorField with its derivative")
-    chart, P = patch.chart, patch.points
+    P = patch.points
     Jr, g, elem = patch.chart_on_nodes()
-    JP = np.swapaxes(Jr, 1, 2)  # (N, d, D): the chart's columns as ambient vectors
-    JY = X.derivative(P, r2c(JP) if chart.ambient == "complex" else JP)
-    metric = patch.metric
-    if patch.bump_axes or metric is not None:
-        Xv, bump = np.asarray(X(P)), patch.bump_at(patch.S)
+    JP = np.swapaxes(Jr, 1, 2)  # (N, d, 2m): the chart's columns as real ambient vectors
+    JY = X.derivative(P, r2c(JP))
     if patch.bump_axes:
-        JY = bump[:, None, None] * JY + patch.bump_gradient_at(patch.S)[:, :, None] * Xv[:, None, :]
-    JY = _ambient_real(chart, JY)
+        JY = (patch.bump_at(patch.S)[:, None, None] * JY
+              + patch.bump_gradient_at(patch.S)[:, :, None] * np.asarray(X(P))[:, None, :])
+    JY = c2r(JY)
     # only the nodes the deformation moves contribute; a localized field moves few
-    moving = np.any(JY, axis=(1, 2))
-    if metric is not None:
-        Y = _ambient_real(chart, bump[:, None] * Xv)
-        moving |= np.any(Y, axis=1)
-    moved = np.flatnonzero(moving)
-    JPm = JP[moved]
-    if metric is None:
-        half_dg = JPm @ np.swapaxes(JY[moved], 1, 2)
-    else:
-        DG = patch.ambient_metric.derivative(P[moved], Y[moved])
-        half_dg = (JPm @ metric[moved] @ np.swapaxes(JY[moved], 1, 2)
-                   + 0.5 * (JPm @ DG @ np.swapaxes(JPm, 1, 2)))
+    moved = np.flatnonzero(np.any(JY, axis=(1, 2)))
+    half_dg = JP[moved] @ np.swapaxes(JY[moved], 1, 2)
     rate = np.trace(np.linalg.solve(g[moved], half_dg), axis1=1, axis2=2)
     return float(np.sum(patch.w * elem)), float(np.sum((patch.w * elem)[moved] * rate))
 
 
 def first_variation_integral(patch: ChartPatch, X: Callable[[np.ndarray], np.ndarray]) -> float:
-    """The curvature quadrature -integral <H, X> * bump dA over a flat-ambient patch.
+    """The curvature quadrature -integral <H, X> * bump dA over a patch.
 
     By the first variation formula this equals ``patch_volume_derivative``
     for the same field, from independent (second-derivative) chart data.
     """
-    if patch.ambient_metric is not None:
-        raise ValueError("the curvature quadrature needs a flat ambient")
     P, Hr, elem = patch.curvature_on_nodes()
-    Xr = _ambient_real(patch.chart, X(P))
+    Xr = c2r(X(P))
     return -float(np.sum(patch.w * patch.bump_at(patch.S) * np.einsum("ni,ni->n", Hr, Xr) * elem))
 
 
@@ -649,8 +591,7 @@ def hminimality_residual(
     S, _ = _batch(p)
     chart = p.chart
     J, Hess, T = chart.jacobian(S), chart.hessian(S), chart.third(S)
-    if chart.ambient == "complex":
-        J, Hess, T = (np.concatenate([X.real, X.imag], axis=1) for X in (J, Hess, T))
+    J, Hess, T = (np.concatenate([X.real, X.imag], axis=1) for X in (J, Hess, T))
     Om = omega_matrix(chart.ambient_dim, spec)
     g = np.einsum("nia,nib->nab", J, J)
     gi = np.linalg.inv(g)

@@ -67,6 +67,13 @@ def test_check_delzant_exit_codes(capsys):
 
 def test_unknown_catalog_and_bad_file(tmp_path, capsys):
     assert main(["gale", "catalog:nonsense"]) == 2
+    # a catalog parameter that is missing, not an integer, or too small to
+    # build is a usage error, from every command that reads the catalog
+    for name in ("simplex:x", "simplex:2_0", "simplex:", "product:2", "product:2,3,4",
+                 "two-quadrics:1", "cube:0", "simplex:0", "one-quadric:0", "product:1,1"):
+        assert main(["report-all", f"catalog:{name}"]) == 2, name
+        assert main(["emit-catalog", name]) == 2, name
+        assert "configuration error" in capsys.readouterr().err, name
     assert main(["gale", str(tmp_path / "missing.cfg")]) == 2
     bad = tmp_path / "bad.cfg"
     bad.write_text("mode quadrics\ngamma 1 2\n1 x\nc 1\n")
@@ -93,6 +100,19 @@ def test_verify_commands_smoke(capsys):
     assert main(["verify-lagrangian", "catalog:one-quadric:2", "--samples", "10"]) == 0
     assert main(["verify-noether", "catalog:one-quadric:3"]) == 0
     assert main(["verify-variation", "catalog:one-quadric:2", "--seed", "3"]) == 0
+
+
+@pytest.mark.parametrize("delta, d", [("1 2 1", 3), ("1 1 3", 4)])
+def test_projective_doubles_outside_the_catalog(tmp_path, capsys, delta, d):
+    # the first system is CP^2's, the second is not cp2-torus's rows: the
+    # projective records run on a localized box centred on the base
+    cfg = tmp_path / "double.cfg"
+    cfg.write_text(f"mode double\ngamma 1 3\n1 1 1\nc 2\ndelta 1 3\n{delta}\nd {d}\n")
+    for seed in range(5):
+        for command in ("report-all", "verify-ntilde"):
+            assert main([command, str(cfg), "--seed", str(seed)]) == 0, (command, seed)
+        out = capsys.readouterr().out
+        assert "cp-hamiltonian-stationarity" in out
 
 
 def test_seed_and_tol_overrides(monkeypatch, capsys):

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from momentangle import procedures as proc
@@ -73,12 +72,19 @@ def test_machine_report_format():
     assert all(ln.split("\t")[3] in ("pass", "fail") for ln in lines)
 
 
-def test_cp_reduced_tensors_requires_equal_coefficients():
-    from momentangle.reduction_catalog import cp_reduced_tensors
+def test_cp_chart_verify_requires_equal_coefficients():
+    # a valid double whose first system is two quadrics does not reduce to
+    # projective space: the projective records refuse it, and the CLI skips them
+    from momentangle.exact_linalg import IntegerMatrix
+    from momentangle.reduction_catalog import is_projective, stack_double
 
-    Q = QuadricConfiguration.from_rows([(1, 1, 2)], [3])
-    with pytest.raises(ValueError):
-        cp_reduced_tensors(Q, np.zeros((1, 4)))
+    g = catalog_quadrics("two-quadrics:2,2")
+    D = stack_double(g, QuadricConfiguration(IntegerMatrix([], cols=4), [], mode="complex"))
+    assert not is_projective(D.gamma_cfg)
+    assert not is_projective(QuadricConfiguration.from_rows([(1, 1, 2)], [3]))
+    assert is_projective(QuadricConfiguration.from_rows([(2, 2, 2)], [3]))
+    with pytest.raises(ValueError, match="equal coefficients"):
+        proc.cp_chart_report(D, samples=5)
 
 
 def test_renderings_contain_identical_numbers():
@@ -118,8 +124,7 @@ def test_report_all_takes_no_stencil(monkeypatch):
     # every chart report-all differentiates is exact: the sampled charts
     # through third order (the codifferential), the circle-spread charts of
     # the C^2 torus and the cp2 lift, the nearest-point spread chart of the
-    # C^3 stationarity patch and the rp2 lift, and the chain-rule affine
-    # chart of the projective check
+    # C^3 stationarity patch and the rp2 lift
     import io
 
     from momentangle import fd

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from momentangle.charts import FunctionChart
+from momentangle.charts import FunctionChart, TorusSpreadChart, c2r
 from momentangle.quadric_config import (
     QuadricConfiguration,
     boundedness_check,
@@ -12,27 +12,37 @@ from momentangle.quadric_config import (
 )
 from momentangle import fd
 from momentangle.reduction_catalog import (
+    CP_CUTOFF_RADIUS,
     CP_TOL_STATIONARITY,
-    CpChart,
     StackValidationError,
     catalog_double,
     catalog_polytope,
     catalog_quadrics,
+    circle_invariant_hamiltonian,
+    circle_invariants,
     classify_N,
-    cp_affine_index,
     cp_chart_setup,
-    cp_hamiltonian_field,
-    cp_lagrangian_residual,
-    cp_reduced_tensor_derivatives,
-    cp_reduced_tensors,
     cp2_torus_lift_chart,
     ntilde_chart,
     ntilde_lagrangian_residual,
     stack_double,
     stacked_tangent_horizontal_residual,
 )
-from momentangle.submanifold_numerics import DEFAULT_SPEC, VectorField, chart_point, stationarity_ratio
-from momentangle.torus_actions import freeness_check, torus_point
+from momentangle.submanifold_numerics import (
+    DEFAULT_SPEC,
+    ChartPatch,
+    ChartSample,
+    VectorField,
+    _poly_scalar,
+    _radial_cutoff,
+    chart_point,
+    hamiltonian_vector_field,
+    lagrangian_residual,
+    patch_volume,
+    patch_volume_and_derivative,
+    stationarity_ratio,
+)
+from momentangle.torus_actions import freeness_check, orbit_volume, torus_point
 
 spec = DEFAULT_SPEC
 
@@ -173,48 +183,15 @@ def test_rp2_lift_is_lagrangian():
 
 
 # ---------------------------------------------------------------------------
-# projective chart
-
-
-def test_cp_affine_index_tie_break():
-    assert cp_affine_index(np.array([1.0, 1.0, 0.5])) == 0
-    assert cp_affine_index(np.array([0.1, 0.9j, 0.3])) == 1
-
-
-def test_cp_reduced_metric_against_orbit_distance_oracle():
-    # quotient distance between nearby orbits, minimized in closed form over
-    # the circle phase, must match the horizontal-lift metric
-    Qg = catalog_double("rp2").gamma_cfg
-    a = 1.0
-
-    def section(W, j=0):
-        W = np.atleast_2d(W)
-        mm = W.shape[1] // 2 + 1
-        w = W[:, : mm - 1] + 1j * W[:, mm - 1 :]
-        zhat = np.insert(w, j, 1.0 + 0j, axis=1)
-        return np.sqrt(a) * zhat / np.linalg.norm(zhat, axis=1, keepdims=True)
-
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        W = rng.uniform(-0.8, 0.8, (1, 4))
-        delta = rng.standard_normal(4)
-        delta /= np.linalg.norm(delta)
-        eps = 1e-5
-        z0 = section(W)[0]
-        z1 = section(W + eps * delta)[0]
-        S = np.sum(z1 * np.conj(z0))
-        dist = np.sqrt(max(2 * a - 2 * abs(S), 0.0))
-        G, _ = cp_reduced_tensors(Qg, W, spec)
-        pred = eps * np.sqrt(delta @ G[0] @ delta)
-        assert abs(dist - pred) / dist < 1e-4
+# projective checks on the lift
 
 
 def _horizontal_lift_tensors(Q_gamma, W, j, spec):
-    """(G, Omega) of the reduced space from horizontal lifts, an oracle for the closed form.
+    """(G, Omega) of the reduced space from horizontal lifts, in an affine chart.
 
-    A real chart direction is lifted to the normalized section
-    z = sqrt(a) zhat / |zhat|, zhat = w with 1 inserted at index j, its
-    orbit (phase) component removed, and the flat metric and symplectic
+    A real chart direction of w = z_rest / z_j is lifted to the normalized
+    section z = sqrt(a) zhat / |zhat|, zhat = w with 1 inserted at index j,
+    its orbit (phase) component removed, and the flat metric and symplectic
     form evaluated on the lifts.
     """
     row = Q_gamma.gamma.entries[0]
@@ -239,131 +216,247 @@ def _horizontal_lift_tensors(Q_gamma, W, j, spec):
     return np.real(gram), spec.omega_scale * np.imag(gram)
 
 
-def _cp_nodes(name):
-    """The stationarity patch's chart values (W) for a catalog double at seed 0."""
+def test_cp_reduced_metric_against_orbit_distance_oracle():
+    # the quotient distance between nearby orbits, minimized in closed form
+    # over the circle phase, must match the horizontal-lift metric oracle
+    Qg = catalog_double("rp2").gamma_cfg
+    a = 1.0
+
+    def section(W, j=0):
+        W = np.atleast_2d(W)
+        mm = W.shape[1] // 2 + 1
+        w = W[:, : mm - 1] + 1j * W[:, mm - 1 :]
+        zhat = np.insert(w, j, 1.0 + 0j, axis=1)
+        return np.sqrt(a) * zhat / np.linalg.norm(zhat, axis=1, keepdims=True)
+
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        W = rng.uniform(-0.8, 0.8, (1, 4))
+        delta = rng.standard_normal(4)
+        delta /= np.linalg.norm(delta)
+        eps = 1e-5
+        z0 = section(W)[0]
+        z1 = section(W + eps * delta)[0]
+        S = np.sum(z1 * np.conj(z0))
+        dist = np.sqrt(max(2 * a - 2 * abs(S), 0.0))
+        G, _ = _horizontal_lift_tensors(Qg, W, 0, spec)
+        pred = eps * np.sqrt(delta @ G[0] @ delta)
+        assert abs(dist - pred) / dist < 1e-4
+
+
+GAMMA_AXIS = {"rp2": 2, "cp2-torus": 1}  # the first torus's phase axis of each lift chart
+
+
+def _lift_patch(name):
+    """The setup of ``cp_chart_verify`` at seed 0 and its patch; rp2's shrunk
+    to v in [-0.3, 0.3]^2, away from the affine chart's pole z_0 = 0."""
     setup = cp_chart_setup(catalog_double(name), 50, 0, spec)
-    return setup, setup.patch.points
+    patch = setup.patch
+    if name == "rp2":
+        patch = ChartPatch(chart=patch.chart, lo=[-0.3, -0.3, -0.5], hi=[0.3, 0.3, 0.5],
+                           nodes=[24, 24, 1])
+    return setup, patch
 
 
 @pytest.mark.parametrize("name", ["rp2", "cp2-torus"])
 def test_cp_reduced_tensors_match_horizontal_lifts(name):
-    # the Fubini-Study closed form is the same in every affine chart; the
-    # lifts through the section of each chart must reproduce it
-    setup, W = _cp_nodes(name)
-    Qg = catalog_double(name).gamma_cfg
-    G, Om = cp_reduced_tensors(Qg, W, spec)
-    for j in range(3):
-        G_ref, Om_ref = _horizontal_lift_tensors(Qg, W, j, spec)
-        assert np.abs(G - G_ref).max() <= 1e-14
-        assert np.abs(Om - Om_ref).max() <= 1e-14
+    # the reduced metric and form seen by the lift are the flat ones on the
+    # horizontal part of its tangent vectors. The oracle pulls the
+    # horizontal-lift tensors back through an affine chart of CP^2, whose
+    # jacobian is a 4th-order stencil at step 1e-3 (measured: the tensors
+    # agree to 4.0e-10 of the largest entry on rp2 and 1.0e-10 on the cp2
+    # torus). The orbits on the sphere all have length
+    # V_orb = 2 pi sqrt(c / gamma), so vol(reduced patch) = vol(lift patch)
+    # / V_orb (measured: 2.7e-11 and 5.2e-11 relative)
+    D = catalog_double(name)
+    _, patch = _lift_patch(name)
+    chart, S, P = patch.chart, patch.S, patch.points
+    j = int(np.argmax(np.abs(P).min(axis=0)))  # the coordinate farthest from 0 on the nodes
+    ax = GAMMA_AXIS[name]
+    rest = [a for a in range(chart.dim) if a != ax]
 
+    def affine(R):
+        z = chart.value(np.insert(R, ax, S[0, ax], axis=1))
+        return c2r(np.delete(z, j, axis=1) / z[:, j : j + 1])
 
-def _along(F, W, V, step=1e-4):
-    """Order-4 central difference of F at the points W along the directions V (one per point)."""
-    offs, wts = fd._D1
-    return sum(w * np.asarray(F(W + o * step * V)) for o, w in zip(offs, wts)) / step
+    Jw = fd.jacobian(affine, S[:, rest], 1e-3)  # (N, 4, 2)
+    G, Om = _horizontal_lift_tensors(D.gamma_cfg, affine(S[:, rest]), j, spec)
+    g_red = np.swapaxes(Jw, 1, 2) @ G @ Jw
+    om_red = np.swapaxes(Jw, 1, 2) @ Om @ Jw
+
+    J = chart.jacobian(S)[:, :, rest]  # (N, 3, 2)
+    vert = 1j * P / np.linalg.norm(P, axis=1, keepdims=True)
+    Jh = J - vert[:, :, None] * np.real(np.einsum("ni,nia->na", np.conj(vert), J))[:, None, :]
+    gram = np.einsum("nia,nib->nab", np.conj(Jh), Jh)
+    scale = np.abs(gram).max()
+    assert np.abs(g_red - gram.real).max() <= 1e-9 * scale
+    assert np.abs(om_red - spec.omega_scale * gram.imag).max() <= 1e-9 * scale
+
+    v_orb = orbit_volume(D.gamma_cfg, P)
+    assert np.allclose(v_orb, 2 * np.pi * np.sqrt(float(D.gamma_cfg.c[0])), rtol=1e-14, atol=0)
+    width = patch.hi[ax] - patch.lo[ax]
+    vol_red = np.sum(patch.w / width * np.sqrt(np.linalg.det(g_red)))
+    assert abs(patch_volume(patch) / v_orb[0] - vol_red) <= 1e-9 * vol_red
 
 
 @pytest.mark.parametrize("name", ["rp2", "cp2-torus"])
-def test_cp_reduced_tensor_derivatives_match_fd(name):
-    # DG[V] and DOmega[V] against an order-4 stencil of the closed forms along
-    # V at step 1e-4 (measured 1.3e-12), with one and with two directions per point
-    _, W = _cp_nodes(name)
-    Qg = catalog_double(name).gamma_cfg
-    rng = np.random.default_rng(21)
-    V = rng.standard_normal((W.shape[0], 2, W.shape[1]))
-    DG, DOm = cp_reduced_tensor_derivatives(Qg, W, V, spec)
-    for k in range(2):
-        ref = _along(lambda P: np.stack(cp_reduced_tensors(Qg, P, spec), axis=1), W, V[:, k])
-        got = np.stack([DG[:, k], DOm[:, k]], axis=1)
-        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
-        one = np.stack(cp_reduced_tensor_derivatives(Qg, W, V[:, k], spec), axis=1)
-        assert np.array_equal(one, got)
+def test_cp_one_orbit_node_matches_several(name):
+    # every integrand is constant along the first torus's circle, so one
+    # node on its phase axis gives the volume and the derivative of four
+    # (measured: to 1.8e-16 relative)
+    setup = cp_chart_setup(catalog_double(name), 50, 0, spec)
+    one = setup.patch
+    nodes = [int(n) for n in one.nodes]
+    nodes[GAMMA_AXIS[name]] = 4
+    four = ChartPatch(chart=one.chart, lo=one.lo, hi=one.hi, nodes=nodes)
+    X = hamiltonian_vector_field(setup.grad, setup.hess, spec)
+    one_vol, one_dvol = patch_volume_and_derivative(one, X)
+    four_vol, four_dvol = patch_volume_and_derivative(four, X)
+    assert abs(one_vol - four_vol) <= 1e-14 * one_vol
+    assert abs(one_dvol - four_dvol) <= 1e-14 * one_vol * np.abs(X(one.points)).max()
+
+
+def _along(F, P, V, step=1e-4):
+    """Order-4 central difference of F at the points P along the directions V (one per point)."""
+    offs, wts = fd._D1
+    return sum(w * np.asarray(F(P + o * step * V)) for o, w in zip(offs, wts)) / step
+
+
+@pytest.mark.parametrize("name", ["rp2", "cp2-torus"])
+def test_cp_invariant_hamiltonian_derivatives_match_fd(name):
+    # the chain rule through q(z) = (conj(z_k) z_l)_{k<=l}: the packed
+    # gradient against an order-4 stencil of f, and the Hessian against one
+    # of the gradient, along random complex directions at step 1e-4 on the
+    # patch nodes, inside and outside rp2's cutoff but off its edge (the
+    # Hessian test of the cutoff covers the edge; across it the stencil
+    # reads the jump of the bump's fourth derivative). f is invariant under
+    # the diagonal circle and its gradient is equivariant
+    setup = cp_chart_setup(catalog_double(name), 50, 0, spec)
+    P = setup.patch.points
+    rng = np.random.default_rng(23)
+    poly = _poly_scalar(6, rng)
+    if name == "rp2":
+        q0 = circle_invariants(setup.patch.chart.value(np.zeros((1, 3))))[0]
+        poly = _radial_cutoff(poly, q0, CP_CUTOFF_RADIUS)
+        r = np.linalg.norm(circle_invariants(P) - q0, axis=1) / CP_CUTOFF_RADIUS
+        P = P[np.abs(r - 1.0) > 0.01]
+    f, grad, hess = circle_invariant_hamiltonian(poly, 3)
+    V = rng.standard_normal(P.shape) + 1j * rng.standard_normal(P.shape)
+    g = grad(P)
+    df = _along(f, P, V)
+    assert np.abs(np.real(np.sum(np.conj(g) * V, axis=1)) - df).max() <= 1e-9 * np.abs(df).max()
+    H = hess(P, V[:, None, :])[:, 0]
+    ref = _along(grad, P, V)
+    assert np.abs(H - ref).max() <= 1e-9 * np.abs(ref).max()
+    theta = np.exp(1j * rng.uniform(0, 2 * np.pi, (P.shape[0], 1)))
+    assert np.abs(f(theta * P) - f(P)).max() <= 1e-13 * np.abs(f(P)).max()
+    assert np.abs(grad(theta * P) - theta * g).max() <= 1e-13 * np.abs(g).max()
 
 
 def test_cp_hamiltonian_field_derivative_matches_fd():
-    # DX[V] = -Omega^-1 (Hess f V + DOmega[V] X) against an order-4 stencil of
-    # X along V at step 1e-4, on rp2's patch nodes inside and outside the
-    # ball cutoff (the Hessian test of the cutoff covers its edge). Measured
-    # 1.6e-11; without the DOmega[V] X term it reads 0.30
-    setup, W = _cp_nodes("rp2")
-    Qg = catalog_double("rp2").gamma_cfg
-    X = cp_hamiltonian_field(Qg, setup.grad, setup.hess, spec)
-    V = np.random.default_rng(22).standard_normal((W.shape[0], 2, W.shape[1]))
-    got = X.derivative(W, V)
+    # DX[V] = -i Hess f[V] / omega_scale against an order-4 stencil of X
+    # along V at step 1e-4, on rp2's patch nodes inside and outside the
+    # q-ball cutoff, off its edge. X is tangent to the sphere
+    # |z|^2 = c / gamma, whose function |z|^2 generates the circle f is
+    # invariant under, and it vanishes where the cutoff does
+    setup = cp_chart_setup(catalog_double("rp2"), 50, 0, spec)
+    P = setup.patch.points
+    X = hamiltonian_vector_field(setup.grad, setup.hess, spec)
+    V = np.random.default_rng(22).standard_normal((P.shape[0], 2, 3)) + 0j
+    got = X.derivative(P, V)
+    q0 = circle_invariants(setup.patch.chart.value(np.zeros((1, 3))))[0]
+    r = np.linalg.norm(circle_invariants(P) - q0, axis=1) / CP_CUTOFF_RADIUS
+    off_edge = np.abs(r - 1.0) > 0.01
     for k in range(2):
-        ref = _along(X, W, V[:, k])
-        assert np.abs(got[:, k] - ref).max() <= 1e-9 * np.abs(ref).max()
-    assert not got[~X(W).any(axis=1) & ~setup.grad(W).any(axis=1)].any()
+        ref = _along(X, P[off_edge], V[off_edge, k])
+        assert np.abs(got[off_edge, k] - ref).max() <= 1e-9 * np.abs(ref).max()
+    Xv = X(P)
+    assert np.abs(np.real(np.sum(np.conj(P) * Xv, axis=1))).max() <= 1e-14 * np.abs(Xv).max()
+    outside = ~setup.grad(P).any(axis=1)
+    assert outside.any() and not got[outside].any()
 
 
 def test_cp_gradient_field_negative_control():
-    # the gradient field G^-1 grad f of the same Hamiltonian is not a
-    # symplectic variation, and the CP^2 torus is not stationary for it:
-    # it reads 0.087, 0.128 and 0.097 at seeds 0-2, where the Hamiltonian
-    # field reads the rounding floor (at most 2.8e-16)
+    # the gradient field of the same Hamiltonian, projected onto the sphere
+    # (it is horizontal already: f is circle-invariant), is not a symplectic
+    # variation, and the lifted CP^2 torus is not stationary for it: it
+    # reads 0.076, 0.186 and 0.129 at seeds 0-2, where the Hamiltonian
+    # field reads the rounding floor (at most 2.6e-16)
     D = catalog_double("cp2-torus")
-    Qg = D.gamma_cfg
     for seed in range(3):
         setup = cp_chart_setup(D, 50, seed, spec)
 
-        def value(W):
-            G, _ = cp_reduced_tensors(Qg, W, spec)
-            return np.linalg.solve(G, setup.grad(W)[..., None])[..., 0]
+        def value(z):
+            g = setup.grad(z)
+            s = np.real(np.sum(np.conj(z) * g, axis=1)) / np.sum(np.abs(z) ** 2, axis=1)
+            return g - s[:, None] * z
 
-        def derivative(W, V):
-            # G X = grad f, so DX[V] = G^-1 (Hess f V - DG[V] X)
-            G, _ = cp_reduced_tensors(Qg, W, spec)
-            DG, _ = cp_reduced_tensor_derivatives(Qg, W, V, spec)
-            rhs = setup.hess(W, V) - (DG @ value(W)[:, None, :, None])[..., 0]
-            return np.swapaxes(np.linalg.solve(G, np.swapaxes(rhs, 1, 2)), 1, 2)
+        def derivative(z, V):
+            # Y = g - (s / r) z with s = Re <z, g>, r = |z|^2, by the product rule
+            g, Dg = setup.grad(z), setup.hess(z, V)
+            r = np.sum(np.abs(z) ** 2, axis=1)[:, None]
+            s = np.real(np.sum(np.conj(z) * g, axis=1))[:, None]
+            ds = np.real(np.sum(np.conj(V) * g[:, None, :] + np.conj(z)[:, None, :] * Dg, axis=2))
+            dr = 2.0 * np.real(np.sum(np.conj(z)[:, None, :] * V, axis=2))
+            return (Dg - ((ds * r - s * dr) / r**2)[:, :, None] * z[:, None, :]
+                    - (s / r)[:, :, None] * V)
 
+        P = setup.patch.points
+        vertical = np.real(np.sum(np.conj(1j * P) * setup.grad(P), axis=1))
+        assert np.abs(vertical).max() <= 1e-13 * np.abs(setup.grad(P)).max()
         gradient = stationarity_ratio(setup.patch, VectorField(value, derivative))
         assert gradient > 50 * CP_TOL_STATIONARITY, (seed, gradient)
-        hamiltonian = cp_hamiltonian_field(Qg, setup.grad, setup.hess, spec)
+        hamiltonian = hamiltonian_vector_field(setup.grad, setup.hess, spec)
         assert stationarity_ratio(setup.patch, hamiltonian) < 1e-12
 
 
 def test_cp_lagrangian_residuals():
-    D = catalog_double("cp2-torus")
-    lift = cp2_torus_lift_chart(D)
-    rng = np.random.default_rng(2)
-    S = np.stack([rng.uniform(0, 2 * np.pi, 25), rng.uniform(0, 1, 25)], axis=-1)
-    j = cp_affine_index(lift.value(S[:1])[0])
-    chart = CpChart(lift, j)
-    assert cp_lagrangian_residual(D, chart, S, spec) < 1e-8
-
-    Drp = catalog_double("rp2")
-    from momentangle.charts import TorusSpreadChart
-
-    lift_rp = TorusSpreadChart(
-        Drp.stacked, np.array([1.0, 0.0, 0.0]), phase_rows=Drp.delta_cfg.gamma_float()
-    )
-    chart_rp = CpChart(lift_rp, cp_affine_index(lift_rp.value(np.zeros((1, 2)))[0]))
-    Srp = 0.3 * rng.uniform(-1, 1, (25, 2))
-    assert cp_lagrangian_residual(Drp, chart_rp, Srp, spec) < 1e-10
+    # the lift is Lagrangian in C^3, which is the reduced submanifold being
+    # Lagrangian in CP^2; the sample of cp_chart_verify and fresh ones
+    for name in ("cp2-torus", "rp2"):
+        D = catalog_double(name)
+        setup = cp_chart_setup(D, 25, 2, spec)
+        assert lagrangian_residual(D.stacked, setup.sample, spec).max() < 1e-14, name
+    D = catalog_double("rp2")
+    lift = TorusSpreadChart(D.stacked, np.array([1.0, 0.0, 0.0]))
+    S = np.concatenate([0.3 * np.random.default_rng(2).uniform(-1, 1, (25, 2)),
+                        np.zeros((25, 1))], axis=1)
+    sample = ChartSample(lift, S, lift.value(S), lift.value(S).real)
+    assert lagrangian_residual(D.stacked, sample, spec).max() < 1e-14
 
 
 def test_cp_chart_jacobian_matches_stencil():
-    # the chain rule dw = (dz_rest - w dz_j) / z_j on the exact lift
-    # jacobians, against a 4th-order stencil of the chart's value at step
-    # 1e-3 on the Lagrangian residual's samples: measured 5.2e-11 (cp2-torus)
-    # and 1.9e-10 (rp2) of the largest entry, falling 16-fold per halving of
-    # the step, the stencil's own error
+    # the lift charts' exact jacobians (the several-row circle spread of the
+    # cp2 torus, the nearest-point chart of rp2) against a 4th-order stencil
+    # of their values (and of their jacobians for the hessians) at step
+    # 1e-4 on the Lagrangian residual's samples: measured at most 9.3e-13
+    # of the largest entry
     for name in ("cp2-torus", "rp2"):
-        setup = cp_chart_setup(catalog_double(name), 50, 0, spec)
-        chart, S = setup.chart, setup.sample_S
-        J = chart.jacobian(S)
-        assert J.shape == (50, chart.ambient_dim, chart.dim)
-        assert np.abs(J - fd.jacobian(chart.value, S, 1e-3)).max() < 5e-10 * np.abs(J).max(), name
+        sample = cp_chart_setup(catalog_double(name), 50, 0, spec).sample
+        chart, S = sample.chart, sample.params
+        J, H = chart.jacobian(S), chart.hessian(S)
+        assert J.shape == (50, 3, 3)
+        for exact, stencil in ((J, fd.jacobian(chart.value, S, 1e-4)),
+                               (H, fd.jacobian(chart.jacobian, S, 1e-4))):
+            assert np.abs(exact - stencil).max() < 1e-10 * np.abs(exact).max(), name
 
 
 def test_cp_chart_degenerate_coordinate():
+    # the lift has no pole: where a coordinate vanishes (the pole of the
+    # affine chart dividing by it) it is a regular Lagrangian chart. On the
+    # cp2 torus z_0 = 0 at angle pi/2; rp2's box reaches z_0 = 0 near its
+    # corner (0.5, 0.5)
     D = catalog_double("cp2-torus")
     lift = cp2_torus_lift_chart(D)
-    chart = CpChart(lift, 0)  # first coordinate vanishes at angle pi/2
-    with pytest.raises(ValueError):
-        chart.value(np.array([[np.pi / 2, 0.0]]))
+    S = np.array([[np.pi / 2, 0.3, 0.7]])
+    assert abs(lift.value(S)[0, 0]) < 1e-15
+    pts = ChartSample(lift, S, lift.value(S), lift.value(S).real)
+    assert lagrangian_residual(D.stacked, pts, spec)[0] < 1e-15
+    patch = cp_chart_setup(catalog_double("rp2"), 50, 0, spec).patch
+    near = np.abs(patch.points[:, 0]).argmin()
+    assert abs(patch.points[near, 0]) < 0.05
+    _, g, elem = patch.chart_on_nodes()
+    assert np.linalg.cond(g[near]) < 1e3 and elem[near] > 0.1
 
 
 def test_catalog_unknown_names():

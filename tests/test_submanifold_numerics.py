@@ -683,25 +683,18 @@ def _two_volume_derivative(patch, X, t_step, s_step=1e-3, richardson=False):
     """
     chart = patch.chart
 
-    def ambient_real(vals):
-        return c2r(vals) if chart.ambient == "complex" else np.asarray(vals, dtype=float)
-
     def deformed(t):
         def fn(Sb):
             P = chart.value(Sb)
             field = np.asarray(X(P))
             bump = patch.bump_at(Sb).reshape(-1, *([1] * (P.ndim - 1)))
-            return ambient_real(P + t * bump * field)
+            return c2r(P + t * bump * field)
 
         return fn
 
     def vol(t):
-        f = deformed(t)
-        J = fd.jacobian(f, patch.S, s_step)
-        if patch.ambient_metric is None:
-            g = np.einsum("nia,nib->nab", J, J)
-        else:
-            g = np.einsum("nia,nij,njb->nab", J, patch.ambient_metric(f(patch.S)), J)
+        J = fd.jacobian(deformed(t), patch.S, s_step)
+        g = np.einsum("nia,nib->nab", J, J)
         return float(np.sum(patch.w * np.sqrt(np.linalg.det(g))))
 
     def central(h):
@@ -724,27 +717,19 @@ def test_volume_derivative_matches_two_volume_reference():
     ref = _two_volume_derivative(patch, X, t_step=1e-3, s_step=2.5e-4, richardson=True)
     assert abs(patch_volume_derivative(patch, X) - ref) < 1e-9 * abs(ref)
 
-    # metric ambient: rp2's affine chart with the reduced metric, where
-    # Jacobi's formula also reads DG[Y]. RP^2 is totally geodesic, so only an
-    # unbumped patch (boundary flux) has a volume derivative that a relative
-    # comparison can see. The box stops short of the chart's pole at
-    # v = (0.5, 0.5), where z_0 = 0. The reference extrapolates in t from
-    # 1e-3 and differentiates each deformed chart at 5e-4. Its own error: it
-    # moves by 6.3e-12 relative when that step halves and by 5.9e-12 when t
-    # halves. Measured agreement: 1.8e-12 (the chain-rule chart jacobian is
-    # exact)
-    from momentangle.reduction_catalog import CpChart, cp_reduced_metric
-
+    # the rp2 lift: the nearest-point chart of the sphere's real locus
+    # spread by the diagonal circle, on one node along the circle. An
+    # unbumped patch under a random matrix field (boundary flux). The
+    # reference extrapolates in t from 1e-3 and differentiates each
+    # deformed chart at 5e-4. Its own error: it moves by 7e-12 relative
+    # when that step halves and by 4.6e-11 when t halves. Measured
+    # agreement: 2.3e-11
     D = catalog_double("rp2")
-    lift = TorusSpreadChart(D.stacked, real_base_point(D.stacked),
-                            phase_rows=D.delta_cfg.gamma_float(), newton_tol=spec.newton_tol)
-    cp = CpChart(lift, 0)
-    mpatch = ChartPatch(chart=cp, lo=[-0.4, -0.4], hi=[0.4, 0.4], nodes=40,
-                        ambient_metric=cp_reduced_metric(D.gamma_cfg, spec))
-    A = np.random.default_rng(4).standard_normal((cp.ambient_dim, cp.ambient_dim))
-    Xm = VectorField(lambda W: W @ A.T + 0.3, lambda W, V: V @ A.T)
-    ref = _two_volume_derivative(mpatch, Xm, t_step=1e-3, s_step=5e-4, richardson=True)
-    assert abs(patch_volume_derivative(mpatch, Xm) - ref) < 5e-11 * abs(ref)
+    lift = TorusSpreadChart(D.stacked, real_base_point(D.stacked), newton_tol=spec.newton_tol)
+    lpatch = ChartPatch(chart=lift, lo=[-0.4, -0.4, -0.5], hi=[0.4, 0.4, 0.5], nodes=[24, 24, 1])
+    Xl = _random_matrix_field(3, np.random.default_rng(4))
+    ref = _two_volume_derivative(lpatch, Xl, t_step=1e-3, s_step=5e-4, richardson=True)
+    assert abs(patch_volume_derivative(lpatch, Xl) - ref) < 5e-11 * abs(ref)
 
 
 def test_stationarity_ratio_rejects_leaking_field():
