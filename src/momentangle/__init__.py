@@ -41,12 +41,11 @@ from .torus_actions import (
 )
 from .charts import NonConvergenceError
 from .submanifold_numerics import (
+    OMEGA_SCALE,
     ChartPatch,
-    ChartPoint,
     ChartSample,
     InvarianceError,
     MetricSpec,
-    TangentFrame,
     VectorField,
     chart_N,
     coarea_orbit_volume_check,
@@ -58,7 +57,7 @@ from .submanifold_numerics import (
     noether_drift,
     patch_volume_derivative,
     sample_chart_points,
-    tangent_frame_N,
+    tangent_frames,
 )
 from .reduction_catalog import (
     DoubleConfiguration,

@@ -38,6 +38,7 @@ from .reduction_catalog import (
     catalog_polytope,
     catalog_quadrics,
     classify_N,
+    cp_chart_verify,
     is_projective,
 )
 from .report import VerificationReport
@@ -156,7 +157,7 @@ def run_command(
                     rep.add_bool(name, True, detail=f"informational: {ok}")
         rep.extend(proc.ntilde_report(D, samples=samples, seed=seed, spec=spec))
         if is_projective(D.gamma_cfg):
-            rep.extend(proc.cp_chart_report(D, samples=min(samples, 50), seed=seed, spec=spec))
+            rep.extend(cp_chart_verify(D, samples=min(samples, 50), seed=seed, spec=spec))
         return rep
 
     # one presentation per command: its Gale dual, vertices and feasible

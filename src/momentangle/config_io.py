@@ -178,14 +178,14 @@ def quadrics_from_config(cfg: ConfigFile) -> QuadricConfiguration:
     """
     if cfg.gamma is None:
         raise ConfigError("configuration has no quadric block")
-    return QuadricConfiguration(cfg.gamma, cfg.c, mode="complex")
+    return QuadricConfiguration(cfg.gamma, cfg.c)
 
 
 def double_from_config(cfg: ConfigFile) -> DoubleConfiguration:
     if cfg.mode != "double":
         raise ConfigError("not a double configuration")
-    g = QuadricConfiguration(cfg.gamma, cfg.c, mode="complex")
-    dl = QuadricConfiguration(cfg.delta, cfg.d or (), mode="complex")
+    g = QuadricConfiguration(cfg.gamma, cfg.c)
+    dl = QuadricConfiguration(cfg.delta, cfg.d or ())
     return stack_double(g, dl)
 
 

@@ -33,7 +33,9 @@ def jacobian(f, S, step: float) -> np.ndarray:
     vals = vals.reshape(d, len(offs), N, *out_shape)
     wts_arr = np.asarray(wts).reshape(1, len(offs), *([1] * (vals.ndim - 2)))
     deriv = (vals * wts_arr).sum(axis=1) / step  # (d, N, *out)
-    J = np.moveaxis(deriv, 0, -1)  # (N, *out, d)
+    # C order, so a point's derivative has the same memory layout in any
+    # batch, and so does everything computed from it
+    J = np.ascontiguousarray(np.moveaxis(deriv, 0, -1))  # (N, *out, d)
     return J[0] if single else J
 
 

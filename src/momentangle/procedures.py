@@ -23,14 +23,26 @@ from .quadric_config import (
 )
 from .reduction_catalog import (
     DoubleConfiguration,
-    cp_chart_verify,
     ntilde_lagrangian_residual,
     one_quadric_torus_chart,
     stacked_tangent_horizontal_residual,
 )
-from .report import VerificationReport
+from .report import (
+    CONTROL_BOUND,
+    TOL_COAREA_REL,
+    TOL_HMINIMAL,
+    TOL_LAGRANGIAN,
+    TOL_MINIMAL,
+    TOL_NOETHER,
+    TOL_STATIONARITY,
+    TOL_VARIATION_CIRCLE,
+    TOL_VARIATION_REL,
+    TOL_VO_SYMMETRY,
+    VerificationReport,
+)
 from .submanifold_numerics import (
     DEFAULT_SPEC,
+    OMEGA_SCALE,
     stationarity_ratio,
     ChartPatch,
     MetricSpec,
@@ -46,6 +58,7 @@ from .submanifold_numerics import (
     patch_volume_derivative,
     sample_chart_points,
     tangent_frame_Z,
+    tangent_frames,
     InvarianceError,
     VectorField,
     _poly_scalar,
@@ -54,18 +67,8 @@ from .submanifold_numerics import (
 from .torus_actions import freeness_check, orbit_volume
 
 TWO_PI = 2.0 * np.pi
-
-# residual tolerances used by the standard reports
-TOL_LAGRANGIAN = 1e-8
-TOL_MINIMAL = 1e-4
-TOL_HMINIMAL = 1e-4
-TOL_NOETHER = 1e-8
-TOL_VO_SYMMETRY = 1e-12
-TOL_COAREA_REL = 1e-3
-TOL_VARIATION_REL = 1e-3
-TOL_VARIATION_CIRCLE = 1e-4
-TOL_STATIONARITY = 1e-3
-CONTROL_BOUND = 0.1
+# the number of random fields the first-variation report checks
+VARIATION_FIELDS = 5
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -153,15 +156,23 @@ def point_residual_report(
     spec: MetricSpec = DEFAULT_SPEC,
     with_minimal: bool = True,
 ) -> VerificationReport:
-    """Lagrangian and in-quadric-set minimality residuals at random chart points."""
+    """Lagrangian and in-quadric-set minimality residuals at random chart points.
+
+    The negative control reads the same residual on a frame that is not
+    isotropic: the tangent frame of the quadric set Z where m > k, and where
+    Z = N (m = k) the pair {e, i e}, e the first unit tangent vector of N,
+    which reads |OMEGA_SCALE| = 1/pi.
+    """
     rep = VerificationReport(seed=seed)
     rng = _rng(seed)
     pts = sample_chart_points(Q, samples, rng, spec)
-    lag = float(lagrangian_residual(Q, pts, spec).max())
+    lag = float(lagrangian_residual(Q, pts).max())
     rep.add("lagrangian-residual", lag, TOL_LAGRANGIAN, samples=samples)
-    ctrl = max(
-        frame_symplectic_residual(tangent_frame_Z(Q, p.point, spec), spec) for p in pts[:5]
-    )
+    if Q.ambient_dim > Q.num_quadrics:
+        frames = [tangent_frame_Z(Q, z) for z in pts.points[:5]]
+    else:
+        frames = [np.stack([e, 1j * e]) for e in tangent_frames(Q, pts[:5])[:, 0]]
+    ctrl = max(frame_symplectic_residual(V) for V in frames)
     rep.add_lower_bound("lagrangian-negative-control", ctrl, CONTROL_BOUND)
     if with_minimal:
         mini = float(minimality_residual_in_Z(Q, pts).max())
@@ -184,7 +195,7 @@ def unequal_torus_control(spec: MetricSpec = DEFAULT_SPEC) -> float:
 
     chart = FunctionChart(fn, dim=2, ambient_dim=2)
     p = chart_point(chart, np.array([0.4, 1.1]), Q=Q, spec=spec)
-    return minimality_residual_in_Z(Q, p)
+    return float(minimality_residual_in_Z(Q, p)[0])
 
 
 def hminimality_report(
@@ -196,32 +207,30 @@ def hminimality_report(
     rep = VerificationReport(seed=seed)
     rng = _rng(seed)
     pts = sample_chart_points(Q, points, rng, spec)
-    worst = float(hminimality_residual(Q, pts, spec).max())
+    worst = float(hminimality_residual(Q, pts).max())
     rep.add("hminimality-residual", worst, TOL_HMINIMAL, samples=points)
     return rep
 
 
-def ellipse_control(
-    a: float = 1.0, b: float = 0.6, t: float = np.pi / 4, spec: MetricSpec = DEFAULT_SPEC
-) -> tuple[float, float]:
-    """Codifferential residual of an ellipse and its closed-form value.
+def ellipse_control() -> tuple[float, float]:
+    """Codifferential residual of the ellipse (cos t, 0.6 sin t) at t = pi/4 and its closed form.
 
     For a plane curve the 1-form contraction of the mean curvature has
     codifferential proportional to the arclength derivative of the
     curvature, so any noncircular ellipse is a sharp negative control.
-    Returns (numeric residual, |omega_scale| * |dkappa/ds|).
+    Returns (numeric residual, |OMEGA_SCALE| * |dkappa/ds|).
     """
+    a, b, t = 1.0, 0.6, np.pi / 4
 
     def fn(S):
         return (a * np.cos(S[:, 0]) + 1j * b * np.sin(S[:, 0]))[:, None]
 
     chart = FunctionChart(fn, dim=1, ambient_dim=1)
-    p = chart_point(chart, np.array([t]), spec=spec)
-    numeric = hminimality_residual(None, p, spec)
+    numeric = float(hminimality_residual(None, chart_point(chart, np.array([t])))[0])
     w = a * a * np.sin(t) ** 2 + b * b * np.cos(t) ** 2
     dkappa_dt = a * b * (-1.5) * (a * a - b * b) * np.sin(2 * t) / w**2.5
     ds_dt = np.sqrt(w)
-    oracle = abs(spec.omega_scale) * abs(dkappa_dt / ds_dt)
+    oracle = abs(OMEGA_SCALE) * abs(dkappa_dt / ds_dt)
     return numeric, oracle
 
 
@@ -245,16 +254,16 @@ def noether_report(
     """Moment drift along invariant Hamiltonian fields; rejection of a non-invariant one."""
     rep = VerificationReport(seed=seed)
     rng = _rng(seed)
-    z = sample_chart_points(Q, 1, rng, spec)[0].point
+    z = sample_chart_points(Q, 1, rng, spec).points[0]
     fields = _noether_hamiltonians(Q.ambient_dim)
     worst = 0.0
     for f, grad in fields:
-        worst = max(worst, noether_drift(Q, f, grad, z, spec, rng=_rng(seed + 1)))
+        worst = max(worst, noether_drift(Q, f, grad, z, rng=_rng(seed + 1)))
     rep.add("noether-drift", worst, TOL_NOETHER, samples=len(fields))
     rejected = False
     e1 = np.eye(Q.ambient_dim)[0]  # the gradient of Re z_1
     try:
-        noether_drift(Q, lambda zz: zz[..., 0].real, lambda zz: e1 + 0.0 * zz, z, spec, rng=_rng(seed + 2))
+        noether_drift(Q, lambda zz: zz[..., 0].real, lambda zz: e1 + 0.0 * zz, z, rng=_rng(seed + 2))
     except InvarianceError:
         rejected = True
     rep.add_bool("noninvariant-rejected", rejected)
@@ -319,7 +328,7 @@ def _random_matrix_field(m: int, rng: np.random.Generator) -> VectorField:
 
 
 def first_variation_report(
-    Q: QuadricConfiguration, seed: int = 0, spec: MetricSpec = DEFAULT_SPEC, n_fields: int = 5
+    Q: QuadricConfiguration, seed: int = 0, spec: MetricSpec = DEFAULT_SPEC
 ) -> VerificationReport:
     """Volume derivative against the curvature quadrature for bump-localized fields.
 
@@ -345,7 +354,7 @@ def first_variation_report(
     # quadrature error alone reached 1.6e-2 of |dv| + |comp| on some seeds
     patch = ChartPatch(chart=chart, lo=lo, hi=hi, nodes=48, bump_axes=(0, 1))
     rng = _rng(seed)
-    for i in range(n_fields):
+    for i in range(VARIATION_FIELDS):
         X = _random_matrix_field(Q.ambient_dim, rng)
         dv = patch_volume_derivative(patch, X)
         comp = first_variation_integral(patch, X)
@@ -380,7 +389,7 @@ def hamiltonian_stationarity_report(
         chart = one_quadric_torus_chart(Q)
         patch = ChartPatch(chart=chart, lo=[0.0, 0.0], hi=list(chart.periods), nodes=24)
     else:
-        base = sample_chart_points(Q, 1, rng, spec)[0].base
+        base = sample_chart_points(Q, 1, rng, spec).bases[0]
         chart = TorusSpreadChart(Q, base, newton_tol=spec.newton_tol)
         lo = [-0.65, -0.65, -0.15]
         hi = [0.65, 0.65, 0.15]
@@ -392,7 +401,7 @@ def hamiltonian_stationarity_report(
     for i in range(n_fields):
         poly = _poly_scalar(Q.ambient_dim, rng)
         _, grad, hess = _radial_cutoff(poly, z0, rho) if localized else poly
-        Xf = hamiltonian_vector_field(grad, hess, spec)
+        Xf = hamiltonian_vector_field(grad, hess)
         ratio = stationarity_ratio(patch, Xf, localized=localized)
         rep.add(f"hamiltonian-stationarity-{i}", ratio, TOL_STATIONARITY)
     return rep
@@ -413,15 +422,11 @@ def ntilde_report(
     rep = VerificationReport(seed=seed)
     rng = _rng(seed)
     pts = sample_chart_points(D.stacked, samples, rng, spec, phase_rows=D.delta_cfg.gamma_float())
-    worst = float(ntilde_lagrangian_residual(D, pts, spec).max())
+    worst = float(ntilde_lagrangian_residual(D, pts).max())
     rep.add("ntilde-lagrangian-residual", worst, TOL_LAGRANGIAN, samples=samples)
     chart = pts.chart
     p0 = chart_point(chart, np.concatenate([np.zeros(chart.nv), 0.17 * np.ones(chart.nphi)]),
                      Q=D.stacked, spec=spec)
-    ctrl = stacked_tangent_horizontal_residual(D, p0.point, spec)
+    ctrl = stacked_tangent_horizontal_residual(D, p0.points[0])
     rep.add_lower_bound("ntilde-negative-control", ctrl, CONTROL_BOUND)
     return rep
-
-
-# the projective-chart verification lives with the catalog machinery
-cp_chart_report = cp_chart_verify

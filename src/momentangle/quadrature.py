@@ -64,19 +64,19 @@ def bump_profile_derivative(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def bump_poly(t: np.ndarray, power: int = 4) -> np.ndarray:
-    """Polynomial cutoff (1 - t^2)^power on (-1, 1), 0 outside.
+def bump_poly(t: np.ndarray) -> np.ndarray:
+    """Polynomial cutoff (1 - t^2)^4 on (-1, 1), 0 outside.
 
-    Only C^{power-1} at the edge, but with polynomially bounded derivatives,
+    Only C^3 at the edge, but with polynomially bounded derivatives,
     so Gauss-Legendre rules resolve it at far lower node counts than the
     exponential profile; used where a localizer sits inside a quadrature.
     """
     t = np.asarray(t, dtype=float)
-    return np.where(np.abs(t) < 1.0, (1.0 - np.minimum(t * t, 1.0)) ** power, 0.0)
+    return np.where(np.abs(t) < 1.0, (1.0 - np.minimum(t * t, 1.0)) ** 4, 0.0)
 
 
 def bump_poly_dsq(t: np.ndarray) -> np.ndarray:
-    """Derivative of ``bump_poly(t)`` (power 4) with respect to t^2: -4 (1 - t^2)^3.
+    """Derivative of ``bump_poly(t)`` with respect to t^2: -4 (1 - t^2)^3.
 
     Zero outside (-1, 1). By the chain rule d/dt bump_poly = 2 t * this, and a
     radial cutoff bump_poly(|x - x0| / rho) has gradient
@@ -87,7 +87,7 @@ def bump_poly_dsq(t: np.ndarray) -> np.ndarray:
 
 
 def bump_poly_dsq2(t: np.ndarray) -> np.ndarray:
-    """Second derivative of ``bump_poly(t)`` (power 4) with respect to t^2: 12 (1 - t^2)^2.
+    """Second derivative of ``bump_poly(t)`` with respect to t^2: 12 (1 - t^2)^2.
 
     Zero outside (-1, 1); the Hessian of a radial cutoff takes it with
     ``bump_poly_dsq`` through the chain rule in s = |x - x0|^2 / rho^2.

@@ -3,7 +3,7 @@
 A configuration is the matrix of quadric coefficients together with the
 right-hand sides. Derived from a polytope presentation via the nullspace of
 the normal matrix it describes the associated intersection of Hermitian
-(mode "complex") or real (mode "real") quadrics.
+quadrics in C^m.
 """
 
 from __future__ import annotations
@@ -26,18 +26,12 @@ class CanonicalFormError(ValueError):
     pass
 
 
-MODES = ("complex", "real")
-
-
 class QuadricConfiguration:
     """Integer quadric coefficients (rows) with rational right-hand sides."""
 
-    def __init__(self, gamma: IntegerMatrix, c: Iterable, mode: str = "complex"):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+    def __init__(self, gamma: IntegerMatrix, c: Iterable):
         self.gamma = gamma
         self.c = tuple(Fraction(x) for x in c)
-        self.mode = mode
         if len(self.c) != gamma.rows:
             raise ValueError("one right-hand side per quadric required")
         if gamma.cols < 1:
@@ -51,7 +45,7 @@ class QuadricConfiguration:
         self._feasible_bases = None  # computed on first use by feasible_bases
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], c: Iterable, mode: str = "complex"):
+    def from_rows(cls, rows: Sequence[Sequence], c: Iterable):
         """Build from possibly-rational rows, scaling each row to primitive integers."""
         int_rows, c_out = [], []
         for row, ci in zip(rows, (Fraction(x) for x in c)):
@@ -70,7 +64,7 @@ class QuadricConfiguration:
         cols = len(int_rows[0]) if int_rows else None
         if cols is None:
             raise ValueError("from_rows needs at least one row; use the constructor for empty systems")
-        return cls(IntegerMatrix(int_rows, cols=cols), c_out, mode)
+        return cls(IntegerMatrix(int_rows, cols=cols), c_out)
 
     @cached_property
     def positive_solution(self) -> tuple[Fraction, ...] | None:
@@ -88,11 +82,6 @@ class QuadricConfiguration:
     def num_quadrics(self) -> int:
         return self.gamma.rows
 
-    @property
-    def base_dim(self) -> int:
-        """Dimension of the polytope a configuration of this size comes from."""
-        return self.ambient_dim - self.num_quadrics
-
     def gamma_float(self) -> np.ndarray:
         return self._gamma_float
 
@@ -102,7 +91,7 @@ class QuadricConfiguration:
     def __repr__(self):
         return (
             f"QuadricConfiguration(gamma={list(map(list, self.gamma.entries))}, "
-            f"c={tuple(map(str, self.c))}, mode={self.mode!r})"
+            f"c={tuple(map(str, self.c))})"
         )
 
     def __eq__(self, other):
@@ -110,7 +99,6 @@ class QuadricConfiguration:
             isinstance(other, QuadricConfiguration)
             and self.gamma == other.gamma
             and self.c == other.c
-            and self.mode == other.mode
         )
 
 
@@ -148,7 +136,7 @@ def _solve_gale_dual(P: PolytopePresentation) -> QuadricConfiguration:
         sum((Fraction(gamma.entries[j][k]) * P.offsets[k] for k in range(P.num_facets)), Fraction(0))
         for j in range(gamma.rows)
     ]
-    return QuadricConfiguration(gamma, c, mode="complex")
+    return QuadricConfiguration(gamma, c)
 
 
 def membership_residuals(Q: QuadricConfiguration, z: np.ndarray) -> np.ndarray:
@@ -156,8 +144,6 @@ def membership_residuals(Q: QuadricConfiguration, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z)
     if z.shape[-1] != Q.ambient_dim:
         raise ValueError("point dimension mismatch")
-    if Q.mode == "real" and np.iscomplexobj(z) and np.abs(z.imag).max() != 0:
-        raise ValueError("real-mode configuration evaluated at a complex point")
     if Q.num_quadrics == 0:
         return np.zeros(z.shape[:-1])
     sq = np.abs(z) ** 2
@@ -171,8 +157,6 @@ def membership_residual(Q: QuadricConfiguration, z) -> float:
 
 def moment_map(Q: QuadricConfiguration, z) -> np.ndarray:
     """The quadric coefficient matrix applied to (|z_1|^2, ..., |z_m|^2)."""
-    if Q.mode != "complex":
-        raise ValueError("moment map is defined for complex-mode configurations")
     z = np.asarray(z, dtype=complex)
     if z.shape[-1] != Q.ambient_dim:
         raise ValueError("point dimension mismatch")
@@ -255,13 +239,17 @@ class CanonicalTwoQuadrics:
         return w[0][0] * w[1][1] - w[0][1] * w[1][0]
 
 
-def two_quadrics_canonical(Q: QuadricConfiguration, entry_bound: int = 8) -> CanonicalTwoQuadrics:
+# the largest |entry| of a row transform ``two_quadrics_canonical`` tries
+ENTRY_BOUND = 8
+
+
+def two_quadrics_canonical(Q: QuadricConfiguration) -> CanonicalTwoQuadrics:
     """Invertible integer row transform to the sign-normal form of two quadrics.
 
     Target shape: first row strictly positive with positive right-hand side,
     second row with p positive then q negative entries (after a column
     permutation) and right-hand side zero. Among all transforms with entries
-    bounded by ``entry_bound`` the one with minimal |det| (then smallest
+    bounded by ``ENTRY_BOUND`` the one with minimal |det| (then smallest
     entries) wins, so a unimodular transform is used whenever one exists.
     """
     if Q.num_quadrics != 2:
@@ -276,13 +264,13 @@ def two_quadrics_canonical(Q: QuadricConfiguration, entry_bound: int = 8) -> Can
             num = (c2.numerator * c1.denominator, -c1.numerator * c2.denominator)
             gg = gcd(abs(num[0]), abs(num[1]))
             base = (num[0] // gg, num[1] // gg)
-            tmax = entry_bound // max(1, max(abs(base[0]), abs(base[1])))
+            tmax = ENTRY_BOUND // max(1, max(abs(base[0]), abs(base[1])))
             for t in range(1, tmax + 1):
                 yield (t * base[0], t * base[1])
                 yield (-t * base[0], -t * base[1])
         else:
-            for a in range(-entry_bound, entry_bound + 1):
-                for b in range(-entry_bound, entry_bound + 1):
+            for a in range(-ENTRY_BOUND, ENTRY_BOUND + 1):
+                for b in range(-ENTRY_BOUND, ENTRY_BOUND + 1):
                     if (a, b) != (0, 0):
                         yield (a, b)
 
@@ -294,8 +282,8 @@ def two_quadrics_canonical(Q: QuadricConfiguration, entry_bound: int = 8) -> Can
         pos = sum(1 for x in row2 if x > 0)
         if pos == 0 or pos == m:
             continue
-        for a in range(-entry_bound, entry_bound + 1):
-            for b in range(-entry_bound, entry_bound + 1):
+        for a in range(-ENTRY_BOUND, ENTRY_BOUND + 1):
+            for b in range(-ENTRY_BOUND, ENTRY_BOUND + 1):
                 d = a * w2[1] - b * w2[0]
                 if d == 0:
                     continue
@@ -309,7 +297,7 @@ def two_quadrics_canonical(Q: QuadricConfiguration, entry_bound: int = 8) -> Can
                     best = (key, (a, b), w2, row1, row2)
     if best is None:
         raise CanonicalFormError(
-            f"no sign-normal form reachable with row-transform entries bounded by {entry_bound}"
+            f"no sign-normal form reachable with row-transform entries bounded by {ENTRY_BOUND}"
         )
     _, w1, w2, row1, row2 = best
     perm = tuple(sorted(range(m), key=lambda j: (row2[j] < 0, j)))
@@ -321,5 +309,5 @@ def two_quadrics_canonical(Q: QuadricConfiguration, entry_bound: int = 8) -> Can
         q=m - p,
         transform=IntegerMatrix([list(w1), list(w2)], cols=2),
         permutation=perm,
-        config=QuadricConfiguration(gamma_new, c_new, Q.mode),
+        config=QuadricConfiguration(gamma_new, c_new),
     )

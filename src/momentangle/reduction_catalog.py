@@ -24,15 +24,12 @@ from .quadric_config import (
     boundedness_check,
     two_quadrics_canonical,
 )
-from .report import VerificationReport
+from .report import TOL_LAGRANGIAN, TOL_STATIONARITY, VerificationReport
 from .submanifold_numerics import (
     DEFAULT_SPEC,
     ChartPatch,
-    ChartPoint,
     ChartSample,
     MetricSpec,
-    _batch,
-    _per_point,
     _poly_scalar,
     _radial_cutoff,
     chart_point,
@@ -41,6 +38,7 @@ from .submanifold_numerics import (
     lagrangian_residual,
     real_base_point,
     stationarity_ratio,
+    tangent_frame_Z,
 )
 from .torus_actions import freeness_check, orbit_generators
 from .verdict import Verdict
@@ -158,7 +156,7 @@ def stack_double(
     rows = list(gamma_cfg.gamma.entries) + list(delta_cfg.gamma.entries)
     c = list(gamma_cfg.c) + list(delta_cfg.c)
     try:
-        stacked = QuadricConfiguration(IntegerMatrix(rows, cols=m), c, mode="complex")
+        stacked = QuadricConfiguration(IntegerMatrix(rows, cols=m), c)
     except ValueError as exc:
         raise StackValidationError(f"stacked system rejected: {exc}", witness="dependent rows") from exc
 
@@ -197,8 +195,8 @@ def ntilde_chart(
     v: Sequence[float],
     phi_delta: Sequence[float],
     spec: MetricSpec = DEFAULT_SPEC,
-) -> ChartPoint:
-    """Chart of the lift of the reduced-space Lagrangian into the first system.
+) -> ChartSample:
+    """One-point sample of the lift of the reduced-space Lagrangian into the first system.
 
     The base moves on the intersection of the two real loci; only the
     second system's torus supplies phases.
@@ -210,8 +208,7 @@ def ntilde_chart(
     return chart_point(chart, params, Q=D.stacked, spec=spec)
 
 
-def _horizontal_residual(D: DoubleConfiguration, z: np.ndarray, columns: np.ndarray,
-                         spec: MetricSpec) -> np.ndarray:
+def _horizontal_residual(D: DoubleConfiguration, z: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Symplectic residual of the first-torus-horizontal part of given tangent columns.
 
     Batched: points ``z`` (N, m) and columns (N, m, d) give N residuals.
@@ -226,36 +223,28 @@ def _horizontal_residual(D: DoubleConfiguration, z: np.ndarray, columns: np.ndar
     # columns of a rank-deficient horizontal part are dropped: zero vectors pair to 0
     keep = diag > 1e-9 * np.maximum(1.0, diag.max(axis=-1, keepdims=True))
     frame = r2c(np.swapaxes(Qh * keep[:, None, :], -2, -1))
-    return frame_symplectic_residual(frame, spec)
+    return frame_symplectic_residual(frame)
 
 
-def ntilde_lagrangian_residual(
-    D: DoubleConfiguration, p: ChartPoint | ChartSample, spec: MetricSpec = DEFAULT_SPEC
-) -> float | np.ndarray:
-    """Symplectic pairing residual of the reduced Lagrangian, tested upstairs.
+def ntilde_lagrangian_residual(D: DoubleConfiguration, sample: ChartSample) -> np.ndarray:
+    """Symplectic pairing residual of the reduced Lagrangian, tested upstairs, per sample.
 
     The horizontal complement of the first torus orbit inside the lifted
     tangent space pairs to zero exactly when the reduced submanifold is
-    Lagrangian for the reduced form. A ``ChartSample`` gives one value per
-    point.
+    Lagrangian for the reduced form.
     """
-    S, Z = _batch(p)
-    J = p.chart.jacobian(S)  # (N, m, d)
-    return _per_point(p, _horizontal_residual(D, Z, J, spec))
+    J = sample.chart.jacobian(sample.params)  # (N, m, d)
+    return _horizontal_residual(D, sample.points, J)
 
 
-def stacked_tangent_horizontal_residual(
-    D: DoubleConfiguration, z, spec: MetricSpec = DEFAULT_SPEC
-) -> float:
+def stacked_tangent_horizontal_residual(D: DoubleConfiguration, z) -> float:
     """Same reduction but for the full tangent space of the stacked quadric set.
 
     Serves as the negative control: the reduced image of the whole
     intersection is not Lagrangian, so this residual is far from zero.
     """
-    from .submanifold_numerics import tangent_frame_Z
-
-    frame = tangent_frame_Z(D.stacked, z, spec)  # (dim, m) complex
-    return float(_horizontal_residual(D, np.asarray(z, complex)[None, :], frame.T[None], spec)[0])
+    frame = tangent_frame_Z(D.stacked, z)  # (dim, m) complex
+    return float(_horizontal_residual(D, np.asarray(z, complex)[None, :], frame.T[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +382,7 @@ def catalog_double(name: str) -> DoubleConfiguration:
         return stack_double(g, d)
     if name == "rp2":
         g = QuadricConfiguration.from_rows([(1, 1, 1)], [1])
-        d = QuadricConfiguration(IntegerMatrix([], cols=3), [], mode="complex")
+        d = QuadricConfiguration(IntegerMatrix([], cols=3), [])
         return stack_double(g, d)
     raise KeyError(f"unknown catalog double configuration {name!r}")
 
@@ -448,8 +437,6 @@ def cp2_torus_lift_chart(D: DoubleConfiguration) -> CircleSpreadChart:
 # ---------------------------------------------------------------------------
 # projective verification
 
-CP_TOL_LAGRANGIAN = 1e-8
-CP_TOL_STATIONARITY = 1e-3
 CP_CUTOFF_RADIUS = 0.42  # the ball cutoff of the localized Hamiltonians, in q-space
 
 
@@ -547,9 +534,9 @@ def cp_chart_verify(
     """
     rep = VerificationReport(seed=seed)
     setup = cp_chart_setup(D, samples, seed, spec)
-    lag = float(lagrangian_residual(D.stacked, setup.sample, spec).max())
-    rep.add("cp-lagrangian-residual", lag, CP_TOL_LAGRANGIAN, samples=samples)
-    X = hamiltonian_vector_field(setup.grad, setup.hess, spec)
+    lag = float(lagrangian_residual(D.stacked, setup.sample).max())
+    rep.add("cp-lagrangian-residual", lag, TOL_LAGRANGIAN, samples=samples)
+    X = hamiltonian_vector_field(setup.grad, setup.hess)
     ratio = stationarity_ratio(setup.patch, X, setup.localized)
-    rep.add("cp-hamiltonian-stationarity", ratio, CP_TOL_STATIONARITY)
+    rep.add("cp-hamiltonian-stationarity", ratio, TOL_STATIONARITY)
     return rep

@@ -11,6 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# residual tolerances of the standard reports, each in one place: the
+# procedures and the projective verification both read them
+TOL_LAGRANGIAN = 1e-8
+TOL_MINIMAL = 1e-4
+TOL_HMINIMAL = 1e-4
+TOL_NOETHER = 1e-8
+TOL_VO_SYMMETRY = 1e-12
+TOL_COAREA_REL = 1e-3
+TOL_VARIATION_REL = 1e-3
+TOL_VARIATION_CIRCLE = 1e-4
+TOL_STATIONARITY = 1e-3
+CONTROL_BOUND = 0.1
+
 
 @dataclass(frozen=True)
 class CheckRecord:

@@ -2,11 +2,14 @@
 torus-spread Lagrangians: frames, symplectic pairings, mean curvature,
 variational derivatives, codifferential residuals, conserved-quantity drift.
 
-Conventions live in one place (``MetricSpec``). The symplectic form is
-omega(u, v) = omega_scale * sum_k (x_k(u) y_k(v) - y_k(u) x_k(v)); the
-default scale -1/pi makes z -> (|z_k|^2) exactly the moment map for torus
-generators parametrized as exp(2 pi i <gamma_k, phi>). Every verdict
+The symplectic form is the paper's constant one,
+omega(u, v) = OMEGA_SCALE * sum_k (x_k(u) y_k(v) - y_k(u) x_k(v)) with
+OMEGA_SCALE = -1/pi, which makes z -> (|z_k|^2) exactly the moment map for
+torus generators parametrized as exp(2 pi i <gamma_k, phi>). Every verdict
 computed here is invariant under that scale.
+
+Points of a chart travel as a ``ChartSample``, and every pointwise check
+takes one and returns one value per point, shape (N,).
 """
 
 from __future__ import annotations
@@ -26,14 +29,11 @@ from .charts import (
     r2c,
 )
 from .quadrature import bump_poly, bump_poly_dsq, bump_poly_dsq2
-from .quadric_config import (
-    QuadricConfiguration,
-    membership_residual,
-    membership_residuals,
-)
+from .quadric_config import QuadricConfiguration, membership_residuals
 from .torus_actions import orbit_volume, torus_point, torus_subgroup
 
 TWO_PI = 2.0 * np.pi
+OMEGA_SCALE = -1.0 / np.pi
 
 
 class InvarianceError(ValueError):
@@ -42,13 +42,12 @@ class InvarianceError(ValueError):
 
 @dataclass
 class MetricSpec:
-    """The symplectic scale, and the knobs behind the ``--tol`` names.
+    """The knobs behind the ``--tol`` names.
 
-    Every field but ``omega_scale`` is set by exactly one tolerance name
-    (``cli._TOL_FIELDS``) and read by some check.
+    Every field is set by exactly one tolerance name (``cli._TOL_FIELDS``)
+    and read by some check.
     """
 
-    omega_scale: float = -1.0 / np.pi
     tol_membership: float = 1e-10
     newton_tol: float = 1e-10
 
@@ -57,23 +56,13 @@ DEFAULT_SPEC = MetricSpec()
 
 
 @dataclass
-class ChartPoint:
-    """A point of a constructed submanifold with the chart that produced it."""
-
-    chart: Chart
-    params: np.ndarray
-    point: np.ndarray
-    base: np.ndarray | None = None
-
-
-@dataclass
 class ChartSample:
     """Points of one chart drawn together: ``params`` (N, d), ``points`` (N, m).
 
     ``bases`` (N, m) holds the point of the real locus under each sample.
-    Indexing gives a ``ChartPoint`` (a slice gives a ``ChartSample``), so a
-    sample also reads as a sequence of points. The pointwise residual
-    functions take a whole sample and return one value per point.
+    A slice gives a ``ChartSample``; one point is the sample ``s[i:i + 1]``.
+    The pointwise residual functions take a whole sample and return one
+    value per point.
     """
 
     chart: Chart
@@ -84,67 +73,44 @@ class ChartSample:
     def __len__(self) -> int:
         return self.params.shape[0]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return ChartSample(self.chart, self.params[i], self.points[i], self.bases[i])
-        return ChartPoint(self.chart, self.params[i], self.points[i], self.bases[i])
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-
-def _batch(p: ChartPoint | ChartSample) -> tuple[np.ndarray, np.ndarray]:
-    """(params (N, d), points (N, m)) of a sample, or of one point as N = 1."""
-    if isinstance(p, ChartSample):
-        return p.params, p.points
-    return p.params[None, :], p.point[None, :]
-
-
-def _per_point(p: ChartPoint | ChartSample, values: np.ndarray) -> float | np.ndarray:
-    """The values of a sample, or the float of one point."""
-    return values if isinstance(p, ChartSample) else float(values[0])
-
-
-@dataclass
-class TangentFrame:
-    vectors: np.ndarray  # (dim, m) complex, orthonormal as real 2m-vectors
-    jacobian: np.ndarray  # (m, dim) complex chart jacobian
+    def __getitem__(self, s: slice) -> ChartSample:
+        if not isinstance(s, slice):
+            raise TypeError("a ChartSample takes slices; one point is sample[i:i + 1]")
+        return ChartSample(self.chart, self.params[s], self.points[s], self.bases[s])
 
 
 # ---------------------------------------------------------------------------
 # symplectic pairing helpers
 
 
-def omega_matrix(m: int, spec: MetricSpec = DEFAULT_SPEC) -> np.ndarray:
+def omega_matrix(m: int) -> np.ndarray:
     """Matrix of the symplectic form on R^{2m} in the (x..., y...) stacking."""
     Om = np.zeros((2 * m, 2 * m))
     Om[:m, m:] = np.eye(m)
     Om[m:, :m] = -np.eye(m)
-    return spec.omega_scale * Om
+    return OMEGA_SCALE * Om
 
 
-def omega_pair(u, v, spec: MetricSpec = DEFAULT_SPEC) -> float | np.ndarray:
-    """omega(u, v) for complex vectors; equals omega_scale * Im <u, v>_Hermitian."""
+def omega_pair(u, v) -> float | np.ndarray:
+    """omega(u, v) for complex vectors; equals OMEGA_SCALE * Im <u, v>_Hermitian."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    return spec.omega_scale * np.imag(np.sum(np.conj(u) * v, axis=-1))
+    return OMEGA_SCALE * np.imag(np.sum(np.conj(u) * v, axis=-1))
 
 
-def frame_symplectic_residual(
-    vectors: np.ndarray, spec: MetricSpec = DEFAULT_SPEC
-) -> float | np.ndarray:
+def frame_symplectic_residual(vectors: np.ndarray) -> float | np.ndarray:
     """max |omega(e_i, e_j)| over all pairs from a set of complex vectors.
 
     Batched over leading axes: a stack (N, d, m) of sets gives N values.
     """
     V = np.asarray(vectors, dtype=complex)
     gram = V.conj() @ np.swapaxes(V, -2, -1)
-    worst = np.abs(spec.omega_scale * np.imag(gram)).max(axis=(-2, -1))
+    worst = np.abs(OMEGA_SCALE * np.imag(gram)).max(axis=(-2, -1))
     return float(worst) if worst.ndim == 0 else worst
 
 
 # ---------------------------------------------------------------------------
-# chart points and frames
+# chart samples and frames
 
 
 def chart_point(
@@ -152,14 +118,19 @@ def chart_point(
     params: Sequence[float],
     Q: QuadricConfiguration | None = None,
     spec: MetricSpec = DEFAULT_SPEC,
-) -> ChartPoint:
-    params = np.asarray(params, dtype=float)
-    z = chart.value(params[None, :])[0]
+) -> ChartSample:
+    """The one-point sample of ``chart`` at ``params``, checked against ``Q`` if given.
+
+    Its base is |z|: the real locus is invariant under coordinatewise sign
+    changes, so |z| is the real point in the orthant under a spread point.
+    """
+    S = np.asarray(params, dtype=float)[None, :]
+    Z = chart.value(S)
     if Q is not None:
-        res = membership_residual(Q, z)
+        res = float(membership_residuals(Q, Z).max())
         if res > spec.tol_membership:
             raise ValueError(f"chart point violates the quadric system: residual {res:.3e}")
-    return ChartPoint(chart=chart, params=params, point=z, base=getattr(chart, "u0", None))
+    return ChartSample(chart, S, Z, np.abs(Z))
 
 
 def chart_N(
@@ -168,22 +139,20 @@ def chart_N(
     v: Sequence[float],
     phi: Sequence[float],
     spec: MetricSpec = DEFAULT_SPEC,
-) -> ChartPoint:
+) -> ChartSample:
     """Point of the torus-spread Lagrangian over base u0 at parameters (v, phi)."""
     chart = TorusSpreadChart(Q, u0, newton_tol=spec.newton_tol)
     params = np.concatenate([np.asarray(v, dtype=float), np.asarray(phi, dtype=float)])
     return chart_point(chart, params, Q=Q, spec=spec)
 
 
-def _tangent_frames(
-    Q: QuadricConfiguration | None, chart: Chart, S: np.ndarray, Z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal frames (N, d, m) of the chart at the rows of S, and its jacobians (N, m, d).
+def tangent_frames(Q: QuadricConfiguration | None, sample: ChartSample) -> np.ndarray:
+    """Orthonormal frames (N, d, m) spanning the chart jacobian's columns at each sample.
 
     Raises if any jacobian is rank deficient or, given ``Q``, if any frame
-    fails to annihilate the quadric differentials at the points ``Z``.
+    fails to annihilate the quadric differentials at the sample's points.
     """
-    J = chart.jacobian(S)  # (N, m, d)
+    J = sample.chart.jacobian(sample.params)  # (N, m, d)
     Jr = np.concatenate([J.real, J.imag], axis=-2)  # (N, 2m, d)
     Qm, R = np.linalg.qr(Jr)
     diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
@@ -192,40 +161,25 @@ def _tangent_frames(
     vectors = r2c(np.swapaxes(Qm, -2, -1))
     if Q is not None:
         # frame vectors must annihilate the quadric differentials
-        grads = 2.0 * Q.gamma_float() * Z[:, None, :]  # complex rows <-> real gradients
+        grads = 2.0 * Q.gamma_float() * sample.points[:, None, :]  # complex rows <-> real gradients
         pair = np.real(vectors @ np.conj(np.swapaxes(grads, -2, -1)))
         if np.abs(pair).max() > 1e-6:
             raise NonConvergenceError("frame fails to annihilate the constraint differentials")
-    return vectors, J
+    return vectors
 
 
-def tangent_frame_N(Q: QuadricConfiguration | None, p: ChartPoint) -> TangentFrame:
-    """Orthonormal tangent frame spanning the chart jacobian's column space."""
-    vectors, J = _tangent_frames(Q, p.chart, p.params[None, :], p.point[None, :])
-    return TangentFrame(vectors=vectors[0], jacobian=J[0])
-
-
-def tangent_frame_Z(
-    Q: QuadricConfiguration, z, spec: MetricSpec = DEFAULT_SPEC
-) -> np.ndarray:
+def tangent_frame_Z(Q: QuadricConfiguration, z) -> np.ndarray:
     """Orthonormal frame of the tangent space of the quadric intersection at z."""
     z = np.asarray(z, dtype=complex)
-    m, k = Q.ambient_dim, Q.num_quadrics
+    k = Q.num_quadrics
     grads = c2r(2.0 * Q.gamma_float() * z[None, :])  # (k, 2m)
     full, _ = np.linalg.qr(grads.T, mode="complete")
     return r2c(full[:, k:].T)
 
 
-def lagrangian_residual(
-    Q: QuadricConfiguration | None, p: ChartPoint | ChartSample, spec: MetricSpec = DEFAULT_SPEC
-) -> float | np.ndarray:
-    """max |omega(e_i, e_j)| over an orthonormal tangent frame at the point.
-
-    A ``ChartSample`` gives one value per point, from one batched QR.
-    """
-    S, Z = _batch(p)
-    vectors, _ = _tangent_frames(Q, p.chart, S, Z)
-    return _per_point(p, frame_symplectic_residual(vectors, spec))
+def lagrangian_residual(Q: QuadricConfiguration | None, sample: ChartSample) -> np.ndarray:
+    """max |omega(e_i, e_j)| over an orthonormal tangent frame, per sample, from one batched QR."""
+    return frame_symplectic_residual(tangent_frames(Q, sample))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +193,6 @@ def _curvature_batch(chart: Chart, S: np.ndarray):
     the normal projection of the chart's second derivatives, the
     unnormalized mean curvature vector.
     """
-    S = np.atleast_2d(S)
     J = chart.jacobian(S)
     Hess = chart.hessian(S)
     Jr = np.concatenate([J.real, J.imag], axis=-2)
@@ -252,21 +205,19 @@ def _curvature_batch(chart: Chart, S: np.ndarray):
     return tr - tang, Jr, g
 
 
-def minimality_residual_in_Z(Q: QuadricConfiguration, p: ChartPoint | ChartSample) -> float | np.ndarray:
-    """Norm of the mean curvature component tangent to the quadric set.
+def minimality_residual_in_Z(Q: QuadricConfiguration, sample: ChartSample) -> np.ndarray:
+    """Norm of the mean curvature component tangent to the quadric set, per sample.
 
     The second fundamental form of the submanifold inside the quadric
     intersection is the intersection-tangential part of the flat one, so
-    this is |H| of the embedding into the quadric set. A ``ChartSample``
-    gives one value per point.
+    this is |H| of the embedding into the quadric set.
     """
-    S, Z = _batch(p)
-    H, Jr, _ = _curvature_batch(p.chart, S)
-    grads = c2r(2.0 * Q.gamma_float() * Z[:, None, :])  # (N, k, 2m), the normals to Z
+    H, Jr, _ = _curvature_batch(sample.chart, sample.params)
+    grads = c2r(2.0 * Q.gamma_float() * sample.points[:, None, :])  # (N, k, 2m), the normals to Z
     stacked = np.concatenate([Jr, np.swapaxes(grads, -2, -1)], axis=-1)
     Qm, _ = np.linalg.qr(stacked)
     tang = np.einsum("nia,na->ni", Qm, np.einsum("nia,ni->na", Qm, H))
-    return _per_point(p, np.linalg.norm(H - tang, axis=-1))
+    return np.linalg.norm(H - tang, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -289,40 +240,37 @@ class VectorField(NamedTuple):
         return self.value(P)
 
 
-def _field_from_gradient(grad_vals: np.ndarray, spec: MetricSpec) -> np.ndarray:
+def _field_from_gradient(grad_vals: np.ndarray) -> np.ndarray:
     """The X with i_X omega = df, from df packed as d/dx + i d/dy.
 
-    On flat C^m, -omega inverts in closed form: X = -i grad f / omega_scale.
+    On flat C^m, -omega inverts in closed form: X = -i grad f / OMEGA_SCALE.
     """
-    return -1j * np.asarray(grad_vals, dtype=complex) / spec.omega_scale
+    return -1j * np.asarray(grad_vals, dtype=complex) / OMEGA_SCALE
 
 
-def hamiltonian_field_batch(
-    grad: Callable[[np.ndarray], np.ndarray], Z, spec: MetricSpec = DEFAULT_SPEC
-) -> np.ndarray:
+def hamiltonian_field_batch(grad: Callable[[np.ndarray], np.ndarray], Z) -> np.ndarray:
     """Hamiltonian field over a batch (N, m) of points from a closed-form gradient.
 
     ``grad`` maps the batch to the real gradients packed as complex vectors
     (d/dx + i d/dy).
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-    return _field_from_gradient(grad(Z), spec)
+    return _field_from_gradient(grad(Z))
 
 
 def hamiltonian_vector_field(
     grad: Callable[[np.ndarray], np.ndarray],
     hess: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    spec: MetricSpec = DEFAULT_SPEC,
 ) -> VectorField:
     """The Hamiltonian field of f with its derivative, both in closed form.
 
-    X = -i grad f / omega_scale is linear in grad f, so DX[V] = -i Hess f[V] /
-    omega_scale. ``hess(Z, V)`` applies the Hessian of f at the points Z
+    X = -i grad f / OMEGA_SCALE is linear in grad f, so DX[V] = -i Hess f[V] /
+    OMEGA_SCALE. ``hess(Z, V)`` applies the Hessian of f at the points Z
     (N, m) to ambient vectors V (N, d, m), packed like ``grad``.
     """
     return VectorField(
-        lambda Z: hamiltonian_field_batch(grad, Z, spec),
-        lambda Z, V: _field_from_gradient(hess(Z, V), spec),
+        lambda Z: hamiltonian_field_batch(grad, Z),
+        lambda Z, V: _field_from_gradient(hess(Z, V)),
     )
 
 
@@ -407,11 +355,10 @@ def noether_drift(
     Q: QuadricConfiguration,
     f: Callable[[np.ndarray], np.ndarray],
     grad: Callable[[np.ndarray], np.ndarray],
-    p: ChartPoint | np.ndarray,
-    spec: MetricSpec = DEFAULT_SPEC,
+    z: np.ndarray,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """max |dmu/dt| of the quadric moment values along the Hamiltonian field of f.
+    """max |dmu/dt| of the quadric moment values at z along the Hamiltonian field of f.
 
     ``grad`` is f's closed-form gradient, packed as for
     ``hamiltonian_field_batch``. The rate is exact: d|z_k|^2/dt =
@@ -420,7 +367,7 @@ def noether_drift(
     at random torus elements and an ``InvarianceError`` is raised on
     violation.
     """
-    z = np.asarray(p.point if isinstance(p, ChartPoint) else p, dtype=complex)
+    z = np.asarray(z, dtype=complex)
     rng = np.random.default_rng(7) if rng is None else rng
     f0 = float(np.asarray(f(z[None, :]))[0])
     for _ in range(8):
@@ -428,7 +375,7 @@ def noether_drift(
         fv = float(np.asarray(f((phases * z)[None, :]))[0])
         if abs(fv - f0) > 1e-8 * (1.0 + abs(f0)):
             raise InvarianceError("function is not invariant under the configuration torus")
-    X = hamiltonian_field_batch(grad, z, spec)[0]
+    X = hamiltonian_field_batch(grad, z)[0]
     rate = Q.gamma_float() @ (2.0 * np.real(np.conj(z) * X))
     return float(np.abs(rate).max())
 
@@ -575,24 +522,20 @@ def stationarity_ratio(patch: ChartPatch, Xf: VectorField, localized: bool = Fal
     return abs(dvol) / (xmax * vol)
 
 
-def hminimality_residual(
-    Q: QuadricConfiguration | None, p: ChartPoint | ChartSample, spec: MetricSpec = DEFAULT_SPEC
-) -> float | np.ndarray:
-    """|delta(i_H omega)| at the point, computed in chart coordinates.
+def hminimality_residual(Q: QuadricConfiguration | None, sample: ChartSample) -> np.ndarray:
+    """|delta(i_H omega)| at each sample, computed in chart coordinates.
 
     The 1-form alpha_a = omega(H, J_a) (H the normal part of g^bc Hess_bc)
     is sharped with the induced metric, W = g^-1 alpha, and its
     codifferential is the negative divergence
     -(d_c W^c + 1/2 tr(g^-1 d_c g) W^c). Every d_c is the product rule on
     the chart's jacobian J, hessian and third derivative, so a chart with
-    closed-form derivatives takes no stencil. A ``ChartSample`` gives one
-    value per point.
+    closed-form derivatives takes no stencil.
     """
-    S, _ = _batch(p)
-    chart = p.chart
+    S, chart = sample.params, sample.chart
     J, Hess, T = chart.jacobian(S), chart.hessian(S), chart.third(S)
     J, Hess, T = (np.concatenate([X.real, X.imag], axis=1) for X in (J, Hess, T))
-    Om = omega_matrix(chart.ambient_dim, spec)
+    Om = omega_matrix(chart.ambient_dim)
     g = np.einsum("nia,nib->nab", J, J)
     gi = np.linalg.inv(g)
     dg = np.einsum("niac,nib->ncab", Hess, J)
@@ -612,8 +555,10 @@ def hminimality_residual(
     dalpha = np.einsum("nic,nia->nac", dH, OmJ) + np.einsum("ni,ij,njac->nac", H, Om, Hess)
     W = np.einsum("nab,nb->na", gi, alpha)
     div = np.einsum("naab,nb->n", dgi, alpha) + np.einsum("nab,nba->n", gi, dalpha)
-    log_sqrtg = 0.5 * np.einsum("nab,ncba->nc", gi, dg)  # d_c log sqrt(det g)
-    return _per_point(p, np.abs(div + np.einsum("nc,nc->n", log_sqrtg, W)))
+    # d_c log sqrt(det g); dg is symmetric in (a, b), and these subscripts
+    # follow its layout, so a point's sum runs in the same order in any batch
+    log_sqrtg = 0.5 * np.einsum("nab,ncab->nc", gi, dg)
+    return np.abs(div + np.einsum("nc,nc->n", log_sqrtg, W))
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,6 @@ def freeness_check(Q: QuadricConfiguration) -> Verdict:
 
 def orbit_generators(Q: QuadricConfiguration, z) -> np.ndarray:
     """Derivatives at phi = 0 of the torus action, one per phi-coordinate."""
-    if Q.mode != "complex":
-        raise ValueError("orbit generators live on the complex quadric set")
     z = np.asarray(z, dtype=complex)
     if z.shape[-1] != Q.ambient_dim:
         raise ValueError("point dimension mismatch")

@@ -80,6 +80,21 @@ def test_unknown_catalog_and_bad_file(tmp_path, capsys):
     assert main(["check-free", str(bad)]) == 2
 
 
+def test_isotropic_quadric_sets_pass_report_all(tmp_path, capsys):
+    # with as many quadrics as coordinates the quadric set Z is the torus N
+    # itself, isotropic, so the Lagrangian negative control pairs N's first
+    # unit tangent vector e with i e and reads |OMEGA_SCALE| = 1/pi
+    import math
+
+    for name in ("one-quadric:1", "two-quadrics:1,1"):
+        out = tmp_path / "report.txt"
+        assert main(["report-all", f"catalog:{name}", "--report-file", str(out)]) == 0, name
+        control = next(line.split("\t") for line in out.read_text().splitlines()
+                       if line.startswith("lagrangian-negative-control"))
+        assert float(control[1]) == pytest.approx(0.1 - 1 / math.pi, abs=1e-15), name
+    capsys.readouterr()
+
+
 def test_classify_precondition_exit(capsys):
     # two-quadric classification without l is a precondition violation
     assert main(["classify", "catalog:two-quadrics:2,2"]) == 3
@@ -308,9 +323,9 @@ def test_readme_tolerance_names_match_the_cli():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = re.search(r"Tolerance names:(.*?)\.\s", readme, re.S).group(1)
     assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(_TOL_FIELDS)
-    # every MetricSpec field but the symplectic scale is set by exactly one name
+    # every MetricSpec field is set by exactly one name
     fields = {f.name for f in dataclasses.fields(MetricSpec)}
-    assert Counter(_TOL_FIELDS.values()) == Counter(fields - {"omega_scale"})
+    assert Counter(_TOL_FIELDS.values()) == Counter(fields)
 
 
 def test_every_tolerance_name_is_read_by_report_all():

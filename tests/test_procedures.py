@@ -2,7 +2,7 @@ import pytest
 
 from momentangle import procedures as proc
 from momentangle.quadric_config import QuadricConfiguration
-from momentangle.reduction_catalog import catalog_polytope, catalog_quadrics
+from momentangle.reduction_catalog import catalog_polytope, catalog_quadrics, cp_chart_verify
 
 
 def test_gale_report_exact():
@@ -79,12 +79,12 @@ def test_cp_chart_verify_requires_equal_coefficients():
     from momentangle.reduction_catalog import is_projective, stack_double
 
     g = catalog_quadrics("two-quadrics:2,2")
-    D = stack_double(g, QuadricConfiguration(IntegerMatrix([], cols=4), [], mode="complex"))
+    D = stack_double(g, QuadricConfiguration(IntegerMatrix([], cols=4), []))
     assert not is_projective(D.gamma_cfg)
     assert not is_projective(QuadricConfiguration.from_rows([(1, 1, 2)], [3]))
     assert is_projective(QuadricConfiguration.from_rows([(2, 2, 2)], [3]))
     with pytest.raises(ValueError, match="equal coefficients"):
-        proc.cp_chart_report(D, samples=5)
+        cp_chart_verify(D, samples=5)
 
 
 def test_renderings_contain_identical_numbers():
@@ -106,7 +106,7 @@ def test_stationarity_checks_take_no_fd_gradient(monkeypatch):
     for name in ("one-quadric:2", "one-quadric:3"):
         assert proc.hamiltonian_stationarity_report(catalog_quadrics(name), n_fields=1).overall
     for name in ("cp2-torus", "rp2"):
-        assert proc.cp_chart_report(catalog_double(name), samples=5).overall
+        assert cp_chart_verify(catalog_double(name), samples=5).overall
 
     # the Noether drift and the co-area check take no finite difference at all
     def refuse(*args, **kwargs):

@@ -13,7 +13,6 @@ from momentangle.quadric_config import (
 from momentangle import fd
 from momentangle.reduction_catalog import (
     CP_CUTOFF_RADIUS,
-    CP_TOL_STATIONARITY,
     StackValidationError,
     catalog_double,
     catalog_polytope,
@@ -28,8 +27,10 @@ from momentangle.reduction_catalog import (
     stack_double,
     stacked_tangent_horizontal_residual,
 )
+from momentangle.report import TOL_STATIONARITY
 from momentangle.submanifold_numerics import (
     DEFAULT_SPEC,
+    OMEGA_SCALE,
     ChartPatch,
     ChartSample,
     VectorField,
@@ -127,10 +128,10 @@ def test_ntilde_chart_examples():
     D = catalog_double("cp2-torus")
     base = np.array([1.0, 0.0, 1.0])
     p = ntilde_chart(D, base, [0.0], [0.0], spec)
-    assert np.allclose(p.point, base, atol=1e-13)
+    assert np.allclose(p.points, [base], atol=1e-13)
     p2 = ntilde_chart(D, base, [0.0], [0.5], spec)
     # phases exp(pi i delta_k): (-1, -1, +1)
-    assert np.allclose(p2.point, [-1.0, 0.0, 1.0], atol=1e-12)
+    assert np.allclose(p2.points, [[-1.0, 0.0, 1.0]], atol=1e-12)
 
 
 def test_ntilde_membership_and_residual():
@@ -142,8 +143,8 @@ def test_ntilde_membership_and_residual():
         v = 0.35 * rng.uniform(-1, 1, 1)
         ph = rng.uniform(0, 1, 1)
         p = ntilde_chart(D, base, v, ph, spec)
-        worst_mem = max(worst_mem, membership_residual(D.stacked, p.point))
-        worst_lag = max(worst_lag, ntilde_lagrangian_residual(D, p, spec))
+        worst_mem = max(worst_mem, membership_residual(D.stacked, p.points[0]))
+        worst_lag = max(worst_lag, ntilde_lagrangian_residual(D, p)[0])
     assert worst_mem < 1e-10
     assert worst_lag < 1e-8
 
@@ -151,14 +152,14 @@ def test_ntilde_membership_and_residual():
 def test_ntilde_negative_control():
     D = catalog_double("cp2-torus")
     p = ntilde_chart(D, np.array([1.0, 0.0, 1.0]), [0.1], [0.2], spec)
-    assert stacked_tangent_horizontal_residual(D, p.point, spec) > 0.1
+    assert stacked_tangent_horizontal_residual(D, p.points[0]) > 0.1
 
 
 def test_ntilde_residual_invariant_under_first_torus():
     D = catalog_double("cp2-torus")
     base = np.array([1.0, 0.0, 1.0])
     p = ntilde_chart(D, base, [0.15], [0.3], spec)
-    r0 = ntilde_lagrangian_residual(D, p, spec)
+    r0 = ntilde_lagrangian_residual(D, p)[0]
     rng = np.random.default_rng(3)
     for _ in range(3):
         phases = torus_point(D.gamma_cfg, rng.uniform(0, 1, 1))
@@ -168,8 +169,8 @@ def test_ntilde_residual_invariant_under_first_torus():
             p.chart.dim,
             p.chart.ambient_dim,
         )
-        pm = chart_point(moved, p.params, Q=D.stacked, spec=spec)
-        rm = ntilde_lagrangian_residual(D, pm, spec)
+        pm = chart_point(moved, p.params[0], Q=D.stacked, spec=spec)
+        rm = ntilde_lagrangian_residual(D, pm)[0]
         assert abs(rm - r0) < 1e-10
 
 
@@ -179,14 +180,14 @@ def test_rp2_lift_is_lagrangian():
     rng = np.random.default_rng(5)
     for _ in range(20):
         p = ntilde_chart(D, base, 0.3 * rng.uniform(-1, 1, 2), [], spec)
-        assert ntilde_lagrangian_residual(D, p, spec) < 1e-10
+        assert ntilde_lagrangian_residual(D, p)[0] < 1e-10
 
 
 # ---------------------------------------------------------------------------
 # projective checks on the lift
 
 
-def _horizontal_lift_tensors(Q_gamma, W, j, spec):
+def _horizontal_lift_tensors(Q_gamma, W, j):
     """(G, Omega) of the reduced space from horizontal lifts, in an affine chart.
 
     A real chart direction of w = z_rest / z_j is lifted to the normalized
@@ -213,7 +214,7 @@ def _horizontal_lift_tensors(Q_gamma, W, j, spec):
         coef = np.real(np.sum(np.conj(vert) * dz, axis=1, keepdims=True)) / a
         lifts[:, r, :] = dz - coef * vert
     gram = np.einsum("nri,nsi->nrs", np.conj(lifts), lifts)
-    return np.real(gram), spec.omega_scale * np.imag(gram)
+    return np.real(gram), OMEGA_SCALE * np.imag(gram)
 
 
 def test_cp_reduced_metric_against_orbit_distance_oracle():
@@ -239,7 +240,7 @@ def test_cp_reduced_metric_against_orbit_distance_oracle():
         z1 = section(W + eps * delta)[0]
         S = np.sum(z1 * np.conj(z0))
         dist = np.sqrt(max(2 * a - 2 * abs(S), 0.0))
-        G, _ = _horizontal_lift_tensors(Qg, W, 0, spec)
+        G, _ = _horizontal_lift_tensors(Qg, W, 0)
         pred = eps * np.sqrt(delta @ G[0] @ delta)
         assert abs(dist - pred) / dist < 1e-4
 
@@ -280,7 +281,7 @@ def test_cp_reduced_tensors_match_horizontal_lifts(name):
         return c2r(np.delete(z, j, axis=1) / z[:, j : j + 1])
 
     Jw = fd.jacobian(affine, S[:, rest], 1e-3)  # (N, 4, 2)
-    G, Om = _horizontal_lift_tensors(D.gamma_cfg, affine(S[:, rest]), j, spec)
+    G, Om = _horizontal_lift_tensors(D.gamma_cfg, affine(S[:, rest]), j)
     g_red = np.swapaxes(Jw, 1, 2) @ G @ Jw
     om_red = np.swapaxes(Jw, 1, 2) @ Om @ Jw
 
@@ -290,7 +291,7 @@ def test_cp_reduced_tensors_match_horizontal_lifts(name):
     gram = np.einsum("nia,nib->nab", np.conj(Jh), Jh)
     scale = np.abs(gram).max()
     assert np.abs(g_red - gram.real).max() <= 1e-9 * scale
-    assert np.abs(om_red - spec.omega_scale * gram.imag).max() <= 1e-9 * scale
+    assert np.abs(om_red - OMEGA_SCALE * gram.imag).max() <= 1e-9 * scale
 
     v_orb = orbit_volume(D.gamma_cfg, P)
     assert np.allclose(v_orb, 2 * np.pi * np.sqrt(float(D.gamma_cfg.c[0])), rtol=1e-14, atol=0)
@@ -309,7 +310,7 @@ def test_cp_one_orbit_node_matches_several(name):
     nodes = [int(n) for n in one.nodes]
     nodes[GAMMA_AXIS[name]] = 4
     four = ChartPatch(chart=one.chart, lo=one.lo, hi=one.hi, nodes=nodes)
-    X = hamiltonian_vector_field(setup.grad, setup.hess, spec)
+    X = hamiltonian_vector_field(setup.grad, setup.hess)
     one_vol, one_dvol = patch_volume_and_derivative(one, X)
     four_vol, four_dvol = patch_volume_and_derivative(four, X)
     assert abs(one_vol - four_vol) <= 1e-14 * one_vol
@@ -354,14 +355,14 @@ def test_cp_invariant_hamiltonian_derivatives_match_fd(name):
 
 
 def test_cp_hamiltonian_field_derivative_matches_fd():
-    # DX[V] = -i Hess f[V] / omega_scale against an order-4 stencil of X
+    # DX[V] = -i Hess f[V] / OMEGA_SCALE against an order-4 stencil of X
     # along V at step 1e-4, on rp2's patch nodes inside and outside the
     # q-ball cutoff, off its edge. X is tangent to the sphere
     # |z|^2 = c / gamma, whose function |z|^2 generates the circle f is
     # invariant under, and it vanishes where the cutoff does
     setup = cp_chart_setup(catalog_double("rp2"), 50, 0, spec)
     P = setup.patch.points
-    X = hamiltonian_vector_field(setup.grad, setup.hess, spec)
+    X = hamiltonian_vector_field(setup.grad, setup.hess)
     V = np.random.default_rng(22).standard_normal((P.shape[0], 2, 3)) + 0j
     got = X.derivative(P, V)
     q0 = circle_invariants(setup.patch.chart.value(np.zeros((1, 3))))[0]
@@ -405,8 +406,8 @@ def test_cp_gradient_field_negative_control():
         vertical = np.real(np.sum(np.conj(1j * P) * setup.grad(P), axis=1))
         assert np.abs(vertical).max() <= 1e-13 * np.abs(setup.grad(P)).max()
         gradient = stationarity_ratio(setup.patch, VectorField(value, derivative))
-        assert gradient > 50 * CP_TOL_STATIONARITY, (seed, gradient)
-        hamiltonian = hamiltonian_vector_field(setup.grad, setup.hess, spec)
+        assert gradient > 50 * TOL_STATIONARITY, (seed, gradient)
+        hamiltonian = hamiltonian_vector_field(setup.grad, setup.hess)
         assert stationarity_ratio(setup.patch, hamiltonian) < 1e-12
 
 
@@ -416,13 +417,13 @@ def test_cp_lagrangian_residuals():
     for name in ("cp2-torus", "rp2"):
         D = catalog_double(name)
         setup = cp_chart_setup(D, 25, 2, spec)
-        assert lagrangian_residual(D.stacked, setup.sample, spec).max() < 1e-14, name
+        assert lagrangian_residual(D.stacked, setup.sample).max() < 1e-14, name
     D = catalog_double("rp2")
     lift = TorusSpreadChart(D.stacked, np.array([1.0, 0.0, 0.0]))
     S = np.concatenate([0.3 * np.random.default_rng(2).uniform(-1, 1, (25, 2)),
                         np.zeros((25, 1))], axis=1)
     sample = ChartSample(lift, S, lift.value(S), lift.value(S).real)
-    assert lagrangian_residual(D.stacked, sample, spec).max() < 1e-14
+    assert lagrangian_residual(D.stacked, sample).max() < 1e-14
 
 
 def test_cp_chart_jacobian_matches_stencil():
@@ -451,7 +452,7 @@ def test_cp_chart_degenerate_coordinate():
     S = np.array([[np.pi / 2, 0.3, 0.7]])
     assert abs(lift.value(S)[0, 0]) < 1e-15
     pts = ChartSample(lift, S, lift.value(S), lift.value(S).real)
-    assert lagrangian_residual(D.stacked, pts, spec)[0] < 1e-15
+    assert lagrangian_residual(D.stacked, pts)[0] < 1e-15
     patch = cp_chart_setup(catalog_double("rp2"), 50, 0, spec).patch
     near = np.abs(patch.points[:, 0]).argmin()
     assert abs(patch.points[near, 0]) < 0.05

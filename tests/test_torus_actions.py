@@ -110,9 +110,8 @@ def test_conjugation():
 def test_orbit_volume_conjugation_invariance():
     Q = catalog_quadrics("two-quadrics:2,2")
     rng = np.random.default_rng(2)
-    pts = sample_chart_points(Q, 30, rng)
-    for p in pts:
-        assert abs(orbit_volume(Q, p.point) - orbit_volume(Q, conjugate(p.point))) < 1e-12
+    Z = sample_chart_points(Q, 30, rng).points
+    assert np.abs(orbit_volume(Q, Z) - orbit_volume(Q, conjugate(Z))).max() < 1e-12
 
 
 def test_hamiltonian_identity_for_generators():
@@ -122,15 +121,14 @@ def test_hamiltonian_identity_for_generators():
     rng = np.random.default_rng(3)
     for name in ("one-quadric:3", "two-quadrics:2,2"):
         Q = catalog_quadrics(name)
-        p = sample_chart_points(Q, 1, rng, spec)[0]
-        z = p.point
+        z = sample_chart_points(Q, 1, rng, spec).points[0]
         gens = orbit_generators(Q, z)
         for j in range(Q.num_quadrics):
             for _ in range(4):
                 v = rng.standard_normal(Q.ambient_dim) + 1j * rng.standard_normal(Q.ambient_dim)
                 h = 1e-4
                 dmu = (moment_map(Q, z + h * v) - moment_map(Q, z - h * v)) / (2 * h)
-                assert abs(omega_pair(gens[j], v, spec) - dmu[j]) < 1e-6
+                assert abs(omega_pair(gens[j], v) - dmu[j]) < 1e-6
 
 
 def test_torus_subgroup_dual_pairing_is_integral():
