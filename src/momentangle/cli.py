@@ -28,21 +28,18 @@ from .config_io import (
     quadrics_from_config,
     render_config,
 )
-from .polytope import EmptyPolytopeError, UnboundedPolytopeError, is_delzant, is_simple
-from .quadric_config import CanonicalFormError, gale_dual
+from .polytope import is_delzant, is_simple
+from .quadric_config import gale_dual
 from .reduction_catalog import (
     DOUBLE_NAMES,
-    StackValidationError,
     catalog_double,
     catalog_names,
     catalog_polytope,
     catalog_quadrics,
     classify_N,
-    cp_chart_verify,
-    is_projective,
 )
 from .report import VerificationReport
-from .submanifold_numerics import InvarianceError, MetricSpec
+from .submanifold_numerics import MetricSpec
 
 COMMANDS = (
     "gale",
@@ -129,91 +126,43 @@ def run_command(
     out = sys.stdout if out is None else out
     rep = VerificationReport(seed=seed)
     if command == "gale":
-        P = polytope_from_config(cfg)
-        Q = gale_dual(P)
-        out.write(render_config(config_from_quadrics(Q, seed=seed)))
+        out.write(render_config(config_from_quadrics(gale_dual(polytope_from_config(cfg)), seed=seed)))
         rep.add_bool("gale-computed", True)
         return rep
 
     if command in ("check-simple", "check-delzant"):
-        P = polytope_from_config(cfg)
-        if command == "check-simple":
-            v = is_simple(P)
-            rep.add_bool("simple", bool(v), detail=str(v.witness) if not v else "")
-        else:
-            v = is_delzant(P)
-            rep.add_bool("delzant", bool(v), detail=str(v.witness) if not v else "")
+        name = command[len("check-"):]
+        v = (is_simple if name == "simple" else is_delzant)(polytope_from_config(cfg))
+        rep.add_bool(name, bool(v), detail=str(v.witness) if not v else "")
         return rep
 
-    if command == "verify-ntilde" or (cfg.mode == "double" and command == "report-all"):
-        D = double_from_config(cfg)
-        if command == "report-all":
-            for name, check in D.checks.items():
-                ok = check.all_ok if hasattr(check, "all_ok") else bool(check)
-                required = not name.endswith("_delta") or name.startswith("nondeg")
-                if required:
-                    rep.add_bool(name, ok)
-                else:
-                    rep.add_bool(name, True, detail=f"informational: {ok}")
-        rep.extend(proc.ntilde_report(D, samples=samples, seed=seed, spec=spec))
-        if is_projective(D.gamma_cfg):
-            rep.extend(cp_chart_verify(D, samples=min(samples, 50), seed=seed, spec=spec))
-        return rep
-
-    # one presentation per command: its Gale dual, vertices and feasible
-    # bases are computed on first use and kept on P and Q
-    P = polytope_from_config(cfg) if cfg.mode == "polytope" else None
-    Q = quadrics_from_config(cfg) if P is None else gale_dual(P)
-
-    if command == "check-free":
-        rep.extend(proc.freeness_report(Q))
-        return rep
-    if command == "check-nondeg":
-        rep.extend(proc.nondegeneracy_report(Q))
-        return rep
-    if command == "classify":
-        l_value = l_param if l_param is not None else cfg.l
-        desc = classify_N(Q, l=l_value)
-        out.write(f"{desc.name}\n")
-        for fact in desc.facts:
-            out.write(f"  {fact}\n")
-        rep.add_bool("classified", True, detail=desc.name)
-        return rep
-    if command == "verify-lagrangian":
-        rep.extend(proc.point_residual_report(Q, samples=samples, seed=seed, spec=spec, with_minimal=False))
-        return rep
-    if command == "verify-minimal":
-        rep.extend(proc.point_residual_report(Q, samples=samples, seed=seed, spec=spec))
-        return rep
-    if command == "verify-hminimal":
-        rep.extend(proc.hminimality_report(Q, points=min(samples, 20), seed=seed, spec=spec))
-        if Q.num_quadrics == 1 and Q.ambient_dim in (2, 3):
-            rep.extend(proc.hamiltonian_stationarity_report(Q, seed=seed, spec=spec))
-        return rep
-    if command == "verify-noether":
-        rep.extend(proc.noether_report(Q, seed=seed, spec=spec))
-        return rep
-    if command == "verify-variation":
-        rep.extend(proc.first_variation_report(Q, seed=seed, spec=spec))
-        return rep
-    if command == "report-all":
-        if P is not None:
-            rep.extend(proc.gale_report(P, seed=seed))
-            rep.extend(proc.polytope_report(P))
-            rep.extend(proc.delzant_freeness_report(P))
-        rep.extend(proc.quadrics_core_report(Q))
-        rep.extend(proc.point_residual_report(Q, samples=samples, seed=seed, spec=spec))
-        rep.extend(proc.vo_symmetry_report(Q, samples=samples, seed=seed, spec=spec))
-        rep.extend(proc.noether_report(Q, seed=seed, spec=spec))
-        rep.extend(proc.hminimality_report(Q, points=min(samples, 20), seed=seed, spec=spec))
-        if Q.num_quadrics == 1 and Q.ambient_dim in (1, 2):
-            rep.extend(proc.first_variation_report(Q, seed=seed, spec=spec))
-        if Q.num_quadrics == 1 and Q.ambient_dim in (2, 3):
-            rep.extend(proc.coarea_report(Q, seed=seed))
-            rep.extend(proc.hamiltonian_stationarity_report(Q, seed=seed, spec=spec, n_fields=3))
-        return rep
-
-    raise ConfigError(f"unknown command {command!r}")
+    # a command with double entries reads the double of a double
+    # configuration, and needs one when it has no other entries
+    checks = [check for check in proc.CHECKS if command in check.commands]
+    reads = {check.subject for check in checks}
+    if "D" in reads and (cfg.mode == "double" or reads == {"D"}):
+        subjects = {"D": double_from_config(cfg)}
+    else:
+        # one presentation per command: its Gale dual, vertices and feasible
+        # bases are computed on first use and kept on P and Q
+        P = polytope_from_config(cfg) if cfg.mode == "polytope" else None
+        Q = quadrics_from_config(cfg) if P is None else gale_dual(P)
+        if command == "classify":
+            desc = classify_N(Q, l=l_param if l_param is not None else cfg.l)
+            out.write(f"{desc.name}\n")
+            for fact in desc.facts:
+                out.write(f"  {fact}\n")
+            rep.add_bool("classified", True, detail=desc.name)
+            return rep
+        subjects = {"Q": Q} if P is None else {"P": P, "Q": Q}
+    if not checks:
+        raise ConfigError(f"unknown command {command!r}")
+    chosen = [check for check in checks if check.subject in subjects and check.applies(subjects[check.subject])]
+    if not chosen:
+        raise ValueError(f"no check of {command} applies to this configuration")
+    for check in chosen:
+        rep.extend(check.run(subjects[check.subject], seed=seed, samples=samples, spec=spec))
+    return rep
 
 
 def _catalog_config(name: str) -> ConfigFile:
@@ -282,19 +231,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (
-        StackValidationError,
-        InvarianceError,
-        UnboundedPolytopeError,
-        EmptyPolytopeError,
-        CanonicalFormError,
-    ) as exc:
-        print(f"precondition violation: {exc}", file=sys.stderr)
-        return 3
     except (NonConvergenceError, LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:
+        # every precondition error is a ValueError: a refused double, an
+        # unbounded or empty polytope, a non-invariant Hamiltonian, ...
         print(f"precondition violation: {exc}", file=sys.stderr)
         return 3
 

@@ -1,14 +1,14 @@
 """Composite verification procedures.
 
 Each procedure runs one family of checks over a configured instance and
-returns a ``VerificationReport``; the command-line driver and the test
-suite both dispatch through these. All randomness is drawn from explicit
+returns a ``VerificationReport``; the table ``CHECKS`` says which command
+runs which of them, and where. All randomness is drawn from explicit
 seeds, so reports are bit-reproducible.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,11 @@ from .quadric_config import (
 )
 from .reduction_catalog import (
     DoubleConfiguration,
+    cp_chart_verify,
+    is_projective,
     ntilde_lagrangian_residual,
     one_quadric_torus_chart,
+    stack_report,
     stacked_tangent_horizontal_residual,
 )
 from .report import (
@@ -73,6 +76,19 @@ VARIATION_FIELDS = 5
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+# the gates of CHECKS; a report that refuses a configuration reads the same gate
+def _always(subject) -> bool:
+    return True
+
+
+def _one_quadric_in_C1_or_C2(Q: QuadricConfiguration) -> bool:
+    return Q.num_quadrics == 1 and Q.ambient_dim in (1, 2)
+
+
+def _one_quadric_in_C2_or_C3(Q: QuadricConfiguration) -> bool:
+    return Q.num_quadrics == 1 and Q.ambient_dim in (2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +216,7 @@ def unequal_torus_control(spec: MetricSpec = DEFAULT_SPEC) -> float:
 
 def hminimality_report(
     Q: QuadricConfiguration,
-    points: int = 20,
+    points: int,
     seed: int = 0,
     spec: MetricSpec = DEFAULT_SPEC,
 ) -> VerificationReport:
@@ -337,16 +353,14 @@ def first_variation_report(
     matrix-valued fields under a two-axis bump).
     """
     rep = VerificationReport(seed=seed)
-    if Q.num_quadrics != 1:
-        raise ValueError("first-variation report runs on one-quadric configurations")
+    if not _one_quadric_in_C1_or_C2(Q):
+        raise ValueError("first-variation report runs on one quadric in C^1 or C^2")
     if Q.ambient_dim == 1:
         dv, comp = circle_variation_values(spec)
         rep.add("circle-dvol", abs(dv - TWO_PI), TOL_VARIATION_CIRCLE)
         rep.add("circle-curvature-integral", abs(comp - TWO_PI), TOL_VARIATION_CIRCLE)
         rep.add("circle-consistency", abs(dv - comp), TOL_VARIATION_CIRCLE)
         return rep
-    if Q.ambient_dim != 2:
-        raise ValueError("first-variation report implemented for ambient dimension 1 or 2")
     chart = one_quadric_torus_chart(Q)
     lo = [0.3, 0.05]
     hi = [5.9, 0.95]
@@ -382,8 +396,8 @@ def hamiltonian_stationarity_report(
     """
     rep = VerificationReport(seed=seed)
     rng = _rng(seed)
-    if Q.num_quadrics != 1 or Q.ambient_dim not in (2, 3):
-        raise ValueError("stationarity report implemented for one quadric in C^2 or C^3")
+    if not _one_quadric_in_C2_or_C3(Q):
+        raise ValueError("stationarity report runs on one quadric in C^2 or C^3")
     localized = Q.ambient_dim == 3
     if not localized:
         chart = one_quadric_torus_chart(Q)
@@ -430,3 +444,49 @@ def ntilde_report(
     ctrl = stacked_tangent_horizontal_residual(D, p0.points[0])
     rep.add_lower_bound("ntilde-negative-control", ctrl, CONTROL_BOUND)
     return rep
+
+
+# ---------------------------------------------------------------------------
+# the check table
+
+
+class Check(NamedTuple):
+    """The report ``run(subject, seed=, samples=, spec=)`` on a subject ("P" polytope, "Q" quadrics,
+    "D" double), which each of ``commands`` runs where ``applies(subject)`` holds."""
+
+    key: str
+    subject: str
+    applies: Callable
+    commands: tuple[str, ...]
+    run: Callable
+
+
+# in record order; report-all runs every entry but the parts of "core" and
+# "minimality" that check-nondeg, check-free and verify-lagrangian run alone.
+# Each run looks its procedure up in this module when called, so a patched
+# module attribute is the one that runs.
+ALL = ("report-all",)
+CHECKS = (
+    Check("gale", "P", _always, ALL, lambda P, seed, **_: gale_report(P, seed=seed)),
+    Check("polytope", "P", _always, ALL, lambda P, **_: polytope_report(P)),
+    Check("delzant-freeness", "P", _always, ALL, lambda P, **_: delzant_freeness_report(P)),
+    Check("nondegeneracy", "Q", _always, ("check-nondeg",), lambda Q, **_: nondegeneracy_report(Q)),
+    Check("freeness", "Q", _always, ("check-free",), lambda Q, **_: freeness_report(Q)),
+    Check("core", "Q", _always, ALL, lambda Q, **_: quadrics_core_report(Q)),
+    Check("lagrangian", "Q", _always, ("verify-lagrangian",),
+          lambda Q, **kw: point_residual_report(Q, **kw, with_minimal=False)),
+    Check("minimality", "Q", _always, ("verify-minimal", *ALL), lambda Q, **kw: point_residual_report(Q, **kw)),
+    Check("vo-symmetry", "Q", _always, ALL, lambda Q, **kw: vo_symmetry_report(Q, **kw)),
+    Check("noether", "Q", _always, ("verify-noether", *ALL), lambda Q, samples, **kw: noether_report(Q, **kw)),
+    Check("hminimality", "Q", _always, ("verify-hminimal", *ALL),
+          lambda Q, samples, **kw: hminimality_report(Q, points=min(samples, 20), **kw)),
+    Check("variation", "Q", _one_quadric_in_C1_or_C2, ("verify-variation", *ALL),
+          lambda Q, samples, **kw: first_variation_report(Q, **kw)),
+    Check("coarea", "Q", _one_quadric_in_C2_or_C3, ALL, lambda Q, seed, **_: coarea_report(Q, seed=seed)),
+    Check("stationarity", "Q", _one_quadric_in_C2_or_C3, ("verify-hminimal", *ALL),
+          lambda Q, samples, **kw: hamiltonian_stationarity_report(Q, n_fields=3, **kw)),
+    Check("stack", "D", _always, ALL, lambda D, **_: stack_report(D.checks)),
+    Check("ntilde", "D", _always, ("verify-ntilde", *ALL), lambda D, **kw: ntilde_report(D, **kw)),
+    Check("projective", "D", lambda D: is_projective(D.gamma_cfg), ("verify-ntilde", *ALL),
+          lambda D, samples, **kw: cp_chart_verify(D, samples=min(samples, 50), **kw)),
+)

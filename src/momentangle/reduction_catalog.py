@@ -41,7 +41,6 @@ from .submanifold_numerics import (
     tangent_frame_Z,
 )
 from .torus_actions import freeness_check, orbit_generators
-from .verdict import Verdict
 
 TWO_PI = 2.0 * np.pi
 
@@ -139,17 +138,27 @@ class DoubleConfiguration:
         return self.gamma_cfg.ambient_dim
 
 
+def stack_report(checks: dict) -> VerificationReport:
+    """One record per check of a double, in the order they ran.
+
+    The second system's own boundedness and freeness are informational:
+    their records pass and carry the verdict. Every other check is
+    required: nondegeneracy of each system, and boundedness and freeness
+    of the first system and of the stack (freeness of the stack is freeness
+    of the second torus on the reduced space).
+    """
+    rep = VerificationReport()
+    for name, check in checks.items():
+        passed = check.all_ok if isinstance(check, NondegeneracyReport) else bool(check)
+        informational = name in ("bounded_delta", "free_delta")
+        rep.add_bool(name, passed or informational, detail=f"informational: {passed}" if informational else "")
+    return rep
+
+
 def stack_double(
     gamma_cfg: QuadricConfiguration, delta_cfg: QuadricConfiguration
 ) -> DoubleConfiguration:
-    """Stack two quadric systems and validate the reduction prerequisites.
-
-    Required: nondegeneracy of each nonempty system and of the stack;
-    boundedness and torus-freeness of the first system and of the stack
-    (freeness of the stack is freeness of the second torus on the reduced
-    space). The second system's own boundedness/freeness are reported but
-    not required. Failures refuse construction and carry a witness.
-    """
+    """Stack two quadric systems; refuse, with a witness, a double that fails a check of ``stack_report``."""
     if gamma_cfg.ambient_dim != delta_cfg.ambient_dim:
         raise StackValidationError("ambient dimensions disagree")
     m = gamma_cfg.ambient_dim
@@ -168,24 +177,13 @@ def stack_double(
         checks[f"bounded_{label}"] = boundedness_check(cfg)
         checks[f"free_{label}"] = freeness_check(cfg)
 
-    required: list[tuple[str, object]] = []
-    for label in ("gamma", "delta", "stacked"):
-        if f"nondeg_{label}" in checks:
-            required.append((f"nondeg_{label}", checks[f"nondeg_{label}"].all_ok))
-    for label in ("gamma", "stacked"):
-        if f"bounded_{label}" in checks:
-            required.append((f"bounded_{label}", checks[f"bounded_{label}"]))
-        if f"free_{label}" in checks:
-            required.append((f"free_{label}", bool(checks[f"free_{label}"])))
-    for name, ok in required:
-        if not ok:
-            witness = None
-            check_obj = checks[name]
-            if isinstance(check_obj, Verdict):
-                witness = check_obj.witness
-            elif isinstance(check_obj, NondegeneracyReport):
-                witness = check_obj.witness_b
-            raise StackValidationError(f"stacked configuration fails {name}", witness=witness)
+    failed = [r.name for r in stack_report(checks).records if not r.passed]
+    if failed:
+        # every system's nondegeneracy is refused before any boundedness or freeness
+        name = min(failed, key=lambda name: not name.startswith("nondeg"))
+        check = checks[name]
+        witness = check.witness_b if isinstance(check, NondegeneracyReport) else getattr(check, "witness", None)
+        raise StackValidationError(f"stacked configuration fails {name}", witness=witness)
     return DoubleConfiguration(gamma_cfg, delta_cfg, stacked, checks)
 
 
@@ -516,7 +514,7 @@ def cp_chart_setup(
 
 def cp_chart_verify(
     D: DoubleConfiguration,
-    samples: int = 50,
+    samples: int,
     seed: int = 0,
     spec: MetricSpec = DEFAULT_SPEC,
 ) -> VerificationReport:

@@ -328,6 +328,65 @@ def test_readme_tolerance_names_match_the_cli():
     assert Counter(_TOL_FIELDS.values()) == Counter(fields)
 
 
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_command_list_matches_the_cli(capsys):
+    import re
+
+    from momentangle.cli import COMMANDS
+
+    listed = re.search(r"Commands:(.*?)\.\s", _readme(), re.S).group(1)
+    assert tuple(re.findall(r"`([\w-]+)`", listed)) == COMMANDS
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    choices = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1)
+    assert tuple(choices.split(",")) == COMMANDS + ("emit-catalog",)
+
+
+def test_readme_checks_section_matches_the_table():
+    # each row of the README's check table is one entry of procedures.CHECKS,
+    # in order, with its subject and commands; the records it lists are the
+    # records the entry emits on the catalog and the circle
+    import fnmatch
+    import re
+
+    from momentangle import procedures as proc
+    from momentangle.config_io import double_from_config, quadrics_from_config
+    from momentangle.quadric_config import gale_dual
+    from momentangle.reduction_catalog import catalog_quadrics
+    from momentangle.submanifold_numerics import MetricSpec
+
+    section = _readme().split("### Checks", 1)[1].split("\n### ", 1)[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    assert [row[0].strip("| `") for row in rows] == [c.key for c in proc.CHECKS]
+    assert [row[1] for row in rows] == [c.subject for c in proc.CHECKS]
+    assert [tuple(re.findall(r"`([\w-]+)`", row[4])) for row in rows] == [c.commands for c in proc.CHECKS]
+
+    emitted = {c.key: set() for c in proc.CHECKS}
+    subjects = [{"Q": catalog_quadrics("one-quadric:1")}]
+    for name in catalog_names():
+        cfg = _catalog_config(name)
+        if cfg.mode == "double":
+            subjects.append({"D": double_from_config(cfg)})
+        elif cfg.mode == "polytope":
+            P = polytope_from_config(cfg)
+            subjects.append({"P": P, "Q": gale_dual(P)})
+        else:
+            subjects.append({"Q": quadrics_from_config(cfg)})
+    for check in proc.CHECKS:
+        for available in subjects:
+            subject = available.get(check.subject)
+            if subject is not None and check.applies(subject):
+                rep = check.run(subject, seed=0, samples=5, spec=MetricSpec())
+                emitted[check.key].update(r.name for r in rep.records)
+    for row, check in zip(rows, proc.CHECKS):
+        patterns = re.findall(r"`([\w*-]+)`", row[2])
+        assert all(any(fnmatch.fnmatchcase(n, p) for p in patterns) for n in emitted[check.key]), check.key
+        assert all(any(fnmatch.fnmatchcase(n, p) for n in emitted[check.key]) for p in patterns), check.key
+
+
 def test_every_tolerance_name_is_read_by_report_all():
     from momentangle.cli import _TOL_FIELDS
     from momentangle.submanifold_numerics import MetricSpec
@@ -426,3 +485,77 @@ def test_report_all_cold_and_warm_caches_agree(monkeypatch):
             ):
                 m.setattr(module, solver, refuse)
             assert _report_all(cfg).render_machine() == cold, name
+
+
+# the record names of each report, as the command line emits them
+_EXACT_P = ["gale-orthogonality-exact", "gale-image-level-exact", "simple", "delzant", "delzant-equals-freeness"]
+_NONDEG = ["bounded", "nondegenerate-a", "nondegenerate-b", "nondegenerate-c"]
+_LAGRANGIAN = ["lagrangian-residual", "lagrangian-negative-control"]
+_MINIMAL = _LAGRANGIAN + ["minimality-in-Z-residual"]
+_NOETHER = ["noether-drift", "noninvariant-rejected"]
+_VARIATION = [f"first-variation-field-{i}" for i in range(5)]
+_STATIONARITY = [f"hamiltonian-stationarity-{i}" for i in range(3)]
+_NTILDE = ["ntilde-lagrangian-residual", "ntilde-negative-control", "cp-lagrangian-residual",
+           "cp-hamiltonian-stationarity"]
+# one quadric in C^2, and in C^3 (a double's commands other than report-all
+# and verify-ntilde read its first system, one quadric in C^3)
+_IN_C2 = {"one-quadric:2"}
+_IN_C3 = {"triangle", "simplex:2", "bad-triangle", "one-quadric:3", "cp2-torus", "rp2"}
+_CLASSIFIED = {"triangle", "simplex:2", "simplex:3", "simplex:4", "one-quadric:2", "one-quadric:3",
+               "one-quadric:4", "cp2-torus", "rp2"}
+
+
+def _expected_run(command: str, name: str) -> tuple[int, list[str]]:
+    """(exit code, record names) of ``command`` on the catalog instance ``name``."""
+    from momentangle.reduction_catalog import DOUBLE_NAMES, POLYTOPE_NAMES
+
+    polytope, double, bad = name in POLYTOPE_NAMES, name in DOUBLE_NAMES, name == "bad-triangle"
+    stationarity = _STATIONARITY if name in _IN_C3 or name in _IN_C2 else []
+    if command in ("gale", "check-simple", "check-delzant"):
+        if not polytope:
+            return 2, []
+        record = {"gale": "gale-computed", "check-simple": "simple", "check-delzant": "delzant"}[command]
+        return int(bad and command == "check-delzant"), [record]
+    if command == "check-free":
+        return int(bad), ["torus-free"]
+    if command == "check-nondeg":
+        return 0, _NONDEG
+    if command == "classify":
+        return (0, ["classified"]) if name in _CLASSIFIED else (3, [])
+    if command == "verify-lagrangian":
+        return 0, _LAGRANGIAN
+    if command == "verify-minimal":
+        return 0, _MINIMAL
+    if command == "verify-hminimal":
+        return 0, ["hminimality-residual"] + stationarity
+    if command == "verify-noether":
+        return 0, _NOETHER
+    if command == "verify-variation":
+        return (0, _VARIATION) if name in _IN_C2 else (3, [])
+    if command == "verify-ntilde":
+        return (0, _NTILDE) if double else (2, [])
+    assert command == "report-all", command
+    if double:
+        systems = ("gamma", "delta", "stacked") if name == "cp2-torus" else ("gamma", "stacked")
+        return 0, [f"{check}_{s}" for s in systems for check in ("nondeg", "bounded", "free")] + _NTILDE
+    coarea = ["coarea-relative-mismatch"] if stationarity else []
+    records = (_EXACT_P if polytope else []) + _NONDEG + ["torus-free"] + _MINIMAL
+    records += ["orbit-volume-conjugation"] + _NOETHER + ["hminimality-residual"]
+    records += (_VARIATION if name in _IN_C2 else []) + coarea + stationarity
+    return int(bad), records
+
+
+def test_every_command_on_the_whole_catalog(tmp_path, capsys):
+    # the exit code and record names of every command on every catalog
+    # instance: which checks run where, and which commands refuse which
+    # configurations
+    from momentangle.cli import COMMANDS
+
+    out = tmp_path / "report.tsv"
+    for command in COMMANDS:
+        for name in catalog_names():
+            out.unlink(missing_ok=True)
+            rc = main([command, f"catalog:{name}", "--samples", "5", "--report-file", str(out)])
+            names = [line.split("\t")[0] for line in out.read_text().splitlines()] if out.exists() else []
+            assert (rc, names) == _expected_run(command, name), (command, name)
+    capsys.readouterr()

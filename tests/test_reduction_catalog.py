@@ -103,6 +103,20 @@ def test_stack_rejects_parallel_rows():
         stack_double(g, d)
 
 
+def test_stack_refuses_required_checks_nondegeneracy_first():
+    # the torus of (1, 2) does not act freely, and (1, -1) at level 0 is
+    # degenerate: a required check refuses the double with its witness, and
+    # of two failures the nondegeneracy is named
+    from momentangle.exact_linalg import IntegerMatrix
+
+    g = QuadricConfiguration.from_rows([(1, 2)], [1])
+    with pytest.raises(StackValidationError, match="fails free_gamma") as exc:
+        stack_double(g, QuadricConfiguration(IntegerMatrix([], cols=2), []))
+    assert exc.value.witness == (1,)
+    with pytest.raises(StackValidationError, match="fails nondeg_delta"):
+        stack_double(g, QuadricConfiguration.from_rows([(1, -1)], [0]))
+
+
 def test_stack_empty_second_system():
     D = catalog_double("rp2")
     assert D.delta_cfg.num_quadrics == 0
