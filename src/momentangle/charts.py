@@ -1,23 +1,21 @@
 """Local parametrizations of quadric-built submanifolds.
 
-A chart maps parameter vectors to ambient points. The spread charts
-(``PolytopeChart``, ``TorusSpreadChart``, ``CircleSpreadChart``) carry
-closed-form derivatives; the defaults of ``Chart`` differentiate ``value``
-by central finite differences, which only ``FunctionChart`` (the controls)
-relies on.
+Every chart is a spread chart (v, phi) -> phases(phi) * u(v): a map u into
+the real locus, times the phases exp(2 pi i <row_j, phi>). Each chart
+supplies u's v-derivatives, and one product rule (``_phase_product``) gives
+its derivatives through third order, all in closed form.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import functools
+import itertools
 
 import numpy as np
 
-from . import fd
 from .quadric_config import QuadricConfiguration
 
 TWO_PI = 2.0 * np.pi
-STEP = 1e-3  # the stencil step of the default chart derivatives
 NEWTON_STEPS = 60  # at most, for the nearest point of a spread chart
 
 
@@ -37,46 +35,6 @@ def r2c(x: np.ndarray) -> np.ndarray:
     return x[..., :m] + 1j * x[..., m:]
 
 
-# ---------------------------------------------------------------------------
-# charts
-
-
-class Chart:
-    """Parameter space -> C^m map with derivative hooks.
-
-    Subclasses may override ``jacobian``/``hessian``/``third`` with exact
-    formulas; the defaults differentiate ``value`` by 4th-order central
-    stencils at ``STEP``, and ``third`` differentiates ``hessian`` the same
-    way.
-    """
-
-    dim: int
-    ambient_dim: int
-
-    def value(self, S: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def jacobian(self, S: np.ndarray) -> np.ndarray:
-        return fd.jacobian(self.value, S, STEP)
-
-    def hessian(self, S: np.ndarray) -> np.ndarray:
-        return fd.hessian(self.value, S, STEP)
-
-    def third(self, S: np.ndarray) -> np.ndarray:
-        """Third derivatives (N, m, d, d, d); the last axis differentiates the hessian."""
-        return fd.jacobian(self.hessian, S, STEP)
-
-
-class FunctionChart(Chart):
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], dim: int, ambient_dim: int):
-        self.fn = fn
-        self.dim = dim
-        self.ambient_dim = ambient_dim
-
-    def value(self, S: np.ndarray) -> np.ndarray:
-        return self.fn(np.atleast_2d(np.asarray(S, dtype=float)))
-
-
 def _split_params(S: np.ndarray, nv: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(v, phi) blocks of a batch of parameters of a spread chart."""
     S = np.atleast_2d(np.asarray(S, dtype=float))
@@ -85,31 +43,48 @@ def _split_params(S: np.ndarray, nv: int, dim: int) -> tuple[np.ndarray, np.ndar
     return S[:, :nv], S[:, nv:]
 
 
-def _phases(Phi: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    return np.exp(1j * TWO_PI * (Phi @ rows))
+@functools.cache
+def _blocks(n: int) -> tuple:
+    """The blocks of an n-th derivative, for each count k of v axes from n
+    down to 0: for each choice of k of the n axes, which axes are v, and the
+    transpose that moves a block with its k v axes first to that choice."""
+    out = []
+    for k in range(n, -1, -1):
+        choices = []
+        for vaxes in itertools.combinations(range(n), k):
+            axes = vaxes + tuple(i for i in range(n) if i not in vaxes)  # the place of each block axis
+            transpose = (0, 1) + tuple(2 + axes.index(i) for i in range(n))
+            choices.append((tuple(i in vaxes for i in range(n)), transpose))
+        out.append((k, choices))
+    return tuple(out)
 
 
-def _phase_product(z: np.ndarray, Jv: np.ndarray, rows: np.ndarray, Hvv: np.ndarray | None = None):
-    """The jacobian, and given ``Hvv`` also the hessian, of z = phases(phi) * u(v).
+def _phase_product(phases: np.ndarray, us: tuple[np.ndarray, ...], rows: np.ndarray) -> np.ndarray:
+    """The derivative of order n = len(us) - 1 of z = phases(phi) * u(v): z, J, H or T.
 
-    ``Jv`` (N, m, nv) and ``Hvv`` (N, m, nv, nv) are the v-derivatives of z,
-    the phases times those of u. The phi-derivatives follow from
-    d phases / d phi_j = 2 pi i row_j phases, by the product rule.
+    ``us`` holds u (N, m) and its v-derivatives (N, m, nv, ..., nv) up to
+    order n. Since d phases / d phi_j = 2 pi i row_j phases, the block with
+    v axes A and phi axes P is phases * d_A u * prod_{j in P} 2 pi i row_j.
+    The block with its k v axes first is computed once, and fills each
+    choice of k of the n axes by a transpose.
     """
-    R = rows.T  # (m, nphi)
-    N, m, nv = Jv.shape
-    d = nv + R.shape[1]
-    J = np.empty((N, m, d), dtype=complex)
-    J[:, :, :nv] = Jv
-    J[:, :, nv:] = 1j * TWO_PI * z[:, :, None] * R
-    if Hvv is None:
-        return J
-    H = np.empty((N, m, d, d), dtype=complex)
-    H[:, :, :nv, :nv] = Hvv
-    H[:, :, :nv, nv:] = 1j * TWO_PI * Jv[:, :, :, None] * R[:, None, :]
-    H[:, :, nv:, :nv] = np.swapaxes(H[:, :, :nv, nv:], 2, 3)
-    H[:, :, nv:, nv:] = (1j * TWO_PI) ** 2 * z[:, :, None, None] * (R[:, :, None] * R[:, None, :])
-    return J, H
+    n = len(us) - 1
+    if n == 0:
+        return phases * us[0]
+    N, m = phases.shape
+    nv, nphi = us[1].shape[2], rows.shape[0]
+    E = 1j * TWO_PI * rows.T  # (m, nphi)
+    D = np.empty((N, m) + (nv + nphi,) * n, dtype=complex)
+    v, phi = slice(None, nv), slice(nv, None)
+    for k, choices in _blocks(n):  # k v axes, then n - k phi axes
+        block = phases.reshape((N, m) + (1,) * k) * us[k]
+        if k < n:  # times the product of E over the phi axes
+            Ek = E.reshape((m,) + (1,) * k + (nphi,) + (1,) * (n - k - 1))
+            Epow = Ek if k == n - 1 else Epow * Ek
+            block = block.reshape(block.shape + (1,) * (n - k)) * Epow
+        for is_v, transpose in choices:
+            D[(Ellipsis,) + tuple(v if b else phi for b in is_v)] = block.transpose(transpose)
+    return D
 
 
 def _solve_small(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -122,6 +97,53 @@ def _solve_small(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"singular constraint jacobian: {exc}") from exc
+
+
+class Chart:
+    """A spread chart (v, phi) -> phases(phi) * u(v) into C^m.
+
+    Subclasses set ``nv``, ``nphi``, ``dim = nv + nphi``, ``ambient_dim``
+    and ``phase_rows``, and supply ``_u(V, order)``: u and its
+    v-derivatives up to ``order`` at the rows of V. Every derivative of the
+    chart is the product rule on those.
+    """
+
+    nv: int
+    nphi: int
+    dim: int
+    ambient_dim: int
+    phase_rows: np.ndarray
+
+    def _u(self, V: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+        raise NotImplementedError
+
+    @functools.cached_property
+    def _rates(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct columns of the phase rows, and the one of each coordinate:
+        one exponential per distinct column, not per coordinate."""
+        keys = [column.tobytes() for column in self.phase_rows.T]
+        firsts = sorted(set(keys.index(key) for key in keys))
+        return self.phase_rows[:, firsts], np.array([firsts.index(keys.index(key)) for key in keys])
+
+    def _derivative(self, S: np.ndarray, order: int) -> np.ndarray:
+        V, Phi = _split_params(S, self.nv, self.dim)
+        rates, of_rate = self._rates
+        # einsum, not matmul: a point's sums do not depend on its batch
+        phases = np.exp(1j * TWO_PI * np.einsum("nj,jk->nk", Phi, rates))[:, of_rate]
+        return _phase_product(phases, self._u(V, order), self.phase_rows)
+
+    def value(self, S: np.ndarray) -> np.ndarray:
+        return self._derivative(S, 0)
+
+    def jacobian(self, S: np.ndarray) -> np.ndarray:
+        return self._derivative(S, 1)
+
+    def hessian(self, S: np.ndarray) -> np.ndarray:
+        return self._derivative(S, 2)
+
+    def third(self, S: np.ndarray) -> np.ndarray:
+        """Third derivatives (N, m, d, d, d)."""
+        return self._derivative(S, 3)
 
 
 class TorusSpreadChart(Chart):
@@ -205,95 +227,79 @@ class TorusSpreadChart(Chart):
         return (r1 + 2.0 * U[:, :, None] * gy) / s[:, :, None], gy
 
     def _u(self, V: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-        """u and its v-derivatives up to ``order`` (at most 2) at the rows of V.
+        """u and its v-derivatives up to ``order`` (at most 3) at the rows of V.
 
         Differentiating s u = p and Gamma (u u) = c along v_a gives
-        s du_a - 2 (Gamma^T dmu_a) u = T_a and 2 Gamma (u du_a) = 0; once
-        more along v_b, the same system in d2u_ab with the right-hand sides
-        2 (Gamma^T dmu_b) du_a + 2 (Gamma^T dmu_a) du_b and
-        -2 Gamma (du_a du_b). A tensor grid over (v, phi), and each of its
-        stencils, repeats every v over consecutive rows: each run of equal
-        rows is solved once.
+        s du_a - 2 w1_a u = T_a and 2 Gamma (u du_a) = 0, with
+        w1 = Gamma^T dmu; once more along v_b, the same system in d2u_ab
+        (and w2 = Gamma^T d2mu) with the right-hand sides
+        2 (w1_b du_a + w1_a du_b) and -2 Gamma (du_a du_b); once more along
+        v_c, the same system in d3u_abc with 2 sym(w1 d2u + du w2) and
+        -2 Gamma sym(du d2u), each sym the sum over the three ways to pick
+        the single index. A tensor grid over (v, phi) repeats every v over
+        consecutive rows: each run of equal rows is solved once.
         """
         first = np.ones(V.shape[0], dtype=bool)
         first[1:] = np.any(V[1:] != V[:-1], axis=1)
         U, s = self._nearest(self.u0 + np.einsum("na,ak->nk", V[first], self.tangent))
-        N, m = U.shape
+        (N, m), nv, k = U.shape, self.nv, len(self.c)
         parts = [U]
         if order >= 1:
-            du, gdmu = self._solve_linearized(U, s, np.broadcast_to(self.tangent.T, (N, m, self.nv)), 0.0)
+            du, w1 = self._solve_linearized(U, s, np.broadcast_to(self.tangent.T, (N, m, nv)), 0.0)
             parts.append(du)
         if order >= 2:
-            r1 = 2.0 * (gdmu[:, :, None, :] * du[:, :, :, None] + gdmu[:, :, :, None] * du[:, :, None, :])
+            r1 = 2.0 * (w1[:, :, None, :] * du[:, :, :, None] + w1[:, :, :, None] * du[:, :, None, :])
             r2 = -2.0 * np.einsum("jk,nka,nkb->njab", self.G, du, du)
-            d2u, _ = self._solve_linearized(U, s, r1.reshape(N, m, -1), r2.reshape(N, len(self.c), -1))
-            parts.append(d2u.reshape(N, m, self.nv, self.nv))
+            d2u, w2 = self._solve_linearized(U, s, r1.reshape(N, m, -1), r2.reshape(N, k, -1))
+            d2u, w2 = d2u.reshape(N, m, nv, nv), w2.reshape(N, m, nv, nv)
+            parts.append(d2u)
+        if order >= 3:
+            def sym(X):  # X_abc + X_bca + X_cab
+                return X + X.transpose(0, 1, 3, 4, 2) + X.transpose(0, 1, 4, 2, 3)
+
+            r1 = 2.0 * sym(w1[:, :, None, None, :] * d2u[..., None] + du[:, :, None, None, :] * w2[..., None])
+            r2 = -2.0 * np.einsum("jk,nkabc->njabc", self.G, sym(du[:, :, None, None, :] * d2u[..., None]))
+            d3u, _ = self._solve_linearized(U, s, r1.reshape(N, m, -1), r2.reshape(N, k, -1))
+            parts.append(d3u.reshape(N, m, nv, nv, nv))
         if first.all():
             return tuple(parts)
         idx = np.cumsum(first) - 1
         return tuple(x[idx] for x in parts)
 
-    def value(self, S: np.ndarray) -> np.ndarray:
-        V, Phi = _split_params(S, self.nv, self.dim)
-        return _phases(Phi, self.phase_rows) * self._u(V, 0)[0]
-
-    def jacobian(self, S: np.ndarray) -> np.ndarray:
-        V, Phi = _split_params(S, self.nv, self.dim)
-        phases = _phases(Phi, self.phase_rows)
-        U, du = self._u(V, 1)
-        return _phase_product(phases * U, phases[:, :, None] * du, self.phase_rows)
-
-    def hessian(self, S: np.ndarray) -> np.ndarray:
-        V, Phi = _split_params(S, self.nv, self.dim)
-        phases = _phases(Phi, self.phase_rows)
-        U, du, d2u = self._u(V, 2)
-        return _phase_product(phases * U, phases[:, :, None] * du, self.phase_rows,
-                              phases[:, :, None, None] * d2u)[1]
+    # defined in this class's own namespace, where perfbench/spans.py wraps them by name
+    value, jacobian, hessian = Chart.value, Chart.jacobian, Chart.hessian
 
 
 class CircleSpreadChart(Chart):
     """Chart (a, phi) -> exp(2 pi i <phi, rows>) * (A cos a + B sin a + C).
 
-    A circle of the real locus spread by the phase subgroup of ``rows`` (one
-    row, or several), with ``periods`` the periods of (a, phi_1, ...). Its
-    derivatives are cos and sin times the phase, exact.
+    A circle of the real locus (or any plane conic: A, B, C may be complex)
+    spread by the phase subgroup of ``rows`` (none, one row, or several),
+    with ``periods`` the periods of (a, phi_1, ...). u's a-derivatives
+    cycle: B cos a - A sin a, then C - u, then minus the first.
     """
 
     def __init__(self, A, B, C, rows, periods: tuple[float, ...]):
-        self.ABC = np.array([A, B, C], dtype=float)  # (3, m)
-        self.phase_rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        # one exponential per distinct column of the rows, not per coordinate
-        self._rates, self._of_rate = np.unique(self.phase_rows, axis=1, return_inverse=True)
-        self._of_rate = self._of_rate.ravel()
-        self.dim = 1 + self.phase_rows.shape[0]
-        self.ambient_dim = self.ABC.shape[1]
+        ABC = np.array([A, B, C], dtype=complex)  # (3, m)
+        # the real and imaginary part of each coordinate in turn, so the
+        # elementwise terms run in real arithmetic and view back as complex
+        self._parts = ABC.view(float)  # (3, 2m)
+        self.ambient_dim = ABC.shape[1]
+        self.phase_rows = np.asarray(rows, dtype=float).reshape(-1, self.ambient_dim)
+        self.nv, self.nphi = 1, self.phase_rows.shape[0]
+        self.dim = 1 + self.nphi
         self.periods = periods
 
-    def _parts(self, S: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-        """(phases, u and its a-derivatives up to ``order``) at the rows of S.
-
-        Each is a trigonometric row (cos, sin, 1), (-sin, cos, 0) or
-        (-cos, -sin, 0) times (A, B, C), one small matmul.
-        """
-        a, Phi = _split_params(S, 1, self.dim)
-        cos, sin = np.cos(a), np.sin(a)
-        one, zero = np.ones_like(a), np.zeros_like(a)
-        trig = ([cos, sin, one], [-sin, cos, zero], [-cos, -sin, zero])[: order + 1]
-        phases = np.exp(1j * TWO_PI * (Phi @ self._rates))[:, self._of_rate]
-        return (phases,) + tuple(np.concatenate(t, axis=1) @ self.ABC for t in trig)
-
-    def value(self, S: np.ndarray) -> np.ndarray:
-        phases, u = self._parts(S, 0)
-        return phases * u
-
-    def jacobian(self, S: np.ndarray) -> np.ndarray:
-        phases, u, du = self._parts(S, 1)
-        return _phase_product(phases * u, (phases * du)[:, :, None], self.phase_rows)
-
-    def hessian(self, S: np.ndarray) -> np.ndarray:
-        phases, u, du, d2u = self._parts(S, 2)
-        return _phase_product(phases * u, (phases * du)[:, :, None], self.phase_rows,
-                              (phases * d2u)[:, :, None, None])[1]
+    def _u(self, V: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+        A, B, C = self._parts
+        cos, sin = np.cos(V), np.sin(V)
+        rim = cos * A + sin * B
+        parts = [rim + C]
+        if order >= 1:
+            tangent = cos * B - sin * A
+            parts += [tangent, -rim, -tangent][:order]
+        N, m = V.shape[0], self.ambient_dim
+        return tuple(x.view(complex).reshape((N, m) + (1,) * n) for n, x in enumerate(parts))
 
 
 class PolytopeChart(Chart):
@@ -303,10 +309,9 @@ class PolytopeChart(Chart):
     {x >= 0 : Gamma x = c} by x = u^2, so on the open orthant it is the graph
     u = sqrt(x) over the polytope's interior. ``x0`` is an interior point
     (Gamma x0 = c, x0 > 0) and the columns of ``B`` an orthonormal basis of
-    ker Gamma. The jacobian B / (2u), the hessian -B_a B_b / (4u^3), the
-    third derivative 3 B_a B_b B_c / (8u^5) and the phase terms are exact.
-    Parameters must keep x0 + B v in the open orthant; ``value`` raises
-    otherwise.
+    ker Gamma, so u's v-derivatives are B / (2u), -B_a B_b / (4u^3) and
+    3 B_a B_b B_c / (8u^5). Parameters must keep x0 + B v in the open
+    orthant; every derivative raises otherwise.
     """
 
     def __init__(self, Q: QuadricConfiguration, x0, phase_rows: np.ndarray | None = None):
@@ -317,7 +322,6 @@ class PolytopeChart(Chart):
         if Q.num_quadrics and np.max(np.abs(G @ x0 - Q.c_float())) > 1e-8:
             raise ValueError("base point is not on the polytope")
         self.x0 = x0
-        self.u0 = np.sqrt(x0)
         m, k = Q.ambient_dim, Q.num_quadrics
         # the last m - k columns of a complete QR of Gamma^T span ker Gamma
         self.B = np.linalg.qr(G.T, mode="complete")[0][:, k:] if k else np.eye(m)
@@ -327,45 +331,17 @@ class PolytopeChart(Chart):
         self.dim = self.nv + self.nphi
         self.ambient_dim = m
 
-    def _parts(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(phases, u, z) at the rows of S."""
-        V, Phi = _split_params(S, self.nv, self.dim)
-        x = self.x0 + V @ self.B.T
+    def _u(self, V: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+        x = self.x0 + np.einsum("na,ka->nk", V, self.B)
         if np.any(x <= 0.0):
             raise ValueError("chart parameters leave the open orthant")
         u = np.sqrt(x)
-        phases = _phases(Phi, self.phase_rows)
-        return phases, u, phases * u
-
-    def value(self, S: np.ndarray) -> np.ndarray:
-        return self._parts(S)[2]
-
-    def jacobian(self, S: np.ndarray) -> np.ndarray:
-        phases, u, z = self._parts(S)
-        return _phase_product(z, (phases / (2.0 * u))[:, :, None] * self.B, self.phase_rows)
-
-    def hessian(self, S: np.ndarray) -> np.ndarray:
-        phases, u, z = self._parts(S)
-        B = self.B
-        Jv = (phases / (2.0 * u))[:, :, None] * B
-        Hvv = -(phases / (4.0 * u**3))[:, :, None, None] * (B[:, :, None] * B[:, None, :])
-        return _phase_product(z, Jv, self.phase_rows, Hvv)[1]
-
-    def third(self, S: np.ndarray) -> np.ndarray:
-        """d_a d_b d_c z = phases * (3/8 BBB / u^5 - 1/4 sym EBB / u^3
-        + 1/2 sym EEB / u + EEE u), by the product rule on phases * u with
-        the u-derivatives B / (2u), -BB / (4u^3) and 3 BBB / (8u^5)."""
-        phases, u, _ = self._parts(S)
-        # per-direction factors: d u / u on v, d phases / phases on phi
-        Bx = np.concatenate([self.B, np.zeros((self.ambient_dim, self.nphi))], axis=1)
-        Ex = np.concatenate([np.zeros_like(self.B), 1j * TWO_PI * self.phase_rows.T], axis=1)
-
-        def outer(a, b, c):
-            return a[:, :, None, None] * b[:, None, :, None] * c[:, None, None, :]
-
-        def sym(a, b):  # a a b summed over the three places of b
-            return outer(a, a, b) + outer(a, b, a) + outer(b, a, a)
-
-        terms = np.stack([outer(Bx, Bx, Bx), sym(Bx, Ex), sym(Ex, Bx), outer(Ex, Ex, Ex)])
-        coeff = np.stack([0.375 / u**5, -0.25 / u**3, 0.5 / u, u], axis=-1)  # (N, m, 4)
-        return phases[:, :, None, None, None] * np.einsum("njk,kjabc->njabc", coeff, terms)
+        B, parts = self.B, [u]
+        if order >= 1:
+            parts.append((0.5 / u)[:, :, None] * B)
+        if order >= 2:
+            parts.append((-0.25 / u**3)[:, :, None, None] * (B[:, :, None] * B[:, None, :]))
+        if order >= 3:
+            BBB = B[:, :, None, None] * B[:, None, :, None] * B[:, None, None, :]
+            parts.append((0.375 / u**5)[:, :, None, None, None] * BBB)
+        return tuple(parts)

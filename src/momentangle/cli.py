@@ -137,9 +137,12 @@ def run_command(
         return rep
 
     # a command with double entries reads the double of a double
-    # configuration, and needs one when it has no other entries
+    # configuration, and needs one when it has no other entries; a command
+    # without them refuses a double, whose first system alone is not its subject
     checks = [check for check in proc.CHECKS if command in check.commands]
     reads = {check.subject for check in checks}
+    if cfg.mode == "double" and "D" not in reads:
+        raise ConfigError(f"{command} does not run on a double configuration")
     if "D" in reads and (cfg.mode == "double" or reads == {"D"}):
         subjects = {"D": double_from_config(cfg)}
     else:

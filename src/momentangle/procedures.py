@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .charts import FunctionChart, TorusSpreadChart
+from .charts import CircleSpreadChart, TorusSpreadChart
 from .exact_linalg import RationalMatrix
 from .polytope import PolytopePresentation, embed_point, enumerate_vertices, is_delzant, is_simple
 from .quadric_config import (
@@ -199,18 +199,15 @@ def point_residual_report(
 def unequal_torus_control(spec: MetricSpec = DEFAULT_SPEC) -> float:
     """In-sphere mean-curvature norm of the unequal-radii product torus.
 
-    The torus with radius ratio 0.9 : 1.1, rescaled onto the unit 3-sphere,
-    is a torus-invariant product but not the balanced one, so it is far
-    from minimal in the sphere.
+    The torus (rho_1 e^{i a}, rho_2 e^{2 pi i phi}) with radius ratio
+    0.9 : 1.1, rescaled onto the unit 3-sphere, is a torus-invariant
+    product but not the balanced one, so it is far from minimal in the
+    sphere.
     """
     Q = QuadricConfiguration.from_rows([(1, 1)], [1])
     rho = np.array([0.9, 1.1]) / np.sqrt(0.81 + 1.21)
-
-    def fn(S):
-        return rho * np.exp(1j * S)
-
-    chart = FunctionChart(fn, dim=2, ambient_dim=2)
-    p = chart_point(chart, np.array([0.4, 1.1]), Q=Q, spec=spec)
+    chart = CircleSpreadChart([rho[0], 0.0], [1j * rho[0], 0.0], [0.0, rho[1]], [0.0, 1.0], (TWO_PI, 1.0))
+    p = chart_point(chart, np.array([0.4, 1.1 / TWO_PI]), Q=Q, spec=spec)
     return float(minimality_residual_in_Z(Q, p)[0])
 
 
@@ -237,11 +234,7 @@ def ellipse_control() -> tuple[float, float]:
     Returns (numeric residual, |OMEGA_SCALE| * |dkappa/ds|).
     """
     a, b, t = 1.0, 0.6, np.pi / 4
-
-    def fn(S):
-        return (a * np.cos(S[:, 0]) + 1j * b * np.sin(S[:, 0]))[:, None]
-
-    chart = FunctionChart(fn, dim=1, ambient_dim=1)
+    chart = CircleSpreadChart([a], [1j * b], [0.0], [], (TWO_PI,))
     numeric = float(hminimality_residual(None, chart_point(chart, np.array([t])))[0])
     w = a * a * np.sin(t) ** 2 + b * b * np.cos(t) ** 2
     dkappa_dt = a * b * (-1.5) * (a * a - b * b) * np.sin(2 * t) / w**2.5

@@ -497,12 +497,11 @@ _VARIATION = [f"first-variation-field-{i}" for i in range(5)]
 _STATIONARITY = [f"hamiltonian-stationarity-{i}" for i in range(3)]
 _NTILDE = ["ntilde-lagrangian-residual", "ntilde-negative-control", "cp-lagrangian-residual",
            "cp-hamiltonian-stationarity"]
-# one quadric in C^2, and in C^3 (a double's commands other than report-all
-# and verify-ntilde read its first system, one quadric in C^3)
+# one quadric in C^2, and in C^3
 _IN_C2 = {"one-quadric:2"}
-_IN_C3 = {"triangle", "simplex:2", "bad-triangle", "one-quadric:3", "cp2-torus", "rp2"}
+_IN_C3 = {"triangle", "simplex:2", "bad-triangle", "one-quadric:3"}
 _CLASSIFIED = {"triangle", "simplex:2", "simplex:3", "simplex:4", "one-quadric:2", "one-quadric:3",
-               "one-quadric:4", "cp2-torus", "rp2"}
+               "one-quadric:4"}
 
 
 def _expected_run(command: str, name: str) -> tuple[int, list[str]]:
@@ -516,6 +515,9 @@ def _expected_run(command: str, name: str) -> tuple[int, list[str]]:
             return 2, []
         record = {"gale": "gale-computed", "check-simple": "simple", "check-delzant": "delzant"}[command]
         return int(bad and command == "check-delzant"), [record]
+    # on a double only report-all and verify-ntilde run; the rest refuse it
+    if double and command not in ("report-all", "verify-ntilde"):
+        return 2, []
     if command == "check-free":
         return int(bad), ["torus-free"]
     if command == "check-nondeg":

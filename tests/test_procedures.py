@@ -144,9 +144,9 @@ def test_report_all_takes_no_stencil(monkeypatch):
         assert failed == (["delzant", "torus-free"] if name == "bad-triangle" else []), name
 
 
-def test_only_the_chart_layer_imports_fd():
-    # the stencils serve only the defaults of charts.Chart (the controls'
-    # FunctionChart) and the tests
+def test_no_module_in_src_imports_fd():
+    # every chart differentiates in closed form: the stencils serve only the
+    # tests, as their oracle
     import ast
     from pathlib import Path
 
@@ -158,7 +158,7 @@ def test_only_the_chart_layer_imports_fd():
                 names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
                 if any(n.split(".")[-1] == "fd" for n in names):
                     importers.add(path.name)
-    assert importers == {"charts.py"}
+    assert importers == set()
 
 
 def test_delzant_and_freeness_are_decided_independently(monkeypatch):

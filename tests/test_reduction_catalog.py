@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from momentangle.charts import FunctionChart, TorusSpreadChart, c2r
+from momentangle.charts import TorusSpreadChart, c2r
 from momentangle.quadric_config import (
     QuadricConfiguration,
     boundedness_check,
@@ -44,6 +44,7 @@ from momentangle.submanifold_numerics import (
     stationarity_ratio,
 )
 from momentangle.torus_actions import freeness_check, orbit_volume, torus_point
+from stencil_chart import FunctionChart
 
 spec = DEFAULT_SPEC
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from momentangle.charts import (
-    FunctionChart,
     NonConvergenceError,
     PolytopeChart,
     TorusSpreadChart,
@@ -60,6 +59,7 @@ from momentangle.procedures import (
     unequal_torus_control,
 )
 from momentangle.reduction_catalog import one_quadric_torus_chart
+from stencil_chart import FunctionChart
 
 spec = DEFAULT_SPEC
 TWO_PI = 2.0 * np.pi
@@ -92,20 +92,26 @@ def _box_params(chart, rng, half, n=20):
 
 
 def test_spread_chart_derivatives_match_stencils():
-    # the implicit-function jacobian and hessian against 4th-order stencils of
-    # the chart's value at step 1e-3, relative to their largest entry:
-    # measured at most 8.3e-10 (jacobian) and 2.8e-10 (hessian), the
-    # stencil's own error. The jacobian's error falls 16-fold per halving of
-    # the step (h^4) from 1.3e-8 at 2e-3 to 5.2e-11 at 5e-4; below 1e-3 the
-    # hessian's stencil reads the 1e-14 Newton residual through its 1 / h^2
+    # the implicit-function jacobian, hessian and third derivative against
+    # 4th-order stencils at step 1e-3 (of the chart's value, and of its
+    # hessian for the third), relative to their largest entry: measured at
+    # most 8.3e-10 (jacobian), 2.8e-10 (hessian) and 8.3e-10 (third), the
+    # stencil's own error. The jacobian's and the third's errors fall 16-fold
+    # per halving of the step (h^4), from 1.3e-8 at 2e-3 to 5.2e-11 at 5e-4;
+    # below 1e-3 the hessian's stencil reads the 1e-14 Newton residual
+    # through its 1 / h^2
     rng = np.random.default_rng(31)
     for name, chart, half in _spread_charts():
         S = _box_params(chart, rng, half)
-        J, H = chart.jacobian(S), chart.hessian(S)
+        J, H, T = chart.jacobian(S), chart.hessian(S), chart.third(S)
         assert J.shape == (20, chart.ambient_dim, chart.dim)
+        assert T.shape == (20, chart.ambient_dim, chart.dim, chart.dim, chart.dim)
         assert np.abs(J - fd.jacobian(chart.value, S, 1e-3)).max() < 2e-9 * np.abs(J).max(), name
         assert np.abs(H - fd.hessian(chart.value, S, 1e-3)).max() < 1e-9 * np.abs(H).max(), name
+        assert np.abs(T - fd.jacobian(chart.hessian, S, 1e-3)).max() < 2e-9 * np.abs(T).max(), name
         assert np.abs(H - np.swapaxes(H, 2, 3)).max() <= 1e-15 * np.abs(H).max(), name
+        for axes in ((2, 3), (3, 4)):  # measured at most 7e-19
+            assert np.abs(T - np.swapaxes(T, *axes)).max() <= 1e-15 * np.abs(T).max(), name
         assert membership_residuals(chart.project_cfg, chart.value(S)).max() < 1e-13, name
 
 
@@ -228,19 +234,23 @@ def test_polytope_chart_derivatives_match_stencils():
 
 def test_torus_chart_derivatives_match_stencils():
     # the closed-form cos/sin-times-phase derivatives against 4th-order
-    # stencils of the chart's value, relative to their largest entry:
-    # measured 5.2e-11 (jacobian) and 3.7e-11 (hessian) on one-quadric:2,
-    # 8.3e-10 and 2.8e-10 on gamma (2, 2) with c = 3, whose phase turns twice
-    # as fast (3.3e-10 and 1.5e-9 absolute on one-quadric:2)
+    # stencils of the chart's value (and of its hessian for the third),
+    # relative to their largest entry: measured 5.2e-11 (jacobian),
+    # 3.7e-11 (hessian) and 5.2e-11 (third) on one-quadric:2, 8.3e-10,
+    # 2.8e-10 and 8.3e-10 on gamma (2, 2) with c = 3, whose phase turns
+    # twice as fast (3.3e-10 and 1.5e-9 absolute on one-quadric:2)
     from momentangle.exact_linalg import IntegerMatrix
 
     rng = np.random.default_rng(24)
     for Q in (catalog_quadrics("one-quadric:2"), QuadricConfiguration(IntegerMatrix([[2, 2]], cols=2), [3])):
         chart = one_quadric_torus_chart(Q)
         S = rng.uniform(0.0, 1.0, (40, 2)) * chart.periods
-        J, H = chart.jacobian(S), chart.hessian(S)
+        J, H, T = chart.jacobian(S), chart.hessian(S), chart.third(S)
         assert np.abs(J - fd.jacobian(chart.value, S, 1e-3)).max() < 2e-9 * np.abs(J).max()
         assert np.abs(H - fd.hessian(chart.value, S, 1e-3)).max() < 1e-9 * np.abs(H).max()
+        assert np.abs(T - fd.jacobian(chart.hessian, S, 1e-3)).max() < 2e-9 * np.abs(T).max()
+        for axes in ((2, 3), (3, 4)):  # measured exactly symmetric
+            assert np.abs(T - np.swapaxes(T, *axes)).max() <= 1e-15 * np.abs(T).max()
         assert membership_residuals(Q, chart.value(S)).max() < 1e-14
         shifted = chart.value(S + chart.periods * rng.integers(-2, 3, (40, 2)))
         assert np.abs(shifted - chart.value(S)).max() < 1e-13
@@ -405,6 +415,17 @@ def test_batched_residuals_match_per_point_formulas():
     _assert_matches(ntilde_lagrangian_residual(D, sample),
                     np.array([_pointwise_ntilde(D, p) for p in _points(sample)]))
     _assert_rows_of_seven(lambda smp: ntilde_lagrangian_residual(D, smp), sample)
+
+    # the sampled polytope charts, in groups of seven: their derivatives sum
+    # by einsum, so a point's residuals do not depend on its batch either
+    for name in ("one-quadric:3", "two-quadrics:2,2"):
+        Q = catalog_quadrics(name)
+        sample = sample_chart_points(Q, 70, rng, spec)
+        for i in range(0, 70, 7):
+            group = sample[i : i + 7]
+            _assert_rows_of_seven(lambda smp: lagrangian_residual(Q, smp), group)
+            _assert_rows_of_seven(lambda smp: minimality_residual_in_Z(Q, smp), group)
+            _assert_rows_of_seven(lambda smp: hminimality_residual(Q, smp), group)
 
 
 def test_frame_orthonormal_and_annihilating():
@@ -845,9 +866,12 @@ def test_hminimality_examples():
     pc = chart_N(Q1, [1.0], [], [0.2])
     assert hminimality_residual(Q1, pc)[0] < 1e-6
 
+    # the ellipse on its closed-form chart against the closed form of
+    # |dkappa/ds|: measured 1.9e-16 relative (one unit in the last place),
+    # and bounded at about 20 times that
     numeric, oracle = ellipse_control()
     assert numeric > 1e-2
-    assert abs(numeric - oracle) / oracle < 1e-3
+    assert abs(numeric - oracle) / oracle < 4e-15
 
 
 # one quadric in C^2 and C^3, gamma (2, 2) with c = 2, and two quadrics in
