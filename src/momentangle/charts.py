@@ -3,7 +3,8 @@
 Every chart is a spread chart (v, phi) -> phases(phi) * u(v): a map u into
 the real locus, times the phases exp(2 pi i <row_j, phi>). Each chart
 supplies u's v-derivatives, and one product rule (``_phase_product``) gives
-its derivatives through third order, all in closed form.
+its derivatives through third order, all in closed form. ``Chart.jet``
+gives them together, from one solve of u.
 """
 
 from __future__ import annotations
@@ -104,8 +105,9 @@ class Chart:
 
     Subclasses set ``nv``, ``nphi``, ``dim = nv + nphi``, ``ambient_dim``
     and ``phase_rows``, and supply ``_u(V, order)``: u and its
-    v-derivatives up to ``order`` at the rows of V. Every derivative of the
-    chart is the product rule on those.
+    v-derivatives up to ``order`` at the rows of V. ``jet`` is the product
+    rule on those, once per order; ``value``, ``jacobian`` and ``hessian``
+    each read one entry of a jet.
     """
 
     nv: int
@@ -125,25 +127,28 @@ class Chart:
         firsts = sorted(set(keys.index(key) for key in keys))
         return self.phase_rows[:, firsts], np.array([firsts.index(keys.index(key)) for key in keys])
 
-    def _derivative(self, S: np.ndarray, order: int) -> np.ndarray:
+    def jet_and_base(self, S: np.ndarray, order: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """(jet, u): the derivatives (z, J, ..., D^order) at the rows of S and the
+        points u(v) (N, m) under them, from one ``_u`` call and one phase computation."""
         V, Phi = _split_params(S, self.nv, self.dim)
         rates, of_rate = self._rates
         # einsum, not matmul: a point's sums do not depend on its batch
         phases = np.exp(1j * TWO_PI * np.einsum("nj,jk->nk", Phi, rates))[:, of_rate]
-        return _phase_product(phases, self._u(V, order), self.phase_rows)
+        us = self._u(V, order)
+        return tuple(_phase_product(phases, us[: n + 1], self.phase_rows) for n in range(order + 1)), us[0]
+
+    def jet(self, S: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+        """(z, J, ..., D^order): z (N, m), J (N, m, d), H (N, m, d, d), T (N, m, d, d, d)."""
+        return self.jet_and_base(S, order)[0]
 
     def value(self, S: np.ndarray) -> np.ndarray:
-        return self._derivative(S, 0)
+        return self.jet(S, 0)[0]
 
     def jacobian(self, S: np.ndarray) -> np.ndarray:
-        return self._derivative(S, 1)
+        return self.jet(S, 1)[1]
 
     def hessian(self, S: np.ndarray) -> np.ndarray:
-        return self._derivative(S, 2)
-
-    def third(self, S: np.ndarray) -> np.ndarray:
-        """Third derivatives (N, m, d, d, d)."""
-        return self._derivative(S, 3)
+        return self.jet(S, 2)[2]
 
 
 class TorusSpreadChart(Chart):

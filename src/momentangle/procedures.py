@@ -74,10 +74,6 @@ TWO_PI = 2.0 * np.pi
 VARIATION_FIELDS = 5
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 # the gates of CHECKS; a report that refuses a configuration reads the same gate
 def _always(subject) -> bool:
     return True
@@ -180,15 +176,16 @@ def point_residual_report(
     which reads |OMEGA_SCALE| = 1/pi.
     """
     rep = VerificationReport(seed=seed)
-    rng = _rng(seed)
-    pts = sample_chart_points(Q, samples, rng, spec)
+    rng = np.random.default_rng(seed)
+    pts = sample_chart_points(Q, samples, rng, spec, order=2 if with_minimal else 1)
     lag = float(lagrangian_residual(Q, pts).max())
     rep.add("lagrangian-residual", lag, TOL_LAGRANGIAN, samples=samples)
     if Q.ambient_dim > Q.num_quadrics:
-        frames = [tangent_frame_Z(Q, z) for z in pts.points[:5]]
+        frames = tangent_frame_Z(Q, pts.points[:5])
     else:
-        frames = [np.stack([e, 1j * e]) for e in tangent_frames(Q, pts[:5])[:, 0]]
-    ctrl = max(frame_symplectic_residual(V) for V in frames)
+        e = tangent_frames(Q, pts[:5])[:, 0]
+        frames = np.stack([e, 1j * e], axis=1)
+    ctrl = float(frame_symplectic_residual(frames).max())
     rep.add_lower_bound("lagrangian-negative-control", ctrl, CONTROL_BOUND)
     if with_minimal:
         mini = float(minimality_residual_in_Z(Q, pts).max())
@@ -218,8 +215,8 @@ def hminimality_report(
     spec: MetricSpec = DEFAULT_SPEC,
 ) -> VerificationReport:
     rep = VerificationReport(seed=seed)
-    rng = _rng(seed)
-    pts = sample_chart_points(Q, points, rng, spec)
+    rng = np.random.default_rng(seed)
+    pts = sample_chart_points(Q, points, rng, spec, order=3)
     worst = float(hminimality_residual(Q, pts).max())
     rep.add("hminimality-residual", worst, TOL_HMINIMAL, samples=points)
     return rep
@@ -262,17 +259,17 @@ def noether_report(
 ) -> VerificationReport:
     """Moment drift along invariant Hamiltonian fields; rejection of a non-invariant one."""
     rep = VerificationReport(seed=seed)
-    rng = _rng(seed)
-    z = sample_chart_points(Q, 1, rng, spec).points[0]
+    rng = np.random.default_rng(seed)
+    z = sample_chart_points(Q, 1, rng, spec, order=0).points[0]
     fields = _noether_hamiltonians(Q.ambient_dim)
     worst = 0.0
     for f, grad in fields:
-        worst = max(worst, noether_drift(Q, f, grad, z, rng=_rng(seed + 1)))
+        worst = max(worst, noether_drift(Q, f, grad, z, rng=np.random.default_rng(seed + 1)))
     rep.add("noether-drift", worst, TOL_NOETHER, samples=len(fields))
     rejected = False
     e1 = np.eye(Q.ambient_dim)[0]  # the gradient of Re z_1
     try:
-        noether_drift(Q, lambda zz: zz[..., 0].real, lambda zz: e1 + 0.0 * zz, z, rng=_rng(seed + 2))
+        noether_drift(Q, lambda zz: zz[..., 0].real, lambda zz: e1 + 0.0 * zz, z, rng=np.random.default_rng(seed + 2))
     except InvarianceError:
         rejected = True
     rep.add_bool("noninvariant-rejected", rejected)
@@ -284,20 +281,20 @@ def vo_symmetry_report(
 ) -> VerificationReport:
     """Orbit volume is invariant under coordinatewise conjugation."""
     rep = VerificationReport(seed=seed)
-    rng = _rng(seed)
-    Z = sample_chart_points(Q, samples, rng, spec).points
+    rng = np.random.default_rng(seed)
+    Z = sample_chart_points(Q, samples, rng, spec, order=0).points
     diff = np.abs(np.asarray(orbit_volume(Q, Z)) - np.asarray(orbit_volume(Q, np.conj(Z))))
     rep.add("orbit-volume-conjugation", float(diff.max()), TOL_VO_SYMMETRY, samples=samples)
     return rep
 
 
-def coarea_report(Q: QuadricConfiguration, seed: int = 0, nodes: int = 20) -> VerificationReport:
-    """Patch volume upstairs vs integral of the orbit volume over the base patch.
+def coarea_report(Q: QuadricConfiguration, seed: int = 0) -> VerificationReport:
+    """Patch volume upstairs vs integral of the orbit volume over the base patch, on 20 nodes an axis.
 
     The check is exact and draws nothing, so ``seed`` only labels the report.
     """
     rep = VerificationReport(seed=seed)
-    up, fib = coarea_orbit_volume_check(Q, nodes=nodes)
+    up, fib = coarea_orbit_volume_check(Q, nodes=20)
     rel = abs(up - fib) / max(abs(up), abs(fib), 1e-12)
     rep.add("coarea-relative-mismatch", rel, TOL_COAREA_REL)
     return rep
@@ -311,7 +308,7 @@ def circle_variation_values(spec: MetricSpec = DEFAULT_SPEC) -> tuple[float, flo
     """(dVol/dt, -integral <H, X>) for the unit circle under the radial field."""
     Q = QuadricConfiguration.from_rows([(1,)], [1])
     chart = TorusSpreadChart(Q, [1.0], newton_tol=spec.newton_tol)
-    patch = ChartPatch(chart=chart, lo=[0.0], hi=[1.0], nodes=32)
+    patch = ChartPatch(chart=chart, lo=[0.0], hi=[1.0], nodes=32, order=2)
 
     def radial_derivative(z, V):
         # the part of V orthogonal to z, over |z|
@@ -359,8 +356,8 @@ def first_variation_report(
     hi = [5.9, 0.95]
     # the bump-weighted integrands need 48 nodes per axis: at 24 the
     # quadrature error alone reached 1.6e-2 of |dv| + |comp| on some seeds
-    patch = ChartPatch(chart=chart, lo=lo, hi=hi, nodes=48, bump_axes=(0, 1))
-    rng = _rng(seed)
+    patch = ChartPatch(chart=chart, lo=lo, hi=hi, nodes=48, order=2, bump_axes=(0, 1))
+    rng = np.random.default_rng(seed)
     for i in range(VARIATION_FIELDS):
         X = _random_matrix_field(Q.ambient_dim, rng)
         dv = patch_volume_derivative(patch, X)
@@ -388,20 +385,20 @@ def hamiltonian_stationarity_report(
     at which a unit-curvature submanifold would change volume.
     """
     rep = VerificationReport(seed=seed)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     if not _one_quadric_in_C2_or_C3(Q):
         raise ValueError("stationarity report runs on one quadric in C^2 or C^3")
     localized = Q.ambient_dim == 3
     if not localized:
         chart = one_quadric_torus_chart(Q)
-        patch = ChartPatch(chart=chart, lo=[0.0, 0.0], hi=list(chart.periods), nodes=24)
+        patch = ChartPatch(chart=chart, lo=[0.0, 0.0], hi=list(chart.periods), nodes=24, order=1)
     else:
-        base = sample_chart_points(Q, 1, rng, spec).bases[0]
+        base = sample_chart_points(Q, 1, rng, spec, order=0).bases[0]
         chart = TorusSpreadChart(Q, base, newton_tol=spec.newton_tol)
         lo = [-0.65, -0.65, -0.15]
         hi = [0.65, 0.65, 0.15]
         # the ambient cutoff is narrow in the phase direction: resolve it harder
-        patch = ChartPatch(chart=chart, lo=lo, hi=hi, nodes=[20, 20, 36])
+        patch = ChartPatch(chart=chart, lo=lo, hi=hi, nodes=[20, 20, 36], order=1)
         z0 = chart.value(np.zeros((1, 3)))[0]
         rho = 0.4
 
@@ -427,14 +424,14 @@ def ntilde_report(
     second system's phases only.
     """
     rep = VerificationReport(seed=seed)
-    rng = _rng(seed)
-    pts = sample_chart_points(D.stacked, samples, rng, spec, phase_rows=D.delta_cfg.gamma_float())
+    rng = np.random.default_rng(seed)
+    pts = sample_chart_points(D.stacked, samples, rng, spec, phase_rows=D.delta_cfg.gamma_float(), order=1)
     worst = float(ntilde_lagrangian_residual(D, pts).max())
     rep.add("ntilde-lagrangian-residual", worst, TOL_LAGRANGIAN, samples=samples)
     chart = pts.chart
     p0 = chart_point(chart, np.concatenate([np.zeros(chart.nv), 0.17 * np.ones(chart.nphi)]),
                      Q=D.stacked, spec=spec)
-    ctrl = stacked_tangent_horizontal_residual(D, p0.points[0])
+    ctrl = float(stacked_tangent_horizontal_residual(D, p0.points)[0])
     rep.add_lower_bound("ntilde-negative-control", ctrl, CONTROL_BOUND)
     return rep
 

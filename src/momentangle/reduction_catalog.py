@@ -231,18 +231,18 @@ def ntilde_lagrangian_residual(D: DoubleConfiguration, sample: ChartSample) -> n
     tangent space pairs to zero exactly when the reduced submanifold is
     Lagrangian for the reduced form.
     """
-    J = sample.chart.jacobian(sample.params)  # (N, m, d)
-    return _horizontal_residual(D, sample.points, J)
+    z, J = sample.jet[:2]  # (N, m), (N, m, d)
+    return _horizontal_residual(D, z, J)
 
 
-def stacked_tangent_horizontal_residual(D: DoubleConfiguration, z) -> float:
-    """Same reduction but for the full tangent space of the stacked quadric set.
+def stacked_tangent_horizontal_residual(D: DoubleConfiguration, Z: np.ndarray) -> np.ndarray:
+    """Same reduction but for the full tangent space of the stacked quadric set, at the rows of Z.
 
     Serves as the negative control: the reduced image of the whole
     intersection is not Lagrangian, so this residual is far from zero.
     """
-    frame = tangent_frame_Z(D.stacked, z)  # (dim, m) complex
-    return float(_horizontal_residual(D, np.asarray(z, complex)[None, :], frame.T[None])[0])
+    frames = tangent_frame_Z(D.stacked, Z)  # (N, dim, m) complex
+    return _horizontal_residual(D, Z, np.swapaxes(frames, -2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +501,8 @@ def cp_chart_setup(
                       + [_phase_half_width(base, row, CP_CUTOFF_RADIUS)
                          for row in D.delta_cfg.gamma_float()])
         lo, nodes = -hi, [40] * nv + [1] + [40] * ndelta
-    phases = np.arange(chart.dim) >= chart.dim - len(chart.phase_rows)
-    sample = ChartSample(chart, S, chart.value(S), chart.value(np.where(phases, 0.0, S)).real)
-    patch = ChartPatch(chart=chart, lo=lo, hi=hi, nodes=nodes)
+    sample = ChartSample.at(chart, S, 1)
+    patch = ChartPatch(chart=chart, lo=lo, hi=hi, nodes=nodes, order=1)
     # the Hamiltonians of the C^m check, as functions of the circle invariants
     poly = _poly_scalar(m * (m + 1) // 2, rng)
     if localized:

@@ -8,8 +8,9 @@ OMEGA_SCALE = -1/pi, which makes z -> (|z_k|^2) exactly the moment map for
 torus generators parametrized as exp(2 pi i <gamma_k, phi>). Every verdict
 computed here is invariant under that scale.
 
-Points of a chart travel as a ``ChartSample``, and every pointwise check
-takes one and returns one value per point, shape (N,).
+Points of a chart travel as a ``ChartSample``, which holds their jet,
+solved once through the order its checks read; every pointwise check takes
+one and returns one value per point, shape (N,).
 """
 
 from __future__ import annotations
@@ -57,18 +58,28 @@ DEFAULT_SPEC = MetricSpec()
 
 @dataclass
 class ChartSample:
-    """Points of one chart drawn together: ``params`` (N, d), ``points`` (N, m).
-
-    ``bases`` (N, m) holds the point of the real locus under each sample.
-    A slice gives a ``ChartSample``; one point is the sample ``s[i:i + 1]``.
-    The pointwise residual functions take a whole sample and return one
-    value per point.
+    """Points of one chart evaluated together: ``params`` (N, d) and their ``jet``
+    (z, J, ..., D^order), the chart's one evaluation through the order the
+    sample's checks read. ``points`` (N, m) is the jet's order 0, and
+    ``bases`` (N, m) the point of the real locus under each. A slice slices
+    the jet; one point is the sample ``s[i:i + 1]``. The pointwise residual
+    functions take a whole sample and return one value per point.
     """
 
     chart: Chart
     params: np.ndarray
-    points: np.ndarray
+    jet: tuple[np.ndarray, ...]
     bases: np.ndarray
+
+    @classmethod
+    def at(cls, chart: Chart, params: np.ndarray, order: int) -> ChartSample:
+        """The sample of ``chart`` at ``params`` through ``order``; its bases are u(v) of the same solve."""
+        jet, u = chart.jet_and_base(params, order)
+        return cls(chart, params, jet, u.real)
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.jet[0]
 
     def __len__(self) -> int:
         return self.params.shape[0]
@@ -76,7 +87,7 @@ class ChartSample:
     def __getitem__(self, s: slice) -> ChartSample:
         if not isinstance(s, slice):
             raise TypeError("a ChartSample takes slices; one point is sample[i:i + 1]")
-        return ChartSample(self.chart, self.params[s], self.points[s], self.bases[s])
+        return ChartSample(self.chart, self.params[s], tuple(D[s] for D in self.jet), self.bases[s])
 
 
 # ---------------------------------------------------------------------------
@@ -121,16 +132,17 @@ def chart_point(
 ) -> ChartSample:
     """The one-point sample of ``chart`` at ``params``, checked against ``Q`` if given.
 
-    Its base is |z|: the real locus is invariant under coordinatewise sign
+    It carries the jet through third order, every order a check reads. Its
+    base is |z|: the real locus is invariant under coordinatewise sign
     changes, so |z| is the real point in the orthant under a spread point.
     """
     S = np.asarray(params, dtype=float)[None, :]
-    Z = chart.value(S)
+    jet = chart.jet(S, 3)
     if Q is not None:
-        res = float(membership_residuals(Q, Z).max())
+        res = float(membership_residuals(Q, jet[0]).max())
         if res > spec.tol_membership:
             raise ValueError(f"chart point violates the quadric system: residual {res:.3e}")
-    return ChartSample(chart, S, Z, np.abs(Z))
+    return ChartSample(chart, S, jet, np.abs(jet[0]))
 
 
 def chart_N(
@@ -152,7 +164,7 @@ def tangent_frames(Q: QuadricConfiguration | None, sample: ChartSample) -> np.nd
     Raises if any jacobian is rank deficient or, given ``Q``, if any frame
     fails to annihilate the quadric differentials at the sample's points.
     """
-    J = sample.chart.jacobian(sample.params)  # (N, m, d)
+    J = sample.jet[1]  # (N, m, d)
     Jr = np.concatenate([J.real, J.imag], axis=-2)  # (N, 2m, d)
     Qm, R = np.linalg.qr(Jr)
     diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
@@ -168,13 +180,12 @@ def tangent_frames(Q: QuadricConfiguration | None, sample: ChartSample) -> np.nd
     return vectors
 
 
-def tangent_frame_Z(Q: QuadricConfiguration, z) -> np.ndarray:
-    """Orthonormal frame of the tangent space of the quadric intersection at z."""
-    z = np.asarray(z, dtype=complex)
+def tangent_frame_Z(Q: QuadricConfiguration, Z: np.ndarray) -> np.ndarray:
+    """Orthonormal frames (N, 2m - k, m) of the tangent spaces of the quadric intersection at the rows of Z."""
     k = Q.num_quadrics
-    grads = c2r(2.0 * Q.gamma_float() * z[None, :])  # (k, 2m)
-    full, _ = np.linalg.qr(grads.T, mode="complete")
-    return r2c(full[:, k:].T)
+    grads = c2r(2.0 * Q.gamma_float() * np.asarray(Z, dtype=complex)[:, None, :])  # (N, k, 2m)
+    full, _ = np.linalg.qr(np.swapaxes(grads, -2, -1), mode="complete")
+    return r2c(np.swapaxes(full[:, :, k:], -2, -1))
 
 
 def lagrangian_residual(Q: QuadricConfiguration | None, sample: ChartSample) -> np.ndarray:
@@ -186,23 +197,17 @@ def lagrangian_residual(Q: QuadricConfiguration | None, sample: ChartSample) -> 
 # curvature
 
 
-def _curvature_batch(chart: Chart, S: np.ndarray):
-    """Mean curvature trace data for a batch of chart parameters.
-
-    Returns (H_real (N, 2m), Jr (N, 2m, d), g (N, d, d)). H = trace_g of
-    the normal projection of the chart's second derivatives, the
-    unnormalized mean curvature vector.
-    """
-    J = chart.jacobian(S)
-    Hess = chart.hessian(S)
-    Jr = np.concatenate([J.real, J.imag], axis=-2)
+def _curvature_batch(Jr: np.ndarray, g: np.ndarray, Hess: np.ndarray) -> np.ndarray:
+    """The unnormalized mean curvature vector H_real (N, 2m): trace_g of the
+    normal projection of the second derivatives, from the real jacobian
+    Jr (N, 2m, d), the induced metric g (N, d, d) and the jet's hessian
+    (N, m, d, d)."""
     Hr = np.concatenate([Hess.real, Hess.imag], axis=-3)
-    g = np.einsum("nia,nib->nab", Jr, Jr)
     ginv = np.linalg.inv(g)
     tr = np.einsum("nab,niab->ni", ginv, Hr)
     Qm, _ = np.linalg.qr(Jr)
     tang = np.einsum("nia,na->ni", Qm, np.einsum("nia,ni->na", Qm, tr))
-    return tr - tang, Jr, g
+    return tr - tang
 
 
 def minimality_residual_in_Z(Q: QuadricConfiguration, sample: ChartSample) -> np.ndarray:
@@ -212,7 +217,9 @@ def minimality_residual_in_Z(Q: QuadricConfiguration, sample: ChartSample) -> np
     intersection is the intersection-tangential part of the flat one, so
     this is |H| of the embedding into the quadric set.
     """
-    H, Jr, _ = _curvature_batch(sample.chart, sample.params)
+    _, J, Hess = sample.jet[:3]
+    Jr = np.concatenate([J.real, J.imag], axis=-2)
+    H = _curvature_batch(Jr, np.einsum("nia,nib->nab", Jr, Jr), Hess)
     grads = c2r(2.0 * Q.gamma_float() * sample.points[:, None, :])  # (N, k, 2m), the normals to Z
     stacked = np.concatenate([Jr, np.swapaxes(grads, -2, -1)], axis=-1)
     Qm, _ = np.linalg.qr(stacked)
@@ -386,22 +393,29 @@ def noether_drift(
 
 @dataclass
 class ChartPatch:
-    """Quadrature grid on a chart box, with optional compact bump weights.
+    """The nodes of a tensor Gauss-Legendre grid on a chart box as one
+    sample, with their weights ``w`` and optional compact bump weights.
 
     ``bump_axes`` lists the parameter axes along which the deformation must
     vanish at the boundary (periodic/full axes carry no bump). The ambient
-    is flat C^m. The tensor Gauss-Legendre rule is kept to boxes of
-    dimension at most 4; a larger box raises.
+    is flat C^m. The sample is built through ``order``: 1 for volumes and
+    their derivatives, 2 for the curvature integral. The induced metric
+    ``g`` (N, d, d), the area element ``elem`` and, at order 2, the real
+    mean curvature ``curvature`` (N, 2m) are computed at construction, once
+    for every field. Boxes have dimension at most 4.
     """
 
     chart: Chart
     lo: np.ndarray
     hi: np.ndarray
-    nodes: int | Sequence[int] = 16
+    nodes: int | Sequence[int]
+    order: int
     bump_axes: tuple[int, ...] = ()
-    S: np.ndarray = field(init=False)
+    sample: ChartSample = field(init=False)
     w: np.ndarray = field(init=False)
-    _cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    g: np.ndarray = field(init=False)
+    elem: np.ndarray = field(init=False)
+    curvature: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
         self.lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
@@ -410,7 +424,13 @@ class ChartPatch:
             raise ValueError("box dimension disagrees with the chart")
         if self.chart.dim > 4:
             raise ValueError(f"patch boxes have dimension at most 4, got {self.chart.dim}")
-        self.S, self.w = quadrature.tensor_grid(self.lo, self.hi, self.nodes)
+        S, self.w = quadrature.tensor_grid(self.lo, self.hi, self.nodes)
+        self.sample = ChartSample.at(self.chart, S, self.order)
+        J = self.sample.jet[1]
+        Jr = np.concatenate([J.real, J.imag], axis=1)
+        self.g = np.swapaxes(Jr, 1, 2) @ Jr
+        self.elem = np.sqrt(np.linalg.det(self.g))
+        self.curvature = _curvature_batch(Jr, self.g, self.sample.jet[2]) if self.order == 2 else None
 
     def bump_at(self, S: np.ndarray) -> np.ndarray:
         if not self.bump_axes:
@@ -421,40 +441,9 @@ class ChartPatch:
         """Gradient (N, d) of the bump in the chart parameters (0 with no bump axes)."""
         return quadrature.box_bump_gradient(S, self.lo, self.hi, self.bump_axes)
 
-    @property
-    def points(self) -> np.ndarray:
-        """The chart's values on the nodes, computed once."""
-        if "points" not in self._cache:
-            self._cache["points"] = self.chart.value(self.S)
-        return self._cache["points"]
-
-    def chart_on_nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(real jacobian (N, 2m, d), induced metric g (N, d, d), area element) on the nodes.
-
-        Computed once, like ``curvature_on_nodes``: every volume and volume
-        derivative of the patch reads it.
-        """
-        if "chart" not in self._cache:
-            J = self.chart.jacobian(self.S)
-            Jr = np.concatenate([J.real, J.imag], axis=1)
-            g = np.swapaxes(Jr, 1, 2) @ Jr
-            self._cache["chart"] = (Jr, g, np.sqrt(np.linalg.det(g)))
-        return self._cache["chart"]
-
-    def curvature_on_nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(points, real mean curvature, area element) on the nodes.
-
-        Computed once: the chart and the nodes are fixed, so every field
-        integrated over the patch reuses them.
-        """
-        if "curvature" not in self._cache:
-            Hr, _, g = _curvature_batch(self.chart, self.S)
-            self._cache["curvature"] = (self.points, Hr, np.sqrt(np.linalg.det(g)))
-        return self._cache["curvature"]
-
 
 def patch_volume(patch: ChartPatch) -> float:
-    return float(np.sum(patch.w * patch.chart_on_nodes()[2]))
+    return float(np.sum(patch.w * patch.elem))
 
 
 def patch_volume_derivative(patch: ChartPatch, X: VectorField) -> float:
@@ -472,20 +461,19 @@ def patch_volume_derivative(patch: ChartPatch, X: VectorField) -> float:
 
 
 def patch_volume_and_derivative(patch: ChartPatch, X: VectorField) -> tuple[float, float]:
-    """(vol(patch), dVol/dt) as in ``patch_volume_derivative``, from one chart jacobian."""
+    """(vol(patch), dVol/dt) as in ``patch_volume_derivative``, from the patch's jacobian and metric."""
     if not isinstance(X, VectorField):
         raise TypeError("a volume derivative needs a VectorField with its derivative")
-    P = patch.points
-    Jr, g, elem = patch.chart_on_nodes()
-    JP = np.swapaxes(Jr, 1, 2)  # (N, d, 2m): the chart's columns as real ambient vectors
-    JY = X.derivative(P, r2c(JP))
+    P, S, g, elem = patch.sample.points, patch.sample.params, patch.g, patch.elem
+    JP = np.swapaxes(patch.sample.jet[1], 1, 2)  # (N, d, m): the chart's columns as ambient vectors
+    JY = X.derivative(P, JP)
     if patch.bump_axes:
-        JY = (patch.bump_at(patch.S)[:, None, None] * JY
-              + patch.bump_gradient_at(patch.S)[:, :, None] * np.asarray(X(P))[:, None, :])
+        JY = (patch.bump_at(S)[:, None, None] * JY
+              + patch.bump_gradient_at(S)[:, :, None] * np.asarray(X(P))[:, None, :])
     JY = c2r(JY)
     # only the nodes the deformation moves contribute; a localized field moves few
     moved = np.flatnonzero(np.any(JY, axis=(1, 2)))
-    half_dg = JP[moved] @ np.swapaxes(JY[moved], 1, 2)
+    half_dg = c2r(JP[moved]) @ np.swapaxes(JY[moved], 1, 2)
     rate = np.trace(np.linalg.solve(g[moved], half_dg), axis1=1, axis2=2)
     return float(np.sum(patch.w * elem)), float(np.sum((patch.w * elem)[moved] * rate))
 
@@ -494,11 +482,14 @@ def first_variation_integral(patch: ChartPatch, X: Callable[[np.ndarray], np.nda
     """The curvature quadrature -integral <H, X> * bump dA over a patch.
 
     By the first variation formula this equals ``patch_volume_derivative``
-    for the same field, from independent (second-derivative) chart data.
+    for the same field, from independent (second-derivative) chart data, so
+    it reads a patch of order 2.
     """
-    P, Hr, elem = patch.curvature_on_nodes()
+    if patch.curvature is None:
+        raise ValueError("the curvature integral reads a patch of order 2")
+    P, S = patch.sample.points, patch.sample.params
     Xr = c2r(X(P))
-    return -float(np.sum(patch.w * patch.bump_at(patch.S) * np.einsum("ni,ni->n", Hr, Xr) * elem))
+    return -float(np.sum(patch.w * patch.bump_at(S) * np.einsum("ni,ni->n", patch.curvature, Xr) * patch.elem))
 
 
 def stationarity_ratio(patch: ChartPatch, Xf: VectorField, localized: bool = False) -> float:
@@ -510,11 +501,12 @@ def stationarity_ratio(patch: ChartPatch, Xf: VectorField, localized: bool = Fal
     volume-changing one reads of the order of |H|. With ``localized`` the candidate must vanish on the
     outermost shell of the patch box; a field that leaks raises.
     """
-    Xvals = np.asarray(Xf(patch.points))
+    S = patch.sample.params
+    Xvals = np.asarray(Xf(patch.sample.points))
     xmax = float(np.abs(Xvals).max())
     if localized:
         margin = 0.08 * (patch.hi - patch.lo)
-        near = np.any((patch.S < patch.lo + margin) | (patch.S > patch.hi - margin), axis=1)
+        near = np.any((S < patch.lo + margin) | (S > patch.hi - margin), axis=1)
         leak = float(np.abs(Xvals[near]).max()) if near.any() else 0.0
         if leak > 1e-8 * max(xmax, 1e-12):
             raise RuntimeError("localized field leaks outside the chart patch")
@@ -529,13 +521,12 @@ def hminimality_residual(Q: QuadricConfiguration | None, sample: ChartSample) ->
     is sharped with the induced metric, W = g^-1 alpha, and its
     codifferential is the negative divergence
     -(d_c W^c + 1/2 tr(g^-1 d_c g) W^c). Every d_c is the product rule on
-    the chart's jacobian J, hessian and third derivative, so a chart with
+    the sample's jacobian J, hessian and third derivative, so a chart with
     closed-form derivatives takes no stencil.
     """
-    S, chart = sample.params, sample.chart
-    J, Hess, T = chart.jacobian(S), chart.hessian(S), chart.third(S)
+    _, J, Hess, T = sample.jet
     J, Hess, T = (np.concatenate([X.real, X.imag], axis=1) for X in (J, Hess, T))
-    Om = omega_matrix(chart.ambient_dim)
+    Om = omega_matrix(sample.chart.ambient_dim)
     g = np.einsum("nia,nib->nab", J, J)
     gi = np.linalg.inv(g)
     dg = np.einsum("niac,nib->ncab", Hess, J)
@@ -564,7 +555,7 @@ def hminimality_residual(Q: QuadricConfiguration | None, sample: ChartSample) ->
 # ---------------------------------------------------------------------------
 # co-area
 
-def coarea_orbit_volume_check(Q: QuadricConfiguration, nodes: int = 20) -> tuple[float, float]:
+def coarea_orbit_volume_check(Q: QuadricConfiguration, nodes: int) -> tuple[float, float]:
     """Volume of a chart patch of the spread submanifold vs the fiber integral.
 
     Both sides run over one ``PolytopeChart`` at x0 = real_base_point(Q)**2
@@ -588,13 +579,13 @@ def coarea_orbit_volume_check(Q: QuadricConfiguration, nodes: int = 20) -> tuple
         half = np.full(chart.nv, 0.5 * np.min(chart.x0 / np.abs(chart.B).sum(axis=1)))
     lo = np.concatenate([-half, np.zeros(chart.nphi)])
     hi = np.concatenate([half, np.ones(chart.nphi)])
-    upstairs = patch_volume(ChartPatch(chart=chart, lo=lo, hi=hi, nodes=nodes))
+    upstairs = patch_volume(ChartPatch(chart=chart, lo=lo, hi=hi, nodes=nodes, order=1))
 
     Sv, wv = quadrature.tensor_grid(-half, half, nodes)
-    base = np.concatenate([Sv, np.zeros((len(Sv), chart.nphi))], axis=1)
-    Ju = chart.jacobian(base)[:, :, : chart.nv].real  # B / (2u) at phi = 0
+    Z, J = chart.jet(np.concatenate([Sv, np.zeros((len(Sv), chart.nphi))], axis=1), 1)
+    Ju = J[:, :, : chart.nv].real  # B / (2u) at phi = 0
     elem = np.sqrt(np.linalg.det(np.swapaxes(Ju, 1, 2) @ Ju))
-    vo = orbit_volume(Q, chart.value(base))
+    vo = orbit_volume(Q, Z)
     return upstairs, float(np.sum(wv * np.asarray(vo) * elem))
 
 
@@ -623,8 +614,10 @@ def sample_chart_points(
     rng: np.random.Generator,
     spec: MetricSpec = DEFAULT_SPEC,
     phase_rows: np.ndarray | None = None,
+    *,
+    order: int,
 ) -> ChartSample:
-    """Random points of one ``PolytopeChart`` at x0 = real_base_point(Q)**2.
+    """Random points of one ``PolytopeChart`` at x0 = real_base_point(Q)**2, evaluated through ``order``.
 
     Each sample moves x from x0 along a uniformly random unit direction of
     ker Gamma, by a uniform fraction of ``SAMPLE_REACH`` times the distance
@@ -641,10 +634,8 @@ def sample_chart_points(
     reach = SAMPLE_REACH * np.minimum(to_face, np.linalg.norm(chart.x0))
     V = (reach * rng.uniform(0.0, 1.0, count))[:, None] * W
     Phi = rng.uniform(0.0, 1.0, (count, chart.nphi))
-    S = np.concatenate([V, Phi], axis=1)
-    Z = chart.value(S)
-    res = float(membership_residuals(Q, Z).max())
+    sample = ChartSample.at(chart, np.concatenate([V, Phi], axis=1), order)
+    res = float(membership_residuals(Q, sample.points).max())
     if res > spec.tol_membership:
         raise ValueError(f"chart point violates the quadric system: residual {res:.3e}")
-    bases = chart.value(np.concatenate([V, np.zeros_like(Phi)], axis=1)).real
-    return ChartSample(chart, S, Z, bases)
+    return sample

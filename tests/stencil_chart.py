@@ -16,7 +16,8 @@ STEP = 1e-3  # the stencil step of every derivative
 
 class FunctionChart:
     """The chart of ``fn``: its jacobian and hessian are stencils of ``value`` at
-    ``STEP``, and its third derivative a stencil of the hessian."""
+    ``STEP``, and its third derivative a stencil of the hessian. ``jet`` gives
+    them together, as a sample holds them."""
 
     def __init__(self, fn, dim: int, ambient_dim: int):
         self.fn = fn
@@ -35,3 +36,7 @@ class FunctionChart:
     def third(self, S: np.ndarray) -> np.ndarray:
         """Third derivatives (N, m, d, d, d); the last axis differentiates the hessian."""
         return fd.jacobian(self.hessian, S, STEP)
+
+    def jet(self, S: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+        """(value, jacobian, ...) through ``order``, each from its own stencil."""
+        return tuple(f(S) for f in (self.value, self.jacobian, self.hessian, self.third)[: order + 1])

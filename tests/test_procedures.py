@@ -96,7 +96,7 @@ def test_renderings_contain_identical_numbers():
         assert repr(r.tolerance) in human and repr(r.tolerance) in machine
 
 
-def test_stationarity_checks_take_no_fd_gradient(monkeypatch):
+def test_stationarity_checks_take_no_fd_gradient():
     # every Hamiltonian carries a closed-form gradient: fd has no gradient
     # stencil, and the stationarity checks run without one
     from momentangle import fd
@@ -108,40 +108,40 @@ def test_stationarity_checks_take_no_fd_gradient(monkeypatch):
     for name in ("cp2-torus", "rp2"):
         assert cp_chart_verify(catalog_double(name), samples=5).overall
 
-    # the Noether drift and the co-area check take no finite difference at all
-    def refuse(*args, **kwargs):
-        raise AssertionError("finite difference in an exact check")
 
-    monkeypatch.setattr(fd, "jacobian", refuse)
-    monkeypatch.setattr(fd, "hessian", refuse)
-    for name in ("one-quadric:2", "one-quadric:3"):
-        Q = catalog_quadrics(name)
-        assert proc.noether_report(Q).overall
-        assert proc.coarea_report(Q).overall
-
-
-def test_report_all_takes_no_stencil(monkeypatch):
-    # every chart report-all differentiates is exact: the sampled charts
-    # through third order (the codifferential), the circle-spread charts of
-    # the C^2 torus and the cp2 lift, the nearest-point spread chart of the
-    # C^3 stationarity patch and the rp2 lift
+def test_report_all_evaluates_each_point_set_once(monkeypatch):
+    # a sample or patch is evaluated once, as a jet through the order its
+    # checks read: one u(v) solve per point set, at the default 100 samples
     import io
 
-    from momentangle import fd
+    from momentangle.charts import CircleSpreadChart, PolytopeChart, TorusSpreadChart
     from momentangle.cli import _catalog_config, run_command
-    from momentangle.reduction_catalog import catalog_names
     from momentangle.submanifold_numerics import MetricSpec
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("finite difference in report-all")
+    solves, nearest = [], []  # (chart class, rows, order) per u(v) solve; rows per Newton solve
+    for cls in (TorusSpreadChart, CircleSpreadChart, PolytopeChart):
+        monkeypatch.setattr(cls, "_u", lambda self, V, order, u=cls._u: (
+            solves.append((type(self).__name__, len(V), order)) or u(self, V, order)))
+    solve_nearest = TorusSpreadChart._nearest
+    monkeypatch.setattr(TorusSpreadChart, "_nearest", lambda self, P: nearest.append(len(P)) or solve_nearest(self, P))
 
-    monkeypatch.setattr(fd, "jacobian", refuse)
-    monkeypatch.setattr(fd, "hessian", refuse)
-    for name in catalog_names():
-        cfg = _catalog_config(name)
-        rep = run_command("report-all", cfg, 0, 20, MetricSpec(), out=io.StringIO())
-        failed = [r.name for r in rep.records if not r.passed]
-        assert failed == (["delzant", "torus-free"] if name == "bad-triangle" else []), name
+    def report_all(name):
+        solves.clear()
+        nearest.clear()
+        rep = run_command("report-all", _catalog_config(name), 0, 100, MetricSpec(), out=io.StringIO())
+        assert rep.overall, name
+
+    # the rp2 lift: its 50-point sample and its 1600-node stationarity patch
+    report_all("rp2")
+    assert nearest == [50, 1600]
+    # the C^2 torus: the first-variation patch (48 x 48 nodes, whose
+    # curvature integral reads order 2) and the stationarity patch (24 x 24)
+    report_all("one-quadric:2")
+    assert [s for s in solves if s[0] == "CircleSpreadChart"] == [
+        ("CircleSpreadChart", 2304, 2), ("CircleSpreadChart", 576, 1)]
+    # triangle's C^3 stationarity patch, at order 1: no check reads its hessian
+    report_all("triangle")
+    assert [s for s in solves if s[1] == 14400] == [("TorusSpreadChart", 14400, 1)]
 
 
 def test_no_module_in_src_imports_fd():

@@ -167,7 +167,7 @@ def test_ntilde_membership_and_residual():
 def test_ntilde_negative_control():
     D = catalog_double("cp2-torus")
     p = ntilde_chart(D, np.array([1.0, 0.0, 1.0]), [0.1], [0.2], spec)
-    assert stacked_tangent_horizontal_residual(D, p.points[0]) > 0.1
+    assert stacked_tangent_horizontal_residual(D, p.points)[0] > 0.1
 
 
 def test_ntilde_residual_invariant_under_first_torus():
@@ -270,7 +270,7 @@ def _lift_patch(name):
     patch = setup.patch
     if name == "rp2":
         patch = ChartPatch(chart=patch.chart, lo=[-0.3, -0.3, -0.5], hi=[0.3, 0.3, 0.5],
-                           nodes=[24, 24, 1])
+                           nodes=[24, 24, 1], order=1)
     return setup, patch
 
 
@@ -286,7 +286,7 @@ def test_cp_reduced_tensors_match_horizontal_lifts(name):
     # / V_orb (measured: 2.7e-11 and 5.2e-11 relative)
     D = catalog_double(name)
     _, patch = _lift_patch(name)
-    chart, S, P = patch.chart, patch.S, patch.points
+    chart, S, P = patch.chart, patch.sample.params, patch.sample.points
     j = int(np.argmax(np.abs(P).min(axis=0)))  # the coordinate farthest from 0 on the nodes
     ax = GAMMA_AXIS[name]
     rest = [a for a in range(chart.dim) if a != ax]
@@ -300,7 +300,7 @@ def test_cp_reduced_tensors_match_horizontal_lifts(name):
     g_red = np.swapaxes(Jw, 1, 2) @ G @ Jw
     om_red = np.swapaxes(Jw, 1, 2) @ Om @ Jw
 
-    J = chart.jacobian(S)[:, :, rest]  # (N, 3, 2)
+    J = patch.sample.jet[1][:, :, rest]  # (N, 3, 2)
     vert = 1j * P / np.linalg.norm(P, axis=1, keepdims=True)
     Jh = J - vert[:, :, None] * np.real(np.einsum("ni,nia->na", np.conj(vert), J))[:, None, :]
     gram = np.einsum("nia,nib->nab", np.conj(Jh), Jh)
@@ -324,12 +324,12 @@ def test_cp_one_orbit_node_matches_several(name):
     one = setup.patch
     nodes = [int(n) for n in one.nodes]
     nodes[GAMMA_AXIS[name]] = 4
-    four = ChartPatch(chart=one.chart, lo=one.lo, hi=one.hi, nodes=nodes)
+    four = ChartPatch(chart=one.chart, lo=one.lo, hi=one.hi, nodes=nodes, order=1)
     X = hamiltonian_vector_field(setup.grad, setup.hess)
     one_vol, one_dvol = patch_volume_and_derivative(one, X)
     four_vol, four_dvol = patch_volume_and_derivative(four, X)
     assert abs(one_vol - four_vol) <= 1e-14 * one_vol
-    assert abs(one_dvol - four_dvol) <= 1e-14 * one_vol * np.abs(X(one.points)).max()
+    assert abs(one_dvol - four_dvol) <= 1e-14 * one_vol * np.abs(X(one.sample.points)).max()
 
 
 def _along(F, P, V, step=1e-4):
@@ -348,7 +348,7 @@ def test_cp_invariant_hamiltonian_derivatives_match_fd(name):
     # reads the jump of the bump's fourth derivative). f is invariant under
     # the diagonal circle and its gradient is equivariant
     setup = cp_chart_setup(catalog_double(name), 50, 0, spec)
-    P = setup.patch.points
+    P = setup.patch.sample.points
     rng = np.random.default_rng(23)
     poly = _poly_scalar(6, rng)
     if name == "rp2":
@@ -376,7 +376,7 @@ def test_cp_hamiltonian_field_derivative_matches_fd():
     # |z|^2 = c / gamma, whose function |z|^2 generates the circle f is
     # invariant under, and it vanishes where the cutoff does
     setup = cp_chart_setup(catalog_double("rp2"), 50, 0, spec)
-    P = setup.patch.points
+    P = setup.patch.sample.points
     X = hamiltonian_vector_field(setup.grad, setup.hess)
     V = np.random.default_rng(22).standard_normal((P.shape[0], 2, 3)) + 0j
     got = X.derivative(P, V)
@@ -417,7 +417,7 @@ def test_cp_gradient_field_negative_control():
             return (Dg - ((ds * r - s * dr) / r**2)[:, :, None] * z[:, None, :]
                     - (s / r)[:, :, None] * V)
 
-        P = setup.patch.points
+        P = setup.patch.sample.points
         vertical = np.real(np.sum(np.conj(1j * P) * setup.grad(P), axis=1))
         assert np.abs(vertical).max() <= 1e-13 * np.abs(setup.grad(P)).max()
         gradient = stationarity_ratio(setup.patch, VectorField(value, derivative))
@@ -437,7 +437,7 @@ def test_cp_lagrangian_residuals():
     lift = TorusSpreadChart(D.stacked, np.array([1.0, 0.0, 0.0]))
     S = np.concatenate([0.3 * np.random.default_rng(2).uniform(-1, 1, (25, 2)),
                         np.zeros((25, 1))], axis=1)
-    sample = ChartSample(lift, S, lift.value(S), lift.value(S).real)
+    sample = ChartSample.at(lift, S, 1)
     assert lagrangian_residual(D.stacked, sample).max() < 1e-14
 
 
@@ -466,13 +466,12 @@ def test_cp_chart_degenerate_coordinate():
     lift = cp2_torus_lift_chart(D)
     S = np.array([[np.pi / 2, 0.3, 0.7]])
     assert abs(lift.value(S)[0, 0]) < 1e-15
-    pts = ChartSample(lift, S, lift.value(S), lift.value(S).real)
+    pts = ChartSample.at(lift, S, 1)
     assert lagrangian_residual(D.stacked, pts)[0] < 1e-15
     patch = cp_chart_setup(catalog_double("rp2"), 50, 0, spec).patch
-    near = np.abs(patch.points[:, 0]).argmin()
-    assert abs(patch.points[near, 0]) < 0.05
-    _, g, elem = patch.chart_on_nodes()
-    assert np.linalg.cond(g[near]) < 1e3 and elem[near] > 0.1
+    near = np.abs(patch.sample.points[:, 0]).argmin()
+    assert abs(patch.sample.points[near, 0]) < 0.05
+    assert np.linalg.cond(patch.g[near]) < 1e3 and patch.elem[near] > 0.1
 
 
 def test_catalog_unknown_names():

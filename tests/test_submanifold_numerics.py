@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from momentangle.charts import (
+    CircleSpreadChart,
     NonConvergenceError,
     PolytopeChart,
     TorusSpreadChart,
@@ -78,7 +79,8 @@ def _spread_charts():
     D = catalog_double("cp2-torus")
     Q22 = catalog_quadrics("two-quadrics:2,2")
     return [
-        ("ellipsoid", TorusSpreadChart(Qe, sample_chart_points(Qe, 1, np.random.default_rng(0), spec).bases[0]), 0.65),
+        ("ellipsoid", TorusSpreadChart(Qe, sample_chart_points(Qe, 1, np.random.default_rng(0), spec, order=0).bases[0]),
+         0.65),
         ("cp2 stack", TorusSpreadChart(D.stacked, real_base_point(D.stacked), phase_rows=D.delta_cfg.gamma_float()), 0.35),
         ("two-quadrics:2,2", TorusSpreadChart(Q22, real_base_point(Q22)), 0.3),
         ("boundary base", TorusSpreadChart(catalog_quadrics("one-quadric:3"), [1.0, 0.0, 0.0]), 0.5),
@@ -103,7 +105,7 @@ def test_spread_chart_derivatives_match_stencils():
     rng = np.random.default_rng(31)
     for name, chart, half in _spread_charts():
         S = _box_params(chart, rng, half)
-        J, H, T = chart.jacobian(S), chart.hessian(S), chart.third(S)
+        _, J, H, T = chart.jet(S, 3)
         assert J.shape == (20, chart.ambient_dim, chart.dim)
         assert T.shape == (20, chart.ambient_dim, chart.dim, chart.dim, chart.dim)
         assert np.abs(J - fd.jacobian(chart.value, S, 1e-3)).max() < 2e-9 * np.abs(J).max(), name
@@ -216,12 +218,10 @@ def test_polytope_chart_derivatives_match_stencils():
     # points
     rng = np.random.default_rng(21)
     for Q, rows in _chart_configurations():
-        pts = sample_chart_points(Q, 10, rng, spec, phase_rows=rows)
+        pts = sample_chart_points(Q, 10, rng, spec, phase_rows=rows, order=3)
         chart, S = pts.chart, pts.params
         assert isinstance(chart, PolytopeChart)
-        J = chart.jacobian(S)
-        H = chart.hessian(S)
-        T = chart.third(S)
+        _, J, H, T = pts.jet
         assert J.shape == (10, Q.ambient_dim, chart.dim)
         assert H.shape == (10, Q.ambient_dim, chart.dim, chart.dim)
         assert T.shape == (10, Q.ambient_dim, chart.dim, chart.dim, chart.dim)
@@ -245,7 +245,7 @@ def test_torus_chart_derivatives_match_stencils():
     for Q in (catalog_quadrics("one-quadric:2"), QuadricConfiguration(IntegerMatrix([[2, 2]], cols=2), [3])):
         chart = one_quadric_torus_chart(Q)
         S = rng.uniform(0.0, 1.0, (40, 2)) * chart.periods
-        J, H, T = chart.jacobian(S), chart.hessian(S), chart.third(S)
+        _, J, H, T = chart.jet(S, 3)
         assert np.abs(J - fd.jacobian(chart.value, S, 1e-3)).max() < 2e-9 * np.abs(J).max()
         assert np.abs(H - fd.hessian(chart.value, S, 1e-3)).max() < 1e-9 * np.abs(H).max()
         assert np.abs(T - fd.jacobian(chart.hessian, S, 1e-3)).max() < 2e-9 * np.abs(T).max()
@@ -256,6 +256,24 @@ def test_torus_chart_derivatives_match_stencils():
         assert np.abs(shifted - chart.value(S)).max() < 1e-13
 
 
+def test_a_jet_holds_each_lower_order_bit_for_bit():
+    # one jet through third order gives exactly the z, J and H of the lower
+    # orders, on the polytope charts, the nearest-point chart of the rp2 lift
+    # and the circle spread of the C^2 torus
+    rng = np.random.default_rng(25)
+    D = catalog_double("rp2")
+    charts = [sample_chart_points(catalog_quadrics(name), 1, rng, spec, order=0).chart
+              for name in ("one-quadric:3", "two-quadrics:2,2")]
+    charts += [TorusSpreadChart(D.stacked, real_base_point(D.stacked)),
+               one_quadric_torus_chart(catalog_quadrics("one-quadric:2"))]
+    for chart in charts:
+        S = _box_params(chart, rng, 0.2)
+        third = chart.jet(S, 3)
+        for n in range(3):
+            assert all(np.array_equal(a, b) for a, b in zip(third[: n + 1], chart.jet(S, n), strict=True)), (chart, n)
+        assert np.array_equal(third[1], chart.jacobian(S)) and np.array_equal(third[2], chart.hessian(S))
+
+
 def test_base_point_lp_runs_once_per_configuration(monkeypatch):
     from momentangle import lp
 
@@ -263,8 +281,8 @@ def test_base_point_lp_runs_once_per_configuration(monkeypatch):
     solve = lp.positive_combination
     monkeypatch.setattr(lp, "positive_combination", lambda *args: calls.append(args) or solve(*args))
     Q = QuadricConfiguration.from_rows([(1, 1, 2)], [3])
-    first = sample_chart_points(Q, 5, np.random.default_rng(0), spec)
-    again = sample_chart_points(Q, 5, np.random.default_rng(0), spec)
+    first = sample_chart_points(Q, 5, np.random.default_rng(0), spec, order=0)
+    again = sample_chart_points(Q, 5, np.random.default_rng(0), spec, order=0)
     assert len(calls) == 1
     assert np.array_equal(first.points, again.points)
     assert np.array_equal(real_base_point(Q), np.sqrt([float(x) for x in solve(*calls[0])]))
@@ -273,7 +291,7 @@ def test_base_point_lp_runs_once_per_configuration(monkeypatch):
 def test_sampled_points_lie_on_the_quadrics_inside_the_margin():
     rng = np.random.default_rng(22)
     for Q, rows in _chart_configurations():
-        pts = sample_chart_points(Q, 200, rng, spec, phase_rows=rows)
+        pts = sample_chart_points(Q, 200, rng, spec, phase_rows=rows, order=0)
         assert len(pts) == 200
         assert membership_residuals(Q, pts.points).max() <= spec.tol_membership
         x = np.abs(pts.points) ** 2
@@ -301,8 +319,16 @@ def _pointwise_lagrangian(Q, p):
     return frame_symplectic_residual(r2c(Qm.T))
 
 
+def _curvature(chart, S):
+    """(H_real, Jr, g) of ``chart`` at S, from its jet as a sample's checks read it."""
+    _, J, Hess = chart.jet(S, 2)
+    Jr = np.concatenate([J.real, J.imag], axis=-2)
+    g = np.einsum("nia,nib->nab", Jr, Jr)
+    return _curvature_batch(Jr, g, Hess), Jr, g
+
+
 def _pointwise_minimality(Q, p):
-    H, Jr, _ = _curvature_batch(p.chart, p.params)
+    H, Jr, _ = _curvature(p.chart, p.params)
     h = H[0]
     grads = c2r(2.0 * Q.gamma_float() * p.points)
     Qm, _ = np.linalg.qr(np.concatenate([Jr[0], grads.T], axis=1))
@@ -318,13 +344,13 @@ def _pointwise_hminimality(p):
     Om = omega_matrix(p.chart.ambient_dim)
 
     def sqrtg_W(Sb):
-        Hr, Jr, g = _curvature_batch(p.chart, Sb)
+        Hr, Jr, g = _curvature(p.chart, Sb)
         alpha = np.einsum("ni,ij,nja->na", Hr, Om, Jr)
         W = np.linalg.solve(g, alpha[..., None])[..., 0]
         return np.sqrt(np.linalg.det(g))[:, None] * W
 
     Jout = fd.jacobian(sqrtg_W, p.params, STEP_DIVERGENCE)[0]
-    _, _, g0 = _curvature_batch(p.chart, p.params)
+    _, _, g0 = _curvature(p.chart, p.params)
     return abs(float(np.trace(Jout)) / float(np.sqrt(np.linalg.det(g0[0]))))
 
 
@@ -347,8 +373,8 @@ def _spread_params(chart, rng, n=12):
 
 
 def _sample_at(chart, S):
-    Z = chart.value(S)
-    return ChartSample(chart, S, Z, np.abs(Z))
+    jet = chart.jet(S, 3)
+    return ChartSample(chart, S, jet, np.abs(jet[0]))
 
 
 def _points(sample):
@@ -420,7 +446,7 @@ def test_batched_residuals_match_per_point_formulas():
     # by einsum, so a point's residuals do not depend on its batch either
     for name in ("one-quadric:3", "two-quadrics:2,2"):
         Q = catalog_quadrics(name)
-        sample = sample_chart_points(Q, 70, rng, spec)
+        sample = sample_chart_points(Q, 70, rng, spec, order=3)
         for i in range(0, 70, 7):
             group = sample[i : i + 7]
             _assert_rows_of_seven(lambda smp: lagrangian_residual(Q, smp), group)
@@ -432,7 +458,7 @@ def test_frame_orthonormal_and_annihilating():
     rng = np.random.default_rng(4)
     for name in ("one-quadric:3", "two-quadrics:2,2"):
         Q = catalog_quadrics(name)
-        pts = sample_chart_points(Q, 5, rng, spec)
+        pts = sample_chart_points(Q, 5, rng, spec, order=1)
         F = tangent_frames(Q, pts)  # (5, d, m)
         V = np.concatenate([F.real, F.imag], axis=2)
         gram = V @ np.swapaxes(V, 1, 2)
@@ -449,16 +475,15 @@ def test_lagrangian_residual_examples():
     assert lagrangian_residual(Q2, p)[0] < 1e-13
     Q3 = catalog_quadrics("one-quadric:3")
     rng = np.random.default_rng(5)
-    assert lagrangian_residual(Q3, sample_chart_points(Q3, 100, rng, spec)).max() < 1e-10
+    assert lagrangian_residual(Q3, sample_chart_points(Q3, 100, rng, spec, order=1)).max() < 1e-10
     # negative control: the quadric set itself is not Lagrangian
-    z = sample_chart_points(Q3, 1, rng, spec).points[0]
-    assert frame_symplectic_residual(tangent_frame_Z(Q3, z)) > 0.1
+    z = sample_chart_points(Q3, 1, rng, spec, order=0).points
+    assert frame_symplectic_residual(tangent_frame_Z(Q3, z))[0] > 0.1
 
 
 def _mean_curvature(p):
     """The unnormalized mean curvature vector of a one-point sample in flat space."""
-    H, _, _ = _curvature_batch(p.chart, p.params)
-    return r2c(H[0])
+    return r2c(_curvature(p.chart, p.params)[0][0])
 
 
 def test_mean_curvature_examples():
@@ -491,8 +516,8 @@ def test_mean_curvature_scaling_law():
 def test_mean_curvature_is_normal():
     rng = np.random.default_rng(6)
     Q = catalog_quadrics("one-quadric:3")
-    pts = sample_chart_points(Q, 10, rng, spec)
-    Hr, _, _ = _curvature_batch(pts.chart, pts.params)
+    pts = sample_chart_points(Q, 10, rng, spec, order=2)
+    Hr, _, _ = _curvature(pts.chart, pts.params)
     F = tangent_frames(Q, pts)
     V = np.concatenate([F.real, F.imag], axis=2)
     assert np.abs(np.einsum("ndi,ni->nd", V, Hr)).max() < 1e-6
@@ -505,7 +530,7 @@ def test_minimality_residual_examples():
     assert minimality_residual_in_Z(Q2, p)[0] < 1e-8
     Q3 = catalog_quadrics("one-quadric:3")
     rng = np.random.default_rng(7)
-    assert minimality_residual_in_Z(Q3, sample_chart_points(Q3, 100, rng, spec)).max() < 1e-4
+    assert minimality_residual_in_Z(Q3, sample_chart_points(Q3, 100, rng, spec, order=2)).max() < 1e-4
     assert unequal_torus_control(spec) > 0.1
 
 
@@ -513,7 +538,7 @@ def test_conjugation_symmetry_of_residuals():
     # the involution acts on a spread chart by negating the phase parameters
     Q = catalog_quadrics("one-quadric:3")
     rng = np.random.default_rng(8)
-    for p in _points(sample_chart_points(Q, 5, rng, spec)):
+    for p in _points(sample_chart_points(Q, 5, rng, spec, order=2)):
         params_c = p.params[0].copy()
         params_c[p.chart.nv :] *= -1.0
         pc = chart_point(p.chart, params_c, Q=Q, spec=spec)
@@ -664,7 +689,7 @@ def test_noether_hamiltonian_gradients_match_fd():
 def test_noether_drift():
     Q = catalog_quadrics("one-quadric:3")
     rng = np.random.default_rng(9)
-    z = sample_chart_points(Q, 1, rng, spec).points[0]
+    z = sample_chart_points(Q, 1, rng, spec, order=0).points[0]
     for f, grad in _noether_hamiltonians(3):
         assert noether_drift(Q, f, grad, z) < 1e-14
     fc = lambda zz: 0.0 * zz[..., 0].real + 1.0
@@ -681,7 +706,7 @@ def test_noether_drift():
 def test_circle_first_variation():
     Q1 = QuadricConfiguration.from_rows([(1,)], [1])
     chart = TorusSpreadChart(Q1, [1.0], newton_tol=spec.newton_tol)
-    patch = ChartPatch(chart=chart, lo=[0.0], hi=[1.0], nodes=32)
+    patch = ChartPatch(chart=chart, lo=[0.0], hi=[1.0], nodes=32, order=2)
     radial = VectorField(
         lambda z: z / np.abs(z),
         lambda z, V: V - z[:, None, :] * np.real(np.conj(z[:, None, :]) * V),  # on |z| = 1
@@ -698,12 +723,15 @@ ORBIT = VectorField(lambda z: 1j * z, lambda z, V: 1j * V)
 def test_tangential_field_preserves_volume():
     Q2 = QuadricConfiguration.from_rows([(1, 1)], [1])
     chart = one_quadric_torus_chart(Q2)
-    patch = ChartPatch(chart=chart, lo=[0.0, 0.0], hi=list(chart.periods), nodes=24)
+    patch = ChartPatch(chart=chart, lo=[0.0, 0.0], hi=list(chart.periods), nodes=24, order=1)
     dv = patch_volume_derivative(patch, ORBIT)  # orbit direction
     assert abs(dv) < 1e-12
     # a flat-ambient volume derivative reads the field's derivative
     with pytest.raises(TypeError, match="VectorField"):
         patch_volume_derivative(patch, ORBIT.value)
+    # the curvature integral reads the mean curvature, which a patch of order 1 does not hold
+    with pytest.raises(ValueError, match="order 2"):
+        first_variation_integral(patch, ORBIT)
 
 
 def _two_volume_derivative(patch, X, t_step, s_step=1e-3, richardson=False):
@@ -725,7 +753,7 @@ def _two_volume_derivative(patch, X, t_step, s_step=1e-3, richardson=False):
         return fn
 
     def vol(t):
-        J = fd.jacobian(deformed(t), patch.S, s_step)
+        J = fd.jacobian(deformed(t), patch.sample.params, s_step)
         g = np.einsum("nia,nib->nab", J, J)
         return float(np.sum(patch.w * np.sqrt(np.linalg.det(g))))
 
@@ -744,7 +772,7 @@ def test_volume_derivative_matches_two_volume_reference():
     # by 4.4e-10 relative when that step halves from 5e-4, and its 4th-order
     # stencil leaves about a fifteenth of that. Measured agreement: 4.6e-11
     chart = one_quadric_torus_chart(catalog_quadrics("one-quadric:2"))
-    patch = ChartPatch(chart=chart, lo=[0.3, 0.05], hi=[5.9, 0.95], nodes=24, bump_axes=(0, 1))
+    patch = ChartPatch(chart=chart, lo=[0.3, 0.05], hi=[5.9, 0.95], nodes=24, order=1, bump_axes=(0, 1))
     X = _random_matrix_field(2, np.random.default_rng(3))
     ref = _two_volume_derivative(patch, X, t_step=1e-3, s_step=2.5e-4, richardson=True)
     assert abs(patch_volume_derivative(patch, X) - ref) < 1e-9 * abs(ref)
@@ -758,7 +786,8 @@ def test_volume_derivative_matches_two_volume_reference():
     # agreement: 2.3e-11
     D = catalog_double("rp2")
     lift = TorusSpreadChart(D.stacked, real_base_point(D.stacked), newton_tol=spec.newton_tol)
-    lpatch = ChartPatch(chart=lift, lo=[-0.4, -0.4, -0.5], hi=[0.4, 0.4, 0.5], nodes=[24, 24, 1])
+    lpatch = ChartPatch(chart=lift, lo=[-0.4, -0.4, -0.5], hi=[0.4, 0.4, 0.5], nodes=[24, 24, 1],
+                        order=1)
     Xl = _random_matrix_field(3, np.random.default_rng(4))
     ref = _two_volume_derivative(lpatch, Xl, t_step=1e-3, s_step=5e-4, richardson=True)
     assert abs(patch_volume_derivative(lpatch, Xl) - ref) < 5e-11 * abs(ref)
@@ -766,7 +795,7 @@ def test_volume_derivative_matches_two_volume_reference():
 
 def test_stationarity_ratio_rejects_leaking_field():
     chart = one_quadric_torus_chart(catalog_quadrics("one-quadric:2"))
-    patch = ChartPatch(chart=chart, lo=[0.3, 0.05], hi=[5.9, 0.95], nodes=12)
+    patch = ChartPatch(chart=chart, lo=[0.3, 0.05], hi=[5.9, 0.95], nodes=12, order=1)
     with pytest.raises(RuntimeError):
         stationarity_ratio(patch, ORBIT, localized=True)
     # unlocalized, the same field is a global variation: a volume-preserving rotation
@@ -779,19 +808,19 @@ def test_stationarity_ratio_negative_controls():
     # 0); the ratio divides by the largest component modulus on the nodes,
     # which comes within 2.3e-4 of its maximum 1 at cos t = +-1
     chart = one_quadric_torus_chart(catalog_quadrics("one-quadric:2"))
-    patch = ChartPatch(chart=chart, lo=[0.0, 0.0], hi=list(chart.periods), nodes=24)
+    patch = ChartPatch(chart=chart, lo=[0.0, 0.0], hi=list(chart.periods), nodes=24, order=1)
     radial = VectorField(lambda z: z, lambda z, V: V)
     ratio = stationarity_ratio(patch, radial)
     assert abs(ratio - 2.0) < 1e-3
-    assert abs(ratio * np.abs(patch.points).max() - 2.0) < 1e-12
+    assert abs(ratio * np.abs(patch.sample.points).max() - 2.0) < 1e-12
 
     # a bump-localized radial field on the patch of the C^3 stationarity
     # report, under a wider and flatter cutoff than the report's Hamiltonians
     Q3 = catalog_quadrics("one-quadric:3")
-    base = sample_chart_points(Q3, 1, np.random.default_rng(0), spec).bases[0]
+    base = sample_chart_points(Q3, 1, np.random.default_rng(0), spec, order=0).bases[0]
     chart3 = TorusSpreadChart(Q3, base, newton_tol=spec.newton_tol)
     patch3 = ChartPatch(chart=chart3, lo=[-0.65, -0.65, -0.15], hi=[0.65, 0.65, 0.15],
-                        nodes=[20, 20, 36])
+                        nodes=[20, 20, 36], order=1)
     z0 = chart3.value(np.zeros((1, 3)))[0]
     rho = 0.5
 
@@ -817,7 +846,7 @@ def test_equivariant_curvature_direction_consistency():
     Q2 = QuadricConfiguration.from_rows([(1, 1)], [1])
     chart = one_quadric_torus_chart(Q2)
     patch = ChartPatch(
-        chart=chart, lo=[0.5, 0.1], hi=[5.5, 0.9], nodes=20, bump_axes=(0, 1)
+        chart=chart, lo=[0.5, 0.1], hi=[5.5, 0.9], nodes=20, order=2, bump_axes=(0, 1)
     )
 
     def in_Z_curvature_field(Z):
@@ -827,7 +856,7 @@ def test_equivariant_curvature_direction_consistency():
         turn = np.exp(-2j * np.pi * phi)
         theta = np.arctan2((Z[:, 1] * turn).real, (Z[:, 0] * turn).real)
         Sb = np.stack([theta, phi], axis=-1)
-        Hr, Jr, _ = _curvature_batch(chart, Sb)
+        Hr, Jr, _ = _curvature(chart, Sb)
         out = np.empty((Hr.shape[0], 2), complex)
         for i in range(Hr.shape[0]):
             grads = c2r(2.0 * Q2.gamma_float() * Z[i][None, :])
@@ -917,7 +946,7 @@ def test_patch_volume_double_cover():
     from momentangle.reduction_catalog import one_quadric_torus_chart
 
     chart = one_quadric_torus_chart(Q2)
-    patch = ChartPatch(chart=chart, lo=[0.0, 0.0], hi=list(chart.periods), nodes=24)
+    patch = ChartPatch(chart=chart, lo=[0.0, 0.0], hi=list(chart.periods), nodes=24, order=1)
     # the (theta, phi) box covers the spread torus twice: 2 * 2 pi^2
     assert abs(patch_volume(patch) - 4 * np.pi**2) < 1e-8
 
@@ -947,8 +976,10 @@ def test_frame_spans_expected_directions():
 def test_chart_patch_rejects_dimension_above_four():
     # the tensor Gauss-Legendre rule is the only quadrature; no check builds
     # a patch of dimension above 4
-    chart = FunctionChart(lambda S: S[:, :3].astype(complex), dim=5, ambient_dim=3)
+    def spread(rows):  # the unit circle in C^2 x {0}, spread by ``rows``: dimension 1 + len(rows)
+        return CircleSpreadChart([1, 0, 0], [0, 1, 0], [0, 0, 0], rows, (TWO_PI,) + (1.0,) * len(rows))
+
     with pytest.raises(ValueError, match="dimension at most 4"):
-        ChartPatch(chart=chart, lo=[0.0] * 5, hi=[1.0] * 5, nodes=4)
-    four = FunctionChart(lambda S: S[:, :3].astype(complex), dim=4, ambient_dim=3)
-    assert ChartPatch(chart=four, lo=[0.0] * 4, hi=[1.0] * 4, nodes=3).S.shape == (81, 4)
+        ChartPatch(chart=spread(np.eye(4, 3)), lo=[0.0] * 5, hi=[1.0] * 5, nodes=4, order=1)
+    four = ChartPatch(chart=spread(np.eye(3)), lo=[0.0] * 4, hi=[1.0] * 4, nodes=3, order=1)
+    assert four.sample.params.shape == (81, 4) and four.sample.jet[1].shape == (81, 3, 4)
