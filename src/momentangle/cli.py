@@ -11,6 +11,7 @@ import math
 import os
 import sys
 
+import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import procedures as proc
@@ -39,7 +40,7 @@ from .reduction_catalog import (
     classify_N,
 )
 from .report import VerificationReport
-from .submanifold_numerics import MetricSpec
+from .submanifold_numerics import ChartSample, MetricSpec, sample_chart_points
 
 COMMANDS = (
     "gale",
@@ -56,6 +57,9 @@ COMMANDS = (
     "verify-ntilde",
     "report-all",
 )
+
+# the size of a command's sample of N when neither --samples nor the file sets it
+DEFAULT_SAMPLES = 100
 
 _TOL_FIELDS = {
     "membership": "tol_membership",
@@ -101,16 +105,23 @@ def _resolve_seed(cfg: ConfigFile, flag_seed: int | None) -> int:
     return seed
 
 
-def _resolve_samples(cfg: ConfigFile, flag_samples: int | None, default: int = 100) -> int:
+def _resolve_samples(cfg: ConfigFile, flag_samples: int | None) -> int:
     if flag_samples is not None:
         samples = flag_samples
     elif cfg.samples is not None:
         samples = cfg.samples
     else:
-        samples = default
+        samples = DEFAULT_SAMPLES
     if samples < 1:
         raise ConfigError(f"samples must be positive, got {samples}")
     return samples
+
+
+def command_sample(Q, checks, seed: int, samples: int, spec: MetricSpec) -> ChartSample:
+    """The one sample of N that a command's ``checks`` read: ``samples`` points drawn from
+    ``default_rng(seed)``, evaluated through the highest jet order any of them reads."""
+    order = max(check.order for check in checks if check.order is not None)
+    return sample_chart_points(Q, samples, np.random.default_rng(seed), spec, order=order)
 
 
 def run_command(
@@ -163,8 +174,14 @@ def run_command(
     chosen = [check for check in checks if check.subject in subjects and check.applies(subjects[check.subject])]
     if not chosen:
         raise ValueError(f"no check of {command} applies to this configuration")
+    # the sample is drawn when the first entry that reads it runs, so an
+    # error of an earlier entry surfaces first
+    sample = None
     for check in chosen:
-        rep.extend(check.run(subjects[check.subject], seed=seed, samples=samples, spec=spec))
+        subject = subjects[check.subject]
+        if sample is None and check.order is not None:
+            sample = command_sample(subject, chosen, seed, samples, spec)
+        rep.extend(check.run(subject, sample=sample, seed=seed, samples=samples, spec=spec))
     return rep
 
 
@@ -217,8 +234,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.config.startswith("catalog:"):
             cfg = _catalog_config(args.config[len("catalog:"):])
         else:
-            with open(args.config) as fh:
-                cfg = parse_config(fh.read())
+            try:
+                with open(args.config, encoding="utf-8") as fh:
+                    cfg = parse_config(fh.read())
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from exc
         seed = _resolve_seed(cfg, args.seed)
         samples = _resolve_samples(cfg, args.samples)
         spec = _spec_from(cfg, args.tol)
@@ -228,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.report_file, "w") as fh:
                 fh.write(rep.render_machine())
         return 0 if rep.overall else 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:

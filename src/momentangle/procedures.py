@@ -48,6 +48,7 @@ from .submanifold_numerics import (
     OMEGA_SCALE,
     stationarity_ratio,
     ChartPatch,
+    ChartSample,
     MetricSpec,
     chart_point,
     coarea_orbit_volume_check,
@@ -91,16 +92,15 @@ def _one_quadric_in_C2_or_C3(Q: QuadricConfiguration) -> bool:
 # exact reports
 
 
-def gale_report(P: PolytopePresentation, seed: int = 0) -> VerificationReport:
+def gale_report(P: PolytopePresentation) -> VerificationReport:
     """Exact orthogonality of the dual and its level.
 
     The level is Gamma applied to the image of the first vertex of P under
     the facet map x -> A^T x + b (``embed_point``). It reaches c through a
     point of P, not through the product Gamma b that sets c, so a dual
-    whose level or rows are off fails it. The report draws nothing, so
-    ``seed`` only labels it.
+    whose level or rows are off fails it.
     """
-    rep = VerificationReport(seed=seed)
+    rep = VerificationReport()
     Q = gale_dual(P)
     gamma = Q.gamma.to_rational()
     prod = gamma.matmul(P.normal_matrix().transpose())
@@ -138,12 +138,6 @@ def freeness_report(Q: QuadricConfiguration) -> VerificationReport:
     return rep
 
 
-def quadrics_core_report(Q: QuadricConfiguration) -> VerificationReport:
-    rep = nondegeneracy_report(Q)
-    rep.extend(freeness_report(Q))
-    return rep
-
-
 def delzant_freeness_report(P: PolytopePresentation) -> VerificationReport:
     """P is Delzant iff the torus of its Gale dual acts freely.
 
@@ -158,38 +152,35 @@ def delzant_freeness_report(P: PolytopePresentation) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# pointwise numeric reports
+# pointwise numeric reports: each reads the command's sample of N (through
+# the jet order of its CHECKS entry) and draws none of its own
 
 
-def point_residual_report(
-    Q: QuadricConfiguration,
-    samples: int = 100,
-    seed: int = 0,
-    spec: MetricSpec = DEFAULT_SPEC,
-    with_minimal: bool = True,
-) -> VerificationReport:
-    """Lagrangian and in-quadric-set minimality residuals at random chart points.
+def point_residual_report(Q: QuadricConfiguration, sample: ChartSample) -> VerificationReport:
+    """Lagrangian residual at the sample's points, and its negative control.
 
     The negative control reads the same residual on a frame that is not
     isotropic: the tangent frame of the quadric set Z where m > k, and where
     Z = N (m = k) the pair {e, i e}, e the first unit tangent vector of N,
     which reads |OMEGA_SCALE| = 1/pi.
     """
-    rep = VerificationReport(seed=seed)
-    rng = np.random.default_rng(seed)
-    pts = sample_chart_points(Q, samples, rng, spec, order=2 if with_minimal else 1)
-    lag = float(lagrangian_residual(Q, pts).max())
-    rep.add("lagrangian-residual", lag, TOL_LAGRANGIAN, samples=samples)
+    rep = VerificationReport()
+    lag = float(lagrangian_residual(Q, sample).max())
+    rep.add("lagrangian-residual", lag, TOL_LAGRANGIAN, samples=len(sample))
     if Q.ambient_dim > Q.num_quadrics:
-        frames = tangent_frame_Z(Q, pts.points[:5])
+        frames = tangent_frame_Z(Q, sample.points[:5])
     else:
-        e = tangent_frames(Q, pts[:5])[:, 0]
+        e = tangent_frames(Q, sample[:5])[:, 0]
         frames = np.stack([e, 1j * e], axis=1)
     ctrl = float(frame_symplectic_residual(frames).max())
     rep.add_lower_bound("lagrangian-negative-control", ctrl, CONTROL_BOUND)
-    if with_minimal:
-        mini = float(minimality_residual_in_Z(Q, pts).max())
-        rep.add("minimality-in-Z-residual", mini, TOL_MINIMAL, samples=samples)
+    return rep
+
+
+def minimality_report(Q: QuadricConfiguration, sample: ChartSample) -> VerificationReport:
+    """Mean curvature of N in the quadric set Z at the sample's points."""
+    rep = VerificationReport()
+    rep.add("minimality-in-Z-residual", minimality_residual_in_Z(Q, sample).max(), TOL_MINIMAL, samples=len(sample))
     return rep
 
 
@@ -208,17 +199,10 @@ def unequal_torus_control(spec: MetricSpec = DEFAULT_SPEC) -> float:
     return float(minimality_residual_in_Z(Q, p)[0])
 
 
-def hminimality_report(
-    Q: QuadricConfiguration,
-    points: int,
-    seed: int = 0,
-    spec: MetricSpec = DEFAULT_SPEC,
-) -> VerificationReport:
-    rep = VerificationReport(seed=seed)
-    rng = np.random.default_rng(seed)
-    pts = sample_chart_points(Q, points, rng, spec, order=3)
-    worst = float(hminimality_residual(Q, pts).max())
-    rep.add("hminimality-residual", worst, TOL_HMINIMAL, samples=points)
+def hminimality_report(Q: QuadricConfiguration, sample: ChartSample) -> VerificationReport:
+    """Codifferential of the mean-curvature 1-form at the sample's points, which needs its third order."""
+    rep = VerificationReport()
+    rep.add("hminimality-residual", hminimality_residual(Q, sample).max(), TOL_HMINIMAL, samples=len(sample))
     return rep
 
 
@@ -254,13 +238,11 @@ def _noether_hamiltonians(m: int) -> list[tuple[Callable, Callable]]:
     ]
 
 
-def noether_report(
-    Q: QuadricConfiguration, seed: int = 0, spec: MetricSpec = DEFAULT_SPEC
-) -> VerificationReport:
-    """Moment drift along invariant Hamiltonian fields; rejection of a non-invariant one."""
+def noether_report(Q: QuadricConfiguration, sample: ChartSample, seed: int) -> VerificationReport:
+    """Moment drift along invariant Hamiltonian fields at the sample's first point;
+    rejection of a non-invariant one. The flows draw from ``seed + 1`` and ``seed + 2``."""
     rep = VerificationReport(seed=seed)
-    rng = np.random.default_rng(seed)
-    z = sample_chart_points(Q, 1, rng, spec, order=0).points[0]
+    z = sample.points[0]
     fields = _noether_hamiltonians(Q.ambient_dim)
     worst = 0.0
     for f, grad in fields:
@@ -276,24 +258,17 @@ def noether_report(
     return rep
 
 
-def vo_symmetry_report(
-    Q: QuadricConfiguration, samples: int = 100, seed: int = 0, spec: MetricSpec = DEFAULT_SPEC
-) -> VerificationReport:
+def vo_symmetry_report(Q: QuadricConfiguration, sample: ChartSample) -> VerificationReport:
     """Orbit volume is invariant under coordinatewise conjugation."""
-    rep = VerificationReport(seed=seed)
-    rng = np.random.default_rng(seed)
-    Z = sample_chart_points(Q, samples, rng, spec, order=0).points
-    diff = np.abs(np.asarray(orbit_volume(Q, Z)) - np.asarray(orbit_volume(Q, np.conj(Z))))
-    rep.add("orbit-volume-conjugation", float(diff.max()), TOL_VO_SYMMETRY, samples=samples)
+    rep = VerificationReport()
+    diff = np.abs(orbit_volume(Q, sample.points) - orbit_volume(Q, np.conj(sample.points)))
+    rep.add("orbit-volume-conjugation", float(diff.max()), TOL_VO_SYMMETRY, samples=len(sample))
     return rep
 
 
-def coarea_report(Q: QuadricConfiguration, seed: int = 0) -> VerificationReport:
-    """Patch volume upstairs vs integral of the orbit volume over the base patch, on 20 nodes an axis.
-
-    The check is exact and draws nothing, so ``seed`` only labels the report.
-    """
-    rep = VerificationReport(seed=seed)
+def coarea_report(Q: QuadricConfiguration) -> VerificationReport:
+    """Patch volume upstairs vs integral of the orbit volume over the base patch, on 20 nodes an axis."""
+    rep = VerificationReport()
     up, fib = coarea_orbit_volume_check(Q, nodes=20)
     rel = abs(up - fib) / max(abs(up), abs(fib), 1e-12)
     rep.add("coarea-relative-mismatch", rel, TOL_COAREA_REL)
@@ -371,7 +346,8 @@ def hamiltonian_stationarity_report(
     Q: QuadricConfiguration,
     seed: int = 0,
     spec: MetricSpec = DEFAULT_SPEC,
-    n_fields: int = 5,
+    *,
+    n_fields: int,
 ) -> VerificationReport:
     """Volume stationarity of the spread Lagrangian under Hamiltonian fields.
 
@@ -415,9 +391,7 @@ def hamiltonian_stationarity_report(
 # double-configuration reports
 
 
-def ntilde_report(
-    D: DoubleConfiguration, samples: int = 100, seed: int = 0, spec: MetricSpec = DEFAULT_SPEC
-) -> VerificationReport:
+def ntilde_report(D: DoubleConfiguration, samples: int, seed: int, spec: MetricSpec) -> VerificationReport:
     """Lagrangian residual of the reduced submanifold, tested through the lift.
 
     The lift runs through the polytope chart of the stacked system with the
@@ -441,42 +415,47 @@ def ntilde_report(
 
 
 class Check(NamedTuple):
-    """The report ``run(subject, seed=, samples=, spec=)`` on a subject ("P" polytope, "Q" quadrics,
-    "D" double), which each of ``commands`` runs where ``applies(subject)`` holds."""
+    """The report ``run(subject, sample=, seed=, samples=, spec=)`` on a subject ("P" polytope,
+    "Q" quadrics, "D" double), which each of ``commands`` runs where ``applies(subject)`` holds.
+    ``order`` is the jet order of the command's sample of N that the report reads, or None if it
+    reads no sample; the command draws one sample through the highest order its entries read."""
 
     key: str
     subject: str
     applies: Callable
     commands: tuple[str, ...]
+    order: int | None
     run: Callable
 
 
-# in record order; report-all runs every entry but the parts of "core" and
-# "minimality" that check-nondeg, check-free and verify-lagrangian run alone.
-# Each run looks its procedure up in this module when called, so a patched
-# module attribute is the one that runs.
+# in record order. Each run looks its procedure up in this module when
+# called, so a patched module attribute is the one that runs.
 ALL = ("report-all",)
 CHECKS = (
-    Check("gale", "P", _always, ALL, lambda P, seed, **_: gale_report(P, seed=seed)),
-    Check("polytope", "P", _always, ALL, lambda P, **_: polytope_report(P)),
-    Check("delzant-freeness", "P", _always, ALL, lambda P, **_: delzant_freeness_report(P)),
-    Check("nondegeneracy", "Q", _always, ("check-nondeg",), lambda Q, **_: nondegeneracy_report(Q)),
-    Check("freeness", "Q", _always, ("check-free",), lambda Q, **_: freeness_report(Q)),
-    Check("core", "Q", _always, ALL, lambda Q, **_: quadrics_core_report(Q)),
-    Check("lagrangian", "Q", _always, ("verify-lagrangian",),
-          lambda Q, **kw: point_residual_report(Q, **kw, with_minimal=False)),
-    Check("minimality", "Q", _always, ("verify-minimal", *ALL), lambda Q, **kw: point_residual_report(Q, **kw)),
-    Check("vo-symmetry", "Q", _always, ALL, lambda Q, **kw: vo_symmetry_report(Q, **kw)),
-    Check("noether", "Q", _always, ("verify-noether", *ALL), lambda Q, samples, **kw: noether_report(Q, **kw)),
-    Check("hminimality", "Q", _always, ("verify-hminimal", *ALL),
-          lambda Q, samples, **kw: hminimality_report(Q, points=min(samples, 20), **kw)),
-    Check("variation", "Q", _one_quadric_in_C1_or_C2, ("verify-variation", *ALL),
-          lambda Q, samples, **kw: first_variation_report(Q, **kw)),
-    Check("coarea", "Q", _one_quadric_in_C2_or_C3, ALL, lambda Q, seed, **_: coarea_report(Q, seed=seed)),
-    Check("stationarity", "Q", _one_quadric_in_C2_or_C3, ("verify-hminimal", *ALL),
-          lambda Q, samples, **kw: hamiltonian_stationarity_report(Q, n_fields=3, **kw)),
-    Check("stack", "D", _always, ALL, lambda D, **_: stack_report(D.checks)),
-    Check("ntilde", "D", _always, ("verify-ntilde", *ALL), lambda D, **kw: ntilde_report(D, **kw)),
-    Check("projective", "D", lambda D: is_projective(D.gamma_cfg), ("verify-ntilde", *ALL),
-          lambda D, samples, **kw: cp_chart_verify(D, samples=min(samples, 50), **kw)),
+    Check("gale", "P", _always, ALL, None, lambda P, **_: gale_report(P)),
+    Check("polytope", "P", _always, ALL, None, lambda P, **_: polytope_report(P)),
+    Check("delzant-freeness", "P", _always, ALL, None, lambda P, **_: delzant_freeness_report(P)),
+    Check("nondegeneracy", "Q", _always, ("check-nondeg", *ALL), None, lambda Q, **_: nondegeneracy_report(Q)),
+    Check("freeness", "Q", _always, ("check-free", *ALL), None, lambda Q, **_: freeness_report(Q)),
+    Check("lagrangian", "Q", _always, ("verify-lagrangian", "verify-minimal", *ALL), 1,
+          lambda Q, sample, **_: point_residual_report(Q, sample)),
+    Check("minimality", "Q", _always, ("verify-minimal", *ALL), 2,
+          lambda Q, sample, **_: minimality_report(Q, sample)),
+    Check("vo-symmetry", "Q", _always, ALL, 0, lambda Q, sample, **_: vo_symmetry_report(Q, sample)),
+    Check("noether", "Q", _always, ("verify-noether", *ALL), 0,
+          lambda Q, sample, seed, **_: noether_report(Q, sample, seed)),
+    # the sample's first 20 points, evaluated again through order 3: the
+    # shared jet stays at the order the other entries read
+    Check("hminimality", "Q", _always, ("verify-hminimal", *ALL), 0,
+          lambda Q, sample, **_: hminimality_report(Q, ChartSample.at(sample.chart, sample.params[:20], 3))),
+    Check("variation", "Q", _one_quadric_in_C1_or_C2, ("verify-variation", *ALL), None,
+          lambda Q, seed, spec, **_: first_variation_report(Q, seed=seed, spec=spec)),
+    Check("coarea", "Q", _one_quadric_in_C2_or_C3, ALL, None, lambda Q, **_: coarea_report(Q)),
+    Check("stationarity", "Q", _one_quadric_in_C2_or_C3, ("verify-hminimal", *ALL), None,
+          lambda Q, seed, spec, **_: hamiltonian_stationarity_report(Q, seed=seed, spec=spec, n_fields=3)),
+    Check("stack", "D", _always, ALL, None, lambda D, **_: stack_report(D.checks)),
+    Check("ntilde", "D", _always, ("verify-ntilde", *ALL), None,
+          lambda D, seed, samples, spec, **_: ntilde_report(D, samples=samples, seed=seed, spec=spec)),
+    Check("projective", "D", lambda D: is_projective(D.gamma_cfg), ("verify-ntilde", *ALL), None,
+          lambda D, seed, samples, spec, **_: cp_chart_verify(D, samples=min(samples, 50), seed=seed, spec=spec)),
 )

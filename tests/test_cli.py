@@ -80,6 +80,39 @@ def test_unknown_catalog_and_bad_file(tmp_path, capsys):
     assert main(["check-free", str(bad)]) == 2
 
 
+def _unreadable(tmp_path, monkeypatch):
+    # a chmod does not stop a process running as root from reading, so the refusal is simulated
+    from momentangle import cli
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    return ["report-all", str(tmp_path / "unreadable.cfg")]
+
+
+def _not_utf8(tmp_path, monkeypatch):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("mode quadrics\ngamma 1 2\n1 1\nc 1\n# d\u00e9j\u00e0 vu\n".encode("latin-1"))
+    return ["report-all", str(cfg)]
+
+
+@pytest.mark.parametrize("args", [
+    lambda tmp_path, _: ["report-all", str(tmp_path)],
+    _unreadable,
+    _not_utf8,
+    lambda tmp_path, _: ["check-nondeg", "catalog:triangle", "--report-file", str(tmp_path)],
+    lambda tmp_path, _: ["emit-catalog", "triangle", str(tmp_path)],
+], ids=["config-is-a-directory", "config-unreadable", "config-not-utf8", "report-file-is-a-directory",
+        "emit-catalog-to-a-directory"])
+def test_io_errors_exit_2(tmp_path, monkeypatch, capsys, args):
+    # a path the command cannot read or write is a usage error: one line on
+    # stderr, never a traceback, and never the exit 1 of a failed check
+    assert main(args(tmp_path, monkeypatch)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+
+
 def test_isotropic_quadric_sets_pass_report_all(tmp_path, capsys):
     # with as many quadrics as coordinates the quadric set Z is the torus N
     # itself, isotropic, so the Lagrangian negative control pairs N's first
@@ -180,6 +213,24 @@ def _benchmark_expected_records(monkeypatch) -> dict:
     import workloads
 
     return workloads.EXPECTED_RECORDS
+
+
+def test_sample_records_agree_across_commands(tmp_path):
+    # a command draws one sample of N, and every entry reads it: a record
+    # reads the same bytes under each command that runs its entry
+    out = tmp_path / "report.tsv"
+
+    def records(command, name, seed):
+        assert main([command, f"catalog:{name}", "--seed", str(seed), "--report-file", str(out)]) == 0
+        return dict(line.split("\t", 1) for line in out.read_text().splitlines())
+
+    for name in ("one-quadric:3", "product:2,2"):
+        for seed in (0, 1):
+            every = records("report-all", name, seed)
+            for command, record in (("verify-lagrangian", "lagrangian-residual"),
+                                    ("verify-minimal", "lagrangian-residual"),
+                                    ("verify-hminimal", "hminimality-residual")):
+                assert records(command, name, seed)[record] == every[record], (command, name, seed)
 
 
 def test_report_all_whole_catalog(tmp_path, capsys, monkeypatch):
@@ -348,11 +399,14 @@ def test_readme_command_list_matches_the_cli(capsys):
 def test_readme_checks_section_matches_the_table():
     # each row of the README's check table is one entry of procedures.CHECKS,
     # in order, with its subject and commands; the records it lists are the
-    # records the entry emits on the catalog and the circle
+    # records the entry emits on the catalog and the circle, and no two
+    # entries emit a common record name
     import fnmatch
+    import itertools
     import re
 
     from momentangle import procedures as proc
+    from momentangle.cli import command_sample
     from momentangle.config_io import double_from_config, quadrics_from_config
     from momentangle.quadric_config import gale_dual
     from momentangle.reduction_catalog import catalog_quadrics
@@ -379,12 +433,15 @@ def test_readme_checks_section_matches_the_table():
         for available in subjects:
             subject = available.get(check.subject)
             if subject is not None and check.applies(subject):
-                rep = check.run(subject, seed=0, samples=5, spec=MetricSpec())
+                sample = None if check.order is None else command_sample(subject, [check], 0, 5, MetricSpec())
+                rep = check.run(subject, sample=sample, seed=0, samples=5, spec=MetricSpec())
                 emitted[check.key].update(r.name for r in rep.records)
     for row, check in zip(rows, proc.CHECKS):
         patterns = re.findall(r"`([\w*-]+)`", row[2])
         assert all(any(fnmatch.fnmatchcase(n, p) for p in patterns) for n in emitted[check.key]), check.key
         assert all(any(fnmatch.fnmatchcase(n, p) for n in emitted[check.key]) for p in patterns), check.key
+    for (a, names_a), (b, names_b) in itertools.combinations(emitted.items(), 2):
+        assert not names_a & names_b, (a, b, names_a & names_b)
 
 
 def test_every_tolerance_name_is_read_by_report_all():

@@ -1,12 +1,18 @@
+import numpy as np
 import pytest
 
 from momentangle import procedures as proc
 from momentangle.quadric_config import QuadricConfiguration
 from momentangle.reduction_catalog import catalog_polytope, catalog_quadrics, cp_chart_verify
+from momentangle.submanifold_numerics import DEFAULT_SPEC, sample_chart_points
+
+
+def _sample(Q, samples, seed, order=2):
+    return sample_chart_points(Q, samples, np.random.default_rng(seed), DEFAULT_SPEC, order=order)
 
 
 def test_gale_report_exact():
-    rep = proc.gale_report(catalog_polytope("product:2,3"), seed=1)
+    rep = proc.gale_report(catalog_polytope("product:2,3"))
     assert rep.overall
     names = [r.name for r in rep.records]
     assert names == ["gale-orthogonality-exact", "gale-image-level-exact"]
@@ -34,18 +40,19 @@ def test_polytope_and_freeness_reports():
     assert proc.delzant_freeness_report(catalog_polytope("bad-triangle")).overall
 
 
-def test_quadrics_core_report():
-    rep = proc.quadrics_core_report(catalog_quadrics("two-quadrics:2,2"))
-    assert rep.overall
-    rep = proc.quadrics_core_report(QuadricConfiguration.from_rows([(1, 2)], [1]))
-    assert not rep.overall  # freeness fails
+def test_nondegeneracy_and_freeness_reports():
+    Q = catalog_quadrics("two-quadrics:2,2")
+    assert proc.nondegeneracy_report(Q).overall and proc.freeness_report(Q).overall
+    Q = QuadricConfiguration.from_rows([(1, 2)], [1])
+    assert proc.nondegeneracy_report(Q).overall
+    assert not proc.freeness_report(Q).overall
 
 
 def test_first_variation_report_unsupported():
     with pytest.raises(ValueError):
         proc.first_variation_report(catalog_quadrics("two-quadrics:2,2"))
     with pytest.raises(ValueError):
-        proc.hamiltonian_stationarity_report(catalog_quadrics("one-quadric:4"))
+        proc.hamiltonian_stationarity_report(catalog_quadrics("one-quadric:4"), n_fields=3)
 
 
 def test_first_variation_small_derivative_seed():
@@ -57,7 +64,8 @@ def test_first_variation_small_derivative_seed():
 
 
 def test_point_residual_report_shapes():
-    rep = proc.point_residual_report(catalog_quadrics("one-quadric:2"), samples=10, seed=3)
+    Q = catalog_quadrics("one-quadric:2")
+    rep = proc.point_residual_report(Q, _sample(Q, 10, 3, order=1))
     assert rep.overall
     by_name = {r.name: r for r in rep.records}
     assert by_name["lagrangian-residual"].samples == 10
@@ -65,7 +73,8 @@ def test_point_residual_report_shapes():
 
 
 def test_machine_report_format():
-    rep = proc.noether_report(catalog_quadrics("one-quadric:3"), seed=2)
+    Q = catalog_quadrics("one-quadric:3")
+    rep = proc.noether_report(Q, _sample(Q, 1, 2, order=0), seed=2)
     text = rep.render_machine()
     lines = [ln for ln in text.splitlines() if ln]
     assert all(len(ln.split("\t")) == 4 for ln in lines)
@@ -88,7 +97,10 @@ def test_cp_chart_verify_requires_equal_coefficients():
 
 
 def test_renderings_contain_identical_numbers():
-    rep = proc.point_residual_report(catalog_quadrics("one-quadric:2"), samples=5, seed=1)
+    Q = catalog_quadrics("one-quadric:2")
+    sample = _sample(Q, 5, 1)
+    rep = proc.point_residual_report(Q, sample)
+    rep.extend(proc.minimality_report(Q, sample))
     human = rep.render_human()
     machine = rep.render_machine()
     for r in rep.records:
@@ -139,8 +151,13 @@ def test_report_all_evaluates_each_point_set_once(monkeypatch):
     report_all("one-quadric:2")
     assert [s for s in solves if s[0] == "CircleSpreadChart"] == [
         ("CircleSpreadChart", 2304, 2), ("CircleSpreadChart", 576, 1)]
-    # triangle's C^3 stationarity patch, at order 1: no check reads its hessian
+    # triangle: the command's one 100-point sample through order 2, its
+    # first 20 points through order 3 for the codifferential, the co-area
+    # patch and base (20^3 and 20^2 nodes), the stationarity base point
+    # (its own draw) and the C^3 stationarity patch, at order 1: no check
+    # reads its hessian
     report_all("triangle")
+    assert [s[1:] for s in solves if s[0] == "PolytopeChart"] == [(100, 2), (20, 3), (8000, 1), (400, 1), (1, 0)]
     assert [s for s in solves if s[1] == 14400] == [("TorusSpreadChart", 14400, 1)]
 
 
