@@ -3,8 +3,7 @@ minimal and Hamiltonian-minimal Lagrangian submanifolds built from them."""
 
 from .exact_linalg import (
     IntegerMatrix,
-    RationalMatrix,
-    rational_nullspace,
+    nullspace,
     smith_normal_form,
     sublattice_equals_lattice,
 )

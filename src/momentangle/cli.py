@@ -7,6 +7,7 @@ usage error, 3 precondition violation, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -242,10 +243,12 @@ def main(argv: list[str] | None = None) -> int:
         seed = _resolve_seed(cfg, args.seed)
         samples = _resolve_samples(cfg, args.samples)
         spec = _spec_from(cfg, args.tol)
-        rep = run_command(args.command, cfg, seed, samples, spec, l_param=args.l)
-        sys.stdout.write(rep.render_human())
-        if args.report_file:
-            with open(args.report_file, "w") as fh:
+        # the report path is opened before any check runs, so a path that
+        # cannot be written exits 2 with nothing on stdout
+        with open(args.report_file, "w") if args.report_file else contextlib.nullcontext() as fh:
+            rep = run_command(args.command, cfg, seed, samples, spec, l_param=args.l)
+            sys.stdout.write(rep.render_human())
+            if fh is not None:
                 fh.write(rep.render_machine())
         return 0 if rep.overall else 1
     except OSError as exc:  # a missing, unreadable or directory path

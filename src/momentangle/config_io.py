@@ -110,6 +110,8 @@ def _validate(cfg: ConfigFile) -> None:
     elif cfg.mode == "quadrics":
         if cfg.gamma is None or cfg.c is None:
             raise ConfigError("quadrics mode needs blocks gamma and c")
+        if cfg.gamma.rows == 0:
+            raise ConfigError("quadrics mode needs at least one gamma row")
         if len(cfg.c) != cfg.gamma.rows:
             raise ConfigError("one right-hand side per gamma row required")
     else:

@@ -1,19 +1,17 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra, and the one rational elimination.
 
 Everything in this module is computed over arbitrary-precision integers or
-``fractions.Fraction``; no floating point enters. The two public containers
-are deliberately immutable so results can be shared freely between threads.
+``fractions.Fraction``; no floating point enters. Matrices are
+``IntegerMatrix``, immutable so results can be shared freely between
+threads: determinants, ranks, kernels and lattices are all integer. Only
+``solve_square`` and ``inverse`` eliminate over ``Fraction``, and they
+return plain rows of Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
-
-
-def _as_fraction_rows(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def _as_int_rows(rows: Iterable[Iterable]) -> tuple[tuple[int, ...], ...]:
@@ -28,80 +26,6 @@ def _as_int_rows(rows: Iterable[Iterable]) -> tuple[tuple[int, ...], ...]:
             r.append(int(x))
         out.append(tuple(r))
     return tuple(out)
-
-
-class RationalMatrix:
-    """Immutable matrix with exact rational entries.
-
-    Fractions are kept reduced with positive denominators by construction
-    (``fractions.Fraction`` guarantees both).
-    """
-
-    __slots__ = ("entries", "rows", "cols")
-
-    def __init__(self, rows: Iterable[Iterable], cols: int | None = None):
-        self.entries = _as_fraction_rows(rows)
-        self.rows = len(self.entries)
-        if self.rows:
-            widths = {len(r) for r in self.entries}
-            if len(widths) != 1:
-                raise ValueError("ragged rows")
-            self.cols = widths.pop()
-            if cols is not None and cols != self.cols:
-                raise ValueError("declared column count disagrees with rows")
-        else:
-            if cols is None:
-                raise ValueError("zero-row matrix needs an explicit column count")
-            self.cols = cols
-        if self.cols < 0:
-            raise ValueError("negative dimension")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalMatrix)
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.entries, self.cols))
-
-    def __repr__(self):
-        return f"RationalMatrix({[list(map(str, r)) for r in self.entries]})"
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        return RationalMatrix(
-            [
-                [
-                    sum(
-                        (self.entries[i][k] * other.entries[k][j] for k in range(self.cols)),
-                        Fraction(0),
-                    )
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ],
-            cols=other.cols,
-        )
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
-
-    def to_integer(self) -> "IntegerMatrix":
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return IntegerMatrix([[x.numerator for x in row] for row in self.entries], cols=self.cols)
 
 
 class IntegerMatrix:
@@ -159,8 +83,8 @@ class IntegerMatrix:
             cols=other.cols,
         )
 
-    def to_rational(self) -> RationalMatrix:
-        return RationalMatrix(self.entries, cols=self.cols)
+    def is_zero(self) -> bool:
+        return all(x == 0 for row in self.entries for x in row)
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.entries[i][j] for i in range(self.rows))
@@ -200,17 +124,6 @@ def _rref_rows(a: list[list[Fraction]], ncols: int) -> list[int]:
     return pivots
 
 
-def rref(M: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
-    """Reduced row echelon form together with the pivot columns."""
-    a = [list(row) for row in M.entries]
-    pivots = _rref_rows(a, M.cols)
-    return RationalMatrix(a, cols=M.cols), tuple(pivots)
-
-
-def rank(M: RationalMatrix) -> int:
-    return len(rref(M)[1])
-
-
 def solve_square(A: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...] | None:
     """Solve ``A x = b`` for the square matrix with rows ``A``; ``None`` if A is singular.
 
@@ -227,36 +140,17 @@ def solve_square(A: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...] | N
     return tuple(aug[i][n] for i in range(n))
 
 
-def det(M: RationalMatrix) -> Fraction:
-    if M.rows != M.cols:
-        raise ValueError("determinant of non-square matrix")
-    a = [list(row) for row in M.entries]
-    n = M.rows
-    out = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
-            out = -out
-        out *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return out
-
-
-def inverse(M: RationalMatrix) -> RationalMatrix:
+def inverse(M: IntegerMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of the exact inverse of a square integer matrix."""
     if M.rows != M.cols:
         raise ValueError("inverse of non-square matrix")
     n = M.rows
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M.entries)]
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M.entries)
+    ]
     if _rref_rows(aug, 2 * n) != list(range(n)):
         raise ValueError("singular matrix")
-    return RationalMatrix([row[n:] for row in aug], cols=n)
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 # ---------------------------------------------------------------------------
@@ -469,31 +363,11 @@ def sublattice_equals_lattice(subset: IntegerMatrix, full: IntegerMatrix) -> boo
     )
 
 
-# ---------------------------------------------------------------------------
-# nullspaces
+def nullspace(M: IntegerMatrix) -> IntegerMatrix:
+    """Canonical basis, as rows, of the integer kernel ``{x : M x = 0}``.
 
-
-def _clear_denominators(M: RationalMatrix) -> IntegerMatrix:
-    rows = []
-    for row in M.entries:
-        mult = 1
-        for x in row:
-            mult = mult * x.denominator // gcd(mult, x.denominator)
-        rows.append([int(x * mult) for x in row])
-    return IntegerMatrix(rows, cols=M.cols) if rows else IntegerMatrix([], cols=M.cols)
-
-
-def rational_nullspace(M: RationalMatrix, side: str = "right") -> RationalMatrix:
-    """Canonical basis, as rows, of a nullspace of ``M``.
-
-    side="right": rows r with ``M rᵀ = 0``;  side="left": rows y with ``y M = 0``.
-
-    The rows form a ℤ-basis of the saturated integer kernel lattice in
-    Hermite normal form, so every entry is an integer, each row is primitive
-    with positive leading entry, and the result is reproducible bit-exactly.
+    The rows are the Hermite form of a basis of the saturated kernel
+    lattice: each row is primitive with positive leading entry, and the
+    result is reproducible bit-exactly.
     """
-    if side not in ("right", "left"):
-        raise ValueError("side must be 'right' or 'left'")
-    work = M if side == "right" else M.transpose()
-    kernel = integer_kernel(_clear_denominators(work))
-    return hermite_row_form(kernel).to_rational()
+    return hermite_row_form(integer_kernel(M))

@@ -158,24 +158,28 @@ def positive_combination(
     return tuple(res.x[k] + delta for k in range(nv))
 
 
-def strictly_positive_functional(vectors: Sequence[Sequence]) -> tuple[Fraction, ...] | None:
-    """h with ``<h, v_k> > 0`` for every k, or ``None``.
+def inequality_point(vectors: Sequence[Sequence], lower: Sequence) -> tuple[Fraction, ...] | None:
+    """x with ``<v_k, x> >= lower_k`` for every k, or ``None``.
 
-    By homogeneity this is the feasibility of ``<h, v_k> >= 1``; h is split
-    into positive and negative parts to keep the standard form.
+    x is split into positive and negative parts, and each inequality gets a
+    surplus variable, to keep the standard form.
     """
-    if not vectors:
-        return None
     dim = len(vectors[0])
-    nv = len(vectors)
-    A = []
-    for k, v in enumerate(vectors):
-        row = [Fraction(x) for x in v]
-        row += [-Fraction(x) for x in v]
-        row += [Fraction(-int(j == k)) for j in range(nv)]
-        A.append(row)
-    b = [Fraction(1)] * nv
-    pt = feasible_point(A, b)
+    A = [
+        [Fraction(x) for x in v] + [-Fraction(x) for x in v] + [Fraction(-int(j == k)) for j in range(len(vectors))]
+        for k, v in enumerate(vectors)
+    ]
+    pt = feasible_point(A, lower)
     if pt is None:
         return None
     return tuple(pt[i] - pt[dim + i] for i in range(dim))
+
+
+def strictly_positive_functional(vectors: Sequence[Sequence]) -> tuple[Fraction, ...] | None:
+    """h with ``<h, v_k> > 0`` for every k, or ``None``.
+
+    By homogeneity this is the feasibility of ``<h, v_k> >= 1``.
+    """
+    if not vectors:
+        return None
+    return inequality_point(vectors, [1] * len(vectors))

@@ -17,7 +17,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from . import lp
-from .exact_linalg import RationalMatrix, det, rank, solve_square
+from .exact_linalg import IntegerMatrix, det_int, snf_diagonal, solve_square
 from .verdict import Verdict
 
 
@@ -62,9 +62,9 @@ class PolytopePresentation:
         self.dim = n
         if self.num_facets < n:
             raise ValueError("fewer facets than the ambient dimension")
-        if rank(self.normal_matrix()) != n:
+        if sum(1 for d in snf_diagonal(self.normal_matrix()) if d) != n:
             raise ValueError("facet normals do not span the ambient space")
-        if self._feasible_point() is None:
+        if lp.inequality_point(self.normals, [-b for b in self.offsets]) is None:
             raise EmptyPolytopeError("inequality system has no solution")
         # computed on first use: is_bounded, enumerate_vertices, gale_dual
         self._bounded: bool | None = None
@@ -75,12 +75,9 @@ class PolytopePresentation:
     def num_facets(self) -> int:
         return len(self.normals)
 
-    def normal_matrix(self) -> RationalMatrix:
+    def normal_matrix(self) -> IntegerMatrix:
         """The n x m matrix whose columns are the facet normals."""
-        m, n = self.num_facets, self.dim
-        return RationalMatrix(
-            [[Fraction(self.normals[j][i]) for j in range(m)] for i in range(n)], cols=m
-        )
+        return IntegerMatrix(self.normals, cols=self.dim).transpose()
 
     def __repr__(self):
         return f"PolytopePresentation(normals={self.normals}, offsets={tuple(map(str, self.offsets))})"
@@ -91,21 +88,6 @@ class PolytopePresentation:
             and self.normals == other.normals
             and self.offsets == other.offsets
         )
-
-    def _feasible_point(self) -> tuple[Fraction, ...] | None:
-        # <a_i, x+> - <a_i, x-> - s_i = -b_i with all variables nonnegative
-        n, m = self.dim, self.num_facets
-        A = []
-        for i, a in enumerate(self.normals):
-            row = [Fraction(x) for x in a]
-            row += [-Fraction(x) for x in a]
-            row += [Fraction(-int(j == i)) for j in range(m)]
-            A.append(row)
-        b = [-bi for bi in self.offsets]
-        pt = lp.feasible_point(A, b)
-        if pt is None:
-            return None
-        return tuple(pt[i] - pt[n + i] for i in range(n))
 
     def is_bounded(self) -> bool:
         """No x != 0 has <a_i, x> >= 0 for all i, decided by one exact LP.
@@ -196,8 +178,8 @@ def is_delzant(P: PolytopePresentation) -> Verdict:
         raise ValueError(f"is_delzant requires a simple polytope; witness {nonsimple[0]}")
     for vertex, active in vs:
         idx = sorted(active)
-        M = RationalMatrix([[Fraction(x) for x in P.normals[i]] for i in idx], cols=P.dim)
-        d = det(M)
+        # a Fraction: reports print the witness tuple, whose repr shows the type
+        d = Fraction(det_int(IntegerMatrix([P.normals[i] for i in idx], cols=P.dim)))
         if abs(d) != 1:
             return Verdict(
                 False,

@@ -13,7 +13,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .charts import CircleSpreadChart, TorusSpreadChart
-from .exact_linalg import RationalMatrix
 from .polytope import PolytopePresentation, embed_point, enumerate_vertices, is_delzant, is_simple
 from .quadric_config import (
     QuadricConfiguration,
@@ -102,12 +101,10 @@ def gale_report(P: PolytopePresentation) -> VerificationReport:
     """
     rep = VerificationReport()
     Q = gale_dual(P)
-    gamma = Q.gamma.to_rational()
-    prod = gamma.matmul(P.normal_matrix().transpose())
-    rep.add_bool("gale-orthogonality-exact", prod.is_zero())
+    rep.add_bool("gale-orthogonality-exact", Q.gamma.matmul(P.normal_matrix().transpose()).is_zero())
     image = embed_point(P, enumerate_vertices(P).vertices[0])
-    level = gamma.matmul(RationalMatrix([[x] for x in image], cols=1))
-    rep.add_bool("gale-image-level-exact", tuple(row[0] for row in level.entries) == Q.c)
+    level = tuple(sum(g * y for g, y in zip(row, image)) for row in Q.gamma.entries)
+    rep.add_bool("gale-image-level-exact", level == Q.c)
     return rep
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import lp
-from .exact_linalg import IntegerMatrix, rational_nullspace, snf_diagonal, solve_square
+from .exact_linalg import IntegerMatrix, nullspace, snf_diagonal, solve_square
 from .polytope import PolytopePresentation
 
 
@@ -118,7 +118,7 @@ class NondegeneracyReport:
 def gale_dual(P: PolytopePresentation) -> QuadricConfiguration:
     """Quadric configuration whose rows span the relations among the facet normals.
 
-    The rows are the canonical nullspace basis of the transposed normal
+    The rows are the canonical integer nullspace basis of the normal
     matrix, and the right-hand side is that basis applied to the offsets.
     Computed once per presentation and kept on it, so every caller gets the
     same configuration object, and with it that object's cached feasible
@@ -130,12 +130,8 @@ def gale_dual(P: PolytopePresentation) -> QuadricConfiguration:
 
 
 def _solve_gale_dual(P: PolytopePresentation) -> QuadricConfiguration:
-    At = P.normal_matrix().transpose()  # m x n
-    gamma = rational_nullspace(At, side="left").to_integer()
-    c = [
-        sum((Fraction(gamma.entries[j][k]) * P.offsets[k] for k in range(P.num_facets)), Fraction(0))
-        for j in range(gamma.rows)
-    ]
+    gamma = nullspace(P.normal_matrix())
+    c = [sum(g * b for g, b in zip(row, P.offsets)) for row in gamma.entries]
     return QuadricConfiguration(gamma, c)
 
 

@@ -321,42 +321,38 @@ def _catalog_ints(name: str, count: int, least: int) -> tuple[int, ...]:
     return values
 
 
+def _simplex_product(dims: Sequence[int]) -> PolytopePresentation:
+    """The product of standard simplices of dimensions ``dims``.
+
+    Factor j contributes its coordinate facets x_i >= 0 and then its far
+    facet sum x_i <= 1, over its own block of coordinates.
+    """
+    n = sum(dims)
+    normals, offsets = [], []
+    start = 0
+    for d in dims:
+        block = range(start, start + d)
+        normals += [tuple(int(i == k) for i in range(n)) for k in block]
+        normals.append(tuple(-int(i in block) for i in range(n)))
+        offsets += [0] * d + [1]
+        start += d
+    return PolytopePresentation(normals, offsets)
+
+
 def catalog_polytope(name: str) -> PolytopePresentation:
     if name == "triangle":
-        return PolytopePresentation([(1, 0), (0, 1), (-1, -1)], [0, 0, 1])
+        return _simplex_product((2,))
     if name == "bad-triangle":
         return PolytopePresentation([(1, 0), (0, 1), (-1, -2)], [0, 0, 1])
     if name == "square":
         return PolytopePresentation([(1, 0), (0, 1), (-1, 0), (0, -1)], [0, 0, 1, 1])
     if name.startswith("simplex:"):
-        (n,) = _catalog_ints(name, 1, 1)
-        normals = [tuple(int(i == k) for i in range(n)) for k in range(n)] + [(-1,) * n]
-        return PolytopePresentation(normals, [0] * n + [1])
+        return _simplex_product(_catalog_ints(name, 1, 1))
     if name.startswith("cube:"):
         (n,) = _catalog_ints(name, 1, 1)
-        normals, offsets = [], []
-        for k in range(n):
-            normals.append(tuple(int(i == k) for i in range(n)))
-            offsets.append(0)
-            normals.append(tuple(-int(i == k) for i in range(n)))
-            offsets.append(1)
-        return PolytopePresentation(normals, offsets)
+        return _simplex_product((1,) * n)
     if name.startswith("product:"):
-        p, q = _catalog_ints(name, 2, 2)
-        n1, n2 = p - 1, q - 1
-        n = n1 + n2
-        normals, offsets = [], []
-        for k in range(n1):
-            normals.append(tuple(int(i == k) for i in range(n)))
-            offsets.append(0)
-        normals.append(tuple(-1 if i < n1 else 0 for i in range(n)))
-        offsets.append(1)
-        for k in range(n2):
-            normals.append(tuple(int(i == n1 + k) for i in range(n)))
-            offsets.append(0)
-        normals.append(tuple(-1 if i >= n1 else 0 for i in range(n)))
-        offsets.append(1)
-        return PolytopePresentation(normals, offsets)
+        return _simplex_product(tuple(p - 1 for p in _catalog_ints(name, 2, 2)))
     raise KeyError(f"unknown catalog polytope {name!r}")
 
 

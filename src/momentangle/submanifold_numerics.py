@@ -571,9 +571,7 @@ def coarea_orbit_volume_check(Q: QuadricConfiguration, nodes: int) -> tuple[floa
     to rounding.
     """
     T = torus_subgroup(Q)
-    dual = np.array(
-        [[float(x) for x in row] for row in T.dual_basis.entries], dtype=float
-    ).reshape(T.dim, T.dim)
+    dual = np.array([[float(x) for x in row] for row in T.dual_basis], dtype=float).reshape(T.dim, T.dim)
     chart = PolytopeChart(Q, real_base_point(Q) ** 2, phase_rows=dual @ Q.gamma_float())
     with np.errstate(divide="ignore"):
         half = np.full(chart.nv, 0.5 * np.min(chart.x0 / np.abs(chart.B).sum(axis=1)))

@@ -16,15 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_linalg import (
-    IntegerMatrix,
-    RationalMatrix,
-    det,
-    det_int,
-    hermite_row_form,
-    inverse,
-    snf_diagonal,
-)
+from .exact_linalg import IntegerMatrix, det_int, hermite_row_form, inverse, snf_diagonal
 from .quadric_config import QuadricConfiguration, degenerate_support, feasible_bases
 from .verdict import Verdict
 
@@ -40,22 +32,23 @@ class TorusSubgroup:
     """Column lattice of the coefficients and the dual (period) lattice."""
 
     lattice_basis: IntegerMatrix  # rows: Hermite basis of the column lattice
-    dual_basis: RationalMatrix  # rows: basis of the dual lattice
+    dual_basis: tuple[tuple[Fraction, ...], ...]  # rows: basis of the dual lattice
     dim: int
 
     @property
     def dual_covolume(self) -> Fraction:
-        return abs(det(self.dual_basis))
+        """The dual basis is the inverse transpose of the lattice basis: 1 / |det|."""
+        return Fraction(1, abs(det_int(self.lattice_basis)))
 
 
 def torus_subgroup(Q: QuadricConfiguration) -> TorusSubgroup:
     k = Q.num_quadrics
     if k == 0:
-        return TorusSubgroup(IntegerMatrix([], cols=0), RationalMatrix([], cols=0), 0)
+        return TorusSubgroup(IntegerMatrix([], cols=0), (), 0)
     basis = hermite_row_form(IntegerMatrix(Q.gamma.columns(), cols=k))
     if basis.rows != k:
         raise ValueError("coefficient columns do not span a full-rank lattice")
-    dual = inverse(basis.to_rational().transpose())
+    dual = inverse(basis.transpose())
     return TorusSubgroup(basis, dual, k)
 
 

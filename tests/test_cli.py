@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import momentangle
-from momentangle.cli import main, run_command, _catalog_config
+from momentangle.cli import COMMANDS, main, run_command, _catalog_config
 from momentangle.config_io import (
     ConfigError,
     parse_config,
@@ -102,15 +102,42 @@ def _not_utf8(tmp_path, monkeypatch):
     _unreadable,
     _not_utf8,
     lambda tmp_path, _: ["check-nondeg", "catalog:triangle", "--report-file", str(tmp_path)],
+    lambda tmp_path, _: ["report-all", "catalog:triangle", "--report-file", str(tmp_path)],
     lambda tmp_path, _: ["emit-catalog", "triangle", str(tmp_path)],
 ], ids=["config-is-a-directory", "config-unreadable", "config-not-utf8", "report-file-is-a-directory",
-        "emit-catalog-to-a-directory"])
+        "report-all-report-file-is-a-directory", "emit-catalog-to-a-directory"])
 def test_io_errors_exit_2(tmp_path, monkeypatch, capsys, args):
     # a path the command cannot read or write is a usage error: one line on
-    # stderr, never a traceback, and never the exit 1 of a failed check
+    # stderr, never a traceback, and never the exit 1 of a failed check; the
+    # report path is opened before any check runs, so nothing reaches stdout
     assert main(args(tmp_path, monkeypatch)) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err, captured.err
+    assert captured.out == ""
+
+
+def test_failed_run_leaves_an_empty_report(tmp_path, capsys):
+    # an opened report is truncated first: a run that then fails leaves it
+    # empty, never holding an earlier run's report
+    stale = tmp_path / "report.txt"
+    stale.write_text("stale\n")
+    assert main(["verify-ntilde", "catalog:triangle", "--report-file", str(stale)]) == 2
+    assert stale.read_text() == ""
+    capsys.readouterr()
+
+
+def test_empty_quadric_system_refused(tmp_path, capsys):
+    # quadrics mode with no gamma row is a configuration error from every
+    # command, where it crashed in numpy (exit 3) or passed vacuously (exit 0)
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("mode quadrics\ngamma 0 3\nc\n")
+    for command in COMMANDS:
+        assert main([command, str(cfg)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        assert captured.err == "configuration error: quadrics mode needs at least one gamma row\n", command
+    # the empty delta block of a double stays valid
+    assert parse_config("mode double\ngamma 1 3\n1 1 1\nc 1\ndelta 0 3\n").delta.rows == 0
 
 
 def test_isotropic_quadric_sets_pass_report_all(tmp_path, capsys):

@@ -1,18 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from momentangle.exact_linalg import (
     IntegerMatrix,
-    RationalMatrix,
-    det,
     det_int,
     hermite_row_form,
     integer_kernel,
     inverse,
-    rank,
-    rational_nullspace,
+    nullspace,
     smith_normal_form,
     snf_diagonal,
     solve_square,
@@ -21,44 +20,44 @@ from momentangle.exact_linalg import (
 
 
 def test_nullspace_triangle_normals():
-    # left kernel of the transposed normal matrix of the standard triangle
-    At = RationalMatrix([[1, 0], [0, 1], [-1, -1]])
-    ker = rational_nullspace(At, side="left")
-    assert ker.entries == ((Fraction(1), Fraction(1), Fraction(1)),)
+    # relations among the facet normals of the standard triangle: the
+    # nullspace of the 2 x 3 normal matrix
+    ker = nullspace(IntegerMatrix([[1, 0], [0, 1], [-1, -1]]).transpose())
+    assert ker.entries == ((1, 1, 1),)
 
 
 def test_nullspace_full_rank_is_empty():
-    ker = rational_nullspace(RationalMatrix([[1, 0], [0, 1]]))
+    ker = nullspace(IntegerMatrix([[1, 0], [0, 1]]))
     assert ker.rows == 0 and ker.cols == 2
 
 
 def test_nullspace_one_relation():
     # hand row reduction: x1 + x2 = 0, basis (1, -1) after sign normalization
-    ker = rational_nullspace(RationalMatrix([[1, 1]]))
-    assert ker.entries == ((Fraction(1), Fraction(-1)),)
+    ker = nullspace(IntegerMatrix([[1, 1]]))
+    assert ker.entries == ((1, -1),)
 
 
 def test_nullspace_empty_matrix():
-    ker = rational_nullspace(RationalMatrix([], cols=3))
+    ker = nullspace(IntegerMatrix([], cols=3))
     assert ker.rows == 3  # whole space
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_nullspace_annihilates(side):
+    # "left" is the nullspace of the transpose
     rnd = random.Random(7)
     for _ in range(60):
         nr, nc = rnd.randint(1, 4), rnd.randint(1, 5)
-        M = RationalMatrix(
-            [[Fraction(rnd.randint(-4, 4), rnd.randint(1, 3)) for _ in range(nc)] for _ in range(nr)]
-        )
-        ker = rational_nullspace(M, side=side)
+        M = IntegerMatrix([[rnd.randint(-12, 12) for _ in range(nc)] for _ in range(nr)])
         work = M if side == "right" else M.transpose()
-        prod = work.matmul(ker.transpose())
-        assert prod.is_zero()
-        assert ker.rows + rank(work) == work.cols
+        ker = nullspace(work)
+        assert work.matmul(ker.transpose()).is_zero()
+        rank = np.linalg.matrix_rank(np.array(work.entries, dtype=float))
+        assert ker.rows + rank == work.cols
         # canonical rows: integral, primitive, leading entry positive
         for row in ker.entries:
-            assert all(x.denominator == 1 for x in row)
+            assert all(isinstance(x, int) for x in row)
+            assert math.gcd(*row) == 1
             lead = next(x for x in row if x != 0)
             assert lead > 0
 
@@ -138,10 +137,18 @@ def test_hermite_form_reduces_every_pivot_column():
 
 
 def test_rational_det_inverse():
-    M = RationalMatrix([[1, 2], [3, 5]])
-    assert det(M) == Fraction(-1)
-    Minv = inverse(M)
-    assert M.matmul(Minv).entries == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    # the exact inverse times the matrix is the identity, and its
+    # determinant is 1 / det_int
+    for rows, d in (([[1, 2], [3, 5]], -1), ([[2, 0], [1, 3]], 6)):
+        M = IntegerMatrix(rows)
+        assert det_int(M) == d
+        Minv = inverse(M)
+        assert all(isinstance(x, Fraction) for row in Minv for x in row)
+        product = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*Minv)) for row in rows)
+        assert product == ((1, 0), (0, 1))
+        assert Minv[0][0] * Minv[1][1] - Minv[0][1] * Minv[1][0] == Fraction(1, d)
+    with pytest.raises(ValueError):
+        inverse(IntegerMatrix([[1, 2], [2, 4]]))
     diag = snf_diagonal(IntegerMatrix([[6, 4], [4, 8]]))
     assert diag == (2, 16)  # det 32, gcd 2
 
@@ -155,10 +162,10 @@ def test_solve_square_against_inverse():
         A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         b = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
         x = solve_square(A, b)
-        if det(RationalMatrix(A)) == 0:
+        if det_int(IntegerMatrix(A)) == 0:
             assert x is None
         else:
-            assert RationalMatrix(A).matmul(RationalMatrix([[t] for t in x])).entries == tuple((t,) for t in b)
+            assert tuple(sum(a * t for a, t in zip(row, x)) for row in A) == tuple(b)
     assert solve_square([[1, 2], [2, 4]], [1, 2]) is None
     assert solve_square([[Fraction(1, 2)]], [1]) == (Fraction(2),)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 from momentangle.lp import (
+    inequality_point,
     positive_combination,
     solve_lp,
     strictly_positive_functional,
@@ -43,3 +44,14 @@ def test_strictly_positive_functional():
     assert h is not None
     for v in [(1, 1), (1, -1)]:
         assert h[0] * v[0] + h[1] * v[1] > 0
+
+
+def test_inequality_point():
+    # the triangle x, y >= 0, x + y <= 1 as <v_k, x> >= lower_k, with
+    # rational bounds; x >= 1 and -x >= 0 have no common point
+    vectors, lower = [(1, 0), (0, 1), (-1, -1)], [Fraction(1, 3), 0, -1]
+    x = inequality_point(vectors, lower)
+    assert x is not None and all(isinstance(t, Fraction) for t in x)
+    assert all(v[0] * x[0] + v[1] * x[1] >= b for v, b in zip(vectors, lower))
+    assert inequality_point([(1,), (-1,)], [1, 0]) is None
+    assert inequality_point([(1,), (-1,)], [-2, -3]) is not None

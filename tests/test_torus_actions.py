@@ -11,7 +11,7 @@ from momentangle.quadric_config import (
     moment_map,
 )
 from momentangle.polytope import is_delzant
-from momentangle.reduction_catalog import catalog_polytope, catalog_quadrics
+from momentangle.reduction_catalog import POLYTOPE_NAMES, catalog_polytope, catalog_quadrics
 from momentangle.submanifold_numerics import (
     DEFAULT_SPEC,
     omega_pair,
@@ -136,13 +136,26 @@ def test_torus_subgroup_dual_pairing_is_integral():
         Q = catalog_quadrics(name)
         T = torus_subgroup(Q)
         # exact dual pairing integrality
-        for drow in T.dual_basis.entries:
+        for drow in T.dual_basis:
             for lrow in T.lattice_basis.entries:
                 val = sum((Fraction(d) * Fraction(l) for d, l in zip(drow, lrow)), Fraction(0))
                 assert val.denominator == 1
+
+
+def _det(rows):
+    """Laplace expansion along the first row, exact on Fractions."""
+    if not rows:
+        return Fraction(1)
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]]) for j, x in enumerate(rows[0]))
 
 
 def test_two_quadrics_dual_covolume():
     Q = catalog_quadrics("two-quadrics:2,2")
     T = torus_subgroup(Q)
     assert T.dual_covolume == Fraction(1, 2)  # column lattice has index 2 in Z^2
+    # 1 / |det_int(lattice basis)| is |det| of the exact inverse rows
+    configs = [catalog_quadrics(name) for name in ("one-quadric:3", "two-quadrics:2,2")]
+    configs += [gale_dual(catalog_polytope(name)) for name in POLYTOPE_NAMES]
+    for Q in configs:
+        T = torus_subgroup(Q)
+        assert T.dual_covolume == abs(_det(T.dual_basis)), Q
