@@ -117,6 +117,8 @@ def _validate(cfg: ConfigFile) -> None:
     else:
         if cfg.gamma is None or cfg.c is None:
             raise ConfigError("double mode needs blocks gamma and c")
+        if cfg.gamma.rows == 0:
+            raise ConfigError("double mode needs at least one gamma row")
         if cfg.delta is None:
             raise ConfigError("double mode needs a delta block (possibly with 0 rows)")
         if cfg.d is None:

@@ -1,16 +1,17 @@
-"""Exact integer linear algebra, and the one rational elimination.
+"""Exact integer linear algebra.
 
-Everything in this module is computed over arbitrary-precision integers or
-``fractions.Fraction``; no floating point enters. Matrices are
-``IntegerMatrix``, immutable so results can be shared freely between
-threads: determinants, ranks, kernels and lattices are all integer. Only
-``solve_square`` and ``inverse`` eliminate over ``Fraction``, and they
-return plain rows of Fractions.
+Everything in this module is computed over arbitrary-precision integers; no
+floating point enters. Matrices are ``IntegerMatrix``, immutable so results
+can be shared freely between threads: determinants, ranks, kernels and
+lattices are all integer. ``solve_square`` and ``inverse`` eliminate
+fraction-free (Bareiss) as well: ``Fraction`` appears only in the rational
+inputs of ``solve_square`` and in the rows of Fractions that both return.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 
@@ -98,46 +99,60 @@ def identity_int(n: int) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# rational elimination
+# fraction-free elimination
 
 
-def _rref_rows(a: list[list[Fraction]], ncols: int) -> list[int]:
-    """Row-reduce the rows ``a`` (lists of Fractions) in place; return the pivot columns."""
-    nrows = len(a)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+def _bareiss(a: list[list[int]], n: int) -> int:
+    """Fraction-free Gauss-Jordan on the first n columns of the integer rows ``a``, in place.
+
+    Each step divides exactly by the previous pivot (Bareiss's identity), so
+    every entry stays an integer minor. Returns ``d``, the determinant of
+    the left block A up to sign, or 0 if A is singular. When ``d != 0`` the
+    left block is now ``d`` times the identity and the rest of each row
+    holds ``d`` times A^-1 applied to the columns that were there.
+    """
+    prev = 1
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
         if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
+            return 0
+        a[k], a[pivot_row] = a[pivot_row], a[k]
+        r = a[k]
+        p = r[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                if f:
+                    a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], r)]
+                elif p != prev:  # a row the pivot leaves alone still moves to the new d
+                    a[i] = [x * p // prev for x in a[i]]
+        prev = p
+    return prev
 
 
 def solve_square(A: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...] | None:
     """Solve ``A x = b`` for the square matrix with rows ``A``; ``None`` if A is singular.
 
-    The rows hold integers or Fractions. The elimination runs on plain rows,
-    each entry converted to ``Fraction`` once.
+    The rows hold integers or Fractions. A row holding Fractions is scaled
+    to integers, b to a common denominator L, and the elimination runs in
+    integers; the solution is formed once, as ``y_i / (d L)``.
     """
     n = len(A)
     if any(len(row) != n for row in A) or n != len(b):
         raise ValueError("shape mismatch")
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]
-    pivots = _rref_rows(aug, n + 1)
-    if len(pivots) != n or n in pivots:
+    aug = []
+    rhs = []
+    for row, bi in zip(A, b):
+        s = lcm(*(x.denominator for x in row))
+        aug.append([x.numerator * (s // x.denominator) for x in row])
+        rhs.append(Fraction(bi) * s)
+    L = lcm(*(x.denominator for x in rhs))
+    for r, bi in zip(aug, rhs):
+        r.append(bi.numerator * (L // bi.denominator))
+    d = _bareiss(aug, n)
+    if d == 0:
         return None
-    return tuple(aug[i][n] for i in range(n))
+    return tuple(Fraction(r[n], d * L) for r in aug)
 
 
 def inverse(M: IntegerMatrix) -> tuple[tuple[Fraction, ...], ...]:
@@ -145,12 +160,11 @@ def inverse(M: IntegerMatrix) -> tuple[tuple[Fraction, ...], ...]:
     if M.rows != M.cols:
         raise ValueError("inverse of non-square matrix")
     n = M.rows
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M.entries)
-    ]
-    if _rref_rows(aug, 2 * n) != list(range(n)):
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M.entries)]
+    d = _bareiss(aug, n)
+    if d == 0:
         raise ValueError("singular matrix")
-    return tuple(tuple(row[n:]) for row in aug)
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in aug)
 
 
 # ---------------------------------------------------------------------------

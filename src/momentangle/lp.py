@@ -1,14 +1,20 @@
 """Exact rational linear programming (two-phase simplex, Bland's rule).
 
-Problems here are tiny (tens of variables), so a dense tableau over
-``Fraction`` is both simple and fast enough. Bland's pivoting rule makes
-termination unconditional.
+Problems here are tiny (tens of variables), so a dense tableau is both
+simple and fast enough. The tableau pivots in integers: the constraints and
+the cost are each scaled once by the least common multiple of their
+denominators, and the tableau is kept as integer rows over one common
+denominator ``D > 0``, every entry a minor of the scaled system. Each pivot
+divides exactly by the previous ``D`` (Bareiss's identity), so no
+``Fraction`` is built until the basic solution is read off. Bland's pivoting
+rule makes termination unconditional.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 
@@ -19,35 +25,52 @@ class LPResult:
     objective: Fraction | None = None
 
 
-def _pivot(T: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = T[row][col]
-    T[row] = [x / piv for x in T[row]]
-    for i in range(len(T)):
-        if i != row and T[i][col] != 0:
-            f = T[i][col]
-            T[i] = [x - f * y for x, y in zip(T[i], T[row])]
+def _pivot(T: list[list[int]], basis: list[int], row: int, col: int, D: int) -> int:
+    """Pivot the tableau ``T / D`` on (row, col) in integers; return the new D.
+
+    The cost row, if any, is the last row of T and is updated with the rest.
+    A negative pivot negates its row first, so that the new D stays positive.
+    """
+    if T[row][col] < 0:
+        T[row] = [-x for x in T[row]]
+    r = T[row]
+    p = r[col]
+    for i, t in enumerate(T):
+        if i != row:
+            f = t[col]
+            if f:
+                T[i] = [(x * p - f * y) // D for x, y in zip(t, r)]
+            elif p != D:  # a row the pivot leaves alone still moves to the new D
+                T[i] = [x * p // D for x in t]
     basis[row] = col
+    return p
 
 
-def _run_simplex(T: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> str:
-    """Minimize; ``cost`` is the reduced-cost row (last entry = -objective)."""
+def _run_simplex(T: list[list[int]], basis: list[int], D: int) -> tuple[str, int]:
+    """Minimize; the last row of T is the reduced-cost row (last entry = -objective * D)."""
+    cost = T[-1]
     ncols = len(cost) - 1
+    rows = range(len(T) - 1)
     while True:
         col = next((j for j in range(ncols) if cost[j] < 0), None)  # Bland: lowest index
         if col is None:
-            return "optimal"
-        candidates = [
-            (T[i][-1] / T[i][col], basis[i], i) for i in range(len(T)) if T[i][col] > 0
-        ]
-        if not candidates:
-            return "unbounded"
-        _, _, row = min(candidates)  # min ratio, ties by lowest basis index
-        piv = T[row][col]
-        scaled = [x / piv for x in T[row]]
-        f = cost[col]
-        for j in range(len(cost)):
-            cost[j] -= f * scaled[j]
-        _pivot(T, basis, row, col)
+            return "optimal", D
+        # min ratio T[i][-1] / T[i][col] over T[i][col] > 0, compared by
+        # cross-multiplication, ties by lowest basis index
+        row = None
+        for i in rows:
+            a = T[i][col]
+            if a > 0:
+                if row is None:
+                    row = i
+                    continue
+                lhs, rhs = T[i][-1] * T[row][col], T[row][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[row]):
+                    row = i
+        if row is None:
+            return "unbounded", D
+        D = _pivot(T, basis, row, col, D)
+        cost = T[-1]
 
 
 def solve_lp(
@@ -56,8 +79,7 @@ def solve_lp(
     """Optimize ``c.x`` subject to ``A x = b``, ``x >= 0`` in exact arithmetic."""
     m = len(A)
     n = len(c)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list] = []
     for i in range(m):
         r = [Fraction(x) for x in A[i]]
         if len(r) != n:
@@ -66,20 +88,19 @@ def solve_lp(
         if bb < 0:
             r = [-x for x in r]
             bb = -bb
-        rows.append(r)
-        rhs.append(bb)
+        rows.append(r + [bb])
+    scale = lcm(*(x.denominator for r in rows for x in r))
+    rows = [[x.numerator * (scale // x.denominator) for x in r] for r in rows]
 
-    # phase 1: artificial basis
-    T = [rows[i] + [Fraction(int(j == i)) for j in range(m)] + [rhs[i]] for i in range(m)]
+    # phase 1: artificial basis, the cost row last
+    T = [r[:n] + [int(j == i) for j in range(m)] + [r[n]] for i, r in enumerate(rows)]
+    sums = [sum(col) for col in zip(*rows)] or [0] * (n + 1)
+    T.append([-x for x in sums[:n]] + [0] * m + [-sums[n]])
     basis = [n + i for i in range(m)]
-    cost1 = [Fraction(0)] * (n + m + 1)
-    for j in range(n):
-        cost1[j] = -sum(T[i][j] for i in range(m))
-    cost1[-1] = -sum(T[i][-1] for i in range(m))
-    status = _run_simplex(T, basis, cost1)
+    status, D = _run_simplex(T, basis, 1)
     if status != "optimal":  # phase 1 is always bounded below by 0
         raise AssertionError("phase 1 cannot be unbounded")
-    if -cost1[-1] != 0:
+    if T.pop()[-1] != 0:
         return LPResult("infeasible")
 
     # drive leftover artificials out of the basis, drop redundant rows
@@ -89,28 +110,28 @@ def solve_lp(
             col = next((j for j in range(n) if T[i][j] != 0), None)
             if col is None:
                 continue  # redundant constraint
-            _pivot(T, basis, i, col)
+            D = _pivot(T, basis, i, col, D)
         keep.append(i)
     T = [T[i][:n] + [T[i][-1]] for i in keep]  # strip artificial columns
     basis = [basis[i] for i in keep]
 
-    # phase 2
-    obj = [Fraction(x) for x in c]
-    if maximize:
-        obj = [-x for x in obj]
-    cost2 = list(obj) + [Fraction(0)]
-    for i, bi in enumerate(basis):
-        f = cost2[bi]
-        if f != 0:
-            for j in range(n + 1):
-                cost2[j] -= f * T[i][j]
-    status = _run_simplex(T, basis, cost2)
+    # phase 2: the cost row over the same D, scaled by its own lcm
+    obj = [-Fraction(x) if maximize else Fraction(x) for x in c]
+    scale = lcm(*(x.denominator for x in obj))
+    obj = [x.numerator * (scale // x.denominator) for x in obj]
+    cost = [D * x for x in obj] + [0]
+    for t, bi in zip(T, basis):
+        f = obj[bi]
+        if f:
+            cost = [x - f * y for x, y in zip(cost, t)]
+    T.append(cost)
+    status, D = _run_simplex(T, basis, D)
     if status == "unbounded":
         return LPResult("unbounded")
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = T[i][-1]
+            x[bi] = Fraction(T[i][-1], D)
     val = sum((Fraction(ci) * xi for ci, xi in zip(c, x)), Fraction(0))
     return LPResult("optimal", tuple(x), val)
 

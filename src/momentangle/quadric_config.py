@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,13 +50,9 @@ class QuadricConfiguration:
         int_rows, c_out = [], []
         for row, ci in zip(rows, (Fraction(x) for x in c)):
             fr = [Fraction(x) for x in row]
-            mult = 1
-            for x in fr:
-                mult = mult * x.denominator // gcd(mult, x.denominator)
+            mult = lcm(*(x.denominator for x in fr))
             ints = [int(x * mult) for x in fr]
-            g = 0
-            for x in ints:
-                g = gcd(g, abs(x))
+            g = gcd(*ints)
             if g == 0:
                 raise ValueError("zero quadric row")
             int_rows.append([x // g for x in ints])

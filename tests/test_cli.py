@@ -140,6 +140,18 @@ def test_empty_quadric_system_refused(tmp_path, capsys):
     assert parse_config("mode double\ngamma 1 3\n1 1 1\nc 1\ndelta 0 3\n").delta.rows == 0
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_double_with_empty_first_system_refused(tmp_path, capsys, command):
+    # with no gamma row the first quadric set is all of C^3 and there is no
+    # reduced space; verify-ntilde and report-all passed vacuously (exit 0)
+    cfg = tmp_path / "empty-first.cfg"
+    cfg.write_text("mode double\ngamma 0 3\nc\ndelta 1 3\n1 1 1\nd 1\n")
+    assert main([command, str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: double mode needs at least one gamma row\n"
+
+
 def test_isotropic_quadric_sets_pass_report_all(tmp_path, capsys):
     # with as many quadrics as coordinates the quadric set Z is the torus N
     # itself, isotropic, so the Lagrangian negative control pairs N's first

@@ -4,9 +4,11 @@ The feasible-basis nondegeneracy and freeness checks are compared with the
 subset-LP algorithm they replaced, kept here as the reference, and freeness
 with the Delzant condition on random simple lattice polytopes; the one-LP
 boundedness test of a presentation is compared with the 2n-LP recession
-search it replaced and with scipy; the exact LP is compared with scipy's
-HiGHS solver, and the Smith normal form, the Hermite form and the integer
-nullspace with sympy's.
+search it replaced and with scipy; the integer-pivoting simplex and the
+fraction-free square solves are compared with the ``Fraction`` eliminations
+they replaced, kept here as references; the exact LP is compared with
+scipy's HiGHS solver, and the Smith normal form, the Hermite form and the
+integer nullspace with sympy's.
 """
 
 from fractions import Fraction
@@ -18,14 +20,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from momentangle import lp
 from momentangle.exact_linalg import (
     IntegerMatrix,
     hermite_row_form,
+    inverse,
     nullspace,
     snf_diagonal,
+    solve_square,
     sublattice_equals_lattice,
 )
-from momentangle.lp import feasible_point, positive_combination, strictly_positive_functional
+from momentangle.lp import feasible_point, positive_combination, solve_lp, strictly_positive_functional
 from momentangle.polytope import (
     PolytopePresentation,
     UnboundedPolytopeError,
@@ -291,3 +296,204 @@ def test_rational_nullspace_matches_sympy(rows, side):
         theirs = sympy.Matrix.hstack(*expected).T
         # equal spans: stacking one basis on the other adds no rank
         assert sympy.Matrix.vstack(ours, theirs).rank() == ours.rank() == theirs.rank()
+
+
+# ---------------------------------------------------------------------------
+# the Fraction eliminations that the integer ones replaced
+
+
+def _reference_pivot(T, basis, row, col):
+    piv = T[row][col]
+    T[row] = [x / piv for x in T[row]]
+    for i in range(len(T)):
+        if i != row and T[i][col] != 0:
+            f = T[i][col]
+            T[i] = [x - f * y for x, y in zip(T[i], T[row])]
+    basis[row] = col
+
+
+def _reference_run_simplex(T, basis, cost):
+    ncols = len(cost) - 1
+    while True:
+        col = next((j for j in range(ncols) if cost[j] < 0), None)
+        if col is None:
+            return "optimal"
+        candidates = [(T[i][-1] / T[i][col], basis[i], i) for i in range(len(T)) if T[i][col] > 0]
+        if not candidates:
+            return "unbounded"
+        _, _, row = min(candidates)
+        scaled = [x / T[row][col] for x in T[row]]
+        f = cost[col]
+        for j in range(len(cost)):
+            cost[j] -= f * scaled[j]
+        _reference_pivot(T, basis, row, col)
+
+
+def _reference_solve_lp(A, b, c, maximize=False):
+    """The two-phase Bland simplex on a dense tableau of Fractions."""
+    m, n = len(A), len(c)
+    rows, rhs = [], []
+    for i in range(m):
+        r, bb = [Fraction(x) for x in A[i]], Fraction(b[i])
+        if bb < 0:
+            r, bb = [-x for x in r], -bb
+        rows.append(r)
+        rhs.append(bb)
+    T = [rows[i] + [Fraction(int(j == i)) for j in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    cost1 = [Fraction(0)] * (n + m + 1)
+    for j in range(n):
+        cost1[j] = -sum(T[i][j] for i in range(m))
+    cost1[-1] = -sum(T[i][-1] for i in range(m))
+    assert _reference_run_simplex(T, basis, cost1) == "optimal"
+    if cost1[-1] != 0:
+        return "infeasible", None, None
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if T[i][j] != 0), None)
+            if col is None:
+                continue
+            _reference_pivot(T, basis, i, col)
+        keep.append(i)
+    T = [T[i][:n] + [T[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+    cost2 = [-Fraction(x) if maximize else Fraction(x) for x in c] + [Fraction(0)]
+    for i, bi in enumerate(basis):
+        f = cost2[bi]
+        if f != 0:
+            cost2 = [x - f * y for x, y in zip(cost2, T[i])]
+    if _reference_run_simplex(T, basis, cost2) == "unbounded":
+        return "unbounded", None, None
+    x = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = T[i][-1]
+    return "optimal", tuple(x), sum((Fraction(ci) * xi for ci, xi in zip(c, x)), Fraction(0))
+
+
+def _reference_rref_rows(a, ncols):
+    """Gauss-Jordan over Fractions in place; the pivot columns."""
+    pivots, r = [], 0
+    for c in range(ncols):
+        if r == len(a):
+            break
+        pivot_row = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _reference_solve_square(A, b):
+    n = len(A)
+    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]
+    pivots = _reference_rref_rows(aug, n + 1)
+    if len(pivots) != n or n in pivots:
+        return None
+    return tuple(row[n] for row in aug)
+
+
+def _reference_inverse(rows):
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    if _reference_rref_rows(aug, 2 * n) != list(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+rationals = st.one_of(entries, st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)))
+multipliers = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def linear_programs(draw):
+    """Rational programs with up to 4 rows, some negative right-hand sides, and
+    some redundant rows: a rational multiple of an earlier row and its b."""
+    n = draw(st.integers(0, 6))
+    m = draw(st.integers(0, 4))
+    A = [draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(m)]
+    b = draw(st.lists(rationals, min_size=m, max_size=m))
+    if m and draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        t = draw(multipliers)
+        A.append([t * x for x in A[i]])
+        b.append(t * b[i])
+    c = draw(st.lists(rationals, min_size=n, max_size=n))
+    return A, b, c
+
+
+# an infeasible program, an unbounded one, a redundant row, and a drive-out
+# step that pivots on a negative entry
+@example(([[1, 1]], [-1], [0, 0]))
+@example(([[1, -1]], [0], [-1, 0]))
+@example(([[1, 2, 0], [2, 4, 0], [0, 1, 1]], [2, 4, Fraction(1, 3)], [1, -1, Fraction(1, 2)]))
+@example(([[0, -2, 0, -1], [-1, 0, -2, 0]], [0, -1], [1, 1, -1, 0]))
+@settings(max_examples=60)
+@given(linear_programs())
+def test_solve_lp_matches_fraction_simplex(program):
+    A, b, c = program
+    for maximize in (False, True):
+        res = solve_lp(A, b, c, maximize)
+        assert (res.status, res.x, res.objective) == _reference_solve_lp(A, b, c, maximize)
+
+
+def test_negative_pivot_in_drive_out(monkeypatch):
+    # phase 1 ends with the first row's artificial basic at level 0, and
+    # that row's nonzero entries in the original columns are negative, so
+    # driving it out pivots on a negative entry
+    A, b = [[0, -2, 0, -1], [-1, 0, -2, 0]], [0, -1]
+    pivots = []
+    pivot = lp._pivot
+    monkeypatch.setattr(lp, "_pivot", lambda T, basis, row, col, D: pivots.append(T[row][col]) or pivot(T, basis, row, col, D))
+    res = solve_lp(A, b, [0, 0, 0, 0])
+    assert any(p < 0 for p in pivots)
+    assert (res.status, res.x, res.objective) == ("optimal", (1, 0, 0, 0), 0)
+    for c in ([1, 1, 1, 1], [0, 1, Fraction(-1, 2), 0]):
+        for maximize in (False, True):
+            res = solve_lp(A, b, c, maximize)
+            assert (res.status, res.x, res.objective) == _reference_solve_lp(A, b, c, maximize)
+
+
+@st.composite
+def square_systems(draw):
+    """Square rows of integers and Fractions, singular when a row repeats a
+    multiple of another, and a rational right-hand side."""
+    n = draw(st.integers(0, 5))
+    A = [draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        t = draw(multipliers)
+        A[-1] = [t * x for x in A[0]]
+    return A, draw(st.lists(rationals, min_size=n, max_size=n))
+
+
+@example(([[1, 2], [2, 4]], [1, 2]))
+@example(([[Fraction(1, 2), Fraction(1, 3)], [Fraction(-2, 5), 0]], [Fraction(1, 7), -1]))
+@settings(max_examples=60)
+@given(square_systems())
+def test_solve_square_matches_fraction_elimination(system):
+    A, b = system
+    assert solve_square(A, b) == _reference_solve_square(A, b)
+
+
+@example([[1, 2], [2, 4]])
+@example([[0, 1], [1, 0]])
+@settings(max_examples=60)
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_inverse_matches_fraction_elimination(rows):
+    n = len(rows)
+    try:
+        ours = inverse(IntegerMatrix(rows, cols=n))
+    except ValueError as e:
+        assert str(e) == "singular matrix"
+        ours = None
+    assert ours == _reference_inverse(rows)
