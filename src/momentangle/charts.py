@@ -4,20 +4,24 @@ Every chart is a spread chart (v, phi) -> phases(phi) * u(v): a map u into
 the real locus, times the phases exp(2 pi i <row_j, phi>). Each chart
 supplies u's v-derivatives, and one product rule (``_phase_product``) gives
 its derivatives through third order, all in closed form. ``Chart.jet``
-gives them together, from one solve of u.
+gives them together, from one solve of u. ``global_chart`` covers the whole
+of N wherever its real locus is a product of ellipsoids.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
+from .exact_linalg import solve_square
 from .quadric_config import QuadricConfiguration
 
 TWO_PI = 2.0 * np.pi
 NEWTON_STEPS = 60  # at most, for the nearest point of a spread chart
+NEWTON_TOL = 1e-10  # the largest residual a converged nearest point may keep
 
 
 class NonConvergenceError(RuntimeError):
@@ -166,13 +170,7 @@ class TorusSpreadChart(Chart):
     the real locus, including points on the boundary of the orthant.
     """
 
-    def __init__(
-        self,
-        project_cfg: QuadricConfiguration,
-        u0,
-        phase_rows: np.ndarray | None = None,
-        newton_tol: float = 1e-10,
-    ):
+    def __init__(self, project_cfg: QuadricConfiguration, u0, phase_rows: np.ndarray | None = None):
         G, c = project_cfg.gamma_float(), project_cfg.c_float()
         u0 = np.asarray(u0, dtype=float)
         if G.size and np.max(np.abs(G @ (u0 * u0) - c)) > 1e-8:
@@ -190,7 +188,6 @@ class TorusSpreadChart(Chart):
         self.nphi = self.phase_rows.shape[0]
         self.dim = self.nv + self.nphi
         self.ambient_dim = project_cfg.ambient_dim
-        self.newton_tol = newton_tol
 
     def _nearest(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(u, s): the nearest points u = P / s of the real locus to the rows of P.
@@ -211,7 +208,7 @@ class TorusSpreadChart(Chart):
             if not moving.any() or step == NEWTON_STEPS:
                 break
             mu[moving] -= _solve_small(self._gram(U[moving], s[moving]), F[moving][:, :, None])[:, :, 0]
-        if not np.all(np.abs(F) <= self.newton_tol):
+        if not np.all(np.abs(F) <= NEWTON_TOL):
             raise NonConvergenceError(f"Newton projection stalled at residual {np.abs(F).max():.3e}")
         return U, s
 
@@ -279,12 +276,11 @@ class CircleSpreadChart(Chart):
     """Chart (a, phi) -> exp(2 pi i <phi, rows>) * (A cos a + B sin a + C).
 
     A circle of the real locus (or any plane conic: A, B, C may be complex)
-    spread by the phase subgroup of ``rows`` (none, one row, or several),
-    with ``periods`` the periods of (a, phi_1, ...). u's a-derivatives
-    cycle: B cos a - A sin a, then C - u, then minus the first.
+    spread by the phase subgroup of ``rows`` (none, one row, or several).
+    u's a-derivatives cycle: B cos a - A sin a, then C - u, then minus the first.
     """
 
-    def __init__(self, A, B, C, rows, periods: tuple[float, ...]):
+    def __init__(self, A, B, C, rows):
         ABC = np.array([A, B, C], dtype=complex)  # (3, m)
         # the real and imaginary part of each coordinate in turn, so the
         # elementwise terms run in real arithmetic and view back as complex
@@ -293,7 +289,6 @@ class CircleSpreadChart(Chart):
         self.phase_rows = np.asarray(rows, dtype=float).reshape(-1, self.ambient_dim)
         self.nv, self.nphi = 1, self.phase_rows.shape[0]
         self.dim = 1 + self.nphi
-        self.periods = periods
 
     def _u(self, V: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
         A, B, C = self._parts
@@ -350,3 +345,119 @@ class PolytopeChart(Chart):
             BBB = B[:, :, None, None] * B[:, None, :, None] * B[:, None, None, :]
             parts.append((0.375 / u**5)[:, :, None, None, None] * BBB)
         return tuple(parts)
+
+
+@functools.cache
+def _derivative_counts(nv: int, n: int) -> np.ndarray:
+    """For each of the nv^n axis tuples of an n-th derivative, in C order, how often
+    each of the nv axes occurs in it: (nv^n, nv), read-only."""
+    counts = np.zeros((nv**n, nv), dtype=int)
+    for t, axes in enumerate(itertools.product(range(nv), repeat=n)):
+        for a in axes:
+            counts[t, a] += 1
+    counts.flags.writeable = False
+    return counts
+
+
+# the parameter box of each kind of axis of a global chart
+AXIS_BOXES = {"polar": (-0.5 * np.pi, 0.5 * np.pi), "azimuth": (0.0, TWO_PI), "phase": (0.0, 1.0)}
+
+
+class GlobalChart(Chart):
+    """The covering chart (t, phi) -> phases(phi) * u(t) of a product of ellipsoids.
+
+    u_k = r_k * prod_j f_kj(t_j), with f_kj the factor 1, cos or sin that
+    the integer table ``factors`` (m, nv) names by 0, 1 or 2. ``kinds`` names
+    each parameter axis: "polar" on (-pi/2, pi/2), "azimuth" on [0, 2 pi)
+    and "phase" on [0, 1); ``lo`` and ``hi`` hold the box and ``periodic``
+    the axes that are not polar. A derivative differentiates each factor as
+    often as its angle occurs: cos -> -sin -> -cos -> sin.
+    """
+
+    def __init__(self, radii, factors, phase_rows, kinds: tuple[str, ...]):
+        self.radii = np.asarray(radii, dtype=float)
+        self.factors = np.asarray(factors, dtype=int)
+        self.phase_rows = np.asarray(phase_rows, dtype=float)
+        self.kinds = tuple(kinds)
+        self.ambient_dim = self.radii.size
+        self.nv, self.nphi = self.factors.shape[1], self.phase_rows.shape[0]
+        self.dim = self.nv + self.nphi
+        self.lo, self.hi = (np.array([AXIS_BOXES[kind][end] for kind in self.kinds]) for end in (0, 1))
+        self.periodic = tuple(a for a, kind in enumerate(self.kinds) if kind != "polar")
+
+    def node_counts(self, nodes: dict[str, int], frequencies) -> list[int]:
+        """``nodes[kind]`` nodes on each axis, and more than ``frequencies[j]`` on phase j: the
+        trapezoid rule of n nodes is exact on trigonometric polynomials of degree below n, and
+        reads a term of frequency n in full. A phase of degree 0 takes one node."""
+        counts = [nodes[kind] for kind in self.kinds]
+        for a, top in zip(range(self.nv, self.dim), frequencies):
+            counts[a] = max(counts[a], int(top) + 1) if top else 1
+        return counts
+
+    def _u(self, V: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+        (N, nv), m = V.shape, self.ambient_dim
+        c, s = np.cos(V), np.sin(V)
+        one, zero = np.ones_like(c), np.zeros_like(c)
+        # the derivatives 0..3 of each factor at each angle: (N, factor, nv, 4)
+        table = np.stack([np.stack([one, zero, zero, zero], -1),
+                          np.stack([c, -s, -c, s], -1),
+                          np.stack([s, c, -s, -c], -1)], axis=1)
+        F = table[:, self.factors, np.arange(nv), :]  # (N, m, nv, 4)
+        parts = []
+        for n in range(order + 1):
+            counts = _derivative_counts(nv, n)
+            D = self.radii[:, None] * F[:, :, np.arange(nv), counts].prod(axis=-1)  # (N, m, nv^n)
+            parts.append(D.reshape((N, m) + (nv,) * n))
+        return tuple(parts)
+
+
+def _sphere_factors(n: int) -> list[list[int]]:
+    """The factor table (n, n - 1) of hyperspherical coordinates of S^(n-1):
+    x_0 = C cos b, x_1 = C sin b with C the cosines of the n - 2 polar angles
+    a_1, ..., and x_i = cos a_1 ... cos a_(n-i-1) sin a_(n-i) for i >= 2; the
+    azimuth b is the last angle."""
+    if n == 1:
+        return [[]]
+    table = [[1] * (n - 1), [1] * (n - 2) + [2]]
+    for i in range(2, n):
+        p = n - i  # x_i ends in sin a_p
+        table.append([1] * (p - 1) + [2] + [0] * (n - 1 - p))
+    return table
+
+
+def global_chart(Q: QuadricConfiguration) -> GlobalChart | None:
+    """The covering chart of N when its real locus is a product of ellipsoids, else None.
+
+    Column i of Gamma is g_i p_i, with g_i its gcd and p_i primitive. If the
+    p_i take exactly k values, Gamma (u u) = c reads P l = c with P the k
+    distinct p as columns and l_j = sum over the class of p_j of g_i u_i^2;
+    if every level l_j is positive, each class is an ellipsoid with radii
+    sqrt(l_j / g_i). Each block of coordinates then takes hyperspherical
+    angles, and N takes the phases phi in [0, 1)^k of Gamma's own rows. The
+    cover has the same multiplicity at almost every point of N, which
+    every ratio of the variational checks cancels.
+    """
+    classes: dict[tuple[int, ...], list[int]] = {}
+    gcds = []
+    for i, column in enumerate(zip(*Q.gamma.entries)):
+        g = math.gcd(*column)
+        if g == 0:
+            return None
+        classes.setdefault(tuple(x // g for x in column), []).append(i)
+        gcds.append(g)
+    k, m = Q.num_quadrics, Q.ambient_dim
+    if len(classes) != k:
+        return None
+    primitive = list(classes)
+    levels = solve_square([[p[r] for p in primitive] for r in range(k)], Q.c)
+    if levels is None or min(levels) <= 0:
+        return None
+    radii, nv = np.zeros(m), sum(len(block) - 1 for block in classes.values())
+    factors, kinds = np.zeros((m, nv), dtype=int), []
+    for level, block in zip(levels, classes.values()):
+        first = len(kinds)
+        kinds += ["polar"] * (len(block) - 2) + ["azimuth"] * (len(block) > 1)
+        for i, row in zip(block, _sphere_factors(len(block))):
+            radii[i] = math.sqrt(level / gcds[i])
+            factors[i, first:len(kinds)] = row
+    return GlobalChart(radii, factors, Q.gamma_float(), tuple(kinds) + ("phase",) * k)

@@ -64,7 +64,6 @@ DEFAULT_SAMPLES = 100
 
 _TOL_FIELDS = {
     "membership": "tol_membership",
-    "newton": "newton_tol",
 }
 
 

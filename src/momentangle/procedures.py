@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .charts import CircleSpreadChart, TorusSpreadChart
+from .charts import CircleSpreadChart, GlobalChart, global_chart
 from .polytope import PolytopePresentation, embed_point, enumerate_vertices, is_delzant, is_simple
 from .quadric_config import (
     QuadricConfiguration,
@@ -23,9 +23,8 @@ from .quadric_config import (
 from .reduction_catalog import (
     DoubleConfiguration,
     cp_chart_verify,
-    is_projective,
+    cp_lift_chart,
     ntilde_lagrangian_residual,
-    one_quadric_torus_chart,
     stack_report,
     stacked_tangent_horizontal_residual,
 )
@@ -51,6 +50,7 @@ from .submanifold_numerics import (
     MetricSpec,
     chart_point,
     coarea_orbit_volume_check,
+    field_norm_integral,
     first_variation_integral,
     frame_symplectic_residual,
     hamiltonian_vector_field,
@@ -65,13 +65,18 @@ from .submanifold_numerics import (
     InvarianceError,
     VectorField,
     _poly_scalar,
-    _radial_cutoff,
 )
 from .torus_actions import freeness_check, orbit_volume
 
 TWO_PI = 2.0 * np.pi
 # the number of random fields the first-variation report checks
 VARIATION_FIELDS = 5
+# the nodes of each kind of axis of the whole-N patches (``ChartPatch.over``):
+# Gauss-Legendre on the polar angles, the trapezoid rule on the periodic
+# axes, and on each phase at least as many as ``GlobalChart.node_counts`` asks
+CIRCLE_NODES = {"phase": 8}
+VARIATION_NODES = {"azimuth": 8, "phase": 8}
+STATIONARITY_NODES = {"polar": 12, "azimuth": 12, "phase": 6}
 
 
 # the gates of CHECKS; a report that refuses a configuration reads the same gate
@@ -79,12 +84,25 @@ def _always(subject) -> bool:
     return True
 
 
-def _one_quadric_in_C1_or_C2(Q: QuadricConfiguration) -> bool:
-    return Q.num_quadrics == 1 and Q.ambient_dim in (1, 2)
-
-
 def _one_quadric_in_C2_or_C3(Q: QuadricConfiguration) -> bool:
     return Q.num_quadrics == 1 and Q.ambient_dim in (2, 3)
+
+
+# the variational checks integrate over the whole of N, on its global chart:
+# each report reads its chart here, and runs where it is not None
+def _variation_chart(Q: QuadricConfiguration) -> GlobalChart | None:
+    return global_chart(Q) if Q.num_quadrics == 1 and Q.ambient_dim in (1, 2) else None
+
+
+def _stationarity_chart(Q: QuadricConfiguration) -> GlobalChart | None:
+    return global_chart(Q) if _one_quadric_in_C2_or_C3(Q) else None
+
+
+def _whole_patch(chart: GlobalChart, nodes: dict[str, int], order: int) -> ChartPatch:
+    """The patch over the whole of N on its global chart. The integrands of a field of degree at
+    most 1 are products of two coordinates or their conjugates, times factors that no phase
+    moves: along phase j, of degree at most 2 max_k |Gamma_jk|."""
+    return ChartPatch.over(chart, chart.node_counts(nodes, 2 * np.abs(chart.phase_rows).max(axis=1)), order)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +209,7 @@ def unequal_torus_control(spec: MetricSpec = DEFAULT_SPEC) -> float:
     """
     Q = QuadricConfiguration.from_rows([(1, 1)], [1])
     rho = np.array([0.9, 1.1]) / np.sqrt(0.81 + 1.21)
-    chart = CircleSpreadChart([rho[0], 0.0], [1j * rho[0], 0.0], [0.0, rho[1]], [0.0, 1.0], (TWO_PI, 1.0))
+    chart = CircleSpreadChart([rho[0], 0.0], [1j * rho[0], 0.0], [0.0, rho[1]], [0.0, 1.0])
     p = chart_point(chart, np.array([0.4, 1.1 / TWO_PI]), Q=Q, spec=spec)
     return float(minimality_residual_in_Z(Q, p)[0])
 
@@ -212,7 +230,7 @@ def ellipse_control() -> tuple[float, float]:
     Returns (numeric residual, |OMEGA_SCALE| * |dkappa/ds|).
     """
     a, b, t = 1.0, 0.6, np.pi / 4
-    chart = CircleSpreadChart([a], [1j * b], [0.0], [], (TWO_PI,))
+    chart = CircleSpreadChart([a], [1j * b], [0.0], [])
     numeric = float(hminimality_residual(None, chart_point(chart, np.array([t])))[0])
     w = a * a * np.sin(t) ** 2 + b * b * np.cos(t) ** 2
     dkappa_dt = a * b * (-1.5) * (a * a - b * b) * np.sin(2 * t) / w**2.5
@@ -276,11 +294,10 @@ def coarea_report(Q: QuadricConfiguration) -> VerificationReport:
 # variational reports
 
 
-def circle_variation_values(spec: MetricSpec = DEFAULT_SPEC) -> tuple[float, float]:
-    """(dVol/dt, -integral <H, X>) for the unit circle under the radial field."""
-    Q = QuadricConfiguration.from_rows([(1,)], [1])
-    chart = TorusSpreadChart(Q, [1.0], newton_tol=spec.newton_tol)
-    patch = ChartPatch(chart=chart, lo=[0.0], hi=[1.0], nodes=32, order=2)
+def circle_variation_values(chart: GlobalChart) -> tuple[float, float]:
+    """(dVol/dt, -integral <H, X>) for a circle, on its global chart, under the radial unit field:
+    each reads 2 pi at every radius."""
+    patch = _whole_patch(chart, CIRCLE_NODES, order=2)
 
     def radial_derivative(z, V):
         # the part of V orthogonal to z, over |z|
@@ -305,81 +322,52 @@ def _random_matrix_field(m: int, rng: np.random.Generator) -> VectorField:
     return VectorField(lambda z: z @ A.T + np.conj(z) @ B.T + c0, derivative)
 
 
-def first_variation_report(
-    Q: QuadricConfiguration, seed: int = 0, spec: MetricSpec = DEFAULT_SPEC
-) -> VerificationReport:
-    """Volume derivative against the curvature quadrature for bump-localized fields.
+def first_variation_report(Q: QuadricConfiguration, seed: int = 0) -> VerificationReport:
+    """Volume derivative against the curvature quadrature, over the whole of N.
 
     Supported on the circle (ambient dim 1: the sharp radial-field values)
-    and on the spread torus of the one-quadric system in C^2 (random
-    matrix-valued fields under a two-axis bump).
+    and on the spread torus of one quadric in C^2 with a global chart
+    (random matrix-valued fields). Each field's record is the difference
+    of the two over its scale integral |X| dA.
     """
     rep = VerificationReport(seed=seed)
-    if not _one_quadric_in_C1_or_C2(Q):
-        raise ValueError("first-variation report runs on one quadric in C^1 or C^2")
+    chart = _variation_chart(Q)
+    if chart is None:
+        raise ValueError("first-variation report runs on one quadric in C^1 or C^2 with a global chart")
     if Q.ambient_dim == 1:
-        dv, comp = circle_variation_values(spec)
+        dv, comp = circle_variation_values(chart)
         rep.add("circle-dvol", abs(dv - TWO_PI), TOL_VARIATION_CIRCLE)
         rep.add("circle-curvature-integral", abs(comp - TWO_PI), TOL_VARIATION_CIRCLE)
         rep.add("circle-consistency", abs(dv - comp), TOL_VARIATION_CIRCLE)
         return rep
-    chart = one_quadric_torus_chart(Q)
-    lo = [0.3, 0.05]
-    hi = [5.9, 0.95]
-    # the bump-weighted integrands need 48 nodes per axis: at 24 the
-    # quadrature error alone reached 1.6e-2 of |dv| + |comp| on some seeds
-    patch = ChartPatch(chart=chart, lo=lo, hi=hi, nodes=48, order=2, bump_axes=(0, 1))
+    patch = _whole_patch(chart, VARIATION_NODES, order=2)
     rng = np.random.default_rng(seed)
     for i in range(VARIATION_FIELDS):
         X = _random_matrix_field(Q.ambient_dim, rng)
         dv = patch_volume_derivative(patch, X)
         comp = first_variation_integral(patch, X)
-        rel = abs(dv - comp) / (abs(dv) + abs(comp) + 1e-9)
-        rep.add(f"first-variation-field-{i}", rel, TOL_VARIATION_REL)
+        rep.add(f"first-variation-field-{i}", abs(dv - comp) / field_norm_integral(patch, X), TOL_VARIATION_REL)
     return rep
 
 
-def hamiltonian_stationarity_report(
-    Q: QuadricConfiguration,
-    seed: int = 0,
-    spec: MetricSpec = DEFAULT_SPEC,
-    *,
-    n_fields: int,
-) -> VerificationReport:
-    """Volume stationarity of the spread Lagrangian under Hamiltonian fields.
+def hamiltonian_stationarity_report(Q: QuadricConfiguration, seed: int = 0, *, n_fields: int) -> VerificationReport:
+    """Volume stationarity of N under global Hamiltonian fields, over the whole of N.
 
-    For the closed surface (one quadric in C^2) global polynomial
-    Hamiltonians act on a full covering chart; in C^3, where the real locus
-    has no global chart, the Hamiltonians are localized by an ambient cutoff
-    so the variation vanishes outside one chart patch. Each field comes from
-    the Hamiltonian's closed-form gradient, and its derivative from the
-    closed-form Hessian. Each record is
-    ``stationarity_ratio``: |dVol/dt| over max|X_f| * vol(patch), the rate
-    at which a unit-curvature submanifold would change volume.
+    Each Hamiltonian is a random polynomial of degree at most 2
+    (``_poly_scalar``); its field comes from the closed-form gradient, and
+    its derivative from the closed-form Hessian. Each record is
+    ``stationarity_ratio``: |dVol/dt| over integral |X_f| dA, the rate at
+    which a unit-curvature submanifold would change volume.
     """
     rep = VerificationReport(seed=seed)
+    chart = _stationarity_chart(Q)
+    if chart is None:
+        raise ValueError("stationarity report runs on one quadric in C^2 or C^3 with a global chart")
     rng = np.random.default_rng(seed)
-    if not _one_quadric_in_C2_or_C3(Q):
-        raise ValueError("stationarity report runs on one quadric in C^2 or C^3")
-    localized = Q.ambient_dim == 3
-    if not localized:
-        chart = one_quadric_torus_chart(Q)
-        patch = ChartPatch(chart=chart, lo=[0.0, 0.0], hi=list(chart.periods), nodes=24, order=1)
-    else:
-        base = sample_chart_points(Q, 1, rng, spec, order=0).bases[0]
-        chart = TorusSpreadChart(Q, base, newton_tol=spec.newton_tol)
-        lo = [-0.65, -0.65, -0.15]
-        hi = [0.65, 0.65, 0.15]
-        # the ambient cutoff is narrow in the phase direction: resolve it harder
-        patch = ChartPatch(chart=chart, lo=lo, hi=hi, nodes=[20, 20, 36], order=1)
-        z0 = chart.value(np.zeros((1, 3)))[0]
-        rho = 0.4
-
+    patch = _whole_patch(chart, STATIONARITY_NODES, order=1)
     for i in range(n_fields):
-        poly = _poly_scalar(Q.ambient_dim, rng)
-        _, grad, hess = _radial_cutoff(poly, z0, rho) if localized else poly
-        Xf = hamiltonian_vector_field(grad, hess)
-        ratio = stationarity_ratio(patch, Xf, localized=localized)
+        _, grad, hess = _poly_scalar(Q.ambient_dim, rng)
+        ratio = stationarity_ratio(patch, hamiltonian_vector_field(grad, hess))
         rep.add(f"hamiltonian-stationarity-{i}", ratio, TOL_STATIONARITY)
     return rep
 
@@ -445,14 +433,14 @@ CHECKS = (
     # shared jet stays at the order the other entries read
     Check("hminimality", "Q", _always, ("verify-hminimal", *ALL), 0,
           lambda Q, sample, **_: hminimality_report(Q, ChartSample.at(sample.chart, sample.params[:20], 3))),
-    Check("variation", "Q", _one_quadric_in_C1_or_C2, ("verify-variation", *ALL), None,
-          lambda Q, seed, spec, **_: first_variation_report(Q, seed=seed, spec=spec)),
+    Check("variation", "Q", lambda Q: _variation_chart(Q) is not None, ("verify-variation", *ALL), None,
+          lambda Q, seed, **_: first_variation_report(Q, seed=seed)),
     Check("coarea", "Q", _one_quadric_in_C2_or_C3, ALL, None, lambda Q, **_: coarea_report(Q)),
-    Check("stationarity", "Q", _one_quadric_in_C2_or_C3, ("verify-hminimal", *ALL), None,
-          lambda Q, seed, spec, **_: hamiltonian_stationarity_report(Q, seed=seed, spec=spec, n_fields=3)),
+    Check("stationarity", "Q", lambda Q: _stationarity_chart(Q) is not None, ("verify-hminimal", *ALL), None,
+          lambda Q, seed, **_: hamiltonian_stationarity_report(Q, seed=seed, n_fields=3)),
     Check("stack", "D", _always, ALL, None, lambda D, **_: stack_report(D.checks)),
     Check("ntilde", "D", _always, ("verify-ntilde", *ALL), None,
           lambda D, seed, samples, spec, **_: ntilde_report(D, samples=samples, seed=seed, spec=spec)),
-    Check("projective", "D", lambda D: is_projective(D.gamma_cfg), ("verify-ntilde", *ALL), None,
-          lambda D, seed, samples, spec, **_: cp_chart_verify(D, samples=min(samples, 50), seed=seed, spec=spec)),
+    Check("projective", "D", lambda D: cp_lift_chart(D) is not None, ("verify-ntilde", *ALL), None,
+          lambda D, seed, samples, **_: cp_chart_verify(D, samples=min(samples, 50), seed=seed)),
 )

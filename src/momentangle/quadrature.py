@@ -1,4 +1,12 @@
-"""Tensor Gauss-Legendre grids on boxes and smooth bump weights."""
+"""Tensor quadrature grids on boxes: the trapezoid rule on periodic axes,
+Gauss-Legendre on the others.
+
+A variational check integrates over the whole of N on a global chart. Its
+azimuths and phases are periodic, where the trapezoid rule converges
+geometrically in the node count (exactly, on trigonometric polynomials of
+degree below it); its polar angles are not, and take Gauss-Legendre, whose
+nodes avoid the poles where the chart degenerates.
+"""
 
 from __future__ import annotations
 
@@ -22,17 +30,25 @@ def gauss_legendre_1d(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndar
     return lo + half * (x + 1.0), half * w
 
 
-def tensor_grid(lo, hi, nodes) -> tuple[np.ndarray, np.ndarray]:
-    """Product Gauss-Legendre rule on the box [lo, hi]; returns (points, weights).
+def trapezoid_1d(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point trapezoid rule of the period [lo, hi): equal weights, the first node at lo."""
+    width = hi - lo
+    return lo + width * np.arange(n) / n, np.full(n, width / n)
 
-    ``nodes`` is an int or a per-axis sequence.
+
+def tensor_grid(lo, hi, nodes, periodic) -> tuple[np.ndarray, np.ndarray]:
+    """Product rule on the box [lo, hi]; returns (points, weights).
+
+    ``nodes`` is an int or a per-axis sequence. The axes in ``periodic``
+    take the trapezoid rule over one period [lo, hi), the others
+    Gauss-Legendre.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     d = lo.size
     if np.isscalar(nodes) or isinstance(nodes, (int, np.integer)):
         nodes = [int(nodes)] * d
-    axes = [gauss_legendre_1d(lo[a], hi[a], nodes[a]) for a in range(d)]
+    axes = [(trapezoid_1d if a in periodic else gauss_legendre_1d)(lo[a], hi[a], nodes[a]) for a in range(d)]
     grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
     S = np.stack([g.reshape(-1) for g in grids], axis=-1)
     wgrids = np.meshgrid(*[ax[1] for ax in axes], indexing="ij")
@@ -40,88 +56,3 @@ def tensor_grid(lo, hi, nodes) -> tuple[np.ndarray, np.ndarray]:
     for wg in wgrids:
         W = W * wg.reshape(-1)
     return S, W
-
-
-def bump_profile(t: np.ndarray) -> np.ndarray:
-    """C-infinity profile: 1 at 0, identically 0 outside (-1, 1)."""
-    t = np.asarray(t, dtype=float)
-    inside = np.abs(t) < 1.0
-    out = np.zeros_like(t)
-    tt = np.where(inside, t, 0.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        vals = np.exp(1.0 - 1.0 / (1.0 - tt * tt))
-    out[inside] = vals[inside]
-    return out
-
-
-def bump_profile_derivative(t: np.ndarray) -> np.ndarray:
-    """d/dt of ``bump_profile``: -2 t / (1 - t^2)^2 times the profile, 0 outside."""
-    t = np.asarray(t, dtype=float)
-    inside = np.abs(t) < 1.0
-    out = np.zeros_like(t)
-    tt = t[inside]
-    out[inside] = bump_profile(tt) * (-2.0 * tt / (1.0 - tt * tt) ** 2)
-    return out
-
-
-def bump_poly(t: np.ndarray) -> np.ndarray:
-    """Polynomial cutoff (1 - t^2)^4 on (-1, 1), 0 outside.
-
-    Only C^3 at the edge, but with polynomially bounded derivatives,
-    so Gauss-Legendre rules resolve it at far lower node counts than the
-    exponential profile; used where a localizer sits inside a quadrature.
-    """
-    t = np.asarray(t, dtype=float)
-    return np.where(np.abs(t) < 1.0, (1.0 - np.minimum(t * t, 1.0)) ** 4, 0.0)
-
-
-def bump_poly_dsq(t: np.ndarray) -> np.ndarray:
-    """Derivative of ``bump_poly(t)`` with respect to t^2: -4 (1 - t^2)^3.
-
-    Zero outside (-1, 1). By the chain rule d/dt bump_poly = 2 t * this, and a
-    radial cutoff bump_poly(|x - x0| / rho) has gradient
-    2 (x - x0) / rho^2 * this, with no division by |x - x0|.
-    """
-    t = np.asarray(t, dtype=float)
-    return np.where(np.abs(t) < 1.0, -4.0 * (1.0 - np.minimum(t * t, 1.0)) ** 3, 0.0)
-
-
-def bump_poly_dsq2(t: np.ndarray) -> np.ndarray:
-    """Second derivative of ``bump_poly(t)`` with respect to t^2: 12 (1 - t^2)^2.
-
-    Zero outside (-1, 1); the Hessian of a radial cutoff takes it with
-    ``bump_poly_dsq`` through the chain rule in s = |x - x0|^2 / rho^2.
-    """
-    t = np.asarray(t, dtype=float)
-    return np.where(np.abs(t) < 1.0, 12.0 * (1.0 - np.minimum(t * t, 1.0)) ** 2, 0.0)
-
-
-def _box_coordinates(S, lo, hi, axes) -> tuple[np.ndarray, dict[int, np.ndarray], np.ndarray]:
-    """S as (N, d), {axis: its coordinate rescaled from [lo, hi] to [-1, 1]}, and the box widths."""
-    S = np.atleast_2d(np.asarray(S, dtype=float))
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    axes = range(lo.size) if axes is None else axes
-    return S, {a: 2.0 * (S[:, a] - lo[a]) / (hi[a] - lo[a]) - 1.0 for a in axes}, hi - lo
-
-
-def box_bump(S: np.ndarray, lo, hi, axes=None) -> np.ndarray:
-    """Product bump in the selected axes, constant 1 in the others."""
-    S, t, _ = _box_coordinates(S, lo, hi, axes)
-    out = np.ones(S.shape[0])
-    for ta in t.values():
-        out = out * bump_profile(ta)
-    return out
-
-
-def box_bump_gradient(S: np.ndarray, lo, hi, axes=None) -> np.ndarray:
-    """Gradient (N, d) of ``box_bump`` in S: the product rule over its factors."""
-    S, t, width = _box_coordinates(S, lo, hi, axes)
-    out = np.zeros_like(S)
-    for a, ta in t.items():
-        factor = (2.0 / width[a]) * bump_profile_derivative(ta)
-        for b, tb in t.items():
-            if b != a:
-                factor = factor * bump_profile(tb)
-        out[:, a] = factor
-    return out

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .charts import CircleSpreadChart, TorusSpreadChart, c2r, r2c
+from .charts import GlobalChart, TorusSpreadChart, c2r, global_chart, r2c
 from .exact_linalg import IntegerMatrix
 from .polytope import PolytopePresentation
 from .quadric_config import (
@@ -31,12 +31,10 @@ from .submanifold_numerics import (
     ChartSample,
     MetricSpec,
     _poly_scalar,
-    _radial_cutoff,
     chart_point,
     frame_symplectic_residual,
     hamiltonian_vector_field,
     lagrangian_residual,
-    real_base_point,
     stationarity_ratio,
     tangent_frame_Z,
 )
@@ -199,9 +197,7 @@ def ntilde_chart(
     The base moves on the intersection of the two real loci; only the
     second system's torus supplies phases.
     """
-    chart = TorusSpreadChart(
-        D.stacked, base, phase_rows=D.delta_cfg.gamma_float(), newton_tol=spec.newton_tol
-    )
+    chart = TorusSpreadChart(D.stacked, base, phase_rows=D.delta_cfg.gamma_float())
     params = np.concatenate([np.asarray(v, dtype=float), np.asarray(phi_delta, dtype=float)])
     return chart_point(chart, params, Q=D.stacked, spec=spec)
 
@@ -403,35 +399,11 @@ def catalog_names() -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# explicit full-cover charts for the closed low-dimensional cases
-
-
-def one_quadric_torus_chart(Q: QuadricConfiguration) -> CircleSpreadChart:
-    """Global (theta, phi) chart of the spread of the circle (ambient dim 2).
-
-    z = sqrt(c / gamma) exp(2 pi i gamma phi) (cos theta, sin theta). Covers
-    the closed surface (as a 2:1 deck cover); both axes are periodic with
-    periods 2*pi and 1/gamma.
-    """
-    if Q.num_quadrics != 1 or Q.ambient_dim != 2:
-        raise ValueError("global chart implemented for one quadric in C^2")
-    gamma = Q.gamma.entries[0][0]
-    root = np.sqrt(float(Q.c[0]) / gamma)
-    return CircleSpreadChart([root, 0.0], [0.0, root], [0.0, 0.0], [gamma, gamma],
-                             (TWO_PI, 1.0 / gamma))
-
-
-def cp2_torus_lift_chart(D: DoubleConfiguration) -> CircleSpreadChart:
-    """Global (angle, phi_gamma, phi_delta) chart of the lifted torus of the cp2 instance:
-    exp(2 pi i (phi_gamma (1, 1, 1) + phi_delta (1, 1, 2))) (cos angle, sin angle, 1)."""
-    return CircleSpreadChart(np.eye(3)[0], np.eye(3)[1], np.eye(3)[2], D.stacked.gamma_float(),
-                             (TWO_PI, 1.0, 1.0))
-
-
-# ---------------------------------------------------------------------------
 # projective verification
 
-CP_CUTOFF_RADIUS = 0.42  # the ball cutoff of the localized Hamiltonians, in q-space
+# the nodes of each kind of axis of the lift's patch, and on each phase at
+# least as many as ``GlobalChart.node_counts`` asks
+CP_NODES = {"polar": 12, "azimuth": 12, "phase": 12}
 
 
 class CpSetup(NamedTuple):
@@ -443,76 +415,42 @@ class CpSetup(NamedTuple):
     patch: ChartPatch
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    localized: bool
 
 
-def _phase_half_width(u0: np.ndarray, row: np.ndarray, rho: float) -> float:
-    """Twice the reach of the q-ball of radius rho about q(u0) along the phases of ``row``.
-
-    The reach is the first phi of a grid on (0, 1/2] at which
-    exp(2 pi i phi row) u0 leaves the ball; the factor 2 covers the ball's
-    wider reach away from the axis.
-    """
-    phi = np.linspace(0.0, 0.5, 501)[1:]
-    dist = np.linalg.norm(circle_invariants(np.exp(1j * TWO_PI * phi[:, None] * row) * u0)
-                          - circle_invariants(u0), axis=1)
-    out = np.flatnonzero(dist >= rho)
-    return 2.0 * float(phi[out[0]] if out.size else phi[-1])
+def cp_lift_chart(D: DoubleConfiguration) -> GlobalChart | None:
+    """The global chart of the lift that ``cp_chart_verify`` integrates on, where the first system
+    is projective, else None. Its first phase axis is the first torus's circle."""
+    return global_chart(D.stacked) if is_projective(D.gamma_cfg) else None
 
 
-def cp_chart_setup(
-    D: DoubleConfiguration, samples: int = 50, seed: int = 0, spec: MetricSpec = DEFAULT_SPEC
-) -> CpSetup:
+def cp_chart_setup(D: DoubleConfiguration, samples: int, seed: int) -> CpSetup:
     """The lift sample, patch and Hamiltonian of ``cp_chart_verify`` at ``seed``.
 
-    The lift is the spread chart of the stacked system with its default
-    phase rows, the first torus's first. The patch takes one node along that
-    phase: every integrand is constant along the circle. The cp2 torus uses
-    its global chart and one random Hamiltonian quadratic in q; the others a
-    box centred on the real base point, with the Hamiltonian cut off by a
-    ball in q-space around q(base) and each second-torus phase half-width
-    from the ball's reach along that phase.
+    The samples are uniform on the lift chart's box, axis by axis, at phase
+    0 on the first torus's circle, and the patch covers the whole lift. The
+    Hamiltonian is one random quadratic polynomial in the circle invariants
+    q, so each integrand is a sum of products of two q (or their
+    conjugates) times factors that no phase moves: along phase j, of degree
+    at most 2 (max_k Gamma_jk - min_k Gamma_jk). That is 0 along the
+    circle, which takes one node.
     """
-    if not is_projective(D.gamma_cfg):
-        raise ValueError("projective verification needs a first system of one quadric "
-                         "with equal coefficients")
+    chart = cp_lift_chart(D)
+    if chart is None:
+        raise ValueError("projective verification needs a first system of one quadric with equal "
+                         "coefficients and a stacked system whose real locus is a product of ellipsoids")
     rng = np.random.default_rng(seed)
-    m = D.ambient_dim
-    localized = not (D.stacked.gamma.entries == ((1, 1, 1), (1, 1, 2)) and D.stacked.c == (2, 3))
-    # the samples sit at the circle's phase 0: every residual is constant along it
-    if not localized:
-        chart = cp2_torus_lift_chart(D)
-        S = np.stack([rng.uniform(0, TWO_PI, samples), np.zeros(samples),
-                      rng.uniform(0, 1, samples)], axis=-1)
-        lo, hi, nodes = np.zeros(3), np.array(chart.periods), [18, 1, 18]
-    else:
-        base = real_base_point(D.stacked)
-        chart = TorusSpreadChart(D.stacked, base, newton_tol=spec.newton_tol)
-        nv, ndelta = chart.nv, chart.nphi - 1
-        S = np.concatenate([0.3 * rng.uniform(-1, 1, (samples, nv)), np.zeros((samples, 1)),
-                            rng.uniform(0, 1, (samples, ndelta))], axis=-1)
-        # v in [-0.5, 0.5], one period of the circle, and each second-torus
-        # phase out to twice the cutoff's reach along it
-        hi = np.array([0.5] * nv + [0.5 / abs(D.gamma_cfg.gamma.entries[0][0])]
-                      + [_phase_half_width(base, row, CP_CUTOFF_RADIUS)
-                         for row in D.delta_cfg.gamma_float()])
-        lo, nodes = -hi, [40] * nv + [1] + [40] * ndelta
+    m, circle = D.ambient_dim, chart.nv
+    S = np.stack([np.zeros(samples) if a == circle else rng.uniform(chart.lo[a], chart.hi[a], samples)
+                  for a in range(chart.dim)], axis=-1)
     sample = ChartSample.at(chart, S, 1)
-    patch = ChartPatch(chart=chart, lo=lo, hi=hi, nodes=nodes, order=1)
-    # the Hamiltonians of the C^m check, as functions of the circle invariants
-    poly = _poly_scalar(m * (m + 1) // 2, rng)
-    if localized:
-        poly = _radial_cutoff(poly, circle_invariants(base)[0], CP_CUTOFF_RADIUS)
-    _, grad, hess = circle_invariant_hamiltonian(poly, m)
-    return CpSetup(sample, patch, grad, hess, localized)
+    rows = chart.phase_rows
+    patch = ChartPatch.over(chart, chart.node_counts(CP_NODES, 2 * (rows.max(axis=1) - rows.min(axis=1))), order=1)
+    # the Hamiltonian of the C^m check, as a function of the circle invariants
+    _, grad, hess = circle_invariant_hamiltonian(_poly_scalar(m * (m + 1) // 2, rng), m)
+    return CpSetup(sample, patch, grad, hess)
 
 
-def cp_chart_verify(
-    D: DoubleConfiguration,
-    samples: int,
-    seed: int = 0,
-    spec: MetricSpec = DEFAULT_SPEC,
-) -> VerificationReport:
+def cp_chart_verify(D: DoubleConfiguration, samples: int, seed: int = 0) -> VerificationReport:
     """Verification of the reduced Lagrangian in CP^(m-1), on its lift in flat C^m.
 
     The lift is invariant under the diagonal circle T_gamma, whose orbits on
@@ -521,15 +459,12 @@ def cp_chart_verify(
     the lift is, and a circle-invariant Hamiltonian's flow descends to the
     reduced flow, so the lift's Lagrangian residual and its volume
     stationarity under such Hamiltonians (functions of ``circle_invariants``)
-    check the reduced claims. On the localized instances
-    ``stationarity_ratio`` checks that the field vanishes near the patch
-    boundary.
+    check the reduced claims, over the whole lift.
     """
     rep = VerificationReport(seed=seed)
-    setup = cp_chart_setup(D, samples, seed, spec)
+    setup = cp_chart_setup(D, samples, seed)
     lag = float(lagrangian_residual(D.stacked, setup.sample).max())
     rep.add("cp-lagrangian-residual", lag, TOL_LAGRANGIAN, samples=samples)
-    X = hamiltonian_vector_field(setup.grad, setup.hess)
-    ratio = stationarity_ratio(setup.patch, X, setup.localized)
+    ratio = stationarity_ratio(setup.patch, hamiltonian_vector_field(setup.grad, setup.hess))
     rep.add("cp-hamiltonian-stationarity", ratio, TOL_STATIONARITY)
     return rep

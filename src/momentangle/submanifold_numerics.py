@@ -23,13 +23,13 @@ import numpy as np
 from . import quadrature
 from .charts import (
     Chart,
+    GlobalChart,
     NonConvergenceError,
     PolytopeChart,
     TorusSpreadChart,
     c2r,
     r2c,
 )
-from .quadrature import bump_poly, bump_poly_dsq, bump_poly_dsq2
 from .quadric_config import QuadricConfiguration, membership_residuals
 from .torus_actions import orbit_volume, torus_point, torus_subgroup
 
@@ -50,7 +50,6 @@ class MetricSpec:
     """
 
     tol_membership: float = 1e-10
-    newton_tol: float = 1e-10
 
 
 DEFAULT_SPEC = MetricSpec()
@@ -153,7 +152,7 @@ def chart_N(
     spec: MetricSpec = DEFAULT_SPEC,
 ) -> ChartSample:
     """Point of the torus-spread Lagrangian over base u0 at parameters (v, phi)."""
-    chart = TorusSpreadChart(Q, u0, newton_tol=spec.newton_tol)
+    chart = TorusSpreadChart(Q, u0)
     params = np.concatenate([np.asarray(v, dtype=float), np.asarray(phi, dtype=float)])
     return chart_point(chart, params, Q=Q, spec=spec)
 
@@ -306,58 +305,6 @@ def _poly_scalar(m: int, rng: np.random.Generator) -> tuple[Callable, Callable, 
     return f, grad, hess
 
 
-def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The real inner product of packed complex vectors along the last axis."""
-    return np.real(np.sum(np.conj(a) * b, axis=-1))
-
-
-def _radial_cutoff(
-    poly: tuple[Callable, Callable, Callable], z0: np.ndarray, rho: float
-) -> tuple[Callable, Callable, Callable]:
-    """poly localized by bump_poly(|z - z0| / rho), with its gradient and Hessian.
-
-    The cutoff is b(s) = (1 - s)^4 in s = |z - z0|^2 / rho^2, with b' =
-    ``bump_poly_dsq`` and b'' = ``bump_poly_dsq2``, and grad s = 2 (z - z0) /
-    rho^2, so no division by |z - z0|. Gradient and Hessian are the product
-    rule inside the support and 0 outside; the polynomial is evaluated only
-    at the points inside.
-    """
-    poly_f, poly_grad, poly_hess = poly
-
-    def dist(z):
-        d = np.atleast_2d(np.asarray(z, dtype=complex)) - z0
-        return d, np.sqrt(np.sum(np.abs(d) ** 2, axis=-1)) / rho
-
-    def f(z):
-        return bump_poly(dist(z)[1]) * poly_f(z)
-
-    def grad(z):
-        z = np.atleast_2d(np.asarray(z, dtype=complex))
-        d, r = dist(z)
-        out = np.zeros_like(d)
-        inside = r < 1.0
-        d, r, z = d[inside], r[inside], z[inside]
-        cut_grad = (2.0 / rho**2) * bump_poly_dsq(r)[:, None] * d
-        out[inside] = bump_poly(r)[:, None] * poly_grad(z) + poly_f(z)[:, None] * cut_grad
-        return out
-
-    def hess(z, V):
-        z = np.atleast_2d(np.asarray(z, dtype=complex))
-        d, r = dist(z)
-        out = np.zeros(V.shape, dtype=complex)
-        inside = r < 1.0
-        d, r, z, V = d[inside], r[inside], z[inside], V[inside]
-        b, b1, b2 = (fn(r)[:, None, None] for fn in (bump_poly, bump_poly_dsq, bump_poly_dsq2))
-        p, gp = poly_f(z)[:, None, None], poly_grad(z)[:, None, :]
-        gs = (2.0 / rho**2) * d[:, None, :]  # grad s
-        gp_v, gs_v = _real_dot(gp, V)[..., None], _real_dot(gs, V)[..., None]
-        out[inside] = (b * poly_hess(z, V) + b1 * (gs * gp_v + gp * gs_v)
-                       + p * (b2 * gs * gs_v + (2.0 / rho**2) * b1 * V))
-        return out
-
-    return f, grad, hess
-
-
 def noether_drift(
     Q: QuadricConfiguration,
     f: Callable[[np.ndarray], np.ndarray],
@@ -393,16 +340,15 @@ def noether_drift(
 
 @dataclass
 class ChartPatch:
-    """The nodes of a tensor Gauss-Legendre grid on a chart box as one
-    sample, with their weights ``w`` and optional compact bump weights.
+    """The nodes of a tensor grid on a chart box as one sample, with their weights ``w``.
 
-    ``bump_axes`` lists the parameter axes along which the deformation must
-    vanish at the boundary (periodic/full axes carry no bump). The ambient
-    is flat C^m. The sample is built through ``order``: 1 for volumes and
-    their derivatives, 2 for the curvature integral. The induced metric
-    ``g`` (N, d, d), the area element ``elem`` and, at order 2, the real
-    mean curvature ``curvature`` (N, 2m) are computed at construction, once
-    for every field. Boxes have dimension at most 4.
+    The axes in ``periodic`` take the trapezoid rule over one period, the
+    others Gauss-Legendre (``quadrature.tensor_grid``). The ambient is flat
+    C^m. The sample is built through ``order``: 1 for volumes and their
+    derivatives, 2 for the curvature integral. The induced metric ``g``
+    (N, d, d), the area element ``elem`` and, at order 2, the real mean
+    curvature ``curvature`` (N, 2m) are computed at construction, once for
+    every field. Boxes have dimension at most 4.
     """
 
     chart: Chart
@@ -410,7 +356,7 @@ class ChartPatch:
     hi: np.ndarray
     nodes: int | Sequence[int]
     order: int
-    bump_axes: tuple[int, ...] = ()
+    periodic: tuple[int, ...] = ()
     sample: ChartSample = field(init=False)
     w: np.ndarray = field(init=False)
     g: np.ndarray = field(init=False)
@@ -424,7 +370,7 @@ class ChartPatch:
             raise ValueError("box dimension disagrees with the chart")
         if self.chart.dim > 4:
             raise ValueError(f"patch boxes have dimension at most 4, got {self.chart.dim}")
-        S, self.w = quadrature.tensor_grid(self.lo, self.hi, self.nodes)
+        S, self.w = quadrature.tensor_grid(self.lo, self.hi, self.nodes, self.periodic)
         self.sample = ChartSample.at(self.chart, S, self.order)
         J = self.sample.jet[1]
         Jr = np.concatenate([J.real, J.imag], axis=1)
@@ -432,14 +378,10 @@ class ChartPatch:
         self.elem = np.sqrt(np.linalg.det(self.g))
         self.curvature = _curvature_batch(Jr, self.g, self.sample.jet[2]) if self.order == 2 else None
 
-    def bump_at(self, S: np.ndarray) -> np.ndarray:
-        if not self.bump_axes:
-            return np.ones(np.atleast_2d(S).shape[0])
-        return quadrature.box_bump(S, self.lo, self.hi, self.bump_axes)
-
-    def bump_gradient_at(self, S: np.ndarray) -> np.ndarray:
-        """Gradient (N, d) of the bump in the chart parameters (0 with no bump axes)."""
-        return quadrature.box_bump_gradient(S, self.lo, self.hi, self.bump_axes)
+    @classmethod
+    def over(cls, chart: GlobalChart, nodes: Sequence[int], order: int) -> ChartPatch:
+        """The patch over the whole of N: the box and periodic axes of a global chart."""
+        return cls(chart, chart.lo, chart.hi, nodes, order, chart.periodic)
 
 
 def patch_volume(patch: ChartPatch) -> float:
@@ -447,11 +389,11 @@ def patch_volume(patch: ChartPatch) -> float:
 
 
 def patch_volume_derivative(patch: ChartPatch, X: VectorField) -> float:
-    """d/dt at t=0 of the patch volume under z -> z + t * bump * X(z).
+    """d/dt at t=0 of the patch volume under z -> z + t * X(z).
 
-    Jacobi's formula, with no difference in t: with
-    J_Y = bump * DX(P)[J_P] + X(P) (x) grad bump, the deformed metric
-    g(t) = (J_P + t J_Y)^T (J_P + t J_Y) has dg/dt = J_Y^T J_P + J_P^T J_Y,
+    Jacobi's formula, with no difference in t: with J_Y = DX(P)[J_P], the
+    deformed metric g(t) = (J_P + t J_Y)^T (J_P + t J_Y) has
+    dg/dt = J_Y^T J_P + J_P^T J_Y,
     and dVol/dt = sum w * sqrt(det g) * 1/2 tr(g^-1 dg/dt), from the
     patch's chart data and the field's closed-form derivative (``X`` is a
     ``VectorField``). The variation is free: deformed points are not
@@ -464,22 +406,16 @@ def patch_volume_and_derivative(patch: ChartPatch, X: VectorField) -> tuple[floa
     """(vol(patch), dVol/dt) as in ``patch_volume_derivative``, from the patch's jacobian and metric."""
     if not isinstance(X, VectorField):
         raise TypeError("a volume derivative needs a VectorField with its derivative")
-    P, S, g, elem = patch.sample.points, patch.sample.params, patch.g, patch.elem
     JP = np.swapaxes(patch.sample.jet[1], 1, 2)  # (N, d, m): the chart's columns as ambient vectors
-    JY = X.derivative(P, JP)
-    if patch.bump_axes:
-        JY = (patch.bump_at(S)[:, None, None] * JY
-              + patch.bump_gradient_at(S)[:, :, None] * np.asarray(X(P))[:, None, :])
-    JY = c2r(JY)
-    # only the nodes the deformation moves contribute; a localized field moves few
-    moved = np.flatnonzero(np.any(JY, axis=(1, 2)))
-    half_dg = c2r(JP[moved]) @ np.swapaxes(JY[moved], 1, 2)
-    rate = np.trace(np.linalg.solve(g[moved], half_dg), axis1=1, axis2=2)
-    return float(np.sum(patch.w * elem)), float(np.sum((patch.w * elem)[moved] * rate))
+    JY = X.derivative(patch.sample.points, JP)
+    half_dg = c2r(JP) @ np.swapaxes(c2r(JY), 1, 2)
+    rate = np.trace(np.linalg.solve(patch.g, half_dg), axis1=1, axis2=2)
+    dA = patch.w * patch.elem
+    return float(np.sum(dA)), float(np.sum(dA * rate))
 
 
 def first_variation_integral(patch: ChartPatch, X: Callable[[np.ndarray], np.ndarray]) -> float:
-    """The curvature quadrature -integral <H, X> * bump dA over a patch.
+    """The curvature quadrature -integral <H, X> dA over a patch.
 
     By the first variation formula this equals ``patch_volume_derivative``
     for the same field, from independent (second-derivative) chart data, so
@@ -487,31 +423,25 @@ def first_variation_integral(patch: ChartPatch, X: Callable[[np.ndarray], np.nda
     """
     if patch.curvature is None:
         raise ValueError("the curvature integral reads a patch of order 2")
-    P, S = patch.sample.points, patch.sample.params
-    Xr = c2r(X(P))
-    return -float(np.sum(patch.w * patch.bump_at(S) * np.einsum("ni,ni->n", patch.curvature, Xr) * patch.elem))
+    Xr = c2r(X(patch.sample.points))
+    return -float(np.sum(patch.w * np.einsum("ni,ni->n", patch.curvature, Xr) * patch.elem))
 
 
-def stationarity_ratio(patch: ChartPatch, Xf: VectorField, localized: bool = False) -> float:
-    """|dVol/dt| of a candidate field over the scale max|Xf| * vol(patch).
+def field_norm_integral(patch: ChartPatch, X: Callable[[np.ndarray], np.ndarray]) -> float:
+    """integral |X| dA over a patch: the scale of a field's volume rates, which no
+    unitary change of frame moves."""
+    return float(np.sum(patch.w * patch.elem * np.linalg.norm(X(patch.sample.points), axis=1)))
 
-    ``Xf`` is the candidate field; max|Xf| is the largest modulus of a field
-    component on the quadrature nodes. A submanifold of unit mean curvature changes volume at about the
-    rate max|Xf| * vol(patch), so a stationary variation reads near 0 and a
-    volume-changing one reads of the order of |H|. With ``localized`` the candidate must vanish on the
-    outermost shell of the patch box; a field that leaks raises.
+
+def stationarity_ratio(patch: ChartPatch, Xf: VectorField) -> float:
+    """|dVol/dt| of a candidate field over its scale integral |Xf| dA.
+
+    A submanifold of unit mean curvature changes volume at about the rate
+    integral |Xf| dA, so a stationary variation reads near 0 and a
+    volume-changing one reads of the order of |H|: the radial field z -> z
+    reads the dimension of N on the unit sphere.
     """
-    S = patch.sample.params
-    Xvals = np.asarray(Xf(patch.sample.points))
-    xmax = float(np.abs(Xvals).max())
-    if localized:
-        margin = 0.08 * (patch.hi - patch.lo)
-        near = np.any((S < patch.lo + margin) | (S > patch.hi - margin), axis=1)
-        leak = float(np.abs(Xvals[near]).max()) if near.any() else 0.0
-        if leak > 1e-8 * max(xmax, 1e-12):
-            raise RuntimeError("localized field leaks outside the chart patch")
-    vol, dvol = patch_volume_and_derivative(patch, Xf)
-    return abs(dvol) / (xmax * vol)
+    return abs(patch_volume_derivative(patch, Xf)) / field_norm_integral(patch, Xf)
 
 
 def hminimality_residual(Q: QuadricConfiguration | None, sample: ChartSample) -> np.ndarray:
@@ -579,7 +509,7 @@ def coarea_orbit_volume_check(Q: QuadricConfiguration, nodes: int) -> tuple[floa
     hi = np.concatenate([half, np.ones(chart.nphi)])
     upstairs = patch_volume(ChartPatch(chart=chart, lo=lo, hi=hi, nodes=nodes, order=1))
 
-    Sv, wv = quadrature.tensor_grid(-half, half, nodes)
+    Sv, wv = quadrature.tensor_grid(-half, half, nodes, ())
     Z, J = chart.jet(np.concatenate([Sv, np.zeros((len(Sv), chart.nphi))], axis=1), 1)
     Ju = J[:, :, : chart.nv].real  # B / (2u) at phi = 0
     elem = np.sqrt(np.linalg.det(np.swapaxes(Ju, 1, 2) @ Ju))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from momentangle import procedures as proc
+from momentangle.charts import global_chart
 from momentangle.cli import _catalog_config, run_command
 from momentangle.polytope import embed_point, is_delzant
 from momentangle.quadric_config import QuadricConfiguration, gale_dual
@@ -129,10 +130,10 @@ def test_criterion_05_minimal_in_Z(sampled_points):
 
 def test_criterion_06_first_variation():
     results = {}
-    dv, comp = proc.circle_variation_values(spec)
+    dv, comp = proc.circle_variation_values(global_chart(catalog_quadrics("one-quadric:1")))
     results["circle-dvol"] = abs(dv - 2 * np.pi) < 1e-4
     results["circle-integral"] = abs(comp - 2 * np.pi) < 1e-4
-    rep = proc.first_variation_report(catalog_quadrics("one-quadric:2"), seed=SEED, spec=spec)
+    rep = proc.first_variation_report(catalog_quadrics("one-quadric:2"), seed=SEED)
     for r in rep.records:
         results[r.name] = r.passed and r.residual < 1e-3
     _finish(6, "first variation formula", results)
@@ -142,7 +143,7 @@ def test_criterion_07_hminimality():
     results = {}
     for cname in ("one-quadric:2", "one-quadric:3"):
         Q = catalog_quadrics(cname)
-        rep = proc.hamiltonian_stationarity_report(Q, seed=SEED, spec=spec, n_fields=5)
+        rep = proc.hamiltonian_stationarity_report(Q, seed=SEED, n_fields=5)
         for r in rep.records:
             results[f"{cname}-{r.name}"] = r.passed
         hrep = proc.hminimality_report(Q, sample_chart_points(Q, 10, np.random.default_rng(SEED), spec, order=3))
@@ -209,7 +210,7 @@ def test_criterion_11_double_configuration():
     results["ntilde-residual"] = by_name["ntilde-lagrangian-residual"].residual < 1e-8
     results["ntilde-control"] = by_name["ntilde-negative-control"].passed
     for inst in ("cp2-torus", "rp2"):
-        rep = cp_chart_verify(catalog_double(inst), samples=50, seed=SEED, spec=spec)
+        rep = cp_chart_verify(catalog_double(inst), samples=50, seed=SEED)
         by_name = {r.name: r for r in rep.records}
         results[f"{inst}-lagrangian"] = by_name["cp-lagrangian-residual"].residual < 1e-8
         results[f"{inst}-stationarity"] = by_name["cp-hamiltonian-stationarity"].residual < 1e-3

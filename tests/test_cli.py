@@ -192,7 +192,7 @@ def test_verify_commands_smoke(capsys):
 @pytest.mark.parametrize("delta, d", [("1 2 1", 3), ("1 1 3", 4)])
 def test_projective_doubles_outside_the_catalog(tmp_path, capsys, delta, d):
     # the first system is CP^2's, the second is not cp2-torus's rows: the
-    # projective records run on a localized box centred on the base
+    # projective records run over the whole lift, on its global chart
     cfg = tmp_path / "double.cfg"
     cfg.write_text(f"mode double\ngamma 1 3\n1 1 1\nc 2\ndelta 1 3\n{delta}\nd {d}\n")
     for seed in range(5):
@@ -200,6 +200,70 @@ def test_projective_doubles_outside_the_catalog(tmp_path, capsys, delta, d):
             assert main([command, str(cfg), "--seed", str(seed)]) == 0, (command, seed)
         out = capsys.readouterr().out
         assert "cp-hamiltonian-stationarity" in out
+
+
+def test_variational_checks_run_on_the_configurations_own_surface(tmp_path, monkeypatch, capsys):
+    # gamma (1, 2) with c = 3: N spreads the ellipse u_1^2 + 2 u_2^2 = 3, and
+    # every node of the stationarity and first-variation patches lies on it
+    # (measured 1.8e-15); the round unit torus did not
+    from momentangle import procedures
+    from momentangle.quadric_config import QuadricConfiguration, membership_residuals
+
+    cfg = tmp_path / "ellipse.cfg"
+    cfg.write_text("mode quadrics\ngamma 1 2\n1 2\nc 3\n")
+    patches = []
+    for name in ("stationarity_ratio", "patch_volume_derivative"):
+        monkeypatch.setattr(procedures, name, lambda patch, *args, real=getattr(procedures, name), **kwargs: (
+            patches.append(patch) or real(patch, *args, **kwargs)))
+    assert main(["verify-hminimal", str(cfg)]) == 0
+    assert main(["verify-variation", str(cfg)]) == 0
+    assert len(patches) == 3 + 5
+    Q = QuadricConfiguration.from_rows([(1, 2)], [3])
+    for patch in patches:
+        assert membership_residuals(Q, patch.sample.points).max() < 1e-14
+
+
+def test_variational_checks_resolve_the_top_phase_frequency(monkeypatch):
+    # N's phases run through Gamma's own rows, so a field's integrands reach
+    # frequency 2 max_k |Gamma_jk| along phase j, and a trapezoid rule of that
+    # many nodes counts the top term in full. gamma (1, 3, 1) puts z_2^2 at
+    # frequency 6 and gamma (1, 4) at 8, the stationarity and first-variation
+    # tables' phase node counts, where the records read up to 0.084 and 1.04.
+    # One node more than the top frequency reads the rounding floor
+    # (measured at most 3.2e-17 and 6.4e-16)
+    from momentangle import procedures
+    from momentangle.submanifold_numerics import MetricSpec
+
+    patches = []
+    for name in ("stationarity_ratio", "patch_volume_derivative"):
+        monkeypatch.setattr(procedures, name, lambda patch, *args, real=getattr(procedures, name), **kwargs: (
+            patches.append(patch) or real(patch, *args, **kwargs)))
+    for command, text, phase_nodes in (
+        ("verify-hminimal", "mode quadrics\ngamma 1 3\n1 3 1\nc 1\n", 7),
+        ("verify-variation", "mode quadrics\ngamma 1 2\n1 4\nc 1\n", 9),
+    ):
+        patches.clear()
+        rep = run_command(command, parse_config(text), 0, 100, MetricSpec(), out=io.StringIO())
+        assert rep.overall, command
+        records = [r for r in rep.records if r.name.startswith(("hamiltonian-stationarity", "first-variation"))]
+        assert len(records) in (3, 5) and max(r.residual for r in records) <= 1e-14
+        assert len(patches) == len(records) and all(patch.nodes[-1] == phase_nodes for patch in patches)
+
+
+def test_variational_checks_refuse_a_locus_that_is_no_product_of_ellipsoids(tmp_path, capsys):
+    # the hyperboloid u_1^2 - u_2^2 = 1 has no global chart: it runs no
+    # stationarity record and no first variation
+    from momentangle.charts import global_chart
+    from momentangle.quadric_config import QuadricConfiguration
+
+    assert global_chart(QuadricConfiguration.from_rows([(1, -1)], [1])) is None
+    cfg = tmp_path / "hyperboloid.cfg"
+    cfg.write_text("mode quadrics\ngamma 1 2\n1 -1\nc 1\n")
+    assert main(["verify-hminimal", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "hminimality-residual" in out and "hamiltonian-stationarity" not in out
+    assert main(["verify-variation", str(cfg)]) == 3
+    assert "no check of verify-variation applies" in capsys.readouterr().err
 
 
 def test_seed_and_tol_overrides(monkeypatch, capsys):
@@ -338,10 +402,11 @@ def test_retired_variation_step_exits_2(tmp_path, monkeypatch, capsys):
     # every volume derivative is exact in t, so no check reads a variation
     # step; no check reads the curvature normality tolerance, every
     # Hamiltonian gradient is closed-form, the codifferential is the
-    # product rule on the chart's derivatives, and every chart report-all
-    # differentiates is exact, so none of these is a name
+    # product rule on the chart's derivatives, every chart report-all
+    # differentiates is exact, and no command solves a Newton projection,
+    # so none of these is a name
     args = ["verify-ntilde", "catalog:rp2", "--samples", "5"]
-    for name in ("step", "curvature", "step_gradient", "step_divergence", "step_chart"):
+    for name in ("step", "curvature", "step_gradient", "step_divergence", "step_chart", "newton"):
         assert main(args + ["--tol", name, "1e-4"]) == 2
         cfg = tmp_path / "tol.cfg"
         cfg.write_text(f"mode quadrics\ngamma 1 2\n1 1\nc 1\ntol {name} 1e-4\n")
@@ -357,15 +422,15 @@ def test_tolerance_values_must_be_finite_and_positive(tmp_path, monkeypatch, cap
     # and passed; every tolerance rejects such values
     args = ["verify-lagrangian", "catalog:one-quadric:2", "--samples", "5"]
     for value in ("0", "-0.001", "nan", "inf"):
-        assert main(args + ["--tol", "newton", value]) == 2, value
+        assert main(args + ["--tol", "membership", value]) == 2, value
         cfg = tmp_path / "tol.cfg"
         cfg.write_text(f"mode quadrics\ngamma 1 2\n1 1\nc 1\ntol membership {value}\n")
         assert main(["verify-lagrangian", str(cfg), "--samples", "5"]) == 2, value
         with monkeypatch.context() as m:
-            m.setenv("MOMENTANGLE_TOL_NEWTON", value)
+            m.setenv("MOMENTANGLE_TOL_MEMBERSHIP", value)
             assert main(args) == 2, value
         assert capsys.readouterr().err.count("must be finite and positive") == 3, value
-    assert main(args + ["--tol", "newton", "2e-3"]) == 0
+    assert main(args + ["--tol", "membership", "2e-3"]) == 0
 
 
 def test_env_tolerance_override(monkeypatch):

@@ -121,17 +121,54 @@ def test_stationarity_checks_take_no_fd_gradient():
         assert cp_chart_verify(catalog_double(name), samples=5).overall
 
 
+def _variational_records() -> list:
+    """Every record of the reports that integrate over the whole of N, on the
+    catalog instances that run them and the circle, at seeds 0-4."""
+    from momentangle.quadric_config import gale_dual
+    from momentangle.reduction_catalog import catalog_double
+
+    reports = []
+    for seed in range(5):
+        for name in ("triangle", "bad-triangle", "simplex:2", "one-quadric:2", "one-quadric:3"):
+            Q = catalog_quadrics(name) if name.startswith("one-quadric") else gale_dual(catalog_polytope(name))
+            reports.append(proc.hamiltonian_stationarity_report(Q, seed=seed, n_fields=3))
+        for name in ("one-quadric:1", "one-quadric:2"):
+            reports.append(proc.first_variation_report(catalog_quadrics(name), seed=seed))
+        for name in ("rp2", "cp2-torus"):
+            reports.append(cp_chart_verify(catalog_double(name), samples=50, seed=seed))
+    return [r for rep in reports for r in rep.records]
+
+
+def test_variational_records_read_the_floor_at_twice_their_nodes(monkeypatch):
+    # the variational records integrate over the whole of N, on the
+    # trapezoid rule along its periodic axes and Gauss-Legendre along its
+    # polar angles: at their node counts and at twice as many on every
+    # axis, each reads the rounding floor (measured at most 5.6e-16 and
+    # 4.8e-16), and the records keep their names
+    from momentangle import reduction_catalog
+
+    records = _variational_records()
+    assert len(records) == 5 * (5 * 3 + 3 + 5 + 2 * 2)
+    assert max(r.residual for r in records) <= 1e-14
+    for module, table in ((proc, "CIRCLE_NODES"), (proc, "VARIATION_NODES"), (proc, "STATIONARITY_NODES"),
+                          (reduction_catalog, "CP_NODES")):
+        monkeypatch.setattr(module, table, {kind: 2 * n for kind, n in getattr(module, table).items()})
+    doubled = _variational_records()
+    assert [r.name for r in doubled] == [r.name for r in records]
+    assert max(r.residual for r in doubled) <= 1e-14
+
+
 def test_report_all_evaluates_each_point_set_once(monkeypatch):
     # a sample or patch is evaluated once, as a jet through the order its
     # checks read: one u(v) solve per point set, at the default 100 samples
     import io
 
-    from momentangle.charts import CircleSpreadChart, PolytopeChart, TorusSpreadChart
+    from momentangle.charts import CircleSpreadChart, GlobalChart, PolytopeChart, TorusSpreadChart
     from momentangle.cli import _catalog_config, run_command
     from momentangle.submanifold_numerics import MetricSpec
 
     solves, nearest = [], []  # (chart class, rows, order) per u(v) solve; rows per Newton solve
-    for cls in (TorusSpreadChart, CircleSpreadChart, PolytopeChart):
+    for cls in (TorusSpreadChart, CircleSpreadChart, GlobalChart, PolytopeChart):
         monkeypatch.setattr(cls, "_u", lambda self, V, order, u=cls._u: (
             solves.append((type(self).__name__, len(V), order)) or u(self, V, order)))
     solve_nearest = TorusSpreadChart._nearest
@@ -143,22 +180,24 @@ def test_report_all_evaluates_each_point_set_once(monkeypatch):
         rep = run_command("report-all", _catalog_config(name), 0, 100, MetricSpec(), out=io.StringIO())
         assert rep.overall, name
 
-    # the rp2 lift: its 50-point sample and its 1600-node stationarity patch
+    # the rp2 lift: its 50-point sample and its 12 x 12 x 1-node
+    # stationarity patch on the global chart; no command solves a Newton
+    # projection
     report_all("rp2")
-    assert nearest == [50, 1600]
-    # the C^2 torus: the first-variation patch (48 x 48 nodes, whose
-    # curvature integral reads order 2) and the stationarity patch (24 x 24)
+    assert [s for s in solves if s[0] != "PolytopeChart"] == [("GlobalChart", 50, 1), ("GlobalChart", 144, 1)]
+    assert nearest == []
+    # the C^2 torus: the first-variation patch (8 x 8 nodes, whose
+    # curvature integral reads order 2) and the stationarity patch (12 x 6)
     report_all("one-quadric:2")
-    assert [s for s in solves if s[0] == "CircleSpreadChart"] == [
-        ("CircleSpreadChart", 2304, 2), ("CircleSpreadChart", 576, 1)]
+    assert [s for s in solves if s[0] == "GlobalChart"] == [("GlobalChart", 64, 2), ("GlobalChart", 72, 1)]
     # triangle: the command's one 100-point sample through order 2, its
     # first 20 points through order 3 for the codifferential, the co-area
-    # patch and base (20^3 and 20^2 nodes), the stationarity base point
-    # (its own draw) and the C^3 stationarity patch, at order 1: no check
-    # reads its hessian
+    # patch and base (20^3 and 20^2 nodes) and the whole-N stationarity
+    # patch (12 x 12 x 6 nodes), at order 1: no check reads its hessian
     report_all("triangle")
-    assert [s[1:] for s in solves if s[0] == "PolytopeChart"] == [(100, 2), (20, 3), (8000, 1), (400, 1), (1, 0)]
-    assert [s for s in solves if s[1] == 14400] == [("TorusSpreadChart", 14400, 1)]
+    assert [s[1:] for s in solves if s[0] == "PolytopeChart"] == [(100, 2), (20, 3), (8000, 1), (400, 1)]
+    assert [s for s in solves if s[0] != "PolytopeChart"] == [("GlobalChart", 864, 1)]
+    assert nearest == []
 
 
 def test_no_module_in_src_imports_fd():

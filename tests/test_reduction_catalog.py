@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from momentangle.charts import TorusSpreadChart, c2r
+from momentangle.charts import TorusSpreadChart, c2r, global_chart
 from momentangle.quadric_config import (
     QuadricConfiguration,
     boundedness_check,
@@ -12,16 +12,13 @@ from momentangle.quadric_config import (
 )
 from momentangle import fd
 from momentangle.reduction_catalog import (
-    CP_CUTOFF_RADIUS,
     StackValidationError,
     catalog_double,
     catalog_polytope,
     catalog_quadrics,
     circle_invariant_hamiltonian,
-    circle_invariants,
     classify_N,
     cp_chart_setup,
-    cp2_torus_lift_chart,
     ntilde_chart,
     ntilde_lagrangian_residual,
     stack_double,
@@ -35,7 +32,6 @@ from momentangle.submanifold_numerics import (
     ChartSample,
     VectorField,
     _poly_scalar,
-    _radial_cutoff,
     chart_point,
     hamiltonian_vector_field,
     lagrangian_residual,
@@ -265,12 +261,12 @@ GAMMA_AXIS = {"rp2": 2, "cp2-torus": 1}  # the first torus's phase axis of each 
 
 def _lift_patch(name):
     """The setup of ``cp_chart_verify`` at seed 0 and its patch; rp2's shrunk
-    to v in [-0.3, 0.3]^2, away from the affine chart's pole z_0 = 0."""
-    setup = cp_chart_setup(catalog_double(name), 50, 0, spec)
+    to both angles in [-0.3, 0.3], away from the affine chart's pole z_0 = 0."""
+    setup = cp_chart_setup(catalog_double(name), 50, 0)
     patch = setup.patch
     if name == "rp2":
-        patch = ChartPatch(chart=patch.chart, lo=[-0.3, -0.3, -0.5], hi=[0.3, 0.3, 0.5],
-                           nodes=[24, 24, 1], order=1)
+        patch = ChartPatch(chart=patch.chart, lo=[-0.3, -0.3, 0.0], hi=[0.3, 0.3, 1.0],
+                           nodes=[24, 24, 1], order=1, periodic=(2,))
     return setup, patch
 
 
@@ -320,11 +316,11 @@ def test_cp_one_orbit_node_matches_several(name):
     # every integrand is constant along the first torus's circle, so one
     # node on its phase axis gives the volume and the derivative of four
     # (measured: to 1.8e-16 relative)
-    setup = cp_chart_setup(catalog_double(name), 50, 0, spec)
+    setup = cp_chart_setup(catalog_double(name), 50, 0)
     one = setup.patch
     nodes = [int(n) for n in one.nodes]
     nodes[GAMMA_AXIS[name]] = 4
-    four = ChartPatch(chart=one.chart, lo=one.lo, hi=one.hi, nodes=nodes, order=1)
+    four = ChartPatch(chart=one.chart, lo=one.lo, hi=one.hi, nodes=nodes, order=1, periodic=one.periodic)
     X = hamiltonian_vector_field(setup.grad, setup.hess)
     one_vol, one_dvol = patch_volume_and_derivative(one, X)
     four_vol, four_dvol = patch_volume_and_derivative(four, X)
@@ -343,20 +339,12 @@ def test_cp_invariant_hamiltonian_derivatives_match_fd(name):
     # the chain rule through q(z) = (conj(z_k) z_l)_{k<=l}: the packed
     # gradient against an order-4 stencil of f, and the Hessian against one
     # of the gradient, along random complex directions at step 1e-4 on the
-    # patch nodes, inside and outside rp2's cutoff but off its edge (the
-    # Hessian test of the cutoff covers the edge; across it the stencil
-    # reads the jump of the bump's fourth derivative). f is invariant under
-    # the diagonal circle and its gradient is equivariant
-    setup = cp_chart_setup(catalog_double(name), 50, 0, spec)
+    # patch nodes. f is invariant under the diagonal circle and its
+    # gradient is equivariant
+    setup = cp_chart_setup(catalog_double(name), 50, 0)
     P = setup.patch.sample.points
     rng = np.random.default_rng(23)
-    poly = _poly_scalar(6, rng)
-    if name == "rp2":
-        q0 = circle_invariants(setup.patch.chart.value(np.zeros((1, 3))))[0]
-        poly = _radial_cutoff(poly, q0, CP_CUTOFF_RADIUS)
-        r = np.linalg.norm(circle_invariants(P) - q0, axis=1) / CP_CUTOFF_RADIUS
-        P = P[np.abs(r - 1.0) > 0.01]
-    f, grad, hess = circle_invariant_hamiltonian(poly, 3)
+    f, grad, hess = circle_invariant_hamiltonian(_poly_scalar(6, rng), 3)
     V = rng.standard_normal(P.shape) + 1j * rng.standard_normal(P.shape)
     g = grad(P)
     df = _along(f, P, V)
@@ -371,36 +359,30 @@ def test_cp_invariant_hamiltonian_derivatives_match_fd(name):
 
 def test_cp_hamiltonian_field_derivative_matches_fd():
     # DX[V] = -i Hess f[V] / OMEGA_SCALE against an order-4 stencil of X
-    # along V at step 1e-4, on rp2's patch nodes inside and outside the
-    # q-ball cutoff, off its edge. X is tangent to the sphere
-    # |z|^2 = c / gamma, whose function |z|^2 generates the circle f is
-    # invariant under, and it vanishes where the cutoff does
-    setup = cp_chart_setup(catalog_double("rp2"), 50, 0, spec)
+    # along V at step 1e-4, on rp2's patch nodes. X is tangent to the
+    # sphere |z|^2 = c / gamma, whose function |z|^2 generates the circle f
+    # is invariant under
+    setup = cp_chart_setup(catalog_double("rp2"), 50, 0)
     P = setup.patch.sample.points
     X = hamiltonian_vector_field(setup.grad, setup.hess)
     V = np.random.default_rng(22).standard_normal((P.shape[0], 2, 3)) + 0j
     got = X.derivative(P, V)
-    q0 = circle_invariants(setup.patch.chart.value(np.zeros((1, 3))))[0]
-    r = np.linalg.norm(circle_invariants(P) - q0, axis=1) / CP_CUTOFF_RADIUS
-    off_edge = np.abs(r - 1.0) > 0.01
     for k in range(2):
-        ref = _along(X, P[off_edge], V[off_edge, k])
-        assert np.abs(got[off_edge, k] - ref).max() <= 1e-9 * np.abs(ref).max()
+        ref = _along(X, P, V[:, k])
+        assert np.abs(got[:, k] - ref).max() <= 1e-9 * np.abs(ref).max()
     Xv = X(P)
     assert np.abs(np.real(np.sum(np.conj(P) * Xv, axis=1))).max() <= 1e-14 * np.abs(Xv).max()
-    outside = ~setup.grad(P).any(axis=1)
-    assert outside.any() and not got[outside].any()
 
 
 def test_cp_gradient_field_negative_control():
     # the gradient field of the same Hamiltonian, projected onto the sphere
     # (it is horizontal already: f is circle-invariant), is not a symplectic
-    # variation, and the lifted CP^2 torus is not stationary for it: it
-    # reads 0.076, 0.186 and 0.129 at seeds 0-2, where the Hamiltonian
-    # field reads the rounding floor (at most 2.6e-16)
+    # variation, and the lifted CP^2 torus is not stationary for it: over
+    # the whole lift it reads 0.107, 0.275 and 0.192 at seeds 0-2, where
+    # the Hamiltonian field reads the rounding floor (at most 7.6e-17)
     D = catalog_double("cp2-torus")
     for seed in range(3):
-        setup = cp_chart_setup(D, 50, seed, spec)
+        setup = cp_chart_setup(D, 50, seed)
 
         def value(z):
             g = setup.grad(z)
@@ -431,7 +413,7 @@ def test_cp_lagrangian_residuals():
     # Lagrangian in CP^2; the sample of cp_chart_verify and fresh ones
     for name in ("cp2-torus", "rp2"):
         D = catalog_double(name)
-        setup = cp_chart_setup(D, 25, 2, spec)
+        setup = cp_chart_setup(D, 25, 2)
         assert lagrangian_residual(D.stacked, setup.sample).max() < 1e-14, name
     D = catalog_double("rp2")
     lift = TorusSpreadChart(D.stacked, np.array([1.0, 0.0, 0.0]))
@@ -442,13 +424,12 @@ def test_cp_lagrangian_residuals():
 
 
 def test_cp_chart_jacobian_matches_stencil():
-    # the lift charts' exact jacobians (the several-row circle spread of the
-    # cp2 torus, the nearest-point chart of rp2) against a 4th-order stencil
-    # of their values (and of their jacobians for the hessians) at step
-    # 1e-4 on the Lagrangian residual's samples: measured at most 9.3e-13
-    # of the largest entry
+    # the lift charts' exact jacobians (the global charts of the stacked
+    # systems) against a 4th-order stencil of their values (and of their
+    # jacobians for the hessians) at step 1e-4 on the Lagrangian residual's
+    # samples: measured at most 9.3e-13 of the largest entry
     for name in ("cp2-torus", "rp2"):
-        sample = cp_chart_setup(catalog_double(name), 50, 0, spec).sample
+        sample = cp_chart_setup(catalog_double(name), 50, 0).sample
         chart, S = sample.chart, sample.params
         J, H = chart.jacobian(S), chart.hessian(S)
         assert J.shape == (50, 3, 3)
@@ -457,20 +438,39 @@ def test_cp_chart_jacobian_matches_stencil():
             assert np.abs(exact - stencil).max() < 1e-10 * np.abs(exact).max(), name
 
 
+def test_cp_patch_resolves_the_top_phase_frequency():
+    # the Hamiltonian is quadratic in the circle invariants q, each q_kl of
+    # frequency Gamma_jl - Gamma_jk along phase j: along the second phase of
+    # delta (-1, -1, 5) the integrands reach 2 * 6 = 12, CP_NODES' phase node
+    # count, where the record reads 0.024-0.22 at seeds 0-4. At 13 nodes it
+    # reads the rounding floor (measured at most 1.7e-16); the circle takes
+    # one node, and the catalog lifts keep their node counts
+    from momentangle.reduction_catalog import cp_chart_verify
+
+    D = stack_double(QuadricConfiguration.from_rows([(1, 1, 1)], [1]),
+                     QuadricConfiguration.from_rows([(-1, -1, 5)], [Fraction(-1, 2)]))
+    patch = cp_chart_setup(D, 5, 0).patch
+    assert patch.chart.kinds == ("azimuth", "phase", "phase") and list(patch.nodes) == [12, 1, 13]
+    for seed in range(5):
+        assert max(r.residual for r in cp_chart_verify(D, 5, seed).records) <= 1e-14, seed
+    for name, nodes in (("cp2-torus", [12, 1, 12]), ("rp2", [12, 12, 1])):
+        assert list(cp_chart_setup(catalog_double(name), 5, 0).patch.nodes) == nodes, name
+
+
 def test_cp_chart_degenerate_coordinate():
     # the lift has no pole: where a coordinate vanishes (the pole of the
     # affine chart dividing by it) it is a regular Lagrangian chart. On the
-    # cp2 torus z_0 = 0 at angle pi/2; rp2's box reaches z_0 = 0 near its
-    # corner (0.5, 0.5)
+    # cp2 torus z_0 = 0 at angle pi/2; on rp2's whole-lift patch z_0 = 0 at
+    # the azimuth pi/2, where the node nearest the equator is regular
     D = catalog_double("cp2-torus")
-    lift = cp2_torus_lift_chart(D)
+    lift = global_chart(D.stacked)
     S = np.array([[np.pi / 2, 0.3, 0.7]])
     assert abs(lift.value(S)[0, 0]) < 1e-15
     pts = ChartSample.at(lift, S, 1)
     assert lagrangian_residual(D.stacked, pts)[0] < 1e-15
-    patch = cp_chart_setup(catalog_double("rp2"), 50, 0, spec).patch
-    near = np.abs(patch.sample.points[:, 0]).argmin()
-    assert abs(patch.sample.points[near, 0]) < 0.05
+    patch = cp_chart_setup(catalog_double("rp2"), 50, 0).patch
+    zero = np.flatnonzero(np.abs(patch.sample.points[:, 0]) < 1e-15)
+    near = zero[np.argmax(patch.elem[zero])]
     assert np.linalg.cond(patch.g[near]) < 1e3 and patch.elem[near] > 0.1
 
 

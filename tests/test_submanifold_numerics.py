@@ -7,6 +7,7 @@ from momentangle.charts import (
     PolytopeChart,
     TorusSpreadChart,
     c2r,
+    global_chart,
     r2c,
 )
 from momentangle.quadric_config import (
@@ -30,7 +31,6 @@ from momentangle.submanifold_numerics import (
     VectorField,
     _curvature_batch,
     _poly_scalar,
-    _radial_cutoff,
     chart_N,
     chart_point,
     coarea_orbit_volume_check,
@@ -52,14 +52,12 @@ from momentangle.submanifold_numerics import (
     tangent_frames,
 )
 from momentangle import fd
-from momentangle.quadrature import box_bump, box_bump_gradient
 from momentangle.procedures import (
     _noether_hamiltonians,
     _random_matrix_field,
     ellipse_control,
     unequal_torus_control,
 )
-from momentangle.reduction_catalog import one_quadric_torus_chart
 from stencil_chart import FunctionChart
 
 spec = DEFAULT_SPEC
@@ -71,10 +69,10 @@ TWO_PI = 2.0 * np.pi
 
 
 def _spread_charts():
-    """(name, chart, v half-width) for the spread charts the checks build: the
-    (1, 2, 1) ellipsoid of bad-triangle at its stationarity base, the cp2
-    stack with the delta rows, two quadrics in C^4, and a base on the
-    boundary of the orthant."""
+    """(name, chart, v half-width) for nearest-point spread charts: the
+    (1, 2, 1) ellipsoid of bad-triangle at a sampled base, the cp2 stack
+    with the delta rows, two quadrics in C^4, and a base on the boundary of
+    the orthant."""
     Qe = gale_dual(catalog_polytope("bad-triangle"))
     D = catalog_double("cp2-torus")
     Q22 = catalog_quadrics("two-quadrics:2,2")
@@ -232,19 +230,25 @@ def test_polytope_chart_derivatives_match_stencils():
             assert np.abs(T - np.swapaxes(T, *axes)).max() <= 1e-14 * np.abs(T).max()
 
 
+def _global_box_params(chart, rng, n):
+    """n parameters uniform on a global chart's box."""
+    return chart.lo + (chart.hi - chart.lo) * rng.uniform(0.0, 1.0, (n, chart.dim))
+
+
 def test_torus_chart_derivatives_match_stencils():
-    # the closed-form cos/sin-times-phase derivatives against 4th-order
-    # stencils of the chart's value (and of its hessian for the third),
-    # relative to their largest entry: measured 5.2e-11 (jacobian),
-    # 3.7e-11 (hessian) and 5.2e-11 (third) on one-quadric:2, 8.3e-10,
-    # 2.8e-10 and 8.3e-10 on gamma (2, 2) with c = 3, whose phase turns
-    # twice as fast (3.3e-10 and 1.5e-9 absolute on one-quadric:2)
+    # the closed-form cos/sin-times-phase derivatives of the C^2 torus's
+    # global chart against 4th-order stencils of the chart's value (and of
+    # its hessian for the third), relative to their largest entry: measured
+    # 5.2e-11 (jacobian), 3.7e-11 (hessian) and 5.2e-11 (third) on
+    # one-quadric:2, 8.3e-10, 2.8e-10 and 8.3e-10 on gamma (2, 2) with
+    # c = 3, whose phase turns twice as fast
     from momentangle.exact_linalg import IntegerMatrix
 
     rng = np.random.default_rng(24)
     for Q in (catalog_quadrics("one-quadric:2"), QuadricConfiguration(IntegerMatrix([[2, 2]], cols=2), [3])):
-        chart = one_quadric_torus_chart(Q)
-        S = rng.uniform(0.0, 1.0, (40, 2)) * chart.periods
+        chart = global_chart(Q)
+        periods = chart.hi - chart.lo
+        S = _global_box_params(chart, rng, 40)
         _, J, H, T = chart.jet(S, 3)
         assert np.abs(J - fd.jacobian(chart.value, S, 1e-3)).max() < 2e-9 * np.abs(J).max()
         assert np.abs(H - fd.hessian(chart.value, S, 1e-3)).max() < 1e-9 * np.abs(H).max()
@@ -252,20 +256,67 @@ def test_torus_chart_derivatives_match_stencils():
         for axes in ((2, 3), (3, 4)):  # measured exactly symmetric
             assert np.abs(T - np.swapaxes(T, *axes)).max() <= 1e-15 * np.abs(T).max()
         assert membership_residuals(Q, chart.value(S)).max() < 1e-14
-        shifted = chart.value(S + chart.periods * rng.integers(-2, 3, (40, 2)))
+        shifted = chart.value(S + periods * rng.integers(-2, 3, (40, 2)))
         assert np.abs(shifted - chart.value(S)).max() < 1e-13
+
+
+def _charted_systems():
+    """(name, Q) for every catalog quadric system and stacked double system with a global chart."""
+    from momentangle.reduction_catalog import DOUBLE_NAMES, POLYTOPE_NAMES, QUADRIC_NAMES
+
+    systems = [(name, gale_dual(catalog_polytope(name))) for name in POLYTOPE_NAMES]
+    systems += [(name, catalog_quadrics(name)) for name in QUADRIC_NAMES + ("one-quadric:1",)]
+    systems += [(name, catalog_double(name).stacked) for name in DOUBLE_NAMES]
+    return [(name, Q) for name, Q in systems if global_chart(Q) is not None]
+
+
+def test_global_chart_jet_matches_stencils():
+    # every catalog system and stacked system has a global chart. Its jet
+    # through third order against 4th-order stencils at step 1e-3 of its
+    # value (and of its hessian for the third), relative to the largest
+    # entry: measured at most 8.3e-10 (jacobian), 4.4e-10 (hessian) and
+    # 8.3e-10 (third), on the systems whose phases turn twice as fast, and
+    # 5.2e-11, 1.1e-10 and 5.2e-11 on the others. Its points lie on the
+    # quadrics to rounding: measured 8.9e-16
+    rng = np.random.default_rng(26)
+    systems = _charted_systems()
+    assert len(systems) == 18
+    for name, Q in systems:
+        chart = global_chart(Q)
+        S = _global_box_params(chart, rng, 20)
+        z, J, H, T = chart.jet(S, 3)
+        assert T.shape == (20, Q.ambient_dim) + (chart.dim,) * 3, name
+        assert np.abs(J - fd.jacobian(chart.value, S, 1e-3)).max() < 2e-9 * np.abs(J).max(), name
+        assert np.abs(H - fd.hessian(chart.value, S, 1e-3)).max() < 1e-9 * np.abs(H).max(), name
+        assert np.abs(T - fd.jacobian(chart.hessian, S, 1e-3)).max() < 2e-9 * np.abs(T).max(), name
+        assert membership_residuals(Q, z).max() < 4e-15, name
+
+
+def test_global_chart_exists_iff_the_real_locus_is_a_product_of_ellipsoids():
+    # gamma (1, 2) with c = 3 is one ellipse, u_1^2 + 2 u_2^2 = 3, with radii
+    # sqrt(3) and sqrt(3/2); the hyperboloid u_1^2 - u_2^2 = 1 has two classes
+    # of columns for one quadric, and two quadrics with three classes have no
+    # chart either
+    ellipse = global_chart(QuadricConfiguration.from_rows([(1, 2)], [3]))
+    assert np.allclose(ellipse.radii, [np.sqrt(3.0), np.sqrt(1.5)], rtol=1e-15, atol=0)
+    assert ellipse.kinds == ("azimuth", "phase")
+    assert global_chart(QuadricConfiguration.from_rows([(1, -1)], [1])) is None
+    assert global_chart(QuadricConfiguration.from_rows([(1, 1, 1), (1, 2, 3)], [3, 6])) is None
+    # a level that is not positive: the blocks u_1^2 = 1 - l and u_2^2 + u_3^2 = l
+    # of the rows (1, 1, 1), (0, 1, 1) at c = (1, 2) would need l = 2 > 1
+    assert global_chart(QuadricConfiguration.from_rows([(1, 1, 1), (0, 1, 1)], [1, 2])) is None
 
 
 def test_a_jet_holds_each_lower_order_bit_for_bit():
     # one jet through third order gives exactly the z, J and H of the lower
     # orders, on the polytope charts, the nearest-point chart of the rp2 lift
-    # and the circle spread of the C^2 torus
+    # and the global charts of the C^2 torus and the triangle
     rng = np.random.default_rng(25)
     D = catalog_double("rp2")
     charts = [sample_chart_points(catalog_quadrics(name), 1, rng, spec, order=0).chart
               for name in ("one-quadric:3", "two-quadrics:2,2")]
     charts += [TorusSpreadChart(D.stacked, real_base_point(D.stacked)),
-               one_quadric_torus_chart(catalog_quadrics("one-quadric:2"))]
+               global_chart(catalog_quadrics("one-quadric:2")), global_chart(catalog_quadrics("one-quadric:3"))]
     for chart in charts:
         S = _box_params(chart, rng, 0.2)
         third = chart.jet(S, 3)
@@ -574,40 +625,15 @@ def test_hamiltonian_field_constant_and_moment():
     assert np.allclose(Xm[0], [2j * np.pi * Z[0, 0], 0], rtol=1e-15, atol=0)  # first rotation circle
 
 
-def _assert_gradient_matches_fd(f, grad, X):
-    # the cutoffs are only C^3 at their edge, where the truncation error of a
-    # wider stencil alone exceeds 1e-6 of the gradient's scale
-    ref = fd.jacobian(f, X, 1e-4)
-    assert np.abs(grad(X) - ref).max() <= 1e-6 * np.abs(ref).max()
-
-
-def _ball_probes(rng, x0, rho):
-    """100 points each inside, across the edge of and outside the ball B(x0, rho)."""
-    dirs = rng.standard_normal((300, x0.size))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    radii = np.concatenate(
-        [rng.uniform(0.0, 0.95, 100), rng.uniform(0.99, 1.01, 100), rng.uniform(1.05, 2.0, 100)]
-    )
-    return x0 + rho * radii[:, None] * dirs
-
-
 def test_closed_form_hamiltonian_gradients():
+    # the polynomials of the stationarity checks have degree at most 2, so an
+    # order-4 stencil of f is exact up to rounding
     rng = np.random.default_rng(11)
-
-    def real(triple):
-        f, grad, _ = triple
-        return (lambda xr: f(r2c(xr))), (lambda xr: c2r(grad(r2c(xr))))
-
-    # the global polynomial of the C^2 check
-    _assert_gradient_matches_fd(*real(_poly_scalar(2, rng)), 2.0 * rng.standard_normal((50, 4)))
-
-    # the radial cutoff of the C^3 check, inside, across the edge of and outside its ball
-    poly = _poly_scalar(3, rng)
-    x0, rho = rng.standard_normal(6), 0.4
-    X = _ball_probes(rng, x0, rho)
-    f, grad = real(_radial_cutoff(poly, r2c(x0), rho))
-    _assert_gradient_matches_fd(f, grad, X)
-    assert not grad(X[200:]).any()
+    for m in (2, 3):
+        f, grad, _ = _poly_scalar(m, rng)
+        X = 2.0 * rng.standard_normal((50, 2 * m))
+        ref = fd.jacobian(lambda xr: f(r2c(xr)), X, 1e-4)
+        assert np.abs(c2r(grad(r2c(X))) - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 def _assert_hessian_matches_fd(grad, hess, X, rel):
@@ -626,16 +652,11 @@ def test_closed_form_hamiltonian_hessians():
     # gradient is exact up to rounding
     _, grad, hess = _poly_scalar(2, rng)
     _assert_hessian_matches_fd(grad, hess, 2.0 * rng.standard_normal((50, 4)), 1e-9)
-
-    # the radial cutoff, inside, across the edge of and outside its ball; the
-    # cutoff is C^3 at the edge, so its Hessian is C^1 there
-    x0, rho = rng.standard_normal(6), 0.4
-    X = _ball_probes(rng, x0, rho)
-    _, grad, hess = _radial_cutoff(_poly_scalar(3, rng), r2c(x0), rho)
-    _assert_hessian_matches_fd(grad, hess, X, 1e-6)
-    V = r2c(rng.standard_normal((300, 2, 6)))
-    assert not hess(r2c(X[200:]), V[200:]).any()
+    _, grad, hess = _poly_scalar(3, rng)
+    X = 2.0 * rng.standard_normal((300, 6))
+    _assert_hessian_matches_fd(grad, hess, X, 1e-9)
     # real-linear in the direction, including the conj(V) part
+    V = r2c(rng.standard_normal((300, 2, 6)))
     V2 = r2c(rng.standard_normal((300, 2, 6)))
     Z = r2c(X)
     lhs, rhs = hess(Z, V - 2.0 * V2), hess(Z, V) - 2.0 * hess(Z, V2)
@@ -651,18 +672,6 @@ def test_random_matrix_field_derivative_matches_fd():
     V = r2c(rng.standard_normal((20, 2, 6)))
     ref = (X(Z[:, None, :] + 1e-3 * V) - X(Z[:, None, :] - 1e-3 * V)) / 2e-3
     assert np.abs(X.derivative(Z, V) - ref).max() <= 1e-10 * np.abs(ref).max()
-
-
-def test_box_bump_gradient_matches_fd():
-    # inside the box, near its faces and outside it, with two and three bumped axes
-    rng = np.random.default_rng(14)
-    lo, hi = np.array([0.3, 0.05, -1.0]), np.array([5.9, 0.95, 1.0])
-    S = lo + (hi - lo) * rng.uniform(-0.1, 1.1, (400, 3))
-    for axes in ((0, 1), (0, 1, 2)):
-        ref = fd.jacobian(lambda Sb: box_bump(Sb, lo, hi, axes), S, 1e-5)
-        got = box_bump_gradient(S, lo, hi, axes)
-        assert np.abs(got - ref).max() <= 1e-7 * np.abs(ref).max()
-        assert not got[:, [a for a in range(3) if a not in axes]].any()
 
 
 def test_hamiltonian_field_from_gradient_inverts_omega():
@@ -705,16 +714,15 @@ def test_noether_drift():
 
 def test_circle_first_variation():
     Q1 = QuadricConfiguration.from_rows([(1,)], [1])
-    chart = TorusSpreadChart(Q1, [1.0], newton_tol=spec.newton_tol)
-    patch = ChartPatch(chart=chart, lo=[0.0], hi=[1.0], nodes=32, order=2)
+    patch = ChartPatch.over(global_chart(Q1), [8], order=2)
     radial = VectorField(
         lambda z: z / np.abs(z),
         lambda z, V: V - z[:, None, :] * np.real(np.conj(z[:, None, :]) * V),  # on |z| = 1
     )
-    # the phase chart is exact and Jacobi's integrand is the constant 2 pi:
-    # measured error 0
-    assert abs(patch_volume_derivative(patch, radial) - TWO_PI) < 1e-12
-    assert abs(first_variation_integral(patch, radial) - TWO_PI) < 1e-4
+    # the phase chart is exact and both integrands are the constant 2 pi on
+    # the trapezoid nodes: measured error 0
+    assert abs(patch_volume_derivative(patch, radial) - TWO_PI) < 1e-14
+    assert abs(first_variation_integral(patch, radial) - TWO_PI) < 1e-14
 
 
 ORBIT = VectorField(lambda z: 1j * z, lambda z, V: 1j * V)
@@ -722,8 +730,7 @@ ORBIT = VectorField(lambda z: 1j * z, lambda z, V: 1j * V)
 
 def test_tangential_field_preserves_volume():
     Q2 = QuadricConfiguration.from_rows([(1, 1)], [1])
-    chart = one_quadric_torus_chart(Q2)
-    patch = ChartPatch(chart=chart, lo=[0.0, 0.0], hi=list(chart.periods), nodes=24, order=1)
+    patch = ChartPatch.over(global_chart(Q2), [12, 12], order=1)
     dv = patch_volume_derivative(patch, ORBIT)  # orbit direction
     assert abs(dv) < 1e-12
     # a flat-ambient volume derivative reads the field's derivative
@@ -746,9 +753,7 @@ def _two_volume_derivative(patch, X, t_step, s_step=1e-3, richardson=False):
     def deformed(t):
         def fn(Sb):
             P = chart.value(Sb)
-            field = np.asarray(X(P))
-            bump = patch.bump_at(Sb).reshape(-1, *([1] * (P.ndim - 1)))
-            return c2r(P + t * bump * field)
+            return c2r(P + t * np.asarray(X(P)))
 
         return fn
 
@@ -766,26 +771,24 @@ def _two_volume_derivative(patch, X, t_step, s_step=1e-3, richardson=False):
 
 
 def test_volume_derivative_matches_two_volume_reference():
-    # flat ambient: the C^2 torus patch under a bump and a random matrix field,
-    # by Jacobi's formula. The reference extrapolates in t from 1e-3 and
+    # flat ambient: the whole C^2 torus under a random matrix field, by
+    # Jacobi's formula. The reference extrapolates in t from 1e-3 and
     # differentiates each deformed chart at 2.5e-4. Its own error: it moves
-    # by 4.4e-10 relative when that step halves from 5e-4, and its 4th-order
-    # stencil leaves about a fifteenth of that. Measured agreement: 4.6e-11
-    chart = one_quadric_torus_chart(catalog_quadrics("one-quadric:2"))
-    patch = ChartPatch(chart=chart, lo=[0.3, 0.05], hi=[5.9, 0.95], nodes=24, order=1, bump_axes=(0, 1))
+    # by 5.0e-12 relative when that step doubles. Measured agreement: 1.1e-11
+    patch = ChartPatch.over(global_chart(catalog_quadrics("one-quadric:2")), [12, 12], order=1)
     X = _random_matrix_field(2, np.random.default_rng(3))
     ref = _two_volume_derivative(patch, X, t_step=1e-3, s_step=2.5e-4, richardson=True)
     assert abs(patch_volume_derivative(patch, X) - ref) < 1e-9 * abs(ref)
 
     # the rp2 lift: the nearest-point chart of the sphere's real locus
-    # spread by the diagonal circle, on one node along the circle. An
-    # unbumped patch under a random matrix field (boundary flux). The
+    # spread by the diagonal circle, on one node along the circle. A local
+    # patch under a random matrix field (boundary flux). The
     # reference extrapolates in t from 1e-3 and differentiates each
     # deformed chart at 5e-4. Its own error: it moves by 7e-12 relative
     # when that step halves and by 4.6e-11 when t halves. Measured
     # agreement: 2.3e-11
     D = catalog_double("rp2")
-    lift = TorusSpreadChart(D.stacked, real_base_point(D.stacked), newton_tol=spec.newton_tol)
+    lift = TorusSpreadChart(D.stacked, real_base_point(D.stacked))
     lpatch = ChartPatch(chart=lift, lo=[-0.4, -0.4, -0.5], hi=[0.4, 0.4, 0.5], nodes=[24, 24, 1],
                         order=1)
     Xl = _random_matrix_field(3, np.random.default_rng(4))
@@ -793,50 +796,34 @@ def test_volume_derivative_matches_two_volume_reference():
     assert abs(patch_volume_derivative(lpatch, Xl) - ref) < 5e-11 * abs(ref)
 
 
-def test_stationarity_ratio_rejects_leaking_field():
-    chart = one_quadric_torus_chart(catalog_quadrics("one-quadric:2"))
-    patch = ChartPatch(chart=chart, lo=[0.3, 0.05], hi=[5.9, 0.95], nodes=12, order=1)
-    with pytest.raises(RuntimeError):
-        stationarity_ratio(patch, ORBIT, localized=True)
-    # unlocalized, the same field is a global variation: a volume-preserving rotation
-    assert stationarity_ratio(patch, ORBIT) < 1e-12
+RADIAL = VectorField(lambda z: z, lambda z, V: V)
 
 
 def test_stationarity_ratio_negative_controls():
-    # the radial field z -> z scales the spread torus e^{2 pi i phi} (cos t, sin t),
-    # so dVol/dt = 2 vol, which Jacobi's formula gives to rounding (measured
-    # 0); the ratio divides by the largest component modulus on the nodes,
-    # which comes within 2.3e-4 of its maximum 1 at cos t = +-1
-    chart = one_quadric_torus_chart(catalog_quadrics("one-quadric:2"))
-    patch = ChartPatch(chart=chart, lo=[0.0, 0.0], hi=list(chart.periods), nodes=24, order=1)
-    radial = VectorField(lambda z: z, lambda z, V: V)
-    ratio = stationarity_ratio(patch, radial)
-    assert abs(ratio - 2.0) < 1e-3
-    assert abs(ratio * np.abs(patch.sample.points).max() - 2.0) < 1e-12
+    # the radial field z -> z scales N, so dVol/dt = dim(N) vol, and on the
+    # unit sphere |z| = 1 the ratio reads dim(N): 2 on the spread torus
+    # e^{2 pi i phi} (cos t, sin t) and 3 on the triangle's N, over the
+    # whole of N (measured to 4.4e-16)
+    for name, dim in (("one-quadric:2", 2), ("one-quadric:3", 3)):
+        Q = catalog_quadrics(name)
+        chart = global_chart(Q)
+        patch = ChartPatch.over(chart, [12] * chart.dim, order=1)
+        assert abs(stationarity_ratio(patch, RADIAL) - dim) < 1e-13, name
+        assert stationarity_ratio(patch, ORBIT) < 1e-15, name
 
-    # a bump-localized radial field on the patch of the C^3 stationarity
-    # report, under a wider and flatter cutoff than the report's Hamiltonians
-    Q3 = catalog_quadrics("one-quadric:3")
-    base = sample_chart_points(Q3, 1, np.random.default_rng(0), spec, order=0).bases[0]
-    chart3 = TorusSpreadChart(Q3, base, newton_tol=spec.newton_tol)
-    patch3 = ChartPatch(chart=chart3, lo=[-0.65, -0.65, -0.15], hi=[0.65, 0.65, 0.15],
-                        nodes=[20, 20, 36], order=1)
-    z0 = chart3.value(np.zeros((1, 3)))[0]
-    rho = 0.5
 
-    # the cutoff (1 - s)^2 in s = |z - z0|^2 / rho^2, 0 outside the ball, with d/ds = -2 (1 - s)
-    def radial_value(z):
-        s = np.minimum(np.sum(np.abs(z - z0) ** 2, axis=-1) / rho**2, 1.0)
-        return ((1.0 - s) ** 2)[:, None] * z
-
-    def radial_derivative(z, V):
-        s = np.minimum(np.sum(np.abs(z - z0) ** 2, axis=-1) / rho**2, 1.0)
-        ds = (2.0 / rho**2) * np.real(np.sum(np.conj(z - z0)[:, None, :] * V, axis=-1))
-        return ((1.0 - s) ** 2)[:, None, None] * V - (2.0 * (1.0 - s)[:, None] * ds)[..., None] * z[:, None, :]
-
-    ratio3 = stationarity_ratio(patch3, VectorField(radial_value, radial_derivative),
-                                localized=True)
-    assert ratio3 > 0.1, ratio3
+def test_stationarity_scale_is_frame_independent():
+    # the ratio divides by integral |X| dA, which no unitary change of frame
+    # moves: the radial field reads 2 on the spread torus and on its image
+    # under (z_1 + i z_2, z_1 - i z_2) / sqrt 2, the Clifford torus
+    # (e^{i a}, e^{2 pi i phi}) / sqrt 2, whose component moduli are all
+    # 1 / sqrt 2 (the largest-component scale read 2.0002 and 2.8284)
+    r = 1.0 / np.sqrt(2.0)
+    clifford = CircleSpreadChart([r, 0.0], [1j * r, 0.0], [0.0, r], [[0.0, 1.0]])
+    patch = ChartPatch(clifford, [0.0, 0.0], [TWO_PI, 1.0], [8, 8], order=1, periodic=(0, 1))
+    assert abs(stationarity_ratio(patch, RADIAL) - 2.0) < 1e-14
+    torus = ChartPatch.over(global_chart(catalog_quadrics("one-quadric:2")), [8, 8], order=1)
+    assert abs(stationarity_ratio(torus, RADIAL) - 2.0) < 1e-14
 
 
 def test_equivariant_curvature_direction_consistency():
@@ -844,10 +831,8 @@ def test_equivariant_curvature_direction_consistency():
     # for the balanced torus both the derivative and the squared-norm
     # quadrature vanish
     Q2 = QuadricConfiguration.from_rows([(1, 1)], [1])
-    chart = one_quadric_torus_chart(Q2)
-    patch = ChartPatch(
-        chart=chart, lo=[0.5, 0.1], hi=[5.5, 0.9], nodes=20, order=2, bump_axes=(0, 1)
-    )
+    chart = global_chart(Q2)
+    patch = ChartPatch.over(chart, [20, 20], order=2)
 
     def in_Z_curvature_field(Z):
         # the chart parameters of ambient points; the sign of exp(2 pi i phi)
@@ -943,12 +928,9 @@ def test_coarea_nontrivial_dual_covolume(monkeypatch):
 
 def test_patch_volume_double_cover():
     Q2 = QuadricConfiguration.from_rows([(1, 1)], [1])
-    from momentangle.reduction_catalog import one_quadric_torus_chart
-
-    chart = one_quadric_torus_chart(Q2)
-    patch = ChartPatch(chart=chart, lo=[0.0, 0.0], hi=list(chart.periods), nodes=24, order=1)
+    patch = ChartPatch.over(global_chart(Q2), [12, 12], order=1)
     # the (theta, phi) box covers the spread torus twice: 2 * 2 pi^2
-    assert abs(patch_volume(patch) - 4 * np.pi**2) < 1e-8
+    assert abs(patch_volume(patch) - 4 * np.pi**2) < 1e-12
 
 
 def test_frame_spans_expected_directions():
@@ -974,10 +956,9 @@ def test_frame_spans_expected_directions():
 
 
 def test_chart_patch_rejects_dimension_above_four():
-    # the tensor Gauss-Legendre rule is the only quadrature; no check builds
-    # a patch of dimension above 4
+    # no check builds a patch of dimension above 4
     def spread(rows):  # the unit circle in C^2 x {0}, spread by ``rows``: dimension 1 + len(rows)
-        return CircleSpreadChart([1, 0, 0], [0, 1, 0], [0, 0, 0], rows, (TWO_PI,) + (1.0,) * len(rows))
+        return CircleSpreadChart([1, 0, 0], [0, 1, 0], [0, 0, 0], rows)
 
     with pytest.raises(ValueError, match="dimension at most 4"):
         ChartPatch(chart=spread(np.eye(4, 3)), lo=[0.0] * 5, hi=[1.0] * 5, nodes=4, order=1)
