@@ -4,7 +4,6 @@ minimal and Hamiltonian-minimal Lagrangian submanifolds built from them."""
 from .exact_linalg import (
     IntegerMatrix,
     nullspace,
-    smith_normal_form,
     sublattice_equals_lattice,
 )
 from .polytope import (

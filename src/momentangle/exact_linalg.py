@@ -3,9 +3,13 @@
 Everything in this module is computed over arbitrary-precision integers; no
 floating point enters. Matrices are ``IntegerMatrix``, immutable so results
 can be shared freely between threads: determinants, ranks, kernels and
-lattices are all integer. ``solve_square`` and ``inverse`` eliminate
-fraction-free (Bareiss) as well: ``Fraction`` appears only in the rational
-inputs of ``solve_square`` and in the rows of Fractions that both return.
+lattices are all integer. One elimination step and one normal form answer
+every question. The Bareiss pivot ``_pivot`` runs the determinant, the
+square solves and ``lp``'s simplex; ``solve_square`` and ``inverse``
+eliminate fraction-free with it, so ``Fraction`` appears only in the
+rational inputs of ``solve_square`` and in the rows of Fractions that both
+return. The Hermite form gives ranks (its row count), kernels and lattice
+equality.
 """
 
 from __future__ import annotations
@@ -94,40 +98,48 @@ class IntegerMatrix:
         return tuple(self.column(j) for j in range(self.cols))
 
 
-def identity_int(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # fraction-free elimination
 
 
-def _bareiss(a: list[list[int]], n: int) -> int:
-    """Fraction-free Gauss-Jordan on the first n columns of the integer rows ``a``, in place.
+def _pivot(rows: list[list[int]], r: int, col: int, d: int) -> int:
+    """One Bareiss step on the integer rows, in place: clear column ``col``
+    of every row but ``r``, and return the new pivot ``rows[r][col]``.
 
-    Each step divides exactly by the previous pivot (Bareiss's identity), so
-    every entry stays an integer minor. Returns ``d``, the determinant of
-    the left block A up to sign, or 0 if A is singular. When ``d != 0`` the
-    left block is now ``d`` times the identity and the rest of each row
-    holds ``d`` times A^-1 applied to the columns that were there.
+    Each updated row divides exactly by the previous pivot ``d`` (Bareiss's
+    identity), so every entry stays an integer minor. A row the pivot leaves
+    alone is still rescaled from ``d`` to the new pivot.
     """
-    prev = 1
+    piv = rows[r]
+    p = piv[col]
+    for i, t in enumerate(rows):
+        if i != r:
+            f = t[col]
+            if f:
+                rows[i] = [(x * p - f * y) // d for x, y in zip(t, piv)]
+            elif p != d:
+                rows[i] = [x * p // d for x in t]
+    return p
+
+
+def _bareiss(a: list[list[int]], n: int) -> int:
+    """Fraction-free Gauss-Jordan on the first n columns of the n integer rows ``a``, in place.
+
+    Returns the determinant of the left block A, or 0 if A is singular. A
+    row swap negates the row it moves down, which undoes the swap's sign
+    change, so the last pivot is det A itself. When it is nonzero the left
+    block is now ``det A`` times the identity and the rest of each row holds
+    ``det A`` times A^-1 applied to the columns that were there.
+    """
+    d = 1
     for k in range(n):
         pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
         if pivot_row is None:
             return 0
-        a[k], a[pivot_row] = a[pivot_row], a[k]
-        r = a[k]
-        p = r[k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                if f:
-                    a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], r)]
-                elif p != prev:  # a row the pivot leaves alone still moves to the new d
-                    a[i] = [x * p // prev for x in a[i]]
-        prev = p
-    return prev
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], [-x for x in a[k]]
+        d = _pivot(a, k, k, d)
+    return d
 
 
 def solve_square(A: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...] | None:
@@ -171,137 +183,11 @@ def inverse(M: IntegerMatrix) -> tuple[tuple[Fraction, ...], ...]:
 # integer forms
 
 
-def _swap_rows(a, i, j):
-    a[i], a[j] = a[j], a[i]
-
-
-def _swap_cols(a, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
-def smith_normal_form(M: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-    """Return unimodular ``U``, diagonal ``D``, unimodular ``V`` with ``U M V = D``.
-
-    The diagonal is nonnegative and satisfies the divisibility chain
-    d_1 | d_2 | ... ; the factorization is re-verified exactly before
-    returning.
-    """
-    nr, nc = M.rows, M.cols
-    d = [list(row) for row in M.entries]
-    u = identity_int(nr)
-    v = identity_int(nc)
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in d:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    t = 0
-    while t < min(nr, nc):
-        # locate a nonzero pivot of minimal magnitude in the trailing block
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        if bi != t:
-            _swap_rows(d, t, bi)
-            _swap_rows(u, t, bi)
-        if bj != t:
-            _swap_cols(d, t, bj)
-            _swap_cols(v, t, bj)
-        dirty = False
-        for i in range(t + 1, nr):
-            if d[i][t] != 0:
-                q = d[i][t] // d[t][t]
-                row_op(i, t, q)
-                if d[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, nc):
-            if d[t][j] != 0:
-                q = d[t][j] // d[t][t]
-                col_op(j, t, q)
-                if d[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        # pivot must divide every remaining entry; if not, fold the offender in
-        offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if d[i][j] % d[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(t, offender, -1)  # add offending row to the pivot row
-            continue
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-
-    U = IntegerMatrix(u, cols=nr)
-    D = IntegerMatrix(d, cols=nc)
-    V = IntegerMatrix(v, cols=nc)
-    if U.matmul(M).matmul(V) != D:
-        raise AssertionError("Smith normal form verification failed")
-    if abs(det_int(U)) != 1 or abs(det_int(V)) != 1:
-        raise AssertionError("transform matrices are not unimodular")
-    return U, D, V
-
-
 def det_int(M: IntegerMatrix) -> int:
     """Fraction-free (Bareiss) determinant of a square integer matrix."""
     if M.rows != M.cols:
         raise ValueError("determinant of non-square matrix")
-    n = M.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in M.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            _swap_rows(a, k, pivot_row)
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def snf_diagonal(M: IntegerMatrix) -> tuple[int, ...]:
-    _, D, _ = smith_normal_form(M)
-    return tuple(D.entries[i][i] for i in range(min(D.rows, D.cols)))
-
-
-def integer_kernel(M: IntegerMatrix) -> IntegerMatrix:
-    """ℤ-basis (rows) of ``{x ∈ ℤ^cols : M x = 0}``.
-
-    The basis spans the *saturated* kernel lattice, i.e. every integer vector
-    in the rational kernel is an integer combination of the returned rows.
-    """
-    if M.rows == 0:
-        return IntegerMatrix(identity_int(M.cols), cols=M.cols)
-    _, D, V = smith_normal_form(M)
-    r = sum(1 for i in range(min(D.rows, D.cols)) if D.entries[i][i] != 0)
-    basis = [V.column(j) for j in range(r, M.cols)]
-    return IntegerMatrix(basis, cols=M.cols)
+    return _bareiss([list(row) for row in M.entries], M.rows)
 
 
 def hermite_row_form(M: IntegerMatrix) -> IntegerMatrix:
@@ -350,38 +236,24 @@ def hermite_row_form(M: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix(h, cols=ncols)
 
 
-def lattice_contains(generators: IntegerMatrix, vector: Sequence[int]) -> bool:
-    """Is ``vector`` an integer combination of the rows of ``generators``?"""
-    if len(vector) != generators.cols:
-        raise ValueError("dimension mismatch")
-    if generators.rows == 0:
-        return all(x == 0 for x in vector)
-    _, D, V = smith_normal_form(generators)
-    w = IntegerMatrix([list(vector)], cols=generators.cols).matmul(V).entries[0]
-    for j in range(generators.cols):
-        dj = D.entries[j][j] if j < min(D.rows, D.cols) else 0
-        if dj == 0:
-            if w[j] != 0:
-                return False
-        elif w[j] % dj != 0:
-            return False
-    return True
-
-
 def sublattice_equals_lattice(subset: IntegerMatrix, full: IntegerMatrix) -> bool:
     """Exact equality of the row lattices of the two generating sets."""
     if subset.cols != full.cols:
         raise ValueError("generators live in different ambient dimensions")
-    return all(lattice_contains(full, r) for r in subset.entries) and all(
-        lattice_contains(subset, r) for r in full.entries
-    )
+    return hermite_row_form(subset) == hermite_row_form(full)
 
 
 def nullspace(M: IntegerMatrix) -> IntegerMatrix:
     """Canonical basis, as rows, of the integer kernel ``{x : M x = 0}``.
 
-    The rows are the Hermite form of a basis of the saturated kernel
-    lattice: each row is primitive with positive leading entry, and the
-    result is reproducible bit-exactly.
+    The rows (M e_j, e_j) generate the lattice {(M x, x) : x integer}. In
+    its Hermite form the rows that vanish on the first block come last, and
+    they are a Hermite basis of its part with M x = 0: their second blocks
+    are the Hermite form of the whole (saturated) integer kernel. Each row
+    is primitive with positive leading entry, and the result is
+    reproducible bit-exactly.
     """
-    return hermite_row_form(integer_kernel(M))
+    r, n = M.rows, M.cols
+    rows = [list(col) + [int(i == j) for j in range(n)] for i, col in enumerate(M.columns())]
+    H = hermite_row_form(IntegerMatrix(rows, cols=r + n))
+    return IntegerMatrix([row[r:] for row in H.entries if not any(row[:r])], cols=n)

@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from .exact_linalg import _pivot as _bareiss_pivot
+
 
 @dataclass(frozen=True)
 class LPResult:
@@ -28,22 +30,14 @@ class LPResult:
 def _pivot(T: list[list[int]], basis: list[int], row: int, col: int, D: int) -> int:
     """Pivot the tableau ``T / D`` on (row, col) in integers; return the new D.
 
-    The cost row, if any, is the last row of T and is updated with the rest.
-    A negative pivot negates its row first, so that the new D stays positive.
+    The cost row, if any, is the last row of T and is updated with the rest,
+    by the Bareiss step of ``exact_linalg``. A negative pivot negates its
+    row first, so that the new D stays positive.
     """
     if T[row][col] < 0:
         T[row] = [-x for x in T[row]]
-    r = T[row]
-    p = r[col]
-    for i, t in enumerate(T):
-        if i != row:
-            f = t[col]
-            if f:
-                T[i] = [(x * p - f * y) // D for x, y in zip(t, r)]
-            elif p != D:  # a row the pivot leaves alone still moves to the new D
-                T[i] = [x * p // D for x in t]
     basis[row] = col
-    return p
+    return _bareiss_pivot(T, row, col, D)
 
 
 def _run_simplex(T: list[list[int]], basis: list[int], D: int) -> tuple[str, int]:

@@ -17,7 +17,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from . import lp
-from .exact_linalg import IntegerMatrix, det_int, snf_diagonal, solve_square
+from .exact_linalg import IntegerMatrix, det_int, hermite_row_form, solve_square
 from .verdict import Verdict
 
 
@@ -62,7 +62,7 @@ class PolytopePresentation:
         self.dim = n
         if self.num_facets < n:
             raise ValueError("fewer facets than the ambient dimension")
-        if sum(1 for d in snf_diagonal(self.normal_matrix()) if d) != n:
+        if hermite_row_form(IntegerMatrix(self.normals, cols=n)).rows != n:
             raise ValueError("facet normals do not span the ambient space")
         if lp.inequality_point(self.normals, [-b for b in self.offsets]) is None:
             raise EmptyPolytopeError("inequality system has no solution")

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import lp
-from .exact_linalg import IntegerMatrix, nullspace, snf_diagonal, solve_square
+from .exact_linalg import IntegerMatrix, hermite_row_form, nullspace, solve_square
 from .polytope import PolytopePresentation
 
 
@@ -36,10 +36,8 @@ class QuadricConfiguration:
             raise ValueError("one right-hand side per quadric required")
         if gamma.cols < 1:
             raise ValueError("ambient dimension must be positive")
-        if gamma.rows:
-            diag = snf_diagonal(gamma)
-            if sum(1 for d in diag if d) != gamma.rows:
-                raise ValueError("quadric coefficient rows are linearly dependent")
+        if hermite_row_form(gamma).rows != gamma.rows:
+            raise ValueError("quadric coefficient rows are linearly dependent")
         self._gamma_float = np.array(gamma.entries, dtype=float).reshape(gamma.rows, gamma.cols)
         self._c_float = np.array([float(x) for x in self.c])
         self._feasible_bases = None  # computed on first use by feasible_bases
@@ -69,6 +67,14 @@ class QuadricConfiguration:
         Cached: a configuration does not change after construction.
         """
         return lp.positive_combination(self.gamma.columns(), self.c)
+
+    @cached_property
+    def column_lattice(self) -> IntegerMatrix:
+        """Hermite basis (rows) of the lattice the coefficient columns generate.
+
+        Cached: the torus subgroup, nondegeneracy (c) and freeness all read it.
+        """
+        return hermite_row_form(IntegerMatrix(self.gamma.columns(), cols=self.num_quadrics))
 
     @property
     def ambient_dim(self) -> int:
@@ -213,7 +219,7 @@ def nondegeneracy_check(Q: QuadricConfiguration) -> NondegeneracyReport:
     k = Q.num_quadrics
     bases = feasible_bases(Q)
     witness_b = degenerate_support(bases)
-    lattice_rank = sum(1 for d in snf_diagonal(IntegerMatrix(Q.gamma.columns(), cols=k)) if d)
+    lattice_rank = Q.column_lattice.rows
     return NondegeneracyReport(bool(bases), witness_b is None, lattice_rank == k, witness_b, lattice_rank)
 
 

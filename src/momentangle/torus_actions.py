@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from typing import Sequence
 
 import numpy as np
 
-from .exact_linalg import IntegerMatrix, det_int, hermite_row_form, inverse, snf_diagonal
+from .exact_linalg import IntegerMatrix, det_int, inverse
 from .quadric_config import QuadricConfiguration, degenerate_support, feasible_bases
 from .verdict import Verdict
 
@@ -45,7 +44,7 @@ def torus_subgroup(Q: QuadricConfiguration) -> TorusSubgroup:
     k = Q.num_quadrics
     if k == 0:
         return TorusSubgroup(IntegerMatrix([], cols=0), (), 0)
-    basis = hermite_row_form(IntegerMatrix(Q.gamma.columns(), cols=k))
+    basis = Q.column_lattice
     if basis.rows != k:
         raise ValueError("coefficient columns do not span a full-rank lattice")
     dual = inverse(basis.transpose())
@@ -66,17 +65,17 @@ def freeness_check(Q: QuadricConfiguration) -> Verdict:
     of a feasible basis, and columns that generate the column lattice still
     do with more columns added. So the action is free iff no feasible basis
     has a zero coordinate and every feasible basis S has |det gamma_S| equal
-    to the lattice index, the product of the Smith diagonal. The witness is
-    the first non-generating support by (size, lex): the
-    ``nondegeneracy_check`` (b) witness if there is one, () when c = 0 puts
-    the origin, fixed by the whole torus, on the zero set; else the first
-    bad S.
+    to the lattice index, |det| of the Hermite basis of the column lattice
+    (``Q.column_lattice``). The witness is the first non-generating support
+    by (size, lex): the ``nondegeneracy_check`` (b) witness if there is
+    one, () when c = 0 puts the origin, fixed by the whole torus, on the
+    zero set; else the first bad S.
     """
     bases = feasible_bases(Q)
     witness = degenerate_support(bases)
     if witness is not None:
         return Verdict(False, witness=witness, detail="fewer than k columns carry c")
-    index = prod(snf_diagonal(IntegerMatrix(Q.gamma.columns(), cols=Q.num_quadrics)))
+    index = abs(det_int(Q.column_lattice))
     for S, _ in bases:
         gamma_S = IntegerMatrix([[row[i] for i in S] for row in Q.gamma.entries], cols=len(S))
         if abs(det_int(gamma_S)) != index:

@@ -29,3 +29,15 @@ def test_perfbench_imports_the_package_and_wraps_its_charts(monkeypatch):
     assert tracer.calls["charts.TorusSpreadChart.jacobian"] == 1
     assert tracer.extra["charts.TorusSpreadChart.jacobian.points"] == 4
     assert {m: vars(cls)[m] for m in spans.CHART_METHODS} == originals
+
+
+def test_one_exact_sweep_pass_meets_its_pinned_verdicts(monkeypatch):
+    # bad-triangle's signed Delzant witness and "Delzant iff free" on the
+    # seeded random polytopes, each checked by the workload's own check
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+
+    ops = workloads.build("exact-sweep", 1, workloads.import_package())()
+    assert {op.instance for op in ops} >= set(workloads.EXACT_SWEEP)
+    failures = {(op.instance, op.label): op.check(op.run()) for op in ops}
+    assert {key: msg for key, msg in failures.items() if msg is not None} == {}

@@ -9,11 +9,8 @@ from momentangle.exact_linalg import (
     IntegerMatrix,
     det_int,
     hermite_row_form,
-    integer_kernel,
     inverse,
     nullspace,
-    smith_normal_form,
-    snf_diagonal,
     solve_square,
     sublattice_equals_lattice,
 )
@@ -62,39 +59,12 @@ def test_nullspace_annihilates(side):
             assert lead > 0
 
 
-def test_smith_normal_form_examples():
-    _, D, _ = smith_normal_form(IntegerMatrix([[2, 0], [0, 3]]))
-    assert D.entries == ((1, 0), (0, 6))
-    _, D, _ = smith_normal_form(IntegerMatrix([[1, 0], [0, 1]]))
-    assert D.entries == ((1, 0), (0, 1))
-    _, D, _ = smith_normal_form(IntegerMatrix([[2, 4]]))
-    assert D.entries == ((2, 0),)
-
-
-def test_smith_normal_form_random():
-    rnd = random.Random(3)
-    for _ in range(150):
-        nr, nc = rnd.randint(1, 4), rnd.randint(1, 4)
-        M = IntegerMatrix([[rnd.randint(-9, 9) for _ in range(nc)] for _ in range(nr)])
-        U, D, V = smith_normal_form(M)  # factorization re-verified inside
-        diag = [D.entries[i][i] for i in range(min(nr, nc))]
-        assert all(x >= 0 for x in diag)
-        nz = [x for x in diag if x]
-        assert diag[: len(nz)] == nz  # nonzero invariants first
-        for a, b in zip(nz, nz[1:]):
-            assert b % a == 0
-        assert abs(det_int(U)) == 1 and abs(det_int(V)) == 1
-        # off-diagonal zero
-        for i in range(D.rows):
-            for j in range(D.cols):
-                if i != j:
-                    assert D.entries[i][j] == 0
-
-
 def test_integer_kernel_saturated():
     # kernel of (1 1 2) must contain (1, 1, -1), not only a finite-index sublattice
-    K = integer_kernel(IntegerMatrix([[1, 1, 2]]))
+    K = nullspace(IntegerMatrix([[1, 1, 2]]))
     assert K.rows == 2
+    # the Hermite form is canonical: any proper sublattice has another one
+    assert K.entries == ((1, 1, -1), (0, 2, -1))
     target = (1, 1, -1)
     assert sublattice_equals_lattice(
         IntegerMatrix(list(K.entries) + [list(target)], cols=3), K
@@ -149,8 +119,6 @@ def test_rational_det_inverse():
         assert Minv[0][0] * Minv[1][1] - Minv[0][1] * Minv[1][0] == Fraction(1, d)
     with pytest.raises(ValueError):
         inverse(IntegerMatrix([[1, 2], [2, 4]]))
-    diag = snf_diagonal(IntegerMatrix([[6, 4], [4, 8]]))
-    assert diag == (2, 16)  # det 32, gcd 2
 
 
 def test_solve_square_against_inverse():

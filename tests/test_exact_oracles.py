@@ -7,12 +7,15 @@ boundedness test of a presentation is compared with the 2n-LP recession
 search it replaced and with scipy; the integer-pivoting simplex and the
 fraction-free square solves are compared with the ``Fraction`` eliminations
 they replaced, kept here as references; the exact LP is compared with
-scipy's HiGHS solver, and the Smith normal form, the Hermite form and the
-integer nullspace with sympy's.
+scipy's HiGHS solver, and the determinant, the Hermite form and the integer
+nullspace with sympy's; the rank and lattice index read from the Hermite
+form are compared with sympy's Smith form. The reference freeness test
+decides lattice equality by the Hermite form, which has its own oracle here.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -23,10 +26,10 @@ from hypothesis import strategies as st
 from momentangle import lp
 from momentangle.exact_linalg import (
     IntegerMatrix,
+    det_int,
     hermite_row_form,
     inverse,
     nullspace,
-    snf_diagonal,
     solve_square,
     sublattice_equals_lattice,
 )
@@ -147,13 +150,26 @@ def test_strictly_positive_functional_matches_linprog(vectors):
 @given(st.integers(1, 4).flatmap(
     lambda cols: st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols), min_size=1, max_size=4)
 ))
-def test_snf_diagonal_matches_sympy(rows):
+def test_hermite_rank_and_index_match_sympy_smith_form(rows):
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form
 
     D = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
-    expected = [abs(int(D[i, i])) for i in range(min(D.shape))]
-    assert [abs(d) for d in snf_diagonal(IntegerMatrix(rows))] == expected
+    invariants = [abs(int(D[i, i])) for i in range(min(D.shape)) if D[i, i]]
+    H = hermite_row_form(IntegerMatrix(rows))
+    assert H.rows == len(invariants)
+    # a full-rank lattice has index |det H| in Z^cols, the product of the invariants
+    if H.rows == H.cols:
+        assert abs(det_int(H)) == prod(invariants)
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_det_int_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    # the sign too: a Delzant witness reports the signed determinant
+    assert det_int(IntegerMatrix(rows)) == sympy.Matrix(rows).det()
 
 
 def _reference_recession_direction(P):
@@ -296,6 +312,29 @@ def test_rational_nullspace_matches_sympy(rows, side):
         theirs = sympy.Matrix.hstack(*expected).T
         # equal spans: stacking one basis on the other adds no rank
         assert sympy.Matrix.vstack(ours, theirs).rank() == ours.rank() == theirs.rank()
+
+
+def _primitive(v) -> list[int]:
+    """The primitive integer vector on the ray of v, a nonzero vector of ints or Fractions."""
+    scale = lcm(*(x.denominator for x in v))
+    ints = [int(x * scale) for x in v]
+    g = gcd(*ints)
+    return [x // g for x in ints]
+
+
+@given(int_matrices, st.data())
+def test_nullspace_is_saturated(rows, data):
+    sympy = pytest.importorskip("sympy")
+    # every primitive integer vector of the rational kernel is already in
+    # the lattice of the rows: appending it leaves the Hermite form unchanged
+    N = nullspace(IntegerMatrix(rows))
+    kernel = [_primitive([Fraction(int(x.p), int(x.q)) for x in v]) for v in sympy.Matrix(rows).nullspace()]
+    if kernel:
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(kernel), max_size=len(kernel)).filter(any))
+        # the basis is independent, so the combination is not 0
+        kernel.append(_primitive([sum(a * v[j] for a, v in zip(coeffs, kernel)) for j in range(N.cols)]))
+    for v in kernel:
+        assert hermite_row_form(IntegerMatrix(list(N.entries) + [v], cols=N.cols)) == N
 
 
 # ---------------------------------------------------------------------------
