@@ -131,19 +131,15 @@ class Chart:
         firsts = sorted(set(keys.index(key) for key in keys))
         return self.phase_rows[:, firsts], np.array([firsts.index(keys.index(key)) for key in keys])
 
-    def jet_and_base(self, S: np.ndarray, order: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """(jet, u): the derivatives (z, J, ..., D^order) at the rows of S and the
-        points u(v) (N, m) under them, from one ``_u`` call and one phase computation."""
+    def jet(self, S: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+        """(z, J, ..., D^order) at the rows of S, from one ``_u`` call and one phase computation:
+        z (N, m), J (N, m, d), H (N, m, d, d), T (N, m, d, d, d)."""
         V, Phi = _split_params(S, self.nv, self.dim)
         rates, of_rate = self._rates
         # einsum, not matmul: a point's sums do not depend on its batch
         phases = np.exp(1j * TWO_PI * np.einsum("nj,jk->nk", Phi, rates))[:, of_rate]
         us = self._u(V, order)
-        return tuple(_phase_product(phases, us[: n + 1], self.phase_rows) for n in range(order + 1)), us[0]
-
-    def jet(self, S: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-        """(z, J, ..., D^order): z (N, m), J (N, m, d), H (N, m, d, d), T (N, m, d, d, d)."""
-        return self.jet_and_base(S, order)[0]
+        return tuple(_phase_product(phases, us[: n + 1], self.phase_rows) for n in range(order + 1))
 
     def value(self, S: np.ndarray) -> np.ndarray:
         return self.jet(S, 0)[0]
@@ -433,9 +429,12 @@ def global_chart(Q: QuadricConfiguration) -> GlobalChart | None:
     distinct p as columns and l_j = sum over the class of p_j of g_i u_i^2;
     if every level l_j is positive, each class is an ellipsoid with radii
     sqrt(l_j / g_i). Each block of coordinates then takes hyperspherical
-    angles, and N takes the phases phi in [0, 1)^k of Gamma's own rows. The
-    cover has the same multiplicity at almost every point of N, which
-    every ratio of the variational checks cancels.
+    angles, and N takes the phases phi in [0, 1)^k through the rows of D Gamma,
+    D the dual basis (``Q.dual_basis``): the unit phi-box is one fundamental
+    domain of the torus. D Gamma is exact and integer, since Gamma's columns
+    lie in the lattice D is dual to. The cover has the same multiplicity at
+    almost every point of N, which every ratio of the variational checks
+    cancels.
     """
     classes: dict[tuple[int, ...], list[int]] = {}
     gcds = []
@@ -460,4 +459,6 @@ def global_chart(Q: QuadricConfiguration) -> GlobalChart | None:
         for i, row in zip(block, _sphere_factors(len(block))):
             radii[i] = math.sqrt(level / gcds[i])
             factors[i, first:len(kinds)] = row
-    return GlobalChart(radii, factors, Q.gamma_float(), tuple(kinds) + ("phase",) * k)
+    rows = [[int(sum(d * g for d, g in zip(dual, column))) for column in zip(*Q.gamma.entries)]
+            for dual in Q.dual_basis]
+    return GlobalChart(radii, factors, rows, tuple(kinds) + ("phase",) * k)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import lp
-from .exact_linalg import IntegerMatrix, hermite_row_form, nullspace, solve_square
+from .exact_linalg import IntegerMatrix, det_int, hermite_row_form, inverse, nullspace, solve_square
 from .polytope import PolytopePresentation
 
 
@@ -75,6 +75,19 @@ class QuadricConfiguration:
         Cached: the torus subgroup, nondegeneracy (c) and freeness all read it.
         """
         return hermite_row_form(IntegerMatrix(self.gamma.columns(), cols=self.num_quadrics))
+
+    @cached_property
+    def lattice_index(self) -> int:
+        """The index of the column lattice in Z^k, |det| of its Hermite basis; the period
+        lattice's covolume is its inverse. Cached: freeness and the orbit volumes read it."""
+        return abs(det_int(self.column_lattice))
+
+    @cached_property
+    def dual_basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Rows: a basis of the dual (period) lattice, the inverse transpose of the column
+        lattice's Hermite basis. Cached: the torus subgroup and the global chart's phases read it.
+        The rows of Gamma are independent, so the column lattice has full rank k."""
+        return inverse(self.column_lattice.transpose())
 
     @property
     def ambient_dim(self) -> int:

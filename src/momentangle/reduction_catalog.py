@@ -31,7 +31,6 @@ from .submanifold_numerics import (
     ChartSample,
     MetricSpec,
     _poly_scalar,
-    chart_point,
     frame_symplectic_residual,
     hamiltonian_vector_field,
     lagrangian_residual,
@@ -192,14 +191,14 @@ def ntilde_chart(
     phi_delta: Sequence[float],
     spec: MetricSpec = DEFAULT_SPEC,
 ) -> ChartSample:
-    """One-point sample of the lift of the reduced-space Lagrangian into the first system.
+    """One-point sample, through third order, of the lift of the reduced-space Lagrangian into the first system.
 
     The base moves on the intersection of the two real loci; only the
     second system's torus supplies phases.
     """
     chart = TorusSpreadChart(D.stacked, base, phase_rows=D.delta_cfg.gamma_float())
     params = np.concatenate([np.asarray(v, dtype=float), np.asarray(phi_delta, dtype=float)])
-    return chart_point(chart, params, Q=D.stacked, spec=spec)
+    return ChartSample.at(chart, params, 3).on(D.stacked, spec)
 
 
 def _horizontal_residual(D: DoubleConfiguration, z: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -407,11 +406,10 @@ CP_NODES = {"polar": 12, "azimuth": 12, "phase": 12}
 
 
 class CpSetup(NamedTuple):
-    """What ``cp_chart_verify`` measures on: a sample of the lift chart for
-    the Lagrangian residual, the stationarity patch, and the circle-invariant
-    Hamiltonian's gradient and Hessian on C^m."""
+    """What ``cp_chart_verify`` measures on: the patch over the whole lift, whose
+    nodes the Lagrangian residual reads, and the circle-invariant Hamiltonian's
+    gradient and Hessian on C^m."""
 
-    sample: ChartSample
     patch: ChartPatch
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -423,34 +421,28 @@ def cp_lift_chart(D: DoubleConfiguration) -> GlobalChart | None:
     return global_chart(D.stacked) if is_projective(D.gamma_cfg) else None
 
 
-def cp_chart_setup(D: DoubleConfiguration, samples: int, seed: int) -> CpSetup:
-    """The lift sample, patch and Hamiltonian of ``cp_chart_verify`` at ``seed``.
+def cp_chart_setup(D: DoubleConfiguration, seed: int) -> CpSetup:
+    """The lift patch and the Hamiltonian of ``cp_chart_verify`` at ``seed``.
 
-    The samples are uniform on the lift chart's box, axis by axis, at phase
-    0 on the first torus's circle, and the patch covers the whole lift. The
-    Hamiltonian is one random quadratic polynomial in the circle invariants
-    q, so each integrand is a sum of products of two q (or their
-    conjugates) times factors that no phase moves: along phase j, of degree
-    at most 2 (max_k Gamma_jk - min_k Gamma_jk). That is 0 along the
-    circle, which takes one node.
+    The patch covers the whole lift. The Hamiltonian is one random
+    quadratic polynomial in the circle invariants q, drawn from
+    ``default_rng(seed)``, so each integrand is a sum of products of two q
+    (or their conjugates) times factors that no phase moves: along phase j,
+    of degree at most 2 (max_k R_jk - min_k R_jk), R the chart's phase
+    rows. That is 0 along the circle, which takes one node.
     """
     chart = cp_lift_chart(D)
     if chart is None:
         raise ValueError("projective verification needs a first system of one quadric with equal "
                          "coefficients and a stacked system whose real locus is a product of ellipsoids")
-    rng = np.random.default_rng(seed)
-    m, circle = D.ambient_dim, chart.nv
-    S = np.stack([np.zeros(samples) if a == circle else rng.uniform(chart.lo[a], chart.hi[a], samples)
-                  for a in range(chart.dim)], axis=-1)
-    sample = ChartSample.at(chart, S, 1)
-    rows = chart.phase_rows
+    m, rows = D.ambient_dim, chart.phase_rows
     patch = ChartPatch.over(chart, chart.node_counts(CP_NODES, 2 * (rows.max(axis=1) - rows.min(axis=1))), order=1)
     # the Hamiltonian of the C^m check, as a function of the circle invariants
-    _, grad, hess = circle_invariant_hamiltonian(_poly_scalar(m * (m + 1) // 2, rng), m)
-    return CpSetup(sample, patch, grad, hess)
+    _, grad, hess = circle_invariant_hamiltonian(_poly_scalar(m * (m + 1) // 2, np.random.default_rng(seed)), m)
+    return CpSetup(patch, grad, hess)
 
 
-def cp_chart_verify(D: DoubleConfiguration, samples: int, seed: int = 0) -> VerificationReport:
+def cp_chart_verify(D: DoubleConfiguration, seed: int = 0) -> VerificationReport:
     """Verification of the reduced Lagrangian in CP^(m-1), on its lift in flat C^m.
 
     The lift is invariant under the diagonal circle T_gamma, whose orbits on
@@ -459,12 +451,13 @@ def cp_chart_verify(D: DoubleConfiguration, samples: int, seed: int = 0) -> Veri
     the lift is, and a circle-invariant Hamiltonian's flow descends to the
     reduced flow, so the lift's Lagrangian residual and its volume
     stationarity under such Hamiltonians (functions of ``circle_invariants``)
-    check the reduced claims, over the whole lift.
+    check the reduced claims, both on the nodes of one patch over the whole lift.
     """
     rep = VerificationReport(seed=seed)
-    setup = cp_chart_setup(D, samples, seed)
-    lag = float(lagrangian_residual(D.stacked, setup.sample).max())
-    rep.add("cp-lagrangian-residual", lag, TOL_LAGRANGIAN, samples=samples)
+    setup = cp_chart_setup(D, seed)
+    sample = setup.patch.sample
+    rep.add("cp-lagrangian-residual", float(lagrangian_residual(D.stacked, sample).max()), TOL_LAGRANGIAN,
+            samples=len(sample))
     ratio = stationarity_ratio(setup.patch, hamiltonian_vector_field(setup.grad, setup.hess))
     rep.add("cp-hamiltonian-stationarity", ratio, TOL_STATIONARITY)
     return rep

@@ -59,22 +59,27 @@ DEFAULT_SPEC = MetricSpec()
 class ChartSample:
     """Points of one chart evaluated together: ``params`` (N, d) and their ``jet``
     (z, J, ..., D^order), the chart's one evaluation through the order the
-    sample's checks read. ``points`` (N, m) is the jet's order 0, and
-    ``bases`` (N, m) the point of the real locus under each. A slice slices
-    the jet; one point is the sample ``s[i:i + 1]``. The pointwise residual
-    functions take a whole sample and return one value per point.
+    sample's checks read. ``points`` (N, m) is the jet's order 0. A slice
+    slices the jet; one point is the sample ``s[i:i + 1]``. The pointwise
+    residual functions take a whole sample and return one value per point.
     """
 
     chart: Chart
     params: np.ndarray
     jet: tuple[np.ndarray, ...]
-    bases: np.ndarray
 
     @classmethod
-    def at(cls, chart: Chart, params: np.ndarray, order: int) -> ChartSample:
-        """The sample of ``chart`` at ``params`` through ``order``; its bases are u(v) of the same solve."""
-        jet, u = chart.jet_and_base(params, order)
-        return cls(chart, params, jet, u.real)
+    def at(cls, chart: Chart, params, order: int) -> ChartSample:
+        """The sample of ``chart`` at ``params`` (one row per point) through ``order``."""
+        params = np.atleast_2d(np.asarray(params, dtype=float))
+        return cls(chart, params, chart.jet(params, order))
+
+    def on(self, Q: QuadricConfiguration, spec: MetricSpec) -> ChartSample:
+        """This sample, once every point is checked against the quadrics of ``Q`` at ``spec.tol_membership``."""
+        res = float(membership_residuals(Q, self.points).max())
+        if res > spec.tol_membership:
+            raise ValueError(f"chart point violates the quadric system: residual {res:.3e}")
+        return self
 
     @property
     def points(self) -> np.ndarray:
@@ -86,7 +91,7 @@ class ChartSample:
     def __getitem__(self, s: slice) -> ChartSample:
         if not isinstance(s, slice):
             raise TypeError("a ChartSample takes slices; one point is sample[i:i + 1]")
-        return ChartSample(self.chart, self.params[s], tuple(D[s] for D in self.jet), self.bases[s])
+        return ChartSample(self.chart, self.params[s], tuple(D[s] for D in self.jet))
 
 
 # ---------------------------------------------------------------------------
@@ -123,27 +128,6 @@ def frame_symplectic_residual(vectors: np.ndarray) -> float | np.ndarray:
 # chart samples and frames
 
 
-def chart_point(
-    chart: Chart,
-    params: Sequence[float],
-    Q: QuadricConfiguration | None = None,
-    spec: MetricSpec = DEFAULT_SPEC,
-) -> ChartSample:
-    """The one-point sample of ``chart`` at ``params``, checked against ``Q`` if given.
-
-    It carries the jet through third order, every order a check reads. Its
-    base is |z|: the real locus is invariant under coordinatewise sign
-    changes, so |z| is the real point in the orthant under a spread point.
-    """
-    S = np.asarray(params, dtype=float)[None, :]
-    jet = chart.jet(S, 3)
-    if Q is not None:
-        res = float(membership_residuals(Q, jet[0]).max())
-        if res > spec.tol_membership:
-            raise ValueError(f"chart point violates the quadric system: residual {res:.3e}")
-    return ChartSample(chart, S, jet, np.abs(jet[0]))
-
-
 def chart_N(
     Q: QuadricConfiguration,
     u0,
@@ -151,10 +135,9 @@ def chart_N(
     phi: Sequence[float],
     spec: MetricSpec = DEFAULT_SPEC,
 ) -> ChartSample:
-    """Point of the torus-spread Lagrangian over base u0 at parameters (v, phi)."""
-    chart = TorusSpreadChart(Q, u0)
+    """The one-point sample, through third order, of the torus-spread Lagrangian over base u0 at (v, phi)."""
     params = np.concatenate([np.asarray(v, dtype=float), np.asarray(phi, dtype=float)])
-    return chart_point(chart, params, Q=Q, spec=spec)
+    return ChartSample.at(TorusSpreadChart(Q, u0), params, 3).on(Q, spec)
 
 
 def tangent_frames(Q: QuadricConfiguration | None, sample: ChartSample) -> np.ndarray:
@@ -485,36 +468,25 @@ def hminimality_residual(Q: QuadricConfiguration | None, sample: ChartSample) ->
 # ---------------------------------------------------------------------------
 # co-area
 
-def coarea_orbit_volume_check(Q: QuadricConfiguration, nodes: int) -> tuple[float, float]:
-    """Volume of a chart patch of the spread submanifold vs the fiber integral.
+def coarea_orbit_volume_check(Q: QuadricConfiguration, sample: ChartSample) -> np.ndarray:
+    """The co-area identity's relative mismatch at each point of a sample of a product chart.
 
-    Both sides run over one ``PolytopeChart`` at x0 = real_base_point(Q)**2
-    and over the v-box [-a, a]^(m-k) whose half-width a is half that of the
-    largest cube about x0 in the orthant, so x0 + B v >= x0 / 2 on it.
-    Upstairs: Riemannian volume of the chart box (v-box) x (one fundamental
-    domain of the phase torus, reached by running the unit phi-box through a
-    dual-lattice basis so each orbit is covered exactly once).
-    Downstairs: integral of the orbit-volume function over the same v-box of
-    the real locus, with the base metric from the exact jacobian B / (2u).
-    The chart's metric has no v-phi block, so sqrt det g is the base area
-    element times the orbit volume at every node, and the two numbers agree
-    to rounding.
+    vol(N) is the integral over the real locus of the orbit volume V_orb.
+    On a chart (v, phi) -> phases(phi) * u(v) over Gamma's rows the metric
+    has no v-phi block, so at every point sqrt det g is the base area
+    element sqrt det g_vv times sqrt det of the orbit Gram matrix. Moving
+    the phase box onto one fundamental domain of the torus (through the
+    dual basis D) scales the upstairs element by |det D|, the dual
+    covolume, and V_orb carries the same factor: the two sides
+    sqrt det g |det D| and sqrt det g_vv V_orb(z) agree to rounding.
     """
-    T = torus_subgroup(Q)
-    dual = np.array([[float(x) for x in row] for row in T.dual_basis], dtype=float).reshape(T.dim, T.dim)
-    chart = PolytopeChart(Q, real_base_point(Q) ** 2, phase_rows=dual @ Q.gamma_float())
-    with np.errstate(divide="ignore"):
-        half = np.full(chart.nv, 0.5 * np.min(chart.x0 / np.abs(chart.B).sum(axis=1)))
-    lo = np.concatenate([-half, np.zeros(chart.nphi)])
-    hi = np.concatenate([half, np.ones(chart.nphi)])
-    upstairs = patch_volume(ChartPatch(chart=chart, lo=lo, hi=hi, nodes=nodes, order=1))
-
-    Sv, wv = quadrature.tensor_grid(-half, half, nodes, ())
-    Z, J = chart.jet(np.concatenate([Sv, np.zeros((len(Sv), chart.nphi))], axis=1), 1)
-    Ju = J[:, :, : chart.nv].real  # B / (2u) at phi = 0
-    elem = np.sqrt(np.linalg.det(np.swapaxes(Ju, 1, 2) @ Ju))
-    vo = orbit_volume(Q, Z)
-    return upstairs, float(np.sum(wv * np.asarray(vo) * elem))
+    J = sample.jet[1]
+    Jr = np.concatenate([J.real, J.imag], axis=1)
+    g = np.swapaxes(Jr, 1, 2) @ Jr
+    nv = sample.chart.nv
+    upstairs = np.sqrt(np.linalg.det(g)) * float(torus_subgroup(Q).dual_covolume)  # |det D|
+    downstairs = np.sqrt(np.linalg.det(g[:, :nv, :nv])) * orbit_volume(Q, sample.points)
+    return np.abs(upstairs - downstairs) / np.maximum(np.maximum(upstairs, downstairs), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +534,4 @@ def sample_chart_points(
     reach = SAMPLE_REACH * np.minimum(to_face, np.linalg.norm(chart.x0))
     V = (reach * rng.uniform(0.0, 1.0, count))[:, None] * W
     Phi = rng.uniform(0.0, 1.0, (count, chart.nphi))
-    sample = ChartSample.at(chart, np.concatenate([V, Phi], axis=1), order)
-    res = float(membership_residuals(Q, sample.points).max())
-    if res > spec.tol_membership:
-        raise ValueError(f"chart point violates the quadric system: residual {res:.3e}")
-    return sample
+    return ChartSample.at(chart, np.concatenate([V, Phi], axis=1), order).on(Q, spec)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_linalg import IntegerMatrix, det_int, inverse
+from .exact_linalg import IntegerMatrix, det_int
 from .quadric_config import QuadricConfiguration, degenerate_support, feasible_bases
 from .verdict import Verdict
 
@@ -33,22 +33,12 @@ class TorusSubgroup:
     lattice_basis: IntegerMatrix  # rows: Hermite basis of the column lattice
     dual_basis: tuple[tuple[Fraction, ...], ...]  # rows: basis of the dual lattice
     dim: int
-
-    @property
-    def dual_covolume(self) -> Fraction:
-        """The dual basis is the inverse transpose of the lattice basis: 1 / |det|."""
-        return Fraction(1, abs(det_int(self.lattice_basis)))
+    dual_covolume: Fraction  # the dual basis is the inverse transpose of the lattice basis: 1 / |det|
 
 
 def torus_subgroup(Q: QuadricConfiguration) -> TorusSubgroup:
-    k = Q.num_quadrics
-    if k == 0:
-        return TorusSubgroup(IntegerMatrix([], cols=0), (), 0)
-    basis = Q.column_lattice
-    if basis.rows != k:
-        raise ValueError("coefficient columns do not span a full-rank lattice")
-    dual = inverse(basis.transpose())
-    return TorusSubgroup(basis, dual, k)
+    """The lattice data kept on Q (``column_lattice``, ``dual_basis``, ``lattice_index``), together."""
+    return TorusSubgroup(Q.column_lattice, Q.dual_basis, Q.num_quadrics, Fraction(1, Q.lattice_index))
 
 
 def torus_point(Q: QuadricConfiguration, phi: Sequence[float]) -> np.ndarray:
@@ -66,7 +56,7 @@ def freeness_check(Q: QuadricConfiguration) -> Verdict:
     do with more columns added. So the action is free iff no feasible basis
     has a zero coordinate and every feasible basis S has |det gamma_S| equal
     to the lattice index, |det| of the Hermite basis of the column lattice
-    (``Q.column_lattice``). The witness is the first non-generating support
+    (``Q.lattice_index``). The witness is the first non-generating support
     by (size, lex): the ``nondegeneracy_check`` (b) witness if there is
     one, () when c = 0 puts the origin, fixed by the whole torus, on the
     zero set; else the first bad S.
@@ -75,10 +65,9 @@ def freeness_check(Q: QuadricConfiguration) -> Verdict:
     witness = degenerate_support(bases)
     if witness is not None:
         return Verdict(False, witness=witness, detail="fewer than k columns carry c")
-    index = abs(det_int(Q.column_lattice))
     for S, _ in bases:
         gamma_S = IntegerMatrix([[row[i] for i in S] for row in Q.gamma.entries], cols=len(S))
-        if abs(det_int(gamma_S)) != index:
+        if abs(det_int(gamma_S)) != Q.lattice_index:
             return Verdict(False, witness=S, detail="support columns generate a proper sublattice")
     return Verdict(True)
 
@@ -104,13 +93,12 @@ def orbit_volume(Q: QuadricConfiguration, z) -> float | np.ndarray:
     Equal to sqrt(det Gram) of the generators times the covolume of the dual
     lattice's fundamental domain. Raises for degenerate orbits.
     """
-    T = torus_subgroup(Q)
     gram = orbit_gram(Q, z)
     dets = np.linalg.det(gram)
     scale = np.maximum(np.abs(gram).max(axis=(-2, -1)), 1e-300) ** Q.num_quadrics
     if np.any(dets <= 1e-24 * scale):
         raise NonFreePointError("singular orbit Gram matrix: point has a stabilizer")
-    vol = np.sqrt(dets) * float(T.dual_covolume)
+    vol = np.sqrt(dets) / Q.lattice_index
     return float(vol) if vol.ndim == 0 else vol
 
 

@@ -172,7 +172,7 @@ def test_criterion_09_orbit_volume(sampled_points):
     worst = np.abs(orbit_volume(Q, pts.points) - orbit_volume(Q, conjugate(pts.points))).max()
     results["conjugation-symmetry"] = worst < 1e-12
     for cname in ("one-quadric:2", "one-quadric:3"):
-        rep = proc.coarea_report(catalog_quadrics(cname))
+        rep = proc.coarea_report(*sampled_points[cname])
         results[f"{cname}-coarea"] = rep.records[0].residual < 1e-3
     _finish(9, "orbit volume symmetry and co-area", results)
 
@@ -210,7 +210,7 @@ def test_criterion_11_double_configuration():
     results["ntilde-residual"] = by_name["ntilde-lagrangian-residual"].residual < 1e-8
     results["ntilde-control"] = by_name["ntilde-negative-control"].passed
     for inst in ("cp2-torus", "rp2"):
-        rep = cp_chart_verify(catalog_double(inst), samples=50, seed=SEED)
+        rep = cp_chart_verify(catalog_double(inst), seed=SEED)
         by_name = {r.name: r for r in rep.records}
         results[f"{inst}-lagrangian"] = by_name["cp-lagrangian-residual"].residual < 1e-8
         results[f"{inst}-stationarity"] = by_name["cp-hamiltonian-stationarity"].residual < 1e-3

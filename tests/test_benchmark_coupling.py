@@ -41,3 +41,19 @@ def test_one_exact_sweep_pass_meets_its_pinned_verdicts(monkeypatch):
     assert {op.instance for op in ops} >= set(workloads.EXACT_SWEEP)
     failures = {(op.instance, op.label): op.check(op.run()) for op in ops}
     assert {key: msg for key, msg in failures.items() if msg is not None} == {}
+
+
+def test_one_report_pass_of_each_report_workload_meets_its_pinned_records(monkeypatch):
+    # stationarity (triangle) and catalog-fast (13 instances, cp2-torus twice):
+    # each report's record names equal the workload's pinned list and all
+    # pass, and cp2-torus's second machine report is byte-identical to its
+    # first, each checked by the workload's own check, in pass order
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+
+    ma = workloads.import_package()
+    for workload, instances in (("stationarity", {"triangle"}), ("catalog-fast", set(workloads.CATALOG_FAST))):
+        ops = workloads.build(workload, 1, ma)()
+        assert {op.instance for op in ops} == instances, workload
+        failures = [(op.instance, op.check(op.run())) for op in ops]
+        assert [(instance, msg) for instance, msg in failures if msg is not None] == [], workload

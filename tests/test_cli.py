@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import subprocess
 import sys
@@ -224,13 +225,14 @@ def test_variational_checks_run_on_the_configurations_own_surface(tmp_path, monk
 
 
 def test_variational_checks_resolve_the_top_phase_frequency(monkeypatch):
-    # N's phases run through Gamma's own rows, so a field's integrands reach
-    # frequency 2 max_k |Gamma_jk| along phase j, and a trapezoid rule of that
-    # many nodes counts the top term in full. gamma (1, 3, 1) puts z_2^2 at
-    # frequency 6 and gamma (1, 4) at 8, the stationarity and first-variation
-    # tables' phase node counts, where the records read up to 0.084 and 1.04.
-    # One node more than the top frequency reads the rounding floor
-    # (measured at most 3.2e-17 and 6.4e-16)
+    # N's phases run through the rows of D Gamma, D the dual basis (Gamma's
+    # own rows where, as here, the column lattice is Z^k), so a field's
+    # integrands reach frequency 2 max_k |Gamma_jk| along phase j, and a
+    # trapezoid rule of that many nodes counts the top term in full.
+    # gamma (1, 3, 1) puts z_2^2 at frequency 6 and gamma (1, 4) at 8, the
+    # stationarity and first-variation tables' phase node counts, where the
+    # records read up to 0.084 and 1.04. One node more than the top
+    # frequency reads the rounding floor (measured at most 3.2e-17 and 6.4e-16)
     from momentangle import procedures
     from momentangle.submanifold_numerics import MetricSpec
 
@@ -248,6 +250,30 @@ def test_variational_checks_resolve_the_top_phase_frequency(monkeypatch):
         records = [r for r in rep.records if r.name.startswith(("hamiltonian-stationarity", "first-variation"))]
         assert len(records) in (3, 5) and max(r.residual for r in records) <= 1e-14
         assert len(patches) == len(records) and all(patch.nodes[-1] == phase_nodes for patch in patches)
+
+
+@pytest.mark.parametrize("gamma", [1, 2, 3])
+def test_circle_variation_reads_two_pi_at_every_coefficient(gamma):
+    # the circle gamma |z|^2 = c: its phase runs through the dual basis, the
+    # row gamma / gamma = 1, so the phase box covers the circle once and the
+    # radial unit field's dVol/dt and curvature integral read 2 pi at every
+    # gamma and level. Through gamma's own row the box covered the circle
+    # gamma times, and both read 2 pi (gamma - 1) too much
+    from momentangle.charts import global_chart
+    from momentangle.exact_linalg import IntegerMatrix
+    from momentangle.procedures import circle_variation_values
+    from momentangle.quadric_config import QuadricConfiguration
+    from momentangle.submanifold_numerics import MetricSpec
+
+    for c in (1, 2):
+        text = f"mode quadrics\ngamma 1 1\n{gamma}\nc {c}\n"
+        rep = run_command("verify-variation", parse_config(text), 0, 100, MetricSpec(), out=io.StringIO())
+        assert [r.name for r in rep.records] == ["circle-dvol", "circle-curvature-integral", "circle-consistency"]
+        assert rep.overall and max(r.residual for r in rep.records) <= 1e-14, (gamma, c)
+        chart = global_chart(QuadricConfiguration(IntegerMatrix([[gamma]], cols=1), [c]))
+        assert chart.phase_rows.tolist() == [[1.0]]
+        for value in circle_variation_values(chart):
+            assert abs(value - 2 * math.pi) <= 1e-14, (gamma, c, value)
 
 
 def test_variational_checks_refuse_a_locus_that_is_no_product_of_ellipsoids(tmp_path, capsys):
@@ -618,6 +644,19 @@ def test_report_all_computes_each_exact_object_once(monkeypatch):
         "_solve_feasible_bases": 1,
         "solve_lp": 4,
     }
+
+
+def test_report_all_inverts_the_lattice_basis_once(monkeypatch):
+    # the dual basis and the lattice index are kept on Q: triangle's orbit
+    # volumes, freeness, co-area identity and global chart read them, and the
+    # whole report runs one exact inverse
+    from momentangle import quadric_config
+
+    calls = []
+    inverse = quadric_config.inverse
+    monkeypatch.setattr(quadric_config, "inverse", lambda M: calls.append(M) or inverse(M))
+    assert _report_all(_catalog_config("triangle")).overall
+    assert len(calls) == 1
 
 
 def test_report_all_cold_and_warm_caches_agree(monkeypatch):

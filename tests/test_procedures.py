@@ -93,7 +93,7 @@ def test_cp_chart_verify_requires_equal_coefficients():
     assert not is_projective(QuadricConfiguration.from_rows([(1, 1, 2)], [3]))
     assert is_projective(QuadricConfiguration.from_rows([(2, 2, 2)], [3]))
     with pytest.raises(ValueError, match="equal coefficients"):
-        cp_chart_verify(D, samples=5)
+        cp_chart_verify(D)
 
 
 def test_renderings_contain_identical_numbers():
@@ -118,7 +118,7 @@ def test_stationarity_checks_take_no_fd_gradient():
     for name in ("one-quadric:2", "one-quadric:3"):
         assert proc.hamiltonian_stationarity_report(catalog_quadrics(name), n_fields=1).overall
     for name in ("cp2-torus", "rp2"):
-        assert cp_chart_verify(catalog_double(name), samples=5).overall
+        assert cp_chart_verify(catalog_double(name)).overall
 
 
 def _variational_records() -> list:
@@ -135,7 +135,7 @@ def _variational_records() -> list:
         for name in ("one-quadric:1", "one-quadric:2"):
             reports.append(proc.first_variation_report(catalog_quadrics(name), seed=seed))
         for name in ("rp2", "cp2-torus"):
-            reports.append(cp_chart_verify(catalog_double(name), samples=50, seed=seed))
+            reports.append(cp_chart_verify(catalog_double(name), seed=seed))
     return [r for rep in reports for r in rep.records]
 
 
@@ -180,22 +180,22 @@ def test_report_all_evaluates_each_point_set_once(monkeypatch):
         rep = run_command("report-all", _catalog_config(name), 0, 100, MetricSpec(), out=io.StringIO())
         assert rep.overall, name
 
-    # the rp2 lift: its 50-point sample and its 12 x 12 x 1-node
-    # stationarity patch on the global chart; no command solves a Newton
-    # projection
+    # the rp2 lift: its 12 x 12 x 1-node patch on the global chart, which
+    # the Lagrangian residual and the stationarity ratio both read; no
+    # command solves a Newton projection
     report_all("rp2")
-    assert [s for s in solves if s[0] != "PolytopeChart"] == [("GlobalChart", 50, 1), ("GlobalChart", 144, 1)]
+    assert [s for s in solves if s[0] != "PolytopeChart"] == [("GlobalChart", 144, 1)]
     assert nearest == []
     # the C^2 torus: the first-variation patch (8 x 8 nodes, whose
     # curvature integral reads order 2) and the stationarity patch (12 x 6)
     report_all("one-quadric:2")
     assert [s for s in solves if s[0] == "GlobalChart"] == [("GlobalChart", 64, 2), ("GlobalChart", 72, 1)]
-    # triangle: the command's one 100-point sample through order 2, its
-    # first 20 points through order 3 for the codifferential, the co-area
-    # patch and base (20^3 and 20^2 nodes) and the whole-N stationarity
-    # patch (12 x 12 x 6 nodes), at order 1: no check reads its hessian
+    # triangle: the command's one 100-point sample through order 2, which
+    # the co-area identity reads too, its first 20 points through order 3
+    # for the codifferential, and the whole-N stationarity patch
+    # (12 x 12 x 6 nodes), at order 1: no check reads its hessian
     report_all("triangle")
-    assert [s[1:] for s in solves if s[0] == "PolytopeChart"] == [(100, 2), (20, 3), (8000, 1), (400, 1)]
+    assert [s[1:] for s in solves if s[0] == "PolytopeChart"] == [(100, 2), (20, 3)]
     assert [s for s in solves if s[0] != "PolytopeChart"] == [("GlobalChart", 864, 1)]
     assert nearest == []
 

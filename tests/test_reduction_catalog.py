@@ -32,7 +32,6 @@ from momentangle.submanifold_numerics import (
     ChartSample,
     VectorField,
     _poly_scalar,
-    chart_point,
     hamiltonian_vector_field,
     lagrangian_residual,
     patch_volume,
@@ -180,7 +179,7 @@ def test_ntilde_residual_invariant_under_first_torus():
             p.chart.dim,
             p.chart.ambient_dim,
         )
-        pm = chart_point(moved, p.params[0], Q=D.stacked, spec=spec)
+        pm = ChartSample.at(moved, p.params, 3).on(D.stacked, spec)
         rm = ntilde_lagrangian_residual(D, pm)[0]
         assert abs(rm - r0) < 1e-10
 
@@ -262,7 +261,7 @@ GAMMA_AXIS = {"rp2": 2, "cp2-torus": 1}  # the first torus's phase axis of each 
 def _lift_patch(name):
     """The setup of ``cp_chart_verify`` at seed 0 and its patch; rp2's shrunk
     to both angles in [-0.3, 0.3], away from the affine chart's pole z_0 = 0."""
-    setup = cp_chart_setup(catalog_double(name), 50, 0)
+    setup = cp_chart_setup(catalog_double(name), 0)
     patch = setup.patch
     if name == "rp2":
         patch = ChartPatch(chart=patch.chart, lo=[-0.3, -0.3, 0.0], hi=[0.3, 0.3, 1.0],
@@ -316,7 +315,7 @@ def test_cp_one_orbit_node_matches_several(name):
     # every integrand is constant along the first torus's circle, so one
     # node on its phase axis gives the volume and the derivative of four
     # (measured: to 1.8e-16 relative)
-    setup = cp_chart_setup(catalog_double(name), 50, 0)
+    setup = cp_chart_setup(catalog_double(name), 0)
     one = setup.patch
     nodes = [int(n) for n in one.nodes]
     nodes[GAMMA_AXIS[name]] = 4
@@ -341,7 +340,7 @@ def test_cp_invariant_hamiltonian_derivatives_match_fd(name):
     # of the gradient, along random complex directions at step 1e-4 on the
     # patch nodes. f is invariant under the diagonal circle and its
     # gradient is equivariant
-    setup = cp_chart_setup(catalog_double(name), 50, 0)
+    setup = cp_chart_setup(catalog_double(name), 0)
     P = setup.patch.sample.points
     rng = np.random.default_rng(23)
     f, grad, hess = circle_invariant_hamiltonian(_poly_scalar(6, rng), 3)
@@ -362,7 +361,7 @@ def test_cp_hamiltonian_field_derivative_matches_fd():
     # along V at step 1e-4, on rp2's patch nodes. X is tangent to the
     # sphere |z|^2 = c / gamma, whose function |z|^2 generates the circle f
     # is invariant under
-    setup = cp_chart_setup(catalog_double("rp2"), 50, 0)
+    setup = cp_chart_setup(catalog_double("rp2"), 0)
     P = setup.patch.sample.points
     X = hamiltonian_vector_field(setup.grad, setup.hess)
     V = np.random.default_rng(22).standard_normal((P.shape[0], 2, 3)) + 0j
@@ -401,14 +400,14 @@ def test_cp_gradient_field_negative_control():
     # sphere (it is horizontal already), is a symplectic variation, and the
     # lifted CP^2 torus is not stationary for them: over the whole lift the
     # radial field reads 2.12 at seeds 0-2, and the worst of three gradient
-    # draws per seed 0.241, 0.275 and 0.361 (one draw reads 0.020: a single
+    # draws per seed 0.473, 0.116 and 0.599 (one draw reads 0.020: a single
     # draw can come out nearly volume-preserving), where the Hamiltonian
     # field of every draw reads the rounding floor (at most 9.6e-17)
     D = catalog_double("cp2-torus")
     m = D.ambient_dim
     radial = VectorField(lambda z: z, lambda z, V: V)
     for seed in range(3):
-        setup = cp_chart_setup(D, 50, seed)
+        setup = cp_chart_setup(D, seed)
         P = setup.patch.sample.points
         ratio = stationarity_ratio(setup.patch, radial)
         assert ratio > 50 * TOL_STATIONARITY, (seed, ratio)
@@ -427,11 +426,11 @@ def test_cp_gradient_field_negative_control():
 
 def test_cp_lagrangian_residuals():
     # the lift is Lagrangian in C^3, which is the reduced submanifold being
-    # Lagrangian in CP^2; the sample of cp_chart_verify and fresh ones
+    # Lagrangian in CP^2; the patch nodes cp_chart_verify reads and fresh points
     for name in ("cp2-torus", "rp2"):
         D = catalog_double(name)
-        setup = cp_chart_setup(D, 25, 2)
-        assert lagrangian_residual(D.stacked, setup.sample).max() < 1e-14, name
+        sample = cp_chart_setup(D, 0).patch.sample
+        assert lagrangian_residual(D.stacked, sample).max() < 1e-14, name
     D = catalog_double("rp2")
     lift = TorusSpreadChart(D.stacked, np.array([1.0, 0.0, 0.0]))
     S = np.concatenate([0.3 * np.random.default_rng(2).uniform(-1, 1, (25, 2)),
@@ -443,35 +442,49 @@ def test_cp_lagrangian_residuals():
 def test_cp_chart_jacobian_matches_stencil():
     # the lift charts' exact jacobians (the global charts of the stacked
     # systems) against a 4th-order stencil of their values (and of their
-    # jacobians for the hessians) at step 1e-4 on the Lagrangian residual's
-    # samples: measured at most 9.3e-13 of the largest entry
+    # jacobians for the hessians) at step 1e-4 on the nodes the Lagrangian
+    # residual reads: measured at most 9.1e-13 of the largest entry
     for name in ("cp2-torus", "rp2"):
-        sample = cp_chart_setup(catalog_double(name), 50, 0).sample
+        sample = cp_chart_setup(catalog_double(name), 0).patch.sample
         chart, S = sample.chart, sample.params
         J, H = chart.jacobian(S), chart.hessian(S)
-        assert J.shape == (50, 3, 3)
+        assert J.shape == (144, 3, 3)
         for exact, stencil in ((J, fd.jacobian(chart.value, S, 1e-4)),
                                (H, fd.jacobian(chart.jacobian, S, 1e-4))):
             assert np.abs(exact - stencil).max() < 1e-10 * np.abs(exact).max(), name
 
 
-def test_cp_patch_resolves_the_top_phase_frequency():
+def test_cp_patch_resolves_the_top_phase_frequency(monkeypatch):
     # the Hamiltonian is quadratic in the circle invariants q, each q_kl of
-    # frequency Gamma_jl - Gamma_jk along phase j: along the second phase of
-    # delta (-1, -1, 5) the integrands reach 2 * 6 = 12, CP_NODES' phase node
-    # count, where the record reads 0.024-0.22 at seeds 0-4. At 13 nodes it
-    # reads the rounding floor (measured at most 1.7e-16); the circle takes
-    # one node, and the catalog lifts keep their node counts
+    # frequency R_jl - R_jk along phase j, R the lift chart's phase rows: the
+    # rows of D Gamma, D the dual basis. The stack of delta (-1, -1, 5) has
+    # lattice index 6, and its second phase row is (-1, -1, 0), so the
+    # integrands reach 2 along it. At 3 nodes, one more than that degree, as
+    # ``node_counts`` gives even where the table asks for one, the records
+    # read the rounding floor (measured at most 3.9e-16 at seeds 0-4); at 2
+    # nodes the stationarity record reads 0.012-0.26. The circle takes one
+    # node, and the catalog lifts keep their node counts
+    from momentangle import reduction_catalog
     from momentangle.reduction_catalog import cp_chart_verify
 
     D = stack_double(QuadricConfiguration.from_rows([(1, 1, 1)], [1]),
                      QuadricConfiguration.from_rows([(-1, -1, 5)], [Fraction(-1, 2)]))
-    patch = cp_chart_setup(D, 5, 0).patch
-    assert patch.chart.kinds == ("azimuth", "phase", "phase") and list(patch.nodes) == [12, 1, 13]
+    patch = cp_chart_setup(D, 0).patch
+    assert patch.chart.kinds == ("azimuth", "phase", "phase") and list(patch.nodes) == [12, 1, 12]
+    assert patch.chart.phase_rows.tolist() == [[1, 1, 1], [-1, -1, 0]]
     for seed in range(5):
-        assert max(r.residual for r in cp_chart_verify(D, 5, seed).records) <= 1e-14, seed
+        assert max(r.residual for r in cp_chart_verify(D, seed).records) <= 1e-14, seed
     for name, nodes in (("cp2-torus", [12, 1, 12]), ("rp2", [12, 12, 1])):
-        assert list(cp_chart_setup(catalog_double(name), 5, 0).patch.nodes) == nodes, name
+        assert list(cp_chart_setup(catalog_double(name), 0).patch.nodes) == nodes, name
+    monkeypatch.setattr(reduction_catalog, "CP_NODES", {"polar": 12, "azimuth": 12, "phase": 1})
+    aliased = []
+    for seed in range(5):
+        setup = cp_chart_setup(D, seed)
+        assert list(setup.patch.nodes) == [12, 1, 3]
+        assert max(r.residual for r in cp_chart_verify(D, seed).records) <= 1e-14, seed
+        two = ChartPatch.over(setup.patch.chart, [12, 1, 2], order=1)
+        aliased.append(stationarity_ratio(two, hamiltonian_vector_field(setup.grad, setup.hess)))
+    assert max(aliased) > 10 * TOL_STATIONARITY, aliased
 
 
 def test_cp_chart_degenerate_coordinate():
@@ -485,7 +498,7 @@ def test_cp_chart_degenerate_coordinate():
     assert abs(lift.value(S)[0, 0]) < 1e-15
     pts = ChartSample.at(lift, S, 1)
     assert lagrangian_residual(D.stacked, pts)[0] < 1e-15
-    patch = cp_chart_setup(catalog_double("rp2"), 50, 0).patch
+    patch = cp_chart_setup(catalog_double("rp2"), 0).patch
     zero = np.flatnonzero(np.abs(patch.sample.points[:, 0]) < 1e-15)
     near = zero[np.argmax(patch.elem[zero])]
     assert np.linalg.cond(patch.g[near]) < 1e3 and patch.elem[near] > 0.1

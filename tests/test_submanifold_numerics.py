@@ -1,3 +1,6 @@
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -32,7 +35,6 @@ from momentangle.submanifold_numerics import (
     _curvature_batch,
     _poly_scalar,
     chart_N,
-    chart_point,
     coarea_orbit_volume_check,
     first_variation_integral,
     frame_symplectic_residual,
@@ -52,6 +54,7 @@ from momentangle.submanifold_numerics import (
     tangent_frames,
 )
 from momentangle import fd
+from momentangle.torus_actions import torus_subgroup
 from momentangle.procedures import (
     _noether_hamiltonians,
     _random_matrix_field,
@@ -77,7 +80,7 @@ def _spread_charts():
     D = catalog_double("cp2-torus")
     Q22 = catalog_quadrics("two-quadrics:2,2")
     return [
-        ("ellipsoid", TorusSpreadChart(Qe, sample_chart_points(Qe, 1, np.random.default_rng(0), spec, order=0).bases[0]),
+        ("ellipsoid", TorusSpreadChart(Qe, np.abs(sample_chart_points(Qe, 1, np.random.default_rng(0), spec, order=0).points[0])),
          0.65),
         ("cp2 stack", TorusSpreadChart(D.stacked, real_base_point(D.stacked), phase_rows=D.delta_cfg.gamma_float()), 0.35),
         ("two-quadrics:2,2", TorusSpreadChart(Q22, real_base_point(Q22)), 0.3),
@@ -347,13 +350,19 @@ def test_sampled_points_lie_on_the_quadrics_inside_the_margin():
         assert membership_residuals(Q, pts.points).max() <= spec.tol_membership
         x = np.abs(pts.points) ** 2
         assert np.all(x >= (1.0 - SAMPLE_REACH) * pts.chart.x0 - 1e-14)
-        assert np.allclose(pts.bases**2, x, rtol=1e-13, atol=0)
+        assert np.allclose(x, pts.chart.x0 + pts.params[:, : pts.chart.nv] @ pts.chart.B.T, rtol=1e-13, atol=0)
         p = pts[7:8]
-        assert np.array_equal(p.points, pts.points[7:8]) and np.array_equal(p.bases, pts.bases[7:8])
+        assert np.array_equal(p.points, pts.points[7:8]) and np.array_equal(p.params, pts.params[7:8])
         assert len(pts[:5]) == 5
         # a sample holds no single points: an integer index raises
         with pytest.raises(TypeError, match="slices"):
             pts[7]
+    # a sample checked against quadrics its points are not on raises
+    Q2 = catalog_quadrics("one-quadric:2")
+    off = ChartSample.at(PolytopeChart(Q2, [0.5, 0.5]), [[0.1, 0.3]], 0)
+    assert off.on(Q2, spec) is off
+    with pytest.raises(ValueError, match="violates the quadric system"):
+        off.on(QuadricConfiguration.from_rows([(1, 2)], [1]), spec)
     # leaving the open orthant raises instead of returning a NaN
     chart = PolytopeChart(catalog_quadrics("one-quadric:2"), [0.5, 0.5])
     with pytest.raises(ValueError, match="open orthant"):
@@ -423,11 +432,6 @@ def _spread_params(chart, rng, n=12):
     )
 
 
-def _sample_at(chart, S):
-    jet = chart.jet(S, 3)
-    return ChartSample(chart, S, jet, np.abs(jet[0]))
-
-
 def _points(sample):
     """The one-point samples of a sample, in order."""
     return [sample[i : i + 1] for i in range(len(sample))]
@@ -465,7 +469,7 @@ def test_batched_residuals_match_per_point_formulas():
 
     skew = FunctionChart(skewed, 3, 3)
     for chart, Q_frame, params in ((spread, Q3, S), (skew, None, S + [0.7, 0.9, 0.0])):
-        sample = _sample_at(chart, params)
+        sample = ChartSample.at(chart, params, 3)
         pts = _points(sample)
         _assert_matches(lagrangian_residual(Q_frame, sample),
                         np.array([_pointwise_lagrangian(Q_frame, p) for p in pts]))
@@ -488,7 +492,7 @@ def test_batched_residuals_match_per_point_formulas():
     D = catalog_double("cp2-torus")
     lift = TorusSpreadChart(D.stacked, real_base_point(D.stacked),
                             phase_rows=D.delta_cfg.gamma_float())
-    sample = _sample_at(lift, _spread_params(lift, rng))
+    sample = ChartSample.at(lift, _spread_params(lift, rng), 3)
     _assert_matches(ntilde_lagrangian_residual(D, sample),
                     np.array([_pointwise_ntilde(D, p) for p in _points(sample)]))
     _assert_rows_of_seven(lambda smp: ntilde_lagrangian_residual(D, smp), sample)
@@ -592,7 +596,7 @@ def test_conjugation_symmetry_of_residuals():
     for p in _points(sample_chart_points(Q, 5, rng, spec, order=2)):
         params_c = p.params[0].copy()
         params_c[p.chart.nv :] *= -1.0
-        pc = chart_point(p.chart, params_c, Q=Q, spec=spec)
+        pc = ChartSample.at(p.chart, params_c, 2).on(Q, spec)
         assert np.allclose(pc.points, np.conj(p.points), atol=1e-12)
         assert abs(lagrangian_residual(Q, p) - lagrangian_residual(Q, pc))[0] < 1e-10
         assert abs(minimality_residual_in_Z(Q, p) - minimality_residual_in_Z(Q, pc))[0] < 1e-10
@@ -889,12 +893,16 @@ def test_hminimality_examples():
 
 
 # one quadric in C^2 and C^3, gamma (2, 2) with c = 2, and two quadrics in
-# C^4, the last two with dual covolume 1/2
+# C^4, the last two with dual covolume 1/2: the gated instances, and beyond
+# the gate one quadric in C^4, two quadrics in C^5 and gamma (1, 2, 3)
 COAREA_CONFIGURATIONS = (
-    ("one-quadric:2", 20),
-    ("one-quadric:3", 16),
-    ("gamma (2, 2)", 16),
-    ("two-quadrics:2,2", 8),
+    "one-quadric:2",
+    "one-quadric:3",
+    "gamma (2, 2)",
+    "two-quadrics:2,2",
+    "one-quadric:4",
+    "two-quadrics:2,3",
+    "gamma (1, 2, 3)",
 )
 
 
@@ -903,27 +911,36 @@ def _coarea_configuration(name):
 
     if name == "gamma (2, 2)":
         return QuadricConfiguration(IntegerMatrix([[2, 2]], cols=2), [2])
+    if name == "gamma (1, 2, 3)":
+        return QuadricConfiguration.from_rows([(1, 2, 3)], [1])
     return catalog_quadrics(name)
 
 
+def _coarea_mismatch(name, seed):
+    Q = _coarea_configuration(name)
+    return coarea_orbit_volume_check(Q, sample_chart_points(Q, 100, np.random.default_rng(seed), spec, order=1))
+
+
 def test_coarea_identity():
-    # both sides read one exact chart on the same v-nodes, so they agree to
-    # rounding: measured at most 5.2e-16
-    for name, nodes in COAREA_CONFIGURATIONS:
-        up, fib = coarea_orbit_volume_check(_coarea_configuration(name), nodes=nodes)
-        assert up > 0.0 and abs(up - fib) / up < 1e-12, name
+    # the chart's metric has no v-phi block, so sqrt det g |det D| and
+    # sqrt det g_vv V_orb agree at every point, on the gate's instances and
+    # beyond it: measured at most 1.4e-15 over seeds 0-4
+    for name in COAREA_CONFIGURATIONS:
+        for seed in range(5):
+            mismatch = _coarea_mismatch(name, seed)
+            assert mismatch.shape == (100,) and mismatch.max() <= 1e-12, (name, seed)
 
 
 def test_coarea_nontrivial_dual_covolume(monkeypatch):
-    # negative control: the phase rows Gamma in place of dual @ Gamma run the
-    # unit phi-box over the covolume-1/2 lattice's domain twice, so the
-    # upstairs volume doubles (relative mismatch 0.5) where the dual lattice
-    # is not Z^k
-    wrong_domain = lambda Q, x0, phase_rows=None: PolytopeChart(Q, x0)
-    monkeypatch.setattr(submanifold_numerics, "PolytopeChart", wrong_domain)
-    for name, nodes in COAREA_CONFIGURATIONS[2:]:
-        up, fib = coarea_orbit_volume_check(_coarea_configuration(name), nodes=nodes)
-        assert abs(abs(up - fib) / max(up, fib) - 0.5) < 1e-12, name
+    # negative control: without the factor |det D| the unit phi-box runs over
+    # the covolume-1/2 lattice's domain twice, so the upstairs element doubles
+    # (relative mismatch 0.5 at every point) where the dual lattice is not Z^k
+    real = submanifold_numerics.torus_subgroup
+    monkeypatch.setattr(submanifold_numerics, "torus_subgroup",
+                        lambda Q: dataclasses.replace(real(Q), dual_covolume=Fraction(1)))
+    for name in ("gamma (2, 2)", "two-quadrics:2,2"):
+        assert torus_subgroup(_coarea_configuration(name)).dual_covolume == Fraction(1, 2)
+        assert np.abs(_coarea_mismatch(name, 0) - 0.5).max() < 1e-12, name
 
 
 def test_patch_volume_double_cover():
