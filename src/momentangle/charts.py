@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .exact_linalg import solve_square
-from .quadric_config import QuadricConfiguration
+from .quadric_config import NOT_COMPUTED, QuadricConfiguration
 
 TWO_PI = 2.0 * np.pi
 NEWTON_STEPS = 60  # at most, for the nearest point of a spread chart
@@ -123,21 +123,12 @@ class Chart:
     def _u(self, V: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
         raise NotImplementedError
 
-    @functools.cached_property
-    def _rates(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct columns of the phase rows, and the one of each coordinate:
-        one exponential per distinct column, not per coordinate."""
-        keys = [column.tobytes() for column in self.phase_rows.T]
-        firsts = sorted(set(keys.index(key) for key in keys))
-        return self.phase_rows[:, firsts], np.array([firsts.index(keys.index(key)) for key in keys])
-
     def jet(self, S: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
         """(z, J, ..., D^order) at the rows of S, from one ``_u`` call and one phase computation:
         z (N, m), J (N, m, d), H (N, m, d, d), T (N, m, d, d, d)."""
         V, Phi = _split_params(S, self.nv, self.dim)
-        rates, of_rate = self._rates
         # einsum, not matmul: a point's sums do not depend on its batch
-        phases = np.exp(1j * TWO_PI * np.einsum("nj,jk->nk", Phi, rates))[:, of_rate]
+        phases = np.exp(1j * TWO_PI * np.einsum("nj,jk->nk", Phi, self.phase_rows))
         us = self._u(V, order)
         return tuple(_phase_product(phases, us[: n + 1], self.phase_rows) for n in range(order + 1))
 
@@ -434,8 +425,14 @@ def global_chart(Q: QuadricConfiguration) -> GlobalChart | None:
     domain of the torus. D Gamma is exact and integer, since Gamma's columns
     lie in the lattice D is dual to. The cover has the same multiplicity at
     almost every point of N, which every ratio of the variational checks
-    cancels.
+    cancels. Computed once per configuration and kept on it.
     """
+    if Q._global_chart is NOT_COMPUTED:
+        Q._global_chart = _solve_global_chart(Q)
+    return Q._global_chart
+
+
+def _solve_global_chart(Q: QuadricConfiguration) -> GlobalChart | None:
     classes: dict[tuple[int, ...], list[int]] = {}
     gcds = []
     for i, column in enumerate(zip(*Q.gamma.entries)):

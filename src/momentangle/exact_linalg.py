@@ -8,7 +8,8 @@ every question. The Bareiss pivot ``_pivot`` runs the determinant, the
 square solves and ``lp``'s simplex; ``solve_square`` and ``inverse``
 eliminate fraction-free with it, so ``Fraction`` appears only in the
 rational inputs of ``solve_square`` and in the rows of Fractions that both
-return. The Hermite form gives ranks (its row count), kernels and lattice
+return; ``solve_with_det`` returns the determinant a solve ends on with its
+solution. The Hermite form gives ranks (its row count), kernels and lattice
 equality.
 """
 
@@ -143,7 +144,13 @@ def _bareiss(a: list[list[int]], n: int) -> int:
 
 
 def solve_square(A: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...] | None:
-    """Solve ``A x = b`` for the square matrix with rows ``A``; ``None`` if A is singular.
+    """Solve ``A x = b`` for the square matrix with rows ``A``; ``None`` if A is singular."""
+    return solve_with_det(A, b)[0]
+
+
+def solve_with_det(A: Sequence[Sequence], b: Sequence) -> tuple[tuple[Fraction, ...] | None, int]:
+    """``(solve_square(A, b), d)``, d the determinant the elimination ends on: det A where
+    the rows of A are integers.
 
     The rows hold integers or Fractions. A row holding Fractions is scaled
     to integers, b to a common denominator L, and the elimination runs in
@@ -162,9 +169,7 @@ def solve_square(A: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...] | N
     for r, bi in zip(aug, rhs):
         r.append(bi.numerator * (L // bi.denominator))
     d = _bareiss(aug, n)
-    if d == 0:
-        return None
-    return tuple(Fraction(r[n], d * L) for r in aug)
+    return (tuple(Fraction(r[n], d * L) for r in aug) if d else None), d
 
 
 def inverse(M: IntegerMatrix) -> tuple[tuple[Fraction, ...], ...]:

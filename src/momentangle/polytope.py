@@ -17,7 +17,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from . import lp
-from .exact_linalg import IntegerMatrix, det_int, hermite_row_form, solve_square
+from .exact_linalg import IntegerMatrix, hermite_row_form, solve_with_det
 from .verdict import Verdict
 
 
@@ -102,11 +102,13 @@ class PolytopePresentation:
 
 
 class VertexSet:
-    """All vertices of a bounded presentation plus their active facet sets."""
+    """All vertices of a bounded presentation, their active facet sets, and the determinant
+    of the n normals, in facet order, whose equalities found each: its active ones where it is simple."""
 
-    def __init__(self, vertices, incidence):
+    def __init__(self, vertices, incidence, determinants):
         self.vertices: tuple[tuple[Fraction, ...], ...] = tuple(tuple(v) for v in vertices)
         self.incidence: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in incidence)
+        self.determinants: tuple[int, ...] = tuple(determinants)
 
     def __len__(self):
         return len(self.vertices)
@@ -142,19 +144,19 @@ def _solve_vertices(P: PolytopePresentation) -> VertexSet:
     if not P.is_bounded():
         raise UnboundedPolytopeError("vertex enumeration needs a bounded polytope")
     n, m = P.dim, P.num_facets
-    seen: dict[tuple[Fraction, ...], frozenset[int]] = {}
+    seen: dict[tuple[Fraction, ...], tuple[frozenset[int], int]] = {}
     for subset in combinations(range(m), n):
-        x = solve_square([P.normals[i] for i in subset], [-P.offsets[i] for i in subset])
+        x, d = solve_with_det([P.normals[i] for i in subset], [-P.offsets[i] for i in subset])
         if x is None:
             continue
         values = embed_point(P, x)
         if any(v < 0 for v in values):
             continue
-        seen[x] = frozenset(i for i, v in enumerate(values) if v == 0)
+        seen[x] = frozenset(i for i, v in enumerate(values) if v == 0), d
     if not seen:
         raise EmptyPolytopeError("no vertices found")
     items = sorted(seen.items())
-    return VertexSet([v for v, _ in items], [s for _, s in items])
+    return VertexSet([v for v, _ in items], [s for _, (s, _) in items], [d for _, (_, d) in items])
 
 
 def is_simple(P: PolytopePresentation) -> Verdict:
@@ -171,19 +173,18 @@ def is_simple(P: PolytopePresentation) -> Verdict:
 
 
 def is_delzant(P: PolytopePresentation) -> Verdict:
-    """At every vertex the active primitive normals must have determinant +-1."""
+    """At every vertex the active primitive normals, which found it, must have determinant +-1."""
     vs = enumerate_vertices(P)
     nonsimple = [(vertex, tuple(sorted(active))) for vertex, active in vs if len(active) != P.dim]
     if nonsimple:
         raise ValueError(f"is_delzant requires a simple polytope; witness {nonsimple[0]}")
-    for vertex, active in vs:
-        idx = sorted(active)
-        # a Fraction: reports print the witness tuple, whose repr shows the type
-        d = Fraction(det_int(IntegerMatrix([P.normals[i] for i in idx], cols=P.dim)))
-        if abs(d) != 1:
+    for (vertex, active), det in zip(vs, vs.determinants):
+        if abs(det) != 1:
+            # a Fraction: reports print the witness tuple, whose repr shows the type
+            d = Fraction(det)
             return Verdict(
                 False,
-                witness=(vertex, tuple(idx), d),
+                witness=(vertex, tuple(sorted(active)), d),
                 detail=f"normal determinant {d} at vertex",
             )
     return Verdict(True)

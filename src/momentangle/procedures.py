@@ -184,7 +184,7 @@ def point_residual_report(Q: QuadricConfiguration, sample: ChartSample) -> Verif
     if Q.ambient_dim > Q.num_quadrics:
         frames = tangent_frame_Z(Q, sample.points[:5])
     else:
-        e = tangent_frames(Q, sample[:5])[:, 0]
+        e = tangent_frames(Q, sample)[:5, 0]
         frames = np.stack([e, 1j * e], axis=1)
     ctrl = float(frame_symplectic_residual(frames).max())
     rep.add_lower_bound("lagrangian-negative-control", ctrl, CONTROL_BOUND)

@@ -39,20 +39,11 @@ def trapezoid_1d(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 def tensor_grid(lo, hi, nodes, periodic) -> tuple[np.ndarray, np.ndarray]:
     """Product rule on the box [lo, hi]; returns (points, weights).
 
-    ``nodes`` is an int or a per-axis sequence. The axes in ``periodic``
+    ``nodes`` holds the node count of each axis. The axes in ``periodic``
     take the trapezoid rule over one period [lo, hi), the others
     Gauss-Legendre.
     """
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    d = lo.size
-    if np.isscalar(nodes) or isinstance(nodes, (int, np.integer)):
-        nodes = [int(nodes)] * d
-    axes = [(trapezoid_1d if a in periodic else gauss_legendre_1d)(lo[a], hi[a], nodes[a]) for a in range(d)]
-    grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
-    S = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    wgrids = np.meshgrid(*[ax[1] for ax in axes], indexing="ij")
-    W = np.ones(S.shape[0])
-    for wg in wgrids:
-        W = W * wg.reshape(-1)
-    return S, W
+    axes = [(trapezoid_1d if a in periodic else gauss_legendre_1d)(float(l), float(h), n)
+            for a, (l, h, n) in enumerate(zip(lo, hi, nodes, strict=True))]
+    S = np.stack([g.reshape(-1) for g in np.meshgrid(*[x for x, _ in axes], indexing="ij")], axis=-1)
+    return S, functools.reduce(np.multiply.outer, [w for _, w in axes]).reshape(-1)

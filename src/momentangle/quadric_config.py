@@ -18,12 +18,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import lp
-from .exact_linalg import IntegerMatrix, det_int, hermite_row_form, inverse, nullspace, solve_square
+from .exact_linalg import IntegerMatrix, det_int, hermite_row_form, inverse, nullspace, solve_with_det
 from .polytope import PolytopePresentation
 
 
 class CanonicalFormError(ValueError):
     pass
+
+
+# the mark of a value kept on an object and not computed yet, where None is a value it may take
+NOT_COMPUTED = object()
 
 
 class QuadricConfiguration:
@@ -41,6 +45,7 @@ class QuadricConfiguration:
         self._gamma_float = np.array(gamma.entries, dtype=float).reshape(gamma.rows, gamma.cols)
         self._c_float = np.array([float(x) for x in self.c])
         self._feasible_bases = None  # computed on first use by feasible_bases
+        self._global_chart = NOT_COMPUTED  # computed on first use by charts.global_chart
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], c: Iterable):
@@ -186,14 +191,14 @@ def boundedness_check(Q: QuadricConfiguration) -> bool:
     return lp.strictly_positive_functional(Q.gamma.columns()) is not None
 
 
-def feasible_bases(Q: QuadricConfiguration) -> tuple[tuple[tuple[int, ...], tuple[Fraction, ...]], ...]:
-    """The basic feasible solutions of ``{x >= 0 : gamma x = c}``, as pairs (S, lam).
+def feasible_bases(Q: QuadricConfiguration) -> tuple[tuple[tuple[int, ...], tuple[Fraction, ...], int], ...]:
+    """The basic feasible solutions of ``{x >= 0 : gamma x = c}``, as triples (S, lam, det gamma_S).
 
     S runs over the ``num_quadrics``-subsets of columns in lexicographic
     order and is kept when gamma_S is invertible and lam = gamma_S^-1 c is
-    nonnegative. By Gale duality these are the vertices of the polytope the
-    configuration comes from. Computed once per configuration and kept on
-    it, as a tuple.
+    nonnegative; the solve that finds lam ends on det gamma_S. By Gale
+    duality these are the vertices of the polytope the configuration comes
+    from. Computed once per configuration and kept on it, as a tuple.
     """
     if Q._feasible_bases is None:
         Q._feasible_bases = _solve_feasible_bases(Q)
@@ -204,9 +209,9 @@ def _solve_feasible_bases(Q: QuadricConfiguration):
     k = Q.num_quadrics
     out = []
     for S in combinations(range(Q.ambient_dim), k):
-        lam = solve_square([[row[i] for i in S] for row in Q.gamma.entries], Q.c)
+        lam, det = solve_with_det([[row[i] for i in S] for row in Q.gamma.entries], Q.c)
         if lam is not None and all(x >= 0 for x in lam):
-            out.append((S, lam))
+            out.append((S, lam, det))
     return tuple(out)
 
 
@@ -215,7 +220,7 @@ def degenerate_support(bases) -> tuple[int, ...] | None:
 
     That is the smallest subset of fewer than k columns whose cone holds c.
     """
-    supports = [tuple(i for i, x in zip(S, lam) if x) for S, lam in bases if 0 in lam]
+    supports = [tuple(i for i, x in zip(S, lam) if x) for S, lam, _ in bases if 0 in lam]
     return min(supports, key=lambda s: (len(s), s), default=None)
 
 

@@ -455,9 +455,8 @@ def cp_chart_verify(D: DoubleConfiguration, seed: int = 0) -> VerificationReport
     """
     rep = VerificationReport(seed=seed)
     setup = cp_chart_setup(D, seed)
-    sample = setup.patch.sample
-    rep.add("cp-lagrangian-residual", float(lagrangian_residual(D.stacked, sample).max()), TOL_LAGRANGIAN,
-            samples=len(sample))
+    rep.add("cp-lagrangian-residual", float(lagrangian_residual(D.stacked, setup.patch).max()), TOL_LAGRANGIAN,
+            samples=len(setup.patch))
     ratio = stationarity_ratio(setup.patch, hamiltonian_vector_field(setup.grad, setup.hess))
     rep.add("cp-hamiltonian-stationarity", ratio, TOL_STATIONARITY)
     return rep

@@ -9,13 +9,15 @@ torus generators parametrized as exp(2 pi i <gamma_k, phi>). Every verdict
 computed here is invariant under that scale.
 
 Points of a chart travel as a ``ChartSample``, which holds their jet,
-solved once through the order its checks read; every pointwise check takes
-one and returns one value per point, shape (N,).
+solved once through the order its checks read, and their geometry, computed
+once on first read; every pointwise check takes one and returns one value
+per point, shape (N,). A ``ChartPatch`` is a sample with quadrature weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -62,6 +64,9 @@ class ChartSample:
     sample's checks read. ``points`` (N, m) is the jet's order 0. A slice
     slices the jet; one point is the sample ``s[i:i + 1]``. The pointwise
     residual functions take a whole sample and return one value per point.
+    Its geometry in flat C^m = R^2m is computed point by point on first read
+    and kept, for every check to read: the real jacobian, the metric g, g^-1,
+    the area element, the QR of the real jacobian and the mean curvature.
     """
 
     chart: Chart
@@ -92,6 +97,37 @@ class ChartSample:
         if not isinstance(s, slice):
             raise TypeError("a ChartSample takes slices; one point is sample[i:i + 1]")
         return ChartSample(self.chart, self.params[s], tuple(D[s] for D in self.jet))
+
+    @functools.cached_property
+    def real_jacobian(self) -> np.ndarray:  # (N, 2m, d): real parts first, then imaginary parts
+        return np.concatenate([self.jet[1].real, self.jet[1].imag], axis=1)
+
+    @functools.cached_property
+    def metric(self) -> np.ndarray:  # g (N, d, d)
+        return np.einsum("nia,nib->nab", self.real_jacobian, self.real_jacobian)
+
+    @functools.cached_property
+    def metric_inverse(self) -> np.ndarray:
+        return np.linalg.inv(self.metric)
+
+    @functools.cached_property
+    def area(self) -> np.ndarray:  # sqrt det g (N,)
+        return np.sqrt(np.linalg.det(self.metric))
+
+    @functools.cached_property
+    def frame_qr(self) -> tuple[np.ndarray, np.ndarray]:  # Q (N, 2m, d) spans each tangent space
+        return np.linalg.qr(self.real_jacobian)
+
+    @functools.cached_property
+    def curvature(self) -> np.ndarray:
+        """The unnormalized mean curvature vector H (N, 2m): trace_g of the normal
+        projection of the second derivatives."""
+        if len(self.jet) < 3:
+            raise ValueError("the mean curvature reads a sample of order 2")
+        Hess = self.jet[2]
+        tr = np.einsum("nab,niab->ni", self.metric_inverse, np.concatenate([Hess.real, Hess.imag], axis=1))
+        Qm = self.frame_qr[0]
+        return tr - np.einsum("nia,na->ni", Qm, np.einsum("nia,ni->na", Qm, tr))
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +182,7 @@ def tangent_frames(Q: QuadricConfiguration | None, sample: ChartSample) -> np.nd
     Raises if any jacobian is rank deficient or, given ``Q``, if any frame
     fails to annihilate the quadric differentials at the sample's points.
     """
-    J = sample.jet[1]  # (N, m, d)
-    Jr = np.concatenate([J.real, J.imag], axis=-2)  # (N, 2m, d)
-    Qm, R = np.linalg.qr(Jr)
+    Qm, R = sample.frame_qr
     diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
     if np.any(diag.min(axis=-1) < 1e-8 * np.maximum(1.0, diag.max(axis=-1))):
         raise NonConvergenceError("chart jacobian is rank deficient; chart degenerate here")
@@ -179,19 +213,6 @@ def lagrangian_residual(Q: QuadricConfiguration | None, sample: ChartSample) -> 
 # curvature
 
 
-def _curvature_batch(Jr: np.ndarray, g: np.ndarray, Hess: np.ndarray) -> np.ndarray:
-    """The unnormalized mean curvature vector H_real (N, 2m): trace_g of the
-    normal projection of the second derivatives, from the real jacobian
-    Jr (N, 2m, d), the induced metric g (N, d, d) and the jet's hessian
-    (N, m, d, d)."""
-    Hr = np.concatenate([Hess.real, Hess.imag], axis=-3)
-    ginv = np.linalg.inv(g)
-    tr = np.einsum("nab,niab->ni", ginv, Hr)
-    Qm, _ = np.linalg.qr(Jr)
-    tang = np.einsum("nia,na->ni", Qm, np.einsum("nia,ni->na", Qm, tr))
-    return tr - tang
-
-
 def minimality_residual_in_Z(Q: QuadricConfiguration, sample: ChartSample) -> np.ndarray:
     """Norm of the mean curvature component tangent to the quadric set, per sample.
 
@@ -199,11 +220,9 @@ def minimality_residual_in_Z(Q: QuadricConfiguration, sample: ChartSample) -> np
     intersection is the intersection-tangential part of the flat one, so
     this is |H| of the embedding into the quadric set.
     """
-    _, J, Hess = sample.jet[:3]
-    Jr = np.concatenate([J.real, J.imag], axis=-2)
-    H = _curvature_batch(Jr, np.einsum("nia,nib->nab", Jr, Jr), Hess)
+    H = sample.curvature
     grads = c2r(2.0 * Q.gamma_float() * sample.points[:, None, :])  # (N, k, 2m), the normals to Z
-    stacked = np.concatenate([Jr, np.swapaxes(grads, -2, -1)], axis=-1)
+    stacked = np.concatenate([sample.real_jacobian, np.swapaxes(grads, -2, -1)], axis=-1)
     Qm, _ = np.linalg.qr(stacked)
     tang = np.einsum("nia,na->ni", Qm, np.einsum("nia,ni->na", Qm, H))
     return np.linalg.norm(H - tang, axis=-1)
@@ -322,53 +341,29 @@ def noether_drift(
 
 
 @dataclass
-class ChartPatch:
-    """The nodes of a tensor grid on a chart box as one sample, with their weights ``w``.
+class ChartPatch(ChartSample):
+    """A sample on the nodes of a tensor quadrature grid, with their weights ``w``: the integral
+    of f over the patch is sum(w * f * area). Boxes have dimension at most 4. A slice of a
+    patch is a plain ``ChartSample``."""
 
-    The axes in ``periodic`` take the trapezoid rule over one period, the
-    others Gauss-Legendre (``quadrature.tensor_grid``). The ambient is flat
-    C^m. The sample is built through ``order``: 1 for volumes and their
-    derivatives, 2 for the curvature integral. The induced metric ``g``
-    (N, d, d), the area element ``elem`` and, at order 2, the real mean
-    curvature ``curvature`` (N, 2m) are computed at construction, once for
-    every field. Boxes have dimension at most 4.
-    """
+    w: np.ndarray
 
-    chart: Chart
-    lo: np.ndarray
-    hi: np.ndarray
-    nodes: int | Sequence[int]
-    order: int
-    periodic: tuple[int, ...] = ()
-    sample: ChartSample = field(init=False)
-    w: np.ndarray = field(init=False)
-    g: np.ndarray = field(init=False)
-    elem: np.ndarray = field(init=False)
-    curvature: np.ndarray | None = field(init=False)
-
-    def __post_init__(self):
-        self.lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        self.hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        if self.lo.size != self.chart.dim:
+    @classmethod
+    def grid(cls, chart: Chart, lo, hi, nodes: Sequence[int], order: int, periodic: Sequence[int]) -> ChartPatch:
+        """The patch of ``chart`` on the box [lo, hi] through ``order``: the axes in ``periodic``
+        take the trapezoid rule over one period, the others Gauss-Legendre
+        (``quadrature.tensor_grid``)."""
+        if np.size(lo) != chart.dim:
             raise ValueError("box dimension disagrees with the chart")
-        if self.chart.dim > 4:
-            raise ValueError(f"patch boxes have dimension at most 4, got {self.chart.dim}")
-        S, self.w = quadrature.tensor_grid(self.lo, self.hi, self.nodes, self.periodic)
-        self.sample = ChartSample.at(self.chart, S, self.order)
-        J = self.sample.jet[1]
-        Jr = np.concatenate([J.real, J.imag], axis=1)
-        self.g = np.swapaxes(Jr, 1, 2) @ Jr
-        self.elem = np.sqrt(np.linalg.det(self.g))
-        self.curvature = _curvature_batch(Jr, self.g, self.sample.jet[2]) if self.order == 2 else None
+        if chart.dim > 4:
+            raise ValueError(f"patch boxes have dimension at most 4, got {chart.dim}")
+        S, w = quadrature.tensor_grid(lo, hi, nodes, periodic)
+        return cls(chart, S, chart.jet(S, order), w)
 
     @classmethod
     def over(cls, chart: GlobalChart, nodes: Sequence[int], order: int) -> ChartPatch:
         """The patch over the whole of N: the box and periodic axes of a global chart."""
-        return cls(chart, chart.lo, chart.hi, nodes, order, chart.periodic)
-
-
-def patch_volume(patch: ChartPatch) -> float:
-    return float(np.sum(patch.w * patch.elem))
+        return cls.grid(chart, chart.lo, chart.hi, nodes, order, chart.periodic)
 
 
 def patch_volume_derivative(patch: ChartPatch, X: VectorField) -> float:
@@ -378,23 +373,17 @@ def patch_volume_derivative(patch: ChartPatch, X: VectorField) -> float:
     deformed metric g(t) = (J_P + t J_Y)^T (J_P + t J_Y) has
     dg/dt = J_Y^T J_P + J_P^T J_Y,
     and dVol/dt = sum w * sqrt(det g) * 1/2 tr(g^-1 dg/dt), from the
-    patch's chart data and the field's closed-form derivative (``X`` is a
+    patch's metric and the field's closed-form derivative (``X`` is a
     ``VectorField``). The variation is free: deformed points are not
     re-projected onto the quadric set.
     """
-    return patch_volume_and_derivative(patch, X)[1]
-
-
-def patch_volume_and_derivative(patch: ChartPatch, X: VectorField) -> tuple[float, float]:
-    """(vol(patch), dVol/dt) as in ``patch_volume_derivative``, from the patch's jacobian and metric."""
     if not isinstance(X, VectorField):
         raise TypeError("a volume derivative needs a VectorField with its derivative")
-    JP = np.swapaxes(patch.sample.jet[1], 1, 2)  # (N, d, m): the chart's columns as ambient vectors
-    JY = X.derivative(patch.sample.points, JP)
+    JP = np.swapaxes(patch.jet[1], 1, 2)  # (N, d, m): the chart's columns as ambient vectors
+    JY = X.derivative(patch.points, JP)
     half_dg = c2r(JP) @ np.swapaxes(c2r(JY), 1, 2)
-    rate = np.trace(np.linalg.solve(patch.g, half_dg), axis1=1, axis2=2)
-    dA = patch.w * patch.elem
-    return float(np.sum(dA)), float(np.sum(dA * rate))
+    rate = np.einsum("nab,nba->n", patch.metric_inverse, half_dg)
+    return float(np.sum(patch.w * patch.area * rate))
 
 
 def first_variation_integral(patch: ChartPatch, X: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -404,16 +393,14 @@ def first_variation_integral(patch: ChartPatch, X: Callable[[np.ndarray], np.nda
     for the same field, from independent (second-derivative) chart data, so
     it reads a patch of order 2.
     """
-    if patch.curvature is None:
-        raise ValueError("the curvature integral reads a patch of order 2")
-    Xr = c2r(X(patch.sample.points))
-    return -float(np.sum(patch.w * np.einsum("ni,ni->n", patch.curvature, Xr) * patch.elem))
+    Xr = c2r(X(patch.points))
+    return -float(np.sum(patch.w * np.einsum("ni,ni->n", patch.curvature, Xr) * patch.area))
 
 
 def field_norm_integral(patch: ChartPatch, X: Callable[[np.ndarray], np.ndarray]) -> float:
     """integral |X| dA over a patch: the scale of a field's volume rates, which no
     unitary change of frame moves."""
-    return float(np.sum(patch.w * patch.elem * np.linalg.norm(X(patch.sample.points), axis=1)))
+    return float(np.sum(patch.w * patch.area * np.linalg.norm(X(patch.points), axis=1)))
 
 
 def stationarity_ratio(patch: ChartPatch, Xf: VectorField) -> float:
@@ -437,11 +424,9 @@ def hminimality_residual(Q: QuadricConfiguration | None, sample: ChartSample) ->
     the sample's jacobian J, hessian and third derivative, so a chart with
     closed-form derivatives takes no stencil.
     """
-    _, J, Hess, T = sample.jet
-    J, Hess, T = (np.concatenate([X.real, X.imag], axis=1) for X in (J, Hess, T))
+    Hess, T = (np.concatenate([X.real, X.imag], axis=1) for X in sample.jet[2:])
+    J, gi = sample.real_jacobian, sample.metric_inverse
     Om = omega_matrix(sample.chart.ambient_dim)
-    g = np.einsum("nia,nib->nab", J, J)
-    gi = np.linalg.inv(g)
     dg = np.einsum("niac,nib->ncab", Hess, J)
     dg = dg + np.swapaxes(dg, 2, 3)  # d_c g_ab
     dgi = -gi[:, None] @ dg @ gi[:, None]  # d_c g^ab
@@ -480,12 +465,9 @@ def coarea_orbit_volume_check(Q: QuadricConfiguration, sample: ChartSample) -> n
     covolume, and V_orb carries the same factor: the two sides
     sqrt det g |det D| and sqrt det g_vv V_orb(z) agree to rounding.
     """
-    J = sample.jet[1]
-    Jr = np.concatenate([J.real, J.imag], axis=1)
-    g = np.swapaxes(Jr, 1, 2) @ Jr
     nv = sample.chart.nv
-    upstairs = np.sqrt(np.linalg.det(g)) * float(torus_subgroup(Q).dual_covolume)  # |det D|
-    downstairs = np.sqrt(np.linalg.det(g[:, :nv, :nv])) * orbit_volume(Q, sample.points)
+    upstairs = sample.area * float(torus_subgroup(Q).dual_covolume)  # |det D|
+    downstairs = np.sqrt(np.linalg.det(sample.metric[:, :nv, :nv])) * orbit_volume(Q, sample.points)
     return np.abs(upstairs - downstairs) / np.maximum(np.maximum(upstairs, downstairs), 1e-12)
 
 

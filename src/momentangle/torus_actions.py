@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_linalg import IntegerMatrix, det_int
+from .exact_linalg import IntegerMatrix
 from .quadric_config import QuadricConfiguration, degenerate_support, feasible_bases
 from .verdict import Verdict
 
@@ -56,18 +56,18 @@ def freeness_check(Q: QuadricConfiguration) -> Verdict:
     do with more columns added. So the action is free iff no feasible basis
     has a zero coordinate and every feasible basis S has |det gamma_S| equal
     to the lattice index, |det| of the Hermite basis of the column lattice
-    (``Q.lattice_index``). The witness is the first non-generating support
-    by (size, lex): the ``nondegeneracy_check`` (b) witness if there is
-    one, () when c = 0 puts the origin, fixed by the whole torus, on the
-    zero set; else the first bad S.
+    (``Q.lattice_index``); each basis carries its det gamma_S. The witness
+    is the first non-generating support by (size, lex): the
+    ``nondegeneracy_check`` (b) witness if there is one, () when c = 0
+    puts the origin, fixed by the whole torus, on the zero set; else the
+    first bad S.
     """
     bases = feasible_bases(Q)
     witness = degenerate_support(bases)
     if witness is not None:
         return Verdict(False, witness=witness, detail="fewer than k columns carry c")
-    for S, _ in bases:
-        gamma_S = IntegerMatrix([[row[i] for i in S] for row in Q.gamma.entries], cols=len(S))
-        if abs(det_int(gamma_S)) != Q.lattice_index:
+    for S, _, det in bases:
+        if abs(det) != Q.lattice_index:
             return Verdict(False, witness=S, detail="support columns generate a proper sublattice")
     return Verdict(True)
 

@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import momentangle
@@ -221,7 +222,7 @@ def test_variational_checks_run_on_the_configurations_own_surface(tmp_path, monk
     assert len(patches) == 3 + 5
     Q = QuadricConfiguration.from_rows([(1, 2)], [3])
     for patch in patches:
-        assert membership_residuals(Q, patch.sample.points).max() < 1e-14
+        assert membership_residuals(Q, patch.points).max() < 1e-14
 
 
 def test_variational_checks_resolve_the_top_phase_frequency(monkeypatch):
@@ -249,7 +250,8 @@ def test_variational_checks_resolve_the_top_phase_frequency(monkeypatch):
         assert rep.overall, command
         records = [r for r in rep.records if r.name.startswith(("hamiltonian-stationarity", "first-variation"))]
         assert len(records) in (3, 5) and max(r.residual for r in records) <= 1e-14
-        assert len(patches) == len(records) and all(patch.nodes[-1] == phase_nodes for patch in patches)
+        assert len(patches) == len(records)
+        assert all(len(np.unique(patch.params[:, -1])) == phase_nodes for patch in patches)
 
 
 @pytest.mark.parametrize("gamma", [1, 2, 3])
@@ -644,6 +646,27 @@ def test_report_all_computes_each_exact_object_once(monkeypatch):
         "_solve_feasible_bases": 1,
         "solve_lp": 4,
     }
+
+
+def test_report_all_builds_each_global_chart_once(monkeypatch):
+    # the global chart is kept on Q: the variational gates, their reports and
+    # the projective check read the one chart built on first use; on the
+    # hyperboloid, which has none, the kept None is read again
+    from momentangle import charts
+    from momentangle.submanifold_numerics import MetricSpec
+
+    built = []
+    solve = charts._solve_global_chart
+    monkeypatch.setattr(charts, "_solve_global_chart", lambda Q: built.append(Q) or solve(Q))
+    for name in ("triangle", "one-quadric:2", "rp2", "cp2-torus"):
+        built.clear()
+        assert _report_all(_catalog_config(name)).overall, name
+        assert len(built) == 1, name
+    built.clear()
+    hyperboloid = parse_config("mode quadrics\ngamma 1 2\n1 -1\nc 1\n")
+    rep = run_command("report-all", hyperboloid, 0, 100, MetricSpec(), out=io.StringIO())
+    assert not any(r.name.startswith(("first-variation", "hamiltonian-stationarity")) for r in rep.records)
+    assert len(built) == 1
 
 
 def test_report_all_inverts_the_lattice_basis_once(monkeypatch):

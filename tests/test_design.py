@@ -6,7 +6,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "momentangle"
 
 # the settable values in src/momentangle/*.py after the last change that moved them
-SETTABLE_VALUES = 50
+SETTABLE_VALUES = 49
 
 
 def _is_init_false_field(value) -> bool:

@@ -160,7 +160,9 @@ def test_variational_records_read_the_floor_at_twice_their_nodes(monkeypatch):
 
 def test_report_all_evaluates_each_point_set_once(monkeypatch):
     # a sample or patch is evaluated once, as a jet through the order its
-    # checks read: one u(v) solve per point set, at the default 100 samples
+    # checks read: one u(v) solve per point set, at the default 100 samples.
+    # Its metric is inverted once, on first read, for every check and every
+    # field that reads it, and no volume derivative solves a metric system
     import io
 
     from momentangle.charts import CircleSpreadChart, GlobalChart, PolytopeChart, TorusSpreadChart
@@ -173,31 +175,41 @@ def test_report_all_evaluates_each_point_set_once(monkeypatch):
             solves.append((type(self).__name__, len(V), order)) or u(self, V, order)))
     solve_nearest = TorusSpreadChart._nearest
     monkeypatch.setattr(TorusSpreadChart, "_nearest", lambda self, P: nearest.append(len(P)) or solve_nearest(self, P))
+    inverted, solved = [], []  # rows per batched inverse and per batched solve
+    inv, solve = np.linalg.inv, np.linalg.solve
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(len(a)) or inv(a))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(len(a)) or solve(a, b))
 
     def report_all(name):
-        solves.clear()
-        nearest.clear()
+        for calls in (solves, nearest, inverted, solved):
+            calls.clear()
         rep = run_command("report-all", _catalog_config(name), 0, 100, MetricSpec(), out=io.StringIO())
         assert rep.overall, name
+        assert solved == [], name
 
     # the rp2 lift: its 12 x 12 x 1-node patch on the global chart, which
     # the Lagrangian residual and the stationarity ratio both read; no
     # command solves a Newton projection
     report_all("rp2")
     assert [s for s in solves if s[0] != "PolytopeChart"] == [("GlobalChart", 144, 1)]
-    assert nearest == []
+    assert nearest == [] and inverted == [144]
     # the C^2 torus: the first-variation patch (8 x 8 nodes, whose
-    # curvature integral reads order 2) and the stationarity patch (12 x 6)
+    # curvature integral reads order 2) and the stationarity patch (12 x 6);
+    # the first-variation patch's one inverse serves the curvature and the
+    # volume derivative of all 5 fields
     report_all("one-quadric:2")
     assert [s for s in solves if s[0] == "GlobalChart"] == [("GlobalChart", 64, 2), ("GlobalChart", 72, 1)]
+    assert inverted == [100, 20, 64, 72]
     # triangle: the command's one 100-point sample through order 2, which
     # the co-area identity reads too, its first 20 points through order 3
     # for the codifferential, and the whole-N stationarity patch
-    # (12 x 12 x 6 nodes), at order 1: no check reads its hessian
+    # (12 x 12 x 6 nodes), at order 1: no check reads its hessian. The
+    # curvature inverts the sample's metric, the codifferential its 20
+    # points', and the stationarity patch's is inverted once for 3 fields
     report_all("triangle")
     assert [s[1:] for s in solves if s[0] == "PolytopeChart"] == [(100, 2), (20, 3)]
     assert [s for s in solves if s[0] != "PolytopeChart"] == [("GlobalChart", 864, 1)]
-    assert nearest == []
+    assert nearest == [] and inverted == [100, 20, 864]
 
 
 def test_no_module_in_src_imports_fd():

@@ -81,14 +81,15 @@ def test_nondegeneracy_examples():
 
 
 def test_feasible_bases_are_vertex_complements():
-    assert feasible_bases(catalog_quadrics("one-quadric:3")) == (((0,), (1,)), ((1,), (1,)), ((2,), (1,)))
+    # each basis S carries lam = gamma_S^-1 c and det gamma_S
+    assert feasible_bases(catalog_quadrics("one-quadric:3")) == (((0,), (1,), 1), ((1,), (1,), 1), ((2,), (1,), 1))
     # Gale duality: the facets active at a vertex are the complement of a feasible basis
     for name in ("triangle", "square", "bad-triangle", "simplex:3", "cube:3", "product:2,3"):
         P = catalog_polytope(name)
         bases = feasible_bases(gale_dual(P))
-        complements = {frozenset(range(P.num_facets)) - set(S) for S, _ in bases}
+        complements = {frozenset(range(P.num_facets)) - set(S) for S, _, _ in bases}
         assert complements == set(enumerate_vertices(P).incidence), name
-        assert all(all(x > 0 for x in lam) for _, lam in bases), name
+        assert all(all(x > 0 for x in lam) for _, lam, _ in bases), name
 
 
 def test_nondegeneracy_on_catalog_duals():

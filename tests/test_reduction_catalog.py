@@ -34,8 +34,7 @@ from momentangle.submanifold_numerics import (
     _poly_scalar,
     hamiltonian_vector_field,
     lagrangian_residual,
-    patch_volume,
-    patch_volume_and_derivative,
+    patch_volume_derivative,
     stationarity_ratio,
 )
 from momentangle.torus_actions import freeness_check, orbit_volume, torus_point
@@ -258,14 +257,18 @@ def test_cp_reduced_metric_against_orbit_distance_oracle():
 GAMMA_AXIS = {"rp2": 2, "cp2-torus": 1}  # the first torus's phase axis of each lift chart
 
 
+def _node_counts(patch):
+    """The nodes of a tensor-grid patch on each axis."""
+    return [len(np.unique(patch.params[:, a])) for a in range(patch.chart.dim)]
+
+
 def _lift_patch(name):
     """The setup of ``cp_chart_verify`` at seed 0 and its patch; rp2's shrunk
     to both angles in [-0.3, 0.3], away from the affine chart's pole z_0 = 0."""
     setup = cp_chart_setup(catalog_double(name), 0)
     patch = setup.patch
     if name == "rp2":
-        patch = ChartPatch(chart=patch.chart, lo=[-0.3, -0.3, 0.0], hi=[0.3, 0.3, 1.0],
-                           nodes=[24, 24, 1], order=1, periodic=(2,))
+        patch = ChartPatch.grid(patch.chart, [-0.3, -0.3, 0.0], [0.3, 0.3, 1.0], [24, 24, 1], 1, (2,))
     return setup, patch
 
 
@@ -281,7 +284,7 @@ def test_cp_reduced_tensors_match_horizontal_lifts(name):
     # / V_orb (measured: 2.7e-11 and 5.2e-11 relative)
     D = catalog_double(name)
     _, patch = _lift_patch(name)
-    chart, S, P = patch.chart, patch.sample.params, patch.sample.points
+    chart, S, P = patch.chart, patch.params, patch.points
     j = int(np.argmax(np.abs(P).min(axis=0)))  # the coordinate farthest from 0 on the nodes
     ax = GAMMA_AXIS[name]
     rest = [a for a in range(chart.dim) if a != ax]
@@ -295,7 +298,7 @@ def test_cp_reduced_tensors_match_horizontal_lifts(name):
     g_red = np.swapaxes(Jw, 1, 2) @ G @ Jw
     om_red = np.swapaxes(Jw, 1, 2) @ Om @ Jw
 
-    J = patch.sample.jet[1][:, :, rest]  # (N, 3, 2)
+    J = patch.jet[1][:, :, rest]  # (N, 3, 2)
     vert = 1j * P / np.linalg.norm(P, axis=1, keepdims=True)
     Jh = J - vert[:, :, None] * np.real(np.einsum("ni,nia->na", np.conj(vert), J))[:, None, :]
     gram = np.einsum("nia,nib->nab", np.conj(Jh), Jh)
@@ -305,9 +308,9 @@ def test_cp_reduced_tensors_match_horizontal_lifts(name):
 
     v_orb = orbit_volume(D.gamma_cfg, P)
     assert np.allclose(v_orb, 2 * np.pi * np.sqrt(float(D.gamma_cfg.c[0])), rtol=1e-14, atol=0)
-    width = patch.hi[ax] - patch.lo[ax]
+    width = chart.hi[ax] - chart.lo[ax]  # the phase box [0, 1) of the circle, on both patches
     vol_red = np.sum(patch.w / width * np.sqrt(np.linalg.det(g_red)))
-    assert abs(patch_volume(patch) / v_orb[0] - vol_red) <= 1e-9 * vol_red
+    assert abs(np.sum(patch.w * patch.area) / v_orb[0] - vol_red) <= 1e-9 * vol_red
 
 
 @pytest.mark.parametrize("name", ["rp2", "cp2-torus"])
@@ -317,14 +320,14 @@ def test_cp_one_orbit_node_matches_several(name):
     # (measured: to 1.8e-16 relative)
     setup = cp_chart_setup(catalog_double(name), 0)
     one = setup.patch
-    nodes = [int(n) for n in one.nodes]
+    nodes = _node_counts(one)
     nodes[GAMMA_AXIS[name]] = 4
-    four = ChartPatch(chart=one.chart, lo=one.lo, hi=one.hi, nodes=nodes, order=1, periodic=one.periodic)
+    four = ChartPatch.over(one.chart, nodes, order=1)
     X = hamiltonian_vector_field(setup.grad, setup.hess)
-    one_vol, one_dvol = patch_volume_and_derivative(one, X)
-    four_vol, four_dvol = patch_volume_and_derivative(four, X)
+    one_vol, four_vol = (np.sum(patch.w * patch.area) for patch in (one, four))
     assert abs(one_vol - four_vol) <= 1e-14 * one_vol
-    assert abs(one_dvol - four_dvol) <= 1e-14 * one_vol * np.abs(X(one.sample.points)).max()
+    dvol_gap = patch_volume_derivative(one, X) - patch_volume_derivative(four, X)
+    assert abs(dvol_gap) <= 1e-14 * one_vol * np.abs(X(one.points)).max()
 
 
 def _along(F, P, V, step=1e-4):
@@ -341,7 +344,7 @@ def test_cp_invariant_hamiltonian_derivatives_match_fd(name):
     # patch nodes. f is invariant under the diagonal circle and its
     # gradient is equivariant
     setup = cp_chart_setup(catalog_double(name), 0)
-    P = setup.patch.sample.points
+    P = setup.patch.points
     rng = np.random.default_rng(23)
     f, grad, hess = circle_invariant_hamiltonian(_poly_scalar(6, rng), 3)
     V = rng.standard_normal(P.shape) + 1j * rng.standard_normal(P.shape)
@@ -362,7 +365,7 @@ def test_cp_hamiltonian_field_derivative_matches_fd():
     # sphere |z|^2 = c / gamma, whose function |z|^2 generates the circle f
     # is invariant under
     setup = cp_chart_setup(catalog_double("rp2"), 0)
-    P = setup.patch.sample.points
+    P = setup.patch.points
     X = hamiltonian_vector_field(setup.grad, setup.hess)
     V = np.random.default_rng(22).standard_normal((P.shape[0], 2, 3)) + 0j
     got = X.derivative(P, V)
@@ -408,7 +411,7 @@ def test_cp_gradient_field_negative_control():
     radial = VectorField(lambda z: z, lambda z, V: V)
     for seed in range(3):
         setup = cp_chart_setup(D, seed)
-        P = setup.patch.sample.points
+        P = setup.patch.points
         ratio = stationarity_ratio(setup.patch, radial)
         assert ratio > 50 * TOL_STATIONARITY, (seed, ratio)
         rng = np.random.default_rng([seed, 1])
@@ -429,8 +432,8 @@ def test_cp_lagrangian_residuals():
     # Lagrangian in CP^2; the patch nodes cp_chart_verify reads and fresh points
     for name in ("cp2-torus", "rp2"):
         D = catalog_double(name)
-        sample = cp_chart_setup(D, 0).patch.sample
-        assert lagrangian_residual(D.stacked, sample).max() < 1e-14, name
+        patch = cp_chart_setup(D, 0).patch
+        assert lagrangian_residual(D.stacked, patch).max() < 1e-14, name
     D = catalog_double("rp2")
     lift = TorusSpreadChart(D.stacked, np.array([1.0, 0.0, 0.0]))
     S = np.concatenate([0.3 * np.random.default_rng(2).uniform(-1, 1, (25, 2)),
@@ -445,8 +448,8 @@ def test_cp_chart_jacobian_matches_stencil():
     # jacobians for the hessians) at step 1e-4 on the nodes the Lagrangian
     # residual reads: measured at most 9.1e-13 of the largest entry
     for name in ("cp2-torus", "rp2"):
-        sample = cp_chart_setup(catalog_double(name), 0).patch.sample
-        chart, S = sample.chart, sample.params
+        patch = cp_chart_setup(catalog_double(name), 0).patch
+        chart, S = patch.chart, patch.params
         J, H = chart.jacobian(S), chart.hessian(S)
         assert J.shape == (144, 3, 3)
         for exact, stencil in ((J, fd.jacobian(chart.value, S, 1e-4)),
@@ -470,17 +473,17 @@ def test_cp_patch_resolves_the_top_phase_frequency(monkeypatch):
     D = stack_double(QuadricConfiguration.from_rows([(1, 1, 1)], [1]),
                      QuadricConfiguration.from_rows([(-1, -1, 5)], [Fraction(-1, 2)]))
     patch = cp_chart_setup(D, 0).patch
-    assert patch.chart.kinds == ("azimuth", "phase", "phase") and list(patch.nodes) == [12, 1, 12]
+    assert patch.chart.kinds == ("azimuth", "phase", "phase") and _node_counts(patch) == [12, 1, 12]
     assert patch.chart.phase_rows.tolist() == [[1, 1, 1], [-1, -1, 0]]
     for seed in range(5):
         assert max(r.residual for r in cp_chart_verify(D, seed).records) <= 1e-14, seed
     for name, nodes in (("cp2-torus", [12, 1, 12]), ("rp2", [12, 12, 1])):
-        assert list(cp_chart_setup(catalog_double(name), 0).patch.nodes) == nodes, name
+        assert _node_counts(cp_chart_setup(catalog_double(name), 0).patch) == nodes, name
     monkeypatch.setattr(reduction_catalog, "CP_NODES", {"polar": 12, "azimuth": 12, "phase": 1})
     aliased = []
     for seed in range(5):
         setup = cp_chart_setup(D, seed)
-        assert list(setup.patch.nodes) == [12, 1, 3]
+        assert _node_counts(setup.patch) == [12, 1, 3]
         assert max(r.residual for r in cp_chart_verify(D, seed).records) <= 1e-14, seed
         two = ChartPatch.over(setup.patch.chart, [12, 1, 2], order=1)
         aliased.append(stationarity_ratio(two, hamiltonian_vector_field(setup.grad, setup.hess)))
@@ -499,9 +502,9 @@ def test_cp_chart_degenerate_coordinate():
     pts = ChartSample.at(lift, S, 1)
     assert lagrangian_residual(D.stacked, pts)[0] < 1e-15
     patch = cp_chart_setup(catalog_double("rp2"), 0).patch
-    zero = np.flatnonzero(np.abs(patch.sample.points[:, 0]) < 1e-15)
-    near = zero[np.argmax(patch.elem[zero])]
-    assert np.linalg.cond(patch.g[near]) < 1e3 and patch.elem[near] > 0.1
+    zero = np.flatnonzero(np.abs(patch.points[:, 0]) < 1e-15)
+    near = zero[np.argmax(patch.area[zero])]
+    assert np.linalg.cond(patch.metric[near]) < 1e3 and patch.area[near] > 0.1
 
 
 def test_catalog_unknown_names():

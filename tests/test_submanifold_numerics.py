@@ -32,7 +32,6 @@ from momentangle.submanifold_numerics import (
     ChartSample,
     InvarianceError,
     VectorField,
-    _curvature_batch,
     _poly_scalar,
     chart_N,
     coarea_orbit_volume_check,
@@ -45,7 +44,6 @@ from momentangle.submanifold_numerics import (
     noether_drift,
     omega_matrix,
     omega_pair,
-    patch_volume,
     patch_volume_derivative,
     real_base_point,
     sample_chart_points,
@@ -380,11 +378,9 @@ def _pointwise_lagrangian(Q, p):
 
 
 def _curvature(chart, S):
-    """(H_real, Jr, g) of ``chart`` at S, from its jet as a sample's checks read it."""
-    _, J, Hess = chart.jet(S, 2)
-    Jr = np.concatenate([J.real, J.imag], axis=-2)
-    g = np.einsum("nia,nib->nab", Jr, Jr)
-    return _curvature_batch(Jr, g, Hess), Jr, g
+    """(H_real, Jr, g) of ``chart`` at S, as a sample's checks read them."""
+    sample = ChartSample.at(chart, S, 2)
+    return sample.curvature, sample.real_jacobian, sample.metric
 
 
 def _pointwise_minimality(Q, p):
@@ -507,6 +503,23 @@ def test_batched_residuals_match_per_point_formulas():
             _assert_rows_of_seven(lambda smp: lagrangian_residual(Q, smp), group)
             _assert_rows_of_seven(lambda smp: minimality_residual_in_Z(Q, smp), group)
             _assert_rows_of_seven(lambda smp: hminimality_residual(Q, smp), group)
+
+
+def test_sample_geometry_rows_do_not_depend_on_the_batch():
+    # each quantity a sample computes once and keeps equals, bit for bit,
+    # its row of the whole sample on a one-point slice, as the residuals
+    # do (``_assert_rows_of_seven``): on sampled polytope charts, and on a
+    # whole-N patch, whose slices are plain samples
+    rng = np.random.default_rng(31)
+    samples = [sample_chart_points(catalog_quadrics(name), 7, rng, spec, order=2)
+               for name in ("one-quadric:3", "two-quadrics:2,2")]
+    patch = ChartPatch.over(global_chart(catalog_quadrics("one-quadric:3")), [3, 4, 2], order=2)
+    assert type(patch[:1]) is ChartSample and len(patch) == 24
+    for sample in samples + [patch]:
+        for i, p in enumerate(_points(sample)):
+            for name in ("metric", "metric_inverse", "area", "curvature"):
+                assert np.array_equal(getattr(p, name)[0], getattr(sample, name)[i]), (name, i)
+            assert np.array_equal(p.frame_qr[0][0], sample.frame_qr[0][i]), i
 
 
 def test_frame_orthonormal_and_annihilating():
@@ -762,7 +775,7 @@ def _two_volume_derivative(patch, X, t_step, s_step=1e-3, richardson=False):
         return fn
 
     def vol(t):
-        J = fd.jacobian(deformed(t), patch.sample.params, s_step)
+        J = fd.jacobian(deformed(t), patch.params, s_step)
         g = np.einsum("nia,nib->nab", J, J)
         return float(np.sum(patch.w * np.sqrt(np.linalg.det(g))))
 
@@ -793,8 +806,7 @@ def test_volume_derivative_matches_two_volume_reference():
     # agreement: 2.3e-11
     D = catalog_double("rp2")
     lift = TorusSpreadChart(D.stacked, real_base_point(D.stacked))
-    lpatch = ChartPatch(chart=lift, lo=[-0.4, -0.4, -0.5], hi=[0.4, 0.4, 0.5], nodes=[24, 24, 1],
-                        order=1)
+    lpatch = ChartPatch.grid(lift, [-0.4, -0.4, -0.5], [0.4, 0.4, 0.5], [24, 24, 1], 1, ())
     Xl = _random_matrix_field(3, np.random.default_rng(4))
     ref = _two_volume_derivative(lpatch, Xl, t_step=1e-3, s_step=5e-4, richardson=True)
     assert abs(patch_volume_derivative(lpatch, Xl) - ref) < 5e-11 * abs(ref)
@@ -824,7 +836,7 @@ def test_stationarity_scale_is_frame_independent():
     # 1 / sqrt 2 (the largest-component scale read 2.0002 and 2.8284)
     r = 1.0 / np.sqrt(2.0)
     clifford = CircleSpreadChart([r, 0.0], [1j * r, 0.0], [0.0, r], [[0.0, 1.0]])
-    patch = ChartPatch(clifford, [0.0, 0.0], [TWO_PI, 1.0], [8, 8], order=1, periodic=(0, 1))
+    patch = ChartPatch.grid(clifford, [0.0, 0.0], [TWO_PI, 1.0], [8, 8], 1, (0, 1))
     assert abs(stationarity_ratio(patch, RADIAL) - 2.0) < 1e-14
     torus = ChartPatch.over(global_chart(catalog_quadrics("one-quadric:2")), [8, 8], order=1)
     assert abs(stationarity_ratio(torus, RADIAL) - 2.0) < 1e-14
@@ -947,7 +959,7 @@ def test_patch_volume_double_cover():
     Q2 = QuadricConfiguration.from_rows([(1, 1)], [1])
     patch = ChartPatch.over(global_chart(Q2), [12, 12], order=1)
     # the (theta, phi) box covers the spread torus twice: 2 * 2 pi^2
-    assert abs(patch_volume(patch) - 4 * np.pi**2) < 1e-12
+    assert abs(np.sum(patch.w * patch.area) - 4 * np.pi**2) < 1e-12
 
 
 def test_frame_spans_expected_directions():
@@ -978,6 +990,6 @@ def test_chart_patch_rejects_dimension_above_four():
         return CircleSpreadChart([1, 0, 0], [0, 1, 0], [0, 0, 0], rows)
 
     with pytest.raises(ValueError, match="dimension at most 4"):
-        ChartPatch(chart=spread(np.eye(4, 3)), lo=[0.0] * 5, hi=[1.0] * 5, nodes=4, order=1)
-    four = ChartPatch(chart=spread(np.eye(3)), lo=[0.0] * 4, hi=[1.0] * 4, nodes=3, order=1)
-    assert four.sample.params.shape == (81, 4) and four.sample.jet[1].shape == (81, 3, 4)
+        ChartPatch.grid(spread(np.eye(4, 3)), [0.0] * 5, [1.0] * 5, [4] * 5, 1, ())
+    four = ChartPatch.grid(spread(np.eye(3)), [0.0] * 4, [1.0] * 4, [3] * 4, 1, ())
+    assert four.params.shape == (81, 4) and four.jet[1].shape == (81, 3, 4)
