@@ -373,13 +373,12 @@ class GlobalChart(Chart):
         self.periodic = tuple(a for a, kind in enumerate(self.kinds) if kind != "polar")
 
     def node_counts(self, nodes: dict[str, int], frequencies) -> list[int]:
-        """``nodes[kind]`` nodes on each axis, and more than ``frequencies[j]`` on phase j: the
-        trapezoid rule of n nodes is exact on trigonometric polynomials of degree below n, and
-        reads a term of frequency n in full. A phase of degree 0 takes one node."""
-        counts = [nodes[kind] for kind in self.kinds]
-        for a, top in zip(range(self.nv, self.dim), frequencies):
-            counts[a] = max(counts[a], int(top) + 1) if top else 1
-        return counts
+        """``nodes[kind]`` nodes on each polar and azimuth axis, and ``frequencies[j] + 1`` on
+        phase j, one where that degree is 0. The metric and the area element do not move with
+        the phases, so an integrand whose phase degrees are at most ``frequencies`` is a
+        trigonometric polynomial in them, and the trapezoid rule of n nodes is exact on degrees
+        below n. The table is read only on the axes that are not phases."""
+        return [nodes[kind] for kind in self.kinds[:self.nv]] + [int(top) + 1 for top in frequencies]
 
     def _u(self, V: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
         (N, nv), m = V.shape, self.ambient_dim

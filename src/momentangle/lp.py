@@ -70,15 +70,18 @@ def _run_simplex(T: list[list[int]], basis: list[int], D: int) -> tuple[str, int
 def solve_lp(
     A: Sequence[Sequence], b: Sequence, c: Sequence, maximize: bool = False
 ) -> LPResult:
-    """Optimize ``c.x`` subject to ``A x = b``, ``x >= 0`` in exact arithmetic."""
+    """Optimize ``c.x`` subject to ``A x = b``, ``x >= 0`` in exact arithmetic.
+
+    Entries are ints or ``Fraction``s; an int is its own numerator over 1, so
+    only the Fractions' denominators set the scale."""
     m = len(A)
     n = len(c)
     rows: list[list] = []
     for i in range(m):
-        r = [Fraction(x) for x in A[i]]
+        r = list(A[i])
         if len(r) != n:
             raise ValueError("row length disagrees with cost vector")
-        bb = Fraction(b[i])
+        bb = b[i]
         if bb < 0:
             r = [-x for x in r]
             bb = -bb
@@ -110,7 +113,7 @@ def solve_lp(
     basis = [basis[i] for i in keep]
 
     # phase 2: the cost row over the same D, scaled by its own lcm
-    obj = [-Fraction(x) if maximize else Fraction(x) for x in c]
+    obj = [-x if maximize else x for x in c]
     scale = lcm(*(x.denominator for x in obj))
     obj = [x.numerator * (scale // x.denominator) for x in obj]
     cost = [D * x for x in obj] + [0]
@@ -126,14 +129,14 @@ def solve_lp(
     for i, bi in enumerate(basis):
         if bi < n:
             x[bi] = Fraction(T[i][-1], D)
-    val = sum((Fraction(ci) * xi for ci, xi in zip(c, x)), Fraction(0))
+    val = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
     return LPResult("optimal", tuple(x), val)
 
 
 def feasible_point(A: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...] | None:
     """A point of ``{x >= 0 : A x = b}``, or ``None``."""
     n = len(A[0]) if A else 0
-    res = solve_lp(A, b, [Fraction(0)] * n)
+    res = solve_lp(A, b, [0] * n)
     return res.x if res.status == "optimal" else None
 
 
@@ -153,17 +156,17 @@ def positive_combination(
     dim = len(target)
     nv = len(vectors)
     if nv == 0:
-        return () if all(Fraction(t) == 0 for t in target) else None
+        return () if all(t == 0 for t in target) else None
     # variables: s_k >= 0 (k < nv), delta, slack;  t_k = s_k + delta
     A = []
     for i in range(dim):
-        row = [Fraction(v[i]) for v in vectors]
-        row.append(sum(row, Fraction(0)))  # delta column
-        row.append(Fraction(0))  # slack
+        row = [v[i] for v in vectors]
+        row.append(sum(row))  # delta column
+        row.append(0)  # slack
         A.append(row)
-    A.append([Fraction(0)] * nv + [Fraction(1), Fraction(1)])  # delta + slack = 1
-    b = [Fraction(t) for t in target] + [Fraction(1)]
-    cost = [Fraction(0)] * nv + [Fraction(1), Fraction(0)]
+    A.append([0] * nv + [1, 1])  # delta + slack = 1
+    b = list(target) + [1]
+    cost = [0] * nv + [1, 0]
     res = solve_lp(A, b, cost, maximize=True)
     if res.status != "optimal" or res.x is None:
         return None
@@ -180,10 +183,7 @@ def inequality_point(vectors: Sequence[Sequence], lower: Sequence) -> tuple[Frac
     surplus variable, to keep the standard form.
     """
     dim = len(vectors[0])
-    A = [
-        [Fraction(x) for x in v] + [-Fraction(x) for x in v] + [Fraction(-int(j == k)) for j in range(len(vectors))]
-        for k, v in enumerate(vectors)
-    ]
+    A = [list(v) + [-x for x in v] + [-int(j == k) for j in range(len(vectors))] for k, v in enumerate(vectors)]
     pt = feasible_point(A, lower)
     if pt is None:
         return None

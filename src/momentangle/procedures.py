@@ -70,12 +70,15 @@ from .torus_actions import freeness_check, orbit_volume
 TWO_PI = 2.0 * np.pi
 # the number of random fields the first-variation report checks
 VARIATION_FIELDS = 5
-# the nodes of each kind of axis of the whole-N patches (``ChartPatch.over``):
-# Gauss-Legendre on the polar angles, the trapezoid rule on the periodic
-# axes, and on each phase at least as many as ``GlobalChart.node_counts`` asks
-CIRCLE_NODES = {"phase": 8}
-VARIATION_NODES = {"azimuth": 8, "phase": 8}
-STATIONARITY_NODES = {"polar": 12, "azimuth": 12, "phase": 6}
+# the nodes of the polar and azimuth axes of the whole-N patches
+# (``ChartPatch.over``): Gauss-Legendre on the polar angles, the trapezoid
+# rule on the azimuths. Their integrands are not trigonometric polynomials
+# on an ellipsoid that is not round. Each phase takes its degree plus one
+# (``GlobalChart.node_counts``), on which the trapezoid rule is exact: each
+# ratio's numerator is exact along the phases, and its scale integral
+# |X| dA, not a polynomial in them, is a quadrature estimate that normalizes
+VARIATION_NODES = {"azimuth": 8}
+STATIONARITY_NODES = {"polar": 12, "azimuth": 12}
 
 
 # the gates of CHECKS; a report that refuses a configuration reads the same gate
@@ -294,7 +297,7 @@ def coarea_report(Q: QuadricConfiguration, sample: ChartSample) -> VerificationR
 def circle_variation_values(chart: GlobalChart) -> tuple[float, float]:
     """(dVol/dt, -integral <H, X>) for a circle, on its global chart, under the radial unit field:
     each reads 2 pi at every radius."""
-    patch = _whole_patch(chart, CIRCLE_NODES, order=2)
+    patch = _whole_patch(chart, VARIATION_NODES, order=2)
 
     def radial_derivative(z, V):
         # the part of V orthogonal to z, over |z|

@@ -400,9 +400,9 @@ def catalog_names() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # projective verification
 
-# the nodes of each kind of axis of the lift's patch, and on each phase at
-# least as many as ``GlobalChart.node_counts`` asks
-CP_NODES = {"polar": 12, "azimuth": 12, "phase": 12}
+# the nodes of the polar and azimuth axes of the lift's patch; each phase
+# takes its degree plus one (``GlobalChart.node_counts``)
+CP_NODES = {"polar": 12, "azimuth": 12}
 
 
 class CpSetup(NamedTuple):

@@ -230,10 +230,10 @@ def test_variational_checks_resolve_the_top_phase_frequency(monkeypatch):
     # own rows where, as here, the column lattice is Z^k), so a field's
     # integrands reach frequency 2 max_k |Gamma_jk| along phase j, and a
     # trapezoid rule of that many nodes counts the top term in full.
-    # gamma (1, 3, 1) puts z_2^2 at frequency 6 and gamma (1, 4) at 8, the
-    # stationarity and first-variation tables' phase node counts, where the
-    # records read up to 0.084 and 1.04. One node more than the top
-    # frequency reads the rounding floor (measured at most 3.2e-17 and 6.4e-16)
+    # gamma (1, 3, 1) puts z_2^2 at frequency 6 and gamma (1, 4) at 8, where
+    # 6 and 8 phase nodes read up to 0.084 and 1.04. One node more than the
+    # top frequency, as ``GlobalChart.node_counts`` gives, reads the rounding
+    # floor (measured 3.0e-17 and 7.0e-16 at seed 0)
     from momentangle import procedures
     from momentangle.submanifold_numerics import MetricSpec
 

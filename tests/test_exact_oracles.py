@@ -484,6 +484,25 @@ def test_solve_lp_matches_fraction_simplex(program):
         assert (res.status, res.x, res.objective) == _reference_solve_lp(A, b, c, maximize)
 
 
+@settings(max_examples=60)
+@given(linear_programs())
+def test_solve_lp_reads_ints_and_fractions_alike(program):
+    # an int entry is its own numerator over 1, so the program as drawn (ints
+    # and Fractions) and the same program with every entry a Fraction scale
+    # alike and take the same pivots to the same result
+    A, b, c = program
+    as_fractions = [[Fraction(x) for x in row] for row in A], [Fraction(x) for x in b], [Fraction(x) for x in c]
+    pivot = lp._pivot
+    for maximize in (False, True):
+        runs = []
+        for program in ((A, b, c), as_fractions):
+            pivots = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lp, "_pivot", lambda T, basis, row, col, D: pivots.append((row, col, D)) or pivot(T, basis, row, col, D))
+                runs.append((solve_lp(*program, maximize), pivots))
+        assert runs[0] == runs[1]
+
+
 def test_negative_pivot_in_drive_out(monkeypatch):
     # phase 1 ends with the first row's artificial basic at level 0, and
     # that row's nonzero entries in the original columns are negative, so

@@ -143,19 +143,42 @@ def test_variational_records_read_the_floor_at_twice_their_nodes(monkeypatch):
     # the variational records integrate over the whole of N, on the
     # trapezoid rule along its periodic axes and Gauss-Legendre along its
     # polar angles: at their node counts and at twice as many on every
-    # axis, each reads the rounding floor (measured at most 5.6e-16 and
-    # 4.8e-16), and the records keep their names
+    # axis, the node tables' polar and azimuth axes and the phases' degree
+    # plus one alike, each reads the rounding floor (measured at most
+    # 6.3e-16 and 3.1e-16), and the records keep their names
     from momentangle import reduction_catalog
+    from momentangle.charts import GlobalChart
 
     records = _variational_records()
     assert len(records) == 5 * (5 * 3 + 3 + 5 + 2 * 2)
     assert max(r.residual for r in records) <= 1e-14
-    for module, table in ((proc, "CIRCLE_NODES"), (proc, "VARIATION_NODES"), (proc, "STATIONARITY_NODES"),
-                          (reduction_catalog, "CP_NODES")):
+    for module, table in ((proc, "VARIATION_NODES"), (proc, "STATIONARITY_NODES"), (reduction_catalog, "CP_NODES")):
         monkeypatch.setattr(module, table, {kind: 2 * n for kind, n in getattr(module, table).items()})
+    node_counts = GlobalChart.node_counts
+    monkeypatch.setattr(GlobalChart, "node_counts", lambda self, nodes, frequencies: (
+        node_counts(self, nodes, [2 * top + 1 for top in frequencies])))
     doubled = _variational_records()
     assert [r.name for r in doubled] == [r.name for r in records]
     assert max(r.residual for r in doubled) <= 1e-14
+
+
+def test_triangle_stationarity_aliases_one_phase_node_short(monkeypatch):
+    # the triangle's integrands reach degree 2 along its phases, which take 3
+    # nodes; at 2, one short of exact, a frequency-2 term aliases onto the
+    # mean, and the worst record of every seed fails (measured 0.038-0.30,
+    # where 3 nodes read at most 2.0e-16)
+    from momentangle.charts import GlobalChart
+    from momentangle.quadric_config import gale_dual
+    from momentangle.report import TOL_STATIONARITY
+
+    Q = gale_dual(catalog_polytope("triangle"))
+    assert proc._whole_patch(proc._stationarity_chart(Q), proc.STATIONARITY_NODES, 1).w.size == 12 * 12 * 3
+    node_counts = GlobalChart.node_counts
+    monkeypatch.setattr(GlobalChart, "node_counts", lambda self, nodes, frequencies: (
+        node_counts(self, nodes, [top - 1 for top in frequencies])))
+    for seed in range(5):
+        worst = max(r.residual for r in proc.hamiltonian_stationarity_report(Q, seed=seed, n_fields=3).records)
+        assert worst > 10 * TOL_STATIONARITY, (seed, worst)
 
 
 def test_report_all_evaluates_each_point_set_once(monkeypatch):
@@ -193,23 +216,23 @@ def test_report_all_evaluates_each_point_set_once(monkeypatch):
     report_all("rp2")
     assert [s for s in solves if s[0] != "PolytopeChart"] == [("GlobalChart", 144, 1)]
     assert nearest == [] and inverted == [144]
-    # the C^2 torus: the first-variation patch (8 x 8 nodes, whose
-    # curvature integral reads order 2) and the stationarity patch (12 x 6);
+    # the C^2 torus: the first-variation patch (8 x 3 nodes, whose
+    # curvature integral reads order 2) and the stationarity patch (12 x 3);
     # the first-variation patch's one inverse serves the curvature and the
     # volume derivative of all 5 fields
     report_all("one-quadric:2")
-    assert [s for s in solves if s[0] == "GlobalChart"] == [("GlobalChart", 64, 2), ("GlobalChart", 72, 1)]
-    assert inverted == [100, 20, 64, 72]
+    assert [s for s in solves if s[0] == "GlobalChart"] == [("GlobalChart", 24, 2), ("GlobalChart", 36, 1)]
+    assert inverted == [100, 20, 24, 36]
     # triangle: the command's one 100-point sample through order 2, which
     # the co-area identity reads too, its first 20 points through order 3
     # for the codifferential, and the whole-N stationarity patch
-    # (12 x 12 x 6 nodes), at order 1: no check reads its hessian. The
+    # (12 x 12 x 3 nodes), at order 1: no check reads its hessian. The
     # curvature inverts the sample's metric, the codifferential its 20
     # points', and the stationarity patch's is inverted once for 3 fields
     report_all("triangle")
     assert [s[1:] for s in solves if s[0] == "PolytopeChart"] == [(100, 2), (20, 3)]
-    assert [s for s in solves if s[0] != "PolytopeChart"] == [("GlobalChart", 864, 1)]
-    assert nearest == [] and inverted == [100, 20, 864]
+    assert [s for s in solves if s[0] != "PolytopeChart"] == [("GlobalChart", 432, 1)]
+    assert nearest == [] and inverted == [100, 20, 432]
 
 
 def test_no_module_in_src_imports_fd():
