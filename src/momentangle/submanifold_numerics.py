@@ -64,9 +64,12 @@ class ChartSample:
     sample's checks read. ``points`` (N, m) is the jet's order 0. A slice
     slices the jet; one point is the sample ``s[i:i + 1]``. The pointwise
     residual functions take a whole sample and return one value per point.
-    Its geometry in flat C^m = R^2m is computed point by point on first read
-    and kept, for every check to read: the real jacobian, the metric g, g^-1,
-    the area element, the QR of the real jacobian and the mean curvature.
+    Its geometry in flat C^m = R^2m is computed on first read and kept, for
+    every check to read: the real jacobian J, the metric g = J^T J, g^-1,
+    the area element, the QR of J (which only ``tangent_frames`` reads) and
+    the mean curvature. Every per-point product is stacked, (N, a, b) @
+    (N, b, c) or (N, a, b) @ (b, c), so each point's row is computed by
+    the same operations in any batch.
     """
 
     chart: Chart
@@ -103,8 +106,8 @@ class ChartSample:
         return np.concatenate([self.jet[1].real, self.jet[1].imag], axis=1)
 
     @functools.cached_property
-    def metric(self) -> np.ndarray:  # g (N, d, d)
-        return np.einsum("nia,nib->nab", self.real_jacobian, self.real_jacobian)
+    def metric(self) -> np.ndarray:  # g = J^T J (N, d, d)
+        return np.swapaxes(self.real_jacobian, 1, 2) @ self.real_jacobian
 
     @functools.cached_property
     def metric_inverse(self) -> np.ndarray:
@@ -121,13 +124,14 @@ class ChartSample:
     @functools.cached_property
     def curvature(self) -> np.ndarray:
         """The unnormalized mean curvature vector H (N, 2m): trace_g of the normal
-        projection of the second derivatives."""
+        projection of the second derivatives, H = tr - J g^-1 J^T tr with
+        tr = g^ab Hess_ab, from the cached g^-1."""
         if len(self.jet) < 3:
             raise ValueError("the mean curvature reads a sample of order 2")
-        Hess = self.jet[2]
-        tr = np.einsum("nab,niab->ni", self.metric_inverse, np.concatenate([Hess.real, Hess.imag], axis=1))
-        Qm = self.frame_qr[0]
-        return tr - np.einsum("nia,na->ni", Qm, np.einsum("nia,ni->na", Qm, tr))
+        Hess, J, gi = self.jet[2], self.real_jacobian, self.metric_inverse
+        n, d = gi.shape[:2]
+        tr = np.concatenate([Hess.real, Hess.imag], axis=1).reshape(n, -1, d * d) @ gi.reshape(n, d * d, 1)
+        return (tr - J @ (gi @ (np.swapaxes(J, 1, 2) @ tr)))[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +222,16 @@ def minimality_residual_in_Z(Q: QuadricConfiguration, sample: ChartSample) -> np
 
     The second fundamental form of the submanifold inside the quadric
     intersection is the intersection-tangential part of the flat one, so
-    this is |H| of the embedding into the quadric set.
+    this is |H| of the embedding into the quadric set. H is normal to N, so
+    its part off span(J, normals to Z) is H less its projection onto the k
+    normals made orthogonal to J through g^-1: n - J g^-1 J^T n, whose QR
+    (N, 2m, k) projects.
     """
-    H = sample.curvature
-    grads = c2r(2.0 * Q.gamma_float() * sample.points[:, None, :])  # (N, k, 2m), the normals to Z
-    stacked = np.concatenate([sample.real_jacobian, np.swapaxes(grads, -2, -1)], axis=-1)
-    Qm, _ = np.linalg.qr(stacked)
-    tang = np.einsum("nia,na->ni", Qm, np.einsum("nia,ni->na", Qm, H))
-    return np.linalg.norm(H - tang, axis=-1)
+    H, J, gi = sample.curvature, sample.real_jacobian, sample.metric_inverse
+    normals = np.swapaxes(c2r(2.0 * Q.gamma_float() * sample.points[:, None, :]), 1, 2)  # (N, 2m, k)
+    Qn, _ = np.linalg.qr(normals - J @ (gi @ (np.swapaxes(J, 1, 2) @ normals)))
+    H = H[..., None]
+    return np.linalg.norm((H - Qn @ (np.swapaxes(Qn, 1, 2) @ H))[..., 0], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +383,8 @@ def patch_volume_derivative(patch: ChartPatch, X: VectorField) -> float:
     """
     if not isinstance(X, VectorField):
         raise TypeError("a volume derivative needs a VectorField with its derivative")
-    JP = np.swapaxes(patch.jet[1], 1, 2)  # (N, d, m): the chart's columns as ambient vectors
-    JY = X.derivative(patch.points, JP)
-    half_dg = c2r(JP) @ np.swapaxes(c2r(JY), 1, 2)
+    JY = X.derivative(patch.points, np.swapaxes(patch.jet[1], 1, 2))  # the chart's columns as ambient vectors
+    half_dg = np.swapaxes(patch.real_jacobian, 1, 2) @ np.swapaxes(c2r(JY), 1, 2)
     rate = np.einsum("nab,nba->n", patch.metric_inverse, half_dg)
     return float(np.sum(patch.w * patch.area * rate))
 
@@ -424,28 +429,32 @@ def hminimality_residual(Q: QuadricConfiguration | None, sample: ChartSample) ->
     """
     Hess, T = (np.concatenate([X.real, X.imag], axis=1) for X in sample.jet[2:])
     J, gi = sample.real_jacobian, sample.metric_inverse
-    Om = omega_matrix(sample.chart.ambient_dim)
-    dg = np.einsum("niac,nib->ncab", Hess, J)
+    n, m2, d = J.shape
+    Jt = np.swapaxes(J, 1, 2)
+    # Hess_i,(ab), T_i,(ab),c and g^(ab) as matrices; vectors are columns (N, ., 1)
+    Hr, Tr, gv = Hess.reshape(n, m2, d * d), T.reshape(n, m2, d * d, d), gi.reshape(n, d * d, 1)
+    dg = np.swapaxes((np.swapaxes(Hr, 1, 2) @ J).reshape(n, d, d, d), 1, 2)  # sum_i Hess_iac J_ib at [c, a, b]
     dg = dg + np.swapaxes(dg, 2, 3)  # d_c g_ab
     dgi = -gi[:, None] @ dg @ gi[:, None]  # d_c g^ab
     # H = tr - J y, tr = g^ab Hess_ab, y = g^-1 J^T tr
-    tr = np.einsum("nab,niab->ni", gi, Hess)
-    dtr = np.einsum("ncab,niab->nic", dgi, Hess) + np.einsum("nab,niabc->nic", gi, T)
-    Jtr = np.einsum("nia,ni->na", J, tr)
-    dJtr = np.einsum("niac,ni->nac", Hess, tr) + np.einsum("nia,nic->nac", J, dtr)
-    y = np.einsum("nab,nb->na", gi, Jtr)
-    dy = np.einsum("ncab,nb->nac", dgi, Jtr) + np.einsum("nab,nbc->nac", gi, dJtr)
-    H = tr - np.einsum("nia,na->ni", J, y)
-    dH = dtr - np.einsum("niac,na->nic", Hess, y) - np.einsum("nia,nac->nic", J, dy)
-    OmJ = np.einsum("ij,nja->nia", Om, J)
-    alpha = np.einsum("ni,nia->na", H, OmJ)
-    dalpha = np.einsum("nic,nia->nac", dH, OmJ) + np.einsum("ni,ij,njac->nac", H, Om, Hess)
-    W = np.einsum("nab,nb->na", gi, alpha)
-    div = np.einsum("naab,nb->n", dgi, alpha) + np.einsum("nab,nba->n", gi, dalpha)
-    # d_c log sqrt(det g); dg is symmetric in (a, b), and these subscripts
-    # follow its layout, so a point's sum runs in the same order in any batch
-    log_sqrtg = 0.5 * np.einsum("nab,ncab->nc", gi, dg)
-    return np.abs(div + np.einsum("nc,nc->n", log_sqrtg, W))
+    tr = Hr @ gv
+    dtr = Hr @ np.swapaxes(dgi.reshape(n, d, d * d), 1, 2) + (np.swapaxes(gv, 1, 2)[:, None] @ Tr)[:, :, 0]
+    Jtr = Jt @ tr
+    dJtr = (np.swapaxes(tr, 1, 2) @ Hr).reshape(n, d, d) + Jt @ dtr
+    y = gi @ Jtr
+    dy = np.swapaxes((dgi.reshape(n, d * d, d) @ Jtr).reshape(n, d, d), 1, 2) + gi @ dJtr
+    H = tr - J @ y
+    dH = dtr - (Hess.reshape(n, m2 * d, d) @ y).reshape(n, m2, d) - J @ dy  # Hess_iac y^a: Hess is symmetric in (a, c)
+    # Om v = OMEGA_SCALE (v_y, -v_x) for Om = omega_matrix(m), and H^T Om = -(Om H)^T
+    m = m2 // 2
+    OmJt = OMEGA_SCALE * np.swapaxes(np.concatenate([J[:, m:], -J[:, :m]], axis=1), 1, 2)
+    OmH = OMEGA_SCALE * np.concatenate([H[:, m:], -H[:, :m]], axis=1)
+    alpha = OmJt @ H
+    dalpha = OmJt @ dH - (np.swapaxes(OmH, 1, 2) @ Hr).reshape(n, d, d)
+    W = gi @ alpha
+    div = np.trace(dgi, axis1=1, axis2=2)[:, None] @ alpha + np.trace(gi @ dalpha, axis1=1, axis2=2)[:, None, None]
+    log_sqrtg = 0.5 * dg.reshape(n, d, d * d) @ gv  # d_c log sqrt(det g)
+    return np.abs(div + np.swapaxes(log_sqrtg, 1, 2) @ W)[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -81,10 +81,9 @@ def orbit_generators(Q: QuadricConfiguration, z) -> np.ndarray:
 
 
 def orbit_gram(Q: QuadricConfiguration, z) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    sq = np.abs(z) ** 2
+    """The Gram matrix (2 pi)^2 (Gamma |z|^2) Gamma^T of the orbit generators at z (batched over z)."""
     G = Q.gamma_float()
-    return TWO_PI**2 * np.einsum("jk,lk,...k->...jl", G, G, sq)
+    return TWO_PI**2 * (G * (np.abs(np.asarray(z, dtype=complex)) ** 2)[..., None, :]) @ G.T
 
 
 def orbit_volume(Q: QuadricConfiguration, z) -> float | np.ndarray:

@@ -202,9 +202,13 @@ def test_report_all_evaluates_each_point_set_once(monkeypatch):
     inv, solve = np.linalg.inv, np.linalg.solve
     monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(len(a)) or inv(a))
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(len(a)) or solve(a, b))
+    factored = []  # (rows, columns) per batched (3-D) QR
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: (
+        np.ndim(a) == 3 and factored.append((len(a), np.shape(a)[-1]))) or qr(a, *args, **kw))
 
     def report_all(name):
-        for calls in (solves, nearest, inverted, solved):
+        for calls in (solves, nearest, inverted, solved, factored):
             calls.clear()
         rep = run_command("report-all", _catalog_config(name), 0, 100, MetricSpec(), out=io.StringIO())
         assert rep.overall, name
@@ -223,6 +227,12 @@ def test_report_all_evaluates_each_point_set_once(monkeypatch):
     report_all("one-quadric:2")
     assert [s for s in solves if s[0] == "GlobalChart"] == [("GlobalChart", 24, 2), ("GlobalChart", 36, 1)]
     assert inverted == [100, 20, 24, 36]
+    # the batched QRs factor the command sample's frame (its d = 2
+    # jacobian columns), and the k = 1 normal of Z at the negative
+    # control's 5 points and at the sample's points for minimality; the
+    # curvature of the order-2 first-variation patch reads g^-1, and no
+    # other sample or patch is factored
+    assert factored == [(100, 2), (5, 1), (100, 1)]
     # triangle: the command's one 100-point sample through order 2, which
     # the co-area identity reads too, its first 20 points through order 3
     # for the codifferential, and the whole-N stationarity patch
@@ -233,6 +243,9 @@ def test_report_all_evaluates_each_point_set_once(monkeypatch):
     assert [s[1:] for s in solves if s[0] == "PolytopeChart"] == [(100, 2), (20, 3)]
     assert [s for s in solves if s[0] != "PolytopeChart"] == [("GlobalChart", 432, 1)]
     assert nearest == [] and inverted == [100, 20, 432]
+    # the same three QRs, on N of dimension 3: neither the order-3 sample
+    # nor the stationarity patch is factored
+    assert factored == [(100, 3), (5, 1), (100, 1)]
 
 
 def test_no_module_in_src_imports_fd():

@@ -599,7 +599,16 @@ def test_minimality_residual_examples():
     Q3 = catalog_quadrics("one-quadric:3")
     rng = np.random.default_rng(7)
     assert minimality_residual_in_Z(Q3, sample_chart_points(Q3, 100, rng, spec, order=2)).max() < 1e-4
-    assert unequal_torus_control(spec) > 0.1
+    # the torus of radii rho_1 < rho_2 on the unit 3-sphere has |H| =
+    # (rho_2^2 - rho_1^2) / (rho_1 rho_2) in the sphere: 0.4 / 0.99 = 40/99
+    assert abs(unequal_torus_control(spec) - 40 / 99) <= 1e-14 * (40 / 99)
+    # with no quadric (k = 0) Z is flat C^m, and the residual is |H|: 1/2
+    # on the circle of radius 2
+    from momentangle.exact_linalg import IntegerMatrix
+
+    flat = QuadricConfiguration(IntegerMatrix([], cols=1), [])
+    circle = ChartSample.at(CircleSpreadChart([2.0], [2j], [0.0], []), [[0.3], [1.0]], 2)
+    assert np.allclose(minimality_residual_in_Z(flat, circle), 0.5, rtol=1e-14, atol=0)
 
 
 def test_conjugation_symmetry_of_residuals():
