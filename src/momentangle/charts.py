@@ -3,9 +3,10 @@
 Every chart is a spread chart (v, phi) -> phases(phi) * u(v): a map u into
 the real locus, times the phases exp(2 pi i <row_j, phi>). Each chart
 supplies u's v-derivatives, and one product rule (``_phase_product``) gives
-its derivatives through third order, all in closed form. ``Chart.jet``
-gives them together, from one solve of u. ``global_chart`` covers the whole
-of N wherever its real locus is a product of ellipsoids.
+its derivatives through second order, all in closed form: no check reads a
+third. ``Chart.jet`` gives them together, from one solve of u.
+``global_chart`` covers the whole of N wherever its real locus is a product
+of ellipsoids.
 """
 
 from __future__ import annotations
@@ -48,48 +49,26 @@ def _split_params(S: np.ndarray, nv: int, dim: int) -> tuple[np.ndarray, np.ndar
     return S[:, :nv], S[:, nv:]
 
 
-@functools.cache
-def _blocks(n: int) -> tuple:
-    """The blocks of an n-th derivative, for each count k of v axes from n
-    down to 0: for each choice of k of the n axes, which axes are v, and the
-    transpose that moves a block with its k v axes first to that choice."""
-    out = []
-    for k in range(n, -1, -1):
-        choices = []
-        for vaxes in itertools.combinations(range(n), k):
-            axes = vaxes + tuple(i for i in range(n) if i not in vaxes)  # the place of each block axis
-            transpose = (0, 1) + tuple(2 + axes.index(i) for i in range(n))
-            choices.append((tuple(i in vaxes for i in range(n)), transpose))
-        out.append((k, choices))
-    return tuple(out)
-
-
 def _phase_product(phases: np.ndarray, us: tuple[np.ndarray, ...], rows: np.ndarray) -> np.ndarray:
-    """The derivative of order n = len(us) - 1 of z = phases(phi) * u(v): z, J, H or T.
+    """The derivative of order n = len(us) - 1 (at most 2) of z = phases(phi) * u(v): z, J or H.
 
     ``us`` holds u (N, m) and its v-derivatives (N, m, nv, ..., nv) up to
     order n. Since d phases / d phi_j = 2 pi i row_j phases, the block with
-    v axes A and phi axes P is phases * d_A u * prod_{j in P} 2 pi i row_j.
-    The block with its k v axes first is computed once, and fills each
-    choice of k of the n axes by a transpose.
+    v axes A and phi axes P is phases * d_A u * prod_{j in P} 2 pi i row_j;
+    the hessian's phi-v block is the transpose of its v-phi block.
     """
     n = len(us) - 1
+    z = phases * us[0]
     if n == 0:
-        return phases * us[0]
-    N, m = phases.shape
-    nv, nphi = us[1].shape[2], rows.shape[0]
+        return z
     E = 1j * TWO_PI * rows.T  # (m, nphi)
-    D = np.empty((N, m) + (nv + nphi,) * n, dtype=complex)
-    v, phi = slice(None, nv), slice(nv, None)
-    for k, choices in _blocks(n):  # k v axes, then n - k phi axes
-        block = phases.reshape((N, m) + (1,) * k) * us[k]
-        if k < n:  # times the product of E over the phi axes
-            Ek = E.reshape((m,) + (1,) * k + (nphi,) + (1,) * (n - k - 1))
-            Epow = Ek if k == n - 1 else Epow * Ek
-            block = block.reshape(block.shape + (1,) * (n - k)) * Epow
-        for is_v, transpose in choices:
-            D[(Ellipsis,) + tuple(v if b else phi for b in is_v)] = block.transpose(transpose)
-    return D
+    dv = phases[:, :, None] * us[1]
+    if n == 1:
+        return np.concatenate([dv, z[:, :, None] * E], axis=2)
+    dvE = dv[:, :, :, None] * E[:, None, :]
+    phiphi = z[:, :, None, None] * (E[:, None, :] * E[:, :, None])
+    return np.concatenate([np.concatenate([phases[:, :, None, None] * us[2], dvE], axis=3),
+                           np.concatenate([np.swapaxes(dvE, 2, 3), phiphi], axis=3)], axis=2)
 
 
 def _solve_small(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -125,7 +104,9 @@ class Chart:
 
     def jet(self, S: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
         """(z, J, ..., D^order) at the rows of S, from one ``_u`` call and one phase computation:
-        z (N, m), J (N, m, d), H (N, m, d, d), T (N, m, d, d, d)."""
+        z (N, m), J (N, m, d), H (N, m, d, d). ``order`` is at most 2."""
+        if order > 2:
+            raise ValueError(f"a chart jet goes through order 2, not {order}")
         V, Phi = _split_params(S, self.nv, self.dim)
         # einsum, not matmul: a point's sums do not depend on its batch
         phases = np.exp(1j * TWO_PI * np.einsum("nj,jk->nk", Phi, self.phase_rows))
@@ -216,16 +197,13 @@ class TorusSpreadChart(Chart):
         return (r1 + 2.0 * U[:, :, None] * gy) / s[:, :, None], gy
 
     def _u(self, V: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-        """u and its v-derivatives up to ``order`` (at most 3) at the rows of V.
+        """u and its v-derivatives up to ``order`` (at most 2) at the rows of V.
 
         Differentiating s u = p and Gamma (u u) = c along v_a gives
         s du_a - 2 w1_a u = T_a and 2 Gamma (u du_a) = 0, with
         w1 = Gamma^T dmu; once more along v_b, the same system in d2u_ab
-        (and w2 = Gamma^T d2mu) with the right-hand sides
-        2 (w1_b du_a + w1_a du_b) and -2 Gamma (du_a du_b); once more along
-        v_c, the same system in d3u_abc with 2 sym(w1 d2u + du w2) and
-        -2 Gamma sym(du d2u), each sym the sum over the three ways to pick
-        the single index. A tensor grid over (v, phi) repeats every v over
+        with the right-hand sides 2 (w1_b du_a + w1_a du_b) and
+        -2 Gamma (du_a du_b). A tensor grid over (v, phi) repeats every v over
         consecutive rows: each run of equal rows is solved once.
         """
         first = np.ones(V.shape[0], dtype=bool)
@@ -239,17 +217,8 @@ class TorusSpreadChart(Chart):
         if order >= 2:
             r1 = 2.0 * (w1[:, :, None, :] * du[:, :, :, None] + w1[:, :, :, None] * du[:, :, None, :])
             r2 = -2.0 * np.einsum("jk,nka,nkb->njab", self.G, du, du)
-            d2u, w2 = self._solve_linearized(U, s, r1.reshape(N, m, -1), r2.reshape(N, k, -1))
-            d2u, w2 = d2u.reshape(N, m, nv, nv), w2.reshape(N, m, nv, nv)
-            parts.append(d2u)
-        if order >= 3:
-            def sym(X):  # X_abc + X_bca + X_cab
-                return X + X.transpose(0, 1, 3, 4, 2) + X.transpose(0, 1, 4, 2, 3)
-
-            r1 = 2.0 * sym(w1[:, :, None, None, :] * d2u[..., None] + du[:, :, None, None, :] * w2[..., None])
-            r2 = -2.0 * np.einsum("jk,nkabc->njabc", self.G, sym(du[:, :, None, None, :] * d2u[..., None]))
-            d3u, _ = self._solve_linearized(U, s, r1.reshape(N, m, -1), r2.reshape(N, k, -1))
-            parts.append(d3u.reshape(N, m, nv, nv, nv))
+            d2u, _ = self._solve_linearized(U, s, r1.reshape(N, m, -1), r2.reshape(N, k, -1))
+            parts.append(d2u.reshape(N, m, nv, nv))
         if first.all():
             return tuple(parts)
         idx = np.cumsum(first) - 1
@@ -264,7 +233,7 @@ class CircleSpreadChart(Chart):
 
     A circle of the real locus (or any plane conic: A, B, C may be complex)
     spread by the phase subgroup of ``rows`` (none, one row, or several).
-    u's a-derivatives cycle: B cos a - A sin a, then C - u, then minus the first.
+    u's a-derivatives are B cos a - A sin a, then C - u.
     """
 
     def __init__(self, A, B, C, rows):
@@ -284,7 +253,7 @@ class CircleSpreadChart(Chart):
         parts = [rim + C]
         if order >= 1:
             tangent = cos * B - sin * A
-            parts += [tangent, -rim, -tangent][:order]
+            parts += [tangent, -rim][:order]
         N, m = V.shape[0], self.ambient_dim
         return tuple(x.view(complex).reshape((N, m) + (1,) * n) for n, x in enumerate(parts))
 
@@ -296,9 +265,9 @@ class PolytopeChart(Chart):
     {x >= 0 : Gamma x = c} by x = u^2, so on the open orthant it is the graph
     u = sqrt(x) over the polytope's interior. ``x0`` is an interior point
     (Gamma x0 = c, x0 > 0) and the columns of ``B`` an orthonormal basis of
-    ker Gamma, so u's v-derivatives are B / (2u), -B_a B_b / (4u^3) and
-    3 B_a B_b B_c / (8u^5). Parameters must keep x0 + B v in the open
-    orthant; every derivative raises otherwise.
+    ker Gamma, so u's v-derivatives are B / (2u) and -B_a B_b / (4u^3).
+    Parameters must keep x0 + B v in the open orthant; every derivative
+    raises otherwise.
     """
 
     def __init__(self, Q: QuadricConfiguration, x0, phase_rows: np.ndarray | None = None):
@@ -328,9 +297,6 @@ class PolytopeChart(Chart):
             parts.append((0.5 / u)[:, :, None] * B)
         if order >= 2:
             parts.append((-0.25 / u**3)[:, :, None, None] * (B[:, :, None] * B[:, None, :]))
-        if order >= 3:
-            BBB = B[:, :, None, None] * B[:, None, :, None] * B[:, None, None, :]
-            parts.append((0.375 / u**5)[:, :, None, None, None] * BBB)
         return tuple(parts)
 
 
@@ -358,7 +324,7 @@ class GlobalChart(Chart):
     each parameter axis: "polar" on (-pi/2, pi/2), "azimuth" on [0, 2 pi)
     and "phase" on [0, 1); ``lo`` and ``hi`` hold the box and ``periodic``
     the axes that are not polar. A derivative differentiates each factor as
-    often as its angle occurs: cos -> -sin -> -cos -> sin.
+    often as its angle occurs: cos -> -sin -> -cos.
     """
 
     def __init__(self, radii, factors, phase_rows, kinds: tuple[str, ...]):
@@ -384,11 +350,11 @@ class GlobalChart(Chart):
         (N, nv), m = V.shape, self.ambient_dim
         c, s = np.cos(V), np.sin(V)
         one, zero = np.ones_like(c), np.zeros_like(c)
-        # the derivatives 0..3 of each factor at each angle: (N, factor, nv, 4)
-        table = np.stack([np.stack([one, zero, zero, zero], -1),
-                          np.stack([c, -s, -c, s], -1),
-                          np.stack([s, c, -s, -c], -1)], axis=1)
-        F = table[:, self.factors, np.arange(nv), :]  # (N, m, nv, 4)
+        # the derivatives 0..2 of each factor at each angle: (N, factor, nv, 3)
+        table = np.stack([np.stack([one, zero, zero], -1),
+                          np.stack([c, -s, -c], -1),
+                          np.stack([s, c, -s], -1)], axis=1)
+        F = table[:, self.factors, np.arange(nv), :]  # (N, m, nv, 3)
         parts = []
         for n in range(order + 1):
             counts = _derivative_counts(nv, n)

@@ -191,14 +191,14 @@ def ntilde_chart(
     phi_delta: Sequence[float],
     spec: MetricSpec = DEFAULT_SPEC,
 ) -> ChartSample:
-    """One-point sample, through third order, of the lift of the reduced-space Lagrangian into the first system.
+    """One-point sample, through second order, of the lift of the reduced-space Lagrangian into the first system.
 
     The base moves on the intersection of the two real loci; only the
     second system's torus supplies phases.
     """
     chart = TorusSpreadChart(D.stacked, base, phase_rows=D.delta_cfg.gamma_float())
     params = np.concatenate([np.asarray(v, dtype=float), np.asarray(phi_delta, dtype=float)])
-    return ChartSample.at(chart, params, 3).on(D.stacked, spec)
+    return ChartSample.at(chart, params, 2).on(D.stacked, spec)
 
 
 def _horizontal_residual(D: DoubleConfiguration, z: np.ndarray, columns: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Numerical differential geometry on quadric intersections and their
 torus-spread Lagrangians: frames, symplectic pairings, mean curvature,
-variational derivatives, codifferential residuals, conserved-quantity drift.
+variational derivatives, the Lagrangian angle, conserved-quantity drift.
 
 The symplectic form is the paper's constant one,
 omega(u, v) = OMEGA_SCALE * sum_k (x_k(u) y_k(v) - y_k(u) x_k(v)) with
@@ -175,9 +175,9 @@ def chart_N(
     phi: Sequence[float],
     spec: MetricSpec = DEFAULT_SPEC,
 ) -> ChartSample:
-    """The one-point sample, through third order, of the torus-spread Lagrangian over base u0 at (v, phi)."""
+    """The one-point sample, through second order, of the torus-spread Lagrangian over base u0 at (v, phi)."""
     params = np.concatenate([np.asarray(v, dtype=float), np.asarray(phi, dtype=float)])
-    return ChartSample.at(TorusSpreadChart(Q, u0), params, 3).on(Q, spec)
+    return ChartSample.at(TorusSpreadChart(Q, u0), params, 2).on(Q, spec)
 
 
 def tangent_frames(Q: QuadricConfiguration | None, sample: ChartSample) -> np.ndarray:
@@ -418,43 +418,32 @@ def stationarity_ratio(patch: ChartPatch, Xf: VectorField) -> float:
 
 
 def hminimality_residual(Q: QuadricConfiguration | None, sample: ChartSample) -> np.ndarray:
-    """|delta(i_H omega)| at each sample, computed in chart coordinates.
+    """|alpha - alpha_theta|_g at each sample: the 1-form i_H omega against the angle form.
 
-    The 1-form alpha_a = omega(H, J_a) (H the normal part of g^bc Hess_bc)
-    is sharped with the induced metric, W = g^-1 alpha, and its
-    codifferential is the negative divergence
-    -(d_c W^c + 1/2 tr(g^-1 d_c g) W^c). Every d_c is the product rule on
-    the sample's jacobian J, hessian and third derivative, so a chart with
-    closed-form derivatives takes no stencil.
+    In a spread chart z = phases(phi) * u(v), u real and R the phase rows,
+    det_C(dz) = prod phases * (2 pi i)^k * det_R[d_v u | diag(u) R^T], so the
+    Lagrangian angle theta = arg det_C(dz) has the constant differential
+    d theta = 2 pi sum_k R_jk d phi_j. The metric has no v-phi block and
+    does not depend on phi, so theta is harmonic, and H = J grad theta
+    (Oh, Math. Z. 212, 1993): alpha_a = omega(H, J_a) equals
+    alpha_theta = -OMEGA_SCALE d theta, which is 2 sum_k R_jk on phase axis
+    j and 0 on the v axes. Then delta(i_H omega) = 0, with no third
+    derivative. The residual reads alpha from the sample's cached
+    curvature, real jacobian and g^-1, and its g-norm
+    sqrt((alpha - alpha_theta)^T g^-1 (alpha - alpha_theta)); a chart whose
+    u is not real, or whose curvature is off, reads it nonzero. Where the
+    chart's dimension is not the ambient one, N has no Lagrangian angle.
     """
-    Hess, T = (np.concatenate([X.real, X.imag], axis=1) for X in sample.jet[2:])
-    J, gi = sample.real_jacobian, sample.metric_inverse
-    n, m2, d = J.shape
-    Jt = np.swapaxes(J, 1, 2)
-    # Hess_i,(ab), T_i,(ab),c and g^(ab) as matrices; vectors are columns (N, ., 1)
-    Hr, Tr, gv = Hess.reshape(n, m2, d * d), T.reshape(n, m2, d * d, d), gi.reshape(n, d * d, 1)
-    dg = np.swapaxes((np.swapaxes(Hr, 1, 2) @ J).reshape(n, d, d, d), 1, 2)  # sum_i Hess_iac J_ib at [c, a, b]
-    dg = dg + np.swapaxes(dg, 2, 3)  # d_c g_ab
-    dgi = -gi[:, None] @ dg @ gi[:, None]  # d_c g^ab
-    # H = tr - J y, tr = g^ab Hess_ab, y = g^-1 J^T tr
-    tr = Hr @ gv
-    dtr = Hr @ np.swapaxes(dgi.reshape(n, d, d * d), 1, 2) + (np.swapaxes(gv, 1, 2)[:, None] @ Tr)[:, :, 0]
-    Jtr = Jt @ tr
-    dJtr = (np.swapaxes(tr, 1, 2) @ Hr).reshape(n, d, d) + Jt @ dtr
-    y = gi @ Jtr
-    dy = np.swapaxes((dgi.reshape(n, d * d, d) @ Jtr).reshape(n, d, d), 1, 2) + gi @ dJtr
-    H = tr - J @ y
-    dH = dtr - (Hess.reshape(n, m2 * d, d) @ y).reshape(n, m2, d) - J @ dy  # Hess_iac y^a: Hess is symmetric in (a, c)
-    # Om v = OMEGA_SCALE (v_y, -v_x) for Om = omega_matrix(m), and H^T Om = -(Om H)^T
-    m = m2 // 2
-    OmJt = OMEGA_SCALE * np.swapaxes(np.concatenate([J[:, m:], -J[:, :m]], axis=1), 1, 2)
-    OmH = OMEGA_SCALE * np.concatenate([H[:, m:], -H[:, :m]], axis=1)
-    alpha = OmJt @ H
-    dalpha = OmJt @ dH - (np.swapaxes(OmH, 1, 2) @ Hr).reshape(n, d, d)
-    W = gi @ alpha
-    div = np.trace(dgi, axis1=1, axis2=2)[:, None] @ alpha + np.trace(gi @ dalpha, axis1=1, axis2=2)[:, None, None]
-    log_sqrtg = 0.5 * dg.reshape(n, d, d * d) @ gv  # d_c log sqrt(det g)
-    return np.abs(div + np.swapaxes(log_sqrtg, 1, 2) @ W)[:, 0, 0]
+    chart = sample.chart
+    if chart.dim != chart.ambient_dim:
+        raise ValueError(f"no Lagrangian angle: a chart of dimension {chart.dim} in C^{chart.ambient_dim}")
+    H, J, gi = sample.curvature[..., None], sample.real_jacobian, sample.metric_inverse
+    m = chart.ambient_dim
+    # alpha_a = omega(H, J_a) = OMEGA_SCALE <J_a, i H>, with i H = (-H_y, H_x)
+    iH = OMEGA_SCALE * np.concatenate([-H[:, m:], H[:, :m]], axis=1)
+    angle = np.concatenate([np.zeros(chart.nv), 2.0 * chart.phase_rows.sum(axis=1)])
+    delta = np.swapaxes(J, 1, 2) @ iH - angle[:, None]
+    return np.sqrt((np.swapaxes(delta, 1, 2) @ (gi @ delta))[:, 0, 0])
 
 
 # ---------------------------------------------------------------------------

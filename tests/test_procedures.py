@@ -181,6 +181,32 @@ def test_triangle_stationarity_aliases_one_phase_node_short(monkeypatch):
         assert worst > 10 * TOL_STATIONARITY, (seed, worst)
 
 
+def test_hminimality_catches_a_second_derivative_off_by_one_part_in_a_thousand(monkeypatch):
+    # the polytope chart's second v-derivative of u, times 1 + eps: the
+    # curvature moves and the angle form does not, so the triangle's
+    # residual reads 2 eps / pi (measured 6.4e-4 at eps = 1e-3, against the
+    # tolerance 1e-4) and at eps = 0 its floor (measured 4.3e-16)
+    import io
+
+    from momentangle.charts import PolytopeChart
+    from momentangle.cli import _catalog_config, run_command
+    from momentangle.report import TOL_HMINIMAL
+    from momentangle.submanifold_numerics import MetricSpec
+
+    solve = PolytopeChart._u
+
+    def residual(eps):
+        monkeypatch.setattr(PolytopeChart, "_u", lambda self, V, order: tuple(
+            (1.0 + eps) * part if n == 2 else part for n, part in enumerate(solve(self, V, order))))
+        rep = run_command("verify-hminimal", _catalog_config("triangle"), 0, 100, MetricSpec(), out=io.StringIO())
+        record = next(r for r in rep.records if r.name == "hminimality-residual")
+        assert record.samples == 100
+        return record.residual
+
+    assert residual(1e-3) > TOL_HMINIMAL
+    assert residual(0.0) < 1e-15
+
+
 def test_report_all_evaluates_each_point_set_once(monkeypatch):
     # a sample or patch is evaluated once, as a jet through the order its
     # checks read: one u(v) solve per point set, at the default 100 samples.
@@ -226,7 +252,7 @@ def test_report_all_evaluates_each_point_set_once(monkeypatch):
     # volume derivative of all 5 fields
     report_all("one-quadric:2")
     assert [s for s in solves if s[0] == "GlobalChart"] == [("GlobalChart", 24, 2), ("GlobalChart", 36, 1)]
-    assert inverted == [100, 20, 24, 36]
+    assert inverted == [100, 24, 36]
     # the batched QRs factor the command sample's frame (its d = 2
     # jacobian columns), and the k = 1 normal of Z at the negative
     # control's 5 points and at the sample's points for minimality; the
@@ -234,17 +260,17 @@ def test_report_all_evaluates_each_point_set_once(monkeypatch):
     # other sample or patch is factored
     assert factored == [(100, 2), (5, 1), (100, 1)]
     # triangle: the command's one 100-point sample through order 2, which
-    # the co-area identity reads too, its first 20 points through order 3
-    # for the codifferential, and the whole-N stationarity patch
-    # (12 x 12 x 3 nodes), at order 1: no check reads its hessian. The
-    # curvature inverts the sample's metric, the codifferential its 20
-    # points', and the stationarity patch's is inverted once for 3 fields
+    # the co-area identity and the H-minimality residual read too, and the
+    # whole-N stationarity patch (12 x 12 x 3 nodes), at order 1: no check
+    # reads its hessian. The sample's metric is inverted once, for the
+    # curvature and the angle form, and the stationarity patch's once for
+    # 3 fields
     report_all("triangle")
-    assert [s[1:] for s in solves if s[0] == "PolytopeChart"] == [(100, 2), (20, 3)]
+    assert [s[1:] for s in solves if s[0] == "PolytopeChart"] == [(100, 2)]
     assert [s for s in solves if s[0] != "PolytopeChart"] == [("GlobalChart", 432, 1)]
-    assert nearest == [] and inverted == [100, 20, 432]
-    # the same three QRs, on N of dimension 3: neither the order-3 sample
-    # nor the stationarity patch is factored
+    assert nearest == [] and inverted == [100, 432]
+    # the same three QRs, on N of dimension 3: the stationarity patch is
+    # not factored
     assert factored == [(100, 3), (5, 1), (100, 1)]
 
 

@@ -178,7 +178,7 @@ def test_ntilde_residual_invariant_under_first_torus():
             p.chart.dim,
             p.chart.ambient_dim,
         )
-        pm = ChartSample.at(moved, p.params, 3).on(D.stacked, spec)
+        pm = ChartSample.at(moved, p.params, 1).on(D.stacked, spec)
         rm = ntilde_lagrangian_residual(D, pm)[0]
         assert abs(rm - r0) < 1e-10
 

@@ -93,26 +93,21 @@ def _box_params(chart, rng, half, n=20):
 
 
 def test_spread_chart_derivatives_match_stencils():
-    # the implicit-function jacobian, hessian and third derivative against
-    # 4th-order stencils at step 1e-3 (of the chart's value, and of its
-    # hessian for the third), relative to their largest entry: measured at
-    # most 8.3e-10 (jacobian), 2.8e-10 (hessian) and 8.3e-10 (third), the
-    # stencil's own error. The jacobian's and the third's errors fall 16-fold
-    # per halving of the step (h^4), from 1.3e-8 at 2e-3 to 5.2e-11 at 5e-4;
-    # below 1e-3 the hessian's stencil reads the 1e-14 Newton residual
-    # through its 1 / h^2
+    # the implicit-function jacobian and hessian against 4th-order stencils
+    # at step 1e-3 of the chart's value, relative to their largest entry:
+    # measured at most 8.3e-10 (jacobian) and 2.8e-10 (hessian), the
+    # stencil's own error. The jacobian's error falls 16-fold per halving
+    # of the step (h^4), from 1.3e-8 at 2e-3 to 5.2e-11 at 5e-4; below 1e-3
+    # the hessian's stencil reads the 1e-14 Newton residual through its 1 / h^2
     rng = np.random.default_rng(31)
     for name, chart, half in _spread_charts():
         S = _box_params(chart, rng, half)
-        _, J, H, T = chart.jet(S, 3)
+        _, J, H = chart.jet(S, 2)
         assert J.shape == (20, chart.ambient_dim, chart.dim)
-        assert T.shape == (20, chart.ambient_dim, chart.dim, chart.dim, chart.dim)
+        assert H.shape == (20, chart.ambient_dim, chart.dim, chart.dim)
         assert np.abs(J - fd.jacobian(chart.value, S, 1e-3)).max() < 2e-9 * np.abs(J).max(), name
         assert np.abs(H - fd.hessian(chart.value, S, 1e-3)).max() < 1e-9 * np.abs(H).max(), name
-        assert np.abs(T - fd.jacobian(chart.hessian, S, 1e-3)).max() < 2e-9 * np.abs(T).max(), name
         assert np.abs(H - np.swapaxes(H, 2, 3)).max() <= 1e-15 * np.abs(H).max(), name
-        for axes in ((2, 3), (3, 4)):  # measured at most 7e-19
-            assert np.abs(T - np.swapaxes(T, *axes)).max() <= 1e-15 * np.abs(T).max(), name
         assert membership_residuals(chart.project_cfg, chart.value(S)).max() < 1e-13, name
 
 
@@ -212,23 +207,17 @@ def _chart_configurations():
 
 def test_polytope_chart_derivatives_match_stencils():
     # the closed-form jacobian and hessian against 4th-order stencils of the
-    # chart's own value, and the third derivative against a 4th-order
-    # stencil of the exact hessian (measured at most 8.3e-10), at sampled
-    # points
+    # chart's own value, at sampled points
     rng = np.random.default_rng(21)
     for Q, rows in _chart_configurations():
-        pts = sample_chart_points(Q, 10, rng, spec, phase_rows=rows, order=3)
+        pts = sample_chart_points(Q, 10, rng, spec, phase_rows=rows, order=2)
         chart, S = pts.chart, pts.params
         assert isinstance(chart, PolytopeChart)
-        _, J, H, T = pts.jet
+        _, J, H = pts.jet
         assert J.shape == (10, Q.ambient_dim, chart.dim)
         assert H.shape == (10, Q.ambient_dim, chart.dim, chart.dim)
-        assert T.shape == (10, Q.ambient_dim, chart.dim, chart.dim, chart.dim)
         assert np.abs(J - fd.jacobian(chart.value, S, 1e-3)).max() < 1e-8 * np.abs(J).max()
         assert np.abs(H - fd.hessian(chart.value, S, 1e-3)).max() < 1e-7 * np.abs(H).max()
-        assert np.abs(T - fd.jacobian(chart.hessian, S, 1e-3)).max() < 1e-7 * np.abs(T).max()
-        for axes in ((2, 3), (3, 4)):  # symmetric up to the order of its sums
-            assert np.abs(T - np.swapaxes(T, *axes)).max() <= 1e-14 * np.abs(T).max()
 
 
 def _global_box_params(chart, rng, n):
@@ -238,10 +227,9 @@ def _global_box_params(chart, rng, n):
 
 def test_torus_chart_derivatives_match_stencils():
     # the closed-form cos/sin-times-phase derivatives of the C^2 torus's
-    # global chart against 4th-order stencils of the chart's value (and of
-    # its hessian for the third), relative to their largest entry: measured
-    # 5.2e-11 (jacobian), 3.7e-11 (hessian) and 5.2e-11 (third) on
-    # one-quadric:2, 8.3e-10, 2.8e-10 and 8.3e-10 on gamma (2, 2) with
+    # global chart against 4th-order stencils of the chart's value, relative
+    # to their largest entry: measured 5.2e-11 (jacobian) and 3.7e-11
+    # (hessian) on one-quadric:2, 8.3e-10 and 2.8e-10 on gamma (2, 2) with
     # c = 3, whose phase turns twice as fast
     from momentangle.exact_linalg import IntegerMatrix
 
@@ -250,12 +238,9 @@ def test_torus_chart_derivatives_match_stencils():
         chart = global_chart(Q)
         periods = chart.hi - chart.lo
         S = _global_box_params(chart, rng, 40)
-        _, J, H, T = chart.jet(S, 3)
+        _, J, H = chart.jet(S, 2)
         assert np.abs(J - fd.jacobian(chart.value, S, 1e-3)).max() < 2e-9 * np.abs(J).max()
         assert np.abs(H - fd.hessian(chart.value, S, 1e-3)).max() < 1e-9 * np.abs(H).max()
-        assert np.abs(T - fd.jacobian(chart.hessian, S, 1e-3)).max() < 2e-9 * np.abs(T).max()
-        for axes in ((2, 3), (3, 4)):  # measured exactly symmetric
-            assert np.abs(T - np.swapaxes(T, *axes)).max() <= 1e-15 * np.abs(T).max()
         assert membership_residuals(Q, chart.value(S)).max() < 1e-14
         shifted = chart.value(S + periods * rng.integers(-2, 3, (40, 2)))
         assert np.abs(shifted - chart.value(S)).max() < 1e-13
@@ -273,23 +258,21 @@ def _charted_systems():
 
 def test_global_chart_jet_matches_stencils():
     # every catalog system and stacked system has a global chart. Its jet
-    # through third order against 4th-order stencils at step 1e-3 of its
-    # value (and of its hessian for the third), relative to the largest
-    # entry: measured at most 8.3e-10 (jacobian), 4.4e-10 (hessian) and
-    # 8.3e-10 (third), on the systems whose phases turn twice as fast, and
-    # 5.2e-11, 1.1e-10 and 5.2e-11 on the others. Its points lie on the
-    # quadrics to rounding: measured 8.9e-16
+    # through second order against 4th-order stencils at step 1e-3 of its
+    # value, relative to the largest entry: measured at most 8.3e-10
+    # (jacobian) and 4.4e-10 (hessian) on the systems whose phases turn
+    # twice as fast, and 5.2e-11 and 1.1e-10 on the others. Its points lie
+    # on the quadrics to rounding: measured 8.9e-16
     rng = np.random.default_rng(26)
     systems = _charted_systems()
     assert len(systems) == 18
     for name, Q in systems:
         chart = global_chart(Q)
         S = _global_box_params(chart, rng, 20)
-        z, J, H, T = chart.jet(S, 3)
-        assert T.shape == (20, Q.ambient_dim) + (chart.dim,) * 3, name
+        z, J, H = chart.jet(S, 2)
+        assert H.shape == (20, Q.ambient_dim) + (chart.dim,) * 2, name
         assert np.abs(J - fd.jacobian(chart.value, S, 1e-3)).max() < 2e-9 * np.abs(J).max(), name
         assert np.abs(H - fd.hessian(chart.value, S, 1e-3)).max() < 1e-9 * np.abs(H).max(), name
-        assert np.abs(T - fd.jacobian(chart.hessian, S, 1e-3)).max() < 2e-9 * np.abs(T).max(), name
         assert membership_residuals(Q, z).max() < 4e-15, name
 
 
@@ -309,9 +292,10 @@ def test_global_chart_exists_iff_the_real_locus_is_a_product_of_ellipsoids():
 
 
 def test_a_jet_holds_each_lower_order_bit_for_bit():
-    # one jet through third order gives exactly the z, J and H of the lower
+    # one jet through second order gives exactly the z and J of the lower
     # orders, on the polytope charts, the nearest-point chart of the rp2 lift
-    # and the global charts of the C^2 torus and the triangle
+    # and the global charts of the C^2 torus and the triangle. No check
+    # reads a third order, and no chart gives one
     rng = np.random.default_rng(25)
     D = catalog_double("rp2")
     charts = [sample_chart_points(catalog_quadrics(name), 1, rng, spec, order=0).chart
@@ -320,10 +304,12 @@ def test_a_jet_holds_each_lower_order_bit_for_bit():
                global_chart(catalog_quadrics("one-quadric:2")), global_chart(catalog_quadrics("one-quadric:3"))]
     for chart in charts:
         S = _box_params(chart, rng, 0.2)
-        third = chart.jet(S, 3)
-        for n in range(3):
-            assert all(np.array_equal(a, b) for a, b in zip(third[: n + 1], chart.jet(S, n), strict=True)), (chart, n)
-        assert np.array_equal(third[1], chart.jacobian(S)) and np.array_equal(third[2], chart.hessian(S))
+        second = chart.jet(S, 2)
+        for n in range(2):
+            assert all(np.array_equal(a, b) for a, b in zip(second[: n + 1], chart.jet(S, n), strict=True)), (chart, n)
+        assert np.array_equal(second[1], chart.jacobian(S)) and np.array_equal(second[2], chart.hessian(S))
+        with pytest.raises(ValueError, match="order 2"):
+            chart.jet(S, 3)
 
 
 def test_base_point_lp_runs_once_per_configuration(monkeypatch):
@@ -391,25 +377,6 @@ def _pointwise_minimality(Q, p):
     return float(np.linalg.norm(h - Qm @ (Qm.T @ h)))
 
 
-# the outer step of the stencil codifferential, kept as an oracle
-STEP_DIVERGENCE = 3e-3
-
-
-def _pointwise_hminimality(p):
-    """|delta(i_H omega)| by a stencil of sqrt(g) W over the chart parameters."""
-    Om = omega_matrix(p.chart.ambient_dim)
-
-    def sqrtg_W(Sb):
-        Hr, Jr, g = _curvature(p.chart, Sb)
-        alpha = np.einsum("ni,ij,nja->na", Hr, Om, Jr)
-        W = np.linalg.solve(g, alpha[..., None])[..., 0]
-        return np.sqrt(np.linalg.det(g))[:, None] * W
-
-    Jout = fd.jacobian(sqrtg_W, p.params, STEP_DIVERGENCE)[0]
-    _, _, g0 = _curvature(p.chart, p.params)
-    return abs(float(np.trace(Jout)) / float(np.sqrt(np.linalg.det(g0[0]))))
-
-
 def _pointwise_ntilde(D, p):
     from momentangle.torus_actions import orbit_generators
 
@@ -465,30 +432,25 @@ def test_batched_residuals_match_per_point_formulas():
 
     skew = FunctionChart(skewed, 3, 3)
     for chart, Q_frame, params in ((spread, Q3, S), (skew, None, S + [0.7, 0.9, 0.0])):
-        sample = ChartSample.at(chart, params, 3)
+        sample = ChartSample.at(chart, params, 2)
         pts = _points(sample)
         _assert_matches(lagrangian_residual(Q_frame, sample),
                         np.array([_pointwise_lagrangian(Q_frame, p) for p in pts]))
         _assert_matches(minimality_residual_in_Z(Q3, sample),
                         np.array([_pointwise_minimality(Q3, p) for p in pts]))
-        hmin = hminimality_residual(Q3, sample)
-        _assert_matches(hmin, np.concatenate([hminimality_residual(Q3, p) for p in pts]))
         _assert_rows_of_seven(lambda smp: lagrangian_residual(Q_frame, smp), sample)
         _assert_rows_of_seven(lambda smp: minimality_residual_in_Z(Q3, smp), sample)
-        _assert_rows_of_seven(lambda smp: hminimality_residual(Q3, smp), sample)
         if chart is skew:
             assert lagrangian_residual(None, sample).min() > 1e-2
-            # the product rule against the stencil oracle, where the
-            # residuals are O(1) (0.05 to 4.3): measured 3.2e-6 relative, the
-            # stencil's own error
-            oracle = np.array([_pointwise_hminimality(p) for p in pts])
-            assert oracle.min() > 1e-2
-            assert np.all(np.abs(hmin - oracle) <= 1e-5 * oracle)
+        else:  # the skew surface is no spread chart: it has no phase rows, so no angle form
+            _assert_matches(hminimality_residual(Q3, sample),
+                            np.concatenate([hminimality_residual(Q3, p) for p in pts]))
+            _assert_rows_of_seven(lambda smp: hminimality_residual(Q3, smp), sample)
 
     D = catalog_double("cp2-torus")
     lift = TorusSpreadChart(D.stacked, real_base_point(D.stacked),
                             phase_rows=D.delta_cfg.gamma_float())
-    sample = ChartSample.at(lift, _spread_params(lift, rng), 3)
+    sample = ChartSample.at(lift, _spread_params(lift, rng), 1)
     _assert_matches(ntilde_lagrangian_residual(D, sample),
                     np.array([_pointwise_ntilde(D, p) for p in _points(sample)]))
     _assert_rows_of_seven(lambda smp: ntilde_lagrangian_residual(D, smp), sample)
@@ -497,7 +459,7 @@ def test_batched_residuals_match_per_point_formulas():
     # by einsum, so a point's residuals do not depend on its batch either
     for name in ("one-quadric:3", "two-quadrics:2,2"):
         Q = catalog_quadrics(name)
-        sample = sample_chart_points(Q, 70, rng, spec, order=3)
+        sample = sample_chart_points(Q, 70, rng, spec, order=2)
         for i in range(0, 70, 7):
             group = sample[i : i + 7]
             _assert_rows_of_seven(lambda smp: lagrangian_residual(Q, smp), group)
@@ -895,22 +857,46 @@ def test_equivariant_curvature_direction_consistency():
 
 
 def test_hminimality_examples():
+    # the Clifford torus and the circle on their nearest-point charts:
+    # i_H omega is the angle form (measured 0 and 7.1e-17)
     Q2 = QuadricConfiguration.from_rows([(1, 1)], [1])
     r = 1 / np.sqrt(2)
     p = chart_N(Q2, [r, r], [0.0], [0.0])
     assert hminimality_residual(Q2, p)[0] < 1e-4
-
-    # circle: curvature constant, codifferential vanishes
     Q1 = QuadricConfiguration.from_rows([(1,)], [1])
     pc = chart_N(Q1, [1.0], [], [0.2])
     assert hminimality_residual(Q1, pc)[0] < 1e-6
 
-    # the ellipse on its closed-form chart against the closed form of
-    # |dkappa/ds|: measured 1.9e-16 relative (one unit in the last place),
-    # and bounded at about 20 times that
+    # the ellipse on its closed-form chart, with no phase row and so a zero
+    # angle form, against its closed form |OMEGA_SCALE| kappa: measured
+    # equal, and bounded at about 20 units in the last place
     numeric, oracle = ellipse_control()
     assert numeric > 1e-2
     assert abs(numeric - oracle) / oracle < 4e-15
+
+    # the reduced lift of a double has dimension 2 in C^3: no Lagrangian angle
+    D = catalog_double("cp2-torus")
+    lift = TorusSpreadChart(D.stacked, [1.0, 0.0, 1.0], phase_rows=D.delta_cfg.gamma_float())
+    with pytest.raises(ValueError, match="no Lagrangian angle"):
+        hminimality_residual(D.stacked, ChartSample.at(lift, [0.1, 0.3], 2))
+
+
+def test_spread_metric_has_no_v_phi_block():
+    # the premise of the angle argument behind hminimality_residual: on a
+    # spread chart with u real, d_v z = phases d_v u and d_phi z = 2 pi i R u
+    # phases are orthogonal, so g_v,phi vanishes to rounding. On the command
+    # sample of every catalog configuration that is not a double, at seeds
+    # 0-4: measured at most 1.6e-17 of max |g| (5.5e-16 absolute on triangle)
+    from momentangle.reduction_catalog import POLYTOPE_NAMES, QUADRIC_NAMES
+
+    systems = [gale_dual(catalog_polytope(name)) for name in POLYTOPE_NAMES]
+    systems += [catalog_quadrics(name) for name in QUADRIC_NAMES]
+    assert len(systems) == 15
+    for Q in systems:
+        for seed in range(5):
+            sample = sample_chart_points(Q, 100, np.random.default_rng(seed), spec, order=1)
+            g, nv = sample.metric, sample.chart.nv
+            assert np.abs(g[:, :nv, nv:]).max(initial=0.0) <= 1e-15 * np.abs(g).max(), (Q, seed)
 
 
 # one quadric in C^2 and C^3, gamma (2, 2) with c = 2, and two quadrics in
