@@ -17,12 +17,10 @@ import math
 
 import numpy as np
 
-from .exact_linalg import solve_square
-from .quadric_config import NOT_COMPUTED, QuadricConfiguration
+from .exact_linalg import IntegerMatrix, inverse, solve_square
+from .quadric_config import NOT_COMPUTED, QuadricConfiguration, float_array
 
 TWO_PI = 2.0 * np.pi
-NEWTON_STEPS = 60  # at most, for the nearest point of a spread chart
-NEWTON_TOL = 1e-10  # the largest residual a converged nearest point may keep
 
 
 class NonConvergenceError(RuntimeError):
@@ -71,18 +69,6 @@ def _phase_product(phases: np.ndarray, us: tuple[np.ndarray, ...], rows: np.ndar
                            np.concatenate([np.swapaxes(dvE, 2, 3), phiphi], axis=3)], axis=2)
 
 
-def _solve_small(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """K^-1 rhs for a batch (N, k, k) of Gram matrices; one quadric is a division."""
-    if K.shape[-1] == 1:
-        if not np.all(K):
-            raise NonConvergenceError("singular constraint jacobian: zero Gram entry")
-        return rhs / K
-    try:
-        return np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"singular constraint jacobian: {exc}") from exc
-
-
 class Chart:
     """A spread chart (v, phi) -> phases(phi) * u(v) into C^m.
 
@@ -124,18 +110,18 @@ class Chart:
 
 
 class TorusSpreadChart(Chart):
-    """Chart (v, phi) -> phases(phi) * u(v) for a torus-spread real locus.
+    """Chart (v, phi) -> phases(phi) * u(v) of a torus-spread real locus, at any regular base.
 
-    ``u(v)`` is the point of the real locus of ``project_cfg`` nearest to
-    p = u0 + T v, with T an orthonormal basis of the locus' tangent space at
-    u0. It solves u - p = 2 u (Gamma^T mu) and Gamma (u u) = c, so
-    u = p / s with s = 1 - 2 Gamma^T mu, and Newton runs on the k
-    multipliers mu alone. The derivatives of u are exact: the implicit
-    function theorem on the same system (``_solve_linearized``). The phases
-    run through exp(2 pi i <row_j, phi>) over ``phase_rows`` (which may be a
-    subset of the projection rows, as for the lifted submanifolds of a
-    double configuration). Unlike ``PolytopeChart`` it accepts any base on
-    the real locus, including points on the boundary of the orthant.
+    The real locus is the branched cover x = u^2 of the polytope
+    {x >= 0 : Gamma x = c}, so near u0 it is the graph over the non-basic
+    coordinates F: u_F = u0_F + v and u_S = sign(u0_S) sqrt(x0_S - M u_F^2),
+    with M = Gamma_S^-1 Gamma_F and x0_S = Gamma_S^-1 c exact. The k basic
+    columns S maximize |det(Gamma_S diag u0_S)|. Then du_S = -M diag(u_F) / u_S
+    and d2u_S[a, b] = -(M_a delta_ab + du_S[a] du_S[b]) / u_S. Parameters must
+    keep x_S > 0; every derivative raises otherwise. The phases run over
+    ``phase_rows`` (default Gamma's rows; a subset of the stacked rows for the
+    lift of a double configuration). Unlike ``PolytopeChart`` it takes bases
+    on the boundary of the orthant.
     """
 
     def __init__(self, project_cfg: QuadricConfiguration, u0, phase_rows: np.ndarray | None = None):
@@ -143,86 +129,47 @@ class TorusSpreadChart(Chart):
         u0 = np.asarray(u0, dtype=float)
         if G.size and np.max(np.abs(G @ (u0 * u0) - c)) > 1e-8:
             raise ValueError("base point is not on the real quadric set")
-        k = project_cfg.num_quadrics
-        J = 2.0 * G * u0  # the constraint jacobian (k, m) at u0
-        sv = np.linalg.svd(J, compute_uv=False)
+        k, m = G.shape
+        subsets = np.array(list(itertools.combinations(range(m), k)), dtype=int).reshape(math.comb(m, k), k)
+        blocks = np.moveaxis((2.0 * G * u0)[:, subsets], 1, 0)  # the constraint jacobian's k x k blocks
+        best = int(np.argmax(np.abs(np.linalg.det(blocks))))
+        sv = np.linalg.svd(blocks[best], compute_uv=False)
         if sv.size and sv.min() < 1e-10 * max(1.0, sv.max()):
             raise NonConvergenceError("degenerate constraint Jacobian at the base point")
-        self.project_cfg, self.G, self.c, self.u0 = project_cfg, G, c, u0
-        # the last m - k columns of a complete QR of J^T span the tangent space
-        self.tangent = np.linalg.qr(J.T, mode="complete")[0][:, k:].T  # (nv, m)
+        S, F, rows = subsets[best], np.setdiff1d(np.arange(m), subsets[best]), project_cfg.gamma.entries
+        # Gamma_S^-1 [Gamma | c] in exact arithmetic: the identity on S, M on F and x0_S last
+        inv = np.array(inverse(IntegerMatrix([[row[j] for j in S] for row in rows], cols=k)), dtype=object)
+        aug = np.array([row + (level,) for row, level in zip(rows, project_cfg.c)], dtype=object)
+        exact = (inv.reshape(k, k) @ aug.reshape(k, m + 1)).astype(float)
+        self.project_cfg, self.u0, self.basic, self.free = project_cfg, u0, S, F
+        self.M, self.x0 = exact[:, F], exact[:, m]
         self.phase_rows = G if phase_rows is None else np.asarray(phase_rows, dtype=float)
-        self.nv = self.tangent.shape[0]
-        self.nphi = self.phase_rows.shape[0]
+        self.nv, self.nphi, self.ambient_dim = m - k, self.phase_rows.shape[0], m
         self.dim = self.nv + self.nphi
-        self.ambient_dim = project_cfg.ambient_dim
-
-    def _nearest(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(u, s): the nearest points u = P / s of the real locus to the rows of P.
-
-        Newton on mu from mu = 0, until each point's own residual is at most
-        1e-14 * scale. A converged point takes no further step, so its
-        result does not depend on its batch (einsum, not matmul: its sums
-        do not depend on the batch either).
-        """
-        G, c = self.G, self.c
-        scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
-        mu = np.zeros((P.shape[0], G.shape[0]))
-        for step in range(NEWTON_STEPS + 1):
-            s = 1.0 - 2.0 * np.einsum("jk,nj->nk", G, mu)
-            U = P / s
-            F = np.einsum("jk,nk->nj", G, U * U) - c
-            moving = ~np.all(np.abs(F) <= 1e-14 * scale, axis=1)  # a NaN keeps moving
-            if not moving.any() or step == NEWTON_STEPS:
-                break
-            mu[moving] -= _solve_small(self._gram(U[moving], s[moving]), F[moving][:, :, None])[:, :, 0]
-        if not np.all(np.abs(F) <= NEWTON_TOL):
-            raise NonConvergenceError(f"Newton projection stalled at residual {np.abs(F).max():.3e}")
-        return U, s
-
-    def _gram(self, U: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """K = 4 Gamma diag(u^2 / s) Gamma^T (N, k, k): d(Gamma (u u)) / d mu."""
-        return 4.0 * np.einsum("jk,lk,nk->njl", self.G, self.G, U * U / s)
-
-    def _solve_linearized(self, U, s, r1, r2) -> tuple[np.ndarray, np.ndarray]:
-        """(x, Gamma^T y) solving s x - 2 (Gamma^T y) u = r1, 2 Gamma (u x) = r2.
-
-        The right-hand sides run along the last axis of r1 (N, m, A) and
-        r2 (N, k, A). Eliminating x = (r1 + 2 u Gamma^T y) / s leaves
-        K y = r2 - 2 Gamma (u r1 / s), with K the Newton matrix.
-        """
-        G = self.G
-        rhs = r2 - 2.0 * np.einsum("jk,nka->nja", G, (U / s)[:, :, None] * r1)
-        gy = np.einsum("jk,nja->nka", G, _solve_small(self._gram(U, s), rhs))
-        return (r1 + 2.0 * U[:, :, None] * gy) / s[:, :, None], gy
 
     def _u(self, V: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-        """u and its v-derivatives up to ``order`` (at most 2) at the rows of V.
-
-        Differentiating s u = p and Gamma (u u) = c along v_a gives
-        s du_a - 2 w1_a u = T_a and 2 Gamma (u du_a) = 0, with
-        w1 = Gamma^T dmu; once more along v_b, the same system in d2u_ab
-        with the right-hand sides 2 (w1_b du_a + w1_a du_b) and
-        -2 Gamma (du_a du_b). A tensor grid over (v, phi) repeats every v over
-        consecutive rows: each run of equal rows is solved once.
-        """
-        first = np.ones(V.shape[0], dtype=bool)
-        first[1:] = np.any(V[1:] != V[:-1], axis=1)
-        U, s = self._nearest(self.u0 + np.einsum("na,ak->nk", V[first], self.tangent))
-        (N, m), nv, k = U.shape, self.nv, len(self.c)
-        parts = [U]
+        """u and its v-derivatives up to ``order`` (at most 2) at the rows of V, elementwise
+        but for one einsum (not matmul: a point's sums do not depend on its batch)."""
+        S, F, M = self.basic, self.free, self.M
+        uF = self.u0[F] + V
+        xS = self.x0 - np.einsum("sa,na->ns", M, uF * uF)
+        if np.any(xS <= 0.0):
+            raise ValueError("chart parameters leave the graph's domain: a basic coordinate reaches 0")
+        uS = np.sign(self.u0[S]) * np.sqrt(xS)
+        (N, nv), m = V.shape, self.ambient_dim
+        u = np.empty((N, m))
+        u[:, F], u[:, S] = uF, uS
+        parts = [u]
         if order >= 1:
-            du, w1 = self._solve_linearized(U, s, np.broadcast_to(self.tangent.T, (N, m, nv)), 0.0)
+            duS = -M * uF[:, None, :] / uS[:, :, None]  # (N, k, nv)
+            du = np.zeros((N, m, nv))
+            du[:, F], du[:, S] = np.eye(nv), duS
             parts.append(du)
         if order >= 2:
-            r1 = 2.0 * (w1[:, :, None, :] * du[:, :, :, None] + w1[:, :, :, None] * du[:, :, None, :])
-            r2 = -2.0 * np.einsum("jk,nka,nkb->njab", self.G, du, du)
-            d2u, _ = self._solve_linearized(U, s, r1.reshape(N, m, -1), r2.reshape(N, k, -1))
-            parts.append(d2u.reshape(N, m, nv, nv))
-        if first.all():
-            return tuple(parts)
-        idx = np.cumsum(first) - 1
-        return tuple(x[idx] for x in parts)
+            d2u = np.zeros((N, m, nv, nv))
+            d2u[:, S] = -(M[:, :, None] * np.eye(nv) + duS[:, :, :, None] * duS[:, :, None, :]) / uS[:, :, None, None]
+            parts.append(d2u)
+        return tuple(parts)
 
     # defined in this class's own namespace, where perfbench/spans.py wraps them by name
     value, jacobian, hessian = Chart.value, Chart.jacobian, Chart.hessian
@@ -413,14 +360,14 @@ def _solve_global_chart(Q: QuadricConfiguration) -> GlobalChart | None:
     levels = solve_square([[p[r] for p in primitive] for r in range(k)], Q.c)
     if levels is None or min(levels) <= 0:
         return None
-    radii, nv = np.zeros(m), sum(len(block) - 1 for block in classes.values())
+    squares, nv = [0] * m, sum(len(block) - 1 for block in classes.values())
     factors, kinds = np.zeros((m, nv), dtype=int), []
     for level, block in zip(levels, classes.values()):
         first = len(kinds)
         kinds += ["polar"] * (len(block) - 2) + ["azimuth"] * (len(block) > 1)
         for i, row in zip(block, _sphere_factors(len(block))):
-            radii[i] = math.sqrt(level / gcds[i])
+            squares[i] = level / gcds[i]
             factors[i, first:len(kinds)] = row
-    rows = [[int(sum(d * g for d, g in zip(dual, column))) for column in zip(*Q.gamma.entries)]
-            for dual in Q.dual_basis]
-    return GlobalChart(radii, factors, rows, tuple(kinds) + ("phase",) * k)
+    rows = [float_array([sum(d * g for d, g in zip(dual, column)) for column in zip(*Q.gamma.entries)], f"D Gamma[{j}]")
+            for j, dual in enumerate(Q.dual_basis)]
+    return GlobalChart(np.sqrt(float_array(squares, "squared radius")), factors, rows, tuple(kinds) + ("phase",) * k)

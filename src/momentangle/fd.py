@@ -1,7 +1,7 @@
 """Batched 4th-order central finite-difference stencils.
 
 All functions accept maps f : (N, d) -> (N, *out) so that the caller's
-vectorization (e.g. Newton projections) is exploited: every stencil point of
+vectorization (e.g. a chart over a batch of points) is exploited: every stencil point of
 every batch element goes through ``f`` in a single call.
 """
 

@@ -43,6 +43,7 @@ from .report import (
 )
 from .submanifold_numerics import (
     DEFAULT_SPEC,
+    NODE_BUDGET,
     OMEGA_SCALE,
     stationarity_ratio,
     ChartPatch,
@@ -61,6 +62,7 @@ from .submanifold_numerics import (
     sample_chart_points,
     tangent_frame_Z,
     tangent_frames,
+    within_node_budget,
     InvarianceError,
     VectorField,
     _poly_scalar,
@@ -91,20 +93,30 @@ def _one_quadric_in_C2_or_C3(Q: QuadricConfiguration) -> bool:
 
 
 # the variational checks integrate over the whole of N, on its global chart:
-# each report reads its chart here, and runs where it is not None
+# each report reads its chart here, and runs where it is not None, which
+# needs the whole-N patch to fit the node budget
 def _variation_chart(Q: QuadricConfiguration) -> GlobalChart | None:
-    return global_chart(Q) if Q.num_quadrics == 1 and Q.ambient_dim in (1, 2) else None
+    return _within_budget(global_chart(Q) if Q.num_quadrics == 1 and Q.ambient_dim in (1, 2) else None,
+                          VARIATION_NODES)
 
 
 def _stationarity_chart(Q: QuadricConfiguration) -> GlobalChart | None:
-    return global_chart(Q) if _one_quadric_in_C2_or_C3(Q) else None
+    return _within_budget(global_chart(Q) if _one_quadric_in_C2_or_C3(Q) else None, STATIONARITY_NODES)
+
+
+def _whole_nodes(chart: GlobalChart, nodes: dict[str, int]) -> list[int]:
+    """The node counts of the patch over the whole of N on its global chart. The integrands of a
+    field of degree at most 1 are products of two coordinates or their conjugates, times factors
+    that no phase moves: along phase j, of degree at most 2 max_k |R_jk|, R the chart's phase rows."""
+    return chart.node_counts(nodes, 2 * np.abs(chart.phase_rows).max(axis=1))
+
+
+def _within_budget(chart: GlobalChart | None, nodes: dict[str, int]) -> GlobalChart | None:
+    return chart if chart is not None and within_node_budget(_whole_nodes(chart, nodes)) else None
 
 
 def _whole_patch(chart: GlobalChart, nodes: dict[str, int], order: int) -> ChartPatch:
-    """The patch over the whole of N on its global chart. The integrands of a field of degree at
-    most 1 are products of two coordinates or their conjugates, times factors that no phase
-    moves: along phase j, of degree at most 2 max_k |R_jk|, R the chart's phase rows."""
-    return ChartPatch.over(chart, chart.node_counts(nodes, 2 * np.abs(chart.phase_rows).max(axis=1)), order)
+    return ChartPatch.over(chart, _whole_nodes(chart, nodes), order)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +343,8 @@ def first_variation_report(Q: QuadricConfiguration, seed: int = 0) -> Verificati
     rep = VerificationReport(seed=seed)
     chart = _variation_chart(Q)
     if chart is None:
-        raise ValueError("first-variation report runs on one quadric in C^1 or C^2 with a global chart")
+        raise ValueError("first-variation report runs on one quadric in C^1 or C^2 with a global chart "
+                         f"whose patch fits {NODE_BUDGET} nodes")
     if Q.ambient_dim == 1:
         dv, comp = circle_variation_values(chart)
         rep.add("circle-dvol", abs(dv - TWO_PI), TOL_VARIATION_CIRCLE)
@@ -360,7 +373,8 @@ def hamiltonian_stationarity_report(Q: QuadricConfiguration, seed: int = 0, *, n
     rep = VerificationReport(seed=seed)
     chart = _stationarity_chart(Q)
     if chart is None:
-        raise ValueError("stationarity report runs on one quadric in C^2 or C^3 with a global chart")
+        raise ValueError("stationarity report runs on one quadric in C^2 or C^3 with a global chart "
+                         f"whose patch fits {NODE_BUDGET} nodes")
     rng = np.random.default_rng(seed)
     patch = _whole_patch(chart, STATIONARITY_NODES, order=1)
     for i in range(n_fields):

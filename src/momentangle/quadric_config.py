@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, log10
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,6 +30,18 @@ class CanonicalFormError(ValueError):
 NOT_COMPUTED = object()
 
 
+def float_array(values: Iterable, name: str) -> np.ndarray:
+    """The floats of exact ``values``; a ``ValueError`` names ``name[i]`` where one is out of float range."""
+    out = []
+    for i, x in enumerate(values):
+        try:
+            out.append(float(x))
+        except OverflowError:
+            size = log10(abs(Fraction(x).numerator)) - log10(Fraction(x).denominator)
+            raise ValueError(f"{name}[{i}] is out of float range: about 1e{size:.0f}") from None
+    return np.array(out, dtype=float)
+
+
 class QuadricConfiguration:
     """Integer quadric coefficients (rows) with rational right-hand sides."""
 
@@ -42,8 +54,6 @@ class QuadricConfiguration:
             raise ValueError("ambient dimension must be positive")
         if hermite_row_form(gamma).rows != gamma.rows:
             raise ValueError("quadric coefficient rows are linearly dependent")
-        self._gamma_float = np.array(gamma.entries, dtype=float).reshape(gamma.rows, gamma.cols)
-        self._c_float = np.array([float(x) for x in self.c])
         self._feasible_bases = None  # computed on first use by feasible_bases
         self._global_chart = NOT_COMPUTED  # computed on first use by charts.global_chart
 
@@ -102,11 +112,17 @@ class QuadricConfiguration:
     def num_quadrics(self) -> int:
         return self.gamma.rows
 
+    @cached_property
+    def _floats(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gamma and c as floats, converted on first read and kept: the exact checks never read them."""
+        rows = [float_array(row, f"gamma[{j}]") for j, row in enumerate(self.gamma.entries)]
+        return np.array(rows, dtype=float).reshape(self.gamma.rows, self.gamma.cols), float_array(self.c, "c")
+
     def gamma_float(self) -> np.ndarray:
-        return self._gamma_float
+        return self._floats[0]
 
     def c_float(self) -> np.ndarray:
-        return self._c_float
+        return self._floats[1]
 
     def __repr__(self):
         return (

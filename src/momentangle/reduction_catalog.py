@@ -27,6 +27,7 @@ from .quadric_config import (
 from .report import TOL_LAGRANGIAN, TOL_STATIONARITY, VerificationReport
 from .submanifold_numerics import (
     DEFAULT_SPEC,
+    NODE_BUDGET,
     ChartPatch,
     ChartSample,
     MetricSpec,
@@ -36,6 +37,7 @@ from .submanifold_numerics import (
     lagrangian_residual,
     stationarity_ratio,
     tangent_frame_Z,
+    within_node_budget,
 )
 from .torus_actions import freeness_check, orbit_generators
 
@@ -417,8 +419,15 @@ class CpSetup(NamedTuple):
 
 def cp_lift_chart(D: DoubleConfiguration) -> GlobalChart | None:
     """The global chart of the lift that ``cp_chart_verify`` integrates on, where the first system
-    is projective, else None. Its first phase axis is the first torus's circle."""
-    return global_chart(D.stacked) if is_projective(D.gamma_cfg) else None
+    is projective and the patch fits the node budget, else None. Its first phase axis is the
+    first torus's circle."""
+    chart = global_chart(D.stacked) if is_projective(D.gamma_cfg) else None
+    return chart if chart is not None and within_node_budget(_cp_nodes(chart)) else None
+
+
+def _cp_nodes(chart: GlobalChart) -> list[int]:
+    rows = chart.phase_rows
+    return chart.node_counts(CP_NODES, 2 * (rows.max(axis=1) - rows.min(axis=1)))
 
 
 def cp_chart_setup(D: DoubleConfiguration, seed: int) -> CpSetup:
@@ -434,9 +443,10 @@ def cp_chart_setup(D: DoubleConfiguration, seed: int) -> CpSetup:
     chart = cp_lift_chart(D)
     if chart is None:
         raise ValueError("projective verification needs a first system of one quadric with equal "
-                         "coefficients and a stacked system whose real locus is a product of ellipsoids")
-    m, rows = D.ambient_dim, chart.phase_rows
-    patch = ChartPatch.over(chart, chart.node_counts(CP_NODES, 2 * (rows.max(axis=1) - rows.min(axis=1))), order=1)
+                         "coefficients and a stacked system whose real locus is a product of ellipsoids, "
+                         f"on a patch of at most {NODE_BUDGET} nodes")
+    m = D.ambient_dim
+    patch = ChartPatch.over(chart, _cp_nodes(chart), order=1)
     # the Hamiltonian of the C^m check, as a function of the circle invariants
     _, grad, hess = circle_invariant_hamiltonian(_poly_scalar(m * (m + 1) // 2, np.random.default_rng(seed)), m)
     return CpSetup(patch, grad, hess)

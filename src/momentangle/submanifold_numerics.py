@@ -17,6 +17,7 @@ per point, shape (N,). A ``ChartPatch`` is a sample with quadrature weights.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -32,7 +33,7 @@ from .charts import (
     c2r,
     r2c,
 )
-from .quadric_config import QuadricConfiguration, membership_residuals
+from .quadric_config import QuadricConfiguration, float_array, membership_residuals
 from .torus_actions import orbit_volume, torus_point, torus_subgroup
 
 TWO_PI = 2.0 * np.pi
@@ -344,11 +345,22 @@ def noether_drift(
 # patches and variations
 
 
+# the most nodes a patch may take. Each node keeps its jet and a few (2m, d)
+# and (d, d) blocks of geometry: the C^3 stationarity check on 65,520 nodes
+# peaks about 70 MB above the interpreter
+NODE_BUDGET = 2**16
+
+
+def within_node_budget(nodes: Sequence[int]) -> bool:
+    """Whether a tensor grid of ``nodes`` nodes per axis fits ``NODE_BUDGET``."""
+    return math.prod(nodes) <= NODE_BUDGET
+
+
 @dataclass
 class ChartPatch(ChartSample):
     """A sample on the nodes of a tensor quadrature grid, with their weights ``w``: the integral
-    of f over the patch is sum(w * f * area). Boxes have dimension at most 4. A slice of a
-    patch is a plain ``ChartSample``."""
+    of f over the patch is sum(w * f * area). A grid takes at most ``NODE_BUDGET`` nodes. A
+    slice of a patch is a plain ``ChartSample``."""
 
     w: np.ndarray
 
@@ -359,8 +371,8 @@ class ChartPatch(ChartSample):
         (``quadrature.tensor_grid``)."""
         if np.size(lo) != chart.dim:
             raise ValueError("box dimension disagrees with the chart")
-        if chart.dim > 4:
-            raise ValueError(f"patch boxes have dimension at most 4, got {chart.dim}")
+        if not within_node_budget(nodes):
+            raise ValueError(f"a patch of {math.prod(nodes)} nodes exceeds the node budget of {NODE_BUDGET}")
         S, w = quadrature.tensor_grid(lo, hi, nodes, periodic)
         return cls(chart, S, chart.jet(S, order), w)
 
@@ -476,7 +488,7 @@ def real_base_point(Q: QuadricConfiguration) -> np.ndarray:
     t = Q.positive_solution
     if t is None:
         raise ValueError("no strictly positive solution; configuration has empty interior")
-    return np.sqrt(np.array([float(x) for x in t]))
+    return np.sqrt(float_array(t, "base point x"))
 
 
 # Samples stop at this fraction of the way from x0 to the first face of the

@@ -80,19 +80,15 @@ def orbit_generators(Q: QuadricConfiguration, z) -> np.ndarray:
     return TWO_PI * 1j * Q.gamma_float() * z[..., None, :]
 
 
-def orbit_gram(Q: QuadricConfiguration, z) -> np.ndarray:
-    """The Gram matrix (2 pi)^2 (Gamma |z|^2) Gamma^T of the orbit generators at z (batched over z)."""
-    G = Q.gamma_float()
-    return TWO_PI**2 * (G * (np.abs(np.asarray(z, dtype=complex)) ** 2)[..., None, :]) @ G.T
-
-
 def orbit_volume(Q: QuadricConfiguration, z) -> float | np.ndarray:
     """Riemannian volume of the torus orbit through z (batched over z).
 
-    Equal to sqrt(det Gram) of the generators times the covolume of the dual
-    lattice's fundamental domain. Raises for degenerate orbits.
+    Equal to sqrt(det Gram) of the generators, with the Gram matrix
+    (2 pi)^2 (Gamma |z|^2) Gamma^T, times the covolume of the dual lattice's
+    fundamental domain. Raises for degenerate orbits.
     """
-    gram = orbit_gram(Q, z)
+    G = Q.gamma_float()
+    gram = TWO_PI**2 * (G * (np.abs(np.asarray(z, dtype=complex)) ** 2)[..., None, :]) @ G.T
     dets = np.linalg.det(gram)
     scale = np.maximum(np.abs(gram).max(axis=(-2, -1)), 1e-300) ** Q.num_quadrics
     if np.any(dets <= 1e-24 * scale):

@@ -294,6 +294,71 @@ def test_variational_checks_refuse_a_locus_that_is_no_product_of_ellipsoids(tmp_
     assert "no check of verify-variation applies" in capsys.readouterr().err
 
 
+def test_variational_checks_keep_to_the_node_budget(tmp_path, monkeypatch, capsys):
+    # the phase of gamma (10^6, 1) takes 2 * 10^6 + 1 nodes, far above the
+    # node budget: report-all keeps its other records and runs no variational
+    # one, and verify-variation exits 3. Before the budget, 10^5 took 16 s
+    # and 1.1 GB, and 10^6 ran out of memory
+    from momentangle import procedures, reduction_catalog, submanifold_numerics
+    from momentangle.quadric_config import QuadricConfiguration
+    from momentangle.reduction_catalog import catalog_double
+
+    for row in ("1000000 1", "1000000000000 1"):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(f"mode quadrics\ngamma 1 2\n{row}\nc 1\n")
+        assert main(["report-all", str(cfg)]) == 1, row  # the orbits of z_2 = 0 have a stabilizer
+        out = capsys.readouterr().out
+        assert "FAIL  torus-free" in out and "coarea-relative-mismatch" in out, row
+        assert "first-variation" not in out and "hamiltonian-stationarity" not in out, row
+        assert main(["verify-variation", str(cfg)]) == 3, row
+        assert "no check of verify-variation applies" in capsys.readouterr().err
+    # each gate reads its own patch: stationarity's 12 x 12 x 201 nodes fit,
+    # and at (1000, 1, 1) its 12 x 12 x 2001 do not; rp2's 144-node lift
+    # patch does not fit a budget of 100
+    assert procedures._stationarity_chart(QuadricConfiguration.from_rows([(100, 1, 1)], [1])) is not None
+    assert procedures._stationarity_chart(QuadricConfiguration.from_rows([(1000, 1, 1)], [1])) is None
+    assert reduction_catalog.cp_lift_chart(catalog_double("rp2")) is not None
+    monkeypatch.setattr(submanifold_numerics, "NODE_BUDGET", 100)
+    assert reduction_catalog.cp_lift_chart(catalog_double("rp2")) is None
+    assert main(["verify-ntilde", "catalog:rp2"]) == 0
+    out = capsys.readouterr().out
+    assert "ntilde-lagrangian-residual" in out and "cp-" not in out
+
+
+@pytest.mark.parametrize("text", [
+    "mode quadrics\ngamma 1 2\n1 1\nc 1e400\n",
+    "mode polytope\nA 2 3\n1 0 -1\n0 1 -1\nb 0 0 1e400\n",
+], ids=["quadrics", "polytope"])
+def test_a_level_out_of_float_range_is_refused_where_floats_are_read(tmp_path, capsys, text):
+    # the exact checks never read Gamma or c as floats, so they answer
+    # exactly; a numeric entry names the value it cannot convert and exits 3
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text)
+    assert main(["check-free", str(cfg)]) == 0
+    assert main(["check-nondeg", str(cfg)]) == 0
+    assert "PASS  torus-free" in capsys.readouterr().out
+    for command in ("verify-lagrangian", "report-all"):
+        assert main([command, str(cfg)]) == 3, command
+        err = capsys.readouterr().err
+        assert err.startswith("precondition violation:") and "out of float range: about 1e40" in err, command
+
+
+def test_report_all_survives_seeded_one_quadric_rows(tmp_path):
+    # 10 seeded rows in C^2 and C^3 with entries up to 10^6 (one in five
+    # negative) and levels from 1/1000 to 1000: each run returns a documented
+    # exit code, and no exception escapes. Measured at seed 0: exit 1 on the
+    # rows whose orbits have a stabilizer, exit 3 where a chart point misses
+    # the absolute membership tolerance, and 0.8 s for all ten
+    rng = np.random.default_rng(0)
+    cfg = tmp_path / "row.cfg"
+    for _ in range(10):
+        m = int(rng.integers(2, 4))
+        row = np.round(10.0 ** rng.uniform(0, 6, m)).astype(int) * rng.choice([-1, 1], m, p=[0.2, 0.8])
+        level = int(round(10 ** rng.uniform(-3, 3) * 1000))
+        cfg.write_text(f"mode quadrics\ngamma 1 {m}\n{' '.join(map(str, row))}\nc {level}/1000\n")
+        assert main(["report-all", str(cfg)]) in (0, 1, 2, 3, 4), (row, level)
+
+
 def test_seed_and_tol_overrides(monkeypatch, capsys):
     monkeypatch.setenv("MOMENTANGLE_SEED", "41")
     assert main(["verify-lagrangian", "catalog:one-quadric:2", "--samples", "5"]) == 0
@@ -431,7 +496,7 @@ def test_retired_variation_step_exits_2(tmp_path, monkeypatch, capsys):
     # step; no check reads the curvature normality tolerance, every
     # Hamiltonian gradient is closed-form, the codifferential is the
     # product rule on the chart's derivatives, every chart report-all
-    # differentiates is exact, and no command solves a Newton projection,
+    # differentiates is exact, and no chart solves a Newton projection,
     # so none of these is a name
     args = ["verify-ntilde", "catalog:rp2", "--samples", "5"]
     for name in ("step", "curvature", "step_gradient", "step_divergence", "step_chart", "newton"):

@@ -218,12 +218,10 @@ def test_report_all_evaluates_each_point_set_once(monkeypatch):
     from momentangle.cli import _catalog_config, run_command
     from momentangle.submanifold_numerics import MetricSpec
 
-    solves, nearest = [], []  # (chart class, rows, order) per u(v) solve; rows per Newton solve
+    solves = []  # (chart class, rows, order) per u(v) solve
     for cls in (TorusSpreadChart, CircleSpreadChart, GlobalChart, PolytopeChart):
         monkeypatch.setattr(cls, "_u", lambda self, V, order, u=cls._u: (
             solves.append((type(self).__name__, len(V), order)) or u(self, V, order)))
-    solve_nearest = TorusSpreadChart._nearest
-    monkeypatch.setattr(TorusSpreadChart, "_nearest", lambda self, P: nearest.append(len(P)) or solve_nearest(self, P))
     inverted, solved = [], []  # rows per batched inverse and per batched solve
     inv, solve = np.linalg.inv, np.linalg.solve
     monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(len(a)) or inv(a))
@@ -234,7 +232,7 @@ def test_report_all_evaluates_each_point_set_once(monkeypatch):
         np.ndim(a) == 3 and factored.append((len(a), np.shape(a)[-1]))) or qr(a, *args, **kw))
 
     def report_all(name):
-        for calls in (solves, nearest, inverted, solved, factored):
+        for calls in (solves, inverted, solved, factored):
             calls.clear()
         rep = run_command("report-all", _catalog_config(name), 0, 100, MetricSpec(), out=io.StringIO())
         assert rep.overall, name
@@ -242,10 +240,10 @@ def test_report_all_evaluates_each_point_set_once(monkeypatch):
 
     # the rp2 lift: its 12 x 12 x 1-node patch on the global chart, which
     # the Lagrangian residual and the stationarity ratio both read; no
-    # command solves a Newton projection
+    # command builds a TorusSpreadChart
     report_all("rp2")
     assert [s for s in solves if s[0] != "PolytopeChart"] == [("GlobalChart", 144, 1)]
-    assert nearest == [] and inverted == [144]
+    assert inverted == [144]
     # the C^2 torus: the first-variation patch (8 x 3 nodes, whose
     # curvature integral reads order 2) and the stationarity patch (12 x 3);
     # the first-variation patch's one inverse serves the curvature and the
@@ -268,7 +266,7 @@ def test_report_all_evaluates_each_point_set_once(monkeypatch):
     report_all("triangle")
     assert [s[1:] for s in solves if s[0] == "PolytopeChart"] == [(100, 2)]
     assert [s for s in solves if s[0] != "PolytopeChart"] == [("GlobalChart", 432, 1)]
-    assert nearest == [] and inverted == [100, 432]
+    assert inverted == [100, 432]
     # the same three QRs, on N of dimension 3: the stationarity patch is
     # not factored
     assert factored == [(100, 3), (5, 1), (100, 1)]

@@ -66,22 +66,23 @@ TWO_PI = 2.0 * np.pi
 
 
 # ---------------------------------------------------------------------------
-# the nearest-point spread chart
+# the graph spread chart
 
 
 def _spread_charts():
-    """(name, chart, v half-width) for nearest-point spread charts: the
-    (1, 2, 1) ellipsoid of bad-triangle at a sampled base, the cp2 stack
-    with the delta rows, two quadrics in C^4, and a base on the boundary of
-    the orthant."""
+    """(name, chart, v half-width) for graph spread charts: the (1, 2, 1)
+    ellipsoid of bad-triangle at a sampled base, the cp2 stack with the
+    delta rows, two quadrics in C^4, and a base on the boundary of the
+    orthant. The graph's domains hold boxes up to half-widths 0.21, 0.29,
+    0.29 and 0.71, and each box stays within about half of that."""
     Qe = gale_dual(catalog_polytope("bad-triangle"))
     D = catalog_double("cp2-torus")
     Q22 = catalog_quadrics("two-quadrics:2,2")
     return [
         ("ellipsoid", TorusSpreadChart(Qe, np.abs(sample_chart_points(Qe, 1, np.random.default_rng(0), spec, order=0).points[0])),
-         0.65),
-        ("cp2 stack", TorusSpreadChart(D.stacked, real_base_point(D.stacked), phase_rows=D.delta_cfg.gamma_float()), 0.35),
-        ("two-quadrics:2,2", TorusSpreadChart(Q22, real_base_point(Q22)), 0.3),
+         0.1),
+        ("cp2 stack", TorusSpreadChart(D.stacked, real_base_point(D.stacked), phase_rows=D.delta_cfg.gamma_float()), 0.15),
+        ("two-quadrics:2,2", TorusSpreadChart(Q22, real_base_point(Q22)), 0.15),
         ("boundary base", TorusSpreadChart(catalog_quadrics("one-quadric:3"), [1.0, 0.0, 0.0]), 0.5),
     ]
 
@@ -93,12 +94,11 @@ def _box_params(chart, rng, half, n=20):
 
 
 def test_spread_chart_derivatives_match_stencils():
-    # the implicit-function jacobian and hessian against 4th-order stencils
-    # at step 1e-3 of the chart's value, relative to their largest entry:
+    # the closed-form jacobian and hessian against 4th-order stencils at
+    # step 1e-3 of the chart's value, relative to their largest entry:
     # measured at most 8.3e-10 (jacobian) and 2.8e-10 (hessian), the
-    # stencil's own error. The jacobian's error falls 16-fold per halving
-    # of the step (h^4), from 1.3e-8 at 2e-3 to 5.2e-11 at 5e-4; below 1e-3
-    # the hessian's stencil reads the 1e-14 Newton residual through its 1 / h^2
+    # stencil's own error. Boxes that reach 0.7 of the domain read up to
+    # 2.5e-9 on the hessian, where u_S nears 0 and its derivatives grow
     rng = np.random.default_rng(31)
     for name, chart, half in _spread_charts():
         S = _box_params(chart, rng, half)
@@ -111,26 +111,18 @@ def test_spread_chart_derivatives_match_stencils():
         assert membership_residuals(chart.project_cfg, chart.value(S)).max() < 1e-13, name
 
 
-def test_projection_radial():
-    # the spread chart's u(v) is the nearest point of the real locus to
-    # p = u0 + T v: u - p lies in the span of the normals gamma_j * u, and on
-    # a sphere of radius r the nearest point is r p / |p|
-    rng = np.random.default_rng(32)
-    for name, chart, half in _spread_charts():
-        V = half * rng.uniform(-1, 1, (20, chart.nv))
-        U = chart.value(np.concatenate([V, np.zeros((20, chart.nphi))], axis=1)).real
-        P = chart.u0 + V @ chart.tangent
-        for u, p in zip(U, P):
-            normals = chart.G * u  # (k, m)
-            coef, *_ = np.linalg.lstsq(normals.T, u - p, rcond=None)
-            assert np.abs(normals.T @ coef - (u - p)).max() < 1e-15, name  # measured 1.1e-16
-    sphere = TorusSpreadChart(QuadricConfiguration.from_rows([(2, 2, 2)], [3]), [0.6, 0.0, np.sqrt(1.5 - 0.36)])
-    V = rng.uniform(-1, 1, (20, 2))
-    U = sphere.value(np.concatenate([V, np.zeros((20, 1))], axis=1)).real
-    P = sphere.u0 + V @ sphere.tangent
-    # to Newton's stopping residual 1e-14 * (1 + c): measured 5.2e-15
-    r = np.sqrt(1.5)
-    assert np.abs(U - r * P / np.linalg.norm(P, axis=1)[:, None]).max() < 2e-14
+def test_graph_chart_on_the_unit_sphere():
+    # at the base (1, 0, 0) of |u|^2 = 1 the basic coordinate is u_1, so the
+    # chart is u = (sqrt(1 - |v|^2), v) in closed form, and it ends where
+    # |v| reaches 1
+    chart = TorusSpreadChart(catalog_quadrics("one-quadric:3"), [1.0, 0.0, 0.0])
+    V = 0.7 * np.random.default_rng(33).uniform(-1, 1, (20, 2))
+    u = chart.value(np.concatenate([V, np.zeros((20, 1))], axis=1)).real
+    expected = np.concatenate([np.sqrt(1.0 - (V * V).sum(axis=1))[:, None], V], axis=1)
+    assert np.abs(u - expected).max() <= 2e-16
+    for v in ([1.0, 0.0], [0.6, 0.8], [0.9, 0.9]):
+        with pytest.raises(ValueError, match="domain"):
+            chart.value([v + [0.0]])
 
 
 def test_projection_stacked_two_quadrics():
@@ -143,37 +135,24 @@ def test_projection_stacked_two_quadrics():
     assert membership_residuals(D.stacked, chart.value(S)).max() < 1e-13
 
 
-def test_projection_nonconvergence():
+def test_degenerate_base_is_refused():
     # a base where the constraint gradients vanish (the origin of a cone, for
-    # one quadric and for two) is rejected; a p on the medial axis of a
-    # hyperbola has two nearest points, and Newton on the multipliers stalls
-    from momentangle.charts import _solve_small
-
+    # one quadric and for two) has no regular basic block
     for rows, c in (([(1, -1)], [0]), ([(1, 1, -1, -1), (1, -1, 1, -1)], [0, 0])):
         Q = QuadricConfiguration.from_rows(rows, c)
         with pytest.raises(NonConvergenceError, match="degenerate"):
             TorusSpreadChart(Q, np.zeros(Q.ambient_dim))
-    for rows, c, u0 in (([(1, -1)], [1], [np.sqrt(2.0), 1.0]),
-                        ([(1, -1, 0), (0, 0, 1)], [1, 1], [np.sqrt(2.0), 1.0, 1.0])):
-        chart = TorusSpreadChart(QuadricConfiguration.from_rows(rows, c), u0)
-        v = -chart.u0[0] / chart.tangent[0, 0]  # p = (0, -1, ...)
-        with np.errstate(all="ignore"), pytest.raises(NonConvergenceError, match="stalled"):
-            chart.value(np.concatenate([[[v]], np.zeros((1, chart.nphi))], axis=1))
-    # a singular Gram system: a zero entry for one quadric, a singular matrix for two
-    for k in (1, 2):
-        with pytest.raises(NonConvergenceError, match="singular"):
-            _solve_small(np.zeros((3, k, k)), np.ones((3, k, 1)))
 
 
 def test_projection_of_a_point_does_not_depend_on_its_batch():
-    # each point stops stepping once its own residual converges, so its
-    # value is bit-identical alone and beside far-off points
+    # the chart is elementwise but for one einsum, so a point's value is
+    # bit-identical alone and beside far-off points
     rng = np.random.default_rng(5)
     for name in ("one-quadric:3", "two-quadrics:2,2"):
         Q = catalog_quadrics(name)
         chart = TorusSpreadChart(Q, real_base_point(Q))
         s = _box_params(chart, rng, 0.05, n=1)
-        far = _box_params(chart, rng, 0.6, n=7)
+        far = _box_params(chart, rng, 0.12, n=7)
         alone = chart.value(s)[0]
         assert np.array_equal(chart.value(np.vstack([far[:3], s, far[3:]]))[3], alone)
 
@@ -293,7 +272,7 @@ def test_global_chart_exists_iff_the_real_locus_is_a_product_of_ellipsoids():
 
 def test_a_jet_holds_each_lower_order_bit_for_bit():
     # one jet through second order gives exactly the z and J of the lower
-    # orders, on the polytope charts, the nearest-point chart of the rp2 lift
+    # orders, on the polytope charts, the graph chart of the rp2 lift
     # and the global charts of the C^2 torus and the triangle. No check
     # reads a third order, and no chart gives one
     rng = np.random.default_rng(25)
@@ -303,7 +282,7 @@ def test_a_jet_holds_each_lower_order_bit_for_bit():
     charts += [TorusSpreadChart(D.stacked, real_base_point(D.stacked)),
                global_chart(catalog_quadrics("one-quadric:2")), global_chart(catalog_quadrics("one-quadric:3"))]
     for chart in charts:
-        S = _box_params(chart, rng, 0.2)
+        S = _box_params(chart, rng, 0.1)
         second = chart.jet(S, 2)
         for n in range(2):
             assert all(np.array_equal(a, b) for a, b in zip(second[: n + 1], chart.jet(S, n), strict=True)), (chart, n)
@@ -768,16 +747,16 @@ def test_volume_derivative_matches_two_volume_reference():
     ref = _two_volume_derivative(patch, X, t_step=1e-3, s_step=2.5e-4, richardson=True)
     assert abs(patch_volume_derivative(patch, X) - ref) < 1e-9 * abs(ref)
 
-    # the rp2 lift: the nearest-point chart of the sphere's real locus
+    # the rp2 lift: the graph chart of the sphere's real locus
     # spread by the diagonal circle, on one node along the circle. A local
-    # patch under a random matrix field (boundary flux). The
-    # reference extrapolates in t from 1e-3 and differentiates each
-    # deformed chart at 5e-4. Its own error: it moves by 7e-12 relative
-    # when that step halves and by 4.6e-11 when t halves. Measured
-    # agreement: 2.3e-11
+    # patch under a random matrix field (boundary flux), inside the graph's
+    # domain, which holds the box of half-width 0.13. The reference
+    # extrapolates in t from 1e-3 and differentiates each deformed chart at
+    # 5e-4. Its own error: it moves by 3.3e-11 relative when that step
+    # halves and by 3.9e-11 when t halves. Measured agreement: 2.0e-12
     D = catalog_double("rp2")
     lift = TorusSpreadChart(D.stacked, real_base_point(D.stacked))
-    lpatch = ChartPatch.grid(lift, [-0.4, -0.4, -0.5], [0.4, 0.4, 0.5], [24, 24, 1], 1, ())
+    lpatch = ChartPatch.grid(lift, [-0.1, -0.1, -0.5], [0.1, 0.1, 0.5], [24, 24, 1], 1, ())
     Xl = _random_matrix_field(3, np.random.default_rng(4))
     ref = _two_volume_derivative(lpatch, Xl, t_step=1e-3, s_step=5e-4, richardson=True)
     assert abs(patch_volume_derivative(lpatch, Xl) - ref) < 5e-11 * abs(ref)
@@ -857,7 +836,7 @@ def test_equivariant_curvature_direction_consistency():
 
 
 def test_hminimality_examples():
-    # the Clifford torus and the circle on their nearest-point charts:
+    # the Clifford torus and the circle on their graph charts:
     # i_H omega is the angle form (measured 0 and 7.1e-17)
     Q2 = QuadricConfiguration.from_rows([(1, 1)], [1])
     r = 1 / np.sqrt(2)
@@ -979,12 +958,19 @@ def test_frame_spans_expected_directions():
     assert abs(np.linalg.norm(V3 @ rot) - 1.0) < 1e-10
 
 
-def test_chart_patch_rejects_dimension_above_four():
-    # no check builds a patch of dimension above 4
+def test_chart_patch_keeps_to_the_node_budget(monkeypatch):
+    # a patch takes at most NODE_BUDGET nodes, whatever its dimension, and
+    # the budget is read before the grid is allocated
+    from momentangle import quadrature
+
     def spread(rows):  # the unit circle in C^2 x {0}, spread by ``rows``: dimension 1 + len(rows)
         return CircleSpreadChart([1, 0, 0], [0, 1, 0], [0, 0, 0], rows)
 
-    with pytest.raises(ValueError, match="dimension at most 4"):
-        ChartPatch.grid(spread(np.eye(4, 3)), [0.0] * 5, [1.0] * 5, [4] * 5, 1, ())
-    four = ChartPatch.grid(spread(np.eye(3)), [0.0] * 4, [1.0] * 4, [3] * 4, 1, ())
-    assert four.params.shape == (81, 4) and four.jet[1].shape == (81, 3, 4)
+    five = ChartPatch.grid(spread(np.eye(4, 3)), [0.0] * 5, [1.0] * 5, [3] * 5, 1, ())
+    assert five.params.shape == (243, 5) and five.jet[1].shape == (243, 3, 5)
+    assert submanifold_numerics.NODE_BUDGET == 2**16
+    assert submanifold_numerics.within_node_budget([2**8, 2**4, 2**4])
+    assert not submanifold_numerics.within_node_budget([2**8, 2**8 + 1])
+    monkeypatch.setattr(quadrature, "tensor_grid", lambda *args: pytest.fail("the grid was allocated"))
+    with pytest.raises(ValueError, match="node budget"):
+        ChartPatch.grid(spread(np.eye(3)), [0.0] * 4, [1.0] * 4, [2 * 10**12 + 1, 8, 1, 1], 1, ())
