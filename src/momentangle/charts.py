@@ -3,8 +3,8 @@
 Every chart is a spread chart (v, phi) -> phases(phi) * u(v): a map u into
 the real locus, times the phases exp(2 pi i <row_j, phi>). Each chart
 supplies u's v-derivatives, and one product rule (``_phase_product``) gives
-its derivatives through second order, all in closed form: no check reads a
-third. ``Chart.jet`` gives them together, from one solve of u.
+its derivatives through second order in one pass, all in closed form: no
+check reads a third. ``Chart.jet`` gives them together, from one solve of u.
 ``global_chart`` covers the whole of N wherever its real locus is a product
 of ellipsoids.
 """
@@ -47,26 +47,27 @@ def _split_params(S: np.ndarray, nv: int, dim: int) -> tuple[np.ndarray, np.ndar
     return S[:, :nv], S[:, nv:]
 
 
-def _phase_product(phases: np.ndarray, us: tuple[np.ndarray, ...], rows: np.ndarray) -> np.ndarray:
-    """The derivative of order n = len(us) - 1 (at most 2) of z = phases(phi) * u(v): z, J or H.
+def _phase_product(phases: np.ndarray, us: tuple[np.ndarray, ...], rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The derivatives of z = phases(phi) * u(v) through order n = len(us) - 1 (at most 2):
+    (z, J[, H]), from one pass.
 
     ``us`` holds u (N, m) and its v-derivatives (N, m, nv, ..., nv) up to
     order n. Since d phases / d phi_j = 2 pi i row_j phases, the block with
     v axes A and phi axes P is phases * d_A u * prod_{j in P} 2 pi i row_j;
     the hessian's phi-v block is the transpose of its v-phi block.
     """
-    n = len(us) - 1
     z = phases * us[0]
-    if n == 0:
-        return z
+    if len(us) == 1:
+        return (z,)
     E = 1j * TWO_PI * rows.T  # (m, nphi)
     dv = phases[:, :, None] * us[1]
-    if n == 1:
-        return np.concatenate([dv, z[:, :, None] * E], axis=2)
+    J = np.concatenate([dv, z[:, :, None] * E], axis=2)
+    if len(us) == 2:
+        return z, J
     dvE = dv[:, :, :, None] * E[:, None, :]
     phiphi = z[:, :, None, None] * (E[:, None, :] * E[:, :, None])
-    return np.concatenate([np.concatenate([phases[:, :, None, None] * us[2], dvE], axis=3),
-                           np.concatenate([np.swapaxes(dvE, 2, 3), phiphi], axis=3)], axis=2)
+    return z, J, np.concatenate([np.concatenate([phases[:, :, None, None] * us[2], dvE], axis=3),
+                                 np.concatenate([np.swapaxes(dvE, 2, 3), phiphi], axis=3)], axis=2)
 
 
 class Chart:
@@ -75,7 +76,7 @@ class Chart:
     Subclasses set ``nv``, ``nphi``, ``dim = nv + nphi``, ``ambient_dim``
     and ``phase_rows``, and supply ``_u(V, order)``: u and its
     v-derivatives up to ``order`` at the rows of V. ``jet`` is the product
-    rule on those, once per order; ``value``, ``jacobian`` and ``hessian``
+    rule on those, in one pass; ``value``, ``jacobian`` and ``hessian``
     each read one entry of a jet.
     """
 
@@ -96,8 +97,7 @@ class Chart:
         V, Phi = _split_params(S, self.nv, self.dim)
         # einsum, not matmul: a point's sums do not depend on its batch
         phases = np.exp(1j * TWO_PI * np.einsum("nj,jk->nk", Phi, self.phase_rows))
-        us = self._u(V, order)
-        return tuple(_phase_product(phases, us[: n + 1], self.phase_rows) for n in range(order + 1))
+        return _phase_product(phases, self._u(V, order), self.phase_rows)
 
     def value(self, S: np.ndarray) -> np.ndarray:
         return self.jet(S, 0)[0]
@@ -285,13 +285,22 @@ class GlobalChart(Chart):
         self.lo, self.hi = (np.array([AXIS_BOXES[kind][end] for kind in self.kinds]) for end in (0, 1))
         self.periodic = tuple(a for a, kind in enumerate(self.kinds) if kind != "polar")
 
-    def node_counts(self, nodes: dict[str, int], frequencies) -> list[int]:
-        """``nodes[kind]`` nodes on each polar and azimuth axis, and ``frequencies[j] + 1`` on
-        phase j, one where that degree is 0. The metric and the area element do not move with
-        the phases, so an integrand whose phase degrees are at most ``frequencies`` is a
-        trigonometric polynomial in them, and the trapezoid rule of n nodes is exact on degrees
-        below n. The table is read only on the axes that are not phases."""
-        return [nodes[kind] for kind in self.kinds[:self.nv]] + [int(top) + 1 for top in frequencies]
+    def node_counts(self, nodes: dict[str, int], frequencies, azimuth_degree: int) -> list[int]:
+        """``frequencies[j] + 1`` nodes on phase j, ``azimuth_degree + 1`` on each azimuth whose
+        two coordinates have equal columns of Gamma (equal radius and equal phase column), and
+        ``nodes[kind]`` on every other axis. The metric and the area element do not move with
+        the phases, nor with such an azimuth: rotating the plane of its two coordinates is a
+        unitary symmetry of C^m that commutes with the torus and maps N to itself. So an
+        integrand of those degrees is a trigonometric polynomial along these axes, and the
+        trapezoid rule of n nodes is exact on degrees below n. The table is read only on the
+        polar axes and on the other azimuths."""
+        return ([azimuth_degree + 1 if kind == "azimuth" and self._rotates_equal_columns(a) else nodes[kind]
+                 for a, kind in enumerate(self.kinds[:self.nv])] + [int(top) + 1 for top in frequencies])
+
+    def _rotates_equal_columns(self, a: int) -> bool:
+        """Whether the two coordinates of azimuth a, its cos and its sin, have equal columns of Gamma."""
+        (i,), (j,) = (np.flatnonzero(self.factors[:, a] == f) for f in (1, 2))
+        return self.radii[i] == self.radii[j] and np.array_equal(self.phase_rows[:, i], self.phase_rows[:, j])
 
     def _u(self, V: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
         (N, nv), m = V.shape, self.ambient_dim

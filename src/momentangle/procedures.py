@@ -76,9 +76,12 @@ VARIATION_FIELDS = 5
 # (``ChartPatch.over``): Gauss-Legendre on the polar angles, the trapezoid
 # rule on the azimuths. Their integrands are not trigonometric polynomials
 # on an ellipsoid that is not round. Each phase takes its degree plus one
-# (``GlobalChart.node_counts``), on which the trapezoid rule is exact: each
-# ratio's numerator is exact along the phases, and its scale integral
-# |X| dA, not a polynomial in them, is a quadrature estimate that normalizes
+# (``GlobalChart.node_counts``), on which the trapezoid rule is exact, and
+# so does each azimuth between two equal columns of Gamma, whose rotation is
+# a symmetry of N: the table is read on the polar angles and on the other
+# azimuths. Each ratio's numerator is exact along those axes, and its scale
+# integral |X| dA, not a polynomial in them, is a quadrature estimate that
+# normalizes
 VARIATION_NODES = {"azimuth": 8}
 STATIONARITY_NODES = {"polar": 12, "azimuth": 12}
 
@@ -107,8 +110,9 @@ def _stationarity_chart(Q: QuadricConfiguration) -> GlobalChart | None:
 def _whole_nodes(chart: GlobalChart, nodes: dict[str, int]) -> list[int]:
     """The node counts of the patch over the whole of N on its global chart. The integrands of a
     field of degree at most 1 are products of two coordinates or their conjugates, times factors
-    that no phase moves: along phase j, of degree at most 2 max_k |R_jk|, R the chart's phase rows."""
-    return chart.node_counts(nodes, 2 * np.abs(chart.phase_rows).max(axis=1))
+    that no phase moves: along phase j, of degree at most 2 max_k |R_jk|, R the chart's phase rows,
+    and of degree at most 2 along an azimuth that turns two equal columns."""
+    return chart.node_counts(nodes, 2 * np.abs(chart.phase_rows).max(axis=1), 2)
 
 
 def _within_budget(chart: GlobalChart | None, nodes: dict[str, int]) -> GlobalChart | None:

@@ -402,9 +402,12 @@ def catalog_names() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # projective verification
 
-# the nodes of the polar and azimuth axes of the lift's patch; each phase
-# takes its degree plus one (``GlobalChart.node_counts``)
-CP_NODES = {"polar": 12, "azimuth": 12}
+# the nodes of the polar axes of the lift's patch; each phase and each
+# azimuth takes its degree plus one (``GlobalChart.node_counts``). The first
+# row of a projective lift has equal entries a, so the columns g p of one
+# class (p primitive) share g = a / p_0 and are equal: every azimuth of the
+# lift turns two equal columns, and no lift reads the table on one
+CP_NODES = {"polar": 12}
 
 
 class CpSetup(NamedTuple):
@@ -427,7 +430,7 @@ def cp_lift_chart(D: DoubleConfiguration) -> GlobalChart | None:
 
 def _cp_nodes(chart: GlobalChart) -> list[int]:
     rows = chart.phase_rows
-    return chart.node_counts(CP_NODES, 2 * (rows.max(axis=1) - rows.min(axis=1)))
+    return chart.node_counts(CP_NODES, 2 * (rows.max(axis=1) - rows.min(axis=1)), 4)
 
 
 def cp_chart_setup(D: DoubleConfiguration, seed: int) -> CpSetup:
@@ -438,7 +441,8 @@ def cp_chart_setup(D: DoubleConfiguration, seed: int) -> CpSetup:
     ``default_rng(seed)``, so each integrand is a sum of products of two q
     (or their conjugates) times factors that no phase moves: along phase j,
     of degree at most 2 (max_k R_jk - min_k R_jk), R the chart's phase
-    rows. That is 0 along the circle, which takes one node.
+    rows. That is 0 along the circle, which takes one node. Along an
+    azimuth each q has degree 2, so each integrand degree 4.
     """
     chart = cp_lift_chart(D)
     if chart is None:

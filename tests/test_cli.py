@@ -313,12 +313,12 @@ def test_variational_checks_keep_to_the_node_budget(tmp_path, monkeypatch, capsy
         assert main(["verify-variation", str(cfg)]) == 3, row
         assert "no check of verify-variation applies" in capsys.readouterr().err
     # each gate reads its own patch: stationarity's 12 x 12 x 201 nodes fit,
-    # and at (1000, 1, 1) its 12 x 12 x 2001 do not; rp2's 144-node lift
-    # patch does not fit a budget of 100
+    # and at (1000, 1, 1) its 12 x 12 x 2001 do not; rp2's 12 x 5 x 1-node
+    # lift patch does not fit a budget of 50
     assert procedures._stationarity_chart(QuadricConfiguration.from_rows([(100, 1, 1)], [1])) is not None
     assert procedures._stationarity_chart(QuadricConfiguration.from_rows([(1000, 1, 1)], [1])) is None
     assert reduction_catalog.cp_lift_chart(catalog_double("rp2")) is not None
-    monkeypatch.setattr(submanifold_numerics, "NODE_BUDGET", 100)
+    monkeypatch.setattr(submanifold_numerics, "NODE_BUDGET", 50)
     assert reduction_catalog.cp_lift_chart(catalog_double("rp2")) is None
     assert main(["verify-ntilde", "catalog:rp2"]) == 0
     out = capsys.readouterr().out

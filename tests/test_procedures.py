@@ -143,9 +143,10 @@ def test_variational_records_read_the_floor_at_twice_their_nodes(monkeypatch):
     # the variational records integrate over the whole of N, on the
     # trapezoid rule along its periodic axes and Gauss-Legendre along its
     # polar angles: at their node counts and at twice as many on every
-    # axis, the node tables' polar and azimuth axes and the phases' degree
-    # plus one alike, each reads the rounding floor (measured at most
-    # 6.3e-16 and 3.1e-16), and the records keep their names
+    # axis, the node tables' polar and azimuth axes and the degree plus one
+    # of the phases and of the azimuths between equal columns alike, each
+    # reads the rounding floor (measured at most 6.1e-16 and 4.6e-16), and
+    # the records keep their names
     from momentangle import reduction_catalog
     from momentangle.charts import GlobalChart
 
@@ -155,8 +156,8 @@ def test_variational_records_read_the_floor_at_twice_their_nodes(monkeypatch):
     for module, table in ((proc, "VARIATION_NODES"), (proc, "STATIONARITY_NODES"), (reduction_catalog, "CP_NODES")):
         monkeypatch.setattr(module, table, {kind: 2 * n for kind, n in getattr(module, table).items()})
     node_counts = GlobalChart.node_counts
-    monkeypatch.setattr(GlobalChart, "node_counts", lambda self, nodes, frequencies: (
-        node_counts(self, nodes, [2 * top + 1 for top in frequencies])))
+    monkeypatch.setattr(GlobalChart, "node_counts", lambda self, nodes, frequencies, azimuth_degree: (
+        node_counts(self, nodes, [2 * top + 1 for top in frequencies], 2 * azimuth_degree + 1)))
     doubled = _variational_records()
     assert [r.name for r in doubled] == [r.name for r in records]
     assert max(r.residual for r in doubled) <= 1e-14
@@ -165,20 +166,62 @@ def test_variational_records_read_the_floor_at_twice_their_nodes(monkeypatch):
 def test_triangle_stationarity_aliases_one_phase_node_short(monkeypatch):
     # the triangle's integrands reach degree 2 along its phases, which take 3
     # nodes; at 2, one short of exact, a frequency-2 term aliases onto the
-    # mean, and the worst record of every seed fails (measured 0.038-0.30,
-    # where 3 nodes read at most 2.0e-16)
+    # mean, and the worst record of every seed fails (measured 0.068-0.30,
+    # where 3 nodes read at most 1.7e-16)
     from momentangle.charts import GlobalChart
     from momentangle.quadric_config import gale_dual
     from momentangle.report import TOL_STATIONARITY
 
     Q = gale_dual(catalog_polytope("triangle"))
-    assert proc._whole_patch(proc._stationarity_chart(Q), proc.STATIONARITY_NODES, 1).w.size == 12 * 12 * 3
+    assert proc._whole_patch(proc._stationarity_chart(Q), proc.STATIONARITY_NODES, 1).w.size == 12 * 3 * 3
     node_counts = GlobalChart.node_counts
-    monkeypatch.setattr(GlobalChart, "node_counts", lambda self, nodes, frequencies: (
-        node_counts(self, nodes, [top - 1 for top in frequencies])))
+    monkeypatch.setattr(GlobalChart, "node_counts", lambda self, nodes, frequencies, azimuth_degree: (
+        node_counts(self, nodes, [top - 1 for top in frequencies], azimuth_degree)))
     for seed in range(5):
         worst = max(r.residual for r in proc.hamiltonian_stationarity_report(Q, seed=seed, n_fields=3).records)
         assert worst > 10 * TOL_STATIONARITY, (seed, worst)
+
+
+def test_first_variation_aliases_one_azimuth_node_short(monkeypatch):
+    # the C^2 torus's azimuth turns its two equal columns, so a field's
+    # integrands are of degree 2 along it and it takes 3 nodes, where every
+    # record reads the rounding floor (measured at most 4.5e-16 at seeds
+    # 0-4); at 2, one short of exact, the worst record of every seed fails
+    # (measured 0.58-1.2)
+    from momentangle.charts import GlobalChart
+    from momentangle.report import TOL_VARIATION_REL
+
+    Q = catalog_quadrics("one-quadric:2")
+    assert proc._whole_nodes(proc._variation_chart(Q), proc.VARIATION_NODES) == [3, 3]
+    for seed in range(5):
+        assert max(r.residual for r in proc.first_variation_report(Q, seed=seed).records) <= 1e-15, seed
+    node_counts = GlobalChart.node_counts
+    monkeypatch.setattr(GlobalChart, "node_counts", lambda self, nodes, frequencies, azimuth_degree: (
+        node_counts(self, nodes, frequencies, azimuth_degree - 1)))
+    assert proc._whole_nodes(proc._variation_chart(Q), proc.VARIATION_NODES) == [2, 3]
+    for seed in range(5):
+        worst = max(r.residual for r in proc.first_variation_report(Q, seed=seed).records)
+        assert worst > 10 * TOL_VARIATION_REL, (seed, worst)
+
+
+def test_azimuth_takes_its_degree_only_between_equal_columns():
+    # gamma (1, 1, 2): the azimuth turns z_0 and z_1, whose columns are equal,
+    # so it takes 2 + 1 nodes, and the radial field's ratio, whose integrands
+    # no such rotation moves, reads the value of the table's 12 nodes
+    # (measured 3.37099311 at both, 5.3e-16 apart). bad-triangle (1, 2, 1)
+    # and (2, 1, 1) put their azimuth on two unequal columns: the table's 12
+    from momentangle.charts import global_chart
+    from momentangle.quadric_config import gale_dual
+    from momentangle.submanifold_numerics import ChartPatch, VectorField, stationarity_ratio
+
+    radial = VectorField(lambda z: z, lambda z, V: V)
+    chart = proc._stationarity_chart(QuadricConfiguration.from_rows([(1, 1, 2)], [1]))
+    nodes = proc._whole_nodes(chart, proc.STATIONARITY_NODES)
+    assert nodes == [12, 3, 5]
+    exact, table = (stationarity_ratio(ChartPatch.over(chart, n, order=1), radial) for n in (nodes, [12, 12, 5]))
+    assert abs(exact - table) <= 1e-12 * table
+    for Q in (gale_dual(catalog_polytope("bad-triangle")), QuadricConfiguration.from_rows([(2, 1, 1)], [1])):
+        assert proc._whole_nodes(global_chart(Q), proc.STATIONARITY_NODES) == [12, 12, 5], Q.gamma.entries
 
 
 def test_hminimality_catches_a_second_derivative_off_by_one_part_in_a_thousand(monkeypatch):
@@ -238,19 +281,19 @@ def test_report_all_evaluates_each_point_set_once(monkeypatch):
         assert rep.overall, name
         assert solved == [], name
 
-    # the rp2 lift: its 12 x 12 x 1-node patch on the global chart, which
+    # the rp2 lift: its 12 x 5 x 1-node patch on the global chart, which
     # the Lagrangian residual and the stationarity ratio both read; no
     # command builds a TorusSpreadChart
     report_all("rp2")
-    assert [s for s in solves if s[0] != "PolytopeChart"] == [("GlobalChart", 144, 1)]
-    assert inverted == [144]
-    # the C^2 torus: the first-variation patch (8 x 3 nodes, whose
-    # curvature integral reads order 2) and the stationarity patch (12 x 3);
+    assert [s for s in solves if s[0] != "PolytopeChart"] == [("GlobalChart", 60, 1)]
+    assert inverted == [60]
+    # the C^2 torus: the first-variation patch (3 x 3 nodes, whose
+    # curvature integral reads order 2) and the stationarity patch (3 x 3);
     # the first-variation patch's one inverse serves the curvature and the
     # volume derivative of all 5 fields
     report_all("one-quadric:2")
-    assert [s for s in solves if s[0] == "GlobalChart"] == [("GlobalChart", 24, 2), ("GlobalChart", 36, 1)]
-    assert inverted == [100, 24, 36]
+    assert [s for s in solves if s[0] == "GlobalChart"] == [("GlobalChart", 9, 2), ("GlobalChart", 9, 1)]
+    assert inverted == [100, 9, 9]
     # the batched QRs factor the command sample's frame (its d = 2
     # jacobian columns), and the k = 1 normal of Z at the negative
     # control's 5 points and at the sample's points for minimality; the
@@ -259,14 +302,14 @@ def test_report_all_evaluates_each_point_set_once(monkeypatch):
     assert factored == [(100, 2), (5, 1), (100, 1)]
     # triangle: the command's one 100-point sample through order 2, which
     # the co-area identity and the H-minimality residual read too, and the
-    # whole-N stationarity patch (12 x 12 x 3 nodes), at order 1: no check
+    # whole-N stationarity patch (12 x 3 x 3 nodes), at order 1: no check
     # reads its hessian. The sample's metric is inverted once, for the
     # curvature and the angle form, and the stationarity patch's once for
     # 3 fields
     report_all("triangle")
     assert [s[1:] for s in solves if s[0] == "PolytopeChart"] == [(100, 2)]
-    assert [s for s in solves if s[0] != "PolytopeChart"] == [("GlobalChart", 432, 1)]
-    assert inverted == [100, 432]
+    assert [s for s in solves if s[0] != "PolytopeChart"] == [("GlobalChart", 108, 1)]
+    assert inverted == [100, 108]
     # the same three QRs, on N of dimension 3: the stationarity patch is
     # not factored
     assert factored == [(100, 3), (5, 1), (100, 1)]

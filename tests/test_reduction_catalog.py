@@ -317,7 +317,7 @@ def test_cp_reduced_tensors_match_horizontal_lifts(name):
 def test_cp_one_orbit_node_matches_several(name):
     # every integrand is constant along the first torus's circle, so one
     # node on its phase axis gives the volume and the derivative of four
-    # (measured: to 1.8e-16 relative)
+    # (measured: to 3.4e-16 relative)
     setup = cp_chart_setup(catalog_double(name), 0)
     one = setup.patch
     nodes = _node_counts(one)
@@ -403,9 +403,9 @@ def test_cp_gradient_field_negative_control():
     # sphere (it is horizontal already), is a symplectic variation, and the
     # lifted CP^2 torus is not stationary for them: over the whole lift the
     # radial field reads 2.12 at seeds 0-2, and the worst of three gradient
-    # draws per seed 0.473, 0.116 and 0.599 (one draw reads 0.020: a single
+    # draws per seed 0.468, 0.114 and 0.603 (one draw reads 0.021: a single
     # draw can come out nearly volume-preserving), where the Hamiltonian
-    # field of every draw reads the rounding floor (at most 9.6e-17)
+    # field of every draw reads the rounding floor (at most 3.2e-16)
     D = catalog_double("cp2-torus")
     m = D.ambient_dim
     radial = VectorField(lambda z: z, lambda z, V: V)
@@ -446,9 +446,9 @@ def test_cp_chart_jacobian_matches_stencil():
     # the lift charts' exact jacobians (the global charts of the stacked
     # systems) against a 4th-order stencil of their values (and of their
     # jacobians for the hessians) at step 1e-4 on the nodes the Lagrangian
-    # residual reads (12 x 1 x 3 on the cp2 torus, 12 x 12 x 1 on rp2):
+    # residual reads (5 x 1 x 3 on the cp2 torus, 12 x 5 x 1 on rp2):
     # measured at most 8.7e-13 of the largest entry
-    for name, size in (("cp2-torus", 36), ("rp2", 144)):
+    for name, size in (("cp2-torus", 15), ("rp2", 60)):
         patch = cp_chart_setup(catalog_double(name), 0).patch
         chart, S = patch.chart, patch.params
         J, H = chart.jacobian(S), chart.hessian(S)
@@ -465,9 +465,11 @@ def test_cp_patch_resolves_the_top_phase_frequency():
     # lattice index 6, and its second phase row is (-1, -1, 0), so the
     # integrands reach 2 along it. At 3 nodes, one more than that degree, as
     # ``node_counts`` gives, the records read the rounding floor (measured at
-    # most 3.9e-16 at seeds 0-4); at 2 nodes the stationarity record reads
+    # most 3.6e-16 at seeds 0-4); at 2 nodes the stationarity record reads
     # 0.012-0.26. The circle takes one node, and so do the catalog lifts:
-    # the cp2 torus takes 3 on its second phase, and rp2 has none
+    # the cp2 torus takes 3 on its second phase, and rp2 has none. Every
+    # azimuth of a lift turns two equal columns and takes 5 nodes, one more
+    # than the degree 4 of a quadratic in q
     from momentangle.reduction_catalog import cp_chart_verify
 
     D = stack_double(QuadricConfiguration.from_rows([(1, 1, 1)], [1]),
@@ -475,14 +477,14 @@ def test_cp_patch_resolves_the_top_phase_frequency():
     patch = cp_chart_setup(D, 0).patch
     assert patch.chart.kinds == ("azimuth", "phase", "phase")
     assert patch.chart.phase_rows.tolist() == [[1, 1, 1], [-1, -1, 0]]
-    for name, nodes in (("cp2-torus", [12, 1, 3]), ("rp2", [12, 12, 1])):
+    for name, nodes in (("cp2-torus", [5, 1, 3]), ("rp2", [12, 5, 1])):
         assert _node_counts(cp_chart_setup(catalog_double(name), 0).patch) == nodes, name
     aliased = []
     for seed in range(5):
         setup = cp_chart_setup(D, seed)
-        assert _node_counts(setup.patch) == [12, 1, 3]
+        assert _node_counts(setup.patch) == [5, 1, 3]
         assert max(r.residual for r in cp_chart_verify(D, seed).records) <= 1e-14, seed
-        two = ChartPatch.over(setup.patch.chart, [12, 1, 2], order=1)
+        two = ChartPatch.over(setup.patch.chart, [5, 1, 2], order=1)
         aliased.append(stationarity_ratio(two, hamiltonian_vector_field(setup.grad, setup.hess)))
     assert max(aliased) > 10 * TOL_STATIONARITY, aliased
 
@@ -490,18 +492,23 @@ def test_cp_patch_resolves_the_top_phase_frequency():
 def test_cp_chart_degenerate_coordinate():
     # the lift has no pole: where a coordinate vanishes (the pole of the
     # affine chart dividing by it) it is a regular Lagrangian chart. On the
-    # cp2 torus z_0 = 0 at angle pi/2; on rp2's whole-lift patch z_0 = 0 at
-    # the azimuth pi/2, where the node nearest the equator is regular
+    # cp2 torus z_0 = 0 at angle pi/2; on rp2's lift z_0 = 0 at the azimuth
+    # pi/2, which none of its patch's 5 azimuth nodes lands on: there, at
+    # the patch's polar nodes, the node nearest the equator is regular
     D = catalog_double("cp2-torus")
     lift = global_chart(D.stacked)
     S = np.array([[np.pi / 2, 0.3, 0.7]])
     assert abs(lift.value(S)[0, 0]) < 1e-15
     pts = ChartSample.at(lift, S, 1)
     assert lagrangian_residual(D.stacked, pts)[0] < 1e-15
-    patch = cp_chart_setup(catalog_double("rp2"), 0).patch
-    zero = np.flatnonzero(np.abs(patch.points[:, 0]) < 1e-15)
-    near = zero[np.argmax(patch.area[zero])]
-    assert np.linalg.cond(patch.metric[near]) < 1e3 and patch.area[near] > 0.1
+    D = catalog_double("rp2")
+    patch = cp_chart_setup(D, 0).patch
+    polar = np.unique(patch.params[:, 0])
+    pts = ChartSample.at(patch.chart, np.column_stack([polar, np.full_like(polar, np.pi / 2), 0 * polar]), 1)
+    assert np.abs(pts.points[:, 0]).max() < 1e-15
+    assert lagrangian_residual(D.stacked, pts).max() < 1e-15
+    near = np.argmax(pts.area)
+    assert np.linalg.cond(pts.metric[near]) < 1e3 and pts.area[near] > 0.1
 
 
 def test_catalog_unknown_names():
