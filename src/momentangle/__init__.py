@@ -22,8 +22,6 @@ from .quadric_config import (
     QuadricConfiguration,
     boundedness_check,
     gale_dual,
-    membership_residual,
-    moment_map,
     nondegeneracy_check,
     two_quadrics_canonical,
 )

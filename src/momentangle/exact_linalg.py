@@ -5,12 +5,15 @@ floating point enters. Matrices are ``IntegerMatrix``, immutable so results
 can be shared freely between threads: determinants, ranks, kernels and
 lattices are all integer. One elimination step and one normal form answer
 every question. The Bareiss pivot ``_pivot`` runs the determinant, the
-square solves and ``lp``'s simplex; ``solve_square`` and ``inverse``
-eliminate fraction-free with it, so ``Fraction`` appears only in the
-rational inputs of ``solve_square`` and in the rows of Fractions that both
-return; ``solve_with_det`` returns the determinant a solve ends on with its
-solution. The Hermite form gives ranks (its row count), kernels and lattice
-equality.
+square solves and ``lp``'s simplex, and ``_bareiss`` runs the feasible-basis
+loop of ``quadric_config``. The basis loop and the simplex decide on
+integer numerators and build a ``Fraction`` only for the bases they keep and
+for the LP points a caller reads. ``solve_square`` and ``inverse`` eliminate
+fraction-free, so ``Fraction`` appears only in the rational inputs of
+``solve_square`` and in the rows of Fractions that both return;
+``solve_with_det`` returns the determinant a solve ends on with its
+solution, and the vertex loop of ``polytope`` still solves through it. The
+Hermite form gives ranks (its row count), kernels and lattice equality.
 """
 
 from __future__ import annotations

@@ -5,15 +5,17 @@ simple and fast enough. The tableau pivots in integers: the constraints and
 the cost are each scaled once by the least common multiple of their
 denominators, and the tableau is kept as integer rows over one common
 denominator ``D > 0``, every entry a minor of the scaled system. Each pivot
-divides exactly by the previous ``D`` (Bareiss's identity), so no
-``Fraction`` is built until the basic solution is read off. Bland's pivoting
-rule makes termination unconditional.
+divides exactly by the previous ``D`` (Bareiss's identity). The optimal
+basic solution is kept as its integer numerators over ``D``, and no
+``Fraction`` is built until a caller reads ``LPResult.x`` or ``objective``.
+Bland's pivoting rule makes termination unconditional.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Sequence
 
@@ -22,9 +24,28 @@ from .exact_linalg import _pivot as _bareiss_pivot
 
 @dataclass(frozen=True)
 class LPResult:
+    """The status, the program's cost vector, and at an optimum the basic
+    solution x = numerators / D.
+
+    ``x`` and ``objective`` are built from the numerators on first read and
+    kept."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
-    x: tuple[Fraction, ...] | None = None
-    objective: Fraction | None = None
+    cost: tuple
+    numerators: tuple[int, ...] | None = None
+    D: int = 1
+
+    @cached_property
+    def x(self) -> tuple[Fraction, ...] | None:
+        if self.numerators is None:
+            return None
+        return tuple(Fraction(y, self.D) for y in self.numerators)
+
+    @cached_property
+    def objective(self) -> Fraction | None:
+        if self.numerators is None:
+            return None
+        return sum((ci * xi for ci, xi in zip(self.cost, self.x)), Fraction(0))
 
 
 def _pivot(T: list[list[int]], basis: list[int], row: int, col: int, D: int) -> int:
@@ -98,7 +119,7 @@ def solve_lp(
     if status != "optimal":  # phase 1 is always bounded below by 0
         raise AssertionError("phase 1 cannot be unbounded")
     if T.pop()[-1] != 0:
-        return LPResult("infeasible")
+        return LPResult("infeasible", tuple(c))
 
     # drive leftover artificials out of the basis, drop redundant rows
     keep = []
@@ -124,13 +145,12 @@ def solve_lp(
     T.append(cost)
     status, D = _run_simplex(T, basis, D)
     if status == "unbounded":
-        return LPResult("unbounded")
-    x = [Fraction(0)] * n
+        return LPResult("unbounded", tuple(c))
+    y = [0] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = Fraction(T[i][-1], D)
-    val = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
-    return LPResult("optimal", tuple(x), val)
+            y[bi] = T[i][-1]
+    return LPResult("optimal", tuple(c), tuple(y), D)
 
 
 def feasible_point(A: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...] | None:
@@ -168,12 +188,13 @@ def positive_combination(
     b = list(target) + [1]
     cost = [0] * nv + [1, 0]
     res = solve_lp(A, b, cost, maximize=True)
-    if res.status != "optimal" or res.x is None:
+    if res.status != "optimal":
         return None
-    delta = res.x[nv]
-    if delta <= 0:
+    # D > 0, so delta = y[nv] / D is positive iff its numerator is
+    y, D = res.numerators, res.D
+    if y[nv] <= 0:
         return None
-    return tuple(res.x[k] + delta for k in range(nv))
+    return tuple(Fraction(y[k] + y[nv], D) for k in range(nv))
 
 
 def inequality_point(vectors: Sequence[Sequence], lower: Sequence) -> tuple[Fraction, ...] | None:

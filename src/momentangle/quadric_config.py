@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import lp
-from .exact_linalg import IntegerMatrix, det_int, hermite_row_form, inverse, nullspace, solve_with_det
+from .exact_linalg import IntegerMatrix, _bareiss, det_int, hermite_row_form, inverse, nullspace
 from .polytope import PolytopePresentation
 
 
@@ -183,18 +183,6 @@ def membership_residuals(Q: QuadricConfiguration, z: np.ndarray) -> np.ndarray:
     return np.abs(vals).max(axis=-1)
 
 
-def membership_residual(Q: QuadricConfiguration, z) -> float:
-    return float(membership_residuals(Q, np.asarray(z)))
-
-
-def moment_map(Q: QuadricConfiguration, z) -> np.ndarray:
-    """The quadric coefficient matrix applied to (|z_1|^2, ..., |z_m|^2)."""
-    z = np.asarray(z, dtype=complex)
-    if z.shape[-1] != Q.ambient_dim:
-        raise ValueError("point dimension mismatch")
-    return (np.abs(z) ** 2) @ Q.gamma_float().T
-
-
 def boundedness_check(Q: QuadricConfiguration) -> bool:
     """True iff some functional is strictly positive on every coefficient column.
 
@@ -222,12 +210,22 @@ def feasible_bases(Q: QuadricConfiguration) -> tuple[tuple[tuple[int, ...], tupl
 
 
 def _solve_feasible_bases(Q: QuadricConfiguration):
+    """Each subset's Bareiss elimination runs on the integer rows [gamma_S | C],
+    C = L c the levels scaled by the lcm L of their denominators, and ends on
+    d = det gamma_S with y = d gamma_S^-1 C in the last column; lam = y / (d L)
+    is nonnegative iff every y_i d is, so a ``Fraction`` is built only for the
+    bases kept."""
     k = Q.num_quadrics
+    L = lcm(*(x.denominator for x in Q.c))
+    C = [x.numerator * (L // x.denominator) for x in Q.c]
+    gamma = Q.gamma.entries
     out = []
     for S in combinations(range(Q.ambient_dim), k):
-        lam, det = solve_with_det([[row[i] for i in S] for row in Q.gamma.entries], Q.c)
-        if lam is not None and all(x >= 0 for x in lam):
-            out.append((S, lam, det))
+        aug = [[row[i] for i in S] + [ci] for row, ci in zip(gamma, C)]
+        det = _bareiss(aug, k)
+        if det and all(r[k] * det >= 0 for r in aug):
+            dL = det * L
+            out.append((S, tuple(Fraction(r[k], dL) for r in aug), det))
     return tuple(out)
 
 

@@ -1,7 +1,9 @@
 """Property tests of the exact layer against independent computations.
 
-The feasible-basis nondegeneracy and freeness checks are compared with the
-subset-LP algorithm they replaced, kept here as the reference, and freeness
+The feasible bases are compared with square solves and determinants taken
+subset by subset; the feasible-basis nondegeneracy and freeness checks are
+compared with the subset-LP algorithm they replaced, kept here as the
+reference, and freeness
 with the Delzant condition on random simple lattice polytopes; the one-LP
 boundedness test of a presentation is compared with the 2n-LP recession
 search it replaced and with scipy; the integer-pivoting simplex and the
@@ -41,19 +43,20 @@ from momentangle.polytope import (
     is_delzant,
     is_simple,
 )
-from momentangle.quadric_config import QuadricConfiguration, gale_dual, nondegeneracy_check
+from momentangle.quadric_config import QuadricConfiguration, feasible_bases, gale_dual, nondegeneracy_check
 from momentangle.torus_actions import freeness_check
 
 entries = st.integers(-3, 3)
+levels = st.builds(Fraction, entries, st.integers(1, 6))
 
 
 @st.composite
 def configurations(draw):
-    """Quadric systems with k <= 3 independent rows, m <= 6 columns and c != 0."""
+    """Quadric systems with k <= 3 independent rows, m <= 6 columns and rational c != 0."""
     k = draw(st.integers(1, 3))
     m = draw(st.integers(k, 6))
     rows = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=k, max_size=k))
-    c = draw(st.lists(entries, min_size=k, max_size=k).filter(any))
+    c = draw(st.lists(levels, min_size=k, max_size=k).filter(any))
     try:
         return QuadricConfiguration(IntegerMatrix(rows, cols=m), c)
     except ValueError:  # dependent rows
@@ -89,6 +92,26 @@ def _reference_freeness(Q):
             if not sublattice_equals_lattice(IntegerMatrix([cols[i] for i in subset]), full):
                 return subset
     return None
+
+
+def _reference_feasible_bases(Q):
+    """Subset by subset: lam from the square solve and, where it is nonnegative, det_int of gamma_S."""
+    out = []
+    for S in combinations(range(Q.ambient_dim), Q.num_quadrics):
+        gamma_S = [[row[i] for i in S] for row in Q.gamma.entries]
+        lam = solve_square(gamma_S, Q.c)
+        if lam is not None and all(x >= 0 for x in lam):
+            out.append((S, lam, det_int(IntegerMatrix(gamma_S, cols=len(S)))))
+    return tuple(out)
+
+
+# the level (1/2, 0) lies on a face of the cone of the columns: the bases
+# (0, 1) and (0, 2) are kept with lam = (1/2, 0)
+@example(QuadricConfiguration(IntegerMatrix([[1, 0, 1], [0, 1, 1]], cols=3), [Fraction(1, 2), 0]))
+@settings(max_examples=60)
+@given(configurations())
+def test_feasible_bases_match_square_solves(Q):
+    assert feasible_bases(Q) == _reference_feasible_bases(Q)
 
 
 @settings(max_examples=60)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from momentangle import lp
 from momentangle.lp import (
     inequality_point,
     positive_combination,
@@ -14,6 +15,20 @@ def test_solve_lp_optimal():
     assert res.status == "optimal"
     assert res.x == (Fraction(0), Fraction(2))
     assert res.objective == 2
+
+
+def test_solve_lp_builds_fractions_only_when_read(monkeypatch):
+    # the optimum is kept as integer numerators over the tableau's D; x is
+    # built on first read and kept, and positive_combination builds its t_k
+    # from the numerators without reading x
+    built = []
+    monkeypatch.setattr(lp, "Fraction", lambda *args: built.append(args) or Fraction(*args))
+    res = solve_lp([[1, 2]], [4], [1, 1])
+    assert built == []
+    assert res.x == (0, 2) and len(built) == 2
+    assert res.x is res.x and len(built) == 2
+    assert positive_combination([(1,), (2,)], (1,)) == (Fraction(1, 3), Fraction(1, 3))
+    assert len(built) == 4
 
 
 def test_solve_lp_infeasible_unbounded():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from momentangle import quadric_config
 from momentangle.exact_linalg import IntegerMatrix
 from momentangle.polytope import enumerate_vertices
 from momentangle.quadric_config import (
@@ -11,8 +12,7 @@ from momentangle.quadric_config import (
     boundedness_check,
     feasible_bases,
     gale_dual,
-    membership_residual,
-    moment_map,
+    membership_residuals,
     nondegeneracy_check,
     two_quadrics_canonical,
 )
@@ -49,14 +49,17 @@ def test_gale_orthogonality_exact(name):
     assert Q.gamma.matmul(P.normal_matrix().transpose()).is_zero()
 
 
-def test_membership_residual():
+def test_membership_residuals():
+    # per point, the largest quadric defect |sum gamma_jk |z_k|^2 - c_j|
     Q = catalog_quadrics("one-quadric:3")
-    assert membership_residual(Q, np.array([1, 0, 0], dtype=complex)) == 0.0
-    assert membership_residual(Q, np.zeros(3, dtype=complex)) == 1.0
-    Qs = gale_dual(catalog_polytope("square"))
-    assert membership_residual(Qs, np.array([1, 0, 0, 1], dtype=complex)) == 0.0
+    Z = np.array([[1, 0, 0], [0, 0, 0], [0, 1j, 0]], dtype=complex)
+    assert membership_residuals(Q, Z).tolist() == [0.0, 1.0, 0.0]
+    Qs = gale_dual(catalog_polytope("square"))  # |z_0|^2 + |z_2|^2 = 1 = |z_1|^2 + |z_3|^2
+    Z = np.array([[1, 0, 0, 1], [1, 1, 0, 0], [0, 0, 0, 0], [2, 0, 0, 1]], dtype=complex)
+    assert membership_residuals(Qs, Z).tolist() == [0.0, 0.0, 1.0, 3.0]
+    assert membership_residuals(Qs, Z[1]) == 0.0  # one point, unbatched
     with pytest.raises(ValueError):
-        membership_residual(Q, np.zeros(4, dtype=complex))
+        membership_residuals(Q, np.zeros(4, dtype=complex))
 
 
 def test_boundedness():
@@ -92,20 +95,30 @@ def test_feasible_bases_are_vertex_complements():
         assert all(all(x > 0 for x in lam) for _, lam, _ in bases), name
 
 
+def test_feasible_bases_build_fractions_only_for_kept_bases(monkeypatch):
+    # the sign of lam is read off the integer numerators, so only the kept
+    # bases build their k lam entries: of cube:5's C(10, 5) = 252 subsets, 32
+    # are kept. Its invertible subsets are all kept, so the second system,
+    # the sphere cut by a cone with weights (1, 2, 3, -1, -2, -3), pins the
+    # rest: all 15 pairs are invertible, and the 9 pairs of mixed sign are kept
+    subsets, built = [], []
+    bareiss = quadric_config._bareiss
+    monkeypatch.setattr(quadric_config, "_bareiss", lambda a, n: subsets.append(n) or bareiss(a, n))
+    monkeypatch.setattr(quadric_config, "Fraction", lambda *args: built.append(args) or Fraction(*args))
+    cone = QuadricConfiguration(IntegerMatrix([[1] * 6, [1, 2, 3, -1, -2, -3]], cols=6), [1, 0])
+    for Q, counts in ((gale_dual(catalog_polytope("cube:5")), (252, 32, 32 * 5)), (cone, (15, 9, 9 * 2))):
+        subsets.clear()
+        built.clear()
+        bases = quadric_config._solve_feasible_bases(Q)
+        assert (len(subsets), len(bases), len(built)) == counts
+
+
 def test_nondegeneracy_on_catalog_duals():
     for name in ("triangle", "square", "simplex:3", "cube:3", "product:2,2"):
         Q = gale_dual(catalog_polytope(name))
         nd = nondegeneracy_check(Q)
         assert nd.all_ok
         assert boundedness_check(Q)
-
-
-def test_moment_map():
-    Q = catalog_quadrics("one-quadric:3")
-    assert np.allclose(moment_map(Q, np.array([1, 0, 0], complex)), [1.0])
-    Qs = gale_dual(catalog_polytope("square"))
-    assert np.allclose(moment_map(Qs, np.array([1, 1, 0, 0], complex)), [1.0, 1.0])
-    assert np.allclose(moment_map(Qs, np.zeros(4, complex)), [0.0, 0.0])
 
 
 def test_two_quadrics_canonical_identity_case():

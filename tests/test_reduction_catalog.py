@@ -7,7 +7,7 @@ from momentangle.charts import TorusSpreadChart, c2r, global_chart
 from momentangle.quadric_config import (
     QuadricConfiguration,
     boundedness_check,
-    membership_residual,
+    membership_residuals,
     nondegeneracy_check,
 )
 from momentangle import fd
@@ -152,7 +152,7 @@ def test_ntilde_membership_and_residual():
         v = 0.35 * rng.uniform(-1, 1, 1)
         ph = rng.uniform(0, 1, 1)
         p = ntilde_chart(D, base, v, ph, spec)
-        worst_mem = max(worst_mem, membership_residual(D.stacked, p.points[0]))
+        worst_mem = max(worst_mem, membership_residuals(D.stacked, p.points).max())
         worst_lag = max(worst_lag, ntilde_lagrangian_residual(D, p)[0])
     assert worst_mem < 1e-10
     assert worst_lag < 1e-8
@@ -278,10 +278,10 @@ def test_cp_reduced_tensors_match_horizontal_lifts(name):
     # horizontal part of its tangent vectors. The oracle pulls the
     # horizontal-lift tensors back through an affine chart of CP^2, whose
     # jacobian is a 4th-order stencil at step 1e-3 (measured: the tensors
-    # agree to 4.0e-10 of the largest entry on rp2 and 1.0e-10 on the cp2
-    # torus). The orbits on the sphere all have length
+    # agree to 2.0e-12 of the largest entry on rp2's shrunk patch and 1.0e-10
+    # on the cp2 torus). The orbits on the sphere all have length
     # V_orb = 2 pi sqrt(c / gamma), so vol(reduced patch) = vol(lift patch)
-    # / V_orb (measured: 2.7e-11 and 5.2e-11 relative)
+    # / V_orb (measured: 1.3e-12 and 5.2e-11 relative)
     D = catalog_double(name)
     _, patch = _lift_patch(name)
     chart, S, P = patch.chart, patch.params, patch.points
