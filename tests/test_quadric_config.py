@@ -49,7 +49,7 @@ def test_gale_orthogonality_exact(name):
     assert Q.gamma.matmul(P.normal_matrix().transpose()).is_zero()
 
 
-def test_membership_residuals():
+def test_membership_residual():
     # per point, the largest quadric defect |sum gamma_jk |z_k|^2 - c_j|
     Q = catalog_quadrics("one-quadric:3")
     Z = np.array([[1, 0, 0], [0, 0, 0], [0, 1j, 0]], dtype=complex)
@@ -60,6 +60,17 @@ def test_membership_residuals():
     assert membership_residuals(Qs, Z[1]) == 0.0  # one point, unbatched
     with pytest.raises(ValueError):
         membership_residuals(Q, np.zeros(4, dtype=complex))
+
+
+def test_moment_map():
+    # the moment map Gamma |z|^2 meets the level c exactly where the residual vanishes
+    Qs = gale_dual(catalog_polytope("square"))
+    Z = np.array([[1, 1, 0, 0], [0, 0, 0, 0], [2, 0, 0, 1]], dtype=complex)
+    mu = (np.abs(Z) ** 2) @ Qs.gamma_float().T
+    assert mu.tolist() == [[1.0, 1.0], [0.0, 0.0], [4.0, 1.0]]
+    assert membership_residuals(Qs, Z).tolist() == np.abs(mu - Qs.c_float()).max(axis=1).tolist()
+    Q = catalog_quadrics("one-quadric:3")
+    assert ((np.abs(np.array([1, 0, 0])) ** 2) @ Q.gamma_float().T).tolist() == [1.0]
 
 
 def test_boundedness():
