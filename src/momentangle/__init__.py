@@ -28,7 +28,6 @@ from .quadric_config import (
 from .torus_actions import (
     NonFreePointError,
     TorusSubgroup,
-    conjugate,
     freeness_check,
     orbit_generators,
     orbit_volume,

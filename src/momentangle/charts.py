@@ -5,8 +5,11 @@ the real locus, times the phases exp(2 pi i <row_j, phi>). Each chart
 supplies u's v-derivatives, and one product rule (``_phase_product``) gives
 its derivatives through second order in one pass, all in closed form: no
 check reads a third. ``Chart.jet`` gives them together, from one solve of u.
-``global_chart`` covers the whole of N wherever its real locus is a product
-of ellipsoids.
+Its order 2 keeps the second derivatives as the product rule's factors
+(``PhaseHessian``): the checks read them only through the trace
+sum g^ab H_ab, which contracts those factors block by block, so only
+``Chart.hessian`` assembles the (N, m, d, d) array. ``global_chart``
+covers the whole of N wherever its real locus is a product of ellipsoids.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,14 +74,51 @@ def _phase_product(phases: np.ndarray, us: tuple[np.ndarray, ...], rows: np.ndar
                                  np.concatenate([np.swapaxes(dvE, 2, 3), phiphi], axis=3)], axis=2)
 
 
+@dataclass(frozen=True)
+class PhaseHessian:
+    """The second derivatives of z = phases(phi) * u(v) at N points, kept as the product
+    rule's factors: ``phases`` (N, m) and ``us`` = (u, Du, D^2u), (N, m), (N, m, nv) and
+    (N, m, nv, nv), with ``rows`` the phase rows R (nphi, m) and E = 2 pi i R^T.
+
+    The hessian's blocks are phases D^2u (vv), phases Du E (v phi, and its transpose
+    phi v) and z E E (phi phi). ``trace`` contracts g^-1 against them block by block;
+    ``assemble`` builds the (N, m, d, d) array. A slice slices the points.
+    """
+
+    phases: np.ndarray
+    us: tuple[np.ndarray, np.ndarray, np.ndarray]
+    rows: np.ndarray
+
+    def __getitem__(self, s: slice) -> PhaseHessian:
+        return PhaseHessian(self.phases[s], tuple(x[s] for x in self.us), self.rows)
+
+    def assemble(self) -> np.ndarray:
+        return _phase_product(self.phases, self.us, self.rows)[2]
+
+    def trace(self, gi: np.ndarray) -> np.ndarray:
+        """sum_ab g^ab H_ab (N, 2m), real parts first, for g^-1 ``gi`` (N, d, d):
+        phases (<g^vv, D^2u> + 2 pi i sum_a du_a (g^v phi R)_a) - (2 pi)^2 z diag(R^T g^phiphi R),
+        with g^v phi the v-phi block plus the transposed phi-v block. Every product is stacked
+        per point, so a point's row does not depend on its batch."""
+        (u, du, d2u), R = self.us, self.rows
+        N, m, nv = du.shape
+        vv = (d2u.reshape(N, m, nv * nv) @ gi[:, :nv, :nv].reshape(N, nv * nv, 1))[..., 0]
+        cross = (gi[:, :nv, nv:] + np.swapaxes(gi[:, nv:, :nv], 1, 2)) @ R  # (N, nv, m)
+        vphi = (du[:, :, None, :] @ np.swapaxes(cross, 1, 2)[:, :, :, None])[..., 0, 0]
+        phiphi = ((gi[:, nv:, nv:] @ R) * R).sum(axis=1)
+        tr = self.phases * (vv + 1j * TWO_PI * vphi) - TWO_PI**2 * (self.phases * u) * phiphi
+        return c2r(tr)
+
+
 class Chart:
     """A spread chart (v, phi) -> phases(phi) * u(v) into C^m.
 
     Subclasses set ``nv``, ``nphi``, ``dim = nv + nphi``, ``ambient_dim``
     and ``phase_rows``, and supply ``_u(V, order)``: u and its
     v-derivatives up to ``order`` at the rows of V. ``jet`` is the product
-    rule on those, in one pass; ``value``, ``jacobian`` and ``hessian``
-    each read one entry of a jet.
+    rule on those, in one pass; ``value`` and ``jacobian`` each read one
+    entry of a jet, and ``hessian`` assembles the second derivatives that
+    an order-2 jet keeps as factors.
     """
 
     nv: int
@@ -89,15 +130,17 @@ class Chart:
     def _u(self, V: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
         raise NotImplementedError
 
-    def jet(self, S: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-        """(z, J, ..., D^order) at the rows of S, from one ``_u`` call and one phase computation:
-        z (N, m), J (N, m, d), H (N, m, d, d). ``order`` is at most 2."""
+    def jet(self, S: np.ndarray, order: int) -> tuple:
+        """(z, J[, second]) at the rows of S through ``order`` (at most 2), from one ``_u`` call
+        and one phase computation: z (N, m), J (N, m, d) and, at order 2, the ``PhaseHessian``."""
         if order > 2:
             raise ValueError(f"a chart jet goes through order 2, not {order}")
         V, Phi = _split_params(S, self.nv, self.dim)
         # einsum, not matmul: a point's sums do not depend on its batch
         phases = np.exp(1j * TWO_PI * np.einsum("nj,jk->nk", Phi, self.phase_rows))
-        return _phase_product(phases, self._u(V, order), self.phase_rows)
+        us = self._u(V, order)
+        jet = _phase_product(phases, us[:2], self.phase_rows)
+        return jet + (PhaseHessian(phases, us, self.phase_rows),) if order == 2 else jet
 
     def value(self, S: np.ndarray) -> np.ndarray:
         return self.jet(S, 0)[0]
@@ -106,7 +149,8 @@ class Chart:
         return self.jet(S, 1)[1]
 
     def hessian(self, S: np.ndarray) -> np.ndarray:
-        return self.jet(S, 2)[2]
+        """The assembled second derivatives (N, m, d, d) at the rows of S."""
+        return self.jet(S, 2)[2].assemble()
 
 
 class TorusSpreadChart(Chart):

@@ -41,7 +41,7 @@ from .reduction_catalog import (
     classify_N,
 )
 from .report import VerificationReport
-from .submanifold_numerics import ChartSample, MetricSpec, sample_chart_points
+from .submanifold_numerics import NODE_BUDGET, ChartSample, MetricSpec, sample_chart_points
 
 COMMANDS = (
     "gale",
@@ -114,6 +114,9 @@ def _resolve_samples(cfg: ConfigFile, flag_samples: int | None) -> int:
         samples = DEFAULT_SAMPLES
     if samples < 1:
         raise ConfigError(f"samples must be positive, got {samples}")
+    # a sample keeps its jet and geometry per point, as a patch does per node
+    if samples > NODE_BUDGET:
+        raise ConfigError(f"samples must be at most the node budget of {NODE_BUDGET}, got {samples}")
     return samples
 
 

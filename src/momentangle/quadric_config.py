@@ -263,11 +263,6 @@ class CanonicalTwoQuadrics:
     permutation: tuple[int, ...]  # column order putting second-row positives first
     config: QuadricConfiguration  # the transformed, permuted configuration
 
-    @property
-    def transform_det(self) -> int:
-        w = self.transform.entries
-        return w[0][0] * w[1][1] - w[0][1] * w[1][0]
-
 
 # the largest |entry| of a row transform ``two_quadrics_canonical`` tries
 ENTRY_BOUND = 8

@@ -11,7 +11,12 @@ computed here is invariant under that scale.
 Points of a chart travel as a ``ChartSample``, which holds their jet,
 solved once through the order its checks read, and their geometry, computed
 once on first read; every pointwise check takes one and returns one value
-per point, shape (N,). A ``ChartPatch`` is a sample with quadrature weights.
+per point, shape (N,). At order 2 the jet keeps the second derivatives as
+the chart's product-rule factors, and the mean curvature contracts g^-1
+against them, so no (N, m, d, d) hessian is built. The metric is inverted
+once and factored once, g = L L^T: the orthonormal frame J g^-1 L, the
+rank test on diag L and the area element prod diag L all read that one
+Cholesky factor. A ``ChartPatch`` is a sample with quadrature weights.
 """
 
 from __future__ import annotations
@@ -61,14 +66,19 @@ DEFAULT_SPEC = MetricSpec()
 @dataclass
 class ChartSample:
     """Points of one chart evaluated together: ``params`` (N, d) and their ``jet``
-    (z, J, ..., D^order), the chart's one evaluation through the order the
-    sample's checks read. ``points`` (N, m) is the jet's order 0. A slice
-    slices the jet; one point is the sample ``s[i:i + 1]``. The pointwise
-    residual functions take a whole sample and return one value per point.
-    Its geometry in flat C^m = R^2m is computed on first read and kept, for
-    every check to read: the real jacobian J, the metric g = J^T J, g^-1,
-    the area element, the QR of J (which only ``tangent_frames`` reads) and
-    the mean curvature. Every per-point product is stacked, (N, a, b) @
+    (z, J[, second]), the chart's one evaluation through the order the
+    sample's checks read. ``points`` (N, m) is the jet's order 0. At order 2
+    the jet keeps the second derivatives in the chart's own form, which
+    slices like the arrays and whose ``trace(g^-1)`` gives sum g^ab H_ab
+    (N, 2m): a spread chart keeps its product-rule factors
+    (``charts.PhaseHessian``), so no sample builds its (N, m, d, d) hessian.
+    A slice slices the jet; one point is the sample ``s[i:i + 1]``. The
+    pointwise residual functions take a whole sample and return one value
+    per point. Its geometry in flat C^m = R^2m is computed on first read
+    and kept, for every check to read: the real jacobian J, the metric
+    g = J^T J, g^-1, the one Cholesky factor g = L L^T, which gives the
+    orthonormal frame J g^-1 L and the area element prod diag L, and the
+    mean curvature. Every per-point product is stacked, (N, a, b) @
     (N, b, c) or (N, a, b) @ (b, c), so each point's row is computed by
     the same operations in any batch.
     """
@@ -115,43 +125,34 @@ class ChartSample:
         return np.linalg.inv(self.metric)
 
     @functools.cached_property
-    def area(self) -> np.ndarray:  # sqrt det g (N,)
-        return np.sqrt(np.linalg.det(self.metric))
+    def metric_factor(self) -> np.ndarray:  # L (N, d, d), lower triangular, g = L L^T
+        try:
+            return np.linalg.cholesky(self.metric)
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergenceError("chart jacobian is rank deficient; chart degenerate here") from exc
 
     @functools.cached_property
-    def frame_qr(self) -> tuple[np.ndarray, np.ndarray]:  # Q (N, 2m, d) spans each tangent space
-        return np.linalg.qr(self.real_jacobian)
+    def area(self) -> np.ndarray:  # sqrt det g = prod diag L (N,)
+        return np.prod(np.diagonal(self.metric_factor, axis1=1, axis2=2), axis=1)
+
+    @functools.cached_property
+    def frame(self) -> np.ndarray:  # J g^-1 L = J L^-T (N, 2m, d): orthonormal columns spanning each tangent space
+        return self.real_jacobian @ (self.metric_inverse @ self.metric_factor)
 
     @functools.cached_property
     def curvature(self) -> np.ndarray:
         """The unnormalized mean curvature vector H (N, 2m): trace_g of the normal
         projection of the second derivatives, H = tr - J g^-1 J^T tr with
-        tr = g^ab Hess_ab, from the cached g^-1."""
+        tr = g^ab Hess_ab contracted by the jet's second derivatives, from the cached g^-1."""
         if len(self.jet) < 3:
             raise ValueError("the mean curvature reads a sample of order 2")
-        Hess, J, gi = self.jet[2], self.real_jacobian, self.metric_inverse
-        n, d = gi.shape[:2]
-        tr = np.concatenate([Hess.real, Hess.imag], axis=1).reshape(n, -1, d * d) @ gi.reshape(n, d * d, 1)
+        J, gi = self.real_jacobian, self.metric_inverse
+        tr = self.jet[2].trace(gi)[..., None]
         return (tr - J @ (gi @ (np.swapaxes(J, 1, 2) @ tr)))[..., 0]
 
 
 # ---------------------------------------------------------------------------
 # symplectic pairing helpers
-
-
-def omega_matrix(m: int) -> np.ndarray:
-    """Matrix of the symplectic form on R^{2m} in the (x..., y...) stacking."""
-    Om = np.zeros((2 * m, 2 * m))
-    Om[:m, m:] = np.eye(m)
-    Om[m:, :m] = -np.eye(m)
-    return OMEGA_SCALE * Om
-
-
-def omega_pair(u, v) -> float | np.ndarray:
-    """omega(u, v) for complex vectors; equals OMEGA_SCALE * Im <u, v>_Hermitian."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    return OMEGA_SCALE * np.imag(np.sum(np.conj(u) * v, axis=-1))
 
 
 def frame_symplectic_residual(vectors: np.ndarray) -> float | np.ndarray:
@@ -187,11 +188,10 @@ def tangent_frames(Q: QuadricConfiguration | None, sample: ChartSample) -> np.nd
     Raises if any jacobian is rank deficient or, given ``Q``, if any frame
     fails to annihilate the quadric differentials at the sample's points.
     """
-    Qm, R = sample.frame_qr
-    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    diag = np.diagonal(sample.metric_factor, axis1=-2, axis2=-1)
     if np.any(diag.min(axis=-1) < 1e-8 * np.maximum(1.0, diag.max(axis=-1))):
         raise NonConvergenceError("chart jacobian is rank deficient; chart degenerate here")
-    vectors = r2c(np.swapaxes(Qm, -2, -1))
+    vectors = r2c(np.swapaxes(sample.frame, -2, -1))
     if Q is not None:
         # frame vectors must annihilate the quadric differentials
         grads = 2.0 * Q.gamma_float() * sample.points[:, None, :]  # complex rows <-> real gradients

@@ -95,8 +95,3 @@ def orbit_volume(Q: QuadricConfiguration, z) -> float | np.ndarray:
         raise NonFreePointError("singular orbit Gram matrix: point has a stabilizer")
     vol = np.sqrt(dets) / Q.lattice_index
     return float(vol) if vol.ndim == 0 else vol
-
-
-def conjugate(z) -> np.ndarray:
-    """Coordinatewise complex conjugation (an involution preserving all |z_k|)."""
-    return np.conj(np.asarray(z))

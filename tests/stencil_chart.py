@@ -14,6 +14,23 @@ from momentangle import fd
 STEP = 1e-3  # the stencil step of every derivative
 
 
+class AssembledHessian:
+    """An assembled hessian H (N, m, d, d) in the form an order-2 jet keeps its second
+    derivatives: it slices by points, and ``trace(gi)`` is sum g^ab H_ab (N, 2m), real
+    parts first, as stacked per-point products."""
+
+    def __init__(self, H: np.ndarray):
+        self.H = H
+
+    def __getitem__(self, s: slice) -> AssembledHessian:
+        return AssembledHessian(self.H[s])
+
+    def trace(self, gi: np.ndarray) -> np.ndarray:
+        n, d = gi.shape[:2]
+        real = np.concatenate([self.H.real, self.H.imag], axis=1).reshape(n, -1, d * d)
+        return (real @ gi.reshape(n, d * d, 1))[..., 0]
+
+
 class FunctionChart:
     """The chart of ``fn``: its jacobian and hessian are stencils of ``value`` at
     ``STEP``. ``jet`` gives them together, as a sample holds them."""
@@ -32,6 +49,8 @@ class FunctionChart:
     def hessian(self, S: np.ndarray) -> np.ndarray:
         return fd.hessian(self.value, S, STEP)
 
-    def jet(self, S: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-        """(value, jacobian, ...) through ``order``, each from its own stencil."""
-        return tuple(f(S) for f in (self.value, self.jacobian, self.hessian)[: order + 1])
+    def jet(self, S: np.ndarray, order: int) -> tuple:
+        """(value, jacobian[, hessian]) through ``order``, each from its own stencil; the
+        hessian as an ``AssembledHessian``."""
+        jet = tuple(f(S) for f in (self.value, self.jacobian)[: order + 1])
+        return jet + (AssembledHessian(self.hessian(S)),) if order == 2 else jet

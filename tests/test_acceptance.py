@@ -165,11 +165,11 @@ def test_criterion_08_noether():
 
 
 def test_criterion_09_orbit_volume(sampled_points):
-    from momentangle.torus_actions import conjugate, orbit_volume
+    from momentangle.torus_actions import orbit_volume
 
     results = {}
     Q, pts = sampled_points["one-quadric:3"]
-    worst = np.abs(orbit_volume(Q, pts.points) - orbit_volume(Q, conjugate(pts.points))).max()
+    worst = np.abs(orbit_volume(Q, pts.points) - orbit_volume(Q, np.conj(pts.points))).max()
     results["conjugation-symmetry"] = worst < 1e-12
     for cname in ("one-quadric:2", "one-quadric:3"):
         rep = proc.coarea_report(*sampled_points[cname])

@@ -478,6 +478,28 @@ def test_malformed_numbers_exit_2(tmp_path, monkeypatch, capsys):
     assert main(["verify-lagrangian", "catalog:one-quadric:2", "--samples", "5"]) == 2
 
 
+def test_samples_beyond_the_node_budget_exit_2(tmp_path, monkeypatch, capsys):
+    # a sample keeps its jet and geometry per point, as a patch does per
+    # node, so a sample count above NODE_BUDGET is a configuration error
+    # (it ended in a numpy memory error and exit 1). One more than the
+    # budget is refused before any point is drawn, from the flag and from
+    # a samples line alike
+    from momentangle import cli
+    from momentangle.submanifold_numerics import NODE_BUDGET
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(cli, "sample_chart_points", refuse)
+    over = str(NODE_BUDGET + 1)
+    assert main(["report-all", "catalog:triangle", "--samples", over]) == 2
+    assert f"samples must be at most the node budget of {NODE_BUDGET}, got {over}" in capsys.readouterr().err
+    big = tmp_path / "big.cfg"
+    big.write_text(f"mode quadrics\ngamma 1 3\n1 1 1\nc 1\nsamples {over}\n")
+    assert main(["report-all", str(big)]) == 2
+    assert f"got {over}" in capsys.readouterr().err
+
+
 def test_unknown_tolerance_names_exit_2(tmp_path, monkeypatch, capsys):
     # internal MetricSpec fields and retired names are not tolerance names
     for name in ("omega_scale", "fd_order", "newton_max_iter", "tol_membership", "frame", "variation",
@@ -543,6 +565,32 @@ def test_singular_matrix_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(procedures, "noether_report", singular)
     assert main(["verify-noether", "catalog:one-quadric:3"]) == 4
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_rank_deficient_chart_jacobian_exits_4(monkeypatch, capsys):
+    # the frames' rank test reads the Cholesky factor of g: a jacobian with
+    # two equal columns leaves g singular, so the factorization itself
+    # fails, and one whose second column is 1e-10 of the first's scale
+    # passes it with diag L = (1, 1e-10), below the relative threshold
+    # 1e-8. Both are numeric failures
+    import numpy as np
+
+    from momentangle import cli
+    from momentangle.submanifold_numerics import ChartSample
+    from stencil_chart import FunctionChart
+
+    def equal_columns(S):
+        return np.stack([np.cos(S[:, 0] + S[:, 1]), np.sin(S[:, 0] + S[:, 1])], axis=1) + 0j
+
+    def thin_column(S):
+        return np.stack([np.exp(1j * S[:, 0]), 1e-10 * S[:, 1] + 0j], axis=1)
+
+    for fn in (equal_columns, thin_column):
+        chart = FunctionChart(fn, 2, 2)
+        monkeypatch.setattr(cli, "command_sample", lambda Q, checks, seed, samples, spec: ChartSample.at(
+            chart, np.random.default_rng(seed).uniform(0.0, 1.0, (5, 2)), 1))
+        assert main(["verify-lagrangian", "catalog:one-quadric:2"]) == 4, fn.__name__
+        assert "chart jacobian is rank deficient" in capsys.readouterr().err, fn.__name__
 
 
 def test_check_nondeg_and_check_free_report_their_own_checks(capsys):

@@ -253,8 +253,9 @@ def test_hminimality_catches_a_second_derivative_off_by_one_part_in_a_thousand(m
 def test_report_all_evaluates_each_point_set_once(monkeypatch):
     # a sample or patch is evaluated once, as a jet through the order its
     # checks read: one u(v) solve per point set, at the default 100 samples.
-    # Its metric is inverted once, on first read, for every check and every
-    # field that reads it, and no volume derivative solves a metric system
+    # Its metric is inverted once and Cholesky-factored at most once, on
+    # first read, for every check and every field that reads it, and no
+    # volume derivative solves a metric system
     import io
 
     from momentangle.charts import CircleSpreadChart, GlobalChart, PolytopeChart, TorusSpreadChart
@@ -273,9 +274,13 @@ def test_report_all_evaluates_each_point_set_once(monkeypatch):
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: (
         np.ndim(a) == 3 and factored.append((len(a), np.shape(a)[-1]))) or qr(a, *args, **kw))
+    cholesky_rows = []  # rows per batched Cholesky factorization
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a, *args, **kw: (
+        cholesky_rows.append(len(a)) or cholesky(a, *args, **kw)))
 
     def report_all(name):
-        for calls in (solves, inverted, solved, factored):
+        for calls in (solves, inverted, solved, factored, cholesky_rows):
             calls.clear()
         rep = run_command("report-all", _catalog_config(name), 0, 100, MetricSpec(), out=io.StringIO())
         assert rep.overall, name
@@ -286,7 +291,7 @@ def test_report_all_evaluates_each_point_set_once(monkeypatch):
     # command builds a TorusSpreadChart
     report_all("rp2")
     assert [s for s in solves if s[0] != "PolytopeChart"] == [("GlobalChart", 60, 1)]
-    assert inverted == [60]
+    assert inverted == [60] and cholesky_rows == [60]
     # the C^2 torus: the first-variation patch (3 x 3 nodes, whose
     # curvature integral reads order 2) and the stationarity patch (3 x 3);
     # the first-variation patch's one inverse serves the curvature and the
@@ -294,12 +299,12 @@ def test_report_all_evaluates_each_point_set_once(monkeypatch):
     report_all("one-quadric:2")
     assert [s for s in solves if s[0] == "GlobalChart"] == [("GlobalChart", 9, 2), ("GlobalChart", 9, 1)]
     assert inverted == [100, 9, 9]
-    # the batched QRs factor the command sample's frame (its d = 2
-    # jacobian columns), and the k = 1 normal of Z at the negative
-    # control's 5 points and at the sample's points for minimality; the
-    # curvature of the order-2 first-variation patch reads g^-1, and no
-    # other sample or patch is factored
-    assert factored == [(100, 2), (5, 1), (100, 1)]
+    # the sample's one Cholesky factor of g gives its frames, and each
+    # patch's its area element; no jacobian is QR-factored. The batched QRs
+    # factor only the k = 1 normal of Z at the negative control's 5 points
+    # and at the sample's points for minimality
+    assert cholesky_rows == [100, 9, 9]
+    assert factored == [(5, 1), (100, 1)]
     # triangle: the command's one 100-point sample through order 2, which
     # the co-area identity and the H-minimality residual read too, and the
     # whole-N stationarity patch (12 x 3 x 3 nodes), at order 1: no check
@@ -310,9 +315,10 @@ def test_report_all_evaluates_each_point_set_once(monkeypatch):
     assert [s[1:] for s in solves if s[0] == "PolytopeChart"] == [(100, 2)]
     assert [s for s in solves if s[0] != "PolytopeChart"] == [("GlobalChart", 108, 1)]
     assert inverted == [100, 108]
-    # the same three QRs, on N of dimension 3: the stationarity patch is
-    # not factored
-    assert factored == [(100, 3), (5, 1), (100, 1)]
+    # the same factorizations, on N of dimension 3: the sample's Cholesky
+    # factor serves its frames and the co-area identity's area element
+    assert cholesky_rows == [100, 108]
+    assert factored == [(5, 1), (100, 1)]
 
 
 def test_no_module_in_src_imports_fd():

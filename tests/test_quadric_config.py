@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from momentangle import quadric_config
-from momentangle.exact_linalg import IntegerMatrix
+from momentangle.exact_linalg import IntegerMatrix, det_int
 from momentangle.polytope import enumerate_vertices
 from momentangle.quadric_config import (
     CanonicalFormError,
@@ -136,7 +136,7 @@ def test_two_quadrics_canonical_identity_case():
     Q = catalog_quadrics("two-quadrics:2,2")
     can = two_quadrics_canonical(Q)
     assert (can.p, can.q) == (2, 2)
-    assert abs(can.transform_det) == 1
+    assert abs(det_int(can.transform)) == 1
     row1, row2 = can.config.gamma.entries
     assert all(x > 0 for x in row1)
     assert all(x > 0 for x in row2[: can.p]) and all(x < 0 for x in row2[can.p :])
@@ -148,7 +148,7 @@ def test_two_quadrics_canonical_row_mixing():
     can = two_quadrics_canonical(Q)
     assert (can.p, can.q) == (2, 2)
     # no unimodular transform reaches the sign pattern here; sum/difference does
-    assert abs(can.transform_det) == 2
+    assert abs(det_int(can.transform)) == 2
     assert can.config.gamma.entries[0] == (1, 1, 1, 1)
     assert can.config.c == (Fraction(2), Fraction(0))
 

@@ -272,6 +272,11 @@ def _lift_patch(name):
     return setup, patch
 
 
+# the bound of each instance: 5 times rp2's tensor floor, and the cp2
+# torus's 1e-9, 10 times its floor
+REDUCED_TENSOR_BOUND = {"rp2": 1e-11, "cp2-torus": 1e-9}
+
+
 @pytest.mark.parametrize("name", ["rp2", "cp2-torus"])
 def test_cp_reduced_tensors_match_horizontal_lifts(name):
     # the reduced metric and form seen by the lift are the flat ones on the
@@ -281,7 +286,9 @@ def test_cp_reduced_tensors_match_horizontal_lifts(name):
     # agree to 2.0e-12 of the largest entry on rp2's shrunk patch and 1.0e-10
     # on the cp2 torus). The orbits on the sphere all have length
     # V_orb = 2 pi sqrt(c / gamma), so vol(reduced patch) = vol(lift patch)
-    # / V_orb (measured: 1.3e-12 and 5.2e-11 relative)
+    # / V_orb (measured, with the lift's area element prod diag L from the
+    # Cholesky factor of its metric: 1.3e-12 and 5.2e-11 relative)
+    bound = REDUCED_TENSOR_BOUND[name]
     D = catalog_double(name)
     _, patch = _lift_patch(name)
     chart, S, P = patch.chart, patch.params, patch.points
@@ -303,14 +310,14 @@ def test_cp_reduced_tensors_match_horizontal_lifts(name):
     Jh = J - vert[:, :, None] * np.real(np.einsum("ni,nia->na", np.conj(vert), J))[:, None, :]
     gram = np.einsum("nia,nib->nab", np.conj(Jh), Jh)
     scale = np.abs(gram).max()
-    assert np.abs(g_red - gram.real).max() <= 1e-9 * scale
-    assert np.abs(om_red - OMEGA_SCALE * gram.imag).max() <= 1e-9 * scale
+    assert np.abs(g_red - gram.real).max() <= bound * scale
+    assert np.abs(om_red - OMEGA_SCALE * gram.imag).max() <= bound * scale
 
     v_orb = orbit_volume(D.gamma_cfg, P)
     assert np.allclose(v_orb, 2 * np.pi * np.sqrt(float(D.gamma_cfg.c[0])), rtol=1e-14, atol=0)
     width = chart.hi[ax] - chart.lo[ax]  # the phase box [0, 1) of the circle, on both patches
     vol_red = np.sum(patch.w / width * np.sqrt(np.linalg.det(g_red)))
-    assert abs(np.sum(patch.w * patch.area) / v_orb[0] - vol_red) <= 1e-9 * vol_red
+    assert abs(np.sum(patch.w * patch.area) / v_orb[0] - vol_red) <= bound * vol_red
 
 
 @pytest.mark.parametrize("name", ["rp2", "cp2-torus"])

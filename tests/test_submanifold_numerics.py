@@ -42,8 +42,6 @@ from momentangle.submanifold_numerics import (
     lagrangian_residual,
     minimality_residual_in_Z,
     noether_drift,
-    omega_matrix,
-    omega_pair,
     patch_volume_derivative,
     real_base_point,
     sample_chart_points,
@@ -60,6 +58,7 @@ from momentangle.procedures import (
     unequal_torus_control,
 )
 from stencil_chart import FunctionChart
+from symplectic_reference import omega_matrix, omega_pair
 
 spec = DEFAULT_SPEC
 TWO_PI = 2.0 * np.pi
@@ -102,7 +101,7 @@ def test_spread_chart_derivatives_match_stencils():
     rng = np.random.default_rng(31)
     for name, chart, half in _spread_charts():
         S = _box_params(chart, rng, half)
-        _, J, H = chart.jet(S, 2)
+        J, H = chart.jacobian(S), chart.hessian(S)
         assert J.shape == (20, chart.ambient_dim, chart.dim)
         assert H.shape == (20, chart.ambient_dim, chart.dim, chart.dim)
         assert np.abs(J - fd.jacobian(chart.value, S, 1e-3)).max() < 2e-9 * np.abs(J).max(), name
@@ -192,7 +191,7 @@ def test_polytope_chart_derivatives_match_stencils():
         pts = sample_chart_points(Q, 10, rng, spec, phase_rows=rows, order=2)
         chart, S = pts.chart, pts.params
         assert isinstance(chart, PolytopeChart)
-        _, J, H = pts.jet
+        J, H = pts.jet[1], chart.hessian(S)
         assert J.shape == (10, Q.ambient_dim, chart.dim)
         assert H.shape == (10, Q.ambient_dim, chart.dim, chart.dim)
         assert np.abs(J - fd.jacobian(chart.value, S, 1e-3)).max() < 1e-8 * np.abs(J).max()
@@ -217,7 +216,7 @@ def test_torus_chart_derivatives_match_stencils():
         chart = global_chart(Q)
         periods = chart.hi - chart.lo
         S = _global_box_params(chart, rng, 40)
-        _, J, H = chart.jet(S, 2)
+        J, H = chart.jacobian(S), chart.hessian(S)
         assert np.abs(J - fd.jacobian(chart.value, S, 1e-3)).max() < 2e-9 * np.abs(J).max()
         assert np.abs(H - fd.hessian(chart.value, S, 1e-3)).max() < 1e-9 * np.abs(H).max()
         assert membership_residuals(Q, chart.value(S)).max() < 1e-14
@@ -248,7 +247,7 @@ def test_global_chart_jet_matches_stencils():
     for name, Q in systems:
         chart = global_chart(Q)
         S = _global_box_params(chart, rng, 20)
-        z, J, H = chart.jet(S, 2)
+        z, J, H = chart.value(S), chart.jacobian(S), chart.hessian(S)
         assert H.shape == (20, Q.ambient_dim) + (chart.dim,) * 2, name
         assert np.abs(J - fd.jacobian(chart.value, S, 1e-3)).max() < 2e-9 * np.abs(J).max(), name
         assert np.abs(H - fd.hessian(chart.value, S, 1e-3)).max() < 1e-9 * np.abs(H).max(), name
@@ -286,7 +285,7 @@ def test_a_jet_holds_each_lower_order_bit_for_bit():
         second = chart.jet(S, 2)
         for n in range(2):
             assert all(np.array_equal(a, b) for a, b in zip(second[: n + 1], chart.jet(S, n), strict=True)), (chart, n)
-        assert np.array_equal(second[1], chart.jacobian(S)) and np.array_equal(second[2], chart.hessian(S))
+        assert np.array_equal(second[1], chart.jacobian(S)) and np.array_equal(second[2].assemble(), chart.hessian(S))
         with pytest.raises(ValueError, match="order 2"):
             chart.jet(S, 3)
 
@@ -446,6 +445,62 @@ def test_batched_residuals_match_per_point_formulas():
             _assert_rows_of_seven(lambda smp: hminimality_residual(Q, smp), group)
 
 
+def test_factored_trace_matches_the_assembled_hessian():
+    # an order-2 jet keeps the second derivatives as the product rule's
+    # factors; their trace sum g^ab H_ab equals the contraction of the
+    # assembled hessian ``Chart.hessian`` to a few ulp of each row's largest
+    # entry (measured at most 3.4 eps, on the cp2 torus's global chart), on
+    # every chart kind: sampled polytope charts, graph charts, the global
+    # charts of every charted catalog system and circle charts with complex
+    # u and none, one or two phase rows. A one-point slice's trace is its
+    # row of the batch, bit for bit
+    rng = np.random.default_rng(41)
+    cases = [sample_chart_points(Q, 20, rng, spec, order=0) for Q in (
+        catalog_quadrics("one-quadric:3"), catalog_quadrics("two-quadrics:2,2"),
+        gale_dual(catalog_polytope("cube:3")), gale_dual(catalog_polytope("product:3,3")))]
+    cases = [(smp.chart, smp.params) for smp in cases]
+    cases += [(chart, _box_params(chart, rng, half)) for _, chart, half in _spread_charts()]
+    cases += [(global_chart(Q), _global_box_params(global_chart(Q), rng, 20)) for _, Q in _charted_systems()]
+    A, B, C = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    for rows in ([], [[1, 2, 1]], [[1, 0, 1], [0, 1, -1]]):
+        circle = CircleSpreadChart(A, B, 0.3 * C, rows)
+        cases.append((circle, np.concatenate([rng.uniform(0.0, TWO_PI, (20, 1)), rng.uniform(0.0, 1.0, (20, circle.nphi))], axis=1)))
+    assert {type(chart).__name__ for chart, _ in cases} == {"PolytopeChart", "TorusSpreadChart", "GlobalChart",
+                                                            "CircleSpreadChart"}
+    eps = np.finfo(float).eps
+    for chart, S in cases:
+        sample = ChartSample.at(chart, S, 2)
+        gi = sample.metric_inverse
+        reference = c2r(np.einsum("nab,nkab->nk", gi, chart.hessian(S)))
+        trace = sample.jet[2].trace(gi)
+        assert trace.shape == (20, 2 * chart.ambient_dim)
+        assert np.all(np.abs(trace - reference).max(axis=1) <= 8 * eps * np.abs(reference).max(axis=1)), chart
+        for i in (0, 7):
+            one = sample[i : i + 1].jet[2].trace(gi[i : i + 1])
+            assert np.array_equal(one[0], trace[i]), (chart, i)
+
+
+def test_order_two_sample_builds_no_full_hessian():
+    # an order-2 sample of 100 points and its curvature keep the hessian
+    # as its factors: on cube:3 (m = 6, d = 6) the complex (N, m, d, d)
+    # hessian alone takes 338 KiB, and the assembled path peaked at about
+    # 1.0 MiB of traced memory; the factored one reads 0.32-0.36 MiB. One
+    # untraced run first caches the base point's LP on Q and warms numpy's
+    # first-call state, so the trace holds the sample's own arrays
+    import tracemalloc
+
+    for name in ("cube:3", "product:3,3"):
+        Q = gale_dual(catalog_polytope(name))
+        sample_chart_points(Q, 100, np.random.default_rng(0), spec, order=2).curvature
+        tracemalloc.start()
+        try:
+            sample_chart_points(Q, 100, np.random.default_rng(0), spec, order=2).curvature
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024, (name, peak)
+
+
 def test_sample_geometry_rows_do_not_depend_on_the_batch():
     # each quantity a sample computes once and keeps equals, bit for bit,
     # its row of the whole sample on a one-point slice, as the residuals
@@ -460,7 +515,7 @@ def test_sample_geometry_rows_do_not_depend_on_the_batch():
         for i, p in enumerate(_points(sample)):
             for name in ("metric", "metric_inverse", "area", "curvature"):
                 assert np.array_equal(getattr(p, name)[0], getattr(sample, name)[i]), (name, i)
-            assert np.array_equal(p.frame_qr[0][0], sample.frame_qr[0][i]), i
+            assert np.array_equal(p.frame[0], sample.frame[i]), i
 
 
 def test_frame_orthonormal_and_annihilating():

@@ -13,17 +13,16 @@ from momentangle.polytope import is_delzant
 from momentangle.reduction_catalog import POLYTOPE_NAMES, catalog_polytope, catalog_quadrics
 from momentangle.submanifold_numerics import (
     DEFAULT_SPEC,
-    omega_pair,
     sample_chart_points,
 )
 from momentangle.torus_actions import (
     NonFreePointError,
-    conjugate,
     freeness_check,
     orbit_generators,
     orbit_volume,
     torus_subgroup,
 )
+from symplectic_reference import omega_pair
 
 TWO_PI = 2.0 * np.pi
 
@@ -95,21 +94,21 @@ def test_orbit_volume_respects_lattice_normalization():
 
 
 def test_conjugation():
-    assert np.allclose(conjugate(np.array([1j, 1.0])), np.array([-1j, 1.0]))
+    assert np.allclose(np.conj(np.array([1j, 1.0])), np.array([-1j, 1.0]))
     x = np.array([0.3, -0.7])
-    assert np.allclose(conjugate(x), x)
+    assert np.allclose(np.conj(x), x)
     Q = catalog_quadrics("one-quadric:3")
     rng = np.random.default_rng(1)
     Z = rng.standard_normal((100, 3)) + 1j * rng.standard_normal((100, 3))
     Z /= np.linalg.norm(Z, axis=1, keepdims=True)
-    assert np.array_equal(membership_residuals(Q, conjugate(Z)), membership_residuals(Q, Z))
+    assert np.array_equal(membership_residuals(Q, np.conj(Z)), membership_residuals(Q, Z))
 
 
 def test_orbit_volume_conjugation_invariance():
     Q = catalog_quadrics("two-quadrics:2,2")
     rng = np.random.default_rng(2)
     Z = sample_chart_points(Q, 30, rng, order=0).points
-    assert np.abs(orbit_volume(Q, Z) - orbit_volume(Q, conjugate(Z))).max() < 1e-12
+    assert np.abs(orbit_volume(Q, Z) - orbit_volume(Q, np.conj(Z))).max() < 1e-12
 
 
 def test_hamiltonian_identity_for_generators():
