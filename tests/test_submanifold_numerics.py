@@ -464,7 +464,8 @@ def test_factored_trace_matches_the_assembled_hessian():
     A, B, C = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     for rows in ([], [[1, 2, 1]], [[1, 0, 1], [0, 1, -1]]):
         circle = CircleSpreadChart(A, B, 0.3 * C, rows)
-        cases.append((circle, np.concatenate([rng.uniform(0.0, TWO_PI, (20, 1)), rng.uniform(0.0, 1.0, (20, circle.nphi))], axis=1)))
+        angles, phases = rng.uniform(0.0, TWO_PI, (20, 1)), rng.uniform(0.0, 1.0, (20, circle.nphi))
+        cases.append((circle, np.concatenate([angles, phases], axis=1)))
     assert {type(chart).__name__ for chart, _ in cases} == {"PolytopeChart", "TorusSpreadChart", "GlobalChart",
                                                             "CircleSpreadChart"}
     eps = np.finfo(float).eps
