@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .charts import GlobalChart, TorusSpreadChart, c2r, global_chart, r2c
+from .charts import GlobalChart, TorusSpreadChart, c2r, global_chart
 from .exact_linalg import IntegerMatrix
 from .polytope import PolytopePresentation
 from .quadric_config import (
@@ -204,21 +204,18 @@ def ntilde_chart(
 
 
 def _horizontal_residual(D: DoubleConfiguration, z: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Symplectic residual of the first-torus-horizontal part of given tangent columns.
+    """Symplectic residual of the first-torus-horizontal part of given real tangent columns.
 
-    Batched: points ``z`` (N, m) and columns (N, m, d) give N residuals.
+    Batched: points ``z`` (N, m) and columns (N, 2m, d), real parts first, give N residuals.
     """
     orb = orbit_generators(D.gamma_cfg, z)  # (N, k_gamma, m)
-    orb_r = np.swapaxes(c2r(orb), -2, -1)  # (N, 2m, k)
-    Qo, _ = np.linalg.qr(orb_r)
-    cols_r = np.concatenate([columns.real, columns.imag], axis=-2)  # (N, 2m, d)
-    horiz = cols_r - Qo @ (np.swapaxes(Qo, -2, -1) @ cols_r)
+    Qo, _ = np.linalg.qr(np.swapaxes(c2r(orb), -2, -1))  # (N, 2m, k)
+    horiz = columns - Qo @ (np.swapaxes(Qo, -2, -1) @ columns)
     Qh, R = np.linalg.qr(horiz)
     diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
     # columns of a rank-deficient horizontal part are dropped: zero vectors pair to 0
     keep = diag > 1e-9 * np.maximum(1.0, diag.max(axis=-1, keepdims=True))
-    frame = r2c(np.swapaxes(Qh * keep[:, None, :], -2, -1))
-    return frame_symplectic_residual(frame)
+    return frame_symplectic_residual(Qh * keep[:, None, :])
 
 
 def ntilde_lagrangian_residual(D: DoubleConfiguration, sample: ChartSample) -> np.ndarray:
@@ -228,8 +225,7 @@ def ntilde_lagrangian_residual(D: DoubleConfiguration, sample: ChartSample) -> n
     tangent space pairs to zero exactly when the reduced submanifold is
     Lagrangian for the reduced form.
     """
-    z, J = sample.jet[:2]  # (N, m), (N, m, d)
-    return _horizontal_residual(D, z, J)
+    return _horizontal_residual(D, sample.points, sample.real_jacobian)
 
 
 def stacked_tangent_horizontal_residual(D: DoubleConfiguration, Z: np.ndarray) -> np.ndarray:
@@ -238,8 +234,7 @@ def stacked_tangent_horizontal_residual(D: DoubleConfiguration, Z: np.ndarray) -
     Serves as the negative control: the reduced image of the whole
     intersection is not Lagrangian, so this residual is far from zero.
     """
-    frames = tangent_frame_Z(D.stacked, Z)  # (N, dim, m) complex
-    return _horizontal_residual(D, Z, np.swapaxes(frames, -2, -1))
+    return _horizontal_residual(D, Z, tangent_frame_Z(D.stacked, Z))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,12 @@ once on first read; every pointwise check takes one and returns one value
 per point, shape (N,). At order 2 the jet keeps the second derivatives as
 the chart's product-rule factors, and the mean curvature contracts g^-1
 against them, so no (N, m, d, d) hessian is built. The metric is inverted
-once and factored once, g = L L^T: the orthonormal frame J g^-1 L, the
+once and factored once, g = L L^T: the orthonormal frame E = J g^-1 L, the
 rank test on diag L and the area element prod diag L all read that one
-Cholesky factor. A ``ChartPatch`` is a sample with quadrature weights.
+Cholesky factor. Frames are real, (N, 2m, d) with the real parts first:
+omega pairs their columns as OMEGA_SCALE (X^T Y - Y^T X), X and Y the real
+and imaginary halves, and the projection onto the tangent space is
+E E^T = J g^-1 J^T. A ``ChartPatch`` is a sample with quadrature weights.
 """
 
 from __future__ import annotations
@@ -77,8 +80,9 @@ class ChartSample:
     per point. Its geometry in flat C^m = R^2m is computed on first read
     and kept, for every check to read: the real jacobian J, the metric
     g = J^T J, g^-1, the one Cholesky factor g = L L^T, which gives the
-    orthonormal frame J g^-1 L and the area element prod diag L, and the
-    mean curvature. Every per-point product is stacked, (N, a, b) @
+    real orthonormal frame E = J g^-1 L and the area element prod diag L,
+    and the mean curvature, whose normal part E E^T projects out. Every
+    per-point product is stacked, (N, a, b) @
     (N, b, c) or (N, a, b) @ (b, c), so each point's row is computed by
     the same operations in any batch.
     """
@@ -142,28 +146,38 @@ class ChartSample:
     @functools.cached_property
     def curvature(self) -> np.ndarray:
         """The unnormalized mean curvature vector H (N, 2m): trace_g of the normal
-        projection of the second derivatives, H = tr - J g^-1 J^T tr with
-        tr = g^ab Hess_ab contracted by the jet's second derivatives, from the cached g^-1."""
+        projection of the second derivatives, H = tr - E E^T tr with
+        tr = g^ab Hess_ab contracted by the jet's second derivatives against
+        the cached g^-1, and E the frame (E E^T = J g^-1 J^T)."""
         if len(self.jet) < 3:
             raise ValueError("the mean curvature reads a sample of order 2")
-        J, gi = self.real_jacobian, self.metric_inverse
-        tr = self.jet[2].trace(gi)[..., None]
-        return (tr - J @ (gi @ (np.swapaxes(J, 1, 2) @ tr)))[..., 0]
+        E = self.frame
+        tr = self.jet[2].trace(self.metric_inverse)[..., None]
+        return (tr - E @ (np.swapaxes(E, 1, 2) @ tr))[..., 0]
 
 
 # ---------------------------------------------------------------------------
 # symplectic pairing helpers
 
 
-def frame_symplectic_residual(vectors: np.ndarray) -> float | np.ndarray:
-    """max |omega(e_i, e_j)| over all pairs from a set of complex vectors.
+def frame_symplectic_residual(frame: np.ndarray) -> float | np.ndarray:
+    """max |omega(e_i, e_j)| over the columns of a real frame (2m, d), real parts first.
 
-    Batched over leading axes: a stack (N, d, m) of sets gives N values.
+    With X and Y the real and imaginary halves of the columns,
+    omega(e_i, e_j) = OMEGA_SCALE (X^T Y - Y^T X)_ij. Batched over leading
+    axes: a stack (N, 2m, d) of frames gives N values.
     """
-    V = np.asarray(vectors, dtype=complex)
-    gram = V.conj() @ np.swapaxes(V, -2, -1)
-    worst = np.abs(OMEGA_SCALE * np.imag(gram)).max(axis=(-2, -1))
+    E = np.asarray(frame, dtype=float)
+    m = E.shape[-2] // 2
+    XtY = np.swapaxes(E[..., :m, :], -2, -1) @ E[..., m:, :]
+    worst = abs(OMEGA_SCALE) * np.abs(XtY - np.swapaxes(XtY, -2, -1)).max(axis=(-2, -1))
     return float(worst) if worst.ndim == 0 else worst
+
+
+def times_i(E: np.ndarray) -> np.ndarray:
+    """i E for real vectors (..., 2m, d), real parts first: (x, y) -> (-y, x)."""
+    m = E.shape[-2] // 2
+    return np.concatenate([-E[..., m:, :], E[..., :m, :]], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -183,34 +197,35 @@ def chart_N(
 
 
 def tangent_frames(Q: QuadricConfiguration | None, sample: ChartSample) -> np.ndarray:
-    """Orthonormal frames (N, d, m) spanning the chart jacobian's columns at each sample.
+    """The sample's real orthonormal tangent frames ``sample.frame`` (N, 2m, d), checked.
 
-    Raises if any jacobian is rank deficient or, given ``Q``, if any frame
-    fails to annihilate the quadric differentials at the sample's points.
+    Raises if a column of any chart jacobian is nearly in the span of the
+    earlier ones: diag L_a < 1e-8 |J_a|, where diag L_a / |J_a| is the sine
+    of its angle to them, at any scale of the chart. Given ``Q``, raises if
+    any frame fails to annihilate the quadric differentials at the sample's
+    points.
     """
     diag = np.diagonal(sample.metric_factor, axis1=-2, axis2=-1)
-    if np.any(diag.min(axis=-1) < 1e-8 * np.maximum(1.0, diag.max(axis=-1))):
+    if np.any(diag < 1e-8 * np.sqrt(np.diagonal(sample.metric, axis1=-2, axis2=-1))):
         raise NonConvergenceError("chart jacobian is rank deficient; chart degenerate here")
-    vectors = r2c(np.swapaxes(sample.frame, -2, -1))
+    E = sample.frame
     if Q is not None:
-        # frame vectors must annihilate the quadric differentials
-        grads = 2.0 * Q.gamma_float() * sample.points[:, None, :]  # complex rows <-> real gradients
-        pair = np.real(vectors @ np.conj(np.swapaxes(grads, -2, -1)))
-        if np.abs(pair).max() > 1e-6:
+        grads = c2r(2.0 * Q.gamma_float() * sample.points[:, None, :])  # (N, k, 2m), the real gradients
+        if np.any(np.abs(grads @ E) > 1e-6):
             raise NonConvergenceError("frame fails to annihilate the constraint differentials")
-    return vectors
+    return E
 
 
 def tangent_frame_Z(Q: QuadricConfiguration, Z: np.ndarray) -> np.ndarray:
-    """Orthonormal frames (N, 2m - k, m) of the tangent spaces of the quadric intersection at the rows of Z."""
+    """Real orthonormal frames (N, 2m, 2m - k) of the tangent spaces of the quadric intersection at the rows of Z."""
     k = Q.num_quadrics
     grads = c2r(2.0 * Q.gamma_float() * np.asarray(Z, dtype=complex)[:, None, :])  # (N, k, 2m)
     full, _ = np.linalg.qr(np.swapaxes(grads, -2, -1), mode="complete")
-    return r2c(np.swapaxes(full[:, :, k:], -2, -1))
+    return full[:, :, k:]
 
 
 def lagrangian_residual(Q: QuadricConfiguration | None, sample: ChartSample) -> np.ndarray:
-    """max |omega(e_i, e_j)| over an orthonormal tangent frame, per sample, from one batched QR."""
+    """max |omega(e_i, e_j)| over the sample's orthonormal tangent frame, per point."""
     return frame_symplectic_residual(tangent_frames(Q, sample))
 
 
@@ -225,12 +240,12 @@ def minimality_residual_in_Z(Q: QuadricConfiguration, sample: ChartSample) -> np
     intersection is the intersection-tangential part of the flat one, so
     this is |H| of the embedding into the quadric set. H is normal to N, so
     its part off span(J, normals to Z) is H less its projection onto the k
-    normals made orthogonal to J through g^-1: n - J g^-1 J^T n, whose QR
+    normals made orthogonal to J through the frame: n - E E^T n, whose QR
     (N, 2m, k) projects.
     """
-    H, J, gi = sample.curvature, sample.real_jacobian, sample.metric_inverse
+    H, E = sample.curvature, sample.frame
     normals = np.swapaxes(c2r(2.0 * Q.gamma_float() * sample.points[:, None, :]), 1, 2)  # (N, 2m, k)
-    Qn, _ = np.linalg.qr(normals - J @ (gi @ (np.swapaxes(J, 1, 2) @ normals)))
+    Qn, _ = np.linalg.qr(normals - E @ (np.swapaxes(E, 1, 2) @ normals))
     H = H[..., None]
     return np.linalg.norm((H - Qn @ (np.swapaxes(Qn, 1, 2) @ H))[..., 0], axis=-1)
 
@@ -320,7 +335,7 @@ def noether_drift(
     grad: Callable[[np.ndarray], np.ndarray],
     z: np.ndarray,
     rng: np.random.Generator | None = None,
-) -> float:
+) -> float | np.ndarray:
     """max |dmu/dt| of the quadric moment values at z along the Hamiltonian field of f.
 
     ``grad`` is f's closed-form gradient, packed as for
@@ -328,17 +343,24 @@ def noether_drift(
     2 Re(conj(z_k) X_k), so dmu/dt = Gamma 2 Re(conj(z) X). ``f`` must be
     invariant under the configuration's torus; invariance is spot-checked
     at 8 random torus elements, in one call of ``f`` on the batch (8, m) of
-    rotated points, and an ``InvarianceError`` is raised on violation.
+    rotated points, against the size of f on the orbit:
+    |f(g z) - f(z)| <= 1e-8 max(|f(z)|, max |f(g z)|), at any scale of z.
+    An ``InvarianceError`` is raised on violation. H Hamiltonians run
+    stacked on one draw of the torus: ``f`` maps points (n, m) to values
+    (n, H), ``grad`` to gradients (n, H, m), and the drift is one value per
+    Hamiltonian, (H,).
     """
     z = np.asarray(z, dtype=complex)
     rng = np.random.default_rng(7) if rng is None else rng
-    f0 = float(np.asarray(f(z[None, :]))[0])
+    f0 = np.asarray(f(z[None, :]), dtype=float)[0]
     phases = torus_point(Q, rng.uniform(0.0, 1.0, (8, Q.num_quadrics)))
-    if np.any(np.abs(np.asarray(f(phases * z), dtype=float) - f0) > 1e-8 * (1.0 + abs(f0))):
+    rotated = np.asarray(f(phases * z), dtype=float)
+    if np.any(np.abs(rotated - f0) > 1e-8 * np.maximum(np.abs(f0), np.abs(rotated).max(axis=0))):
         raise InvarianceError("function is not invariant under the configuration torus")
     X = hamiltonian_field_batch(grad, z)[0]
-    rate = Q.gamma_float() @ (2.0 * np.real(np.conj(z) * X))
-    return float(np.abs(rate).max())
+    rate = Q.gamma_float() @ (2.0 * np.real(np.conj(z) * X))[..., None]  # (k, 1) or (H, k, 1)
+    worst = np.abs(rate).max(axis=(-2, -1))
+    return float(worst) if worst.ndim == 0 else worst
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +472,8 @@ def hminimality_residual(Q: QuadricConfiguration | None, sample: ChartSample) ->
     if chart.dim != chart.ambient_dim:
         raise ValueError(f"no Lagrangian angle: a chart of dimension {chart.dim} in C^{chart.ambient_dim}")
     H, J, gi = sample.curvature[..., None], sample.real_jacobian, sample.metric_inverse
-    m = chart.ambient_dim
-    # alpha_a = omega(H, J_a) = OMEGA_SCALE <J_a, i H>, with i H = (-H_y, H_x)
-    iH = OMEGA_SCALE * np.concatenate([-H[:, m:], H[:, :m]], axis=1)
+    # alpha_a = omega(H, J_a) = OMEGA_SCALE <J_a, i H>
+    iH = OMEGA_SCALE * times_i(H)
     angle = np.concatenate([np.zeros(chart.nv), 2.0 * chart.phase_rows.sum(axis=1)])
     delta = np.swapaxes(J, 1, 2) @ iH - angle[:, None]
     return np.sqrt((np.swapaxes(delta, 1, 2) @ (gi @ delta))[:, 0, 0])

@@ -359,6 +359,41 @@ def test_report_all_survives_seeded_one_quadric_rows(tmp_path):
         assert main(["report-all", str(cfg)]) in (0, 1, 2, 3, 4), (row, level)
 
 
+def test_report_all_verdicts_hold_at_small_levels(tmp_path, capsys):
+    # c -> lam c maps N to sqrt(lam) N, a homothety that keeps N Lagrangian,
+    # minimal and H-minimal, so report-all at seed 0 on every non-double
+    # catalog instance, as a quadric configuration, gives the exit code,
+    # record names and verdicts of lam = 1 at lam = 10^e, e = -18, -15, ..., -3.
+    # The frames' rank test against an absolute floor 1e-8 max(1, diag L)
+    # and the Noether spot check against 1e-8 (1 + |f|) made every instance
+    # exit 4 from lam = 1e-9 on (two-quadrics:2,2 from 1e-12); both now
+    # compare with the size of what they test. Large levels still fail on
+    # the absolute noether-drift and membership tolerances
+    from fractions import Fraction
+
+    from momentangle.config_io import config_from_quadrics
+    from momentangle.quadric_config import QuadricConfiguration, gale_dual
+    from momentangle.reduction_catalog import DOUBLE_NAMES, POLYTOPE_NAMES, catalog_polytope, catalog_quadrics
+
+    cfg, out = tmp_path / "scaled.cfg", tmp_path / "report.tsv"
+
+    def verdicts(Q):
+        cfg.write_text(render_config(config_from_quadrics(Q)))
+        rc = main(["report-all", str(cfg), "--seed", "0", "--report-file", str(out)])
+        return rc, [(line.split("\t")[0], line.split("\t")[3]) for line in out.read_text().splitlines()]
+
+    names = [name for name in catalog_names() if name not in DOUBLE_NAMES]
+    assert len(names) == 15
+    for name in names:
+        Q = gale_dual(catalog_polytope(name)) if name in POLYTOPE_NAMES else catalog_quadrics(name)
+        expected = verdicts(Q)
+        assert expected[0] == int(name == "bad-triangle"), name
+        for e in range(-18, 0, 3):
+            scaled = QuadricConfiguration(Q.gamma, [Fraction(10) ** e * c for c in Q.c])
+            assert verdicts(scaled) == expected, (name, e)
+    capsys.readouterr()
+
+
 def test_seed_and_tol_overrides(monkeypatch, capsys):
     monkeypatch.setenv("MOMENTANGLE_SEED", "41")
     assert main(["verify-lagrangian", "catalog:one-quadric:2", "--samples", "5"]) == 0
@@ -570,9 +605,12 @@ def test_singular_matrix_exits_4(monkeypatch, capsys):
 def test_rank_deficient_chart_jacobian_exits_4(monkeypatch, capsys):
     # the frames' rank test reads the Cholesky factor of g: a jacobian with
     # two equal columns leaves g singular, so the factorization itself
-    # fails, and one whose second column is 1e-10 of the first's scale
-    # passes it with diag L = (1, 1e-10), below the relative threshold
-    # 1e-8. Both are numeric failures
+    # fails, and so does one whose second column meets the first at an
+    # angle of 1e-10, the columns (1, 0) and (1 + 1e-10 i, 0) of C^2, exact:
+    # its sine is below both the rank test's 1e-8 and the resolution of
+    # g = J^T J, whose entries round to 1. Both are numeric failures. A
+    # column that is merely short is not: the rank test compares each
+    # column with its own length (``test_report_all_verdicts_hold_at_small_levels``)
     import numpy as np
 
     from momentangle import cli
@@ -582,15 +620,20 @@ def test_rank_deficient_chart_jacobian_exits_4(monkeypatch, capsys):
     def equal_columns(S):
         return np.stack([np.cos(S[:, 0] + S[:, 1]), np.sin(S[:, 0] + S[:, 1])], axis=1) + 0j
 
-    def thin_column(S):
-        return np.stack([np.exp(1j * S[:, 0]), 1e-10 * S[:, 1] + 0j], axis=1)
+    class ShearedColumns:
+        """The linear chart s -> A s of C^2, jacobian A exact: columns at an angle of 1e-10."""
 
-    for fn in (equal_columns, thin_column):
-        chart = FunctionChart(fn, 2, 2)
+        dim = ambient_dim = 2
+        A = np.array([[1.0, 1.0 + 1e-10j], [0.0, 0.0]])
+
+        def jet(self, S, order):
+            return S @ self.A.T, np.broadcast_to(self.A, (len(S), 2, 2)).copy()
+
+    for chart in (FunctionChart(equal_columns, 2, 2), ShearedColumns()):
         monkeypatch.setattr(cli, "command_sample", lambda Q, checks, seed, samples, spec: ChartSample.at(
             chart, np.random.default_rng(seed).uniform(0.0, 1.0, (5, 2)), 1))
-        assert main(["verify-lagrangian", "catalog:one-quadric:2"]) == 4, fn.__name__
-        assert "chart jacobian is rank deficient" in capsys.readouterr().err, fn.__name__
+        assert main(["verify-lagrangian", "catalog:one-quadric:2"]) == 4, chart
+        assert "chart jacobian is rank deficient" in capsys.readouterr().err, chart
 
 
 def test_check_nondeg_and_check_free_report_their_own_checks(capsys):

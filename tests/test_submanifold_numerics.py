@@ -335,10 +335,15 @@ def test_sampled_points_lie_on_the_quadrics_inside_the_margin():
 # functions; each takes a one-point sample
 
 
+def _omega_residual(F):
+    """max |omega(e_i, e_j)| over the columns of a real frame F (2m, d), from the matrix of omega."""
+    return np.abs(F.T @ omega_matrix(F.shape[0] // 2) @ F).max()
+
+
 def _pointwise_lagrangian(Q, p):
     J = p.chart.jacobian(p.params)[0]
     Qm, _ = np.linalg.qr(np.concatenate([J.real, J.imag], axis=0))
-    return frame_symplectic_residual(r2c(Qm.T))
+    return _omega_residual(Qm)
 
 
 def _curvature(chart, S):
@@ -364,7 +369,7 @@ def _pointwise_ntilde(D, p):
     Qh, R = np.linalg.qr(cols - Qo @ (Qo.T @ cols))
     diag = np.abs(np.diag(R))
     keep = diag > 1e-9 * max(1.0, diag.max())
-    return frame_symplectic_residual(r2c(Qh[:, keep].T))
+    return _omega_residual(Qh[:, keep])
 
 
 def _spread_params(chart, rng, n=12):
@@ -524,13 +529,33 @@ def test_frame_orthonormal_and_annihilating():
     for name in ("one-quadric:3", "two-quadrics:2,2"):
         Q = catalog_quadrics(name)
         pts = sample_chart_points(Q, 5, rng, spec, order=1)
-        F = tangent_frames(Q, pts)  # (5, d, m)
-        V = np.concatenate([F.real, F.imag], axis=2)
-        gram = V @ np.swapaxes(V, 1, 2)
-        assert np.abs(gram - np.eye(V.shape[1])).max() < 1e-12
-        grads = 2.0 * Q.gamma_float() * pts.points[:, None, :]
-        pairing = np.real(F @ np.conj(np.swapaxes(grads, 1, 2)))
-        assert np.abs(pairing).max() < 1e-10
+        F = tangent_frames(Q, pts)  # (5, 2m, d)
+        assert F.shape == (5, 2 * Q.ambient_dim, pts.chart.dim)
+        gram = np.swapaxes(F, 1, 2) @ F
+        assert np.abs(gram - np.eye(F.shape[2])).max() < 1e-12
+        grads = c2r(2.0 * Q.gamma_float() * pts.points[:, None, :])  # (5, k, 2m)
+        assert np.abs(grads @ F).max() < 1e-10
+
+
+def test_frame_symplectic_residual_matches_the_matrix_of_omega():
+    # on random real orthonormal frames (2m, d), stacked, the closed form
+    # |OMEGA_SCALE| max |X^T Y - Y^T X| equals max |F^T Omega F| with Omega
+    # built entry by entry, to 8 eps; a lone frame gives a float, a stack
+    # one value per frame, each its row of the stack
+    rng = np.random.default_rng(43)
+    eps = np.finfo(float).eps
+    for m, d in ((1, 1), (1, 2), (2, 2), (3, 2), (3, 3), (4, 5), (6, 6)):
+        F, _ = np.linalg.qr(rng.standard_normal((9, 2 * m, d)))
+        got = frame_symplectic_residual(F)
+        assert got.shape == (9,)
+        reference = np.array([_omega_residual(f) for f in F])
+        assert np.all(np.abs(got - reference) <= 8 * eps), (m, d)
+        assert frame_symplectic_residual(F[4]) == got[4]
+    # isotropic and symplectic pairs: [e, i e] reads |OMEGA_SCALE| = 1/pi
+    e = np.zeros((4, 1))
+    e[0, 0] = 1.0
+    assert frame_symplectic_residual(np.concatenate([e, submanifold_numerics.times_i(e)], axis=1)) == 1 / np.pi
+    assert frame_symplectic_residual(np.eye(4)[:, [0, 1]]) == 0.0
 
 
 def test_lagrangian_residual_examples():
@@ -583,9 +608,8 @@ def test_mean_curvature_is_normal():
     Q = catalog_quadrics("one-quadric:3")
     pts = sample_chart_points(Q, 10, rng, spec, order=2)
     Hr, _, _ = _curvature(pts.chart, pts.params)
-    F = tangent_frames(Q, pts)
-    V = np.concatenate([F.real, F.imag], axis=2)
-    assert np.abs(np.einsum("ndi,ni->nd", V, Hr)).max() < 1e-6
+    F = tangent_frames(Q, pts)  # (10, 2m, d)
+    assert np.abs(np.einsum("nid,ni->nd", F, Hr)).max() < 1e-6
 
 
 def test_minimality_residual_examples():
@@ -722,13 +746,36 @@ def test_noether_drift():
     Q = catalog_quadrics("one-quadric:3")
     rng = np.random.default_rng(9)
     z = sample_chart_points(Q, 1, rng, spec, order=0).points[0]
-    for f, grad in _noether_hamiltonians(3):
-        assert noether_drift(Q, f, grad, z) < 1e-14
+    fields = _noether_hamiltonians(3)
+    single = [noether_drift(Q, f, grad, z) for f, grad in fields]
+    assert max(single) < 1e-14
+    # the stacked path: values (n, H), gradients (n, H, m) and one drift per
+    # Hamiltonian, its own drift bit for bit
+    fs, grads = zip(*fields)
+
+    def stack(fs, grads):
+        return (lambda zz: np.stack([f(zz) for f in fs], axis=-1),
+                lambda zz: np.stack([grad(zz) for grad in grads], axis=-2))
+
+    stacked = noether_drift(Q, *stack(fs, grads), z)
+    assert stacked.shape == (3,)
+    assert np.array_equal(stacked, single)
     fc = lambda zz: 0.0 * zz[..., 0].real + 1.0
     assert noether_drift(Q, fc, np.zeros_like, z) == 0.0
     e1 = np.array([1.0, 0.0, 0.0], complex)  # the gradient of Re z_1
+    re_z1, grad_re_z1 = lambda zz: zz[..., 0].real, lambda zz: e1 + 0.0 * zz
     with pytest.raises(InvarianceError):
-        noether_drift(Q, lambda zz: zz[..., 0].real, lambda zz: e1 + 0.0 * zz, z)
+        noether_drift(Q, re_z1, grad_re_z1, z)
+    # one Hamiltonian that is not invariant fails the stack
+    with pytest.raises(InvarianceError):
+        noether_drift(Q, *stack(fs + (re_z1,), grads + (grad_re_z1,)), z)
+    # the spot check is relative to f on the orbit, so it holds at every
+    # scale: Re z_1 is rejected at |z| = 1e-9, where it moves by about 1e-9,
+    # and the invariant Hamiltonians pass at |z| = 1e6, where sum |z_k|^4
+    # reads 1e24
+    with pytest.raises(InvarianceError):
+        noether_drift(Q, re_z1, grad_re_z1, 1e-9 * z)
+    assert noether_drift(Q, *stack(fs, grads), 1e6 * z).shape == (3,)
 
 
 # ---------------------------------------------------------------------------
@@ -997,8 +1044,7 @@ def test_frame_spans_expected_directions():
     Q2 = QuadricConfiguration.from_rows([(1, 1)], [1])
     r = 1 / np.sqrt(2)
     p = chart_N(Q2, [r, r], [0.0], [0.0])
-    F = tangent_frames(Q2, p)[0]
-    V = np.concatenate([F.real, F.imag], axis=1)  # (2, 4)
+    V = tangent_frames(Q2, p)[0].T  # (2, 4)
     for target in (np.array([-1.0, 1.0, 0.0, 0.0]) / np.sqrt(2),
                    np.array([0.0, 0.0, 1.0, 1.0]) / np.sqrt(2)):
         coeffs = V @ target
@@ -1007,8 +1053,7 @@ def test_frame_spans_expected_directions():
     # sphere chart at a coordinate point contains the rotation direction
     Q3 = catalog_quadrics("one-quadric:3")
     p3 = chart_N(Q3, [1.0, 0.0, 0.0], [0.0, 0.0], [0.0])
-    F3 = tangent_frames(Q3, p3)[0]
-    V3 = np.concatenate([F3.real, F3.imag], axis=1)
+    V3 = tangent_frames(Q3, p3)[0].T
     rot = np.zeros(6)
     rot[3] = 1.0  # the direction i * e_1
     assert abs(np.linalg.norm(V3 @ rot) - 1.0) < 1e-10
