@@ -364,11 +364,11 @@ def test_report_all_verdicts_hold_at_small_levels(tmp_path, capsys):
     # minimal and H-minimal, so report-all at seed 0 on every non-double
     # catalog instance, as a quadric configuration, gives the exit code,
     # record names and verdicts of lam = 1 at lam = 10^e, e = -18, -15, ..., -3.
-    # The frames' rank test against an absolute floor 1e-8 max(1, diag L)
-    # and the Noether spot check against 1e-8 (1 + |f|) made every instance
-    # exit 4 from lam = 1e-9 on (two-quadrics:2,2 from 1e-12); both now
-    # compare with the size of what they test. Large levels still fail on
-    # the absolute noether-drift and membership tolerances
+    # The frames' rank test compares each column with its own length and the
+    # Noether spot check compares f with its size on the orbit, so no
+    # absolute floor reads a small N as degenerate or a small non-invariant
+    # f as invariant. Large levels are left out: the noether-drift and
+    # membership tolerances are absolute
     from fractions import Fraction
 
     from momentangle.config_io import config_from_quadrics
