@@ -23,7 +23,7 @@ from .quadric_config import (
     boundedness_check,
     gale_dual,
     nondegeneracy_check,
-    two_quadrics_canonical,
+    two_quadrics_signature,
 )
 from .torus_actions import (
     NonFreePointError,

@@ -255,84 +255,28 @@ def nondegeneracy_check(Q: QuadricConfiguration) -> NondegeneracyReport:
     return NondegeneracyReport(bool(bases), witness_b is None, lattice_rank == k, witness_b, lattice_rank)
 
 
-@dataclass(frozen=True)
-class CanonicalTwoQuadrics:
-    p: int
-    q: int
-    transform: IntegerMatrix  # row transform W, |det W| minimal among candidates
-    permutation: tuple[int, ...]  # column order putting second-row positives first
-    config: QuadricConfiguration  # the transformed, permuted configuration
+def two_quadrics_signature(Q: QuadricConfiguration) -> tuple[int, int]:
+    """(p, q) of the two-quadric submanifold N_l(p, q): p columns of Gamma lie
+    counterclockwise of the level c, det[c, gamma_j] > 0, and q clockwise.
 
-
-# the largest |entry| of a row transform ``two_quadrics_canonical`` tries
-ENTRY_BOUND = 8
-
-
-def two_quadrics_canonical(Q: QuadricConfiguration) -> CanonicalTwoQuadrics:
-    """Invertible integer row transform to the sign-normal form of two quadrics.
-
-    Target shape: first row strictly positive with positive right-hand side,
-    second row with p positive then q negative entries (after a column
-    permutation) and right-hand side zero. Among all transforms with entries
-    bounded by ``ENTRY_BOUND`` the one with minimal |det| (then smallest
-    entries) wins, so a unimodular transform is used whenever one exists.
+    Each determinant is exact. An invertible row transform A multiplies
+    every det[c, gamma_j] by det A, so (p, q) is kept by det A > 0 and
+    swapped by det A < 0; on the sign-normal form (first row and c_1
+    positive, c_2 = 0) p counts the positive entries of the second row.
+    That form is reachable, and ``CanonicalFormError`` is raised otherwise,
+    iff no column is parallel to c, both sides hold a column, and some
+    functional is strictly positive on every column and on c.
     """
     if Q.num_quadrics != 2:
-        raise ValueError("canonical form applies to exactly two quadrics")
-    g = Q.gamma.entries
-    m = Q.ambient_dim
+        raise ValueError("the signature applies to exactly two quadrics")
     c1, c2 = Q.c
-
-    def second_rows():
-        if (c1, c2) != (0, 0):
-            # w2 . c = 0 pins w2 up to scale
-            num = (c2.numerator * c1.denominator, -c1.numerator * c2.denominator)
-            gg = gcd(abs(num[0]), abs(num[1]))
-            base = (num[0] // gg, num[1] // gg)
-            tmax = ENTRY_BOUND // max(1, max(abs(base[0]), abs(base[1])))
-            for t in range(1, tmax + 1):
-                yield (t * base[0], t * base[1])
-                yield (-t * base[0], -t * base[1])
-        else:
-            for a in range(-ENTRY_BOUND, ENTRY_BOUND + 1):
-                for b in range(-ENTRY_BOUND, ENTRY_BOUND + 1):
-                    if (a, b) != (0, 0):
-                        yield (a, b)
-
-    best = None
-    for w2 in second_rows():
-        row2 = [w2[0] * g[0][j] + w2[1] * g[1][j] for j in range(m)]
-        if any(x == 0 for x in row2):
-            continue
-        pos = sum(1 for x in row2 if x > 0)
-        if pos == 0 or pos == m:
-            continue
-        for a in range(-ENTRY_BOUND, ENTRY_BOUND + 1):
-            for b in range(-ENTRY_BOUND, ENTRY_BOUND + 1):
-                d = a * w2[1] - b * w2[0]
-                if d == 0:
-                    continue
-                if a * c1 + b * c2 <= 0:
-                    continue
-                row1 = [a * g[0][j] + b * g[1][j] for j in range(m)]
-                if any(x <= 0 for x in row1):
-                    continue
-                key = (abs(d), max(abs(a), abs(b), abs(w2[0]), abs(w2[1])), (a, b, *w2))
-                if best is None or key < best[0]:
-                    best = (key, (a, b), w2, row1, row2)
-    if best is None:
-        raise CanonicalFormError(
-            f"no sign-normal form reachable with row-transform entries bounded by {ENTRY_BOUND}"
-        )
-    _, w1, w2, row1, row2 = best
-    perm = tuple(sorted(range(m), key=lambda j: (row2[j] < 0, j)))
-    p = sum(1 for x in row2 if x > 0)
-    gamma_new = IntegerMatrix([[row1[j] for j in perm], [row2[j] for j in perm]], cols=m)
-    c_new = (w1[0] * c1 + w1[1] * c2, Fraction(0))
-    return CanonicalTwoQuadrics(
-        p=p,
-        q=m - p,
-        transform=IntegerMatrix([list(w1), list(w2)], cols=2),
-        permutation=perm,
-        config=QuadricConfiguration(gamma_new, c_new),
-    )
+    dets = [c1 * g2 - c2 * g1 for g1, g2 in Q.gamma.columns()]
+    if 0 in dets:
+        raise CanonicalFormError(f"column {dets.index(0)} of Gamma is parallel to c")
+    p = sum(d > 0 for d in dets)
+    q = len(dets) - p
+    if p == 0 or q == 0:
+        raise CanonicalFormError("every column of Gamma lies on one side of c")
+    if lp.strictly_positive_functional([*Q.gamma.columns(), Q.c]) is None:
+        raise CanonicalFormError("no functional is positive on every column of Gamma and on c")
+    return p, q

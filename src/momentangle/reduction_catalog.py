@@ -22,7 +22,7 @@ from .quadric_config import (
     QuadricConfiguration,
     nondegeneracy_check,
     boundedness_check,
-    two_quadrics_canonical,
+    two_quadrics_signature,
 )
 from .report import TOL_LAGRANGIAN, TOL_STATIONARITY, VerificationReport
 from .submanifold_numerics import (
@@ -62,8 +62,11 @@ class TopologyDescriptor:
 def classify_N(Q: QuadricConfiguration, l: int | None = None) -> TopologyDescriptor:
     """Topological type of the torus-spread submanifold for 1 or 2 quadrics.
 
-    For two quadrics the twisting number l is caller-supplied; only its
-    range and the parity-decidable bundle facts are validated here.
+    For two quadrics N is N_l(p, q), with (p, q) from
+    ``two_quadrics_signature``: p columns of Gamma lie counterclockwise of
+    c and q clockwise, decided exactly and with no bound on the entries.
+    The twisting number l is caller-supplied; only its range, 0 <= l <= p,
+    and the parity-decidable bundle facts are validated here.
     """
     k = Q.num_quadrics
     m = Q.ambient_dim
@@ -83,8 +86,7 @@ def classify_N(Q: QuadricConfiguration, l: int | None = None) -> TopologyDescrip
             facts.append(f"K^{m}: {m}-dimensional Klein bottle")
         return TopologyDescriptor(name=name, parameters={"m": m}, facts=tuple(facts))
     if k == 2:
-        can = two_quadrics_canonical(Q)
-        p, q = can.p, can.q
+        p, q = two_quadrics_signature(Q)
         if l is None:
             raise ValueError("two-quadric classification needs the twisting parameter l")
         if not (0 <= l <= p):
@@ -212,9 +214,9 @@ def _horizontal_residual(D: DoubleConfiguration, z: np.ndarray, columns: np.ndar
     Qo, _ = np.linalg.qr(np.swapaxes(c2r(orb), -2, -1))  # (N, 2m, k)
     horiz = columns - Qo @ (np.swapaxes(Qo, -2, -1) @ columns)
     Qh, R = np.linalg.qr(horiz)
-    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
-    # columns of a rank-deficient horizontal part are dropped: zero vectors pair to 0
-    keep = diag > 1e-9 * np.maximum(1.0, diag.max(axis=-1, keepdims=True))
+    # a column whose horizontal part, off the earlier ones, is below 1e-9 of its own
+    # length is dropped, at any scale of the columns: zero vectors pair to 0
+    keep = np.abs(np.diagonal(R, axis1=-2, axis2=-1)) > 1e-9 * np.linalg.norm(columns, axis=-2)
     return frame_symplectic_residual(Qh * keep[:, None, :])
 
 

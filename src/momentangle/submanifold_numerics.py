@@ -336,11 +336,15 @@ def noether_drift(
     z: np.ndarray,
     rng: np.random.Generator | None = None,
 ) -> float | np.ndarray:
-    """max |dmu/dt| of the quadric moment values at z along the Hamiltonian field of f.
+    """The largest relative drift of the quadric moment values at z along the Hamiltonian field of f.
 
     ``grad`` is f's closed-form gradient, packed as for
     ``hamiltonian_field_batch``. The rate is exact: d|z_k|^2/dt =
-    2 Re(conj(z_k) X_k), so dmu/dt = Gamma 2 Re(conj(z) X). ``f`` must be
+    2 Re(conj(z_k) X_k), so dmu/dt = Gamma 2 Re(conj(z) X). Each quadric's
+    rate is divided by the sum of the magnitudes of its terms,
+    |sum_k gamma_jk 2 Re(conj(z_k) X_k)| / sum_k |gamma_jk| |2 conj(z_k) X_k|,
+    the componentwise backward error of Oettli and Prager, so the drift
+    reads the same at every scale of z and of Gamma. ``f`` must be
     invariant under the configuration's torus; invariance is spot-checked
     at 8 random torus elements, in one call of ``f`` on the batch (8, m) of
     rotated points, against the size of f on the orbit:
@@ -358,8 +362,12 @@ def noether_drift(
     if np.any(np.abs(rotated - f0) > 1e-8 * np.maximum(np.abs(f0), np.abs(rotated).max(axis=0))):
         raise InvarianceError("function is not invariant under the configuration torus")
     X = hamiltonian_field_batch(grad, z)[0]
-    rate = Q.gamma_float() @ (2.0 * np.real(np.conj(z) * X))[..., None]  # (k, 1) or (H, k, 1)
-    worst = np.abs(rate).max(axis=(-2, -1))
+    G = Q.gamma_float()
+    terms = 2.0 * np.conj(z) * X  # (m,) or (H, m)
+    rate = np.abs(G @ np.real(terms)[..., None])  # (k, 1) or (H, k, 1)
+    size = np.abs(G) @ np.abs(terms)[..., None]
+    # a row whose terms all vanish has rate 0 and reads 0
+    worst = (rate / np.where(size > 0.0, size, 1.0)).max(axis=(-2, -1))
     return float(worst) if worst.ndim == 0 else worst
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from momentangle.config_io import (
     polytope_from_config,
     render_config,
 )
+from momentangle.quadric_config import QuadricConfiguration, gale_dual
 from momentangle.reduction_catalog import catalog_names
 
 
@@ -175,6 +177,28 @@ def test_classify_precondition_exit(capsys):
     assert main(["classify", "catalog:two-quadrics:2,2", "--l", "1"]) == 0
     out = capsys.readouterr().out
     assert "N_1(2,2)" in out
+
+
+@pytest.mark.parametrize("p, q", [(1, 3), (2, 3), (3, 2), (2, 4)])
+def test_classify_names_the_catalog_pair(p, q, capsys):
+    assert main(["classify", f"catalog:two-quadrics:{p},{q}", "--l", "0"]) == 0
+    assert capsys.readouterr().out.startswith(f"N_0({p},{q})\n")
+
+
+def test_classify_checks_l_against_p(tmp_path, capsys):
+    # l runs over [0, p]: p = 1 on two-quadrics:1,3
+    assert main(["classify", "catalog:two-quadrics:1,3", "--l", "2"]) == 3
+    assert "twisting parameter l=2 outside [0, 1]" in capsys.readouterr().err
+    # a level that only a row transform with an entry of 100 brings to sign-normal form
+    cfg = tmp_path / "tilted.cfg"
+    cfg.write_text("mode quadrics\ngamma 2 4\n1 1 1 1\n1 1 -1 -1\nc 100 1\n")
+    assert main(["check-nondeg", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["classify", str(cfg), "--l", "0"]) == 0
+    assert capsys.readouterr().out.startswith("N_0(2,2)\n")
+    cfg.write_text("mode quadrics\ngamma 2 4\n1 1 1 1\n1 1 -1 -1\nc 0 0\n")
+    assert main(["classify", str(cfg), "--l", "0"]) == 3
+    assert "parallel to c" in capsys.readouterr().err
 
 
 def test_emit_catalog_list(capsys):
@@ -359,38 +383,60 @@ def test_report_all_survives_seeded_one_quadric_rows(tmp_path):
         assert main(["report-all", str(cfg)]) in (0, 1, 2, 3, 4), (row, level)
 
 
+def _scaled_verdicts(tmp_path, name: str, lam: Fraction) -> tuple[int, list[tuple[str, str]]]:
+    """The exit code and the (record, verdict) pairs of report-all at seed 0 on the
+    catalog instance ``name`` as a quadric configuration, or a double, with every
+    level scaled by ``lam``."""
+    from momentangle.config_io import config_from_double, config_from_quadrics
+    from momentangle.reduction_catalog import (
+        DOUBLE_NAMES, POLYTOPE_NAMES, catalog_double, catalog_polytope, catalog_quadrics, stack_double)
+
+    def scaled(Q):
+        return QuadricConfiguration(Q.gamma, [lam * c for c in Q.c])
+
+    if name in DOUBLE_NAMES:
+        D = catalog_double(name)
+        config = config_from_double(stack_double(scaled(D.gamma_cfg), scaled(D.delta_cfg)))
+    else:
+        Q = gale_dual(catalog_polytope(name)) if name in POLYTOPE_NAMES else catalog_quadrics(name)
+        config = config_from_quadrics(scaled(Q))
+    cfg, out = tmp_path / "scaled.cfg", tmp_path / "report.tsv"
+    cfg.write_text(render_config(config))
+    rc = main(["report-all", str(cfg), "--seed", "0", "--report-file", str(out)])
+    return rc, [(line.split("\t")[0], line.split("\t")[3]) for line in out.read_text().splitlines()]
+
+
 def test_report_all_verdicts_hold_at_small_levels(tmp_path, capsys):
     # c -> lam c maps N to sqrt(lam) N, a homothety that keeps N Lagrangian,
-    # minimal and H-minimal, so report-all at seed 0 on every non-double
-    # catalog instance, as a quadric configuration, gives the exit code,
-    # record names and verdicts of lam = 1 at lam = 10^e, e = -18, -15, ..., -3.
-    # The frames' rank test compares each column with its own length and the
-    # Noether spot check compares f with its size on the orbit, so no
-    # absolute floor reads a small N as degenerate or a small non-invariant
-    # f as invariant. Large levels are left out: the noether-drift and
-    # membership tolerances are absolute
-    from fractions import Fraction
-
-    from momentangle.config_io import config_from_quadrics
-    from momentangle.quadric_config import QuadricConfiguration, gale_dual
-    from momentangle.reduction_catalog import DOUBLE_NAMES, POLYTOPE_NAMES, catalog_polytope, catalog_quadrics
-
-    cfg, out = tmp_path / "scaled.cfg", tmp_path / "report.tsv"
-
-    def verdicts(Q):
-        cfg.write_text(render_config(config_from_quadrics(Q)))
-        rc = main(["report-all", str(cfg), "--seed", "0", "--report-file", str(out)])
-        return rc, [(line.split("\t")[0], line.split("\t")[3]) for line in out.read_text().splitlines()]
-
-    names = [name for name in catalog_names() if name not in DOUBLE_NAMES]
-    assert len(names) == 15
-    for name in names:
-        Q = gale_dual(catalog_polytope(name)) if name in POLYTOPE_NAMES else catalog_quadrics(name)
-        expected = verdicts(Q)
+    # minimal and H-minimal, so report-all at seed 0 on every catalog
+    # instance, as a quadric configuration or a double with c and d scaled,
+    # gives the exit code, record names and verdicts of lam = 1 at
+    # lam = 10^e, e = -18, -15, ..., -3. The frames' rank test and the
+    # horizontal part of a double's lift compare each column with its own
+    # length and the Noether spot check compares f with its size on the
+    # orbit, so no absolute floor reads a small N as degenerate or a small
+    # non-invariant f as invariant
+    for name in catalog_names():
+        expected = _scaled_verdicts(tmp_path, name, Fraction(1))
         assert expected[0] == int(name == "bad-triangle"), name
         for e in range(-18, 0, 3):
-            scaled = QuadricConfiguration(Q.gamma, [Fraction(10) ** e * c for c in Q.c])
-            assert verdicts(scaled) == expected, (name, e)
+            assert _scaled_verdicts(tmp_path, name, Fraction(10) ** e) == expected, (name, e)
+    capsys.readouterr()
+
+
+def test_report_all_verdicts_hold_at_large_levels(tmp_path, capsys):
+    # the large-level half of the homothety: noether-drift compares the
+    # moment rate of each quadric with the sum of the magnitudes of its
+    # terms, so at lam = 10^3 and 10^4 every non-double catalog instance
+    # keeps the verdicts of lam = 1. From 10^5 the absolute membership
+    # tolerance refuses chart points of two-quadrics:2,2
+    from momentangle.reduction_catalog import DOUBLE_NAMES
+
+    for name in catalog_names():
+        if name not in DOUBLE_NAMES:
+            expected = _scaled_verdicts(tmp_path, name, Fraction(1))
+            for e in (3, 4):
+                assert _scaled_verdicts(tmp_path, name, Fraction(10) ** e) == expected, (name, e)
     capsys.readouterr()
 
 

@@ -72,6 +72,20 @@ def test_point_residual_report_shapes():
     assert by_name["lagrangian-negative-control"].residual < 0  # passes with margin
 
 
+def test_orbit_volume_conjugation_catches_a_dropped_lattice_index(monkeypatch):
+    # the record compares orbit_volume at z with the volume the generators span
+    # at conj(z): an orbit_volume that forgets the covolume of the period
+    # lattice (index 2 on two-quadrics:2,2) reads twice the spanned volume
+    Q = catalog_quadrics("two-quadrics:2,2")
+    sample = _sample(Q, 20, 0, order=0)
+    rep = proc.vo_symmetry_report(Q, sample)
+    assert rep.overall and rep.records[0].residual < 1e-15
+    orbit_volume = proc.orbit_volume
+    monkeypatch.setattr(proc, "orbit_volume", lambda Q, z: orbit_volume(Q, z) * Q.lattice_index)
+    record = proc.vo_symmetry_report(Q, sample).records[0]
+    assert not record.passed and record.residual == pytest.approx(0.5, abs=1e-15)
+
+
 def test_machine_report_format():
     Q = catalog_quadrics("one-quadric:3")
     rep = proc.noether_report(Q, _sample(Q, 1, 2, order=0), seed=2)

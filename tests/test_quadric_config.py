@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from momentangle import quadric_config
-from momentangle.exact_linalg import IntegerMatrix, det_int
+from momentangle.exact_linalg import IntegerMatrix
 from momentangle.polytope import enumerate_vertices
 from momentangle.quadric_config import (
     CanonicalFormError,
@@ -14,7 +14,7 @@ from momentangle.quadric_config import (
     gale_dual,
     membership_residuals,
     nondegeneracy_check,
-    two_quadrics_canonical,
+    two_quadrics_signature,
 )
 from momentangle.reduction_catalog import catalog_polytope, catalog_quadrics
 
@@ -134,42 +134,59 @@ def test_nondegeneracy_on_catalog_duals():
 
 def test_two_quadrics_canonical_identity_case():
     Q = catalog_quadrics("two-quadrics:2,2")
-    can = two_quadrics_canonical(Q)
-    assert (can.p, can.q) == (2, 2)
-    assert abs(det_int(can.transform)) == 1
-    row1, row2 = can.config.gamma.entries
-    assert all(x > 0 for x in row1)
-    assert all(x > 0 for x in row2[: can.p]) and all(x < 0 for x in row2[can.p :])
-    assert can.config.c[0] > 0 and can.config.c[1] == 0
+    assert two_quadrics_signature(Q) == (2, 2)
 
 
 def test_two_quadrics_canonical_row_mixing():
+    # no unimodular transform reaches the sign pattern here, and none is needed:
+    # columns 0 and 1 lie clockwise of c = (1, 1), columns 2 and 3 counterclockwise
     Q = QuadricConfiguration.from_rows([(1, 1, 0, 0), (0, 0, 1, 1)], [1, 1])
-    can = two_quadrics_canonical(Q)
-    assert (can.p, can.q) == (2, 2)
-    # no unimodular transform reaches the sign pattern here; sum/difference does
-    assert abs(det_int(can.transform)) == 2
-    assert can.config.gamma.entries[0] == (1, 1, 1, 1)
-    assert can.config.c == (Fraction(2), Fraction(0))
+    assert two_quadrics_signature(Q) == (2, 2)
 
 
 def test_two_quadrics_canonical_sphere_cone_split():
-    # canonical system splits into two blockwise sphere equations
+    # both systems split into two blockwise sphere equations of two coordinates each
     for Q in (catalog_quadrics("two-quadrics:2,2"),
               QuadricConfiguration.from_rows([(2, 2, 0, 0), (0, 0, 2, 2)], [2, 2])):
-        can = two_quadrics_canonical(Q)
-        row1, row2 = can.config.gamma.entries
-        p = can.p
-        ssum = [a + b for a, b in zip(row1, row2)]
-        sdiff = [a - b for a, b in zip(row1, row2)]
-        assert all(x > 0 for x in ssum[:p]) and all(x == 0 for x in ssum[p:])
-        assert all(x == 0 for x in sdiff[:p]) and all(x > 0 for x in sdiff[p:])
+        assert two_quadrics_signature(Q) == (2, 2)
 
 
 def test_two_quadrics_canonical_error():
     Q = QuadricConfiguration.from_rows([(1, -1), (1, 1)], [2, 0])
     with pytest.raises(CanonicalFormError):
-        two_quadrics_canonical(Q)
+        two_quadrics_signature(Q)
+
+
+@pytest.mark.parametrize("rows, c, reason", [
+    ([(1, 1, 1, 1), (1, 1, -1, -1)], [0, 0], "column 0 of Gamma is parallel"),  # c = 0
+    ([(1, 1, 1), (1, 0, -1)], [1, 0], "column 1 of Gamma is parallel"),
+    ([(1, 1), (1, -1)], [1, 2], "one side"),  # both columns clockwise of c
+    ([(1, -1), (1, 1)], [0, -1], "no functional"),  # h (1, 1) > 0 and h (-1, 1) > 0 give h (0, -1) < 0
+])
+def test_two_quadrics_signature_refusals(rows, c, reason):
+    with pytest.raises(CanonicalFormError, match=reason):
+        two_quadrics_signature(QuadricConfiguration.from_rows(rows, c))
+
+
+def test_two_quadrics_signature_under_unimodular_row_operations():
+    # det A multiplies every det[c, gamma_j]: (p, q) holds under det A = 1 and swaps under det A = -1
+    rng = np.random.default_rng(0)
+    elementary = [np.array([[1, 1], [0, 1]]), np.array([[1, 0], [1, 1]]), np.array([[1, -1], [0, 1]]),
+                  np.array([[1, 0], [-1, 1]]), np.array([[0, 1], [1, 0]]), np.array([[-1, 0], [0, 1]])]
+    dets = set()
+    for p, q in [(1, 3), (2, 2), (2, 3), (3, 2), (2, 4)]:
+        Q = catalog_quadrics(f"two-quadrics:{p},{q}")
+        gamma_c = np.array([list(row) + [int(c)] for row, c in zip(Q.gamma.entries, Q.c)], dtype=object)
+        for _ in range(50):
+            A = np.eye(2, dtype=int)
+            for i in rng.integers(0, len(elementary), 6):
+                A = elementary[i] @ A
+            det = round(np.linalg.det(A))
+            dets.add(det)
+            moved = A.astype(object) @ gamma_c
+            R = QuadricConfiguration(IntegerMatrix(moved[:, :-1].tolist(), cols=p + q), moved[:, -1].tolist())
+            assert two_quadrics_signature(R) == ((p, q) if det == 1 else (q, p)), (A.tolist(), det)
+    assert dets == {1, -1}
 
 
 def test_rational_rows_scaled():

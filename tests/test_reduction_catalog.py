@@ -13,6 +13,7 @@ from momentangle.quadric_config import (
 from momentangle import fd
 from momentangle.reduction_catalog import (
     StackValidationError,
+    _horizontal_residual,
     catalog_double,
     catalog_polytope,
     catalog_quadrics,
@@ -35,7 +36,9 @@ from momentangle.submanifold_numerics import (
     hamiltonian_vector_field,
     lagrangian_residual,
     patch_volume_derivative,
+    sample_chart_points,
     stationarity_ratio,
+    tangent_frame_Z,
 )
 from momentangle.torus_actions import freeness_check, orbit_volume, torus_point
 from stencil_chart import FunctionChart
@@ -162,6 +165,23 @@ def test_ntilde_negative_control():
     D = catalog_double("cp2-torus")
     p = ntilde_chart(D, np.array([1.0, 0.0, 1.0]), [0.1], [0.2], spec)
     assert stacked_tangent_horizontal_residual(D, p.points)[0] > 0.1
+
+
+@pytest.mark.parametrize("name", ["cp2-torus", "rp2"])
+def test_horizontal_residual_reads_columns_at_any_scale(name):
+    # the horizontal part of the stacked quadric set's tangent frame is not
+    # Lagrangian downstairs, whatever the length of its columns: a column is
+    # dropped only below 1e-9 of its own length, so a frame scaled by 1e-12
+    # reads what the orthonormal one reads, where an absolute floor dropped
+    # every column and read 0.0
+    D = catalog_double(name)
+    pts = sample_chart_points(D.stacked, 20, np.random.default_rng(0), spec,
+                              phase_rows=D.delta_cfg.gamma_float(), order=1)
+    frame = tangent_frame_Z(D.stacked, pts.points)
+    unit = _horizontal_residual(D, pts.points, frame)
+    assert unit.max() > 0.2
+    for scale in (1e-6, 1e-12, 1e-18):
+        assert np.allclose(_horizontal_residual(D, pts.points, scale * frame), unit, rtol=1e-12, atol=0.0), scale
 
 
 def test_ntilde_residual_invariant_under_first_torus():
