@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact_linalg import IntegerMatrix, inverse, solve_square
-from .quadric_config import NOT_COMPUTED, QuadricConfiguration, float_array
+from .quadric_config import NOT_COMPUTED, QuadricConfiguration, float_array, membership_residuals
 
 TWO_PI = 2.0 * np.pi
 
@@ -169,9 +169,9 @@ class TorusSpreadChart(Chart):
     """
 
     def __init__(self, project_cfg: QuadricConfiguration, u0, phase_rows: np.ndarray | None = None):
-        G, c = project_cfg.gamma_float(), project_cfg.c_float()
+        G = project_cfg.gamma_float()
         u0 = np.asarray(u0, dtype=float)
-        if G.size and np.max(np.abs(G @ (u0 * u0) - c)) > 1e-8:
+        if membership_residuals(project_cfg, u0) > 1e-8:
             raise ValueError("base point is not on the real quadric set")
         k, m = G.shape
         subsets = np.array(list(itertools.combinations(range(m), k)), dtype=int).reshape(math.comb(m, k), k)
@@ -266,7 +266,7 @@ class PolytopeChart(Chart):
         G = Q.gamma_float()
         if np.any(x0 <= 0.0):
             raise ValueError("polytope chart needs a point of the open orthant")
-        if Q.num_quadrics and np.max(np.abs(G @ x0 - Q.c_float())) > 1e-8:
+        if membership_residuals(Q, np.sqrt(x0)) > 1e-8:
             raise ValueError("base point is not on the polytope")
         self.x0 = x0
         m, k = Q.ambient_dim, Q.num_quadrics
@@ -305,6 +305,12 @@ def _derivative_counts(nv: int, n: int) -> np.ndarray:
 
 # the parameter box of each kind of axis of a global chart
 AXIS_BOXES = {"polar": (-0.5 * np.pi, 0.5 * np.pi), "azimuth": (0.0, TWO_PI), "phase": (0.0, 1.0)}
+# the nodes of every patch over the whole of N (``ChartPatch.over``) on the axes whose integrands
+# are not trigonometric polynomials on an ellipsoid that is not round (``GlobalChart.node_counts``):
+# Gauss-Legendre on the polar angles, the trapezoid rule on the azimuths between unequal columns.
+# Each ratio's numerator is exact along the other axes, and its scale integral |X| dA, not a
+# polynomial in them, is a quadrature estimate that normalizes
+WHOLE_NODES = {"polar": 12, "azimuth": 12}
 
 
 class GlobalChart(Chart):
@@ -329,16 +335,16 @@ class GlobalChart(Chart):
         self.lo, self.hi = (np.array([AXIS_BOXES[kind][end] for kind in self.kinds]) for end in (0, 1))
         self.periodic = tuple(a for a, kind in enumerate(self.kinds) if kind != "polar")
 
-    def node_counts(self, nodes: dict[str, int], frequencies, azimuth_degree: int) -> list[int]:
+    def node_counts(self, frequencies, azimuth_degree: int) -> list[int]:
         """``frequencies[j] + 1`` nodes on phase j, ``azimuth_degree + 1`` on each azimuth whose
         two coordinates have equal columns of Gamma (equal radius and equal phase column), and
-        ``nodes[kind]`` on every other axis. The metric and the area element do not move with
+        ``WHOLE_NODES[kind]`` on every other axis. The metric and the area element do not move with
         the phases, nor with such an azimuth: rotating the plane of its two coordinates is a
         unitary symmetry of C^m that commutes with the torus and maps N to itself. So an
         integrand of those degrees is a trigonometric polynomial along these axes, and the
         trapezoid rule of n nodes is exact on degrees below n. The table is read only on the
         polar axes and on the other azimuths."""
-        return ([azimuth_degree + 1 if kind == "azimuth" and self._rotates_equal_columns(a) else nodes[kind]
+        return ([azimuth_degree + 1 if kind == "azimuth" and self._rotates_equal_columns(a) else WHOLE_NODES[kind]
                  for a, kind in enumerate(self.kinds[:self.nv])] + [int(top) + 1 for top in frequencies])
 
     def _rotates_equal_columns(self, a: int) -> bool:

@@ -23,7 +23,7 @@ from .quadric_config import (
 from .reduction_catalog import (
     DoubleConfiguration,
     cp_chart_verify,
-    cp_lift_chart,
+    cp_lift_nodes,
     ntilde_lagrangian_residual,
     stack_report,
     stacked_tangent_horizontal_residual,
@@ -63,7 +63,7 @@ from .submanifold_numerics import (
     tangent_frame_Z,
     tangent_frames,
     times_i,
-    within_node_budget,
+    whole_nodes,
     InvarianceError,
     VectorField,
     _poly_scalar,
@@ -73,18 +73,6 @@ from .torus_actions import freeness_check, orbit_generators, orbit_volume
 TWO_PI = 2.0 * np.pi
 # the number of random fields the first-variation report checks
 VARIATION_FIELDS = 5
-# the nodes of the polar and azimuth axes of the whole-N patches
-# (``ChartPatch.over``): Gauss-Legendre on the polar angles, the trapezoid
-# rule on the azimuths. Their integrands are not trigonometric polynomials
-# on an ellipsoid that is not round. Each phase takes its degree plus one
-# (``GlobalChart.node_counts``), on which the trapezoid rule is exact, and
-# so does each azimuth between two equal columns of Gamma, whose rotation is
-# a symmetry of N: the table is read on the polar angles and on the other
-# azimuths. Each ratio's numerator is exact along those axes, and its scale
-# integral |X| dA, not a polynomial in them, is a quadrature estimate that
-# normalizes
-VARIATION_NODES = {"azimuth": 8}
-STATIONARITY_NODES = {"polar": 12, "azimuth": 12}
 
 
 # the gates of CHECKS; a report that refuses a configuration reads the same gate
@@ -92,36 +80,28 @@ def _always(subject) -> bool:
     return True
 
 
-def _one_quadric_in_C2_or_C3(Q: QuadricConfiguration) -> bool:
-    return Q.num_quadrics == 1 and Q.ambient_dim in (2, 3)
+# the variational checks integrate over the whole of N, on its global chart,
+# on one quadric in C^m with m in their dims: (1, 2) for the first variation,
+# (2, 3) for stationarity. Each runs where its node counts are not None,
+# which needs the whole-N patch to fit the node budget
+def _one_quadric_chart(Q: QuadricConfiguration, dims: tuple[int, int]) -> GlobalChart | None:
+    return global_chart(Q) if Q.num_quadrics == 1 and Q.ambient_dim in dims else None
 
 
-# the variational checks integrate over the whole of N, on its global chart:
-# each report reads its chart here, and runs where it is not None, which
-# needs the whole-N patch to fit the node budget
-def _variation_chart(Q: QuadricConfiguration) -> GlobalChart | None:
-    return _within_budget(global_chart(Q) if Q.num_quadrics == 1 and Q.ambient_dim in (1, 2) else None,
-                          VARIATION_NODES)
+def _whole_nodes(chart: GlobalChart | None) -> list[int] | None:
+    """The node counts of the patch over the whole of N on its global chart (``whole_nodes``). The
+    integrands of a field of degree at most 1 are products of two coordinates or their conjugates,
+    times factors that no phase moves: along phase j, of degree at most 2 max_k |R_jk|, R the chart's
+    phase rows, and of degree at most 2 along an azimuth that turns two equal columns."""
+    return whole_nodes(chart, lambda rows: 2 * np.abs(rows).max(axis=1), 2)
 
 
-def _stationarity_chart(Q: QuadricConfiguration) -> GlobalChart | None:
-    return _within_budget(global_chart(Q) if _one_quadric_in_C2_or_C3(Q) else None, STATIONARITY_NODES)
-
-
-def _whole_nodes(chart: GlobalChart, nodes: dict[str, int]) -> list[int]:
-    """The node counts of the patch over the whole of N on its global chart. The integrands of a
-    field of degree at most 1 are products of two coordinates or their conjugates, times factors
-    that no phase moves: along phase j, of degree at most 2 max_k |R_jk|, R the chart's phase rows,
-    and of degree at most 2 along an azimuth that turns two equal columns."""
-    return chart.node_counts(nodes, 2 * np.abs(chart.phase_rows).max(axis=1), 2)
-
-
-def _within_budget(chart: GlobalChart | None, nodes: dict[str, int]) -> GlobalChart | None:
-    return chart if chart is not None and within_node_budget(_whole_nodes(chart, nodes)) else None
-
-
-def _whole_patch(chart: GlobalChart, nodes: dict[str, int], order: int) -> ChartPatch:
-    return ChartPatch.over(chart, _whole_nodes(chart, nodes), order)
+def _whole_chart(Q: QuadricConfiguration, dims: tuple[int, int], report: str) -> GlobalChart:
+    chart = _one_quadric_chart(Q, dims)
+    if _whole_nodes(chart) is None:
+        raise ValueError(f"{report} report runs on one quadric in C^{dims[0]} or C^{dims[1]} with a global chart "
+                         f"whose patch fits {NODE_BUDGET} nodes")
+    return chart
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +303,7 @@ def coarea_report(Q: QuadricConfiguration, sample: ChartSample) -> VerificationR
 def circle_variation_values(chart: GlobalChart) -> tuple[float, float]:
     """(dVol/dt, -integral <H, X>) for a circle, on its global chart, under the radial unit field:
     each reads 2 pi at every radius."""
-    patch = _whole_patch(chart, VARIATION_NODES, order=2)
+    patch = ChartPatch.over(chart, _whole_nodes(chart), order=2)
 
     def radial_derivative(z, V):
         # the part of V orthogonal to z, over |z|
@@ -357,17 +337,14 @@ def first_variation_report(Q: QuadricConfiguration, seed: int = 0) -> Verificati
     of the two over its scale integral |X| dA.
     """
     rep = VerificationReport(seed=seed)
-    chart = _variation_chart(Q)
-    if chart is None:
-        raise ValueError("first-variation report runs on one quadric in C^1 or C^2 with a global chart "
-                         f"whose patch fits {NODE_BUDGET} nodes")
+    chart = _whole_chart(Q, (1, 2), "first-variation")
     if Q.ambient_dim == 1:
         dv, comp = circle_variation_values(chart)
         rep.add("circle-dvol", abs(dv - TWO_PI), TOL_VARIATION_CIRCLE)
         rep.add("circle-curvature-integral", abs(comp - TWO_PI), TOL_VARIATION_CIRCLE)
         rep.add("circle-consistency", abs(dv - comp), TOL_VARIATION_CIRCLE)
         return rep
-    patch = _whole_patch(chart, VARIATION_NODES, order=2)
+    patch = ChartPatch.over(chart, _whole_nodes(chart), order=2)
     rng = np.random.default_rng(seed)
     for i in range(VARIATION_FIELDS):
         X = _random_matrix_field(Q.ambient_dim, rng)
@@ -387,12 +364,9 @@ def hamiltonian_stationarity_report(Q: QuadricConfiguration, seed: int = 0, *, n
     which a unit-curvature submanifold would change volume.
     """
     rep = VerificationReport(seed=seed)
-    chart = _stationarity_chart(Q)
-    if chart is None:
-        raise ValueError("stationarity report runs on one quadric in C^2 or C^3 with a global chart "
-                         f"whose patch fits {NODE_BUDGET} nodes")
+    chart = _whole_chart(Q, (2, 3), "stationarity")
+    patch = ChartPatch.over(chart, _whole_nodes(chart), order=1)
     rng = np.random.default_rng(seed)
-    patch = _whole_patch(chart, STATIONARITY_NODES, order=1)
     for i in range(n_fields):
         _, grad, hess = _poly_scalar(Q.ambient_dim, rng)
         ratio = stationarity_ratio(patch, hamiltonian_vector_field(grad, hess))
@@ -457,14 +431,16 @@ CHECKS = (
           lambda Q, sample, seed, **_: noether_report(Q, sample, seed)),
     Check("hminimality", "Q", _always, ("verify-hminimal", *ALL), 2,
           lambda Q, sample, **_: hminimality_report(Q, sample)),
-    Check("variation", "Q", lambda Q: _variation_chart(Q) is not None, ("verify-variation", *ALL), None,
-          lambda Q, seed, **_: first_variation_report(Q, seed=seed)),
-    Check("coarea", "Q", _one_quadric_in_C2_or_C3, ALL, 1, lambda Q, sample, **_: coarea_report(Q, sample)),
-    Check("stationarity", "Q", lambda Q: _stationarity_chart(Q) is not None, ("verify-hminimal", *ALL), None,
+    Check("variation", "Q", lambda Q: _whole_nodes(_one_quadric_chart(Q, (1, 2))) is not None,
+          ("verify-variation", *ALL), None, lambda Q, seed, **_: first_variation_report(Q, seed=seed)),
+    Check("coarea", "Q", lambda Q: Q.num_quadrics == 1 and Q.ambient_dim in (2, 3), ALL, 1,
+          lambda Q, sample, **_: coarea_report(Q, sample)),
+    Check("stationarity", "Q", lambda Q: _whole_nodes(_one_quadric_chart(Q, (2, 3))) is not None,
+          ("verify-hminimal", *ALL), None,
           lambda Q, seed, **_: hamiltonian_stationarity_report(Q, seed=seed, n_fields=3)),
     Check("stack", "D", _always, ALL, None, lambda D, **_: stack_report(D.checks)),
     Check("ntilde", "D", _always, ("verify-ntilde", *ALL), None,
           lambda D, seed, samples, spec, **_: ntilde_report(D, samples=samples, seed=seed, spec=spec)),
-    Check("projective", "D", lambda D: cp_lift_chart(D) is not None, ("verify-ntilde", *ALL), None,
+    Check("projective", "D", lambda D: cp_lift_nodes(D) is not None, ("verify-ntilde", *ALL), None,
           lambda D, seed, **_: cp_chart_verify(D, seed=seed)),
 )

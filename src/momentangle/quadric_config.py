@@ -172,15 +172,16 @@ def _solve_gale_dual(P: PolytopePresentation) -> QuadricConfiguration:
 
 
 def membership_residuals(Q: QuadricConfiguration, z: np.ndarray) -> np.ndarray:
-    """Per-point max quadric defect |sum gamma_jk |z_k|^2 - c_j| (batched)."""
+    """Per-point max relative quadric defect |sum_k gamma_jk |z_k|^2 - c_j| / (sum_k |gamma_jk| |z_k|^2 + |c_j|)
+    (batched): the defect over the size of its terms, and of their rounding, at any scale of c (0 at 0 / 0)."""
     z = np.asarray(z)
     if z.shape[-1] != Q.ambient_dim:
         raise ValueError("point dimension mismatch")
     if Q.num_quadrics == 0:
         return np.zeros(z.shape[:-1])
-    sq = np.abs(z) ** 2
-    vals = sq @ Q.gamma_float().T - Q.c_float()
-    return np.abs(vals).max(axis=-1)
+    sq, G, c = np.abs(z) ** 2, Q.gamma_float(), Q.c_float()
+    size = sq @ np.abs(G).T + np.abs(c)
+    return (np.abs(sq @ G.T - c) / np.where(size > 0.0, size, 1.0)).max(axis=-1)
 
 
 def boundedness_check(Q: QuadricConfiguration) -> bool:

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .charts import GlobalChart, TorusSpreadChart, c2r, global_chart
+from .charts import TorusSpreadChart, c2r, global_chart
 from .exact_linalg import IntegerMatrix
 from .polytope import PolytopePresentation
 from .quadric_config import (
@@ -37,7 +37,7 @@ from .submanifold_numerics import (
     lagrangian_residual,
     stationarity_ratio,
     tangent_frame_Z,
-    within_node_budget,
+    whole_nodes,
 )
 from .torus_actions import freeness_check, orbit_generators
 
@@ -399,14 +399,6 @@ def catalog_names() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # projective verification
 
-# the nodes of the polar axes of the lift's patch; each phase and each
-# azimuth takes its degree plus one (``GlobalChart.node_counts``). The first
-# row of a projective lift has equal entries a, so the columns g p of one
-# class (p primitive) share g = a / p_0 and are equal: every azimuth of the
-# lift turns two equal columns, and no lift reads the table on one
-CP_NODES = {"polar": 12}
-
-
 class CpSetup(NamedTuple):
     """What ``cp_chart_verify`` measures on: the patch over the whole lift, whose
     nodes the Lagrangian residual reads, and the circle-invariant Hamiltonian's
@@ -417,37 +409,27 @@ class CpSetup(NamedTuple):
     hess: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def cp_lift_chart(D: DoubleConfiguration) -> GlobalChart | None:
-    """The global chart of the lift that ``cp_chart_verify`` integrates on, where the first system
-    is projective and the patch fits the node budget, else None. Its first phase axis is the
-    first torus's circle."""
+def cp_lift_nodes(D: DoubleConfiguration) -> list[int] | None:
+    """The node counts (``whole_nodes``) of the patch over the whole lift, on the stacked system's
+    global chart, where the first system is projective; else None. The Hamiltonian is quadratic in
+    the circle invariants q, so each integrand is a sum of products of two q (or their conjugates)
+    times factors that no phase moves: of degree 2 (max_k R_jk - min_k R_jk) along phase j, R the
+    phase rows, so 0 along the first, the circle, and 4 along an azimuth. Every azimuth of a lift
+    turns two equal columns: its first row has equal entries a, so one class's g p share g = a / p_0."""
     chart = global_chart(D.stacked) if is_projective(D.gamma_cfg) else None
-    return chart if chart is not None and within_node_budget(_cp_nodes(chart)) else None
-
-
-def _cp_nodes(chart: GlobalChart) -> list[int]:
-    rows = chart.phase_rows
-    return chart.node_counts(CP_NODES, 2 * (rows.max(axis=1) - rows.min(axis=1)), 4)
+    return whole_nodes(chart, lambda rows: 2 * (rows.max(axis=1) - rows.min(axis=1)), 4)
 
 
 def cp_chart_setup(D: DoubleConfiguration, seed: int) -> CpSetup:
-    """The lift patch and the Hamiltonian of ``cp_chart_verify`` at ``seed``.
-
-    The patch covers the whole lift. The Hamiltonian is one random
-    quadratic polynomial in the circle invariants q, drawn from
-    ``default_rng(seed)``, so each integrand is a sum of products of two q
-    (or their conjugates) times factors that no phase moves: along phase j,
-    of degree at most 2 (max_k R_jk - min_k R_jk), R the chart's phase
-    rows. That is 0 along the circle, which takes one node. Along an
-    azimuth each q has degree 2, so each integrand degree 4.
-    """
-    chart = cp_lift_chart(D)
-    if chart is None:
+    """The lift patch (``cp_lift_nodes``) and the Hamiltonian of ``cp_chart_verify`` at ``seed``:
+    one random quadratic polynomial in the circle invariants, drawn from ``default_rng(seed)``."""
+    nodes = cp_lift_nodes(D)
+    if nodes is None:
         raise ValueError("projective verification needs a first system of one quadric with equal "
                          "coefficients and a stacked system whose real locus is a product of ellipsoids, "
                          f"on a patch of at most {NODE_BUDGET} nodes")
     m = D.ambient_dim
-    patch = ChartPatch.over(chart, _cp_nodes(chart), order=1)
+    patch = ChartPatch.over(global_chart(D.stacked), nodes, order=1)
     # the Hamiltonian of the C^m check, as a function of the circle invariants
     _, grad, hess = circle_invariant_hamiltonian(_poly_scalar(m * (m + 1) // 2, np.random.default_rng(seed)), m)
     return CpSetup(patch, grad, hess)

@@ -98,7 +98,7 @@ class ChartSample:
         return cls(chart, params, chart.jet(params, order))
 
     def on(self, Q: QuadricConfiguration, spec: MetricSpec) -> ChartSample:
-        """This sample, once every point is checked against the quadrics of ``Q`` at ``spec.tol_membership``."""
+        """This sample, once every point's relative defect on ``Q`` is checked at ``spec.tol_membership``."""
         res = float(membership_residuals(Q, self.points).max())
         if res > spec.tol_membership:
             raise ValueError(f"chart point violates the quadric system: residual {res:.3e}")
@@ -200,13 +200,13 @@ def tangent_frames(Q: QuadricConfiguration | None, sample: ChartSample) -> np.nd
     """The sample's real orthonormal tangent frames ``sample.frame`` (N, 2m, d), checked.
 
     Raises if a column of any chart jacobian is nearly in the span of the
-    earlier ones: diag L_a < 1e-8 |J_a|, where diag L_a / |J_a| is the sine
-    of its angle to them, at any scale of the chart. Given ``Q``, raises if
-    any frame fails to annihilate the quadric differentials at the sample's
-    points.
+    earlier ones: diag L_a < 1e-7 |J_a|, where diag L_a / |J_a| is the sine
+    of its angle to them, at any scale of the chart, above the sqrt(eps) =
+    1.5e-8 to which g = J^T J resolves it. Given ``Q``, raises if any frame
+    fails to annihilate the quadric differentials at the sample's points.
     """
     diag = np.diagonal(sample.metric_factor, axis1=-2, axis2=-1)
-    if np.any(diag < 1e-8 * np.sqrt(np.diagonal(sample.metric, axis1=-2, axis2=-1))):
+    if np.any(diag < 1e-7 * np.sqrt(np.diagonal(sample.metric, axis1=-2, axis2=-1))):
         raise NonConvergenceError("chart jacobian is rank deficient; chart degenerate here")
     E = sample.frame
     if Q is not None:
@@ -384,6 +384,16 @@ NODE_BUDGET = 2**16
 def within_node_budget(nodes: Sequence[int]) -> bool:
     """Whether a tensor grid of ``nodes`` nodes per axis fits ``NODE_BUDGET``."""
     return math.prod(nodes) <= NODE_BUDGET
+
+
+def whole_nodes(chart: GlobalChart | None, phase_degrees: Callable, azimuth_degree: int) -> list[int] | None:
+    """The node counts (``GlobalChart.node_counts``) of the patch over the whole of N on ``chart`` for
+    integrands of degree ``phase_degrees(chart.phase_rows)`` along the phases and ``azimuth_degree``
+    along an azimuth between equal columns; None without a chart or above ``NODE_BUDGET``."""
+    if chart is None:
+        return None
+    nodes = chart.node_counts(phase_degrees(chart.phase_rows), azimuth_degree)
+    return nodes if within_node_budget(nodes) else None
 
 
 @dataclass

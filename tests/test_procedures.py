@@ -146,8 +146,9 @@ def _variational_records() -> list:
         for name in ("triangle", "bad-triangle", "simplex:2", "one-quadric:2", "one-quadric:3"):
             Q = catalog_quadrics(name) if name.startswith("one-quadric") else gale_dual(catalog_polytope(name))
             reports.append(proc.hamiltonian_stationarity_report(Q, seed=seed, n_fields=3))
-        for name in ("one-quadric:1", "one-quadric:2"):
-            reports.append(proc.first_variation_report(catalog_quadrics(name), seed=seed))
+        for Q in (catalog_quadrics("one-quadric:1"), catalog_quadrics("one-quadric:2"),
+                  QuadricConfiguration.from_rows([(1, 2)], [1])):
+            reports.append(proc.first_variation_report(Q, seed=seed))
         for name in ("rp2", "cp2-torus"):
             reports.append(cp_chart_verify(catalog_double(name), seed=seed))
     return [r for rep in reports for r in rep.records]
@@ -157,21 +158,22 @@ def test_variational_records_read_the_floor_at_twice_their_nodes(monkeypatch):
     # the variational records integrate over the whole of N, on the
     # trapezoid rule along its periodic axes and Gauss-Legendre along its
     # polar angles: at their node counts and at twice as many on every
-    # axis, the node tables' polar and azimuth axes and the degree plus one
-    # of the phases and of the azimuths between equal columns alike, each
-    # reads the rounding floor (measured at most 6.1e-16 and 4.6e-16), and
-    # the records keep their names
-    from momentangle import reduction_catalog
+    # axis, the polar and azimuth axes of ``charts.WHOLE_NODES`` and the
+    # degree plus one of the phases and of the azimuths between equal
+    # columns alike, each reads the rounding floor (the ratios measured at
+    # most 5.9e-16 and 3.8e-16, the circle's differences from 2 pi 1.8e-15
+    # at both), and the records keep their names. gamma (1, 2) is the one
+    # input whose azimuth, between unequal columns, reads the table
+    from momentangle import charts
     from momentangle.charts import GlobalChart
 
     records = _variational_records()
-    assert len(records) == 5 * (5 * 3 + 3 + 5 + 2 * 2)
+    assert len(records) == 5 * (5 * 3 + 3 + 5 + 5 + 2 * 2)
     assert max(r.residual for r in records) <= 1e-14
-    for module, table in ((proc, "VARIATION_NODES"), (proc, "STATIONARITY_NODES"), (reduction_catalog, "CP_NODES")):
-        monkeypatch.setattr(module, table, {kind: 2 * n for kind, n in getattr(module, table).items()})
+    monkeypatch.setattr(charts, "WHOLE_NODES", {kind: 2 * n for kind, n in charts.WHOLE_NODES.items()})
     node_counts = GlobalChart.node_counts
-    monkeypatch.setattr(GlobalChart, "node_counts", lambda self, nodes, frequencies, azimuth_degree: (
-        node_counts(self, nodes, [2 * top + 1 for top in frequencies], 2 * azimuth_degree + 1)))
+    monkeypatch.setattr(GlobalChart, "node_counts", lambda self, frequencies, azimuth_degree: (
+        node_counts(self, [2 * top + 1 for top in frequencies], 2 * azimuth_degree + 1)))
     doubled = _variational_records()
     assert [r.name for r in doubled] == [r.name for r in records]
     assert max(r.residual for r in doubled) <= 1e-14
@@ -182,15 +184,15 @@ def test_triangle_stationarity_aliases_one_phase_node_short(monkeypatch):
     # nodes; at 2, one short of exact, a frequency-2 term aliases onto the
     # mean, and the worst record of every seed fails (measured 0.068-0.30,
     # where 3 nodes read at most 1.7e-16)
-    from momentangle.charts import GlobalChart
+    from momentangle.charts import GlobalChart, global_chart
     from momentangle.quadric_config import gale_dual
     from momentangle.report import TOL_STATIONARITY
 
     Q = gale_dual(catalog_polytope("triangle"))
-    assert proc._whole_patch(proc._stationarity_chart(Q), proc.STATIONARITY_NODES, 1).w.size == 12 * 3 * 3
+    assert proc._whole_nodes(global_chart(Q)) == [12, 3, 3]
     node_counts = GlobalChart.node_counts
-    monkeypatch.setattr(GlobalChart, "node_counts", lambda self, nodes, frequencies, azimuth_degree: (
-        node_counts(self, nodes, [top - 1 for top in frequencies], azimuth_degree)))
+    monkeypatch.setattr(GlobalChart, "node_counts", lambda self, frequencies, azimuth_degree: (
+        node_counts(self, [top - 1 for top in frequencies], azimuth_degree)))
     for seed in range(5):
         worst = max(r.residual for r in proc.hamiltonian_stationarity_report(Q, seed=seed, n_fields=3).records)
         assert worst > 10 * TOL_STATIONARITY, (seed, worst)
@@ -202,17 +204,17 @@ def test_first_variation_aliases_one_azimuth_node_short(monkeypatch):
     # record reads the rounding floor (measured at most 4.5e-16 at seeds
     # 0-4); at 2, one short of exact, the worst record of every seed fails
     # (measured 0.58-1.2)
-    from momentangle.charts import GlobalChart
+    from momentangle.charts import GlobalChart, global_chart
     from momentangle.report import TOL_VARIATION_REL
 
     Q = catalog_quadrics("one-quadric:2")
-    assert proc._whole_nodes(proc._variation_chart(Q), proc.VARIATION_NODES) == [3, 3]
+    assert proc._whole_nodes(global_chart(Q)) == [3, 3]
     for seed in range(5):
         assert max(r.residual for r in proc.first_variation_report(Q, seed=seed).records) <= 1e-15, seed
     node_counts = GlobalChart.node_counts
-    monkeypatch.setattr(GlobalChart, "node_counts", lambda self, nodes, frequencies, azimuth_degree: (
-        node_counts(self, nodes, frequencies, azimuth_degree - 1)))
-    assert proc._whole_nodes(proc._variation_chart(Q), proc.VARIATION_NODES) == [2, 3]
+    monkeypatch.setattr(GlobalChart, "node_counts", lambda self, frequencies, azimuth_degree: (
+        node_counts(self, frequencies, azimuth_degree - 1)))
+    assert proc._whole_nodes(global_chart(Q)) == [2, 3]
     for seed in range(5):
         worst = max(r.residual for r in proc.first_variation_report(Q, seed=seed).records)
         assert worst > 10 * TOL_VARIATION_REL, (seed, worst)
@@ -229,13 +231,13 @@ def test_azimuth_takes_its_degree_only_between_equal_columns():
     from momentangle.submanifold_numerics import ChartPatch, VectorField, stationarity_ratio
 
     radial = VectorField(lambda z: z, lambda z, V: V)
-    chart = proc._stationarity_chart(QuadricConfiguration.from_rows([(1, 1, 2)], [1]))
-    nodes = proc._whole_nodes(chart, proc.STATIONARITY_NODES)
+    chart = global_chart(QuadricConfiguration.from_rows([(1, 1, 2)], [1]))
+    nodes = proc._whole_nodes(chart)
     assert nodes == [12, 3, 5]
     exact, table = (stationarity_ratio(ChartPatch.over(chart, n, order=1), radial) for n in (nodes, [12, 12, 5]))
     assert abs(exact - table) <= 1e-12 * table
     for Q in (gale_dual(catalog_polytope("bad-triangle")), QuadricConfiguration.from_rows([(2, 1, 1)], [1])):
-        assert proc._whole_nodes(global_chart(Q), proc.STATIONARITY_NODES) == [12, 12, 5], Q.gamma.entries
+        assert proc._whole_nodes(global_chart(Q)) == [12, 12, 5], Q.gamma.entries
 
 
 def test_hminimality_catches_a_second_derivative_off_by_one_part_in_a_thousand(monkeypatch):

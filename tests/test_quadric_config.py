@@ -50,13 +50,14 @@ def test_gale_orthogonality_exact(name):
 
 
 def test_membership_residual():
-    # per point, the largest quadric defect |sum gamma_jk |z_k|^2 - c_j|
+    # per point, the largest relative quadric defect
+    # |sum gamma_jk |z_k|^2 - c_j| / (sum |gamma_jk| |z_k|^2 + |c_j|)
     Q = catalog_quadrics("one-quadric:3")
     Z = np.array([[1, 0, 0], [0, 0, 0], [0, 1j, 0]], dtype=complex)
     assert membership_residuals(Q, Z).tolist() == [0.0, 1.0, 0.0]
     Qs = gale_dual(catalog_polytope("square"))  # |z_0|^2 + |z_2|^2 = 1 = |z_1|^2 + |z_3|^2
     Z = np.array([[1, 0, 0, 1], [1, 1, 0, 0], [0, 0, 0, 0], [2, 0, 0, 1]], dtype=complex)
-    assert membership_residuals(Qs, Z).tolist() == [0.0, 0.0, 1.0, 3.0]
+    assert membership_residuals(Qs, Z).tolist() == [0.0, 0.0, 1.0, 0.6]
     assert membership_residuals(Qs, Z[1]) == 0.0  # one point, unbatched
     with pytest.raises(ValueError):
         membership_residuals(Q, np.zeros(4, dtype=complex))
@@ -68,7 +69,8 @@ def test_moment_map():
     Z = np.array([[1, 1, 0, 0], [0, 0, 0, 0], [2, 0, 0, 1]], dtype=complex)
     mu = (np.abs(Z) ** 2) @ Qs.gamma_float().T
     assert mu.tolist() == [[1.0, 1.0], [0.0, 0.0], [4.0, 1.0]]
-    assert membership_residuals(Qs, Z).tolist() == np.abs(mu - Qs.c_float()).max(axis=1).tolist()
+    size = (np.abs(Z) ** 2) @ np.abs(Qs.gamma_float()).T + np.abs(Qs.c_float())
+    assert membership_residuals(Qs, Z).tolist() == (np.abs(mu - Qs.c_float()) / size).max(axis=1).tolist()
     Q = catalog_quadrics("one-quadric:3")
     assert ((np.abs(np.array([1, 0, 0])) ** 2) @ Q.gamma_float().T).tolist() == [1.0]
 

@@ -537,6 +537,25 @@ def test_frame_orthonormal_and_annihilating():
         assert np.abs(grads @ F).max() < 1e-10
 
 
+def test_rank_test_decides_above_the_metrics_resolution():
+    # g = J^T J resolves a column's sine only down to about sqrt(eps) = 1.5e-8,
+    # so the rank test's 1e-7 sits above it: two unit columns of R^4 = C^2 at
+    # an angle of 1e-9, in 200 seeded orientations, each raise, and at 1e-6
+    # each pass. At a threshold of 1e-8, 225 of 2,000 orientations at 1e-9
+    # passed as full rank, on rounding alone
+    rng = np.random.default_rng(0)
+    for angle, full_rank in ((1e-9, False), (1e-6, True)):
+        for _ in range(200):
+            R = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+            cols = R[:, :2] @ np.array([[1.0, np.cos(angle)], [0.0, np.sin(angle)]])  # (4, 2), real parts first
+            sample = ChartSample(None, np.zeros((1, 2)), (np.zeros((1, 2), complex), r2c(cols.T).T[None]))
+            if full_rank:
+                assert tangent_frames(None, sample).shape == (1, 4, 2)
+            else:
+                with pytest.raises(NonConvergenceError, match="rank deficient"):
+                    tangent_frames(None, sample)
+
+
 def test_frame_symplectic_residual_matches_the_matrix_of_omega():
     # on random real orthonormal frames (2m, d), stacked, the closed form
     # |OMEGA_SCALE| max |X^T Y - Y^T X| equals max |F^T Omega F| with Omega
