@@ -4,7 +4,6 @@ minimal and Hamiltonian-minimal Lagrangian submanifolds built from them."""
 from .exact_linalg import (
     IntegerMatrix,
     nullspace,
-    sublattice_equals_lattice,
 )
 from .polytope import (
     EmptyPolytopeError,
@@ -27,12 +26,10 @@ from .quadric_config import (
 )
 from .torus_actions import (
     NonFreePointError,
-    TorusSubgroup,
     freeness_check,
     orbit_generators,
     orbit_volume,
     torus_point,
-    torus_subgroup,
 )
 from .charts import NonConvergenceError
 from .submanifold_numerics import (
@@ -42,7 +39,6 @@ from .submanifold_numerics import (
     InvarianceError,
     MetricSpec,
     VectorField,
-    chart_N,
     coarea_orbit_volume_check,
     first_variation_integral,
     hamiltonian_vector_field,
@@ -64,7 +60,6 @@ from .reduction_catalog import (
     catalog_quadrics,
     classify_N,
     cp_chart_verify,
-    ntilde_chart,
     ntilde_lagrangian_residual,
     stack_double,
 )

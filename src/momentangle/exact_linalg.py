@@ -244,13 +244,6 @@ def hermite_row_form(M: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix(h, cols=ncols)
 
 
-def sublattice_equals_lattice(subset: IntegerMatrix, full: IntegerMatrix) -> bool:
-    """Exact equality of the row lattices of the two generating sets."""
-    if subset.cols != full.cols:
-        raise ValueError("generators live in different ambient dimensions")
-    return hermite_row_form(subset) == hermite_row_form(full)
-
-
 def nullspace(M: IntegerMatrix) -> IntegerMatrix:
     """Canonical basis, as rows, of the integer kernel ``{x : M x = 0}``.
 

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .charts import TorusSpreadChart, c2r, global_chart
+from .charts import c2r, global_chart
 from .exact_linalg import IntegerMatrix
 from .polytope import PolytopePresentation
 from .quadric_config import (
@@ -26,11 +26,9 @@ from .quadric_config import (
 )
 from .report import TOL_LAGRANGIAN, TOL_STATIONARITY, VerificationReport
 from .submanifold_numerics import (
-    DEFAULT_SPEC,
     NODE_BUDGET,
     ChartPatch,
     ChartSample,
-    MetricSpec,
     _poly_scalar,
     frame_symplectic_residual,
     hamiltonian_vector_field,
@@ -186,23 +184,6 @@ def stack_double(
         witness = check.witness_b if isinstance(check, NondegeneracyReport) else getattr(check, "witness", None)
         raise StackValidationError(f"stacked configuration fails {name}", witness=witness)
     return DoubleConfiguration(gamma_cfg, delta_cfg, stacked, checks)
-
-
-def ntilde_chart(
-    D: DoubleConfiguration,
-    base,
-    v: Sequence[float],
-    phi_delta: Sequence[float],
-    spec: MetricSpec = DEFAULT_SPEC,
-) -> ChartSample:
-    """One-point sample, through second order, of the lift of the reduced-space Lagrangian into the first system.
-
-    The base moves on the intersection of the two real loci; only the
-    second system's torus supplies phases.
-    """
-    chart = TorusSpreadChart(D.stacked, base, phase_rows=D.delta_cfg.gamma_float())
-    params = np.concatenate([np.asarray(v, dtype=float), np.asarray(phi_delta, dtype=float)])
-    return ChartSample.at(chart, params, 2).on(D.stacked, spec)
 
 
 def _horizontal_residual(D: DoubleConfiguration, z: np.ndarray, columns: np.ndarray) -> np.ndarray:

@@ -37,12 +37,11 @@ from .charts import (
     GlobalChart,
     NonConvergenceError,
     PolytopeChart,
-    TorusSpreadChart,
     c2r,
     r2c,
 )
 from .quadric_config import QuadricConfiguration, float_array, membership_residuals
-from .torus_actions import orbit_volume, torus_point, torus_subgroup
+from .torus_actions import orbit_volume, torus_point
 
 TWO_PI = 2.0 * np.pi
 OMEGA_SCALE = -1.0 / np.pi
@@ -184,18 +183,6 @@ def times_i(E: np.ndarray) -> np.ndarray:
 # chart samples and frames
 
 
-def chart_N(
-    Q: QuadricConfiguration,
-    u0,
-    v: Sequence[float],
-    phi: Sequence[float],
-    spec: MetricSpec = DEFAULT_SPEC,
-) -> ChartSample:
-    """The one-point sample, through second order, of the torus-spread Lagrangian over base u0 at (v, phi)."""
-    params = np.concatenate([np.asarray(v, dtype=float), np.asarray(phi, dtype=float)])
-    return ChartSample.at(TorusSpreadChart(Q, u0), params, 2).on(Q, spec)
-
-
 def tangent_frames(Q: QuadricConfiguration | None, sample: ChartSample) -> np.ndarray:
     """The sample's real orthonormal tangent frames ``sample.frame`` (N, 2m, d), checked.
 
@@ -270,22 +257,15 @@ class VectorField(NamedTuple):
         return self.value(P)
 
 
-def _field_from_gradient(grad_vals: np.ndarray) -> np.ndarray:
-    """The X with i_X omega = df, from df packed as d/dx + i d/dy.
-
-    On flat C^m, -omega inverts in closed form: X = -i grad f / OMEGA_SCALE.
-    """
-    return -1j * np.asarray(grad_vals, dtype=complex) / OMEGA_SCALE
-
-
 def hamiltonian_field_batch(grad: Callable[[np.ndarray], np.ndarray], Z) -> np.ndarray:
     """Hamiltonian field over a batch (N, m) of points from a closed-form gradient.
 
     ``grad`` maps the batch to the real gradients packed as complex vectors
-    (d/dx + i d/dy).
+    (d/dx + i d/dy). The X with i_X omega = df: on flat C^m, -omega inverts in
+    closed form, X = -i grad f / OMEGA_SCALE.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-    return _field_from_gradient(grad(Z))
+    return -1j * np.asarray(grad(Z), dtype=complex) / OMEGA_SCALE
 
 
 def hamiltonian_vector_field(
@@ -300,7 +280,7 @@ def hamiltonian_vector_field(
     """
     return VectorField(
         lambda Z: hamiltonian_field_batch(grad, Z),
-        lambda Z, V: _field_from_gradient(hess(Z, V)),
+        lambda Z, V: -1j * np.asarray(hess(Z, V), dtype=complex) / OMEGA_SCALE,
     )
 
 
@@ -329,6 +309,19 @@ def _poly_scalar(m: int, rng: np.random.Generator) -> tuple[Callable, Callable, 
     return f, grad, hess
 
 
+def is_torus_invariant(
+    Q: QuadricConfiguration, f: Callable[[np.ndarray], np.ndarray], z: np.ndarray, rng: np.random.Generator
+) -> bool:
+    """The invariance spot check of f at z: 8 random torus elements drawn from ``rng``, in one
+    call of ``f`` on the batch (8, m) of rotated points, against the size of f on the orbit:
+    |f(g z) - f(z)| <= 1e-8 max(|f(z)|, max |f(g z)|), at any scale of z. ``f`` maps points
+    (n, m) to values (n,) or, for H functions stacked, (n, H)."""
+    f0 = np.asarray(f(z[None, :]), dtype=float)[0]
+    phases = torus_point(Q, rng.uniform(0.0, 1.0, (8, Q.num_quadrics)))
+    rotated = np.asarray(f(phases * z), dtype=float)
+    return not np.any(np.abs(rotated - f0) > 1e-8 * np.maximum(np.abs(f0), np.abs(rotated).max(axis=0)))
+
+
 def noether_drift(
     Q: QuadricConfiguration,
     f: Callable[[np.ndarray], np.ndarray],
@@ -345,21 +338,15 @@ def noether_drift(
     |sum_k gamma_jk 2 Re(conj(z_k) X_k)| / sum_k |gamma_jk| |2 conj(z_k) X_k|,
     the componentwise backward error of Oettli and Prager, so the drift
     reads the same at every scale of z and of Gamma. ``f`` must be
-    invariant under the configuration's torus; invariance is spot-checked
-    at 8 random torus elements, in one call of ``f`` on the batch (8, m) of
-    rotated points, against the size of f on the orbit:
-    |f(g z) - f(z)| <= 1e-8 max(|f(z)|, max |f(g z)|), at any scale of z.
-    An ``InvarianceError`` is raised on violation. H Hamiltonians run
-    stacked on one draw of the torus: ``f`` maps points (n, m) to values
-    (n, H), ``grad`` to gradients (n, H, m), and the drift is one value per
+    invariant under the configuration's torus: an ``InvarianceError`` is
+    raised where ``is_torus_invariant`` fails. H Hamiltonians run stacked
+    on one draw of the torus: ``f`` maps points (n, m) to values (n, H),
+    ``grad`` to gradients (n, H, m), and the drift is one value per
     Hamiltonian, (H,).
     """
     z = np.asarray(z, dtype=complex)
     rng = np.random.default_rng(7) if rng is None else rng
-    f0 = np.asarray(f(z[None, :]), dtype=float)[0]
-    phases = torus_point(Q, rng.uniform(0.0, 1.0, (8, Q.num_quadrics)))
-    rotated = np.asarray(f(phases * z), dtype=float)
-    if np.any(np.abs(rotated - f0) > 1e-8 * np.maximum(np.abs(f0), np.abs(rotated).max(axis=0))):
+    if not is_torus_invariant(Q, f, z, rng):
         raise InvarianceError("function is not invariant under the configuration torus")
     X = hamiltonian_field_batch(grad, z)[0]
     G = Q.gamma_float()
@@ -452,21 +439,23 @@ def first_variation_integral(patch: ChartPatch, X: Callable[[np.ndarray], np.nda
     return -float(np.sum(patch.w * np.einsum("ni,ni->n", patch.curvature, Xr) * patch.area))
 
 
-def field_norm_integral(patch: ChartPatch, X: Callable[[np.ndarray], np.ndarray]) -> float:
-    """integral |X| dA over a patch: the scale of a field's volume rates, which no
-    unitary change of frame moves."""
-    return float(np.sum(patch.w * patch.area * np.linalg.norm(X(patch.points), axis=1)))
+def variation_scale(patch: ChartPatch, X: Callable[[np.ndarray], np.ndarray]) -> float:
+    """integral |X| dA over the patch's RMS radius R = sqrt(integral |z|^2 dA / integral dA):
+    the rate at which a submanifold of mean curvature 1/R changes volume under X. A
+    volume rate over it has no units, and no unitary change of frame moves it."""
+    dA = patch.w * patch.area
+    radius = np.sqrt(np.sum(dA * (np.abs(patch.points) ** 2).sum(axis=1)) / np.sum(dA))
+    return float(np.sum(dA * np.linalg.norm(X(patch.points), axis=1)) / radius)
 
 
 def stationarity_ratio(patch: ChartPatch, Xf: VectorField) -> float:
-    """|dVol/dt| of a candidate field over its scale integral |Xf| dA.
+    """|dVol/dt| of a candidate field over its ``variation_scale``.
 
-    A submanifold of unit mean curvature changes volume at about the rate
-    integral |Xf| dA, so a stationary variation reads near 0 and a
-    volume-changing one reads of the order of |H|: the radial field z -> z
-    reads the dimension of N on the unit sphere.
+    A stationary variation reads near 0 and a volume-changing one reads of
+    the order of R |H|, at every scale of N: the radial field z -> z reads
+    the dimension of N wherever N lies on a round sphere.
     """
-    return abs(patch_volume_derivative(patch, Xf)) / field_norm_integral(patch, Xf)
+    return abs(patch_volume_derivative(patch, Xf)) / variation_scale(patch, Xf)
 
 
 def hminimality_residual(Q: QuadricConfiguration | None, sample: ChartSample) -> np.ndarray:
@@ -483,13 +472,16 @@ def hminimality_residual(Q: QuadricConfiguration | None, sample: ChartSample) ->
     derivative. The residual reads alpha from the sample's cached
     curvature, real jacobian and g^-1, and its g-norm
     sqrt((alpha - alpha_theta)^T g^-1 (alpha - alpha_theta)); a chart whose
-    u is not real, or whose curvature is off, reads it nonzero. Where the
-    chart's dimension is not the ambient one, N has no Lagrangian angle.
+    curvature is off reads it nonzero. Where the chart's dimension is not
+    the ambient one, N has no Lagrangian angle, and where the jet's u has
+    an imaginary part the angle form is not alpha_theta: both raise.
     """
     chart = sample.chart
     if chart.dim != chart.ambient_dim:
         raise ValueError(f"no Lagrangian angle: a chart of dimension {chart.dim} in C^{chart.ambient_dim}")
     H, J, gi = sample.curvature[..., None], sample.real_jacobian, sample.metric_inverse
+    if np.any(np.imag(sample.jet[2].us[0])):
+        raise ValueError("no angle form from the phase rows: the chart's u is not real")
     # alpha_a = omega(H, J_a) = OMEGA_SCALE <J_a, i H>
     iH = OMEGA_SCALE * times_i(H)
     angle = np.concatenate([np.zeros(chart.nv), 2.0 * chart.phase_rows.sum(axis=1)])
@@ -508,12 +500,12 @@ def coarea_orbit_volume_check(Q: QuadricConfiguration, sample: ChartSample) -> n
     has no v-phi block, so at every point sqrt det g is the base area
     element sqrt det g_vv times sqrt det of the orbit Gram matrix. Moving
     the phase box onto one fundamental domain of the torus (through the
-    dual basis D) scales the upstairs element by |det D|, the dual
-    covolume, and V_orb carries the same factor: the two sides
+    dual basis D) scales the upstairs element by the dual covolume
+    |det D| = 1 / ``Q.lattice_index``, and V_orb carries the same factor: the two sides
     sqrt det g |det D| and sqrt det g_vv V_orb(z) agree to rounding.
     """
     nv = sample.chart.nv
-    upstairs = sample.area * float(torus_subgroup(Q).dual_covolume)  # |det D|
+    upstairs = sample.area / Q.lattice_index
     downstairs = np.sqrt(np.linalg.det(sample.metric[:, :nv, :nv])) * orbit_volume(Q, sample.points)
     return np.abs(upstairs - downstairs) / np.maximum(np.maximum(upstairs, downstairs), 1e-12)
 

@@ -9,13 +9,10 @@ lattice's fundamental domain as the unit of phi-volume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .exact_linalg import IntegerMatrix
 from .quadric_config import QuadricConfiguration, degenerate_support, feasible_bases
 from .verdict import Verdict
 
@@ -24,21 +21,6 @@ TWO_PI = 2.0 * np.pi
 
 class NonFreePointError(ValueError):
     """The orbit through the point is degenerate (nontrivial stabilizer)."""
-
-
-@dataclass(frozen=True)
-class TorusSubgroup:
-    """Column lattice of the coefficients and the dual (period) lattice."""
-
-    lattice_basis: IntegerMatrix  # rows: Hermite basis of the column lattice
-    dual_basis: tuple[tuple[Fraction, ...], ...]  # rows: basis of the dual lattice
-    dim: int
-    dual_covolume: Fraction  # the dual basis is the inverse transpose of the lattice basis: 1 / |det|
-
-
-def torus_subgroup(Q: QuadricConfiguration) -> TorusSubgroup:
-    """The lattice data kept on Q (``column_lattice``, ``dual_basis``, ``lattice_index``), together."""
-    return TorusSubgroup(Q.column_lattice, Q.dual_basis, Q.num_quadrics, Fraction(1, Q.lattice_index))
 
 
 def torus_point(Q: QuadricConfiguration, phi: Sequence[float]) -> np.ndarray:

@@ -1,12 +1,17 @@
 """Design budgets of the package, counted over its source."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "momentangle"
+import momentangle
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "momentangle"
 
 # the settable values in src/momentangle/*.py after the last change that moved them
-SETTABLE_VALUES = 49
+SETTABLE_VALUES = 47
 
 
 def _is_init_false_field(value) -> bool:
@@ -50,3 +55,27 @@ def test_settable_values_count():
     assert total <= SETTABLE_VALUES, (
         f"{total} settable values in src/momentangle, above the pinned {SETTABLE_VALUES}: a change "
         "that adds a knob must raise SETTABLE_VALUES and say so in CHANGES.md")
+
+
+def _referenced_outside_definition(tree: ast.Module, name: str) -> bool:
+    """Whether ``name`` is read, as a name or an attribute, anywhere in ``tree`` but the body
+    of its own ``def`` or ``class``."""
+    own = {id(node) for d in ast.walk(tree) if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and d.name == name
+           for node in ast.walk(d)}
+    return any(id(node) not in own and (getattr(node, "id", None) == name or getattr(node, "attr", None) == name)
+               for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_export_is_called_by_the_package_or_perfbench():
+    # the package exports no helper that only a test would call: every
+    # exported function and class is read in src/ outside its own
+    # definition, or named by the benchmark in perfbench/
+    trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
+    perfbench = "\n".join(path.read_text() for path in (ROOT / "perfbench").glob("*.py"))
+    exported = [name for name in momentangle.__all__
+                if inspect.isfunction(getattr(momentangle, name)) or inspect.isclass(getattr(momentangle, name))]
+    assert len(exported) > 40
+    unused = [name for name in exported
+              if not any(_referenced_outside_definition(tree, name) for tree in trees)
+              and not re.search(rf"\b{name}\b", perfbench)]
+    assert unused == [], f"exported but called only by tests: {unused}"

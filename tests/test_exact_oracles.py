@@ -33,7 +33,6 @@ from momentangle.exact_linalg import (
     inverse,
     nullspace,
     solve_square,
-    sublattice_equals_lattice,
 )
 from momentangle.lp import feasible_point, positive_combination, solve_lp, strictly_positive_functional
 from momentangle.polytope import (
@@ -89,7 +88,7 @@ def _reference_freeness(Q):
         for subset in combinations(range(Q.ambient_dim), size):
             if positive_combination([cols[i] for i in subset], Q.c) is None:
                 continue
-            if not sublattice_equals_lattice(IntegerMatrix([cols[i] for i in subset]), full):
+            if hermite_row_form(IntegerMatrix([cols[i] for i in subset])) != hermite_row_form(full):
                 return subset
     return None
 

@@ -95,6 +95,40 @@ def test_machine_report_format():
     assert all(ln.split("\t")[3] in ("pass", "fail") for ln in lines)
 
 
+def test_noether_report_rejects_without_an_exception(monkeypatch):
+    # the control reads the invariance spot check's value: Re z_1 is not
+    # torus-invariant, and no call of noether_drift raises on the way, so
+    # an exception counted in a traced run is a fault, never a passing
+    # control. The spot check is the one noether_drift raises on
+    from momentangle.submanifold_numerics import InvarianceError, noether_drift
+
+    raised = []
+
+    def watched(*args, **kwargs):
+        try:
+            return noether_drift(*args, **kwargs)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(proc, "noether_drift", watched)
+    for name in ("one-quadric:2", "one-quadric:3", "two-quadrics:2,2"):
+        Q = catalog_quadrics(name)
+        for seed in range(3):
+            rep = proc.noether_report(Q, _sample(Q, 1, seed, order=0), seed=seed)
+            assert [(r.name, r.passed) for r in rep.records] == [("noether-drift", True),
+                                                                   ("noninvariant-rejected", True)], (name, seed)
+    assert raised == []
+    from momentangle.submanifold_numerics import is_torus_invariant
+
+    Q = catalog_quadrics("one-quadric:3")
+    z = _sample(Q, 1, 0, order=0).points[0]
+    assert not is_torus_invariant(Q, lambda zz: zz[..., 0].real, z, np.random.default_rng(2))
+    assert is_torus_invariant(Q, lambda zz: (np.abs(zz) ** 2).sum(axis=-1), z, np.random.default_rng(2))
+    with pytest.raises(InvarianceError):
+        noether_drift(Q, lambda zz: zz[..., 0].real, lambda zz: np.eye(3)[0] + 0.0 * zz, z)
+
+
 def test_cp_chart_verify_requires_equal_coefficients():
     # a valid double whose first system is two quadrics does not reduce to
     # projective space: the projective records refuse it, and the CLI skips them
@@ -161,7 +195,7 @@ def test_variational_records_read_the_floor_at_twice_their_nodes(monkeypatch):
     # axis, the polar and azimuth axes of ``charts.WHOLE_NODES`` and the
     # degree plus one of the phases and of the azimuths between equal
     # columns alike, each reads the rounding floor (the ratios measured at
-    # most 5.9e-16 and 3.8e-16, the circle's differences from 2 pi 1.8e-15
+    # most 7.9e-16 and 3.8e-16, the circle's differences from 2 pi 1.8e-15
     # at both), and the records keep their names. gamma (1, 2) is the one
     # input whose azimuth, between unequal columns, reads the table
     from momentangle import charts
@@ -224,7 +258,7 @@ def test_azimuth_takes_its_degree_only_between_equal_columns():
     # gamma (1, 1, 2): the azimuth turns z_0 and z_1, whose columns are equal,
     # so it takes 2 + 1 nodes, and the radial field's ratio, whose integrands
     # no such rotation moves, reads the value of the table's 12 nodes
-    # (measured 3.37099311 at both, 5.3e-16 apart). bad-triangle (1, 2, 1)
+    # (measured 3.01510789 at both, 7.4e-16 apart). bad-triangle (1, 2, 1)
     # and (2, 1, 1) put their azimuth on two unequal columns: the table's 12
     from momentangle.charts import global_chart
     from momentangle.quadric_config import gale_dual

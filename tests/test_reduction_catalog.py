@@ -20,7 +20,7 @@ from momentangle.reduction_catalog import (
     circle_invariant_hamiltonian,
     classify_N,
     cp_chart_setup,
-    ntilde_chart,
+    cp_chart_verify,
     ntilde_lagrangian_residual,
     stack_double,
     stacked_tangent_horizontal_residual,
@@ -136,12 +136,17 @@ def test_stacked_checks_symmetric_under_swap():
 # the lifted reduced Lagrangian
 
 
+def _lift(D, base):
+    """The lift's spread chart over ``base``, with the second system's phases only."""
+    return TorusSpreadChart(D.stacked, base, phase_rows=D.delta_cfg.gamma_float())
+
+
 def test_ntilde_chart_examples():
     D = catalog_double("cp2-torus")
     base = np.array([1.0, 0.0, 1.0])
-    p = ntilde_chart(D, base, [0.0], [0.0], spec)
+    p = ChartSample.at(_lift(D, base), [0.0, 0.0], 2).on(D.stacked, spec)
     assert np.allclose(p.points, [base], atol=1e-13)
-    p2 = ntilde_chart(D, base, [0.0], [0.5], spec)
+    p2 = ChartSample.at(_lift(D, base), [0.0, 0.5], 2).on(D.stacked, spec)
     # phases exp(pi i delta_k): (-1, -1, +1)
     assert np.allclose(p2.points, [[-1.0, 0.0, 1.0]], atol=1e-12)
 
@@ -154,7 +159,7 @@ def test_ntilde_membership_and_residual():
     for _ in range(100):
         v = 0.35 * rng.uniform(-1, 1, 1)
         ph = rng.uniform(0, 1, 1)
-        p = ntilde_chart(D, base, v, ph, spec)
+        p = ChartSample.at(_lift(D, base), np.concatenate([v, ph]), 2).on(D.stacked, spec)
         worst_mem = max(worst_mem, membership_residuals(D.stacked, p.points).max())
         worst_lag = max(worst_lag, ntilde_lagrangian_residual(D, p)[0])
     assert worst_mem < 1e-10
@@ -163,7 +168,7 @@ def test_ntilde_membership_and_residual():
 
 def test_ntilde_negative_control():
     D = catalog_double("cp2-torus")
-    p = ntilde_chart(D, np.array([1.0, 0.0, 1.0]), [0.1], [0.2], spec)
+    p = ChartSample.at(_lift(D, np.array([1.0, 0.0, 1.0])), [0.1, 0.2], 2).on(D.stacked, spec)
     assert stacked_tangent_horizontal_residual(D, p.points)[0] > 0.1
 
 
@@ -187,7 +192,7 @@ def test_horizontal_residual_reads_columns_at_any_scale(name):
 def test_ntilde_residual_invariant_under_first_torus():
     D = catalog_double("cp2-torus")
     base = np.array([1.0, 0.0, 1.0])
-    p = ntilde_chart(D, base, [0.15], [0.3], spec)
+    p = ChartSample.at(_lift(D, base), [0.15, 0.3], 2).on(D.stacked, spec)
     r0 = ntilde_lagrangian_residual(D, p)[0]
     rng = np.random.default_rng(3)
     for _ in range(3):
@@ -208,7 +213,7 @@ def test_rp2_lift_is_lagrangian():
     base = np.array([1.0, 0.0, 0.0])
     rng = np.random.default_rng(5)
     for _ in range(20):
-        p = ntilde_chart(D, base, 0.3 * rng.uniform(-1, 1, 2), [], spec)
+        p = ChartSample.at(_lift(D, base), 0.3 * rng.uniform(-1, 1, 2), 2).on(D.stacked, spec)
         assert ntilde_lagrangian_residual(D, p)[0] < 1e-10
 
 
@@ -429,10 +434,11 @@ def test_cp_gradient_field_negative_control():
     # gradient field of a circle-invariant Hamiltonian, projected onto the
     # sphere (it is horizontal already), is a symplectic variation, and the
     # lifted CP^2 torus is not stationary for them: over the whole lift the
-    # radial field reads 2.12 at seeds 0-2, and the worst of three gradient
-    # draws per seed 0.468, 0.114 and 0.603 (one draw reads 0.021: a single
-    # draw can come out nearly volume-preserving), where the Hamiltonian
-    # field of every draw reads the rounding floor (at most 3.2e-16)
+    # radial field reads 3.00, the lift's dimension, at seeds 0-2, and the
+    # worst of three gradient draws per seed 0.661, 0.161 and 0.852 (one
+    # draw reads 0.030: a single draw can come out nearly volume-preserving),
+    # where the Hamiltonian field of every draw reads the rounding floor (at
+    # most 5.5e-16)
     D = catalog_double("cp2-torus")
     m = D.ambient_dim
     radial = VectorField(lambda z: z, lambda z, V: V)
@@ -452,6 +458,24 @@ def test_cp_gradient_field_negative_control():
             ratios.append(stationarity_ratio(setup.patch, _sphere_gradient_field(grad, hess)))
             assert stationarity_ratio(setup.patch, hamiltonian_vector_field(grad, hess)) < 1e-12
         assert max(ratios) > 50 * TOL_STATIONARITY, (seed, ratios)
+
+
+def test_cp_stationarity_reads_the_floor_at_small_levels():
+    # c -> lam c scales the lift by sqrt(lam), and the stationarity ratio
+    # reads its rounding floor at every scale: at lam = 1e-18 at most 1.2e-16
+    # over seeds 0-4. A ratio over integral |X| dA alone would grow like
+    # lam^-1/2, to 8.0e-8 here
+    D = catalog_double("cp2-torus")
+    lam = Fraction(1, 10**18)
+
+    def scaled(Q):
+        return QuadricConfiguration(Q.gamma, [lam * c for c in Q.c])
+
+    small = stack_double(scaled(D.gamma_cfg), scaled(D.delta_cfg))
+    for seed in range(5):
+        record = cp_chart_verify(small, seed=seed).records[1]
+        assert record.name == "cp-hamiltonian-stationarity"
+        assert record.residual <= 1e-14, (seed, record.residual)
 
 
 def test_cp_lagrangian_residuals():
@@ -497,8 +521,6 @@ def test_cp_patch_resolves_the_top_phase_frequency():
     # the cp2 torus takes 3 on its second phase, and rp2 has none. Every
     # azimuth of a lift turns two equal columns and takes 5 nodes, one more
     # than the degree 4 of a quadratic in q
-    from momentangle.reduction_catalog import cp_chart_verify
-
     D = stack_double(QuadricConfiguration.from_rows([(1, 1, 1)], [1]),
                      QuadricConfiguration.from_rows([(-1, -1, 5)], [Fraction(-1, 2)]))
     patch = cp_chart_setup(D, 0).patch

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +32,6 @@ from momentangle.submanifold_numerics import (
     InvarianceError,
     VectorField,
     _poly_scalar,
-    chart_N,
     coarea_orbit_volume_check,
     first_variation_integral,
     frame_symplectic_residual,
@@ -50,7 +48,6 @@ from momentangle.submanifold_numerics import (
     tangent_frames,
 )
 from momentangle import fd
-from momentangle.torus_actions import torus_subgroup
 from momentangle.procedures import (
     _noether_hamiltonians,
     _random_matrix_field,
@@ -163,12 +160,12 @@ def test_projection_of_a_point_does_not_depend_on_its_batch():
 def test_chart_phase_examples():
     Q2 = QuadricConfiguration.from_rows([(1, 1)], [1])
     r = 1 / np.sqrt(2)
-    p = chart_N(Q2, [r, r], [0.0], [0.25])
+    p = ChartSample.at(TorusSpreadChart(Q2, [r, r]), [0.0, 0.25], 2).on(Q2, spec)
     assert np.allclose(p.points, [[1j * r, 1j * r]], atol=1e-12)
-    p = chart_N(Q2, [r, r], [0.0], [0.0])
+    p = ChartSample.at(TorusSpreadChart(Q2, [r, r]), [0.0, 0.0], 2).on(Q2, spec)
     assert np.allclose(p.points, [[r, r]], atol=1e-13)
     Q3 = catalog_quadrics("one-quadric:3")
-    p = chart_N(Q3, [1, 0, 0], [0.0, 0.0], [0.5])
+    p = ChartSample.at(TorusSpreadChart(Q3, [1, 0, 0]), [0.0, 0.0, 0.5], 2).on(Q3, spec)
     assert np.allclose(p.points, [[-1, 0, 0]], atol=1e-12)
 
 
@@ -580,7 +577,7 @@ def test_frame_symplectic_residual_matches_the_matrix_of_omega():
 def test_lagrangian_residual_examples():
     Q2 = QuadricConfiguration.from_rows([(1, 1)], [1])
     r = 1 / np.sqrt(2)
-    p = chart_N(Q2, [r, r], [0.0], [0.0])
+    p = ChartSample.at(TorusSpreadChart(Q2, [r, r]), [0.0, 0.0], 2).on(Q2, spec)
     assert lagrangian_residual(Q2, p)[0] < 1e-13
     Q3 = catalog_quadrics("one-quadric:3")
     rng = np.random.default_rng(5)
@@ -598,14 +595,14 @@ def _mean_curvature(p):
 def test_mean_curvature_examples():
     Q2 = QuadricConfiguration.from_rows([(1, 1)], [1])
     r = 1 / np.sqrt(2)
-    p = chart_N(Q2, [r, r], [0.0], [0.0])
+    p = ChartSample.at(TorusSpreadChart(Q2, [r, r]), [0.0, 0.0], 2).on(Q2, spec)
     H = _mean_curvature(p)
     assert np.allclose(H, [-np.sqrt(2), -np.sqrt(2)], atol=1e-7)
     assert abs(np.linalg.norm(c2r(H)) - 2.0) < 1e-7
 
     # circle of radius r in C: H = -z / r^2
     Q1 = QuadricConfiguration.from_rows([(1,)], [1])
-    pc = chart_N(Q1, [1.0], [], [0.3])
+    pc = ChartSample.at(TorusSpreadChart(Q1, [1.0]), [0.3], 2).on(Q1, spec)
     Hc = _mean_curvature(pc)
     assert np.allclose(Hc, -pc.points[0], atol=1e-8)
 
@@ -615,8 +612,8 @@ def test_mean_curvature_scaling_law():
     Qa = QuadricConfiguration.from_rows([(1, 1)], [1])
     Qb = QuadricConfiguration.from_rows([(1, 1)], [lam**2])
     r = 1 / np.sqrt(2)
-    pa = chart_N(Qa, [r, r], [0.0], [0.17])
-    pb = chart_N(Qb, [lam * r, lam * r], [0.0], [0.17])
+    pa = ChartSample.at(TorusSpreadChart(Qa, [r, r]), [0.0, 0.17], 2).on(Qa, spec)
+    pb = ChartSample.at(TorusSpreadChart(Qb, [lam * r, lam * r]), [0.0, 0.17], 2).on(Qb, spec)
     Ha = _mean_curvature(pa)
     Hb = _mean_curvature(pb)
     assert np.allclose(Hb, Ha / lam, atol=1e-7)
@@ -634,7 +631,7 @@ def test_mean_curvature_is_normal():
 def test_minimality_residual_examples():
     Q2 = QuadricConfiguration.from_rows([(1, 1)], [1])
     r = 1 / np.sqrt(2)
-    p = chart_N(Q2, [r, r], [0.0], [0.0])
+    p = ChartSample.at(TorusSpreadChart(Q2, [r, r]), [0.0, 0.0], 2).on(Q2, spec)
     assert minimality_residual_in_Z(Q2, p)[0] < 1e-8
     Q3 = catalog_quadrics("one-quadric:3")
     rng = np.random.default_rng(7)
@@ -902,6 +899,19 @@ def test_stationarity_ratio_negative_controls():
         assert stationarity_ratio(patch, ORBIT) < 1e-15, name
 
 
+def test_stationarity_ratio_reads_the_same_at_every_scale():
+    # c -> lam c maps N to sqrt(lam) N, and the ratio, a volume rate over
+    # integral |X| dA / R with R the patch's RMS radius, has no units: the
+    # radial field reads dim N = 3 on one quadric in C^3 at c = 1e-12, 1 and
+    # 1e12 (measured 3 to 1.5e-16 relative). Over integral |X| dA alone it
+    # would read 3 / sqrt(c), 3e-6 at c = 1e12, below TOL_STATIONARITY: a
+    # field that changes volume would pass as stationary
+    for c in (Fraction(1, 10**12), 1, 10**12):
+        chart = global_chart(QuadricConfiguration.from_rows([(1, 1, 1)], [c]))
+        patch = ChartPatch.over(chart, [12] * chart.dim, order=1)
+        assert abs(stationarity_ratio(patch, RADIAL) - 3.0) < 1e-14, c
+
+
 def test_stationarity_scale_is_frame_independent():
     # the ratio divides by integral |X| dA, which no unitary change of frame
     # moves: the radial field reads 2 on the spread torus and on its image
@@ -964,15 +974,16 @@ def test_hminimality_examples():
     # i_H omega is the angle form (measured 0 and 7.1e-17)
     Q2 = QuadricConfiguration.from_rows([(1, 1)], [1])
     r = 1 / np.sqrt(2)
-    p = chart_N(Q2, [r, r], [0.0], [0.0])
+    p = ChartSample.at(TorusSpreadChart(Q2, [r, r]), [0.0, 0.0], 2).on(Q2, spec)
     assert hminimality_residual(Q2, p)[0] < 1e-4
     Q1 = QuadricConfiguration.from_rows([(1,)], [1])
-    pc = chart_N(Q1, [1.0], [], [0.2])
+    pc = ChartSample.at(TorusSpreadChart(Q1, [1.0]), [0.2], 2).on(Q1, spec)
     assert hminimality_residual(Q1, pc)[0] < 1e-6
 
-    # the ellipse on its closed-form chart, with no phase row and so a zero
-    # angle form, against its closed form |OMEGA_SCALE| kappa: measured
-    # equal, and bounded at about 20 units in the last place
+    # the ellipse on its closed-form chart: |i_H omega|_g = |OMEGA_SCALE| |H|
+    # from its sample's curvature, against its closed form
+    # |OMEGA_SCALE| kappa: measured 1.6e-16 apart, and bounded at about 20
+    # units in the last place
     numeric, oracle = ellipse_control()
     assert numeric > 1e-2
     assert abs(numeric - oracle) / oracle < 4e-15
@@ -982,6 +993,20 @@ def test_hminimality_examples():
     lift = TorusSpreadChart(D.stacked, [1.0, 0.0, 1.0], phase_rows=D.delta_cfg.gamma_float())
     with pytest.raises(ValueError, match="no Lagrangian angle"):
         hminimality_residual(D.stacked, ChartSample.at(lift, [0.1, 0.3], 2))
+
+
+def test_hminimality_refuses_a_chart_whose_u_is_not_real():
+    # the angle form 2 sum_k R_jk holds where u is real; on the chart
+    # (cos a, sin a) in C, whose u is complex, the H-minimal unit circle
+    # would read 1/pi (its curvature against a zero angle form), so it is
+    # refused. The same circle as the spread of the real point u = 1 reads
+    # the floor
+    circle = ChartSample.at(CircleSpreadChart([1], [1j], [0], []), [[0.3], [1.2]], 2)
+    with pytest.raises(ValueError, match="u is not real"):
+        hminimality_residual(None, circle)
+    Q1 = QuadricConfiguration.from_rows([(1,)], [1])
+    spread = ChartSample.at(TorusSpreadChart(Q1, [1.0]), [[0.3], [0.7]], 2).on(Q1, spec)
+    assert hminimality_residual(Q1, spread).max() < 1e-14
 
 
 def test_spread_metric_has_no_v_phi_block():
@@ -1042,14 +1067,14 @@ def test_coarea_identity():
 
 
 def test_coarea_nontrivial_dual_covolume(monkeypatch):
-    # negative control: without the factor |det D| the unit phi-box runs over
-    # the covolume-1/2 lattice's domain twice, so the upstairs element doubles
+    # negative control: an orbit volume without the factor |det D| = 1 /
+    # lattice_index measures the unit phi-box, which runs over the
+    # covolume-1/2 lattice's domain twice, so the downstairs side doubles
     # (relative mismatch 0.5 at every point) where the dual lattice is not Z^k
-    real = submanifold_numerics.torus_subgroup
-    monkeypatch.setattr(submanifold_numerics, "torus_subgroup",
-                        lambda Q: dataclasses.replace(real(Q), dual_covolume=Fraction(1)))
+    real = submanifold_numerics.orbit_volume
+    monkeypatch.setattr(submanifold_numerics, "orbit_volume", lambda Q, z: real(Q, z) * Q.lattice_index)
     for name in ("gamma (2, 2)", "two-quadrics:2,2"):
-        assert torus_subgroup(_coarea_configuration(name)).dual_covolume == Fraction(1, 2)
+        assert Fraction(1, _coarea_configuration(name).lattice_index) == Fraction(1, 2)
         assert np.abs(_coarea_mismatch(name, 0) - 0.5).max() < 1e-12, name
 
 
@@ -1064,7 +1089,7 @@ def test_frame_spans_expected_directions():
     # balanced-point frame of the spread circle spans {(-1,1)/sqrt2, (i,i)/sqrt2}
     Q2 = QuadricConfiguration.from_rows([(1, 1)], [1])
     r = 1 / np.sqrt(2)
-    p = chart_N(Q2, [r, r], [0.0], [0.0])
+    p = ChartSample.at(TorusSpreadChart(Q2, [r, r]), [0.0, 0.0], 2).on(Q2, spec)
     V = tangent_frames(Q2, p)[0].T  # (2, 4)
     for target in (np.array([-1.0, 1.0, 0.0, 0.0]) / np.sqrt(2),
                    np.array([0.0, 0.0, 1.0, 1.0]) / np.sqrt(2)):
@@ -1073,7 +1098,7 @@ def test_frame_spans_expected_directions():
 
     # sphere chart at a coordinate point contains the rotation direction
     Q3 = catalog_quadrics("one-quadric:3")
-    p3 = chart_N(Q3, [1.0, 0.0, 0.0], [0.0, 0.0], [0.0])
+    p3 = ChartSample.at(TorusSpreadChart(Q3, [1.0, 0.0, 0.0]), [0.0, 0.0, 0.0], 2).on(Q3, spec)
     V3 = tangent_frames(Q3, p3)[0].T
     rot = np.zeros(6)
     rot[3] = 1.0  # the direction i * e_1
